@@ -1,6 +1,6 @@
 //! Measures the segmented store: reload with embedded partial indexes
-//! vs legacy re-tokenize (≥ 5× asserted), warm lazy snapshot open vs
-//! eager decode (lazy must win — asserted), and segmented-vs-rebuild
+//! vs legacy re-tokenize (≥ 5× asserted), warm in-place snapshot open
+//! vs eager decode (in place must win — asserted), and segmented-vs-rebuild
 //! bit identity on every probed (query, k), including after removals
 //! and tier compaction (asserted). Emits `BENCH_segments.json`.
 //!
@@ -42,13 +42,13 @@ fn main() {
     );
     assert!(
         result.lazy_open < result.eager_open,
-        "warm lazy open ({:?}) must beat eager decode ({:?})",
+        "warm in-place open ({:?}) must beat eager decode ({:?})",
         result.lazy_open,
         result.eager_open
     );
     assert!(
         result.lazy_identical,
-        "the lazy view diverged from the eager decode"
+        "the in-place view diverged from the eager decode"
     );
     assert!(
         result.segmented_identical,

@@ -2,11 +2,11 @@
 //! the manifest's *global* BM25 statistics, served over the wire
 //! protocol by a search-only [`WireServer`].
 //!
-//! The backend's scoring loop is a line-for-line mirror of
-//! `InvertedIndex::score_query`, with two substitutions: `N` and each
-//! term's document frequency come from the manifest (global), not the
-//! local index, and `avg_len` is the manifest's exact global bit
-//! pattern. Per document, the contributions are the same values added
+//! The backend ranks through the shared [`scoring`] kernel as one more
+//! [`scoring::ScoreSource`]: its postings are the local ones, but `N`
+//! and each term's document frequency come from the manifest (global),
+//! not the local index, and `avg_len` is the manifest's exact global
+//! bit pattern. Per document, the contributions are the same values added
 //! in the same order as the single node — so every local score is
 //! bit-identical to that document's global score, and the router's
 //! merge can be bit-identical to the single-node ranking.
@@ -15,7 +15,6 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
 use teda_store::{CorpusStore, ShardManifest, StoreError, ViewBackend};
-use teda_text::tokenize;
 use teda_websim::{scoring, BaseCorpus, PageId, SearchBackend, SearchResult};
 use teda_wire::{SearchHit, ShardInfo, WireServer};
 
@@ -114,45 +113,12 @@ impl ShardBackend {
         }
     }
 
-    /// Mirror of `InvertedIndex::score_query` with global statistics:
-    /// dense local score array plus touched local ids in first-touch
-    /// order. Same query-term iteration, same posting order, same
-    /// accumulation order — only `N`, df and `avg_len` are replaced by
-    /// the manifest's global values, which is exactly what makes each
-    /// local score equal the global score bit for bit.
-    fn score_query(&self, query: &str) -> (Vec<f64>, Vec<u32>) {
-        let n_local = self.base.n_docs();
-        let global_docs = self.manifest.global_docs as usize;
-        let mut scores = vec![0.0f64; n_local];
-        let mut touched: Vec<u32> = Vec::new();
-        for term in tokenize(query) {
-            let Some(tid) = self.base.term_id(&term) else {
-                continue;
-            };
-            let idf = scoring::idf(global_docs, self.manifest.global_dfs[tid as usize] as usize);
-            self.base.for_each_posting(tid, &mut |page, tf| {
-                let i = page as usize;
-                let contrib =
-                    scoring::weight(idf, f64::from(tf), self.base.doc_len_of(i), self.avg_len);
-                if scores[i] == 0.0 {
-                    touched.push(page);
-                }
-                scores[i] += contrib;
-            });
-        }
-        (scores, touched)
-    }
-
     /// The shard's top-`k` in **local** ids. Because `global_ids` is
     /// strictly ascending, ranking local ids with the shared tie rules
     /// and translating afterwards gives the same order as ranking the
     /// global ids directly.
     fn search_local(&self, query: &str, k: usize) -> Vec<(PageId, f64)> {
-        if k == 0 || self.base.n_docs() == 0 {
-            return Vec::new();
-        }
-        let (scores, touched) = self.score_query(query);
-        scoring::rank_top_k(&scores, &touched, k)
+        scoring::top_k(self, query, k)
     }
 
     fn to_global(&self, local: PageId) -> PageId {
@@ -170,6 +136,32 @@ impl ShardBackend {
                 result: self.base.page_fields(local).to_result(),
             })
             .collect()
+    }
+}
+
+/// The shard flavour of the BM25 kernel: local postings in local ids,
+/// scored with the manifest's global `N`, dfs and `avg_len`.
+impl scoring::ScoreSource for ShardBackend {
+    type Term = u32;
+
+    fn n_docs(&self) -> usize {
+        self.base.n_docs()
+    }
+
+    fn avg_len(&self) -> f64 {
+        self.avg_len
+    }
+
+    fn idf(&self, token: &str) -> Option<(f64, u32)> {
+        let tid = self.base.term_id(token)?;
+        let df = self.manifest.global_dfs[tid as usize] as usize;
+        Some((scoring::idf(self.manifest.global_docs as usize, df), tid))
+    }
+
+    fn postings(&self, &tid: &u32, mut visit: impl FnMut(u32, f32, f64)) {
+        self.base.for_each_posting(tid, &mut |page, tf| {
+            visit(page, tf, self.base.doc_len_of(page as usize));
+        });
     }
 }
 

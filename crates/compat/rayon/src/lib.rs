@@ -353,18 +353,34 @@ mod tests {
     #[test]
     fn actually_runs_on_multiple_threads() {
         use std::collections::HashSet;
-        use std::sync::Mutex;
-        let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        let xs: Vec<u32> = (0..256).collect();
-        let _: Vec<()> = xs
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+        // One item per worker, hence one item per chunk. Each item
+        // waits (bounded) until every item has arrived: they can only
+        // all arrive if they run at once, on distinct threads. A serial
+        // pool times out here instead of hanging.
+        let n = super::current_num_threads();
+        let rendezvous = (Mutex::new(0usize), Condvar::new());
+        let xs: Vec<usize> = (0..n).collect();
+        let ids: Vec<std::thread::ThreadId> = xs
             .par_iter()
             .map(|_| {
-                seen.lock().unwrap().insert(std::thread::current().id());
+                let (arrived, all_here) = &rendezvous;
+                let mut count = arrived.lock().expect("rendezvous lock");
+                *count += 1;
+                all_here.notify_all();
+                let _ = all_here
+                    .wait_timeout_while(count, Duration::from_secs(5), |c| *c < n)
+                    .expect("rendezvous lock");
+                std::thread::current().id()
             })
             .collect();
-        if super::current_num_threads() > 1 {
-            assert!(seen.lock().unwrap().len() > 1, "expected >1 worker thread");
-        }
+        let distinct: HashSet<_> = ids.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            n,
+            "expected {n} items on {n} distinct threads"
+        );
     }
 
     #[test]

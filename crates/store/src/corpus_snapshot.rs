@@ -23,15 +23,11 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use teda_text::tokenize;
-use teda_websim::{
-    assemble_results, scoring, IndexParts, InvertedIndex, PageFields, PageId, SearchBackend,
-    WebCorpus, WebPage,
-};
+use teda_websim::scoring::{self, ScoreSource};
+use teda_websim::{IndexParts, InvertedIndex, PageFields, PageId, WebCorpus, WebPage};
 
 use crate::format::{
-    decode_container, decode_container_spans, encode_container, put_string, put_u32, put_u64,
-    Cursor, KIND_CORPUS,
+    decode_container, encode_container, put_string, put_u32, put_u64, Cursor, KIND_CORPUS,
 };
 use crate::StoreError;
 
@@ -50,7 +46,7 @@ pub(crate) struct CorpusSections<T> {
 
 /// Slots `(tag, payload)` pairs into the four known corpus sections,
 /// rejecting unknown tags, duplicates and missing sections — the shared
-/// front half of every corpus-snapshot reader (eager, lazy and mapped).
+/// front half of every corpus-snapshot reader (eager and mapped).
 pub(crate) fn slot_corpus_sections<T>(
     sections: Vec<(u32, T)>,
 ) -> Result<CorpusSections<T>, StoreError> {
@@ -279,10 +275,11 @@ pub(crate) struct Span {
     end: usize,
 }
 
-/// The snapshot file image a view reads through: a heap buffer (the
-/// PR 6 lazy path) or a kernel file mapping (the mmap'd serving path).
-/// Both deref to the same `&[u8]`, so every codec and view downstream
-/// is storage-agnostic; cloning clones an `Arc`, never the bytes.
+/// The snapshot file image a view reads through: a heap buffer (an
+/// image already in memory) or a kernel file mapping (the mmap'd
+/// serving path). Both deref to the same `&[u8]`, so every codec and
+/// view downstream is storage-agnostic; cloning clones an `Arc`, never
+/// the bytes.
 #[derive(Debug, Clone)]
 pub enum SnapshotBytes {
     /// The file image read into memory.
@@ -353,9 +350,8 @@ pub(crate) fn page_fields_at<'a>(buf: &'a [u8], spans: &[[Span; 3]], id: PageId)
 
 /// The index half of a snapshot, served in place: terms, postings and
 /// docmeta validated and addressed into the file image — everything a
-/// search needs, nothing a page read needs. [`SnapshotView`] pairs it
-/// with the page-span table up front; the mmap'd `MappedSnapshot`
-/// materializes each half independently on first touch.
+/// search needs, nothing a page read needs. `MappedSnapshot` opens it
+/// on first touch, independently of the page-span table.
 ///
 /// All structural invariants (offset monotonicity, posting page
 /// bounds, term uniqueness, length-table arity — exactly the checks
@@ -487,11 +483,6 @@ impl CoreIndexView {
         })
     }
 
-    /// The whole file image this view indexes into.
-    pub(crate) fn bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
     fn offset_at(&self, i: usize) -> usize {
         let at = self.offsets.start + i * 4;
         u32::from_le_bytes(self.buf[at..at + 4].try_into().expect("in-range offset")) as usize
@@ -530,19 +521,20 @@ impl CoreIndexView {
             .map(|at| self.term_order[at])
     }
 
+    /// Arena indices of term `tid`'s postings.
+    fn posting_range(&self, tid: u32) -> Range<usize> {
+        self.offset_at(tid as usize)..self.offset_at(tid as usize + 1)
+    }
+
     /// Posting-list length of term `tid` (its raw document frequency).
     pub(crate) fn postings_len(&self, tid: u32) -> usize {
-        self.offset_at(tid as usize + 1) - self.offset_at(tid as usize)
+        self.posting_range(tid).len()
     }
 
     /// Visits term `tid`'s postings in stored order, straight off the
     /// little-endian bytes.
     pub(crate) fn for_each_posting(&self, tid: u32, visit: &mut dyn FnMut(u32, f32)) {
-        let (lo, hi) = (
-            self.offset_at(tid as usize),
-            self.offset_at(tid as usize + 1),
-        );
-        for j in lo..hi {
+        for j in self.posting_range(tid) {
             let (page, tf) = self.posting_at(j);
             visit(page, tf);
         }
@@ -564,132 +556,33 @@ impl CoreIndexView {
     pub(crate) fn resident_bytes(&self) -> usize {
         self.term_spans.len() * std::mem::size_of::<Span>() + self.term_order.len() * 4
     }
-
-    /// BM25 top-`k` for `query`: the same posting walk feeding the same
-    /// [`teda_websim::scoring`] kernel as the eager index's `search`,
-    /// only the storage differs — so results are bit-identical.
-    pub(crate) fn search(&self, query: &str, k: usize) -> Vec<(PageId, f64)> {
-        if k == 0 || self.n_docs == 0 {
-            return Vec::new();
-        }
-        let mut scores = vec![0.0f64; self.n_docs];
-        let mut touched: Vec<u32> = Vec::new();
-        for term in tokenize(query) {
-            let Some(tid) = self.term_id(&term) else {
-                continue;
-            };
-            let (lo, hi) = (
-                self.offset_at(tid as usize),
-                self.offset_at(tid as usize + 1),
-            );
-            let idf = scoring::idf(self.n_docs, hi - lo);
-            for j in lo..hi {
-                let (page, tf) = self.posting_at(j);
-                let i = page as usize;
-                let contrib = scoring::weight(idf, f64::from(tf), self.doc_len_of(i), self.avg_len);
-                if scores[i] == 0.0 {
-                    touched.push(page);
-                }
-                scores[i] += contrib;
-            }
-        }
-        scoring::rank_top_k(&scores, &touched, k)
-    }
 }
 
-/// A zero-copy snapshot view: the corpus served straight out of the
-/// file bytes, nothing re-allocated.
-///
-/// [`decode_corpus`] materializes every string and posting into owned
-/// structures — correct, but a *warm* open (unchanged snapshot, process
-/// restart) pays that allocation storm just to reach the same bytes it
-/// started from. The lazy view instead keeps the whole file image
-/// behind one [`SnapshotBytes`] (heap buffer or file mapping) and
-/// records where things live:
-///
-/// * page fields are spans served as borrowed `&str` ([`PageFields`]);
-/// * term lookup is a binary search through a permutation of term ids
-///   sorted by term bytes — no `HashMap`, no per-term `String`;
-/// * postings and document lengths stay little-endian in place, decoded
-///   to their `f32`/`f64` bit patterns at access time.
-///
-/// Open cost is therefore CRC verification plus one validating walk
-/// (UTF-8, offset monotonicity, posting page bounds) — reads, not
-/// allocations. The same bit patterns flow into the same
-/// [`teda_websim::scoring`] kernel in the same order as the eager
-/// index's `search`, so results are bit-identical (`exp_segments`
-/// asserts both the speedup and the identity).
-///
-/// All structural invariants are established at open so accessors
-/// cannot panic on any byte sequence that decoded successfully.
-#[derive(Debug)]
-pub struct SnapshotView {
-    core: CoreIndexView,
-    page_spans: Vec<[Span; 3]>,
-}
-
-/// Opens a snapshot image as a [`SnapshotView`] without materializing
-/// pages or index — the warm-open path. Validation is equivalent to
-/// [`decode_corpus`]'s (every check `InvertedIndex::from_parts` and
-/// `WebCorpus::from_parts` would make), so any input this accepts the
-/// eager decoder accepts too, and vice versa.
-pub fn decode_corpus_lazy(buf: Arc<[u8]>) -> Result<SnapshotView, StoreError> {
-    let bytes = SnapshotBytes::Heap(buf);
-    let secs = slot_corpus_sections(decode_container_spans(&bytes, KIND_CORPUS)?)?;
-    let page_spans = validate_page_spans(&bytes, secs.pages)?;
-    let core = CoreIndexView::open(bytes, secs.terms, secs.postings, secs.docmeta)?;
-    if page_spans.len() != core.n_docs() {
-        return Err(StoreError::Corrupt(format!(
-            "index covers {} documents but the page store holds {}",
-            core.n_docs(),
-            page_spans.len()
-        )));
-    }
-    Ok(SnapshotView { core, page_spans })
-}
-
-impl SnapshotView {
-    /// Number of pages in the snapshot.
-    pub fn n_docs(&self) -> usize {
-        self.core.n_docs()
-    }
-
-    /// Borrowed field views of page `id` — straight out of the file
-    /// bytes. Panics on out-of-range ids (same contract as
-    /// `WebCorpus::page`).
-    pub fn page_fields(&self, id: PageId) -> PageFields<'_> {
-        page_fields_at(self.core.bytes(), &self.page_spans, id)
-    }
-
-    /// BM25 top-`k` for `query`, bit-identical to
-    /// `decode_corpus(bytes).index().search(query, k)`: the same posting
-    /// walk feeding the same [`teda_websim::scoring`] kernel, only the
-    /// storage differs.
-    pub fn search(&self, query: &str, k: usize) -> Vec<(PageId, f64)> {
-        self.core.search(query, k)
-    }
-
-    /// Materializes the eager corpus from the same bytes (re-running
-    /// the full decode) — for callers that outgrow the view, e.g. to
-    /// start journaling on top of it.
-    pub fn materialize(&self) -> Result<WebCorpus, StoreError> {
-        decode_corpus(self.core.bytes())
-    }
-}
-
-impl SearchBackend for SnapshotView {
-    fn search(&self, query: &str, k: usize) -> Vec<(PageId, f64)> {
-        SnapshotView::search(self, query, k)
-    }
-
-    fn search_results(&self, query: &str, k: usize) -> Vec<teda_websim::SearchResult> {
-        assemble_results(SnapshotView::search(self, query, k), |id| {
-            self.page_fields(id)
-        })
-    }
+/// The in-place flavour of the BM25 kernel: the heap index's numbers
+/// (local document count, posting-list lengths as dfs), read straight
+/// off the little-endian bytes — so results are bit-identical to the
+/// eager index's `search`.
+impl ScoreSource for CoreIndexView {
+    type Term = u32;
 
     fn n_docs(&self) -> usize {
-        self.core.n_docs()
+        self.n_docs
+    }
+
+    fn avg_len(&self) -> f64 {
+        self.avg_len
+    }
+
+    fn idf(&self, token: &str) -> Option<(f64, u32)> {
+        let tid = self.term_id(token)?;
+        Some((scoring::idf(self.n_docs, self.postings_len(tid)), tid))
+    }
+
+    fn postings(&self, &tid: &u32, mut visit: impl FnMut(u32, f32, f64)) {
+        for j in self.posting_range(tid) {
+            let (page, tf) = self.posting_at(j);
+            visit(page, tf, self.doc_len_of(page as usize));
+        }
     }
 }
 
@@ -756,62 +649,6 @@ mod tests {
             decode_index_parts(&long),
             Err(StoreError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn lazy_view_is_bit_identical_to_eager_decode() {
-        let original = corpus();
-        let bytes: Arc<[u8]> = encode_corpus(&original).into();
-        let eager = decode_corpus(&bytes).expect("eager decodes");
-        let lazy = decode_corpus_lazy(bytes).expect("lazy opens");
-        assert_eq!(lazy.n_docs(), eager.len());
-        for (i, page) in eager.pages().iter().enumerate() {
-            let f = lazy.page_fields(PageId(i as u32));
-            assert_eq!(f.url, page.url);
-            assert_eq!(f.title, page.title);
-            assert_eq!(f.body, page.body);
-        }
-        for query in ["restaurant", "melisse santa monica", "zzz absent", ""] {
-            for k in [1, 5, 20] {
-                let a = lazy.search(query, k);
-                let b = eager.index().search(query, k);
-                assert_eq!(a.len(), b.len(), "{query:?} k {k}");
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.0, y.0);
-                    assert_eq!(x.1.to_bits(), y.1.to_bits(), "{query:?} k {k}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lazy_open_rejects_corruption_like_the_eager_decoder() {
-        let bytes = encode_corpus(&corpus());
-        // Bit rot fails the CRC.
-        let mut rotted = bytes.clone();
-        let last = rotted.len() - 1;
-        rotted[last] ^= 0x10;
-        assert!(matches!(
-            decode_corpus_lazy(rotted.into()),
-            Err(StoreError::ChecksumMismatch { .. })
-        ));
-        // Truncation anywhere is typed, never a panic (sampled cuts —
-        // every byte of a large snapshot would be minutes of decoding).
-        let step = (bytes.len() / 48).max(1);
-        for cut in (0..bytes.len()).step_by(step) {
-            let err = decode_corpus_lazy(bytes[..cut].to_vec().into())
-                .expect_err("truncated snapshot must not open");
-            assert!(
-                matches!(
-                    err,
-                    StoreError::Truncated { .. }
-                        | StoreError::BadMagic
-                        | StoreError::Corrupt(_)
-                        | StoreError::ChecksumMismatch { .. }
-                ),
-                "cut at {cut}: {err:?}"
-            );
-        }
     }
 
     #[test]

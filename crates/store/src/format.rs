@@ -52,7 +52,7 @@ pub const KIND_SHARD: u32 = 4;
 /// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`
 /// advances a byte through `k` further zero bytes, so eight table reads
 /// fold a whole `u64` per iteration. The checksum runs over every byte
-/// of every section — with the lazy snapshot view it *is* the warm-open
+/// of every section — on a fully verified open it *is* the warm-open
 /// cost, so one-byte-per-iteration was the wrong shape for the hottest
 /// loop in the crate.
 const CRC_TABLES: [[u32; 256]; 8] = {
@@ -147,29 +147,10 @@ pub fn encode_container(kind: u32, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
 /// still bounds-check every field — a *valid* checksum over a malformed
 /// payload must degrade to [`StoreError::Corrupt`], not a panic).
 pub fn decode_container(bytes: &[u8], kind: u32) -> Result<Vec<(u32, &[u8])>, StoreError> {
-    Ok(decode_container_spans(bytes, kind)?
+    decode_container_deferred(bytes, kind)?
         .into_iter()
-        .map(|(tag, span)| (tag, &bytes[span]))
-        .collect())
-}
-
-/// [`decode_container`], but returning each section as a byte *range*
-/// into the input instead of a borrowed slice — what the lazy snapshot
-/// view needs to keep section positions alongside an owned `Arc<[u8]>`
-/// without borrowing from itself. Verification is identical: this
-/// parses the structure with [`decode_container_deferred`] and then
-/// checks every section's CRC in file order.
-pub fn decode_container_spans(
-    bytes: &[u8],
-    kind: u32,
-) -> Result<Vec<(u32, std::ops::Range<usize>)>, StoreError> {
-    let raw = decode_container_deferred(bytes, kind)?;
-    let mut sections = Vec::with_capacity(raw.len());
-    for section in raw {
-        verify_section(bytes, &section)?;
-        sections.push((section.tag, section.span));
-    }
-    Ok(sections)
+        .map(|section| Ok((section.tag, verify_section(bytes, &section)?)))
+        .collect()
 }
 
 /// One section as laid out in the container, structurally validated
@@ -185,8 +166,9 @@ pub struct RawSection {
     pub crc: u32,
 }
 
-/// Checks `section`'s payload bytes against its declared CRC.
-pub fn verify_section(bytes: &[u8], section: &RawSection) -> Result<(), StoreError> {
+/// Checks `section`'s payload bytes against its declared CRC and returns
+/// them, verified.
+pub fn verify_section<'a>(bytes: &'a [u8], section: &RawSection) -> Result<&'a [u8], StoreError> {
     // The container parser only produces in-bounds spans, but this is a
     // public entry point — an out-of-range `RawSection` from elsewhere
     // must degrade to `Corrupt`, not panic.
@@ -204,7 +186,7 @@ pub fn verify_section(bytes: &[u8], section: &RawSection) -> Result<(), StoreErr
             section: section.tag,
         });
     }
-    Ok(())
+    Ok(payload)
 }
 
 /// Structure-only container parse: header checks and the full section
@@ -275,9 +257,10 @@ pub fn decode_container_deferred(bytes: &[u8], kind: u32) -> Result<Vec<RawSecti
 /// writers of the same path (e.g. two wire connections both sending
 /// `SNAPSHOT`) each flush their own temp file instead of trampling a
 /// shared one; the renames then serialize at the filesystem and the
-/// published file is always one writer's complete image. Stale `.tmp`
-/// leftovers from a crash between write and rename are swept by
-/// [`crate::clean_stale_tmps`] at store open.
+/// published file is always one writer's complete image; the parent
+/// directory is synced after the rename, so the new name survives a
+/// power loss. Stale `.tmp` leftovers from a crash between write and
+/// rename are swept by [`crate::clean_stale_tmps`] at store open.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let tmp = tmp_path(path);
     let io = |e: std::io::Error| StoreError::io(&tmp, e);
@@ -286,6 +269,27 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     file.sync_all().map_err(io)?;
     drop(file);
     std::fs::rename(&tmp, path).map_err(|e| StoreError::io(path, e))?;
+    sync_dir(path)
+}
+
+/// Makes a rename over, or an unlink of, `path` durable by fsyncing
+/// the directory that holds it: until the directory entry reaches the
+/// disk, a power loss can undo the rename or resurrect the file. A
+/// no-op off Unix, where directories cannot be opened for syncing.
+pub fn sync_dir(path: &Path) -> Result<(), StoreError> {
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+        let dir = dir.unwrap_or(Path::new("."));
+        std::fs::File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| StoreError::Io {
+                path: dir.to_path_buf(),
+                error: e.to_string(),
+            })?;
+    }
+    #[cfg(not(unix))]
+    let _ = path;
     Ok(())
 }
 
@@ -402,6 +406,22 @@ pub fn put_string(out: &mut Vec<u8>, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn write_atomic_publishes_and_sync_dir_types_its_failures() {
+        let dir = std::env::temp_dir().join(format!("teda_format_sync_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("published.bin");
+        write_atomic(&path, b"payload").expect("write + rename + dir sync");
+        assert_eq!(std::fs::read(&path).unwrap(), b"payload");
+        sync_dir(&path).expect("syncing an existing directory");
+        #[cfg(unix)]
+        assert!(matches!(
+            sync_dir(&dir.join("missing").join("file")),
+            Err(StoreError::Io { .. })
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

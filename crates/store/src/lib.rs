@@ -63,7 +63,7 @@ mod store;
 use std::path::Path;
 
 pub use cache_snapshot::{load_cache_snapshot, save_cache_snapshot};
-pub use corpus_snapshot::{decode_corpus_lazy, SnapshotBytes, SnapshotView};
+pub use corpus_snapshot::SnapshotBytes;
 pub use delta::{BaseId, DeltaOp, SegmentPayload};
 pub use mapped::{MapStats, MappedSnapshot, ViewBackend};
 pub use shard::{shard_dir_name, ShardManifest, MANIFEST_FILE};

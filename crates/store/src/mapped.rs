@@ -1,11 +1,13 @@
-//! Zero-materialization serving off the mmap'd snapshot file.
+//! Zero-copy serving off a snapshot file image — the store's one
+//! in-place read path.
 //!
-//! The PR 6 [`SnapshotView`](crate::SnapshotView) removed the decode
-//! allocation storm but still fronts its open with O(file) work: every
-//! section is CRC-verified and the page-span table is walked before the
-//! first query. For a corpus that outgrows RAM that is still the wrong
-//! shape — the pages section dominates the file and a search never
-//! touches it. [`MappedSnapshot`] finishes the job:
+//! [`decode_corpus`] materializes every string and posting into owned
+//! structures: correct, but a warm open pays that allocation storm just
+//! to reach the bytes it started from, and for a corpus that outgrows
+//! RAM it is the wrong shape altogether — the pages section dominates
+//! the file and a search never touches it. [`MappedSnapshot`] serves
+//! the bytes where they lie, behind one [`SnapshotBytes`] (a heap
+//! buffer or a file mapping):
 //!
 //! * **Open is O(sections)**, not O(corpus): the container structure is
 //!   parsed ([`decode_container_deferred`]) and the four section spans
@@ -27,14 +29,18 @@
 //! query it directly) and [`BaseCorpus`] (so
 //! [`SegmentedCorpus`](teda_websim::SegmentedCorpus) overlays journal
 //! deltas on top of the mapping — live adds and removes keep working,
-//! bit-identical to a heap rebuild).
+//! bit-identical to a heap rebuild). Over a heap buffer
+//! (`MappedSnapshot::open(SnapshotBytes::Heap(..))`), `ViewBackend::new`
+//! plus [`MappedSnapshot::verify_pages`] is the fully verified warm
+//! open: every check [`decode_corpus`] makes, none of its allocations.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use teda_obs::{Histogram, StageTimer};
 use teda_websim::{
-    assemble_results, BaseCorpus, PageFields, PageId, SearchBackend, SearchResult, WebCorpus,
+    assemble_results, scoring, BaseCorpus, PageFields, PageId, SearchBackend, SearchResult,
+    WebCorpus,
 };
 
 use crate::corpus_snapshot::{
@@ -124,7 +130,7 @@ impl MappedSnapshot {
 
     /// The index half, verifying it on first call: CRCs over the
     /// terms, postings and docmeta sections, then the structural walk
-    /// [`decode_corpus_lazy`](crate::decode_corpus_lazy) would make.
+    /// `InvertedIndex::from_parts` would make.
     pub(crate) fn core(&self) -> Result<&CoreIndexView, StoreError> {
         self.core
             .get_or_init(|| {
@@ -298,11 +304,11 @@ impl ViewBackend {
 
 impl SearchBackend for ViewBackend {
     fn search(&self, query: &str, k: usize) -> Vec<(PageId, f64)> {
-        self.core().search(query, k)
+        scoring::top_k(self.core(), query, k)
     }
 
     fn search_results(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        let hits = self.core().search(query, k);
+        let hits = scoring::top_k(self.core(), query, k);
         if hits.is_empty() || self.snap.page_table().is_err() {
             // Rot confined to page text degrades hydration only; the
             // typed error stays readable via `snapshot().pages_error()`.
@@ -360,7 +366,6 @@ impl BaseCorpus for ViewBackend {
 mod tests {
     use super::*;
     use crate::corpus_snapshot::{encode_corpus, SEC_DOCMETA, SEC_PAGES, SEC_POSTINGS, SEC_TERMS};
-    use crate::decode_corpus_lazy;
     use teda_kb::{World, WorldSpec};
     use teda_websim::WebCorpusSpec;
 
@@ -384,21 +389,29 @@ mod tests {
     }
 
     #[test]
-    fn mapped_backend_is_bit_identical_to_eager_and_lazy() {
+    fn mapped_backend_is_bit_identical_to_eager_decode() {
         let original = corpus();
         let bytes = encode_corpus(&original);
-        let lazy = decode_corpus_lazy(bytes.clone().into()).expect("lazy opens");
-        let backend = ViewBackend::new(heap_snapshot(bytes)).expect("core verifies");
+        let eager = decode_corpus(&bytes).expect("eager decodes");
+        let snap = heap_snapshot(bytes);
+        let backend = ViewBackend::new(Arc::clone(&snap)).expect("core verifies");
+        snap.verify_pages().expect("pages verify");
         assert_eq!(SearchBackend::n_docs(&backend), original.len());
+        for (i, page) in eager.pages().iter().enumerate() {
+            let f = snap.page_fields(PageId(i as u32)).expect("page hydrates");
+            assert_eq!(
+                (f.url, f.title, f.body),
+                (&*page.url, &*page.title, &*page.body)
+            );
+        }
         for (q, k) in probes() {
             let mapped = backend.search(q, k);
-            let eager = original.index().search(q, k);
+            let eager = eager.index().search(q, k);
             assert_eq!(mapped.len(), eager.len(), "{q:?} k {k}");
             for (m, e) in mapped.iter().zip(&eager) {
                 assert_eq!(m.0, e.0, "{q:?} k {k}");
                 assert_eq!(m.1.to_bits(), e.1.to_bits(), "{q:?} k {k}");
             }
-            assert_eq!(backend.search(q, k), lazy.search(q, k));
         }
     }
 
@@ -479,6 +492,15 @@ mod tests {
     #[test]
     fn open_rejects_structural_damage_like_the_eager_decoder() {
         let bytes = encode_corpus(&corpus());
+        // Bit rot in the last section fails its CRC once verified.
+        let mut rotted = bytes.clone();
+        let last = rotted.len() - 1;
+        rotted[last] ^= 0x10;
+        let rotted = heap_snapshot(rotted);
+        assert!(matches!(
+            ViewBackend::new(Arc::clone(&rotted)).and_then(|_| rotted.verify_pages()),
+            Err(StoreError::ChecksumMismatch { .. })
+        ));
         // Sampled truncations: typed error, never a panic. Open is
         // structure-only, so damage inside payloads surfaces as the
         // container-level "length points past the end" Corrupt.

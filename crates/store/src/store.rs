@@ -32,7 +32,7 @@ use crate::corpus_snapshot::{decode_corpus, encode_corpus, SnapshotBytes};
 use crate::delta::{
     decode_segment, decode_segment_full, encode_segment_indexed, BaseId, DeltaOp, SegmentPayload,
 };
-use crate::format::write_atomic;
+use crate::format::{sync_dir, write_atomic};
 use crate::mapped::{MappedSnapshot, ViewBackend};
 use crate::{clean_stale_tmps, StoreError};
 
@@ -242,7 +242,7 @@ impl CorpusStore {
                 return Err(StoreError::io(&self.cache_path(), e));
             }
         }
-        Ok(())
+        sync_dir(&self.snapshot_path())
     }
 
     /// Loads the base snapshot and replays the delta journal over it.
@@ -486,6 +486,7 @@ impl CorpusStore {
         base_id: BaseId,
     ) -> Result<Vec<SegmentPayload>, StoreError> {
         let mut payloads = Vec::with_capacity(segments.len());
+        let mut swept = false;
         for seg in segments {
             let bytes = std::fs::read(&seg.path).map_err(|e| StoreError::io(&seg.path, e))?;
             let payload = match decode_segment_full(&bytes) {
@@ -506,9 +507,13 @@ impl CorpusStore {
                 // Already folded into the snapshot by an interrupted
                 // compaction — applying it again would duplicate pages.
                 std::fs::remove_file(&seg.path).map_err(|e| StoreError::io(&seg.path, e))?;
+                swept = true;
                 continue;
             }
             payloads.push(payload);
+        }
+        if swept {
+            sync_dir(&self.snapshot_path())?;
         }
         Ok(payloads)
     }
@@ -635,12 +640,14 @@ impl CorpusStore {
         // One pass over the live journal: sweep stale-bound leftovers,
         // count removal URLs for the full-fold trigger.
         let mut removed = 0usize;
+        let mut swept = false;
         let mut active: Vec<SegFile> = Vec::new();
         for file in self.active_segments()? {
             let bytes = std::fs::read(&file.path).map_err(|e| StoreError::io(&file.path, e))?;
             let (bound_to, ops) = decode_segment(&bytes)?;
             if bound_to != base_id {
                 std::fs::remove_file(&file.path).map_err(|e| StoreError::io(&file.path, e))?;
+                swept = true;
                 continue;
             }
             removed += ops
@@ -651,6 +658,9 @@ impl CorpusStore {
                 })
                 .sum::<usize>();
             active.push(file);
+        }
+        if swept {
+            sync_dir(&self.snapshot_path())?;
         }
         if removed > policy.max_removed {
             self.compact_in_place()?;
@@ -720,6 +730,7 @@ impl CorpusStore {
         for victim in victims {
             std::fs::remove_file(&victim.path).map_err(|e| StoreError::io(&victim.path, e))?;
         }
+        sync_dir(&path)?;
         Ok(SegFile { start, end, path })
     }
 
@@ -789,12 +800,14 @@ impl CorpusStore {
     /// no legitimate producer and is refused as corruption.
     fn active_segments(&self) -> Result<Vec<SegFile>, StoreError> {
         let mut active: Vec<SegFile> = Vec::new();
+        let mut swept = false;
         for file in self.segment_files()? {
             match active.last() {
                 Some(last) if file.start <= last.end => {
                     if file.end <= last.end {
                         std::fs::remove_file(&file.path)
                             .map_err(|e| StoreError::io(&file.path, e))?;
+                        swept = true;
                     } else {
                         return Err(StoreError::Corrupt(format!(
                             "delta segments {} and {} overlap without containment",
@@ -805,6 +818,9 @@ impl CorpusStore {
                 }
                 _ => active.push(file),
             }
+        }
+        if swept {
+            sync_dir(&self.snapshot_path())?;
         }
         Ok(active)
     }

@@ -6,9 +6,8 @@
 //! rank pages for a query, assemble the ranked pages into results, and
 //! know the collection size. [`SearchBackend`] is that contract,
 //! implemented by the monolithic [`WebCorpus`], the read-time-merged
-//! [`SegmentedCorpus`](crate::SegmentedCorpus), and `teda-store`'s lazy
-//! snapshot view — and it is the seam a future scatter-gather cluster
-//! tier would slot into. [`SwappableBackend`] adds atomic hot swap so a
+//! [`SegmentedCorpus`](crate::SegmentedCorpus), `teda-store`'s in-place
+//! `ViewBackend` and `teda-cluster`'s shard backend and router. [`SwappableBackend`] adds atomic hot swap so a
 //! live service can fold in a freshly journaled segment without
 //! restarting (each query runs against one coherent backend, before or
 //! after the swap, never a mixture).

@@ -266,11 +266,7 @@ impl InvertedIndex {
     /// Scores `query` against the collection, returning up to `k` pages by
     /// descending BM25 score. Ties break by page id (stable, deterministic).
     pub fn search(&self, query: &str, k: usize) -> Vec<(PageId, f64)> {
-        if k == 0 || self.n_docs == 0 {
-            return Vec::new();
-        }
-        let (scores, touched) = self.score_query(query);
-        scoring::rank_top_k(&scores, &touched, k)
+        scoring::top_k(self, query, k)
     }
 
     /// The historical ranking path — score everything, sort everything —
@@ -278,32 +274,33 @@ impl InvertedIndex {
     /// (tie order included) and as the baseline for microbenchmarks.
     #[doc(hidden)]
     pub fn search_full_sort(&self, query: &str, k: usize) -> Vec<(PageId, f64)> {
-        let (scores, touched) = self.score_query(query);
+        let (scores, touched) = scoring::accumulate(self, query);
         scoring::rank_full_sort(&scores, &touched, k)
     }
+}
 
-    /// Accumulates BM25 contributions per page: dense score array plus
-    /// the list of touched pages (in first-touch order, which is
-    /// deterministic: query-term order, then posting order).
-    fn score_query(&self, query: &str) -> (Vec<f64>, Vec<u32>) {
-        let mut scores = vec![0.0f64; self.n_docs];
-        let mut touched: Vec<u32> = Vec::new();
-        for term in tokenize(query) {
-            let Some(tid) = self.term_id(&term) else {
-                continue;
-            };
-            let posts = self.postings_of(tid);
-            let idf = scoring::idf(self.n_docs, posts.len());
-            for p in posts {
-                let i = p.page.0 as usize;
-                let contrib = scoring::weight(idf, f64::from(p.tf), self.doc_len[i], self.avg_len);
-                if scores[i] == 0.0 {
-                    touched.push(p.page.0);
-                }
-                scores[i] += contrib;
-            }
+/// The heap flavour of the BM25 kernel: local document count, local
+/// posting-list lengths as document frequencies.
+impl scoring::ScoreSource for InvertedIndex {
+    type Term = u32;
+
+    fn n_docs(&self) -> usize {
+        self.n_docs
+    }
+
+    fn avg_len(&self) -> f64 {
+        self.avg_len
+    }
+
+    fn idf(&self, token: &str) -> Option<(f64, u32)> {
+        let tid = self.term_id(token)?;
+        Some((scoring::idf(self.n_docs, self.postings_of(tid).len()), tid))
+    }
+
+    fn postings(&self, &tid: &u32, mut visit: impl FnMut(u32, f32, f64)) {
+        for p in self.postings_of(tid) {
+            visit(p.page.0, p.tf, self.doc_len[p.page.0 as usize]);
         }
-        (scores, touched)
     }
 }
 

@@ -1,17 +1,28 @@
-//! The BM25 scoring kernel shared by every index flavour.
+//! The BM25 scoring kernel: the one accumulation loop every index
+//! flavour ranks through.
 //!
-//! [`InvertedIndex`](crate::InvertedIndex), the read-time-merged
-//! [`SegmentedCorpus`](crate::SegmentedCorpus) and `teda-store`'s lazy
-//! snapshot view all rank with these exact functions. Bit-identity of
-//! their results is not a coincidence to be tested into existence — it
-//! is guaranteed by sharing the arithmetic (same operations in the same
-//! order on the same bit patterns) and the tie rules (score descending,
-//! page id ascending, compared with `f64::total_cmp`). The property
-//! tests then only have to check that each flavour *feeds* the kernel
-//! the same `(idf, tf, doc_len, avg_len)` stream.
+//! [`accumulate`] owns the per-query body (tokenize, idf, posting walk,
+//! [`weight`], first-touch `+=`) and [`top_k`] ranks its output under
+//! [`rank_order`]. A flavour only says where the numbers come from, as
+//! a [`ScoreSource`]. There are four: the heap
+//! [`InvertedIndex`](crate::InvertedIndex); `teda-store`'s
+//! `CoreIndexView`, reading the same numbers in place from snapshot
+//! bytes; the [`SegmentedCorpus`](crate::SegmentedCorpus) overlay,
+//! counting surviving postings for df and walking in final-id order;
+//! and `teda-cluster`'s `ShardBackend`, scoring local postings with the
+//! manifest's global statistics.
+//!
+//! Bit-identity across flavours therefore holds by construction: the
+//! same arithmetic (same operations in the same order on the same bit
+//! patterns) and the same tie rules (score descending, page id
+//! ascending, compared with `f64::total_cmp`). The kernel is generic,
+//! so each source gets its own monomorphized loop and the posting
+//! visit inlines.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+
+use teda_text::tokenize;
 
 use crate::page::PageId;
 
@@ -34,6 +45,69 @@ pub fn idf(n_docs: usize, df: usize) -> f64 {
 pub fn weight(idf: f64, tf: f64, doc_len: f64, avg_len: f64) -> f64 {
     let norm = K1 * (1.0 - B + B * doc_len / avg_len.max(1e-9));
     idf * (tf * (K1 + 1.0)) / (tf + norm)
+}
+
+/// One index flavour as the BM25 kernel sees it: collection statistics,
+/// a per-term idf, and the term's postings in accumulation order.
+///
+/// Score-space ids are `0..n_docs()`; they are the ids [`top_k`]
+/// returns. Postings must be visited in ascending score-space id —
+/// that order fixes both the per-document addition order and the
+/// first-touch order the ranking's tie handling starts from.
+pub trait ScoreSource {
+    /// What [`idf`](Self::idf) resolves a query term to, handed back to
+    /// [`postings`](Self::postings) (e.g. a term id).
+    type Term;
+
+    /// Size of the score space (documents that can be scored).
+    fn n_docs(&self) -> usize;
+
+    /// The average document length BM25 normalizes against.
+    fn avg_len(&self) -> f64;
+
+    /// The idf of `token` and its resolved term, or `None` to skip it
+    /// (not indexed, or no surviving postings).
+    fn idf(&self, token: &str) -> Option<(f64, Self::Term)>;
+
+    /// Calls `visit(id, tf, doc_len)` for each posting of `term`, in
+    /// ascending score-space id.
+    fn postings(&self, term: &Self::Term, visit: impl FnMut(u32, f32, f64));
+}
+
+/// Accumulates BM25 contributions for `query` over `src`: the dense
+/// score array plus the touched ids in first-touch order (query-term
+/// order, then posting order — deterministic).
+pub fn accumulate<S: ScoreSource>(src: &S, query: &str) -> (Vec<f64>, Vec<u32>) {
+    let mut scores = vec![0.0f64; src.n_docs()];
+    let mut touched: Vec<u32> = Vec::new();
+    let avg_len = src.avg_len();
+    for token in tokenize(query) {
+        let Some((idf, term)) = src.idf(&token) else {
+            continue;
+        };
+        // Captured by value (the slice as pointer + length), so the
+        // inlined posting loop keeps them in registers across pushes.
+        let (scores, touched) = (scores.as_mut_slice(), &mut touched);
+        src.postings(&term, move |id, tf, doc_len| {
+            let i = id as usize;
+            let contrib = weight(idf, f64::from(tf), doc_len, avg_len);
+            if scores[i] == 0.0 {
+                touched.push(id);
+            }
+            scores[i] += contrib;
+        });
+    }
+    (scores, touched)
+}
+
+/// Up to `k` score-space ids by descending BM25 score, ties by
+/// ascending id: [`accumulate`] ranked through [`rank_top_k`].
+pub fn top_k<S: ScoreSource>(src: &S, query: &str, k: usize) -> Vec<(PageId, f64)> {
+    if k == 0 || src.n_docs() == 0 {
+        return Vec::new();
+    }
+    let (scores, touched) = accumulate(src, query);
+    rank_top_k(&scores, &touched, k)
 }
 
 /// The one total order every ranked list in the system uses: higher

@@ -42,8 +42,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use teda_text::tokenize;
-
 use crate::backend::{assemble_results, BaseCorpus, PageFields, SearchBackend};
 use crate::engine::SearchResult;
 use crate::index::{invalid_parts, InvalidIndexParts, InvertedIndex};
@@ -300,104 +298,84 @@ impl SegmentedCorpus {
     /// `WebCorpus::from_pages(self.to_pages()).index().search(query, k)`
     /// (see the module docs for why).
     pub fn search(&self, query: &str, k: usize) -> Vec<(PageId, f64)> {
-        let n = self.plan.n_docs;
-        if k == 0 || n == 0 {
-            return Vec::new();
-        }
-        let base = self.base.as_ref();
-        let mut scores = vec![0.0f64; n];
-        let mut touched: Vec<u32> = Vec::new();
-        let mut run_tids: Vec<Option<u32>> = Vec::with_capacity(self.plan.runs.len());
-        for term in tokenize(query) {
-            // Pass 1: the term's surviving document frequency — the
-            // rebuild derives idf from the *final* posting-list length
-            // before scoring a single posting.
-            let base_tid = base.term_id(&term);
-            let mut df = 0usize;
-            if let Some(tid) = base_tid {
-                match &self.plan.base_remap {
-                    None => df += base.postings_len(tid),
-                    Some(remap) => base.for_each_posting(tid, &mut |page, _| {
-                        if remap[page as usize] != u32::MAX {
-                            df += 1;
-                        }
-                    }),
-                }
-            }
-            run_tids.clear();
-            for run in &self.plan.runs {
-                let (_, index) = self.run_parts(run);
-                let tid = index.term_id(&term);
-                if let Some(t) = tid {
-                    df += index
-                        .postings_of(t)
-                        .iter()
-                        .filter(|p| run.final_of_local[p.page.0 as usize] != u32::MAX)
-                        .count();
-                }
-                run_tids.push(tid);
-            }
-            if df == 0 {
-                continue;
-            }
-            let idf = scoring::idf(n, df);
-            // Pass 2: accumulate in ascending final-id order — base
-            // survivors (remap is order-preserving), then each run.
-            if let Some(tid) = base_tid {
-                let remap = self.plan.base_remap.as_deref();
-                let (scores, touched) = (&mut scores, &mut touched);
-                base.for_each_posting(tid, &mut |page, tf| {
-                    let orig = page as usize;
-                    let f = match remap {
-                        None => page,
-                        Some(remap) => remap[orig],
-                    };
-                    if f == u32::MAX {
-                        return;
-                    }
-                    let contrib = scoring::weight(
-                        idf,
-                        f64::from(tf),
-                        base.doc_len_of(orig),
-                        self.plan.avg_len,
-                    );
-                    let i = f as usize;
-                    if scores[i] == 0.0 {
-                        touched.push(f);
-                    }
-                    scores[i] += contrib;
-                });
-            }
-            for (run, &tid) in self.plan.runs.iter().zip(&run_tids) {
-                let Some(tid) = tid else { continue };
-                let (_, index) = self.run_parts(run);
-                for p in index.postings_of(tid) {
-                    let local = p.page.0 as usize;
-                    let f = run.final_of_local[local];
-                    if f == u32::MAX {
-                        continue;
-                    }
-                    let contrib = scoring::weight(
-                        idf,
-                        f64::from(p.tf),
-                        index.doc_len_of(local),
-                        self.plan.avg_len,
-                    );
-                    let i = f as usize;
-                    if scores[i] == 0.0 {
-                        touched.push(f);
-                    }
-                    scores[i] += contrib;
-                }
-            }
-        }
-        scoring::rank_top_k(&scores, &touched, k)
+        scoring::top_k(self, query, k)
     }
 
     fn run_parts(&self, run: &Run) -> (&[WebPage], &InvertedIndex) {
         self.segments[run.seg as usize].ops()[run.op as usize]
             .added()
             .expect("plan runs only reference add ops")
+    }
+}
+
+/// The overlay flavour of the BM25 kernel, scoring in final ids. The
+/// term resolves to its base term id and one term id per run.
+impl scoring::ScoreSource for SegmentedCorpus {
+    type Term = (Option<u32>, Vec<Option<u32>>);
+
+    fn n_docs(&self) -> usize {
+        self.plan.n_docs
+    }
+
+    fn avg_len(&self) -> f64 {
+        self.plan.avg_len
+    }
+
+    /// Pass 1: the term's surviving document frequency — the rebuild
+    /// derives idf from the *final* posting-list length before scoring
+    /// a single posting.
+    fn idf(&self, token: &str) -> Option<(f64, Self::Term)> {
+        let base_tid = self.base.term_id(token);
+        let mut df = 0usize;
+        if let Some(tid) = base_tid {
+            match &self.plan.base_remap {
+                None => df += self.base.postings_len(tid),
+                Some(remap) => self.base.for_each_posting(tid, &mut |page, _| {
+                    if remap[page as usize] != u32::MAX {
+                        df += 1;
+                    }
+                }),
+            }
+        }
+        let mut run_tids = Vec::with_capacity(self.plan.runs.len());
+        for run in &self.plan.runs {
+            let (_, index) = self.run_parts(run);
+            let tid = index.term_id(token);
+            if let Some(t) = tid {
+                df += index
+                    .postings_of(t)
+                    .iter()
+                    .filter(|p| run.final_of_local[p.page.0 as usize] != u32::MAX)
+                    .count();
+            }
+            run_tids.push(tid);
+        }
+        (df > 0).then(|| (scoring::idf(self.plan.n_docs, df), (base_tid, run_tids)))
+    }
+
+    /// Pass 2: postings in ascending final-id order — base survivors
+    /// (the remap is order-preserving), then each run.
+    fn postings(&self, (base_tid, run_tids): &Self::Term, mut visit: impl FnMut(u32, f32, f64)) {
+        if let Some(tid) = *base_tid {
+            let remap = self.plan.base_remap.as_deref();
+            self.base.for_each_posting(tid, &mut |page, tf| {
+                let f = remap.map_or(page, |remap| remap[page as usize]);
+                if f != u32::MAX {
+                    visit(f, tf, self.base.doc_len_of(page as usize));
+                }
+            });
+        }
+        for (run, &tid) in self.plan.runs.iter().zip(run_tids) {
+            let Some(tid) = tid else { continue };
+            let (_, index) = self.run_parts(run);
+            for p in index.postings_of(tid) {
+                let local = p.page.0 as usize;
+                let f = run.final_of_local[local];
+                if f != u32::MAX {
+                    visit(f, p.tf, index.doc_len_of(local));
+                }
+            }
+        }
     }
 }
 

@@ -11,7 +11,9 @@
 //! * [`SegmentedCorpus`] layering journal segments over a heap base;
 //! * `ViewBackend` serving straight from the mmap'd snapshot; and
 //! * [`SegmentedCorpus`] layering the same segments over the mapped
-//!   view — the beyond-RAM serving configuration.
+//!   view — the beyond-RAM serving configuration; and
+//! * `ShardBackend` shards of the oracle, heap-resident and mmap'd,
+//!   their per-shard rankings merged with `merge_topk`.
 //!
 //! A property test drives all of them through the same random
 //! `(base, ops, query, k)` space, before and after tier compaction, so
@@ -22,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use teda::store::{CorpusStore, DeltaOp, TierPolicy, ViewBackend};
-use teda::websim::{SearchBackend, WebCorpus, WebPage};
+use teda::websim::{merge_topk, PageId, SearchBackend, WebCorpus, WebPage};
 
 /// Small closed vocabulary: queries hit often, scores collide often —
 /// the regime where tie-breaking bugs actually show up.
@@ -66,6 +68,11 @@ fn temp_store(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// A ranked list as exact `(id, score bits)` pairs.
+fn to_bits(hits: &[(PageId, f64)]) -> Vec<(u32, u64)> {
+    hits.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
+}
+
 /// The conformance oracle: `backend` must agree with the from-scratch
 /// rebuild on every probe at every depth — ranked `(id, score)` pairs
 /// compared as exact bit patterns, assembled results compared field by
@@ -80,9 +87,6 @@ fn assert_conforms(oracle: &WebCorpus, backend: &dyn SearchBackend, label: &str)
         for k in KS {
             let want = oracle.index().search(&q, k);
             let got = backend.search(&q, k);
-            let to_bits = |hits: &[(teda::websim::PageId, f64)]| -> Vec<(u32, u64)> {
-                hits.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
-            };
             assert_eq!(
                 to_bits(&got),
                 to_bits(&want),
@@ -93,6 +97,41 @@ fn assert_conforms(oracle: &WebCorpus, backend: &dyn SearchBackend, label: &str)
                 oracle.search_results(&q, k),
                 "{label}: assembled results diverged on {q:?} k {k}"
             );
+        }
+    }
+}
+
+/// Partitions the oracle into `n_shards` shard images under `root` and
+/// checks the scatter-gather ranking without the wire: every shard
+/// opened heap-resident and mmap'd, the per-shard `search` lists merged
+/// with `merge_topk`, score bits compared with the oracle at every
+/// probe and depth.
+fn assert_shards_conform(oracle: &WebCorpus, n_shards: u32, root: &std::path::Path) {
+    use teda::cluster::{partition_corpus, ShardBackend};
+
+    let dirs = partition_corpus(oracle, n_shards, root).expect("partition");
+    for mapped in [false, true] {
+        let shards: Vec<ShardBackend> = dirs
+            .iter()
+            .map(|d| {
+                if mapped {
+                    ShardBackend::open_mapped(d)
+                } else {
+                    ShardBackend::open(d)
+                }
+                .expect("open shard")
+            })
+            .collect();
+        for q in probes() {
+            for k in KS {
+                let want = oracle.index().search(&q, k);
+                let got = merge_topk(shards.iter().map(|s| s.search(&q, k)), k);
+                assert_eq!(
+                    to_bits(&got),
+                    to_bits(&want),
+                    "{n_shards} shard(s), mapped {mapped}: merged ranking diverged on {q:?} k {k}"
+                );
+            }
         }
     }
 }
@@ -274,6 +313,10 @@ proptest::proptest! {
         let oracle = WebCorpus::from_pages(logical);
 
         assert_all_backends_conform(&store, &oracle, "pre-compaction");
+        let shard_root = temp_store(&format!("prop_shards_{seed}"));
+        // Drawn from the seed, not `rng`, so the history stream stays put.
+        assert_shards_conform(&oracle, (seed % 3) as u32 + 1, &shard_root);
+        let _ = std::fs::remove_dir_all(&shard_root);
 
         let policy = TierPolicy {
             max_segments: rng.gen_range(1..=3usize),

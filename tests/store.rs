@@ -25,8 +25,8 @@ use rand::{Rng, SeedableRng};
 use teda::kb::{World, WorldSpec};
 use teda::store::delta::{decode_segment_full, encode_segment_indexed};
 use teda::store::{
-    decode_corpus_lazy, load_cache_snapshot, save_cache_snapshot, BaseId, CorpusStore, DeltaOp,
-    OpenOutcome, StoreError, TierPolicy, CACHE_FILE, SNAPSHOT_FILE,
+    load_cache_snapshot, save_cache_snapshot, BaseId, CorpusStore, DeltaOp, MappedSnapshot,
+    OpenOutcome, SnapshotBytes, StoreError, TierPolicy, ViewBackend, CACHE_FILE, SNAPSHOT_FILE,
 };
 use teda::websim::{
     InvertedIndex, PageId, SearchEngine, SearchResult, WebCorpus, WebCorpusSpec, WebPage,
@@ -987,10 +987,19 @@ fn crash_leftover_inside_a_merged_run_is_swept_and_overlap_is_typed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The in-place read path over a heap image, fully verified: open,
+/// index half (`ViewBackend::new`), pages half (`verify_pages`).
+fn open_in_place(bytes: Vec<u8>) -> Result<ViewBackend, StoreError> {
+    let snap = MappedSnapshot::open(SnapshotBytes::Heap(bytes.into()))?;
+    let view = ViewBackend::new(Arc::clone(&snap))?;
+    snap.verify_pages()?;
+    Ok(view)
+}
+
 /// A forged section length that points past the end of the container
 /// must come back as typed [`StoreError::Corrupt`] from *both* decode
-/// paths — the eager loader and the deferred decoder the mmap'd serving
-/// path uses — never as a panic or an attempt to slice past the buffer.
+/// paths — the eager loader and the in-place path the mmap'd serving
+/// tier uses — never as a panic or an attempt to slice past the buffer.
 ///
 /// The first section header starts right after the 20-byte file header:
 /// tag at 20..24, length at 24..32. Everything here rewrites only that
@@ -1019,14 +1028,13 @@ fn forged_section_length_is_typed_corrupt_on_both_decode_paths() {
             other => panic!("eager: forged len {forged} must be Corrupt, got {other:?}"),
         }
 
-        let buf: std::sync::Arc<[u8]> = bad.into();
-        match decode_corpus_lazy(buf) {
+        match open_in_place(bad) {
             Err(StoreError::Corrupt(msg)) => {
-                assert!(msg.contains("points past"), "lazy: unexpected {msg:?}")
+                assert!(msg.contains("points past"), "in place: unexpected {msg:?}")
             }
             other => {
                 let outcome = other.map(|_| "a view");
-                panic!("lazy: forged len {forged} must be Corrupt, got {outcome:?}")
+                panic!("in place: forged len {forged} must be Corrupt, got {outcome:?}")
             }
         }
     }
@@ -1076,11 +1084,12 @@ fn truncation_mid_section_is_typed_on_both_decode_paths() {
             "eager: cut {cut} must be Truncated or Corrupt, got {err:?}"
         );
 
-        let buf: std::sync::Arc<[u8]> = bad.to_vec().into();
-        let err = decode_corpus_lazy(buf).expect_err("truncated snapshot must not open lazily");
+        let err = open_in_place(bad.to_vec())
+            .map(|_| ())
+            .expect_err("truncated snapshot must not open in place");
         assert!(
             matches!(err, StoreError::Truncated { .. } | StoreError::Corrupt(_)),
-            "lazy: cut {cut} must be Truncated or Corrupt, got {err:?}"
+            "in place: cut {cut} must be Truncated or Corrupt, got {err:?}"
         );
     }
 
