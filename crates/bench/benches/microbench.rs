@@ -129,6 +129,19 @@ fn bench_search(c: &mut Criterion) {
     group.bench_function("index_heap_top10", |b| {
         b.iter(|| index.search(black_box(&name), 10).len())
     });
+    // The same query over the same world plus ~200k noise pages: the
+    // postings it walks barely change, so neither should its cost.
+    let noisy = WebCorpus::build(
+        &world,
+        WebCorpusSpec {
+            noise_pages: 200_000,
+            ..WebCorpusSpec::default()
+        },
+        42,
+    );
+    group.bench_function("index_heap_top10_plus_200k_noise", |b| {
+        b.iter(|| noisy.index().search(black_box(&name), 10).len())
+    });
     group.bench_function("index_full_sort_top10", |b| {
         b.iter(|| index.search_full_sort(black_box(&name), 10).len())
     });

@@ -1,10 +1,10 @@
 //! The BM25 scoring kernel: the one accumulation loop every index
 //! flavour ranks through.
 //!
-//! [`accumulate`] owns the per-query body (tokenize, idf, posting walk,
-//! [`weight`], first-touch `+=`) and [`top_k`] ranks its output under
-//! [`rank_order`]. A flavour only says where the numbers come from, as
-//! a [`ScoreSource`]. There are four: the heap
+//! [`accumulate_into`] owns the per-query body (tokenize, idf, posting
+//! walk, [`weight`], first-touch `+=`) and [`top_k`] ranks its output
+//! under [`rank_order`]. A flavour only says where the numbers come
+//! from, as a [`ScoreSource`]. There are four: the heap
 //! [`InvertedIndex`](crate::InvertedIndex); `teda-store`'s
 //! `CoreIndexView`, reading the same numbers in place from snapshot
 //! bytes; the [`SegmentedCorpus`](crate::SegmentedCorpus) overlay,
@@ -18,7 +18,21 @@
 //! ascending, compared with `f64::total_cmp`). The kernel is generic,
 //! so each source gets its own monomorphized loop and the posting
 //! visit inlines.
+//!
+//! A query costs what its postings cost, not what the corpus costs.
+//! [`top_k`] scores into a per-thread dense scratch that stays all-zero
+//! between queries: after ranking, it writes `0.0` back only at the
+//! touched ids, so the reset is O(touched), not O(`n_docs`). Each
+//! searching thread keeps 8 bytes × the largest `n_docs` it has scored
+//! (plus the touched-id list of its largest query). The scratch grows
+//! through a fresh `vec![0.0; n]`, whose pages the allocator hands out
+//! zeroed and the OS faults in only once a query touches them. The
+//! reset runs from a drop guard, so a [`ScoreSource`] that panics
+//! mid-walk (the service's workers catch panics and keep serving)
+//! leaves the scratch clean for the thread's next query. The reference
+//! [`accumulate`] runs the same body against a fresh buffer.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -74,20 +88,28 @@ pub trait ScoreSource {
     fn postings(&self, term: &Self::Term, visit: impl FnMut(u32, f32, f64));
 }
 
-/// Accumulates BM25 contributions for `query` over `src`: the dense
-/// score array plus the touched ids in first-touch order (query-term
-/// order, then posting order — deterministic).
-pub fn accumulate<S: ScoreSource>(src: &S, query: &str) -> (Vec<f64>, Vec<u32>) {
-    let mut scores = vec![0.0f64; src.n_docs()];
-    let mut touched: Vec<u32> = Vec::new();
+/// Accumulates BM25 contributions for `query` over `src` into
+/// `scores`, pushing each id onto `touched` when its score is first
+/// written (query-term order, then posting order — deterministic).
+///
+/// `scores` must be all zero and at least `src.n_docs()` long; every id
+/// this call writes lands in `touched`, so zeroing those ids restores
+/// the precondition.
+pub fn accumulate_into<S: ScoreSource>(
+    src: &S,
+    query: &str,
+    scores: &mut [f64],
+    touched: &mut Vec<u32>,
+) {
     let avg_len = src.avg_len();
     for token in tokenize(query) {
         let Some((idf, term)) = src.idf(&token) else {
             continue;
         };
-        // Captured by value (the slice as pointer + length), so the
-        // inlined posting loop keeps them in registers across pushes.
-        let (scores, touched) = (scores.as_mut_slice(), &mut touched);
+        // Reborrowed and captured by value (the slice as pointer +
+        // length), so the inlined posting loop keeps them in registers
+        // across pushes.
+        let (scores, touched) = (&mut *scores, &mut *touched);
         src.postings(&term, move |id, tf, doc_len| {
             let i = id as usize;
             let contrib = weight(idf, f64::from(tf), doc_len, avg_len);
@@ -97,17 +119,70 @@ pub fn accumulate<S: ScoreSource>(src: &S, query: &str) -> (Vec<f64>, Vec<u32>) 
             scores[i] += contrib;
         });
     }
+}
+
+/// The reference accumulation: [`accumulate_into`] against a fresh
+/// dense score array, returned with the touched ids in first-touch
+/// order. Shares no state with [`top_k`]'s per-thread scratch.
+pub fn accumulate<S: ScoreSource>(src: &S, query: &str) -> (Vec<f64>, Vec<u32>) {
+    let mut scores = vec![0.0f64; src.n_docs()];
+    let mut touched: Vec<u32> = Vec::new();
+    accumulate_into(src, query, &mut scores, &mut touched);
     (scores, touched)
 }
 
+/// One thread's reusable score space: `scores` is all zero and
+/// `touched` empty between queries.
+#[derive(Default)]
+struct Scratch {
+    scores: Vec<f64>,
+    touched: Vec<u32>,
+}
+
+thread_local! {
+    /// Per-thread scratch for [`top_k`]. Reuse is an allocation
+    /// optimisation, not state: the buffer is all zero whenever no
+    /// query is running, so every query starts from the bits a fresh
+    /// `vec![0.0; n]` would give it.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Restores the [`Scratch`] invariant when dropped — after ranking, or
+/// while unwinding out of a panicking [`ScoreSource`].
+struct ResetOnDrop<'a>(&'a mut Scratch);
+
+impl Drop for ResetOnDrop<'_> {
+    fn drop(&mut self) {
+        // Cannot panic (which would abort mid-unwind): each touched id
+        // was bounds-checked against `scores` before it was pushed.
+        let Scratch { scores, touched } = &mut *self.0;
+        for &id in touched.iter() {
+            scores[id as usize] = 0.0;
+        }
+        touched.clear();
+    }
+}
+
 /// Up to `k` score-space ids by descending BM25 score, ties by
-/// ascending id: [`accumulate`] ranked through [`rank_top_k`].
+/// ascending id: [`accumulate_into`] over this thread's scratch, ranked
+/// through [`rank_top_k`], then the touched ids reset.
 pub fn top_k<S: ScoreSource>(src: &S, query: &str, k: usize) -> Vec<(PageId, f64)> {
-    if k == 0 || src.n_docs() == 0 {
+    let n = src.n_docs();
+    if k == 0 || n == 0 {
         return Vec::new();
     }
-    let (scores, touched) = accumulate(src, query);
-    rank_top_k(&scores, &touched, k)
+    SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        if scratch.scores.len() < n {
+            // Never `resize`: it would write (and so fault in) every
+            // page, where `vec!` gets zeroed pages from the allocator.
+            scratch.scores = vec![0.0f64; n];
+        }
+        let guard = ResetOnDrop(&mut scratch);
+        let Scratch { scores, touched } = &mut *guard.0;
+        accumulate_into(src, query, &mut scores[..n], touched);
+        rank_top_k(scores, touched, k)
+    })
 }
 
 /// The one total order every ranked list in the system uses: higher

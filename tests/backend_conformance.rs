@@ -5,7 +5,9 @@
 //! bits, ties by ascending page id) and identical assembled results.
 //! This harness states that promise *once* — [`assert_conforms`] — and
 //! runs every implementation through it against a single oracle, the
-//! from-scratch [`WebCorpus`] rebuild of the logical page list:
+//! from-scratch [`WebCorpus`] rebuild of the logical page list, ranked
+//! by its full-sort reference (a fresh score buffer per query, so the
+//! oracle shares no scratch with the backends it checks):
 //!
 //! * [`WebCorpus`] itself (eager heap index), fresh and store-loaded;
 //! * [`SegmentedCorpus`] layering journal segments over a heap base;
@@ -73,10 +75,25 @@ fn to_bits(hits: &[(PageId, f64)]) -> Vec<(u32, u64)> {
     hits.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
 }
 
+/// The oracle's ranking of `(q, k)`, checked against the full-sort
+/// reference first. The reference accumulates into a fresh buffer, so a
+/// backend compared with it is not checked against the per-thread
+/// scratch the backend itself ranks through.
+fn oracle_ranking(oracle: &WebCorpus, q: &str, k: usize) -> Vec<(PageId, f64)> {
+    let want = oracle.index().search_full_sort(q, k);
+    assert_eq!(
+        to_bits(&oracle.index().search(q, k)),
+        to_bits(&want),
+        "oracle: scratch ranking diverged from the full-sort reference on {q:?} k {k}"
+    );
+    want
+}
+
 /// The conformance oracle: `backend` must agree with the from-scratch
 /// rebuild on every probe at every depth — ranked `(id, score)` pairs
-/// compared as exact bit patterns, assembled results compared field by
-/// field — and on the document count.
+/// compared as exact bit patterns against the full-sort reference,
+/// assembled results compared field by field — and on the document
+/// count.
 fn assert_conforms(oracle: &WebCorpus, backend: &dyn SearchBackend, label: &str) {
     assert_eq!(
         backend.n_docs(),
@@ -85,7 +102,7 @@ fn assert_conforms(oracle: &WebCorpus, backend: &dyn SearchBackend, label: &str)
     );
     for q in probes() {
         for k in KS {
-            let want = oracle.index().search(&q, k);
+            let want = oracle_ranking(oracle, &q, k);
             let got = backend.search(&q, k);
             assert_eq!(
                 to_bits(&got),
@@ -124,7 +141,7 @@ fn assert_shards_conform(oracle: &WebCorpus, n_shards: u32, root: &std::path::Pa
             .collect();
         for q in probes() {
             for k in KS {
-                let want = oracle.index().search(&q, k);
+                let want = oracle_ranking(oracle, &q, k);
                 let got = merge_topk(shards.iter().map(|s| s.search(&q, k)), k);
                 assert_eq!(
                     to_bits(&got),
