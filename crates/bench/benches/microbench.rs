@@ -29,6 +29,12 @@ const SNIPPET: &str =
     "Melisse restaurant Santa Monica tasting menu cuisine chef wine dinner seasonal michelin \
      reservations dining";
 
+/// Mostly words [`SNIPPET`] never taught the extractor, with stopwords,
+/// capitals, digits and punctuation mixed in: the featurizer's slow path.
+const OOV_SNIPPET: &str =
+    "Zanzibar's quixotic archipelago, renowned for the flamboyant spice markets and \
+     coral-stone labyrinths of Stone Town (UNESCO, 2000) and its Dhow harbour";
+
 fn bench_text(c: &mut Criterion) {
     let mut group = c.benchmark_group("text");
     let mut stemmer = Stemmer::new();
@@ -40,6 +46,38 @@ fn bench_text(c: &mut Criterion) {
     group.bench_function("feature_extract_snippet", |b| {
         b.iter(|| fx.transform(black_box(SNIPPET)).nnz())
     });
+    group.bench_function("feature_extract_oov_snippet", |b| {
+        b.iter(|| fx.transform(black_box(OOV_SNIPPET)).nnz())
+    });
+    // Every page snippet of the tiny Web against a harvested vocabulary;
+    // divide the time per iteration by the count in the name for the
+    // mean per snippet.
+    let world = World::generate(WorldSpec::tiny(), 42);
+    let net = CategoryNetwork::build(&world, 42);
+    let web = Arc::new(WebCorpus::build(&world, WebCorpusSpec::tiny(), 42));
+    let snippets: Vec<String> = web.pages().iter().map(|p| p.snippet()).collect();
+    let corpus = harvest(
+        &world,
+        &net,
+        &BingSim::instant(web),
+        &EntityType::TARGETS,
+        TrainerConfig {
+            max_entities_per_type: Some(10),
+            ..TrainerConfig::default()
+        },
+    );
+    let fx = corpus.extractor;
+    group.bench_function(
+        &format!("feature_extract_tiny_web_{}_snippets", snippets.len()),
+        |b| {
+            b.iter(|| {
+                snippets
+                    .iter()
+                    .map(|s| fx.transform(black_box(s)).nnz())
+                    .sum::<usize>()
+            })
+        },
+    );
     group.finish();
 }
 

@@ -1,6 +1,7 @@
 //! Measures the observability layer: telemetry on/off annotation bit
 //! identity (asserted), recording overhead as the median of paired A/B
-//! batch timings (asserted ≤ 5%), and cross-node trace reconstruction
+//! sample timings, each sample repeating the batch to cover at least
+//! `obs::MIN_SAMPLE` (asserted ≤ 5%), and cross-node trace reconstruction
 //! over a real loopback cluster — the rebuilt span tree must cover the
 //! router's scatter/merge stages and graft a subtree from every live
 //! shard while the routed answer stays bit-identical to the single-node
@@ -31,11 +32,11 @@ fn main() {
         result.off_silent,
         "a telemetry-off service recorded histogram samples or traces"
     );
-    // The standard batch is big enough for the paired median to settle,
-    // so it carries the 5% claim; the quick smoke batch is millisecond
-    // scale where scheduler noise alone can exceed 5%, so it gets a
-    // slightly wider bound — the claim it guards is "recording is not a
-    // measurable cost", not the exact percentage.
+    // The standard run has enough reps for the paired median to settle,
+    // so it carries the 5% claim; the quick smoke has fewer reps over a
+    // smaller batch, so it gets a slightly wider bound — the claim it
+    // guards is "recording is not a measurable cost", not the exact
+    // percentage.
     let bound = match scale {
         Scale::Standard => 1.05,
         Scale::Quick => 1.10,

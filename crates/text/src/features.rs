@@ -8,13 +8,39 @@
 //! "Length of the snippet" is taken as the number of content tokens after
 //! stop-word removal (so weights of a snippet always sum to 1 when at
 //! least one token survives) — the convention LingPipe-era pipelines used.
+//!
+//! # One pass per snippet
+//!
+//! [`FeatureExtractor`] featurizes a snippet in one scan that allocates
+//! only the returned vector:
+//!
+//! * [`TokenScanner`] lowercases each token into a per-thread buffer;
+//! * a **surface lexicon** maps each lowercase token seen in training
+//!   straight to "stopword" or to its feature id, so a hit skips the
+//!   stopword search, the Porter stemmer and the vocabulary lookup. Only
+//!   a miss pays for those three steps;
+//! * feature ids are collected in a per-thread `Vec<u32>`, and the term
+//!   counts come from sort + run-length over it.
+//!
+//! The lexicon is seeded with [`STOPWORDS`] and written only by
+//! [`FeatureExtractor::fit_transform`], so its size is bounded by the
+//! training text (the stopwords plus every distinct training surface
+//! token), never by the traffic [`FeatureExtractor::transform`] sees.
+//!
+//! Output is bit-identical to the plain recipe (tokenize → stop-filter →
+//! stem → vocabulary lookup → count / length). A lexicon entry is the
+//! value that recipe computes for its token: stemming is a pure function
+//! of the surface token, and a fitted stem keeps its id forever. Each
+//! weight is the same single `f64` division of an integer count by the
+//! integer length.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::porter::Stemmer;
-use crate::stopwords::is_stopword;
-use crate::tokenize::tokenize;
+use crate::stopwords::{is_stopword, STOPWORDS};
+use crate::tokenize::TokenScanner;
 use crate::vocab::Vocabulary;
 
 /// A sparse feature vector: `(feature id, weight)` pairs sorted by id,
@@ -126,21 +152,158 @@ impl SparseVector {
 /// [`transform`](FeatureExtractor::transform), which skips unseen tokens.
 ///
 /// `transform` is the extractor's *frozen* mode: it takes `&self`, never
-/// touches the vocabulary, and keeps its stemming scratch in thread-local
-/// storage — so one extractor can featurize snippets from many threads
-/// concurrently (the batch annotation engine classifies cells in
-/// parallel against a single shared extractor).
+/// touches the vocabulary or the surface lexicon, and keeps its scratch
+/// (token buffer, stemmer, id list) in thread-local storage — so one
+/// extractor can featurize snippets from many threads concurrently (the
+/// batch annotation engine classifies cells in parallel against a single
+/// shared extractor).
 #[derive(Debug, Clone, Default)]
 pub struct FeatureExtractor {
     vocab: Vocabulary,
+    lexicon: Lexicon,
+}
+
+/// What a lowercase surface token resolves to.
+#[derive(Debug, Clone, Copy)]
+enum Surface {
+    Stopword,
+    Feature(u32),
+}
+
+/// Lowercase surface token → [`Surface`], for every stopword and every
+/// token `fit_transform` has seen. Grows only in `fit_transform`.
+#[derive(Debug, Clone)]
+struct Lexicon(HashMap<Box<str>, Surface, BuildHasherDefault<SurfaceHasher>>);
+
+impl Default for Lexicon {
+    fn default() -> Self {
+        Lexicon(
+            STOPWORDS
+                .iter()
+                .map(|&w| (Box::from(w), Surface::Stopword))
+                .collect(),
+        )
+    }
+}
+
+/// A multiply-rotate hasher over 8-byte words (the FxHash scheme):
+/// deterministic, std-only, and a few cycles per lexicon key, where
+/// SipHash costs more than the rest of a lookup. It has no keyed
+/// protection against crafted collisions; the lexicon does not need it,
+/// because only `fit_transform` inserts (training text), and a lookup
+/// of any inference-time token probes a fixed table.
+#[derive(Debug, Default, Clone, Copy)]
+struct SurfaceHasher(u64);
+
+impl SurfaceHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for SurfaceHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            // The tail's length rides in the byte it can never fill, so
+            // "ab" and "ab\0" pad to different words.
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            w[7] = rest.len() as u8;
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, b: u8) {
+        self.add(u64::from(b));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward; rotate the well-mixed high bits down
+        // to where the table takes its bucket index.
+        self.0.rotate_left(26)
+    }
+}
+
+/// Per-thread featurization scratch: reused across calls, so a snippet
+/// allocates only its output vector.
+#[derive(Default)]
+struct Scratch {
+    token: String,
     stemmer: Stemmer,
+    ids: Vec<u32>,
 }
 
 thread_local! {
-    /// Per-thread stemming scratch for the frozen (`&self`) path; the
-    /// stemmer's reusable buffer is an allocation optimisation, not
-    /// state, so a per-thread instance preserves pure-function semantics.
-    static FROZEN_STEMMER: RefCell<Stemmer> = RefCell::new(Stemmer::new());
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// The one featurization pass. `resolve` maps a lowercase token to its
+/// [`Surface`], or `None` for a content token outside the vocabulary
+/// (skipped, but counted toward the snippet length).
+fn featurize(
+    text: &str,
+    mut resolve: impl FnMut(&str, &mut Stemmer) -> Option<Surface>,
+) -> SparseVector {
+    SCRATCH.with(|cell| {
+        let Scratch {
+            token,
+            stemmer,
+            ids,
+        } = &mut *cell.borrow_mut();
+        ids.clear();
+        let mut total = 0u32;
+        let mut scanner = TokenScanner::new(text);
+        while scanner.next_into(token) {
+            match resolve(token, stemmer) {
+                Some(Surface::Stopword) => continue,
+                Some(Surface::Feature(id)) => ids.push(id),
+                None => {}
+            }
+            total += 1;
+        }
+        normalized_tf(ids, total)
+    })
+}
+
+/// The recipe's answer for a token the lexicon does not hold: stopword
+/// search, then `id_of` the Porter stem.
+fn resolve_miss(
+    token: &str,
+    stemmer: &mut Stemmer,
+    id_of: impl FnOnce(&str) -> Option<u32>,
+) -> Option<Surface> {
+    if is_stopword(token) {
+        Some(Surface::Stopword)
+    } else {
+        id_of(stemmer.stem(token)).map(Surface::Feature)
+    }
+}
+
+/// Counts by sort + run-length; each weight is `count / total`.
+fn normalized_tf(ids: &mut [u32], total: u32) -> SparseVector {
+    if total == 0 {
+        return SparseVector::default();
+    }
+    ids.sort_unstable();
+    let denom = f64::from(total);
+    let runs = ids.chunk_by(|a, b| a == b);
+    let mut entries = Vec::with_capacity(runs.clone().count());
+    for run in runs {
+        let count = u32::try_from(run.len()).expect("count fits the u32 total");
+        entries.push((run[0], f64::from(count) / denom));
+    }
+    SparseVector { entries }
 }
 
 impl FeatureExtractor {
@@ -159,58 +322,38 @@ impl FeatureExtractor {
         self.vocab.len()
     }
 
+    /// Entries in the surface lexicon: the stopwords plus every distinct
+    /// content token `fit_transform` has seen. `transform` never adds one.
+    pub fn lexicon_len(&self) -> usize {
+        self.lexicon.0.len()
+    }
+
     /// Extracts features, interning unseen tokens (training mode).
     pub fn fit_transform(&mut self, text: &str) -> SparseVector {
-        let mut counts: HashMap<u32, u32> = HashMap::new();
-        let mut total = 0u32;
-        for tok in tokenize(text) {
-            if is_stopword(&tok) {
-                continue;
+        let FeatureExtractor { vocab, lexicon } = self;
+        featurize(text, |token, stemmer| {
+            if let Some(&surface) = lexicon.0.get(token) {
+                return Some(surface);
             }
-            let stem = self.stemmer.stem(&tok);
-            let id = self.vocab.intern(stem);
-            *counts.entry(id).or_insert(0) += 1;
-            total += 1;
-        }
-        Self::normalize(counts, total)
+            let surface = resolve_miss(token, stemmer, |stem| Some(vocab.intern(stem)));
+            if let Some(surface) = surface {
+                lexicon.0.insert(Box::from(token), surface);
+            }
+            surface
+        })
     }
 
     /// Extracts features against the frozen vocabulary (prediction mode);
     /// unseen tokens are skipped but still count toward the snippet length,
     /// as they would for a classifier that has never seen the word.
     ///
-    /// Takes `&self`: the vocabulary is read-only here and the stemmer
+    /// Takes `&self`: the vocabulary and lexicon are read-only here and the
     /// scratch is thread-local, so concurrent inference needs no locking.
     pub fn transform(&self, text: &str) -> SparseVector {
-        FROZEN_STEMMER.with(|scratch| {
-            let stemmer = &mut *scratch.borrow_mut();
-            let mut counts: HashMap<u32, u32> = HashMap::new();
-            let mut total = 0u32;
-            for tok in tokenize(text) {
-                if is_stopword(&tok) {
-                    continue;
-                }
-                let stem = stemmer.stem(&tok);
-                total += 1;
-                if let Some(id) = self.vocab.get(stem) {
-                    *counts.entry(id).or_insert(0) += 1;
-                }
-            }
-            Self::normalize(counts, total)
+        featurize(text, |token, stemmer| match self.lexicon.0.get(token) {
+            Some(&surface) => Some(surface),
+            None => resolve_miss(token, stemmer, |stem| self.vocab.get(stem)),
         })
-    }
-
-    fn normalize(counts: HashMap<u32, u32>, total: u32) -> SparseVector {
-        if total == 0 {
-            return SparseVector::default();
-        }
-        let denom = f64::from(total);
-        SparseVector::from_pairs(
-            counts
-                .into_iter()
-                .map(|(id, c)| (id, f64::from(c) / denom))
-                .collect(),
-        )
     }
 }
 
@@ -280,6 +423,27 @@ mod tests {
         let v = fx.fit_transform("the of and");
         assert!(v.is_empty());
         assert_eq!(v.sum(), 0.0);
+    }
+
+    #[test]
+    fn lexicon_grows_only_in_fit_transform() {
+        let mut fx = FeatureExtractor::new();
+        assert_eq!(fx.lexicon_len(), STOPWORDS.len(), "seeded with stopwords");
+        fx.fit_transform("Museums museum THE Louvre");
+        // museums, museum, louvre: three surfaces, two stems.
+        assert_eq!(fx.lexicon_len(), STOPWORDS.len() + 3);
+        assert_eq!(fx.dim(), 2);
+        fx.transform("zanzibar museums tower");
+        assert_eq!(fx.lexicon_len(), STOPWORDS.len() + 3);
+    }
+
+    #[test]
+    fn surface_hasher_is_deterministic() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<SurfaceHasher>::default();
+        assert_eq!(build.hash_one("museum"), build.hash_one("museum"));
+        assert_ne!(build.hash_one("museum"), build.hash_one("museums"));
+        assert_ne!(build.hash_one(""), build.hash_one("\0"));
     }
 
     #[test]

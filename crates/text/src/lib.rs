@@ -12,7 +12,8 @@
 //!
 //! This crate implements that recipe from scratch:
 //!
-//! * [`mod@tokenize`] — lowercasing word tokenizer;
+//! * [`mod@tokenize`] — lowercasing word tokenizer: one byte scanner,
+//!   [`tokenize::TokenScanner`], defines a token for every caller;
 //! * [`stopwords`] — embedded English stopword list;
 //! * [`porter`] — the full Porter (1980) stemmer, steps 1a–5b;
 //! * [`vocab`] — string interning to dense feature ids;
@@ -20,6 +21,17 @@
 //!   [`features::FeatureExtractor`] train/predict pipeline;
 //! * [`similarity`] — cosine/Jaccard/Levenshtein, used by the catalogue
 //!   annotator's fuzzy name matching.
+//!
+//! Classification featurizes every top-k snippet of every candidate cell,
+//! so [`FeatureExtractor`] runs the recipe in one pass that allocates only
+//! its output. Besides the vocabulary of stems, it keeps a *surface
+//! lexicon*: each lowercase token seen in training (and every stopword)
+//! mapped to "stopword" or to its feature id. A token found there skips
+//! the stopword search, the stemmer and the vocabulary lookup; only a
+//! miss pays for them. The lexicon is written only while fitting, so it
+//! is bounded by the training text, and each entry is exactly what the
+//! recipe computes for its token, so vectors are bit-identical to the
+//! step-by-step recipe (`crates/text/tests/featurize.rs` checks this).
 
 pub mod features;
 pub mod porter;

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 
 use rayon::prelude::*;
 
-use teda_text::tokenize;
+use teda_text::tokenize::TokenScanner;
 
 use crate::page::{PageId, WebPage};
 use crate::scoring;
@@ -80,16 +80,16 @@ fn accumulate_shard(pages: &[WebPage], base: u32) -> ShardAccum {
     let mut doc_len = Vec::with_capacity(pages.len());
 
     let mut counts: HashMap<u32, f32> = HashMap::new();
+    let mut tok = String::new();
     for (i, page) in pages.iter().enumerate() {
         let id = PageId(base + i as u32);
         counts.clear();
-        for tok in tokenize(&page.body) {
-            let tid = intern(&mut term_ids, &mut terms, &mut acc, tok);
-            *counts.entry(tid).or_insert(0.0) += 1.0;
-        }
-        for tok in tokenize(&page.title) {
-            let tid = intern(&mut term_ids, &mut terms, &mut acc, tok);
-            *counts.entry(tid).or_insert(0.0) += 2.0;
+        for (text, tf) in [(&page.body, 1.0), (&page.title, 2.0)] {
+            let mut scanner = TokenScanner::new(text);
+            while scanner.next_into(&mut tok) {
+                let tid = intern(&mut term_ids, &mut terms, &mut acc, &tok);
+                *counts.entry(tid).or_insert(0.0) += tf;
+            }
         }
         // teda-lint: allow(nondeterministic_iteration) -- counts are integral f64s; integer-valued f64 addition below 2^53 is exact, so the sum is order-independent
         let len: f64 = counts.values().map(|&c| f64::from(c)).sum();
@@ -545,14 +545,14 @@ fn intern(
     term_ids: &mut HashMap<String, u32>,
     terms: &mut Vec<String>,
     acc: &mut Vec<Vec<Posting>>,
-    token: String,
+    token: &str,
 ) -> u32 {
-    if let Some(&id) = term_ids.get(&token) {
+    if let Some(&id) = term_ids.get(token) {
         return id;
     }
     let id = u32::try_from(acc.len()).expect("term vocabulary fits u32");
-    terms.push(token.clone());
-    term_ids.insert(token, id);
+    terms.push(token.to_owned());
+    term_ids.insert(token.to_owned(), id);
     acc.push(Vec::new());
     id
 }

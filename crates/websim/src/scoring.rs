@@ -36,7 +36,7 @@ use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use teda_text::tokenize;
+use teda_text::tokenize::TokenScanner;
 
 use crate::page::PageId;
 
@@ -102,7 +102,9 @@ pub fn accumulate_into<S: ScoreSource>(
     touched: &mut Vec<u32>,
 ) {
     let avg_len = src.avg_len();
-    for token in tokenize(query) {
+    let mut scanner = TokenScanner::new(query);
+    let mut token = String::new();
+    while scanner.next_into(&mut token) {
         let Some((idf, term)) = src.idf(&token) else {
             continue;
         };
