@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks for the hot paths of the pipeline:
-//! text processing, classification, retrieval, annotation and the two
-//! graph/scoring algorithms.
+//! text processing, classification, retrieval, the cluster scatter,
+//! annotation and the two graph/scoring algorithms.
 //!
 //! Run with `cargo bench -p teda-bench`.
 
@@ -23,7 +23,7 @@ use teda_kb::{CategoryNetwork, EntityType, World, WorldSpec};
 use teda_simkit::rng_from_seed;
 use teda_tabular::CellId;
 use teda_text::{FeatureExtractor, Stemmer};
-use teda_websim::{BingSim, SearchEngine, WebCorpus, WebCorpusSpec};
+use teda_websim::{BingSim, SearchBackend, SearchEngine, WebCorpus, WebCorpusSpec};
 
 const SNIPPET: &str =
     "Melisse restaurant Santa Monica tasting menu cuisine chef wine dinner seasonal michelin \
@@ -187,6 +187,32 @@ fn bench_search(c: &mut Criterion) {
         b.iter(|| teda_websim::index::InvertedIndex::build(black_box(&pages)).n_terms())
     });
     group.finish();
+}
+
+/// One routed `SEARCH-FULL` over the Quick corpus in 4 mmap'd shards
+/// behind a loopback router: the scatter, 4 shard rankings, the replies
+/// and the merge.
+fn bench_cluster(c: &mut Criterion) {
+    use teda_cluster::{partition_corpus, ClusterRouter, RouterConfig, ShardServer};
+
+    let world = World::generate(WorldSpec::tiny(), 42);
+    let web = WebCorpus::build(&world, WebCorpusSpec::tiny(), 42);
+    let root = std::env::temp_dir().join(format!("teda_microbench_cluster_{}", std::process::id()));
+    let dirs = partition_corpus(&web, 4, &root).expect("partition the Quick corpus");
+    let servers: Vec<ShardServer> = dirs
+        .iter()
+        .map(|dir| ShardServer::start(dir, true, "127.0.0.1:0").expect("serve shard"))
+        .collect();
+    let topology: Vec<Vec<_>> = servers.iter().map(|s| vec![s.local_addr()]).collect();
+    let router = ClusterRouter::connect(&topology, RouterConfig::default()).expect("connect");
+    let name = world.entities()[0].name.clone();
+    c.bench_function("cluster_scatter", |b| {
+        b.iter(|| router.search_results(black_box(&name), 10).len())
+    });
+    for server in servers {
+        server.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 fn bench_batch(c: &mut Criterion) {
@@ -365,6 +391,7 @@ criterion_group!(
     bench_classifiers,
     bench_smo,
     bench_search,
+    bench_cluster,
     bench_batch,
     bench_annotation,
     bench_pre_and_postprocess,

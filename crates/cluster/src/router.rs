@@ -12,6 +12,15 @@
 //! The merge itself is `flatten → sort_by(rank_order) → truncate(k)`,
 //! the same comparator as every single-node ranking.
 //!
+//! Scatter: a search spawns no thread. The router writes one frame to
+//! each group's first replica, then reads the replies in shard order,
+//! so the shards rank concurrently while one thread waits. Reading in
+//! shard order cannot change the answer: the merge sorts the set of
+//! replies. A group whose first try fails resumes its retry schedule
+//! after the other replies are in; only when two or more groups fail at
+//! once do their schedules run on scoped threads, so a scatter still
+//! ends within one schedule.
+//!
 //! Failover: each shard is a replica group. A query rotates through the
 //! group's replicas (round-robin start, healthy replicas first),
 //! retries transport failures on a bounded backoff schedule, and only
@@ -23,15 +32,17 @@
 //! surfaces.
 
 use std::net::SocketAddr;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use teda_obs::{stage, Histogram, Registry, StageTimer, Trace, TraceCtx};
+use teda_obs::{stage, Histogram, Registry, SpanGuard, StageTimer, Trace, TraceCtx};
 use teda_service::ClusterTelemetry;
 use teda_websim::scoring::{merge_topk, rank_order};
 use teda_websim::{PageId, SearchBackend, SearchResult};
-use teda_wire::{SearchHit, WireClient, WireError};
+use teda_wire::protocol::{parse_hits, parse_scored};
+use teda_wire::{Request, SearchHit, WireClient, WireError};
 
 use crate::error::ClusterError;
 
@@ -94,6 +105,20 @@ struct ReplicaGroup {
     shard: u32,
     replicas: Vec<Replica>,
     rr: AtomicUsize,
+}
+
+impl ReplicaGroup {
+    /// The replica order for one call: rotate the starting replica per
+    /// call, then bring healthy replicas to the front (the stable sort
+    /// keeps the rotation order within each health class).
+    fn order(&self) -> Vec<usize> {
+        let n = self.replicas.len();
+        let start = self.rr.fetch_add(1, Ordering::Relaxed);
+        let mut order: Vec<usize> = (0..n).map(|i| (start + i) % n).collect();
+        order
+            .sort_by_key(|&i| self.replicas[i].failures.load(Ordering::Relaxed) >= UNHEALTHY_AFTER);
+        order
+    }
 }
 
 /// The scatter-gather router. Implements [`SearchBackend`], so anything
@@ -262,65 +287,42 @@ impl ClusterRouter {
     }
 
     /// Runs one operation against a replica group with rotation, health
-    /// ordering and bounded retry. Transport failures (and a server
-    /// mid-shutdown) move on to the next replica / next pass; a typed
-    /// server error fails fast — every replica would answer the same.
+    /// ordering and bounded retry.
     fn on_group<T>(
         &self,
         group: &ReplicaGroup,
         op: &(dyn Fn(&mut WireClient) -> Result<T, WireError> + Sync),
     ) -> Result<T, ClusterError> {
-        let n = group.replicas.len();
-        // Rotate the starting replica per call, then bring healthy
-        // replicas to the front (stable sort keeps the rotation order
-        // within each health class).
-        let start = group.rr.fetch_add(1, Ordering::Relaxed);
-        let mut order: Vec<usize> = (0..n).map(|i| (start + i) % n).collect();
-        order.sort_by_key(|&i| {
-            group.replicas[i].failures.load(Ordering::Relaxed) >= UNHEALTHY_AFTER
-        });
+        let last = WireError::Transport("no replica tried".into());
+        self.on_group_from(group, &group.order(), 0, last, op)
+    }
 
-        let mut tries: u32 = 0;
-        let mut last = WireError::Transport("no replica tried".into());
-        for pass in 0..self.config.attempts {
-            if pass > 0 {
+    /// Runs a group's retry schedule from try `from` on: try `t` goes to
+    /// replica `order[t % n]` in pass `t / n`, each pass after the first
+    /// opens with a `backoff × pass` sleep, and every try after the
+    /// first counts as a retry. `last` is the error to report should no
+    /// try be left to make.
+    fn on_group_from<T>(
+        &self,
+        group: &ReplicaGroup,
+        order: &[usize],
+        from: usize,
+        mut last: WireError,
+        op: &(dyn Fn(&mut WireClient) -> Result<T, WireError> + Sync),
+    ) -> Result<T, ClusterError> {
+        let n = order.len();
+        for t in from..n * self.config.attempts as usize {
+            let pass = (t / n) as u32;
+            if pass > 0 && t % n == 0 {
                 std::thread::sleep(self.config.backoff * pass);
             }
-            for &i in &order {
-                let replica = &group.replicas[i];
-                tries += 1;
-                if tries > 1 {
-                    self.telemetry.record_retry();
-                }
-                let mut client = match self.checkout(replica) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        replica.failures.fetch_add(1, Ordering::Relaxed);
-                        last = e;
-                        continue;
-                    }
-                };
-                match op(&mut client) {
-                    Ok(value) => {
-                        replica.failures.store(0, Ordering::Relaxed);
-                        self.checkin(replica, client);
-                        return Ok(value);
-                    }
-                    Err(e @ (WireError::Transport(_) | WireError::ShuttingDown)) => {
-                        // The connection may be desynchronized — drop it.
-                        replica.failures.fetch_add(1, Ordering::Relaxed);
-                        last = e;
-                    }
-                    Err(e) => {
-                        // Typed server answer over a healthy connection.
-                        replica.failures.store(0, Ordering::Relaxed);
-                        self.checkin(replica, client);
-                        return Err(ClusterError::Wire {
-                            shard: group.shard,
-                            error: e,
-                        });
-                    }
-                }
+            if t > 0 {
+                self.telemetry.record_retry();
+            }
+            let replica = &group.replicas[order[t % n]];
+            match self.attempt(group, replica, self.checkout(replica), op) {
+                ControlFlow::Break(outcome) => return outcome,
+                ControlFlow::Continue(e) => last = e,
             }
         }
         Err(ClusterError::ShardDown {
@@ -329,37 +331,126 @@ impl ClusterRouter {
         })
     }
 
-    /// Fans `op` out to every shard concurrently (one thread per group —
-    /// the scatter is latency-bound on the slowest shard, and shard
-    /// counts are small). Returns per-group outcomes in shard order.
-    /// The whole fan-out records into the `shard_scatter` histogram and
-    /// each group stamps a `shard<i>` child span on `trace` — pass a
-    /// disabled context to observe nothing.
+    /// Settles one try on `replica` over `conn` (the checked-out
+    /// connection, or why there is none). A value, or a typed server
+    /// error — every replica would answer the same, so it fails fast —
+    /// returns the connection to the pool and ends the group's schedule.
+    /// A transport failure or a server mid-shutdown drops the connection
+    /// (it may be desynchronized), counts against the replica's health
+    /// and hands the error back so the schedule moves on.
+    fn attempt<T>(
+        &self,
+        group: &ReplicaGroup,
+        replica: &Replica,
+        conn: Result<WireClient, WireError>,
+        op: impl FnOnce(&mut WireClient) -> Result<T, WireError>,
+    ) -> ControlFlow<Result<T, ClusterError>, WireError> {
+        let outcome = conn.map(|mut client| {
+            let value = op(&mut client);
+            (client, value)
+        });
+        match outcome {
+            Ok((client, Ok(value))) => {
+                replica.failures.store(0, Ordering::Relaxed);
+                self.checkin(replica, client);
+                ControlFlow::Break(Ok(value))
+            }
+            Err(e) | Ok((_, Err(e @ (WireError::Transport(_) | WireError::ShuttingDown)))) => {
+                replica.failures.fetch_add(1, Ordering::Relaxed);
+                ControlFlow::Continue(e)
+            }
+            Ok((client, Err(e))) => {
+                replica.failures.store(0, Ordering::Relaxed);
+                self.checkin(replica, client);
+                ControlFlow::Break(Err(ClusterError::Wire {
+                    shard: group.shard,
+                    error: e,
+                }))
+            }
+        }
+    }
+
+    /// Sends `request` to every shard and parses each reply with
+    /// `parse`; returns per-group outcomes in shard order.
+    ///
+    /// The happy path spawns no thread: one frame goes to each group's
+    /// first replica (rotation and health order) before any reply is
+    /// read, so the shards work concurrently while the router reads
+    /// their replies in shard order. A group whose first try fails
+    /// resumes its retry schedule from the next replica once every
+    /// reply is in; when several groups do, their schedules run
+    /// concurrently, so a scatter still ends within one schedule. The
+    /// whole fan-out records into the `shard_scatter` histogram and
+    /// each group stamps a `shard<i>` child span, send to final reply,
+    /// on `trace` — pass a disabled context to observe nothing.
     fn scatter<T: Send>(
         &self,
-        op: &(dyn Fn(&mut WireClient) -> Result<T, WireError> + Sync),
+        request: &Request,
+        parse: fn(&str) -> Result<T, WireError>,
         trace: &TraceCtx,
     ) -> Vec<Result<T, ClusterError>> {
         self.telemetry.record_fanout(self.groups.len() as u64);
         let timer = StageTimer::start(Arc::clone(&self.hist_scatter));
-        let outcomes = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .groups
-                .iter()
-                .map(|group| {
-                    scope.spawn(move || {
-                        let _span = trace.span(&format!("shard{}", group.shard));
-                        self.on_group(group, op)
-                    })
+        let sent: Vec<_> = self
+            .groups
+            .iter()
+            .map(|group| {
+                let span = trace.span(&format!("shard{}", group.shard));
+                let order = group.order();
+                let conn = self
+                    .checkout(&group.replicas[order[0]])
+                    .and_then(|mut client| client.send(request).map(|()| client));
+                (group, order, conn, span)
+            })
+            .collect();
+
+        let mut outcomes = Vec::with_capacity(sent.len());
+        let mut resume = Vec::new();
+        for (group, order, conn, span) in sent {
+            let replica = &group.replicas[order[0]];
+            match self.attempt(group, replica, conn, |c| parse(&c.receive()?)) {
+                ControlFlow::Break(outcome) => outcomes.push(Some(outcome)),
+                ControlFlow::Continue(error) => {
+                    resume.push((outcomes.len(), group, order, error, span));
+                    outcomes.push(None);
+                }
+            }
+        }
+
+        if !resume.is_empty() {
+            let op = |c: &mut WireClient| {
+                c.send(request)?;
+                parse(&c.receive()?)
+            };
+            // `_span` binds the group's span, which closes when `run`
+            // returns: after the group's last try.
+            type Job<'a> = (usize, &'a ReplicaGroup, Vec<usize>, WireError, SpanGuard);
+            let run = |(slot, group, order, error, _span): Job<'_>| {
+                (slot, self.on_group_from(group, &order, 1, error, &op))
+            };
+            let resumed: Vec<_> = if resume.len() == 1 {
+                resume.into_iter().map(run).collect()
+            } else {
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = resume
+                        .into_iter()
+                        .map(|job| scope.spawn(move || run(job)))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("scatter fallback panicked"))
+                        .collect()
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scatter worker panicked"))
-                .collect()
-        });
+            };
+            for (slot, outcome) in resumed {
+                outcomes[slot] = Some(outcome);
+            }
+        }
         timer.finish();
         outcomes
+            .into_iter()
+            .map(|o| o.expect("every group settled"))
+            .collect()
     }
 
     /// Splits scatter outcomes into live results and dead shards.
@@ -395,10 +486,19 @@ impl ClusterRouter {
         // the shard-side trees share it and `reconstruct_trace` can
         // reassemble the whole request.
         let trace = self.obs.start_trace("search");
-        let outcomes = match trace.id() {
-            Some(id) => self.scatter(&|c: &mut WireClient| c.search_traced(id, query, k), &trace),
-            None => self.scatter(&|c: &mut WireClient| c.search(query, k), &trace),
+        let search = Request::Search {
+            k,
+            query: query.into(),
+            full: false,
         };
+        let request = match trace.id() {
+            Some(id) => Request::Traced {
+                id,
+                inner: Box::new(search),
+            },
+            None => search,
+        };
+        let outcomes = self.scatter(&request, parse_scored, &trace);
         let (live, dead) = self.gather(outcomes)?;
         let hits = {
             let timer = StageTimer::start(Arc::clone(&self.hist_merge));
@@ -424,7 +524,12 @@ impl ClusterRouter {
     /// merge.
     pub fn try_search_full(&self, query: &str, k: usize) -> Result<Vec<SearchHit>, ClusterError> {
         let trace = self.obs.start_trace("search_full");
-        let outcomes = self.scatter(&|c: &mut WireClient| c.search_full(query, k), &trace);
+        let request = Request::Search {
+            k,
+            query: query.into(),
+            full: true,
+        };
+        let outcomes = self.scatter(&request, parse_hits, &trace);
         let (live, dead) = self.gather(outcomes)?;
         let timer = StageTimer::start(Arc::clone(&self.hist_merge));
         let merge_span = trace.span(stage::MERGE);

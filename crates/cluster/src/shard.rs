@@ -15,8 +15,8 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
 use teda_store::{CorpusStore, ShardManifest, StoreError, ViewBackend};
-use teda_websim::{scoring, BaseCorpus, PageId, SearchBackend, SearchResult};
-use teda_wire::{SearchHit, ShardInfo, WireServer};
+use teda_websim::{results_of, scoring, BaseCorpus, PageId, SearchBackend, SearchResult};
+use teda_wire::{ShardInfo, WireServer};
 
 use crate::error::ClusterError;
 
@@ -124,19 +124,6 @@ impl ShardBackend {
     fn to_global(&self, local: PageId) -> PageId {
         PageId(self.manifest.global_ids[local.0 as usize])
     }
-
-    /// The shard's top-`k` as `SEARCH-FULL` hits: global ids, exact
-    /// score bits, hydrated fields.
-    pub fn search_hits(&self, query: &str, k: usize) -> Vec<SearchHit> {
-        self.search_local(query, k)
-            .into_iter()
-            .map(|(local, score)| SearchHit {
-                id: self.to_global(local),
-                score,
-                result: self.base.page_fields(local).to_result(),
-            })
-            .collect()
-    }
 }
 
 /// The shard flavour of the BM25 kernel: local postings in local ids,
@@ -175,9 +162,18 @@ impl SearchBackend for ShardBackend {
     }
 
     fn search_results(&self, query: &str, k: usize) -> Vec<SearchResult> {
+        results_of(self.search_hits(query, k))
+    }
+
+    /// The shard's top-`k` as `SEARCH-FULL` hits from one ranking:
+    /// global ids, exact score bits, hydrated fields.
+    fn search_hits(&self, query: &str, k: usize) -> Vec<(PageId, f64, SearchResult)> {
         self.search_local(query, k)
             .into_iter()
-            .map(|(local, _)| self.base.page_fields(local).to_result())
+            .map(|(local, score)| {
+                let fields = self.base.page_fields(local).to_result();
+                (self.to_global(local), score, fields)
+            })
             .collect()
     }
 

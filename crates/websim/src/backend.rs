@@ -65,19 +65,40 @@ pub trait SearchBackend: Send + Sync {
     /// The top-`k` results with their fields assembled.
     fn search_results(&self, query: &str, k: usize) -> Vec<SearchResult>;
 
+    /// The top-`k` as `(id, score, fields)` hits from **one** ranking —
+    /// what a `SEARCH-FULL` answer carries. The default zips
+    /// [`search`](Self::search) with [`search_results`](Self::search_results),
+    /// which ranks twice; backends that can rank once override it, and a
+    /// hot-swappable backend must, so both halves come from the same
+    /// corpus.
+    fn search_hits(&self, query: &str, k: usize) -> Vec<(PageId, f64, SearchResult)> {
+        self.search(query, k)
+            .into_iter()
+            .zip(self.search_results(query, k))
+            .map(|((id, score), result)| (id, score, result))
+            .collect()
+    }
+
     /// Number of pages in the collection.
     fn n_docs(&self) -> usize;
 }
 
-/// Assembles owned results from ranked hits and a page-field accessor —
-/// the one-liner every concrete backend's `search_results` reduces to.
-pub fn assemble_results<'a>(
+/// Assembles owned `(id, score, fields)` hits from ranked hits and a
+/// page-field accessor — the one-liner every concrete backend's
+/// `search_hits` reduces to.
+pub fn assemble_hits<'a>(
     hits: Vec<(PageId, f64)>,
     fields: impl Fn(PageId) -> PageFields<'a>,
-) -> Vec<SearchResult> {
+) -> Vec<(PageId, f64, SearchResult)> {
     hits.into_iter()
-        .map(|(page, _)| fields(page).to_result())
+        .map(|(page, score)| (page, score, fields(page).to_result()))
         .collect()
+}
+
+/// The fields of [`SearchBackend::search_hits`] without ids and scores
+/// — what every concrete backend's `search_results` reduces to.
+pub fn results_of(hits: Vec<(PageId, f64, SearchResult)>) -> Vec<SearchResult> {
+    hits.into_iter().map(|(_, _, result)| result).collect()
 }
 
 impl SearchBackend for WebCorpus {
@@ -86,7 +107,11 @@ impl SearchBackend for WebCorpus {
     }
 
     fn search_results(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        assemble_results(self.index().search(query, k), |id| self.page_fields(id))
+        results_of(self.search_hits(query, k))
+    }
+
+    fn search_hits(&self, query: &str, k: usize) -> Vec<(PageId, f64, SearchResult)> {
+        assemble_hits(self.index().search(query, k), |id| self.page_fields(id))
     }
 
     fn n_docs(&self) -> usize {
@@ -225,6 +250,12 @@ impl SearchBackend for SwappableBackend {
         // One resolve per query: ranking and field assembly both run
         // against the same backend even if a swap lands mid-call.
         self.current().search_results(query, k)
+    }
+
+    fn search_hits(&self, query: &str, k: usize) -> Vec<(PageId, f64, SearchResult)> {
+        // One resolve, one ranking: ids, scores and fields all come
+        // from the backend current at the call.
+        self.current().search_hits(query, k)
     }
 
     fn n_docs(&self) -> usize {

@@ -13,8 +13,10 @@ use crate::protocol::{
     ShardStatsReport, WireError,
 };
 
-/// One connection to a [`WireServer`](crate::WireServer): strict
-/// request/response, one frame each way.
+/// One connection to a [`WireServer`](crate::WireServer): one reply
+/// frame per request frame, in order. The verb methods are round-trips;
+/// [`send`](Self::send) and [`receive`](Self::receive) split one, so a
+/// caller can have a request in flight on several connections at once.
 pub struct WireClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -254,8 +256,27 @@ impl WireClient {
     }
 
     fn roundtrip_once(&mut self, request: &Request) -> Result<String, WireError> {
+        self.send(request)?;
+        self.receive()
+    }
+
+    /// Writes one request frame without waiting for its reply. Pair
+    /// every `send` with one [`receive`](Self::receive): the server
+    /// answers frames in order, so a caller may write to several
+    /// connections first and collect the replies afterwards. No
+    /// auto-reconnect here — after a transport error the connection
+    /// should be dropped.
+    pub fn send(&mut self, request: &Request) -> Result<(), WireError> {
         self.writer.write_all(request.encode().as_bytes())?;
         self.writer.flush()?;
+        Ok(())
+    }
+
+    /// Reads the reply frame to the oldest unanswered
+    /// [`send`](Self::send), through the same bounded [`read_frame`]
+    /// the server uses: the `OK` payload, or the typed error the server
+    /// answered with.
+    pub fn receive(&mut self) -> Result<String, WireError> {
         let line = read_frame(&mut self.reader)?
             .ok_or_else(|| WireError::Transport("server closed the connection".into()))?;
         match Reply::parse(&line)? {

@@ -369,20 +369,19 @@ fn handle_connection(parts: &NodeParts, stream: TcpStream, stop: &AtomicBool) {
     }
 }
 
-/// Serves one `SEARCH`/`SEARCH-FULL` request. The full path ranks once
-/// for the scored ids and once more for the hydrated fields — both
-/// passes are deterministic over the same backend, so the zip below
-/// pairs each id with its own fields.
+/// Serves one `SEARCH`/`SEARCH-FULL` request. The full path takes ids,
+/// scores and fields from one ranking ([`SearchBackend::search_hits`]),
+/// so a hot-swapped backend can never pair a hit with another corpus's
+/// page.
 fn serve_search(node: &SearchNode, query: &str, k: usize, full: bool) -> Reply {
-    let scored = node.backend.search(query, k);
     if !full {
-        return Reply::Ok(render_scored(&scored));
+        return Reply::Ok(render_scored(&node.backend.search(query, k)));
     }
-    let results = node.backend.search_results(query, k);
-    let hits: Vec<SearchHit> = scored
+    let hits: Vec<SearchHit> = node
+        .backend
+        .search_hits(query, k)
         .into_iter()
-        .zip(results)
-        .map(|((id, score), result)| SearchHit { id, score, result })
+        .map(|(id, score, result)| SearchHit { id, score, result })
         .collect();
     Reply::Ok(render_hits(&hits))
 }

@@ -330,6 +330,130 @@ fn whole_group_down_is_typed_partial_results() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A replica that accepts a connection, reads the frame and closes
+/// without replying fails the pipelined first try of its group after
+/// the frame was sent. The group resumes its schedule on the live
+/// replica: answers stay bit-identical, the detour shows as retries,
+/// and nothing degrades to partial.
+#[test]
+fn a_replica_that_closes_without_replying_fails_over_bit_identically() {
+    use std::io::{BufRead, BufReader};
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    let mut rng = StdRng::seed_from_u64(61);
+    let corpus = synth_corpus(&mut rng, 18);
+    let root = temp_dir("mute_replica");
+    let servers = serve_partition(&corpus, 2, &root);
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake replica");
+    let fake_addr = listener.local_addr().unwrap();
+    let frames = Arc::new(AtomicUsize::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let fake = {
+        let (frames, stop) = (Arc::clone(&frames), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    return;
+                }
+                let Ok(stream) = stream else { continue };
+                let mut line = String::new();
+                if BufReader::new(&stream).read_line(&mut line).unwrap_or(0) > 0 {
+                    frames.fetch_add(1, Ordering::SeqCst);
+                }
+                // Dropping the stream closes it with no reply.
+            }
+        })
+    };
+
+    // Shard 0's group lists the fake first, so rotation sends it
+    // pipelined first tries until it is marked unhealthy.
+    let topo = vec![
+        vec![fake_addr, servers[0].local_addr()],
+        vec![servers[1].local_addr()],
+    ];
+    let router = ClusterRouter::connect(&topo, quick_config()).expect("connect");
+    let frames_at_connect = frames.load(Ordering::SeqCst);
+    for q in probes() {
+        for k in KS {
+            let got = router.try_search(&q, k).expect("the live replica answers");
+            assert_eq!(
+                to_bits(&got),
+                to_bits(&corpus.index().search(&q, k)),
+                "failover changed the ranking of {q:?} k {k}"
+            );
+            assert_eq!(
+                router.search_results(&q, k),
+                corpus.search_results(&q, k),
+                "failover changed the results of {q:?} k {k}"
+            );
+        }
+    }
+    assert!(
+        frames.load(Ordering::SeqCst) > frames_at_connect,
+        "the fake replica must have been sent search frames"
+    );
+    let (_, partials, retries) = router.telemetry().snapshot();
+    assert_eq!(partials, 0, "failover within a group is not a partial");
+    assert!(retries > 0, "the mute replica must be visible as retries");
+
+    stop.store(true, Ordering::SeqCst);
+    let _ = TcpStream::connect(fake_addr); // wake the accept loop
+    fake.join().expect("fake replica thread");
+    for s in servers {
+        s.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Every group dead at once: the answer is a typed `PartialResults`
+/// naming both shards, and the dead groups retry concurrently — the
+/// scatter takes one retry schedule, not one schedule per dead group.
+#[test]
+fn all_groups_dead_retry_concurrently_within_one_schedule() {
+    use std::time::Instant;
+
+    let mut rng = StdRng::seed_from_u64(67);
+    let corpus = synth_corpus(&mut rng, 14);
+    let root = temp_dir("all_dead");
+    let servers = serve_partition(&corpus, 2, &root);
+    let config = RouterConfig {
+        attempts: 3,
+        backoff: Duration::from_millis(200),
+        ..quick_config()
+    };
+    let router = ClusterRouter::connect(&topology(&servers), config).expect("connect");
+    for s in servers {
+        s.shutdown();
+    }
+
+    // One group's schedule sleeps `backoff × pass` before each pass
+    // after the first: 200 + 400 ms here.
+    let schedule: Duration = (1..config.attempts).map(|pass| config.backoff * pass).sum();
+    let t0 = Instant::now();
+    let outcome = router.try_search("harbor museum", 10);
+    let elapsed = t0.elapsed();
+    match outcome {
+        Err(ClusterError::PartialResults { dead_shards, hits }) => {
+            assert_eq!(dead_shards, vec![0, 1]);
+            assert!(hits.is_empty(), "no live shard, no hits");
+        }
+        other => panic!("expected PartialResults, got {other:?}"),
+    }
+    assert!(
+        elapsed >= schedule,
+        "the full schedule must run before a shard is declared down: {elapsed:?}"
+    );
+    assert!(
+        elapsed < schedule * 2,
+        "dead groups must retry concurrently: {elapsed:?} against one schedule of {schedule:?}"
+    );
+    let (_, partials, _) = router.telemetry().snapshot();
+    assert_eq!(partials, 1, "one degraded scatter");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Misconfiguration fails typed at connect time, before any query can
 /// return a wrong ranking: shuffled shard order, truncated topology,
 /// and a corrupted manifest on disk.

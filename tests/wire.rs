@@ -21,7 +21,9 @@ use teda::service::{AnnotationService, ServiceConfig};
 use teda::simkit::rng_from_seed;
 use teda::tabular::Table;
 use teda::websim::BingSim;
-use teda::websim::{WebCorpus, WebCorpusSpec};
+use teda::websim::{
+    PageId, SearchBackend, SearchResult, SwappableBackend, WebCorpus, WebCorpusSpec, WebPage,
+};
 use teda::wire::protocol::render_annotations;
 use teda::wire::{WireClient, WireError, WireServer};
 
@@ -472,6 +474,105 @@ fn concurrent_connections_are_served_independently() {
     for w in 0..4 {
         let c = stats.client(&format!("conn{w}")).expect("per-conn client");
         assert_eq!(c.completed, 1);
+    }
+    server.shutdown();
+}
+
+/// Ranks against one of two corpora by turns, one turn per ranking, and
+/// counts the rankings: the worst case of a publish landing between two
+/// rankings of the same request.
+struct FlippingBackend {
+    corpora: [WebCorpus; 2],
+    rankings: std::sync::atomic::AtomicUsize,
+}
+
+impl FlippingBackend {
+    fn rankings(&self) -> usize {
+        self.rankings.load(std::sync::atomic::Ordering::SeqCst)
+    }
+
+    fn next(&self) -> &WebCorpus {
+        let turn = self
+            .rankings
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        &self.corpora[turn % 2]
+    }
+}
+
+impl SearchBackend for FlippingBackend {
+    fn search(&self, query: &str, k: usize) -> Vec<(PageId, f64)> {
+        SearchBackend::search(self.next(), query, k)
+    }
+
+    fn search_results(&self, query: &str, k: usize) -> Vec<SearchResult> {
+        self.next().search_results(query, k)
+    }
+
+    fn search_hits(&self, query: &str, k: usize) -> Vec<(PageId, f64, SearchResult)> {
+        self.next().search_hits(query, k)
+    }
+
+    fn n_docs(&self) -> usize {
+        self.corpora[0].len()
+    }
+}
+
+/// `SEARCH-FULL` ranks once, so every hit's id, score and fields come
+/// from one corpus, even when the backend changes between rankings (a
+/// swappable node over a live corpus). Each reply must equal `search` +
+/// `search_results` of the corpus that one ranking resolved.
+#[test]
+fn search_full_ranks_once_and_pairs_each_hit_with_its_own_page() {
+    let page = |url: &str, body: &str| WebPage {
+        url: url.into(),
+        title: url.to_uppercase(),
+        body: body.into(),
+    };
+    // The same query ranks different pages, under different ids, in
+    // each corpus.
+    let a = WebCorpus::from_pages(vec![
+        page("a0", "harbor museum"),
+        page("a1", "harbor harbor jazz"),
+        page("a2", "quartet"),
+    ]);
+    let b = WebCorpus::from_pages(vec![
+        page("b0", "quartet"),
+        page("b1", "harbor"),
+        page("b2", "lantern"),
+        page("b3", "harbor museum museum"),
+    ]);
+    let flipping = Arc::new(FlippingBackend {
+        corpora: [a, b],
+        rankings: std::sync::atomic::AtomicUsize::new(0),
+    });
+    let node = Arc::new(SwappableBackend::new(Arc::clone(&flipping) as _));
+    let server = WireServer::start_search_only(node, None, "127.0.0.1:0").expect("bind");
+    let mut client = WireClient::connect(server.local_addr()).expect("connect");
+
+    for (query, k) in [("harbor", 5), ("harbor museum", 2), ("zanzibar", 3)] {
+        for _ in 0..2 {
+            let before = flipping.rankings();
+            let hits = client.search_full(query, k).expect("SEARCH-FULL");
+            assert_eq!(
+                flipping.rankings(),
+                before + 1,
+                "one SEARCH-FULL must rank exactly once ({query:?})"
+            );
+            let corpus = &flipping.corpora[before % 2];
+            let scored: Vec<(u32, u64)> =
+                hits.iter().map(|h| (h.id.0, h.score.to_bits())).collect();
+            let want: Vec<(u32, u64)> = SearchBackend::search(corpus, query, k)
+                .iter()
+                .map(|&(id, score)| (id.0, score.to_bits()))
+                .collect();
+            assert_eq!(scored, want, "ids and scores of {query:?}");
+            let results: Vec<SearchResult> = hits.into_iter().map(|h| h.result).collect();
+            assert_eq!(
+                results,
+                corpus.search_results(query, k),
+                "fields of {query:?} must be those of the ranked pages"
+            );
+        }
     }
     server.shutdown();
 }
