@@ -31,7 +31,7 @@ use teda_cluster::{partition_corpus, ClusterRouter, RouterConfig, ShardServer};
 use teda_core::pipeline::BatchAnnotator;
 use teda_corpus::gft::poi_table;
 use teda_kb::EntityType;
-use teda_service::{AnnotationService, ServiceConfig};
+use teda_service::{AnnotationService, ServiceConfig, SubmitRequest, Wait};
 use teda_simkit::rng_from_seed;
 use teda_simkit::tablefmt::{Align, TextTable};
 use teda_tabular::Table;
@@ -165,7 +165,10 @@ fn pass(
         .iter()
         .map(|t| {
             service
-                .submit_blocking(Arc::clone(t))
+                .submit(SubmitRequest {
+                    wait: Wait::Block(None),
+                    ..Arc::clone(t).into()
+                })
                 .expect("obs batch admission")
         })
         .collect();

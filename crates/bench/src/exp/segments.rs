@@ -11,7 +11,7 @@
 //!   materialization) must beat the eager decode on a warm open, while
 //!   answering bit-identically.
 //! * **segmented = rebuild** — the read-time overlay merge
-//!   ([`SegmentedCorpus`]) must produce bit-identical top-k to a full
+//!   ([`SegmentedCorpus`](teda_websim::SegmentedCorpus)) must produce bit-identical top-k to a full
 //!   sequential rebuild of the logical page list for every probed
 //!   (query, k) — including after removals and after tier compaction
 //!   rewrote the journal files.

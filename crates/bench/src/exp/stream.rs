@@ -28,7 +28,7 @@ use teda_core::stream::{
 };
 use teda_corpus::GeneratedPoiSource;
 use teda_kb::EntityType;
-use teda_service::{AnnotationService, ServiceConfig, ServiceStats};
+use teda_service::{AnnotationService, ClientId, ServiceConfig, ServiceStats};
 use teda_simkit::tablefmt::{Align, TextTable};
 use teda_tabular::Table;
 
@@ -240,7 +240,7 @@ pub fn run(fixture: &Fixture) -> StreamReport {
         },
     );
     let mut sink = Collect::new();
-    let summary = service.submit_stream(stream_of(fixture), &mut sink, 4);
+    let summary = service.submit_stream(&ClientId::ANONYMOUS, stream_of(fixture), &mut sink, 4);
     let service_out = sink
         .into_annotations()
         .expect("nothing may be shed from a stream");

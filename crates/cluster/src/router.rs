@@ -122,8 +122,8 @@ impl ReplicaGroup {
 }
 
 /// The scatter-gather router. Implements [`SearchBackend`], so anything
-/// that searches a single node — [`BatchAnnotator`](teda_core) included
-/// — searches the cluster unchanged.
+/// that searches a single node — `teda-core`'s `BatchAnnotator`
+/// included — searches the cluster unchanged.
 pub struct ClusterRouter {
     groups: Vec<ReplicaGroup>,
     global_docs: u64,

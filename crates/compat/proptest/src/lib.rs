@@ -230,7 +230,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// The strategy [`vec`] returns.
+    /// The strategy [`vec`](fn@vec) returns.
     pub struct VecStrategy<S, L> {
         element: S,
         len: L,

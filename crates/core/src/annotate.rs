@@ -5,17 +5,12 @@
 //! all t ∈ Γ, is selected as the type of the entity in T(i,j) provided
 //! that s_t_max > k/2". The annotation score is Eq. 1: `S_ij = s_t / k`.
 //!
-//! Cells are independent of each other, so the step comes in two shapes:
-//! [`annotate_cells`] (sequential) and [`annotate_cells_par`], which fans
-//! the candidate list out across threads against a *shared* classifier
-//! (inference is `&self` — the vocabulary is frozen) and a `Sync` engine.
-//! Both produce identical output for the same inputs: the per-cell
-//! computation is pure given the engine's response, and the parallel
-//! collect preserves candidate order.
+//! Cells are independent of each other: the per-cell computation is pure
+//! given the engine's response, and inference is `&self` over a frozen
+//! vocabulary, so one classifier serves every table the batch engine
+//! annotates concurrently.
 
 use std::collections::HashMap;
-
-use rayon::prelude::*;
 
 use teda_kb::EntityType;
 use teda_tabular::{CellId, Table};
@@ -99,27 +94,6 @@ pub fn annotate_cells<E: SearchEngine + ?Sized>(
         .iter()
         .filter_map(|&cell| annotate_cell(table, cell, engine, classifier, spatial, config))
         .collect()
-}
-
-/// Parallel [`annotate_cells`]: candidate cells are annotated across
-/// threads against the shared classifier and engine.
-///
-/// Output is bit-identical to the sequential path: each cell's annotation
-/// depends only on its own query's results, and the collect preserves
-/// candidate order.
-pub fn annotate_cells_par<E: SearchEngine + Sync + ?Sized>(
-    table: &Table,
-    candidates: &[CellId],
-    engine: &E,
-    classifier: &SnippetClassifier,
-    spatial: Option<&SpatialContext>,
-    config: &AnnotatorConfig,
-) -> Vec<CellAnnotation> {
-    let per_cell: Vec<Option<CellAnnotation>> = candidates
-        .par_iter()
-        .map(|&cell| annotate_cell(table, cell, engine, classifier, spatial, config))
-        .collect();
-    per_cell.into_iter().flatten().collect()
 }
 
 /// The §5.2.1 majority rule: `t_max` wins when `s_t_max > k/2`.

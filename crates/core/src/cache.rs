@@ -546,38 +546,6 @@ fn evict_lru(shard: &mut Shard) -> bool {
     true
 }
 
-/// A [`SearchEngine`] that answers through a [`QueryCache`] — drop-in
-/// memoization for code that talks to the trait (the single-table
-/// [`Annotator`](crate::pipeline::Annotator) path, baselines, hybrid).
-///
-/// The batch engine bypasses this adapter and calls
-/// [`QueryCache::get_or_search`] directly to avoid cloning result lists;
-/// this wrapper clones on every call to satisfy the trait's owned return.
-pub struct CachedEngine {
-    inner: Arc<dyn SearchEngine + Send + Sync>,
-    cache: Arc<QueryCache>,
-}
-
-impl CachedEngine {
-    /// Wraps `inner` with `cache`.
-    pub fn new(inner: Arc<dyn SearchEngine + Send + Sync>, cache: Arc<QueryCache>) -> Self {
-        CachedEngine { inner, cache }
-    }
-
-    /// The shared cache.
-    pub fn cache(&self) -> &QueryCache {
-        &self.cache
-    }
-}
-
-impl SearchEngine for CachedEngine {
-    fn search(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        self.cache
-            .get_or_search(self.inner.as_ref(), query, k)
-            .to_vec()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -750,23 +718,6 @@ mod tests {
         assert_eq!(cache.get_or_search(&engine, "boom", 3).len(), 3);
         assert_eq!(cache.stats().misses, 2, "both attempts were misses");
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn cached_engine_is_a_drop_in_search_engine() {
-        let cache = Arc::new(QueryCache::default());
-        let engine = CachedEngine::new(Arc::new(Counting(AtomicUsize::new(0))), Arc::clone(&cache));
-        let a = engine.search("melisse", 4);
-        let b = engine.search("melisse", 4);
-        assert_eq!(a, b);
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 1,
-                misses: 1,
-                ..CacheStats::default()
-            }
-        );
     }
 
     #[test]

@@ -8,15 +8,16 @@
 //! future work; it is implemented here and measured by the efficiency
 //! experiment.
 
-use std::borrow::Cow;
+use std::collections::HashSet;
 
 use teda_kb::Catalogue;
-use teda_tabular::{infer::infer_column_types, ColumnType, Table};
+use teda_tabular::Table;
 
 use crate::annotate::annotate_cells;
 use crate::catalogue_annotator::catalogue_annotate;
-use crate::pipeline::{Annotator, TableAnnotations};
-use crate::postprocess::eliminate_spurious;
+use crate::pipeline::{
+    finish_table, prepared_table, spatial_context_for, Annotator, TableAnnotations,
+};
 use crate::preprocess::preprocess;
 
 /// Cost accounting for a hybrid run.
@@ -35,21 +36,15 @@ pub fn annotate_hybrid(
     table: &Table,
     catalogue: &Catalogue,
 ) -> (TableAnnotations, HybridStats) {
-    let table: Cow<'_, Table> = if table.column_types().contains(&ColumnType::Unknown) {
-        let mut owned = table.clone();
-        infer_column_types(&mut owned);
-        Cow::Owned(owned)
-    } else {
-        Cow::Borrowed(table)
-    };
+    let table = prepared_table(table);
     let table = table.as_ref();
-    let config = annotator.config.clone();
+    let config = &annotator.config;
 
-    let pre = preprocess(table, &config);
+    let pre = preprocess(table, config);
 
     // Catalogue pass: free annotations for known entities.
     let known = catalogue_annotate(table, &pre.candidates, catalogue, &config.targets);
-    let known_cells: std::collections::HashSet<_> = known.iter().map(|a| a.cell).collect();
+    let known_cells: HashSet<_> = known.iter().map(|a| a.cell).collect();
 
     // Web pass only for the remainder.
     let remaining: Vec<_> = pre
@@ -58,15 +53,14 @@ pub fn annotate_hybrid(
         .copied()
         .filter(|c| !known_cells.contains(c))
         .collect();
-    let spatial =
-        crate::pipeline::spatial_context_for(table, annotator.geocoder.as_deref(), None, &config);
+    let spatial = spatial_context_for(table, annotator.geocoder.as_deref(), None, config);
     let mut annotations = annotate_cells(
         table,
         &remaining,
         annotator.engine.as_ref(),
         &annotator.classifier,
         spatial.as_ref(),
-        &config,
+        config,
     );
 
     let stats = HybridStats {
@@ -75,20 +69,11 @@ pub fn annotate_hybrid(
     };
 
     annotations.extend(known);
-    let cells = if config.use_postprocessing {
-        eliminate_spurious(table, annotations)
-    } else {
-        annotations
+    let annotations = TableAnnotations {
+        queried_cells: stats.web_cells,
+        ..finish_table(table, annotations, &pre, config)
     };
-
-    (
-        TableAnnotations {
-            cells,
-            skipped_cells: pre.skipped.len(),
-            queried_cells: stats.web_cells,
-        },
-        stats,
-    )
+    (annotations, stats)
 }
 
 #[cfg(test)]

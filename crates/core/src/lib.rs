@@ -43,8 +43,8 @@ pub mod report;
 pub mod stream;
 pub mod trainer;
 
-pub use annotate::{annotate_cells, annotate_cells_par, CellAnnotation};
-pub use cache::{CacheConfig, CacheEntrySnapshot, CacheStats, CachedEngine, QueryCache};
+pub use annotate::{annotate_cells, CellAnnotation};
+pub use cache::{CacheConfig, CacheEntrySnapshot, CacheStats, QueryCache};
 pub use config::AnnotatorConfig;
 pub use evaluate::evaluate_type;
 pub use model::{SnippetClassifier, TypeLabels};

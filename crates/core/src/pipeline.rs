@@ -5,10 +5,10 @@
 //!
 //! * [`Annotator`] — one table at a time, querying the engine directly;
 //!   the faithful single-table reproduction of the paper.
-//! * [`BatchAnnotator`] — a corpus at a time: fans tables (or the cells
-//!   of one table) out across threads, and memoizes `(query, k)` through
-//!   a sharded [`QueryCache`] so duplicate cell contents — pervasive in
-//!   real table corpora — are searched and classified once.
+//! * [`BatchAnnotator`] — a corpus at a time: fans tables out across
+//!   threads, and memoizes `(query, k)` through a sharded [`QueryCache`]
+//!   so duplicate cell contents — pervasive in real table corpora — are
+//!   searched and classified once.
 //!
 //! The corpus-scale entry point is the streaming driver
 //! [`BatchAnnotator::annotate_stream`]: a [`TableSource`] is pulled
@@ -30,13 +30,12 @@
 //!
 //! Perf knobs: worker count (`RAYON_NUM_THREADS`), in-flight window
 //! (`annotate_stream`'s `max_in_flight`), cache shard count
-//! ([`BatchAnnotator::with_cache_shards`]), snippets per query
+//! ([`CacheConfig::shards`] through
+//! [`BatchAnnotator::with_cache_config`]), snippets per query
 //! (`AnnotatorConfig::top_k`).
 
 use std::borrow::{Borrow, Cow};
 use std::sync::Arc;
-
-use rayon::prelude::*;
 
 use teda_geo::{GeocodeCache, GeocodeStats, SimGeocoder};
 use teda_kb::EntityType;
@@ -189,7 +188,7 @@ impl Annotator {
 
 /// Column inference for untyped Web tables (§6.3 set), shared by every
 /// pipeline driver.
-fn prepared_table(table: &Table) -> Cow<'_, Table> {
+pub(crate) fn prepared_table(table: &Table) -> Cow<'_, Table> {
     if table.column_types().contains(&ColumnType::Unknown) {
         let mut owned = table.clone();
         infer_column_types(&mut owned);
@@ -218,7 +217,7 @@ pub(crate) fn spatial_context_for(
 
 /// The pipeline tail shared by every driver: §5.3 post-processing (when
 /// enabled) and the result accounting.
-fn finish_table(
+pub(crate) fn finish_table(
     table: &Table,
     annotations: Vec<CellAnnotation>,
     pre: &crate::preprocess::Preprocessed,
@@ -239,16 +238,12 @@ fn finish_table(
 /// The corpus-scale annotation engine: parallel fan-out plus query
 /// memoization.
 ///
-/// Shape of the fan-out:
-///
-/// * [`annotate_corpus_par`](Self::annotate_corpus_par) — one task per
-///   table (cells within a table stay sequential); the right choice for
-///   many-table workloads, and what the throughput experiment measures.
-/// * [`annotate_table_par`](Self::annotate_table_par) — one task per
-///   cell; the right choice for a single very wide/long table.
-///
-/// Nesting the two is deliberately avoided: the thread pool is sized to
-/// the machine, and tables are already coarse enough to saturate it.
+/// The fan-out is one task per table
+/// ([`annotate_stream`](Self::annotate_stream) and its
+/// [`annotate_corpus_par`](Self::annotate_corpus_par) shim); cells
+/// within a table stay sequential. Tables are coarse enough to saturate
+/// a pool sized to the machine, and the service layer already runs one
+/// table per worker.
 ///
 /// All paths — sequential or parallel, cached hit or miss — produce
 /// bit-identical [`CellAnnotation`]s for the same inputs and seed.
@@ -283,13 +278,6 @@ impl BatchAnnotator {
     /// Attaches a geocoder, enabling `use_disambiguation`.
     pub fn with_geocoder(mut self, geocoder: Arc<SimGeocoder>) -> Self {
         self.geocoder = Some(geocoder);
-        self
-    }
-
-    /// Replaces the cache with one of `shards` shards (perf knob: more
-    /// shards, less lock contention between workers).
-    pub fn with_cache_shards(mut self, shards: usize) -> Self {
-        self.cache = QueryCache::new(shards);
         self
     }
 
@@ -361,9 +349,8 @@ impl BatchAnnotator {
         annotate_from_results(&results, cell, &self.classifier, &self.config)
     }
 
-    /// The shared per-table pipeline; `parallel_cells` picks the cell
-    /// fan-out.
-    fn annotate_table_inner(&self, table: &Table, parallel_cells: bool) -> TableAnnotations {
+    /// Annotates one table, cells sequential, queries memoized.
+    pub fn annotate_table(&self, table: &Table) -> TableAnnotations {
         let table = prepared_table(table);
         let table = table.as_ref();
 
@@ -375,31 +362,13 @@ impl BatchAnnotator {
             &self.config,
         );
 
-        let annotations: Vec<CellAnnotation> = if parallel_cells {
-            let per_cell: Vec<Option<CellAnnotation>> = pre
-                .candidates
-                .par_iter()
-                .map(|&cell| self.annotate_cell_cached(table, cell, spatial.as_ref()))
-                .collect();
-            per_cell.into_iter().flatten().collect()
-        } else {
-            pre.candidates
-                .iter()
-                .filter_map(|&cell| self.annotate_cell_cached(table, cell, spatial.as_ref()))
-                .collect()
-        };
+        let annotations: Vec<CellAnnotation> = pre
+            .candidates
+            .iter()
+            .filter_map(|&cell| self.annotate_cell_cached(table, cell, spatial.as_ref()))
+            .collect();
 
         finish_table(table, annotations, &pre, &self.config)
-    }
-
-    /// Annotates one table, cells sequential, queries memoized.
-    pub fn annotate_table(&self, table: &Table) -> TableAnnotations {
-        self.annotate_table_inner(table, false)
-    }
-
-    /// Annotates one table with the cells fanned out across threads.
-    pub fn annotate_table_par(&self, table: &Table) -> TableAnnotations {
-        self.annotate_table_inner(table, true)
     }
 
     /// Streams tables from `source` through the annotator into `sink`

@@ -1,5 +1,5 @@
 //! `teda-memo` — the sharded single-flight memoization machinery shared
-//! by [`teda-core`]'s query cache and [`teda-geo`]'s geocoding memo.
+//! by `teda-core`'s query cache and `teda-geo`'s geocoding memo.
 //!
 //! Both caches follow the same concurrency protocol: a lookup locks one
 //! shard of a sharded map, and a miss installs an in-flight marker (a

@@ -49,9 +49,11 @@ pub(crate) struct Cancelled;
 /// Identifies one admission-control client (a connection, a tenant, a
 /// pipeline). Cheap to clone; compared and hashed by name.
 ///
-/// Callers that never cared about fairness keep working: the plain
-/// `submit*` entry points run as [`ClientId::ANONYMOUS`], which is just
-/// one more client in the round-robin.
+/// Callers that never cared about fairness keep working: a bare
+/// `Arc<Table>` handed to
+/// [`AnnotationService::submit`](crate::AnnotationService::submit) runs
+/// as [`ClientId::ANONYMOUS`], which is just one more client in the
+/// round-robin.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClientId(Option<std::sync::Arc<str>>);
 

@@ -2,7 +2,8 @@
 //!
 //! The paper frames annotation as search-engine-bounded work: "querying
 //! a Web search engine is a costly operation" (§5), and real engines
-//! meter a daily query allowance. PR 1's [`BatchAnnotator`] treats that
+//! meter a daily query allowance. The batch engine,
+//! [`BatchAnnotator`](teda_core::pipeline::BatchAnnotator), treats that
 //! concern offline — whole corpus in, whole corpus out. This crate turns
 //! the engine into an *online service*: callers submit one table at a
 //! time, a scheduler fans requests out over a worker pool, and admission
@@ -20,30 +21,33 @@
 //!   engine.
 //! * [`AnnotationService`] — the scheduler: a bounded submission queue
 //!   feeding a worker pool that drives
-//!   [`BatchAnnotator::annotate_table`]; [`submit`](AnnotationService::submit)
-//!   never blocks — a full queue or an empty budget sheds the request
-//!   with a typed [`Rejection`].
-//! * **Per-client fairness** — every submission runs as a [`ClientId`]
-//!   (`submit_as` / `submit_blocking_as` / `submit_stream_as`; the
-//!   plain entry points use [`ClientId::ANONYMOUS`]). The shared query
-//!   pool feeds per-client token buckets by deficit round-robin: when
-//!   the pool runs dry, refunds and `add_budget` refills are granted to
+//!   [`BatchAnnotator::annotate_table`](teda_core::pipeline::BatchAnnotator::annotate_table).
+//!   Its one way in is [`submit`](AnnotationService::submit), which
+//!   takes a [`SubmitRequest`] (a bare `Arc<Table>` converts into one);
+//!   under [`Wait::Shed`] a full queue or an empty budget sheds the
+//!   request with a typed [`Rejection`].
+//! * **Per-client fairness** — every submission runs as the
+//!   [`ClientId`] its [`SubmitRequest::client`] names
+//!   ([`ClientId::ANONYMOUS`] by default; `submit_stream` takes one per
+//!   stream). The shared query pool feeds per-client token buckets by
+//!   deficit round-robin: when the pool runs dry, refunds and `add_budget` refills are granted to
 //!   *waiting* clients one quantum per rotation, so a bulk ingester
 //!   with unbounded queued demand cannot starve an interactive caller
 //!   — its big reservations simply accumulate across rounds while
 //!   small requests clear in one. Uncontended, the pool behaves exactly
-//!   like the PR 2 global counter.
+//!   like a single global counter.
 //! * [`ServiceStats`] — the report: accepted/shed accounting, p50/p99
 //!   latency, shed rate, the cache hit rates of both memo layers, and
 //!   per-client counters ([`ClientStats`]).
 //!
-//! Two admission modes front the same scheduler:
+//! Two admission modes front the same scheduler, both through `submit`:
 //!
-//! * **request/response** — [`submit`](AnnotationService::submit), the
-//!   open-loop path above: never blocks, sheds under pressure. Right
-//!   for interactive callers who can retry.
-//! * **streaming** — [`submit_stream`](AnnotationService::submit_stream)
-//!   annotates a whole [`teda_core::stream::TableSource`] with a
+//! * **request/response** — [`Wait::Shed`], the open-loop path above:
+//!   never blocks, sheds under pressure. Right for interactive callers
+//!   who can retry.
+//! * **streaming** — [`Wait::Block`], which
+//!   [`submit_stream`](AnnotationService::submit_stream) uses to
+//!   annotate a whole [`teda_core::stream::TableSource`] with a
 //!   bounded in-flight window, metering admission per table *as the
 //!   source yields*: a full queue or a dry query pool pauses the pull
 //!   (backpressure into the parser or feed) instead of shedding, and
@@ -66,6 +70,7 @@ pub use fairness::ClientId;
 pub use live::LiveCorpus;
 pub use scheduler::{
     AnnotationService, Rejection, RequestFailed, RequestHandle, RequestOutcome, ServiceConfig,
+    SubmitRequest, Wait,
 };
 pub use stats::{ClientStats, ClusterTelemetry, LatencySummary, ServiceStats, StageStats};
 // The persistence layer's error type, surfaced by

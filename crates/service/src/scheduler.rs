@@ -1,11 +1,14 @@
 //! The request scheduler: bounded queue, worker pool, admission control.
 //!
-//! Shape: [`AnnotationService::submit`] runs on the caller's thread and
-//! never blocks — it either enqueues a job on a bounded
-//! `std::sync::mpsc::sync_channel` or sheds it with a typed
-//! [`Rejection`]. Worker threads pull jobs off the shared receiver and
-//! drive [`BatchAnnotator::annotate_table`]; each job carries a one-slot
-//! reply channel its [`RequestHandle`] waits on.
+//! Shape: [`AnnotationService::submit`] is the one way in. It runs on
+//! the caller's thread and takes a [`SubmitRequest`] (table, client,
+//! trace, [`Wait`] mode): the job is either enqueued on a bounded
+//! `std::sync::mpsc::sync_channel`, rejected with a typed [`Rejection`],
+//! or — under [`Wait::Block`] — held on the caller's thread until there
+//! is room. [`AnnotationService::submit_stream`] drives a whole
+//! [`TableSource`] through it. Worker threads pull jobs off the shared
+//! receiver and drive [`BatchAnnotator::annotate_table`]; each job
+//! carries a one-slot reply channel its [`RequestHandle`] waits on.
 //!
 //! Admission control mirrors the paper's query-allowance concern (§5):
 //! a request's worst-case query need is its cell count (pre-processing
@@ -15,15 +18,15 @@
 //! request completes and its true candidate count is known.
 //!
 //! The pool is **client-aware** (see [`crate::fairness`]): every
-//! submission runs as a [`ClientId`] (the plain `submit*` entry points
-//! use [`ClientId::ANONYMOUS`]), reservations draw from per-client token
-//! buckets refilled by deficit round-robin, and [`ServiceStats`] reports
-//! per-client counters — a bulk ingester sharing the pool with an
+//! submission runs as the [`SubmitRequest::client`] it names (a bare
+//! `Arc<Table>` runs as [`ClientId::ANONYMOUS`]), reservations draw
+//! from per-client token buckets refilled by deficit round-robin, and
+//! [`ServiceStats`] reports per-client counters — a bulk ingester sharing the pool with an
 //! interactive caller can no longer starve it.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -121,6 +124,56 @@ impl Default for ServiceConfig {
     }
 }
 
+/// How [`AnnotationService::submit`] waits when the query pool or the
+/// submission queue is full.
+#[derive(Debug, Clone, Copy)]
+pub enum Wait<'a> {
+    /// Never block: a dry pool or a full queue sheds the request with a
+    /// typed [`Rejection`]. Right for interactive callers who can retry
+    /// (the wire `TRY` verb).
+    Shed,
+    /// Block until capacity frees up — backpressure instead of shedding
+    /// (the wire `ANNOTATE` verb, [`AnnotationService::submit_stream`]).
+    /// With `Some(flag)`, a caller parked on a dry pool gives up with
+    /// [`Rejection::Cancelled`] once the flag is raised and
+    /// [`AnnotationService::wake_blocked_submitters`] is called.
+    Block(Option<&'a AtomicBool>),
+}
+
+/// One submission to [`AnnotationService::submit`].
+///
+/// A bare `Arc<Table>` converts into the common case — anonymous,
+/// [`Wait::Shed`], freshly minted trace — and struct-update syntax
+/// changes the rest:
+/// `SubmitRequest { client, wait: Wait::Block(None), ..table.into() }`.
+pub struct SubmitRequest<'a> {
+    /// The table to annotate.
+    pub table: Arc<Table>,
+    /// Whose token bucket the reservation draws from and whose counters
+    /// in [`ServiceStats::clients`] the request lands in.
+    pub client: ClientId,
+    /// The trace the queue-wait and annotate spans land in. `None` mints
+    /// a `"request"` trace on the service's registry; the wire server's
+    /// `TRACE <id>` requests pass
+    /// [`Registry::trace_with_id`](teda_obs::Registry::trace_with_id) so
+    /// the spans complete under the caller's id, and
+    /// [`TraceCtx::disabled`] traces nothing.
+    pub trace: Option<TraceCtx>,
+    /// Shed or block when capacity runs out.
+    pub wait: Wait<'a>,
+}
+
+impl From<Arc<Table>> for SubmitRequest<'_> {
+    fn from(table: Arc<Table>) -> Self {
+        SubmitRequest {
+            table,
+            client: ClientId::ANONYMOUS,
+            trace: None,
+            wait: Wait::Shed,
+        }
+    }
+}
+
 /// Why a submission was not accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rejection {
@@ -137,9 +190,9 @@ pub enum Rejection {
     },
     /// The service is shutting down; no new work is accepted.
     ShuttingDown,
-    /// A cancellable blocking submission observed its cancel flag while
+    /// A [`Wait::Block`] submission observed its raised cancel flag while
     /// parked on a dry pool (see
-    /// [`AnnotationService::submit_blocking_cancellable`]).
+    /// [`AnnotationService::wake_blocked_submitters`]).
     Cancelled,
 }
 
@@ -475,38 +528,47 @@ impl AnnotationService {
         Arc::clone(&self.shared.obs)
     }
 
-    /// Submits one table for annotation as [`ClientId::ANONYMOUS`].
-    /// Never blocks: the job is either queued (returning a
-    /// [`RequestHandle`]) or shed with the reason. The table rides
-    /// behind an `Arc`, so shedding costs nothing and callers keep
-    /// their copy.
-    pub fn submit(&self, table: Arc<Table>) -> Result<RequestHandle, Rejection> {
-        self.submit_as(&ClientId::ANONYMOUS, table)
-    }
-
-    /// [`submit`](Self::submit) attributed to `client`: the reservation
-    /// draws from the client's token bucket before the shared pool, and
-    /// the client's counters show up in [`ServiceStats::clients`].
-    pub fn submit_as(
+    /// Submits one table for annotation — the service's one way in.
+    ///
+    /// A bare `Arc<Table>` converts into an anonymous, shedding request
+    /// under a freshly minted `"request"` trace; spell out a
+    /// [`SubmitRequest`] to name the client, bring a trace, or block.
+    /// The table rides behind an `Arc`, so a rejection costs nothing and
+    /// callers keep their copy.
+    ///
+    /// Admission runs in a fixed order:
+    ///
+    /// 1. a table whose worst-case query need (its cell count) exceeds
+    ///    `max_queries_per_request` is [`Rejection::RequestTooLarge`] in
+    ///    either mode — it could never be admitted;
+    /// 2. the need is reserved from the client's token bucket and the
+    ///    shared pool. [`Wait::Shed`] fails fast with
+    ///    [`Rejection::BudgetExhausted`]; [`Wait::Block`] *parks* the
+    ///    caller (condvar under the admission mutex, no polling) until
+    ///    completions refund their unused reservation or
+    ///    [`add_budget`](Self::add_budget) refills the allowance. Refills
+    ///    reach waiting clients by deficit round-robin, so concurrent
+    ///    bulk callers cannot starve this one. On a permanently dry pool
+    ///    a blocked caller waits indefinitely, unless its cancel flag is
+    ///    raised and [`wake_blocked_submitters`](Self::wake_blocked_submitters)
+    ///    is called — then it returns [`Rejection::Cancelled`];
+    /// 3. the job is queued. A full queue sheds with
+    ///    [`Rejection::QueueFull`] under [`Wait::Shed`] and stalls the
+    ///    caller under [`Wait::Block`] — the backpressure
+    ///    [`submit_stream`](Self::submit_stream) relies on. A service
+    ///    that is shutting down rejects with [`Rejection::ShuttingDown`]
+    ///    in either mode.
+    pub fn submit<'a>(
         &self,
-        client: &ClientId,
-        table: Arc<Table>,
+        request: impl Into<SubmitRequest<'a>>,
     ) -> Result<RequestHandle, Rejection> {
-        let trace = self.shared.obs.start_trace("request");
-        self.submit_traced(client, table, trace)
-    }
-
-    /// [`submit_as`](Self::submit_as) under a caller-minted trace
-    /// context — the wire server's `TRACE <id>`-prefixed requests use
-    /// [`teda_obs::Registry::trace_with_id`] so the queue-wait and
-    /// annotate spans recorded here complete under the caller's id.
-    /// Pass [`TraceCtx::disabled`] to trace nothing.
-    pub fn submit_traced(
-        &self,
-        client: &ClientId,
-        table: Arc<Table>,
-        trace: TraceCtx,
-    ) -> Result<RequestHandle, Rejection> {
+        let SubmitRequest {
+            table,
+            client,
+            trace,
+            wait,
+        } = request.into();
+        let trace = trace.unwrap_or_else(|| self.shared.obs.start_trace("request"));
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
         let need = (table.n_rows() * table.n_cols()) as u64;
 
@@ -515,128 +577,47 @@ impl AnnotationService {
                 self.shared
                     .rejected_oversize
                     .fetch_add(1, Ordering::Relaxed);
-                self.shared.admission.note_rejected(client);
+                self.shared.admission.note_rejected(&client);
                 return Err(Rejection::RequestTooLarge { need, budget });
             }
         }
-        // try_reserve counts the attempt (and the shed, on failure)
-        // against the client in the same critical section.
-        if !self.shared.admission.try_reserve(client, need) {
-            self.shared.shed_budget.fetch_add(1, Ordering::Relaxed);
-            return Err(Rejection::BudgetExhausted);
-        }
-
-        self.enqueue(client, table, need, false, trace)
-    }
-
-    /// Submits one table, **blocking** instead of shedding: a full queue
-    /// or an exhausted pool stalls the caller until capacity frees up —
-    /// the admission mode of [`submit_stream`](Self::submit_stream),
-    /// where backpressure into the producer beats dropping tables.
-    ///
-    /// Only the unrecoverable rejections remain: a table whose
-    /// worst-case need exceeds `max_queries_per_request` can never be
-    /// admitted, and a shutting-down service accepts nothing.
-    ///
-    /// A dry query pool *parks* the caller (condvar under the admission
-    /// mutex — no polling) until completions refund their unused
-    /// reservation or [`add_budget`](Self::add_budget) refills the
-    /// allowance — on a permanently dry pool this waits indefinitely,
-    /// exactly like a stream paused until the next daily quota. Refills
-    /// reach waiting clients by deficit round-robin, so concurrent bulk
-    /// callers cannot starve this one.
-    pub fn submit_blocking(&self, table: Arc<Table>) -> Result<RequestHandle, Rejection> {
-        self.submit_blocking_as(&ClientId::ANONYMOUS, table)
-    }
-
-    /// [`submit_blocking`](Self::submit_blocking) attributed to
-    /// `client` — the entry point streaming drivers use.
-    pub fn submit_blocking_as(
-        &self,
-        client: &ClientId,
-        table: Arc<Table>,
-    ) -> Result<RequestHandle, Rejection> {
-        let trace = self.shared.obs.start_trace("request");
-        self.submit_blocking_inner(client, table, None, trace)
-    }
-
-    /// [`submit_blocking_as`](Self::submit_blocking_as) with an escape
-    /// hatch: when `cancel` is raised and
-    /// [`wake_blocked_submitters`](Self::wake_blocked_submitters) is
-    /// called, a submission parked on a dry pool deregisters its demand
-    /// and returns [`Rejection::Cancelled`] instead of waiting for the
-    /// next refill — how the wire front-end unparks its connection
-    /// threads on server shutdown without aborting anyone else's waits.
-    pub fn submit_blocking_cancellable(
-        &self,
-        client: &ClientId,
-        table: Arc<Table>,
-        cancel: &std::sync::atomic::AtomicBool,
-    ) -> Result<RequestHandle, Rejection> {
-        let trace = self.shared.obs.start_trace("request");
-        self.submit_blocking_traced(client, table, Some(cancel), trace)
-    }
-
-    /// The blocking submit path under a caller-minted trace context
-    /// (see [`submit_traced`](Self::submit_traced)); `cancel` behaves
-    /// as in
-    /// [`submit_blocking_cancellable`](Self::submit_blocking_cancellable).
-    pub fn submit_blocking_traced(
-        &self,
-        client: &ClientId,
-        table: Arc<Table>,
-        cancel: Option<&std::sync::atomic::AtomicBool>,
-        trace: TraceCtx,
-    ) -> Result<RequestHandle, Rejection> {
-        self.submit_blocking_inner(client, table, cancel, trace)
-    }
-
-    fn submit_blocking_inner(
-        &self,
-        client: &ClientId,
-        table: Arc<Table>,
-        cancel: Option<&std::sync::atomic::AtomicBool>,
-        trace: TraceCtx,
-    ) -> Result<RequestHandle, Rejection> {
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-        let need = (table.n_rows() * table.n_cols()) as u64;
-
-        if let Some(budget) = self.config.max_queries_per_request {
-            if need > budget {
-                self.shared
-                    .rejected_oversize
-                    .fetch_add(1, Ordering::Relaxed);
-                self.shared.admission.note_rejected(client);
-                return Err(Rejection::RequestTooLarge { need, budget });
+        // Both reservations count the attempt (and a shed, stall or
+        // cancellation) against the client in the same critical section.
+        let blocking = match wait {
+            Wait::Shed => {
+                if !self.shared.admission.try_reserve(&client, need) {
+                    self.shared.shed_budget.fetch_add(1, Ordering::Relaxed);
+                    return Err(Rejection::BudgetExhausted);
+                }
+                false
             }
-        }
-        // Reserve from the pool, parking until refunds/refills cover it
-        // (the attempt, the stall and any cancellation shed are counted
-        // against the client inside the same critical section).
-        match self.shared.admission.reserve_blocking(client, need, cancel) {
-            Ok(true) => {
-                self.shared
-                    .backpressure_waits
-                    .fetch_add(1, Ordering::Relaxed);
+            Wait::Block(cancel) => {
+                let stalled = self
+                    .shared
+                    .admission
+                    .reserve_blocking(&client, need, cancel)
+                    .map_err(|Cancelled| Rejection::Cancelled)?;
+                if stalled {
+                    self.shared
+                        .backpressure_waits
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+                true
             }
-            Ok(false) => {}
-            Err(Cancelled) => return Err(Rejection::Cancelled),
-        }
+        };
 
-        self.enqueue(client, table, need, true, trace)
+        self.enqueue(&client, table, need, blocking, trace)
     }
 
-    /// Wakes every submitter parked on a dry pool. Harmless for plain
-    /// [`submit_blocking`](Self::submit_blocking) waiters (a spurious
-    /// wake-up: they re-check the pool and re-park); submissions made
-    /// through
-    /// [`submit_blocking_cancellable`](Self::submit_blocking_cancellable)
-    /// whose cancel flag is raised abort with [`Rejection::Cancelled`].
+    /// Wakes every submitter parked on a dry pool. Harmless for
+    /// [`Wait::Block(None)`](Wait::Block) waiters (a spurious wake-up:
+    /// they re-check the pool and re-park); a waiter whose cancel flag
+    /// is raised aborts with [`Rejection::Cancelled`].
     pub fn wake_blocked_submitters(&self) {
         self.shared.admission.kick();
     }
 
-    /// The shared tail of both submit paths: hand the reserved job to
+    /// The tail of [`submit`](Self::submit): hand the reserved job to
     /// the worker queue, shedding (non-blocking) or stalling (blocking)
     /// when it is full.
     fn enqueue(
@@ -704,38 +685,21 @@ impl AnnotationService {
         }
     }
 
-    /// Annotates an entire [`TableSource`] through the service: tables
-    /// are admitted one at a time as the source yields them (per-table
-    /// metering, same budgets as [`submit`](Self::submit)), at most
-    /// `max_in_flight` requests are outstanding, and results reach the
-    /// sink **in stream order**, bit-identical to the offline batch
-    /// path.
+    /// Annotates an entire [`TableSource`] through the service as
+    /// `client`: tables are admitted one at a time as the source yields
+    /// them (per-table metering against the client's token bucket, same
+    /// budgets as [`submit`](Self::submit)), at most `max_in_flight`
+    /// requests are outstanding, and results reach the sink **in stream
+    /// order**, bit-identical to the offline batch path.
     ///
-    /// Admission uses [`submit_blocking`](Self::submit_blocking): when
-    /// the queue or the pool is full the *source stops being pulled* —
-    /// backpressure propagates into the parser or feed — instead of
-    /// shedding whole corpora the way a naive `submit` loop would.
-    /// Per-table failures (source errors, oversized tables, worker
-    /// panics) occupy their stream position as sink errors; the stream
-    /// continues.
+    /// Each table goes through [`submit`](Self::submit) with
+    /// [`Wait::Block`]: when the queue or the pool is full the *source
+    /// stops being pulled* — backpressure propagates into the parser or
+    /// feed — instead of shedding whole corpora the way a shedding
+    /// `submit` loop would. Per-table failures (source errors, oversized
+    /// tables, worker panics) occupy their stream position as sink
+    /// errors; the stream continues.
     pub fn submit_stream<S, K>(
-        &self,
-        source: S,
-        sink: &mut K,
-        max_in_flight: usize,
-    ) -> StreamSummary
-    where
-        S: TableSource,
-        S::Item: IntoArcTable,
-        K: AnnotationSink<Arc<Table>>,
-    {
-        self.submit_stream_as(&ClientId::ANONYMOUS, source, sink, max_in_flight)
-    }
-
-    /// [`submit_stream`](Self::submit_stream) attributed to `client`:
-    /// every table of the stream is admitted against the client's token
-    /// bucket, so one corpus ingestion cannot monopolize the pool.
-    pub fn submit_stream_as<S, K>(
         &self,
         client: &ClientId,
         mut source: S,
@@ -793,7 +757,11 @@ impl AnnotationService {
             let entry = match item {
                 Ok(item) => {
                     let table = item.into_arc_table();
-                    match self.submit_blocking_as(client, Arc::clone(&table)) {
+                    match self.submit(SubmitRequest {
+                        client: client.clone(),
+                        wait: Wait::Block(None),
+                        ..Arc::clone(&table).into()
+                    }) {
                         Ok(handle) => {
                             self.shared.stream_tables.fetch_add(1, Ordering::Relaxed);
                             PendingStream::Running(table, handle)
@@ -1321,7 +1289,8 @@ mod tests {
             },
         );
         let mut sink = teda_core::stream::Collect::new();
-        let summary = service.submit_stream(VecSource::new(tables), &mut sink, 3);
+        let summary =
+            service.submit_stream(&ClientId::ANONYMOUS, VecSource::new(tables), &mut sink, 3);
         assert_eq!(summary.annotated, 8);
         assert_eq!(summary.errors, 0);
         assert!(summary.peak_in_flight <= 3);
@@ -1351,7 +1320,8 @@ mod tests {
             .map(|i| Arc::try_unwrap(restaurant_table(&i.to_string())).unwrap())
             .collect();
         let mut sink = teda_core::stream::Collect::new();
-        let summary = service.submit_stream(VecSource::new(tables), &mut sink, 4);
+        let summary =
+            service.submit_stream(&ClientId::ANONYMOUS, VecSource::new(tables), &mut sink, 4);
         assert_eq!(summary.annotated, 10, "backpressure must not drop tables");
         assert_eq!(summary.errors, 0);
         let stats = service.shutdown();
@@ -1394,7 +1364,8 @@ mod tests {
                 }
             });
             let mut sink = teda_core::stream::Collect::new();
-            let summary = service.submit_stream(VecSource::new(tables), &mut sink, 2);
+            let summary =
+                service.submit_stream(&ClientId::ANONYMOUS, VecSource::new(tables), &mut sink, 2);
             done.store(true, Ordering::Relaxed);
             assert_eq!(sink.into_annotations().unwrap().len(), 5);
             summary
@@ -1428,8 +1399,12 @@ mod tests {
             .unwrap();
         let ok = Arc::try_unwrap(restaurant_table("fits")).unwrap();
         let mut sink = teda_core::stream::Collect::new();
-        let summary =
-            service.submit_stream(VecSource::new(vec![ok.clone(), big, ok]), &mut sink, 2);
+        let summary = service.submit_stream(
+            &ClientId::ANONYMOUS,
+            VecSource::new(vec![ok.clone(), big, ok]),
+            &mut sink,
+            2,
+        );
         assert_eq!(summary.annotated, 2);
         assert_eq!(summary.errors, 1);
         let results = sink.into_results();
@@ -1645,7 +1620,10 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let waiter = std::thread::spawn(move || {
             let outcome = svc
-                .submit_blocking(restaurant_table("parked"))
+                .submit(SubmitRequest {
+                    wait: Wait::Block(None),
+                    ..restaurant_table("parked").into()
+                })
                 .expect("admitted once the refill lands")
                 .wait()
                 .expect("completes");
@@ -1702,7 +1680,11 @@ mod tests {
             let mut done = 0u64;
             while !stop_hog.load(Ordering::Relaxed) {
                 let h = svc
-                    .submit_blocking_as(&hog_id, restaurant_table("hog"))
+                    .submit(SubmitRequest {
+                        client: hog_id.clone(),
+                        wait: Wait::Block(None),
+                        ..restaurant_table("hog").into()
+                    })
                     .expect("hog admitted");
                 let _ = h.wait();
                 done += 1;
@@ -1722,7 +1704,11 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20)); // hog saturates
         let t0 = Instant::now();
         let outcome = service
-            .submit_blocking_as(&trickle, restaurant_table("trickle"))
+            .submit(SubmitRequest {
+                client: trickle,
+                wait: Wait::Block(None),
+                ..restaurant_table("trickle").into()
+            })
             .expect("trickle admitted")
             .wait()
             .expect("trickle completes");
@@ -1772,11 +1758,11 @@ mod tests {
         let flag = Arc::clone(&cancel);
         let (tx, rx) = mpsc::channel();
         let waiter = std::thread::spawn(move || {
-            let outcome = svc.submit_blocking_cancellable(
-                &ClientId::new("conn"),
-                restaurant_table("c"),
-                &flag,
-            );
+            let outcome = svc.submit(SubmitRequest {
+                client: ClientId::new("conn"),
+                wait: Wait::Block(Some(&*flag)),
+                ..restaurant_table("c").into()
+            });
             tx.send(outcome.map(|_| ()).unwrap_err()).unwrap();
         });
         assert!(
@@ -1898,6 +1884,102 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The one entry point, table-driven: every combination of wait
+    /// mode, trace and client admits, annotates, accounts and traces the
+    /// same way, and an oversized table is rejected up front in either
+    /// mode.
+    #[test]
+    fn submit_is_one_path_for_every_wait_trace_and_client() {
+        let reference = annotator(Duration::ZERO).annotate_table(&restaurant_table("x"));
+        let service = AnnotationService::start(
+            annotator(Duration::ZERO),
+            ServiceConfig {
+                workers: 1,
+                max_queries_per_request: Some(4),
+                ..ServiceConfig::default()
+            },
+        );
+        let big = Arc::new(
+            Table::builder(2)
+                .row(vec!["Melisse", "1104 Wilshire Blvd"])
+                .unwrap()
+                .row(vec!["Bayona", "430 Dauphine St"])
+                .unwrap()
+                .row(vec!["Melisse", "12 Main St"])
+                .unwrap()
+                .build()
+                .unwrap(),
+        );
+        let cancel = AtomicBool::new(false);
+        let mut next_trace_id = 0xC0DE_0000_u64;
+        for wait in [Wait::Shed, Wait::Block(None), Wait::Block(Some(&cancel))] {
+            for client in [ClientId::ANONYMOUS, ClientId::new("named")] {
+                for traced in [false, true] {
+                    let label = format!("{wait:?} as {client}, traced: {traced}");
+                    let trace_id = traced.then(|| {
+                        next_trace_id += 1;
+                        next_trace_id
+                    });
+                    let outcome = service
+                        .submit(SubmitRequest {
+                            table: restaurant_table("x"),
+                            client: client.clone(),
+                            trace: trace_id.map(|id| service.obs().trace_with_id(id, "request")),
+                            wait,
+                        })
+                        .unwrap_or_else(|r| panic!("{label}: rejected: {r}"))
+                        .wait()
+                        .unwrap_or_else(|_| panic!("{label}: failed"));
+                    assert_eq!(outcome.annotations, reference, "{label}");
+                    if let Some(id) = trace_id {
+                        let trace = service
+                            .obs()
+                            .trace(id)
+                            .unwrap_or_else(|| panic!("{label}: trace {id:x} not recorded"));
+                        for span in [stage::QUEUE_WAIT, stage::ANNOTATE] {
+                            assert!(
+                                trace.spans.iter().any(|s| s.name == span),
+                                "{label}: no {span} span"
+                            );
+                        }
+                    }
+
+                    let oversize_before = service.stats().rejected_oversize;
+                    let rejected = service.submit(SubmitRequest {
+                        table: Arc::clone(&big),
+                        client: client.clone(),
+                        trace: None,
+                        wait,
+                    });
+                    assert_eq!(
+                        rejected.map(|_| ()).unwrap_err(),
+                        Rejection::RequestTooLarge { need: 6, budget: 4 },
+                        "{label}"
+                    );
+                    assert_eq!(
+                        service.stats().rejected_oversize,
+                        oversize_before + 1,
+                        "{label}: an oversized table is counted once"
+                    );
+                }
+            }
+        }
+        let stats = service.shutdown();
+        assert_eq!(
+            (stats.submitted, stats.completed, stats.rejected_oversize),
+            (24, 12, 12)
+        );
+        // Each client ran 6 admitted and 6 oversized submissions.
+        for name in ["anonymous", "named"] {
+            let client = stats.client(name).expect("accounted");
+            assert_eq!(
+                (client.submitted, client.completed, client.shed),
+                (12, 6, 6),
+                "{name}"
+            );
+        }
+    }
+
     /// Anonymous and named clients are accounted separately.
     #[test]
     fn per_client_counters_split_by_identity() {
@@ -1916,7 +1998,10 @@ mod tests {
             .unwrap();
         for i in 0..2 {
             service
-                .submit_as(&ui, restaurant_table(&format!("ui{i}")))
+                .submit(SubmitRequest {
+                    client: ui.clone(),
+                    ..restaurant_table(&format!("ui{i}")).into()
+                })
                 .unwrap()
                 .wait()
                 .unwrap();

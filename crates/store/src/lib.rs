@@ -9,7 +9,7 @@
 //! annotators close by treating the index as a durable, incrementally
 //! updatable artifact. This crate is that durability layer:
 //!
-//! * [`format`] — the shared on-disk container: `TEDASTOR` magic,
+//! * [`format`](mod@format) — the shared on-disk container: `TEDASTOR` magic,
 //!   format version, file kind, and length-prefixed sections each
 //!   protected by a CRC-32. Every read is bounds-checked; corrupt,
 //!   truncated or version-skewed bytes surface as a typed

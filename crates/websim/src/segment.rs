@@ -1,8 +1,8 @@
 //! The segmented index: a base corpus plus journaled segments, merged
 //! at **read time** instead of re-indexed at load time.
 //!
-//! Lucene-style shape: the base collection (any
-//! [`BaseCorpus`] — the heap-resident [`WebCorpus`] with its monolithic
+//! Lucene-style shape: the base collection (any [`BaseCorpus`] — the
+//! heap-resident [`WebCorpus`](crate::WebCorpus) with its monolithic
 //! [`InvertedIndex`], or `teda-store`'s mmap'd view backend) keeps its
 //! own index; every journal segment carries the pages of its
 //! `add` operations together with a **partial index built over exactly
@@ -267,7 +267,8 @@ impl SegmentedCorpus {
     }
 
     /// Borrowed field views of the page with final id `id`. Panics on
-    /// out-of-range ids (same contract as [`WebCorpus::page`]).
+    /// out-of-range ids (same contract as
+    /// [`WebCorpus::page`](crate::WebCorpus::page)).
     pub fn page_fields(&self, id: PageId) -> PageFields<'_> {
         let f = id.0;
         if (f as usize) < self.plan.n_base_alive {

@@ -28,7 +28,7 @@ use std::thread::JoinHandle;
 
 use teda_corpus::table_from_csv;
 use teda_obs::{stage, Registry as ObsRegistry, TraceCtx};
-use teda_service::{AnnotationService, ClientId, RequestHandle};
+use teda_service::{AnnotationService, ClientId, SubmitRequest, Wait};
 use teda_websim::SearchBackend;
 
 use crate::protocol::{
@@ -325,11 +325,13 @@ fn handle_connection(parts: &NodeParts, stream: TcpStream, stop: &AtomicBool) {
                 None => no_service(),
             },
             Ok(Request::Annotate { name, csv }) => match &parts.service {
-                Some(service) => annotate(service, &client, &name, &csv, Some(stop), None),
+                Some(service) => {
+                    annotate(service, &client, &name, &csv, Wait::Block(Some(stop)), None)
+                }
                 None => no_service(),
             },
             Ok(Request::Try { name, csv }) => match &parts.service {
-                Some(service) => annotate(service, &client, &name, &csv, None, None),
+                Some(service) => annotate(service, &client, &name, &csv, Wait::Shed, None),
                 None => no_service(),
             },
             Ok(Request::Search { k, query, full }) => match &parts.search {
@@ -419,7 +421,7 @@ fn serve_traced(
                 client,
                 &name,
                 &csv,
-                Some(stop),
+                Wait::Block(Some(stop)),
                 Some(parts.obs.trace_with_id(id, "request")),
             ),
             None => Reply::Err(WireError::BadRequest(
@@ -432,7 +434,7 @@ fn serve_traced(
                 client,
                 &name,
                 &csv,
-                None,
+                Wait::Shed,
                 Some(parts.obs.trace_with_id(id, "request")),
             ),
             None => Reply::Err(WireError::BadRequest(
@@ -450,31 +452,28 @@ fn serve_traced(
 
 /// Parses and submits one table, waiting for the outcome. Every failure
 /// mode maps onto a typed wire error; nothing from untrusted input can
-/// unwind this thread. `Some(stop)` selects blocking admission
-/// (`ANNOTATE`), cancellable by server shutdown so a connection parked
-/// on a dry pool cannot deadlock the join; `None` selects the
-/// non-blocking `TRY` path. A `Some(trace)` runs the request under the
-/// caller's trace id.
+/// unwind this thread. `wait` is the verb's admission mode: `ANNOTATE`
+/// blocks, cancellable by server shutdown so a connection parked on a
+/// dry pool cannot deadlock the join; `TRY` sheds. A `Some(trace)` runs
+/// the request under the caller's `TRACE <id>`.
 fn annotate(
     service: &AnnotationService,
     client: &ClientId,
     name: &str,
     csv: &str,
-    blocking: Option<&AtomicBool>,
+    wait: Wait<'_>,
     trace: Option<TraceCtx>,
 ) -> Reply {
     let table = match table_from_csv(csv, name) {
         Ok(table) => Arc::new(table),
         Err(e) => return Reply::Err(WireError::BadRequest(e.message().to_owned())),
     };
-    let submitted: Result<RequestHandle, _> = match (blocking, trace) {
-        (Some(stop), Some(tr)) => {
-            service.submit_blocking_traced(client, Arc::clone(&table), Some(stop), tr)
-        }
-        (Some(stop), None) => service.submit_blocking_cancellable(client, Arc::clone(&table), stop),
-        (None, Some(tr)) => service.submit_traced(client, Arc::clone(&table), tr),
-        (None, None) => service.submit_as(client, Arc::clone(&table)),
-    };
+    let submitted = service.submit(SubmitRequest {
+        table,
+        client: client.clone(),
+        trace,
+        wait,
+    });
     let handle = match submitted {
         Ok(handle) => handle,
         Err(rejection) => return Reply::Err(rejection.into()),

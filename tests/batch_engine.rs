@@ -1,21 +1,20 @@
-//! Batch annotation engine: the parallel paths must be *bit-identical* to
-//! the sequential paths on a seeded corpus, the query cache must account
-//! hits/misses exactly, and the memo must never change an annotation.
+//! Batch annotation engine: the parallel corpus path must be
+//! *bit-identical* to the sequential path on a seeded corpus, the query
+//! cache must account hits/misses exactly, and the memo must never change
+//! an annotation.
 
 use std::sync::Arc;
 
 use teda::classifier::svm::pegasos::PegasosConfig;
-use teda::core::annotate::{annotate_cells, annotate_cells_par};
 use teda::core::config::AnnotatorConfig;
 use teda::core::model::SnippetClassifier;
 use teda::core::pipeline::{Annotator, BatchAnnotator, TableAnnotations};
 use teda::core::trainer::{harvest, train_svm_linear, TrainerConfig};
-use teda::core::{CachedEngine, QueryCache};
 use teda::corpus::gft::poi_table;
 use teda::kb::{CategoryNetwork, EntityType, World, WorldSpec};
 use teda::simkit::rng_from_seed;
-use teda::tabular::{CellId, Table};
-use teda::websim::{BingSim, SearchEngine, WebCorpus, WebCorpusSpec};
+use teda::tabular::Table;
+use teda::websim::{BingSim, WebCorpus, WebCorpusSpec};
 
 fn fixture() -> (World, Arc<BingSim>, SnippetClassifier) {
     let world = World::generate(WorldSpec::tiny(), 42);
@@ -81,35 +80,7 @@ fn parallel_corpus_annotation_is_bit_identical_to_sequential() {
 }
 
 #[test]
-fn parallel_cell_annotation_matches_sequential_per_table() {
-    let (world, engine, classifier) = fixture();
-    let tables = seeded_corpus(&world, 3, 15);
-    let config = AnnotatorConfig::default();
-
-    for table in &tables {
-        let candidates: Vec<CellId> = table.cell_ids().collect();
-        let seq = annotate_cells(
-            table,
-            &candidates,
-            engine.as_ref(),
-            &classifier,
-            None,
-            &config,
-        );
-        let par = annotate_cells_par(
-            table,
-            &candidates,
-            engine.as_ref(),
-            &classifier,
-            None,
-            &config,
-        );
-        assert_eq!(seq, par, "cell-level parallel annotation diverged");
-    }
-}
-
-#[test]
-fn batch_annotate_table_par_matches_annotator() {
+fn batch_annotate_table_matches_annotator() {
     let (world, engine, classifier) = fixture();
     let tables = seeded_corpus(&world, 2, 10);
     let config = AnnotatorConfig::default();
@@ -119,16 +90,7 @@ fn batch_annotate_table_par_matches_annotator() {
 
     for table in &tables {
         let reference = single.annotate_table(table);
-        assert_eq!(
-            batch.annotate_table(table),
-            reference,
-            "cached seq diverged"
-        );
-        assert_eq!(
-            batch.annotate_table_par(table),
-            reference,
-            "cached par diverged"
-        );
+        assert_eq!(batch.annotate_table(table), reference, "cached diverged");
     }
 }
 
@@ -159,25 +121,4 @@ fn duplicate_cells_hit_the_cache_and_save_queries() {
     let q1 = engine.query_count();
     batch.annotate_corpus(&tables);
     assert_eq!(engine.query_count(), q1, "warm cache must not search");
-}
-
-#[test]
-fn cached_engine_wrapper_preserves_results() {
-    let (world, engine, classifier) = fixture();
-    let table = &seeded_corpus(&world, 1, 12)[0];
-    let config = AnnotatorConfig::default();
-
-    let cache = Arc::new(QueryCache::default());
-    let cached: Arc<dyn SearchEngine + Send + Sync> =
-        Arc::new(CachedEngine::new(engine.clone(), Arc::clone(&cache)));
-
-    let direct = Annotator::new(engine, classifier.clone(), config.clone());
-    let through_cache = Annotator::new(cached, classifier, config);
-
-    let a = direct.annotate_table(table);
-    let b = through_cache.annotate_table(table);
-    let c = through_cache.annotate_table(table); // warm
-    assert_eq!(a, b, "memoization changed annotations");
-    assert_eq!(a, c, "warm-cache annotations diverged");
-    assert!(cache.stats().hits > 0, "second pass must hit");
 }

@@ -524,7 +524,7 @@ fn annotator_over_the_cluster_matches_the_monolith() {
     use teda::core::trainer::{harvest, train_svm_linear, TrainerConfig};
     use teda::corpus::gft::poi_table;
     use teda::kb::{CategoryNetwork, EntityType, World, WorldSpec};
-    use teda::service::{AnnotationService, ServiceConfig};
+    use teda::service::{AnnotationService, ServiceConfig, SubmitRequest, Wait};
     use teda::simkit::rng_from_seed;
     use teda::websim::{BingSim, WebCorpusSpec};
     use teda::wire::protocol::render_annotations;
@@ -583,7 +583,10 @@ fn annotator_over_the_cluster_matches_the_monolith() {
     service.attach_cluster_telemetry(Arc::clone(&telemetry));
     let table = poi_table(&world, EntityType::Hotel, 6, 0, "svc", &mut rng).table;
     service
-        .submit_blocking(Arc::new(table))
+        .submit(SubmitRequest {
+            wait: Wait::Block(None),
+            ..Arc::new(table).into()
+        })
         .expect("admitted")
         .wait()
         .expect("annotated");
