@@ -17,8 +17,9 @@ use teda_core::postprocess::eliminate_spurious;
 use teda_core::preprocess::preprocess;
 use teda_core::trainer::{harvest, train_bayes, train_svm_linear, TrainerConfig};
 use teda_corpus::gft::{category_column_table, poi_table};
-use teda_geo::disambiguate::{disambiguate, DisambiguationConfig};
-use teda_geo::{Gazetteer, LocationKind};
+use teda_geo::disambiguate::{disambiguate, reference, DisambiguationConfig};
+use teda_geo::synthetic::{generate, GazetteerSpec};
+use teda_geo::{Gazetteer, LocationId, LocationKind};
 use teda_kb::{CategoryNetwork, EntityType, World, WorldSpec};
 use teda_simkit::rng_from_seed;
 use teda_tabular::CellId;
@@ -383,6 +384,33 @@ fn bench_disambiguation(c: &mut Criterion) {
     c.bench_function("toponym_disambiguation_fig7", |b| {
         b.iter(|| disambiguate(&g, black_box(&cells), DisambiguationConfig::default()).iterations)
     });
+
+    // A benchmark-sized table: 25 address cells in one column, each a
+    // street name without a city, so every street bearing the name is a
+    // candidate (~20 each over the default synthetic gazetteer). Here the
+    // pairwise edge scan and the per-sweep ranking sort show.
+    let g = generate(GazetteerSpec::default(), 7);
+    let streets: Vec<LocationId> = g.of_kind(LocationKind::Street).collect();
+    let column: Vec<(CellId, Vec<LocationId>)> = (0..25)
+        .map(|row| {
+            let named = streets[(row * 37 + 11) % streets.len()];
+            (
+                CellId::new(row, 1),
+                g.lookup(&g.location(named).name).to_vec(),
+            )
+        })
+        .collect();
+    let mut group = c.benchmark_group("disambiguation_25_cell_column");
+    group.bench_function("key_join", |b| {
+        b.iter(|| disambiguate(&g, black_box(&column), DisambiguationConfig::default()).iterations)
+    });
+    group.bench_function("pairwise_reference", |b| {
+        b.iter(|| {
+            reference::disambiguate(&g, black_box(&column), DisambiguationConfig::default())
+                .iterations
+        })
+    });
+    group.finish();
 }
 
 criterion_group!(

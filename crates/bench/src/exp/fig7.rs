@@ -73,7 +73,7 @@ pub fn render(f: &Fig7) -> String {
     for (cell, cands) in &f.cells {
         let chosen = f.result.interpretation(*cell);
         for &c in cands {
-            let score = f.result.scores.get(&(*cell, c)).copied().unwrap_or(0.0);
+            let score = f.result.score(*cell, c).unwrap_or(0.0);
             tbl.row(vec![
                 cell.to_string(),
                 f.gazetteer.full_name(c),

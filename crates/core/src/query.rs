@@ -12,10 +12,10 @@
 //! are then suffixed with the city name — "Melisse" becomes
 //! "Melisse Santa Monica".
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use teda_geo::disambiguate::{disambiguate, DisambiguationConfig};
-use teda_geo::{GeocodeCache, Geocoder, SimGeocoder};
+use teda_geo::{GeocodeCache, Geocoder, LocationId, SimGeocoder};
 use teda_tabular::detect::{detect, ValueKind};
 use teda_tabular::{CellId, ColumnType, Table};
 
@@ -24,23 +24,24 @@ use crate::config::AnnotatorConfig;
 /// Per-row disambiguated spatial context.
 #[derive(Debug, Clone, Default)]
 pub struct SpatialContext {
-    city_by_row: HashMap<usize, String>,
+    /// The city of row `i` at index `i`; rows past the end have none.
+    city_by_row: Vec<Option<String>>,
 }
 
 impl SpatialContext {
     /// The disambiguated city name for `row`, if any.
     pub fn city_for_row(&self, row: usize) -> Option<&str> {
-        self.city_by_row.get(&row).map(String::as_str)
+        self.city_by_row.get(row)?.as_deref()
     }
 
     /// Number of rows with spatial context.
     pub fn len(&self) -> usize {
-        self.city_by_row.len()
+        self.city_by_row.iter().filter(|c| c.is_some()).count()
     }
 
     /// Whether no row has spatial context.
     pub fn is_empty(&self) -> bool {
-        self.city_by_row.is_empty()
+        self.city_by_row.iter().all(Option::is_none)
     }
 
     /// Builds the query for a cell: the raw content, suffixed with the
@@ -101,14 +102,15 @@ pub fn build_spatial_context_cached(
     }
 
     // 2. Geocode each spatial cell into its candidate set L_{i,j},
-    //    through the distinct-address memo when one is attached.
-    let cells: Vec<(CellId, Vec<teda_geo::LocationId>)> = spatial_cells
+    //    through the distinct-address memo when one is attached (its
+    //    shared candidate slices reach the voting graph uncopied).
+    let cells: Vec<(CellId, Arc<[LocationId]>)> = spatial_cells
         .iter()
         .map(|&id| {
             let address = table.cell_at(id);
             let cands = match memo {
-                Some(memo) => memo.get_or_geocode(geocoder, address).to_vec(),
-                None => geocoder.geocode(address),
+                Some(memo) => memo.get_or_geocode(geocoder, address),
+                None => geocoder.geocode(address).into(),
             };
             (id, cands)
         })
@@ -129,20 +131,17 @@ pub fn build_spatial_context_cached(
     );
 
     // 4. Per row, the city of the chosen interpretation. When several
-    //    spatial cells land in one row, the first (leftmost) wins.
+    //    spatial cells land in one row, the first (leftmost) with a city
+    //    wins; the cells are in row-major order already.
     let gaz = geocoder.gazetteer();
-    let mut city_by_row: HashMap<usize, String> = HashMap::new();
-    let mut sorted: Vec<&(CellId, Vec<teda_geo::LocationId>)> = cells.iter().collect();
-    sorted.sort_by_key(|(id, _)| (id.row, id.col));
-    for (id, _) in sorted {
-        if city_by_row.contains_key(&id.row) {
+    let mut city_by_row: Vec<Option<String>> = vec![None; table.n_rows()];
+    for ((id, _), &chosen) in cells.iter().zip(&result.chosen) {
+        let slot = &mut city_by_row[id.row];
+        if slot.is_some() {
             continue;
         }
-        let Some(loc) = result.interpretation(*id) else {
-            continue;
-        };
-        if let Some(city) = gaz.city_of(loc) {
-            city_by_row.insert(id.row, gaz.location(city).name.clone());
+        if let Some(city) = chosen.and_then(|loc| gaz.city_of(loc)) {
+            *slot = Some(gaz.location(city).name.clone());
         }
     }
     SpatialContext { city_by_row }
@@ -151,7 +150,6 @@ pub fn build_spatial_context_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use teda_geo::Gazetteer;
 
     fn geocoder() -> SimGeocoder {

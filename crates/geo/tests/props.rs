@@ -67,7 +67,7 @@ proptest! {
             prop_assert!(res.interpretation(*cell).is_some());
             let sum: f64 = cands
                 .iter()
-                .map(|&c| res.scores.get(&(*cell, c)).copied().unwrap_or(0.0))
+                .map(|&c| res.score(*cell, c).unwrap_or(0.0))
                 .sum();
             prop_assert!((sum - 1.0).abs() < 1e-6, "cell {cell}: {sum}");
             // the chosen candidate is from the candidate set
