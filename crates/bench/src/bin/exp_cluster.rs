@@ -1,8 +1,8 @@
 //! Measures the cluster serving tier: router-vs-single-node bit
 //! identity across 1/2/4/8 shards over real TCP (asserted), closed-loop
 //! throughput scaling of the widest cut over the 1-shard baseline
-//! (leniently asserted — loopback measures the mechanism, not a
-//! datacenter), and replica failover with one server killed mid-run
+//! (leniently asserted on the median of interleaved paired samples —
+//! loopback measures the mechanism, not a datacenter), and replica failover with one server killed mid-run
 //! (answers identical, retries visible, latency inside the retry
 //! window, whole-group death typed — all asserted). Emits
 //! `BENCH_cluster.json`.
@@ -30,8 +30,12 @@ fn main() {
     if result.cores >= 2 {
         assert!(
             result.speedup >= 1.05,
-            "sharded throughput must beat the 1-shard baseline, got {:.2}x on {} cores",
+            "sharded throughput must beat the 1-shard baseline, got a median paired \
+             ratio of {:.2}x (IQR {:.2}-{:.2}x over {} pairs) on {} cores",
             result.speedup,
+            result.speedup_iqr.0,
+            result.speedup_iqr.1,
+            result.scaling_pairs,
             result.cores
         );
     } else {

@@ -14,7 +14,11 @@
 //!   core-parallel on a single node (one connection per thread), so a
 //!   loopback cluster can only lose that comparison to fan-out
 //!   overhead. The assert is deliberately lenient (≥ 1.05×) — loopback
-//!   measures the mechanism, not a datacenter.
+//!   measures the mechanism, not a datacenter. Both clusters stay up
+//!   for the whole phase and are sampled in [`SCALING_PAIRS`]
+//!   interleaved pairs, the order alternating from pair to pair; the
+//!   claim is the median of the paired ratios, so one slow sample on a
+//!   shared host cannot decide it.
 //! * **failover** — 2 shards × 2 replicas, one replica killed mid-run:
 //!   every answer stays bit-identical (the group's second replica
 //!   takes over), the retry counter moves, nothing degrades to
@@ -32,6 +36,7 @@ use teda_cluster::{
     build_shard, partition_corpus, partition_pages, ClusterError, ClusterRouter, RouterConfig,
     ShardBackend, ShardServer,
 };
+use teda_simkit::stats::percentile_sorted;
 use teda_simkit::tablefmt::{Align, TextTable};
 use teda_websim::scoring::merge_topk;
 use teda_websim::{PageId, SearchBackend, WebCorpus};
@@ -50,14 +55,19 @@ pub struct ClusterReport {
     /// Router == single node at every probe, every shard count.
     pub identical: bool,
     /// Closed-loop queries per second, 1-shard cluster (the baseline
-    /// pays the same wire + router cost).
+    /// pays the same wire + router cost): the median sample.
     pub qps_single: f64,
-    /// Closed-loop queries per second at `throughput_shards`.
+    /// Closed-loop queries per second at `throughput_shards`: the
+    /// median sample.
     pub qps_sharded: f64,
     /// Shards in the scaled configuration.
     pub throughput_shards: u32,
-    /// `qps_sharded / qps_single`.
+    /// Interleaved sample pairs behind `speedup`.
+    pub scaling_pairs: usize,
+    /// The median of the paired `sharded / single` ratios.
     pub speedup: f64,
+    /// The first and third quartiles of the paired ratios.
+    pub speedup_iqr: (f64, f64),
     /// CPU cores available to this run. Scatter parallelism can only
     /// pay with ≥ 2: on a single core the shards' scoring serializes,
     /// so the honest claim degrades to "fan-out overhead is bounded".
@@ -165,11 +175,14 @@ fn serve(
     (servers, topology)
 }
 
+/// Interleaved 1-shard / sharded sample pairs in the scaling phase.
+pub const SCALING_PAIRS: usize = 9;
+
 /// Closed-loop throughput: one client drives the router with the dense
 /// query back to back; returns queries per second.
 fn closed_loop_qps(router: &ClusterRouter, queries: usize) -> f64 {
     let q = dense_query();
-    // Warm the connection pools out of the measurement.
+    // Keep the connection pools warm out of the measurement.
     std::hint::black_box(router.search(&q, 10));
     let t0 = Instant::now();
     for _ in 0..queries {
@@ -202,22 +215,42 @@ pub fn run(scale: Scale) -> ClusterReport {
 
     // Claim 2: closed-loop latency scaling, 1 shard vs 4. Both sides
     // pay the identical wire + router + merge cost; only the per-shard
-    // postings walk shrinks.
+    // postings walk shrinks. Both clusters serve throughout; each pair
+    // samples both sides back to back, alternating which goes first.
     let throughput_shards = 4u32;
     let queries = closed_loop_queries(scale);
     let (servers_1, topo_1) = serve(&corpus, 1, &root.join("tp_1"));
     let router_1 = ClusterRouter::connect(&topo_1, config()).expect("connect 1-shard");
-    let qps_single = closed_loop_qps(&router_1, queries);
-    for s in servers_1 {
-        s.shutdown();
-    }
     let (servers_n, topo_n) = serve(&corpus, throughput_shards, &root.join("tp_n"));
     let router_n = ClusterRouter::connect(&topo_n, config()).expect("connect n-shard");
-    let qps_sharded = closed_loop_qps(&router_n, queries);
-    for s in servers_n {
+    let mut single = Vec::with_capacity(SCALING_PAIRS);
+    let mut sharded = Vec::with_capacity(SCALING_PAIRS);
+    let mut ratios = Vec::with_capacity(SCALING_PAIRS);
+    for pair in 0..SCALING_PAIRS {
+        let (qps_1, qps_n) = if pair % 2 == 0 {
+            let qps_1 = closed_loop_qps(&router_1, queries);
+            (qps_1, closed_loop_qps(&router_n, queries))
+        } else {
+            let qps_n = closed_loop_qps(&router_n, queries);
+            (closed_loop_qps(&router_1, queries), qps_n)
+        };
+        single.push(qps_1);
+        sharded.push(qps_n);
+        ratios.push(qps_n / qps_1.max(1e-9));
+    }
+    for s in servers_1.into_iter().chain(servers_n) {
         s.shutdown();
     }
-    let speedup = qps_sharded / qps_single.max(1e-9);
+    for xs in [&mut single, &mut sharded, &mut ratios] {
+        xs.sort_by(f64::total_cmp);
+    }
+    let qps_single = percentile_sorted(&single, 0.5);
+    let qps_sharded = percentile_sorted(&sharded, 0.5);
+    let speedup = percentile_sorted(&ratios, 0.5);
+    let speedup_iqr = (
+        percentile_sorted(&ratios, 0.25),
+        percentile_sorted(&ratios, 0.75),
+    );
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -291,7 +324,9 @@ pub fn run(scale: Scale) -> ClusterReport {
         qps_single,
         qps_sharded,
         throughput_shards,
+        scaling_pairs: SCALING_PAIRS,
         speedup,
+        speedup_iqr,
         cores,
         failover_queries,
         failover_identical,
@@ -319,16 +354,19 @@ pub fn render(r: &ClusterReport) -> String {
         format!("{} ({} probes)", r.identical, r.probes_checked),
     ]);
     tbl.row(vec![
-        "closed-loop qps, 1 shard".into(),
+        "closed-loop qps, 1 shard (median)".into(),
         format!("{:.0}", r.qps_single),
     ]);
     tbl.row(vec![
-        format!("closed-loop qps, {} shards", r.throughput_shards),
+        format!("closed-loop qps, {} shards (median)", r.throughput_shards),
         format!("{:.0}", r.qps_sharded),
     ]);
     tbl.row(vec![
-        "scaling".into(),
-        format!("{:.2}x ({} core(s))", r.speedup, r.cores),
+        "scaling (median paired ratio)".into(),
+        format!(
+            "{:.2}x, IQR {:.2}-{:.2}x over {} pairs ({} core(s))",
+            r.speedup, r.speedup_iqr.0, r.speedup_iqr.1, r.scaling_pairs, r.cores
+        ),
     ]);
     tbl.row(vec![
         "failover answers identical".into(),
@@ -370,6 +408,9 @@ pub fn to_json(r: &ClusterReport) -> crate::report::BenchJson {
         .metric("qps_sharded", r.qps_sharded, "qps")
         .metric("throughput_shards", r.throughput_shards as f64, "shards")
         .metric("speedup", r.speedup, "x")
+        .metric("speedup_q1", r.speedup_iqr.0, "x")
+        .metric("speedup_q3", r.speedup_iqr.1, "x")
+        .metric("scaling_pairs", r.scaling_pairs as f64, "pairs")
         .metric("cores", r.cores as f64, "cores")
         .metric("failover_queries", r.failover_queries as f64, "queries")
         .metric("failover_identical", flag(r.failover_identical), "bool")

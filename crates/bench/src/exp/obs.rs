@@ -306,7 +306,7 @@ pub fn run(fixture: &Fixture, scale: Scale) -> ObsReport {
     let trace = router
         .reconstruct_trace(trace_id)
         .expect("reconstruct by id");
-    let span_names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
+    let span_names: Vec<&str> = trace.spans.iter().map(|s| &*s.name).collect();
     let trace_router_stages = span_names.contains(&"merge")
         && (0..CLUSTER_SHARDS).all(|s| span_names.contains(&format!("shard{s}").as_str()));
     let trace_shards_grafted = (0..CLUSTER_SHARDS)

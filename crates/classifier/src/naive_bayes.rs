@@ -126,19 +126,23 @@ impl NaiveBayes {
 
     /// Log-joint scores `ln P(c) + Σ x_f ln P(f|c)` for each class.
     pub fn log_scores(&self, x: &SparseVector) -> Vec<f64> {
-        let mut scores = self.class_log_prior.clone();
+        (0..self.n_classes).map(|c| self.log_score(x, c)).collect()
+    }
+
+    /// The log-joint score of one class, `log_scores(x)[class]` without
+    /// the vector: the prior, then one term per feature in id order.
+    pub fn log_score(&self, x: &SparseVector, class: usize) -> f64 {
+        let mut score = self.class_log_prior[class];
         for &(f, w) in x.entries() {
             let f = f as usize;
-            for (c, score) in scores.iter_mut().enumerate() {
-                let lp = if f < self.dim {
-                    self.token_log_prob[c * self.dim + f]
-                } else {
-                    self.unseen_log_prob[c]
-                };
-                *score += self.evidence_scale * w * lp;
-            }
+            let lp = if f < self.dim {
+                self.token_log_prob[class * self.dim + f]
+            } else {
+                self.unseen_log_prob[class]
+            };
+            score += self.evidence_scale * w * lp;
         }
-        scores
+        score
     }
 
     /// Posterior probabilities (softmax of the log-joint scores).
@@ -294,5 +298,55 @@ mod tests {
         let s = nb.log_scores(&vecf(&[(0, 0.5), (2, 0.5)]));
         assert!(s.iter().all(|v| v.is_finite()));
         assert_eq!(s.len(), 2);
+    }
+
+    /// The class-inner accumulation `log_scores` used before it was
+    /// built from `log_score`.
+    fn log_scores_class_inner(nb: &NaiveBayes, x: &SparseVector) -> Vec<f64> {
+        let mut scores = nb.class_log_prior.clone();
+        for &(f, w) in x.entries() {
+            let f = f as usize;
+            for (c, score) in scores.iter_mut().enumerate() {
+                let lp = if f < nb.dim {
+                    nb.token_log_prob[c * nb.dim + f]
+                } else {
+                    nb.unseen_log_prob[c]
+                };
+                *score += nb.evidence_scale * w * lp;
+            }
+        }
+        scores
+    }
+
+    #[test]
+    fn per_class_scores_equal_the_class_inner_accumulation() {
+        // Each class sees the same additions in the same order either
+        // way, so every score is bit-identical. A NaN input gives NaN
+        // either way; its sign and payload are not specified by Rust's
+        // float semantics, so only NaN-ness is compared there.
+        let nb = NaiveBayes::train(&toy_data(), NaiveBayesConfig::snippet_default());
+        for x in [
+            vecf(&[(0, 0.5), (2, 0.5)]),
+            vecf(&[(1, 0.25), (3, 0.75), (9, 1.0)]),
+            vecf(&[(0, 1e300), (1, -1e300), (2, f64::INFINITY)]),
+            vecf(&[(0, f64::NAN), (3, 0.5)]),
+            vecf(&[]),
+        ] {
+            let old = log_scores_class_inner(&nb, &x);
+            let new = nb.log_scores(&x);
+            assert_eq!(old.len(), new.len());
+            for (c, (a, b)) in old.iter().zip(&new).enumerate() {
+                if a.is_nan() {
+                    assert!(b.is_nan(), "{x:?} class {c}: {b} is not NaN");
+                } else {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{x:?} class {c}");
+                }
+                assert_eq!(
+                    nb.log_score(&x, c).to_bits(),
+                    b.to_bits(),
+                    "{x:?} class {c}"
+                );
+            }
+        }
     }
 }

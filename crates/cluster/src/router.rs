@@ -103,6 +103,8 @@ impl Replica {
 /// One shard's replica group with its round-robin cursor.
 struct ReplicaGroup {
     shard: u32,
+    /// `shard<N>`, the name of this group's scatter span.
+    span_name: &'static str,
     replicas: Vec<Replica>,
     rr: AtomicUsize,
 }
@@ -178,6 +180,7 @@ impl ClusterRouter {
                 }
                 Ok(ReplicaGroup {
                     shard: shard as u32,
+                    span_name: teda_obs::static_name(&format!("shard{shard}")),
                     replicas: addrs.iter().copied().map(Replica::new).collect(),
                     rr: AtomicUsize::new(0),
                 })
@@ -390,12 +393,12 @@ impl ClusterRouter {
         trace: &TraceCtx,
     ) -> Vec<Result<T, ClusterError>> {
         self.telemetry.record_fanout(self.groups.len() as u64);
-        let timer = StageTimer::start(Arc::clone(&self.hist_scatter));
+        let timer = StageTimer::start(&self.hist_scatter);
         let sent: Vec<_> = self
             .groups
             .iter()
             .map(|group| {
-                let span = trace.span(&format!("shard{}", group.shard));
+                let span = trace.span(group.span_name);
                 let order = group.order();
                 let conn = self
                     .checkout(&group.replicas[order[0]])
@@ -424,7 +427,13 @@ impl ClusterRouter {
             };
             // `_span` binds the group's span, which closes when `run`
             // returns: after the group's last try.
-            type Job<'a> = (usize, &'a ReplicaGroup, Vec<usize>, WireError, SpanGuard);
+            type Job<'a> = (
+                usize,
+                &'a ReplicaGroup,
+                Vec<usize>,
+                WireError,
+                SpanGuard<'a>,
+            );
             let run = |(slot, group, order, error, _span): Job<'_>| {
                 (slot, self.on_group_from(group, &order, 1, error, &op))
             };
@@ -501,7 +510,7 @@ impl ClusterRouter {
         let outcomes = self.scatter(&request, parse_scored, &trace);
         let (live, dead) = self.gather(outcomes)?;
         let hits = {
-            let timer = StageTimer::start(Arc::clone(&self.hist_merge));
+            let timer = StageTimer::start(&self.hist_merge);
             let _span = trace.span(stage::MERGE);
             let hits = merge_topk(live, k);
             timer.finish();
@@ -531,7 +540,7 @@ impl ClusterRouter {
         };
         let outcomes = self.scatter(&request, parse_hits, &trace);
         let (live, dead) = self.gather(outcomes)?;
-        let timer = StageTimer::start(Arc::clone(&self.hist_merge));
+        let timer = StageTimer::start(&self.hist_merge);
         let merge_span = trace.span(stage::MERGE);
         // Same comparator as `merge_topk`, applied through the hit's
         // (id, score) key — full hits rank exactly like scored pairs.

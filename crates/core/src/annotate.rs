@@ -8,9 +8,9 @@
 //! Cells are independent of each other: the per-cell computation is pure
 //! given the engine's response, and inference is `&self` over a frozen
 //! vocabulary, so one classifier serves every table the batch engine
-//! annotates concurrently.
-
-use std::collections::HashMap;
+//! annotates concurrently. The cell enters only at the very end: the
+//! [`Verdict`] over a result list names no cell, which is what lets the
+//! batch engine keep it beside the memoized `(query, k)` results.
 
 use teda_kb::EntityType;
 use teda_tabular::{CellId, Table};
@@ -31,6 +31,34 @@ pub struct CellAnnotation {
     pub score: f64,
     /// Raw snippet votes `s_t`.
     pub votes: usize,
+}
+
+/// The §5.2.1 verdict over one top-k result list: everything a
+/// [`CellAnnotation`] carries except the cell.
+///
+/// A pure function of the result list, the classifier and the config,
+/// so every cell whose query returns the same list gets the same
+/// verdict; the query cache stores it beside the `(query, k)` entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Verdict {
+    /// The assigned type `t_max`.
+    pub etype: EntityType,
+    /// Eq. 1 score: `s_t / k`.
+    pub score: f64,
+    /// Raw snippet votes `s_t`.
+    pub votes: usize,
+}
+
+impl Verdict {
+    /// The annotation of `cell` under this verdict.
+    pub fn at(self, cell: CellId) -> CellAnnotation {
+        CellAnnotation {
+            cell,
+            etype: self.etype,
+            score: self.score,
+            votes: self.votes,
+        }
+    }
 }
 
 /// Builds the search query for one cell: the raw content, suffixed with
@@ -60,21 +88,31 @@ pub fn annotate_cell<E: SearchEngine + ?Sized>(
     annotate_from_results(&results, cell, classifier, config)
 }
 
-/// Runs the voting rule over an already-retrieved result list (the batch
-/// engine calls this directly with memoized results, skipping the search).
+/// Runs the voting rule over an already-retrieved result list and
+/// attaches `cell`: [`verdict`] plus [`Verdict::at`].
 pub fn annotate_from_results(
     results: &[SearchResult],
     cell: CellId,
     classifier: &SnippetClassifier,
     config: &AnnotatorConfig,
 ) -> Option<CellAnnotation> {
+    verdict(results, classifier, config).map(|v| v.at(cell))
+}
+
+/// Runs the voting rule over an already-retrieved result list: `None`
+/// when the list is empty or no type clears the threshold.
+pub fn verdict(
+    results: &[SearchResult],
+    classifier: &SnippetClassifier,
+    config: &AnnotatorConfig,
+) -> Option<Verdict> {
     if results.is_empty() {
         return None;
     }
     if config.use_clustering {
-        vote_clustered(results, cell, classifier, config)
+        vote_clustered(results, classifier, config)
     } else {
-        vote_plain(results, cell, classifier, config)
+        vote_plain(results, classifier, config)
     }
 }
 
@@ -97,29 +135,34 @@ pub fn annotate_cells<E: SearchEngine + ?Sized>(
 }
 
 /// The §5.2.1 majority rule: `t_max` wins when `s_t_max > k/2`.
+///
+/// Votes are counted into a fixed array indexed by the type's
+/// declaration order, so the count allocates nothing. The argmax scans
+/// that array in ascending type order and keeps the first strict
+/// maximum: the highest vote count wins, and the earliest type wins a
+/// tie.
 fn vote_plain(
     results: &[SearchResult],
-    cell: CellId,
     classifier: &SnippetClassifier,
     config: &AnnotatorConfig,
-) -> Option<CellAnnotation> {
-    let mut votes: HashMap<EntityType, usize> = HashMap::new();
+) -> Option<Verdict> {
+    let mut votes = [0usize; EntityType::ALL.len()];
     for r in results {
         if let Some(t) = classifier.classify(&r.snippet) {
             if config.targets.contains(&t) {
-                *votes.entry(t).or_insert(0) += 1;
+                votes[t as usize] += 1;
             }
         }
     }
-    // Deterministic argmax: highest vote count, earliest type on ties.
-    let (t_max, s_max) = votes
-        // teda-lint: allow(nondeterministic_iteration) -- argmax key (votes, Reverse(type)) is unique per entry, so the max is order-independent
-        .iter()
-        .map(|(&t, &s)| (t, s))
-        .max_by_key(|&(t, s)| (s, std::cmp::Reverse(t)))?;
-    (s_max > config.majority_threshold()).then(|| CellAnnotation {
-        cell,
-        etype: t_max,
+    let mut best: Option<(usize, usize)> = None;
+    for (i, &s) in votes.iter().enumerate() {
+        if s > best.map_or(0, |(_, s_max)| s_max) {
+            best = Some((i, s));
+        }
+    }
+    let (i_max, s_max) = best?;
+    (s_max > config.majority_threshold()).then(|| Verdict {
+        etype: EntityType::ALL[i_max],
         score: s_max as f64 / config.top_k as f64,
         votes: s_max,
     })
@@ -134,10 +177,9 @@ fn vote_plain(
 /// clustering distance computation and the classifier's decision rule.
 fn vote_clustered(
     results: &[SearchResult],
-    cell: CellId,
     classifier: &SnippetClassifier,
     config: &AnnotatorConfig,
-) -> Option<CellAnnotation> {
+) -> Option<Verdict> {
     let vectors: Vec<teda_text::SparseVector> = results
         .iter()
         .map(|r| classifier.vectorize(&r.snippet))
@@ -153,8 +195,7 @@ fn vote_clustered(
     let clusters = crate::cluster::cluster_snippets(&vectors, config.cluster);
     let (etype, votes) = crate::cluster::best_cluster_vote(&clusters, &types)?;
     let min_votes = (config.top_k as f64 * config.cluster.min_votes_frac).ceil() as usize;
-    (votes >= min_votes.max(2)).then(|| CellAnnotation {
-        cell,
+    (votes >= min_votes.max(2)).then(|| Verdict {
         etype,
         score: votes as f64 / config.top_k as f64,
         votes,
@@ -357,6 +398,55 @@ mod tests {
         let t = table();
         let anns = annotate_cells(&t, &[CellId::new(2, 0)], &engine, &clf, None, &config());
         assert!(anns.is_empty());
+    }
+
+    #[test]
+    fn vote_slots_follow_the_type_order() {
+        // `vote_plain` counts into `votes[t as usize]` and reads the
+        // winner back as `EntityType::ALL[i]`, scanning in ascending type
+        // order for the earliest-type tie rule.
+        for (i, &t) in EntityType::ALL.iter().enumerate() {
+            assert_eq!(t as usize, i, "{t:?}");
+        }
+        assert!(EntityType::ALL.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn tied_votes_go_to_the_earlier_type() {
+        // 3 restaurant and 3 museum snippets at k = 6 (threshold 3):
+        // neither clears it; at k = 5 (threshold 2) both do, and the
+        // earlier type wins the tie whatever order Γ lists them in.
+        let engine = Scripted {
+            rules: vec![(
+                "melisse",
+                vec![
+                    "exhibition gallery paintings",
+                    "menu cuisine dining",
+                    "gallery collection exhibition",
+                    "menu chef dining",
+                    "paintings exhibition gallery",
+                    "cuisine chef menu",
+                ],
+            )],
+        };
+        let clf = classifier();
+        let t = table();
+        for targets in [
+            vec![EntityType::Museum, EntityType::Restaurant],
+            vec![EntityType::Restaurant, EntityType::Museum],
+        ] {
+            let cfg = AnnotatorConfig {
+                targets,
+                top_k: 6,
+                ..config()
+            };
+            let anns = annotate_cells(&t, &[CellId::new(0, 0)], &engine, &clf, None, &cfg);
+            assert!(anns.is_empty(), "3/6 is not a majority: {anns:?}");
+            let results = engine.search("melisse", 6);
+            let cfg = AnnotatorConfig { top_k: 5, ..cfg };
+            let v = verdict(&results, &clf, &cfg).expect("3 > 5/2");
+            assert_eq!((v.etype, v.votes), (EntityType::Restaurant, 3));
+        }
     }
 
     #[test]

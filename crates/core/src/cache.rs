@@ -37,6 +37,20 @@
 //! of a lookup (one extra engine call), never its result. Bounded and
 //! unbounded caches produce bit-identical annotations.
 //!
+//! # The verdict slot
+//!
+//! Each entry also has room for the §5.2.1 [`Verdict`] over its result
+//! list, filled on first use through a `OnceLock`. A verdict is a pure
+//! function of the results, the classifier and the config, and the
+//! batch annotator that owns this cache also owns the classifier and a
+//! config fixed at construction, so the slot never holds a verdict
+//! another model would not give. A cache hit then costs a lookup, not
+//! `k` featurizations and classifications. The slot lives and dies with
+//! its results: eviction, TTL expiry and [`clear`](QueryCache::clear)
+//! drop both together. Snapshots carry results only
+//! ([`export_entries`](QueryCache::export_entries)), so a restored entry
+//! computes its verdict on its first hit.
+//!
 //! The single-flight machinery itself — [`Flight`](teda_memo::Flight),
 //! [`Slot`](teda_memo::Slot), shard routing, leader execution — lives in
 //! [`teda_memo`], shared with `teda-geo`'s geocoding memo; this module
@@ -51,6 +65,8 @@ use std::time::{Duration, Instant};
 use teda_memo::{lead, Counters, Flight, Shards, Slot};
 use teda_obs::{Histogram, StageTimer, Stopwatch};
 use teda_websim::{SearchEngine, SearchResult};
+
+use crate::annotate::Verdict;
 
 /// Hit/miss/eviction accounting of a [`QueryCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -103,8 +119,40 @@ impl Default for CacheConfig {
     }
 }
 
-/// The memoized value: one shared result list per `(query, k)`.
-type Results = Arc<[SearchResult]>;
+/// The memoized value of one `(query, k)` entry: its shared result
+/// list and, once some caller has judged it, the §5.2.1 verdict over it.
+#[derive(Debug)]
+pub(crate) struct Memo {
+    results: Arc<[SearchResult]>,
+    verdict: OnceLock<Option<Verdict>>,
+}
+
+impl Memo {
+    fn new(results: Arc<[SearchResult]>) -> Arc<Memo> {
+        Arc::new(Memo {
+            results,
+            verdict: OnceLock::new(),
+        })
+    }
+
+    /// The memoized result list.
+    pub(crate) fn results(&self) -> &Arc<[SearchResult]> {
+        &self.results
+    }
+
+    /// The verdict over the results: `judge` runs on the first call
+    /// only, and every later call (from any thread) returns its answer.
+    /// Callers must pass the same pure judge every time.
+    pub(crate) fn verdict(
+        &self,
+        judge: impl FnOnce(&[SearchResult]) -> Option<Verdict>,
+    ) -> Option<Verdict> {
+        *self.verdict.get_or_init(|| judge(&self.results))
+    }
+}
+
+/// What a slot holds.
+type Memoized = Arc<Memo>;
 
 /// One exported cache entry, as
 /// [`QueryCache::export_entries`]/[`QueryCache::restore_entries`]
@@ -130,7 +178,7 @@ pub struct CacheEntrySnapshot {
 #[derive(Debug)]
 struct Entry {
     k: usize,
-    slot: Slot<Results>,
+    slot: Slot<Memoized>,
     /// Shard tick at the last hit (LRU recency). Pending entries carry
     /// their install tick but are never eviction victims.
     last_used: u64,
@@ -161,8 +209,12 @@ pub struct QueryCache {
     ttl: Option<Duration>,
     counters: Counters,
     /// `cache_lookup` stage histogram — time from lookup to a memoized
-    /// answer (fast-path hits and follower waits). Unattached (the
-    /// default) records nothing; see [`attach_obs`](Self::attach_obs).
+    /// answer (fast-path hits and follower waits), one observation per
+    /// hit. Only waits are timed: a hit that took its shard lock at the
+    /// first try holds it for one map probe, far below the histogram's
+    /// 1 µs resolution, and records 0 µs without reading the clock.
+    /// Unattached (the default) records nothing; see
+    /// [`attach_obs`](Self::attach_obs).
     hist_lookup: OnceLock<Arc<Histogram>>,
     /// `search` stage histogram — the leader's engine call on a miss.
     hist_search: OnceLock<Arc<Histogram>>,
@@ -224,10 +276,18 @@ impl QueryCache {
         Stopwatch::started_if(self.hist_lookup.get().is_some_and(|h| h.is_enabled()))
     }
 
-    /// Records one lookup-to-answer duration (no-op when unattached or
-    /// the watch never started).
+    /// Starts `watch` unless it runs already: the lookup is about to
+    /// wait.
+    fn time_wait(&self, watch: &mut Stopwatch) {
+        if !watch.is_running() {
+            *watch = self.lookup_watch();
+        }
+    }
+
+    /// Records one hit: the waited time when `watch` runs, else 0 µs
+    /// (no-op when unattached or disabled).
     fn record_lookup(&self, watch: Stopwatch) {
-        if let (Some(h), true) = (self.hist_lookup.get(), watch.is_running()) {
+        if let Some(h) = self.hist_lookup.get() {
             h.record(watch.elapsed_us());
         }
     }
@@ -254,17 +314,34 @@ impl QueryCache {
         query: &str,
         k: usize,
     ) -> Arc<[SearchResult]> {
+        Arc::clone(self.get_or_search_memo(engine, query, k).results())
+    }
+
+    /// [`get_or_search`](Self::get_or_search), answering with the whole
+    /// entry, so the caller can read or fill its verdict slot.
+    pub(crate) fn get_or_search_memo<E: SearchEngine + ?Sized>(
+        &self,
+        engine: &E,
+        query: &str,
+        k: usize,
+    ) -> Memoized {
         /// What the shard held for the key, borrow-free.
         enum Found {
-            Hit(Arc<[SearchResult]>),
+            Hit(Memoized),
             Stale,
-            InFlight(Arc<Flight<Results>>),
+            InFlight(Arc<Flight<Memoized>>),
             Missing,
         }
-        let watch = self.lookup_watch();
+        let mut watch = Stopwatch::started_if(false);
         loop {
             let flight = {
-                let mut shard = self.shards.lock(query.as_bytes());
+                let mut shard = match self.shards.try_lock(query.as_bytes()) {
+                    Some(shard) => shard,
+                    None => {
+                        self.time_wait(&mut watch);
+                        self.shards.lock(query.as_bytes())
+                    }
+                };
                 shard.tick += 1;
                 let tick = shard.tick;
                 let found = match shard
@@ -273,13 +350,13 @@ impl QueryCache {
                     .and_then(|entries| entries.iter_mut().find(|e| e.k == k))
                 {
                     Some(entry) => match &entry.slot {
-                        Slot::Ready(results) => {
+                        Slot::Ready(memo) => {
                             if self.ttl.is_some_and(|ttl| entry.inserted.elapsed() >= ttl) {
                                 Found::Stale
                             } else {
-                                let results = Arc::clone(results);
+                                let memo = Arc::clone(memo);
                                 entry.last_used = tick;
-                                Found::Hit(results)
+                                Found::Hit(memo)
                             }
                         }
                         Slot::Pending(flight) => Found::InFlight(Arc::clone(flight)),
@@ -287,11 +364,11 @@ impl QueryCache {
                     None => Found::Missing,
                 };
                 match found {
-                    Found::Hit(results) => {
+                    Found::Hit(memo) => {
                         self.counters.hit();
                         drop(shard);
                         self.record_lookup(watch);
-                        return results;
+                        return memo;
                     }
                     Found::InFlight(flight) => flight,
                     stale_or_missing => {
@@ -309,15 +386,12 @@ impl QueryCache {
                         // followers retry instead of hanging.
                         return lead(
                             || {
-                                let timer = self
-                                    .hist_search
-                                    .get()
-                                    .map(|h| StageTimer::start(Arc::clone(h)));
+                                let timer = self.hist_search.get().map(|h| StageTimer::start(h));
                                 let results = engine.search(query, k).into();
                                 drop(timer);
-                                results
+                                Memo::new(results)
                             },
-                            |results| self.resolve_slot(query, k, &flight, results),
+                            |memo| self.resolve_slot(query, k, &flight, memo),
                         );
                     }
                 }
@@ -325,10 +399,11 @@ impl QueryCache {
             // Follower: wait for the leader's result (a hit — the memo
             // saved this engine call). `None` means the leader unwound;
             // loop and race to become the new leader.
-            if let Some(results) = flight.wait() {
+            self.time_wait(&mut watch);
+            if let Some(memo) = flight.wait() {
                 self.counters.hit();
                 self.record_lookup(watch);
-                return results;
+                return memo;
             }
         }
     }
@@ -341,8 +416,8 @@ impl QueryCache {
         &self,
         query: &str,
         k: usize,
-        flight: &Arc<Flight<Results>>,
-        results: Option<&Results>,
+        flight: &Arc<Flight<Memoized>>,
+        memo: Option<&Memoized>,
     ) {
         let mut shard = self.shards.lock(query.as_bytes());
         shard.tick += 1;
@@ -353,9 +428,9 @@ impl QueryCache {
                 .find(|e| e.k == k && e.slot.holds(flight))
         });
         if let Some(entry) = held {
-            match results {
-                Some(r) => {
-                    entry.slot = Slot::Ready(Arc::clone(r));
+            match memo {
+                Some(m) => {
+                    entry.slot = Slot::Ready(Arc::clone(m));
                     entry.last_used = tick;
                     entry.inserted = Instant::now();
                     shard.ready += 1;
@@ -370,7 +445,7 @@ impl QueryCache {
             }
         }
         drop(shard);
-        flight.finish(results.map(Arc::clone));
+        flight.finish(memo.map(Arc::clone));
     }
 
     /// Hit/miss/eviction counters so far.
@@ -397,8 +472,9 @@ impl QueryCache {
         self.len() == 0
     }
 
-    /// Exports every `Ready` entry for persistence (`teda-store`'s
-    /// cache snapshot): in-flight (`Pending`) slots are skipped — a
+    /// Exports every `Ready` entry's results for persistence
+    /// (`teda-store`'s cache snapshot; verdicts are not exported, see
+    /// the module doc): in-flight (`Pending`) slots are skipped — a
     /// search that has not finished has nothing to persist — and
     /// entries already past the TTL are skipped too. Each entry carries
     /// its **age** (time since publish), so a restore into another
@@ -414,7 +490,7 @@ impl QueryCache {
             // teda-lint: allow(nondeterministic_iteration) -- collected across shards, then sorted by (query, k) before return
             for (query, entries) in shard.map.iter() {
                 for e in entries {
-                    let Slot::Ready(results) = &e.slot else {
+                    let Slot::Ready(memo) = &e.slot else {
                         continue;
                     };
                     let age = e.inserted.elapsed();
@@ -424,7 +500,7 @@ impl QueryCache {
                     out.push(CacheEntrySnapshot {
                         query: query.clone(),
                         k: e.k,
-                        results: Arc::clone(results),
+                        results: Arc::clone(memo.results()),
                         age,
                     });
                 }
@@ -442,7 +518,8 @@ impl QueryCache {
     /// running process knows better than the snapshot), and the
     /// capacity bound is enforced as usual — a snapshot from a larger
     /// cache evicts down to this cache's limit. Hit/miss counters are
-    /// untouched: restoration is not traffic.
+    /// untouched: restoration is not traffic. A restored entry starts
+    /// with an empty verdict slot.
     ///
     /// Returns the number of entries actually installed.
     pub fn restore_entries(&self, entries: impl IntoIterator<Item = CacheEntrySnapshot>) -> usize {
@@ -469,7 +546,7 @@ impl QueryCache {
             }
             slots.push(Entry {
                 k: entry.k,
-                slot: Slot::Ready(entry.results),
+                slot: Slot::Ready(Memo::new(entry.results)),
                 last_used: tick,
                 inserted,
             });
@@ -485,7 +562,8 @@ impl QueryCache {
         installed
     }
 
-    /// Drops all entries and zeroes the counters.
+    /// Drops all entries, their verdicts with them, and zeroes the
+    /// counters.
     pub fn clear(&self) {
         self.shards.for_each(|shard| {
             shard.map.clear();
@@ -498,7 +576,7 @@ impl QueryCache {
 
 /// Installs a fresh `Pending` entry for `(query, k)` and returns its
 /// flight. Caller must have verified the key is absent.
-fn install_flight(shard: &mut Shard, query: &str, k: usize, tick: u64) -> Arc<Flight<Results>> {
+fn install_flight(shard: &mut Shard, query: &str, k: usize, tick: u64) -> Arc<Flight<Memoized>> {
     let flight = Flight::new();
     shard.map.entry(query.to_owned()).or_default().push(Entry {
         k,
@@ -903,6 +981,88 @@ mod tests {
         });
         small.restore_entries(exported);
         assert!(small.len() <= 1, "restore must respect the capacity bound");
+    }
+
+    /// A judge that counts its calls and gives a fixed verdict.
+    fn counting_judge(calls: &AtomicUsize) -> impl FnOnce(&[SearchResult]) -> Option<Verdict> + '_ {
+        move |results| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            Some(Verdict {
+                etype: teda_kb::EntityType::Museum,
+                score: results.len() as f64,
+                votes: results.len(),
+            })
+        }
+    }
+
+    #[test]
+    fn a_verdict_is_judged_once_per_entry_and_dropped_with_it() {
+        let cache = QueryCache::with_config(CacheConfig {
+            shards: 1,
+            capacity: Some(1),
+            ttl: None,
+        });
+        let engine = Counting(AtomicUsize::new(0));
+        let calls = AtomicUsize::new(0);
+        let judge = |cache: &QueryCache, q: &str| {
+            cache
+                .get_or_search_memo(&engine, q, 3)
+                .verdict(counting_judge(&calls))
+        };
+        let first = judge(&cache, "melisse");
+        assert_eq!(first.map(|v| v.votes), Some(3));
+        assert_eq!(judge(&cache, "melisse"), first, "a hit reuses the verdict");
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "judged once");
+
+        judge(&cache, "louvre"); // evicts "melisse", verdict and all
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+        assert_eq!(judge(&cache, "melisse"), first);
+        assert_eq!(calls.load(Ordering::Relaxed), 3, "evicted → judged again");
+
+        cache.clear();
+        assert_eq!(judge(&cache, "melisse"), first);
+        assert_eq!(calls.load(Ordering::Relaxed), 4, "cleared → judged again");
+
+        // Snapshots carry results only: a restored entry is a hit whose
+        // verdict is judged on first use.
+        let restored = QueryCache::new(1);
+        restored.restore_entries(cache.export_entries());
+        let searches = engine.0.load(Ordering::Relaxed);
+        assert_eq!(judge(&restored, "melisse"), first);
+        assert_eq!(engine.0.load(Ordering::Relaxed), searches, "restored hit");
+        assert_eq!(calls.load(Ordering::Relaxed), 5, "restored → judged once");
+        assert_eq!(judge(&restored, "melisse"), first);
+        assert_eq!(calls.load(Ordering::Relaxed), 5);
+    }
+
+    #[test]
+    fn lookups_read_no_clock_unless_they_can_record() {
+        let cache = QueryCache::new(1);
+        assert!(!cache.lookup_watch().is_running(), "unattached");
+        cache.attach_obs(&teda_obs::Registry::noop("off"));
+        assert!(!cache.lookup_watch().is_running(), "disabled histogram");
+
+        let live = QueryCache::new(1);
+        live.attach_obs(&teda_obs::Registry::new("on"));
+        assert!(live.lookup_watch().is_running(), "recording histogram");
+    }
+
+    #[test]
+    fn every_hit_is_one_lookup_observation() {
+        // The histogram's count is the hit count (fast hits record 0 µs
+        // untimed, waits record their time); misses record nothing here.
+        let obs = teda_obs::Registry::new("node");
+        let cache = QueryCache::new(4);
+        cache.attach_obs(&obs);
+        let engine = Counting(AtomicUsize::new(0));
+        for q in ["a", "b", "a", "a", "b", "c"] {
+            cache.get_or_search(&engine, q, 2);
+        }
+        let lookups = obs.histogram(teda_obs::stage::CACHE_LOOKUP).snapshot();
+        assert_eq!(lookups.count(), cache.stats().hits);
+        assert_eq!(lookups.count(), 3);
+        let searches = obs.histogram(teda_obs::stage::SEARCH).snapshot();
+        assert_eq!(searches.count(), cache.stats().misses);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! voting "Other" simply isn't a vote for any target type, which is how
 //! the majority rule abstains on junk cells).
 
+use teda_classifier::svm::BinaryClassifier;
 use teda_classifier::{Classifier, NaiveBayes, OneVsRest, PegasosSvm, SmoSvm};
 use teda_kb::EntityType;
 use teda_text::FeatureExtractor;
@@ -83,6 +84,27 @@ pub enum AnyModel {
     Bayes(NaiveBayes),
 }
 
+impl AnyModel {
+    /// The winning class and its decision value, or `None` for a model
+    /// with no classes: the argmax of [`scores`](Classifier::scores)
+    /// taken straight from the per-class decision values, without the
+    /// score vector.
+    ///
+    /// It is `Iterator::max_by` under `f64::total_cmp`, so the last
+    /// maximal index wins a tie, and NaN ranks exactly where `total_cmp`
+    /// puts it (a positive NaN above every number, a negative one below).
+    pub fn best_class(&self, x: &teda_text::SparseVector) -> Option<(usize, f64)> {
+        fn argmax(scores: impl Iterator<Item = f64>) -> Option<(usize, f64)> {
+            scores.enumerate().max_by(|a, b| a.1.total_cmp(&b.1))
+        }
+        match self {
+            AnyModel::SvmLinear(m) => argmax(m.models().iter().map(|b| b.decision(x))),
+            AnyModel::SvmRbf(m) => argmax(m.models().iter().map(|b| b.decision(x))),
+            AnyModel::Bayes(m) => argmax((0..m.n_classes()).map(|c| m.log_score(x, c))),
+        }
+    }
+}
+
 impl Classifier for AnyModel {
     fn n_classes(&self) -> usize {
         match self {
@@ -143,17 +165,13 @@ impl SnippetClassifier {
     /// Classifies an already-featurized snippet (same decision rule as
     /// [`classify`](Self::classify)). Lets callers that need both the
     /// vector and the label — e.g. the clustered voting mode — featurize
-    /// exactly once.
+    /// exactly once. Allocates nothing: the argmax comes from
+    /// [`AnyModel::best_class`].
     pub fn classify_vector(&self, x: &teda_text::SparseVector) -> Option<EntityType> {
         if x.is_empty() {
             return None;
         }
-        let scores = self.model.scores(x);
-        let (best, best_score) = scores
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(&b.1))?;
+        let (best, best_score) = self.model.best_class(x)?;
         let margin_based = matches!(self.model, AnyModel::SvmLinear(_) | AnyModel::SvmRbf(_));
         if margin_based && best_score < 0.0 {
             return None;

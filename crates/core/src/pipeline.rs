@@ -8,7 +8,9 @@
 //! * [`BatchAnnotator`] — a corpus at a time: fans tables out across
 //!   threads, and memoizes `(query, k)` through a sharded [`QueryCache`]
 //!   so duplicate cell contents — pervasive in real table corpora — are
-//!   searched and classified once.
+//!   searched and classified once: each cache entry keeps the §5.2.1
+//!   verdict over its results beside them, so a hit skips both the
+//!   search and the `k` snippet classifications.
 //!
 //! The corpus-scale entry point is the streaming driver
 //! [`BatchAnnotator::annotate_stream`]: a [`TableSource`] is pulled
@@ -24,9 +26,11 @@
 //! and streaming paths produce bit-identical annotations to the
 //! sequential ones, at every window size. Cells are independent,
 //! inference is `&self` over a frozen vocabulary, the cache is
-//! single-flight, and every parallel collect — including the streaming
-//! window's reorder buffer — preserves input order (the argument is
-//! written out in `crates/core/src/README.md`).
+//! single-flight, a memoized verdict is a pure function of its results
+//! under the annotator's one classifier and fixed config, and every
+//! parallel collect — including the streaming window's reorder buffer —
+//! preserves input order (the argument is written out in
+//! `crates/core/src/README.md`).
 //!
 //! Perf knobs: worker count (`RAYON_NUM_THREADS`), in-flight window
 //! (`annotate_stream`'s `max_in_flight`), cache shard count
@@ -42,7 +46,7 @@ use teda_kb::EntityType;
 use teda_tabular::{infer::infer_column_types, CellId, ColumnType, Table};
 use teda_websim::SearchEngine;
 
-use crate::annotate::{annotate_cells, annotate_from_results, build_cell_query, CellAnnotation};
+use crate::annotate::{annotate_cells, build_cell_query, verdict, CellAnnotation};
 use crate::cache::{CacheConfig, CacheStats, QueryCache};
 use crate::config::AnnotatorConfig;
 use crate::model::SnippetClassifier;
@@ -102,6 +106,9 @@ impl TableAnnotations {
 
 /// The annotator: owns the classifier, borrows the Web through a shared
 /// engine handle, and optionally a geocoder for spatial disambiguation.
+///
+/// The configuration is fixed at construction: build a new annotator
+/// (or take it apart with [`into_parts`](Self::into_parts)) to change it.
 pub struct Annotator {
     pub(crate) engine: Arc<dyn SearchEngine + Send + Sync>,
     pub(crate) classifier: SnippetClassifier,
@@ -130,15 +137,9 @@ impl Annotator {
         self
     }
 
-    /// The current configuration.
+    /// The configuration, fixed at construction.
     pub fn config(&self) -> &AnnotatorConfig {
         &self.config
-    }
-
-    /// Mutable configuration access (benches toggle post-processing and
-    /// disambiguation between runs).
-    pub fn config_mut(&mut self) -> &mut AnnotatorConfig {
-        &mut self.config
     }
 
     /// Annotates one table end-to-end.
@@ -179,6 +180,8 @@ impl Annotator {
 
     /// Upgrades this annotator into a [`BatchAnnotator`] with a fresh
     /// query cache, preserving engine, classifier, geocoder and config.
+    /// The fresh cache holds no verdicts, so none judged by another
+    /// classifier can leak in.
     pub fn into_batch(self) -> BatchAnnotator {
         let mut batch = BatchAnnotator::new(self.engine, self.classifier, self.config);
         batch.geocoder = self.geocoder;
@@ -247,6 +250,12 @@ pub(crate) fn finish_table(
 ///
 /// All paths — sequential or parallel, cached hit or miss — produce
 /// bit-identical [`CellAnnotation`]s for the same inputs and seed.
+///
+/// The configuration is fixed at construction. The query cache keeps
+/// each entry's §5.2.1 verdict, judged by this annotator's classifier
+/// under this config; a config changed under a warm cache would serve
+/// verdicts computed under the old targets or threshold, so there is no
+/// way to change it.
 pub struct BatchAnnotator {
     engine: Arc<dyn SearchEngine + Send + Sync>,
     classifier: SnippetClassifier,
@@ -300,14 +309,9 @@ impl BatchAnnotator {
         self
     }
 
-    /// The current configuration.
+    /// The configuration, fixed at construction.
     pub fn config(&self) -> &AnnotatorConfig {
         &self.config
-    }
-
-    /// Mutable configuration access.
-    pub fn config_mut(&mut self) -> &mut AnnotatorConfig {
-        &mut self.config
     }
 
     /// The query cache (hit/miss accounting, clearing between runs).
@@ -332,7 +336,8 @@ impl BatchAnnotator {
         self.geo_memo.stats()
     }
 
-    /// Annotates one cell through the cache.
+    /// Annotates one cell through the cache: the entry's verdict is
+    /// judged on its first use and attached to `cell` on every later hit.
     fn annotate_cell_cached(
         &self,
         table: &Table,
@@ -343,10 +348,11 @@ impl BatchAnnotator {
         if query.trim().is_empty() {
             return None;
         }
-        let results = self
+        let memo = self
             .cache
-            .get_or_search(self.engine.as_ref(), &query, self.config.top_k);
-        annotate_from_results(&results, cell, &self.classifier, &self.config)
+            .get_or_search_memo(self.engine.as_ref(), &query, self.config.top_k);
+        memo.verdict(|results| verdict(results, &self.classifier, &self.config))
+            .map(|v| v.at(cell))
     }
 
     /// Annotates one table, cells sequential, queries memoized.

@@ -32,7 +32,7 @@
 //! without widening the workspace graph.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 
 /// Rendezvous for callers waiting on another caller's in-flight
 /// computation of the same key.
@@ -154,6 +154,18 @@ impl<S> Shards<S> {
     pub fn lock(&self, key: &[u8]) -> MutexGuard<'_, S> {
         let i = (fnv1a(key) % self.shards.len() as u64) as usize;
         self.shards[i].lock().expect("memo shard poisoned")
+    }
+
+    /// Locks the shard `key` routes to if no one holds it; `None` when
+    /// the lock is taken (callers that time their waits start the clock
+    /// only then).
+    pub fn try_lock(&self, key: &[u8]) -> Option<MutexGuard<'_, S>> {
+        let i = (fnv1a(key) % self.shards.len() as u64) as usize;
+        match self.shards[i].try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::WouldBlock) => None,
+            Err(TryLockError::Poisoned(_)) => panic!("memo shard poisoned"),
+        }
     }
 
     /// Locks every shard in turn (stats, clears).

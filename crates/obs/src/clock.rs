@@ -10,7 +10,6 @@
 //! score, rank, or merge decision — `exp_obs` asserts bit-identical
 //! annotations with telemetry on and off.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::hist::Histogram;
@@ -51,18 +50,19 @@ impl Stopwatch {
     }
 }
 
-/// Times one pipeline stage into a histogram: started against an
-/// `Arc<Histogram>`, records the elapsed microseconds on drop. Against
-/// a disabled histogram neither the clock read nor the record happens.
+/// Times one pipeline stage into a histogram: started against a
+/// borrowed histogram (no reference-count traffic on the request path),
+/// records the elapsed microseconds on drop. Against a disabled
+/// histogram neither the clock read nor the record happens.
 #[derive(Debug)]
-pub struct StageTimer {
-    hist: Arc<Histogram>,
+pub struct StageTimer<'a> {
+    hist: &'a Histogram,
     t0: Option<Instant>,
 }
 
-impl StageTimer {
+impl<'a> StageTimer<'a> {
     /// Starts timing into `hist` (no-op when `hist` is disabled).
-    pub fn start(hist: Arc<Histogram>) -> StageTimer {
+    pub fn start(hist: &'a Histogram) -> StageTimer<'a> {
         let t0 = hist.is_enabled().then(Instant::now);
         StageTimer { hist, t0 }
     }
@@ -71,7 +71,7 @@ impl StageTimer {
     pub fn finish(self) {}
 }
 
-impl Drop for StageTimer {
+impl Drop for StageTimer<'_> {
     fn drop(&mut self) {
         if let Some(t0) = self.t0 {
             self.hist
@@ -94,16 +94,16 @@ mod tests {
 
     #[test]
     fn stage_timer_records_once_on_drop() {
-        let hist = Arc::new(Histogram::new());
-        StageTimer::start(Arc::clone(&hist)).finish();
-        drop(StageTimer::start(Arc::clone(&hist)));
+        let hist = Histogram::new();
+        StageTimer::start(&hist).finish();
+        drop(StageTimer::start(&hist));
         assert_eq!(hist.snapshot().count(), 2);
     }
 
     #[test]
     fn stage_timer_against_disabled_histogram_is_inert() {
-        let hist = Arc::new(Histogram::disabled());
-        let t = StageTimer::start(Arc::clone(&hist));
+        let hist = Histogram::disabled();
+        let t = StageTimer::start(&hist);
         assert!(t.t0.is_none(), "disabled histogram must skip the clock");
         drop(t);
         assert!(hist.snapshot().is_empty());

@@ -28,4 +28,4 @@ pub mod trace;
 pub use clock::{StageTimer, Stopwatch};
 pub use hist::{bucket_bounds, bucket_of, HistSnapshot, Histogram, BUCKETS};
 pub use registry::{stage, Registry, TRACE_RING_CAPACITY};
-pub use trace::{Span, SpanGuard, Trace, TraceCtx, TraceRing};
+pub use trace::{static_name, Span, SpanGuard, Trace, TraceCtx, TraceRing};

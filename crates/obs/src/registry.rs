@@ -5,9 +5,10 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Instant;
 
 use crate::hist::{bucket_bounds, HistSnapshot, Histogram, BUCKETS};
-use crate::trace::{TraceCtx, TraceRing};
+use crate::trace::{static_name, TraceCtx, TraceRing};
 
 /// How many completed traces a registry remembers.
 pub const TRACE_RING_CAPACITY: usize = 256;
@@ -33,7 +34,9 @@ pub mod stage {
 /// telemetry is off.
 pub struct Registry {
     enabled: bool,
-    node: String,
+    /// The node label, `&'static` so every trace can carry it without
+    /// a copy ([`static_name`]).
+    node: &'static str,
     hists: Mutex<BTreeMap<String, Arc<Histogram>>>,
     traces: Arc<TraceRing>,
     next_trace_id: AtomicU64,
@@ -53,7 +56,7 @@ impl Registry {
     pub fn new(node: &str) -> Arc<Registry> {
         Arc::new(Registry {
             enabled: true,
-            node: node.to_string(),
+            node: static_name(node),
             hists: Mutex::new(BTreeMap::new()),
             traces: Arc::new(TraceRing::new(TRACE_RING_CAPACITY)),
             next_trace_id: AtomicU64::new(1),
@@ -65,7 +68,7 @@ impl Registry {
     pub fn noop(node: &str) -> Arc<Registry> {
         Arc::new(Registry {
             enabled: false,
-            node: node.to_string(),
+            node: static_name(node),
             hists: Mutex::new(BTreeMap::new()),
             traces: Arc::new(TraceRing::new(1)),
             next_trace_id: AtomicU64::new(1),
@@ -79,7 +82,7 @@ impl Registry {
 
     /// The node label exposition carries.
     pub fn node(&self) -> &str {
-        &self.node
+        self.node
     }
 
     /// Get-or-create the stage histogram. Callers cache the `Arc` —
@@ -98,22 +101,34 @@ impl Registry {
 
     /// Starts a trace with the next deterministic request-scoped id
     /// (1, 2, 3, … per registry). Inert on a disabled registry.
-    pub fn start_trace(&self, root_name: &str) -> TraceCtx {
+    pub fn start_trace(&self, root_name: &'static str) -> TraceCtx {
         if !self.enabled {
             return TraceCtx::disabled();
         }
-        let id = self.next_trace_id.fetch_add(1, Ordering::Relaxed);
-        TraceCtx::new(id, &self.node, root_name, Arc::clone(&self.traces))
+        self.trace_from(self.reserve_trace_id(), root_name, Instant::now())
+    }
+
+    /// Takes the next deterministic trace id without starting a trace,
+    /// for a caller that starts it later, on another thread
+    /// ([`trace_from`](Self::trace_from)).
+    pub fn reserve_trace_id(&self) -> u64 {
+        self.next_trace_id.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Starts a trace under an id minted elsewhere — the wire server
     /// uses this for `TRACE <id>`-prefixed requests so the shard's tree
     /// joins the router's under one id.
-    pub fn trace_with_id(&self, id: u64, root_name: &str) -> TraceCtx {
+    pub fn trace_with_id(&self, id: u64, root_name: &'static str) -> TraceCtx {
+        self.trace_from(id, root_name, Instant::now())
+    }
+
+    /// Starts a trace under `id` whose root began at `origin`, an
+    /// instant the caller already read. Inert on a disabled registry.
+    pub fn trace_from(&self, id: u64, root_name: &'static str, origin: Instant) -> TraceCtx {
         if !self.enabled {
             return TraceCtx::disabled();
         }
-        TraceCtx::new(id, &self.node, root_name, Arc::clone(&self.traces))
+        TraceCtx::new(id, self.node, root_name, origin, Arc::clone(&self.traces))
     }
 
     /// The most recent completed trace with this id.

@@ -14,11 +14,21 @@
 //! no-op — the request path is identical either way, which is half of
 //! the "telemetry never changes a result bit" contract.
 //!
+//! A live context is cheap too. Node, root and span names are
+//! `&'static str`, so recording a span copies a pointer, not a string;
+//! span guards borrow their context instead of cloning its handle; and
+//! the root span sits at index 0 from the start, so finishing a trace
+//! moves its span list into the ring without copying it. Names that
+//! come off the wire ([`Trace::parse`], [`Trace::graft`]) are owned.
+//!
 //! Cross-node: the wire layer forwards the id with an optional
 //! `TRACE <id>` frame prefix; each shard records its own tree under
 //! the same id, and [`Trace::graft`] reassembles one tree spanning
 //! router and shards from the per-node dumps.
 
+use std::borrow::Cow;
+use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -30,8 +40,9 @@ pub struct Span {
     /// Index of the parent span in the trace's flat span list; the
     /// root (index 0) points at itself.
     pub parent: u32,
-    /// Stage name, e.g. `queue_wait` or `shard0`.
-    pub name: String,
+    /// Stage name, e.g. `queue_wait` or `shard0`: borrowed when
+    /// recorded here, owned when parsed from a dump.
+    pub name: Cow<'static, str>,
     /// Start offset from the trace origin, µs.
     pub start_us: u64,
     /// End offset from the trace origin, µs.
@@ -44,7 +55,7 @@ pub struct Trace {
     /// Request-scoped id, shared across nodes via the `TRACE` prefix.
     pub id: u64,
     /// Which node recorded this tree (e.g. `router`, `shard1`).
-    pub node: String,
+    pub node: Cow<'static, str>,
     /// Flat span tree; `spans[0]` is the root.
     pub spans: Vec<Span>,
 }
@@ -88,11 +99,12 @@ impl Trace {
             .next()
             .and_then(|h| u64::from_str_radix(h, 16).ok())
             .ok_or_else(|| format!("bad trace id in {header:?}"))?;
-        let node = fields
+        let node: Cow<'static, str> = fields
             .next()
             .and_then(|f| f.strip_prefix("node="))
             .ok_or_else(|| format!("missing node in {header:?}"))?
-            .to_string();
+            .to_string()
+            .into();
         let n: usize = fields
             .next()
             .and_then(|f| f.strip_prefix("spans="))
@@ -113,10 +125,11 @@ impl Trace {
             if index != spans.len() as u64 || parent > u32::MAX as u64 {
                 return Err(format!("out-of-order span line {line:?}"));
             }
-            let name = cols
+            let name: Cow<'static, str> = cols
                 .next()
                 .ok_or_else(|| format!("missing name in span line {line:?}"))?
-                .to_string();
+                .to_string()
+                .into();
             spans.push(Span {
                 parent: parent as u32,
                 name,
@@ -150,7 +163,7 @@ impl Trace {
                 // shifts by the offset.
                 parent: if i == 0 { 0 } else { s.parent + offset },
                 name: if i == 0 {
-                    format!("{}:{}", other.node, s.name)
+                    format!("{}:{}", other.node, s.name).into()
                 } else {
                     s.name.clone()
                 },
@@ -191,10 +204,19 @@ impl TraceRing {
     /// Appends a completed trace, evicting the oldest past capacity.
     pub fn append(&self, trace: Trace) {
         let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
-        if ring.len() == self.cap {
-            ring.pop_front();
-        }
+        let evicted = if ring.len() == self.cap {
+            ring.pop_front()
+        } else {
+            None
+        };
         ring.push_back(trace);
+        drop(ring);
+        // Outside the lock: keep the evicted tree's span list as this
+        // thread's spare.
+        if let Some(Trace { mut spans, .. }) = evicted {
+            spans.clear();
+            SPARE_SPANS.set(Some(spans));
+        }
     }
 
     /// The most recent completed trace with this id.
@@ -220,12 +242,40 @@ impl TraceRing {
     }
 }
 
+/// Returns a `&'static` copy of `name`, leaking it the first time each
+/// distinct name is seen. For names drawn from configuration (node and
+/// shard labels), so the table grows with the topology, never with
+/// traffic; never pass it request data.
+pub fn static_name(name: &str) -> &'static str {
+    static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&known) = names.get(name) {
+        return known;
+    }
+    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
+    names.insert(leaked);
+    leaked
+}
+
+/// Spans a trace has room for before its list first grows: the root,
+/// queue wait and annotate of a service request, or a router's root,
+/// per-shard scatter spans and merge.
+const SPANS_PREALLOCATED: usize = 8;
+
+thread_local! {
+    /// The emptied span list of the last trace this thread evicted from
+    /// a ring. The next trace started on this thread takes it, so a
+    /// thread that both starts and finishes traces (a service worker)
+    /// allocates no span lists once its ring is full.
+    static SPARE_SPANS: Cell<Option<Vec<Span>>> = const { Cell::new(None) };
+}
+
 struct TraceInner {
     id: u64,
-    node: String,
-    root_name: String,
+    node: &'static str,
     origin: Instant,
-    /// Child spans recorded so far (the root is synthesized at finish).
+    /// The span tree so far: `spans[0]` is the root, whose end is set
+    /// at finish.
     spans: Mutex<Vec<Span>>,
     ring: Arc<TraceRing>,
     finished: AtomicBool,
@@ -250,14 +300,28 @@ impl std::fmt::Debug for TraceCtx {
 }
 
 impl TraceCtx {
-    pub(crate) fn new(id: u64, node: &str, root_name: &str, ring: Arc<TraceRing>) -> TraceCtx {
+    pub(crate) fn new(
+        id: u64,
+        node: &'static str,
+        root_name: &'static str,
+        origin: Instant,
+        ring: Arc<TraceRing>,
+    ) -> TraceCtx {
+        let mut spans = SPARE_SPANS
+            .take()
+            .unwrap_or_else(|| Vec::with_capacity(SPANS_PREALLOCATED));
+        spans.push(Span {
+            parent: 0,
+            name: Cow::Borrowed(root_name),
+            start_us: 0,
+            end_us: 0,
+        });
         TraceCtx {
             inner: Some(Arc::new(TraceInner {
                 id,
-                node: node.to_string(),
-                root_name: root_name.to_string(),
-                origin: Instant::now(),
-                spans: Mutex::new(Vec::new()),
+                node,
+                origin,
+                spans: Mutex::new(spans),
                 ring,
                 finished: AtomicBool::new(false),
             })),
@@ -287,15 +351,29 @@ impl TraceCtx {
             .unwrap_or(0)
     }
 
+    /// The offset of an instant the caller already read, in microseconds
+    /// since the trace origin (0 when disabled, or for an instant before
+    /// the origin). Lets a caller that reads the clock anyway place
+    /// spans without a second read.
+    pub fn offset_us(&self, at: Instant) -> u64 {
+        self.inner
+            .as_ref()
+            .map(|i| {
+                u64::try_from(at.saturating_duration_since(i.origin).as_micros())
+                    .unwrap_or(u64::MAX)
+            })
+            .unwrap_or(0)
+    }
+
     /// Records one completed child-of-root span with explicit offsets —
     /// for stages whose start predates the code that reports them
     /// (e.g. queue wait, measured from the enqueue instant).
-    pub fn add_span(&self, name: &str, start_us: u64, end_us: u64) {
+    pub fn add_span(&self, name: &'static str, start_us: u64, end_us: u64) {
         if let Some(inner) = &self.inner {
             let mut spans = inner.spans.lock().unwrap_or_else(PoisonError::into_inner);
             spans.push(Span {
                 parent: 0,
-                name: name.to_string(),
+                name: Cow::Borrowed(name),
                 start_us,
                 end_us,
             });
@@ -304,47 +382,51 @@ impl TraceCtx {
 
     /// Opens a child-of-root span now; it records itself when the
     /// guard drops.
-    pub fn span(&self, name: &str) -> SpanGuard {
+    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
         SpanGuard {
-            ctx: self.clone(),
-            name: name.to_string(),
+            ctx: self,
+            name,
             start_us: self.now_us(),
         }
     }
 
-    /// Completes the trace: synthesizes the root span over the full
-    /// elapsed window and pushes the tree into the registry ring.
-    /// Idempotent; later clones dropping change nothing.
+    /// Completes the trace: closes the root span now and pushes the
+    /// tree into the registry ring. Idempotent; later clones dropping
+    /// change nothing.
     pub fn finish(&self) {
         if let Some(inner) = &self.inner {
-            inner.finish();
+            inner.finish(Instant::now());
+        }
+    }
+
+    /// [`finish`](Self::finish) with the root span closed at `end`, an
+    /// instant the caller already read.
+    pub fn finish_at(&self, end: Instant) {
+        if let Some(inner) = &self.inner {
+            inner.finish(end);
         }
     }
 }
 
 impl TraceInner {
-    fn finish(&self) {
+    fn finish(&self, end: Instant) {
         if self.finished.swap(true, Ordering::SeqCst) {
             return;
         }
-        let end_us = u64::try_from(self.origin.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let children = {
+        let end_us = u64::try_from(end.saturating_duration_since(self.origin).as_micros())
+            .unwrap_or(u64::MAX);
+        let mut spans = {
             let mut spans = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
             std::mem::take(&mut *spans)
         };
-        let mut spans = Vec::with_capacity(children.len() + 1);
-        spans.push(Span {
-            parent: 0,
-            name: self.root_name.clone(),
-            start_us: 0,
-            end_us,
-        });
         // Children were recorded with parent 0, which is exactly where
-        // the root sits in the final list.
-        spans.extend(children);
+        // the root has sat since the trace began.
+        if let Some(root) = spans.first_mut() {
+            root.end_us = end_us;
+        }
         self.ring.append(Trace {
             id: self.id,
-            node: self.node.clone(),
+            node: Cow::Borrowed(self.node),
             spans,
         });
     }
@@ -355,23 +437,25 @@ impl Drop for TraceInner {
         // The last handle went away without an explicit finish (worker
         // panic, early return) — complete the tree anyway so the
         // request is not invisible post-mortem.
-        self.finish();
+        if !self.finished.load(Ordering::SeqCst) {
+            self.finish(Instant::now());
+        }
     }
 }
 
 /// Guard for an open span; records `[start, drop)` as a child of the
 /// trace root.
-pub struct SpanGuard {
-    ctx: TraceCtx,
-    name: String,
+pub struct SpanGuard<'a> {
+    ctx: &'a TraceCtx,
+    name: &'static str,
     start_us: u64,
 }
 
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if self.ctx.is_enabled() {
             self.ctx
-                .add_span(&self.name, self.start_us, self.ctx.now_us());
+                .add_span(self.name, self.start_us, self.ctx.now_us());
         }
     }
 }
@@ -398,7 +482,7 @@ mod tests {
     #[test]
     fn finish_pushes_one_tree_with_root_first() {
         let ring = ring();
-        let ctx = TraceCtx::new(7, "node-a", "annotate", Arc::clone(&ring));
+        let ctx = TraceCtx::new(7, "node-a", "annotate", Instant::now(), Arc::clone(&ring));
         ctx.add_span("queue_wait", 0, 5);
         drop(ctx.span("work"));
         ctx.finish();
@@ -414,7 +498,7 @@ mod tests {
     #[test]
     fn dropping_the_last_clone_finishes_the_trace() {
         let ring = ring();
-        let ctx = TraceCtx::new(1, "n", "root", Arc::clone(&ring));
+        let ctx = TraceCtx::new(1, "n", "root", Instant::now(), Arc::clone(&ring));
         let clone = ctx.clone();
         drop(ctx);
         assert!(ring.is_empty(), "live clone must keep the trace open");

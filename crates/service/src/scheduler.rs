@@ -255,13 +255,22 @@ struct Job {
     reply: SyncSender<Result<RequestOutcome, RequestFailed>>,
     /// Monotonic submission ticket — the key of the in-flight registry.
     ticket: u64,
-    /// The request's trace context (inert when telemetry is off or the
-    /// caller disabled tracing): queue-wait and annotate spans land
-    /// here, and the worker finishes the tree on completion.
-    trace: TraceCtx,
-    /// Trace-relative enqueue offset, so the worker can record the
-    /// queue-wait span it did not start.
-    trace_enqueued_us: u64,
+    /// Where the queue-wait and annotate spans land; the worker
+    /// finishes the tree on completion.
+    trace: JobTrace,
+}
+
+/// A job's trace.
+enum JobTrace {
+    /// The caller's context (inert when the caller disabled tracing).
+    Given(TraceCtx),
+    /// A `"request"` trace under an id reserved at submit, so ids follow
+    /// submission order, and rooted at the instant submit began. The
+    /// worker starts it: a trace allocated and freed on one thread costs
+    /// a fraction of one handed across threads.
+    Minted { id: u64, origin: Instant },
+    /// Telemetry is off.
+    Off,
 }
 
 /// State shared between the submit path and the workers.
@@ -568,7 +577,14 @@ impl AnnotationService {
             trace,
             wait,
         } = request.into();
-        let trace = trace.unwrap_or_else(|| self.shared.obs.start_trace("request"));
+        let trace = match (trace, self.shared.obs.is_enabled()) {
+            (Some(ctx), _) => JobTrace::Given(ctx),
+            (None, true) => JobTrace::Minted {
+                id: self.shared.obs.reserve_trace_id(),
+                origin: Instant::now(),
+            },
+            (None, false) => JobTrace::Off,
+        };
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
         let need = (table.n_rows() * table.n_cols()) as u64;
 
@@ -626,7 +642,7 @@ impl AnnotationService {
         table: Arc<Table>,
         need: u64,
         blocking: bool,
-        trace: TraceCtx,
+        trace: JobTrace,
     ) -> Result<RequestHandle, Rejection> {
         let Some(tx) = &self.tx else {
             self.refund(need);
@@ -635,7 +651,6 @@ impl AnnotationService {
         };
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         let ticket = self.shared.next_ticket.fetch_add(1, Ordering::Relaxed);
-        let trace_enqueued_us = trace.now_us();
         let job = Job {
             table,
             client: client.clone(),
@@ -644,7 +659,6 @@ impl AnnotationService {
             reply: reply_tx,
             ticket,
             trace,
-            trace_enqueued_us,
         };
         // Register before the handoff: a request is "in flight" from
         // the moment it is accepted, and the worker that retires the
@@ -808,7 +822,8 @@ impl AnnotationService {
     /// when the service runs without a `store_dir`, I/O failures
     /// otherwise — this is also the wire `SNAPSHOT` verb's backend.
     pub fn snapshot_now(&self) -> Result<usize, teda_store::StoreError> {
-        let _timer = StageTimer::start(self.shared.obs.histogram(stage::SNAPSHOT));
+        let hist = self.shared.obs.histogram(stage::SNAPSHOT);
+        let _timer = StageTimer::start(&hist);
         let Some(dir) = &self.config.store_dir else {
             return Err(teda_store::StoreError::NotConfigured);
         };
@@ -994,20 +1009,28 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
             rx.recv()
         };
         let Ok(job) = job else { break };
-        let queue_wait = job.enqueued.elapsed();
+        // Two clock reads per request, taken with telemetry on or off:
+        // they give the queue wait and the latency the caller is told,
+        // and every span and stage timing is placed from them. Both are
+        // read whether the engine returns or unwinds.
+        let dequeued = Instant::now();
+        let queue_wait = dequeued.saturating_duration_since(job.enqueued);
         shared.hist_queue_wait.record(queue_wait.as_micros() as u64);
-        job.trace
-            .add_span(stage::QUEUE_WAIT, job.trace_enqueued_us, job.trace.now_us());
-        // Both timers are fire-and-forget: the annotate span and the
-        // stage histogram record on drop, whether the engine returns
-        // or unwinds.
-        let annotate_span = job.trace.span(stage::ANNOTATE);
-        let annotate_timer = StageTimer::start(Arc::clone(&shared.hist_annotate));
+        let trace = match job.trace {
+            JobTrace::Given(ctx) => ctx,
+            JobTrace::Minted { id, origin } => shared.obs.trace_from(id, "request", origin),
+            JobTrace::Off => TraceCtx::disabled(),
+        };
+        let started_us = trace.offset_us(dequeued);
+        trace.add_span(stage::QUEUE_WAIT, trace.offset_us(job.enqueued), started_us);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             shared.annotator.annotate_table(&job.table)
         }));
-        annotate_timer.finish();
-        drop(annotate_span);
+        let done = Instant::now();
+        shared
+            .hist_annotate
+            .record(done.saturating_duration_since(dequeued).as_micros() as u64);
+        trace.add_span(stage::ANNOTATE, started_us, trace.offset_us(done));
         match outcome {
             Ok(annotations) => {
                 // Return the unused share of the worst-case reservation:
@@ -1017,11 +1040,11 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
                     job.reserved
                         .saturating_sub(annotations.queried_cells as u64),
                 );
-                let latency = job.enqueued.elapsed();
+                let latency = done.saturating_duration_since(job.enqueued);
                 shared.completed.fetch_add(1, Ordering::Relaxed);
                 shared.hist_request.record(latency.as_micros() as u64);
                 shared.clear_inflight(job.ticket);
-                job.trace.finish();
+                trace.finish_at(done);
                 let _ = job.reply.try_send(Ok(RequestOutcome {
                     annotations,
                     latency,
@@ -1034,7 +1057,7 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
                 shared.failed.fetch_add(1, Ordering::Relaxed);
                 shared.admission.on_failed(&job.client);
                 shared.clear_inflight(job.ticket);
-                job.trace.finish();
+                trace.finish_at(done);
                 let _ = job.reply.try_send(Err(RequestFailed));
             }
         }

@@ -198,10 +198,7 @@ impl MappedSnapshot {
     /// pages section on first touch. Each successful call counts one
     /// hydration.
     pub fn page_fields(&self, id: PageId) -> Result<PageFields<'_>, StoreError> {
-        let _timer = self
-            .hist_hydration
-            .get()
-            .map(|h| StageTimer::start(Arc::clone(h)));
+        let _timer = self.hist_hydration.get().map(|h| StageTimer::start(h));
         let table = self.page_table()?;
         if id.0 as usize >= table.len() {
             return Err(StoreError::Corrupt(format!(

@@ -1,20 +1,27 @@
 //! Batch annotation engine: the parallel corpus path must be
 //! *bit-identical* to the sequential path on a seeded corpus, the query
 //! cache must account hits/misses exactly, and the memo must never change
-//! an annotation.
+//! an annotation, the verdict it keeps beside each result list included.
 
 use std::sync::Arc;
 
+use teda::classifier::naive_bayes::NaiveBayesConfig;
 use teda::classifier::svm::pegasos::PegasosConfig;
+use teda::core::annotate::{annotate_from_results, build_cell_query, CellAnnotation};
+use teda::core::cache::CacheConfig;
 use teda::core::config::AnnotatorConfig;
 use teda::core::model::SnippetClassifier;
 use teda::core::pipeline::{Annotator, BatchAnnotator, TableAnnotations};
-use teda::core::trainer::{harvest, train_svm_linear, TrainerConfig};
+use teda::core::preprocess::preprocess;
+use teda::core::stream::{Collect, SliceSource};
+use teda::core::trainer::{harvest, train_bayes, train_svm_linear, TrainerConfig};
 use teda::corpus::gft::poi_table;
 use teda::kb::{CategoryNetwork, EntityType, World, WorldSpec};
+use teda::service::{AnnotationService, LiveCorpus, ServiceConfig};
 use teda::simkit::rng_from_seed;
-use teda::tabular::Table;
-use teda::websim::{BingSim, WebCorpus, WebCorpusSpec};
+use teda::store::{CorpusStore, TierPolicy};
+use teda::tabular::{CellId, Table};
+use teda::websim::{BingSim, SearchEngine, WebCorpus, WebCorpusSpec, WebPage};
 
 fn fixture() -> (World, Arc<BingSim>, SnippetClassifier) {
     let world = World::generate(WorldSpec::tiny(), 42);
@@ -121,4 +128,259 @@ fn duplicate_cells_hit_the_cache_and_save_queries() {
     let q1 = engine.query_count();
     batch.annotate_corpus(&tables);
     assert_eq!(engine.query_count(), q1, "warm cache must not search");
+}
+
+// ---------------------------------------------------------------------
+// Verdict-memo oracles. Each cache entry keeps the §5.2.1 verdict over
+// its results; these check that a memoized verdict always equals the
+// one a fresh search and vote would give, whatever the cache did in
+// between (hits, evictions, restores, clears, a new classifier). Post-
+// processing is off so every cell can be compared on its own, and each
+// case runs under plain and clustered voting.
+
+/// Plain §5.2.1 voting and the clustered rule, both without §5.3
+/// post-processing.
+fn memo_configs() -> [AnnotatorConfig; 2] {
+    let plain = AnnotatorConfig {
+        use_postprocessing: false,
+        ..AnnotatorConfig::default()
+    };
+    let clustered = AnnotatorConfig {
+        use_clustering: true,
+        ..plain.clone()
+    };
+    [plain, clustered]
+}
+
+/// Each table annotated cell by cell with no cache at all: a fresh
+/// search, then `annotate_from_results`.
+fn fresh_cells(
+    engine: &dyn SearchEngine,
+    classifier: &SnippetClassifier,
+    config: &AnnotatorConfig,
+    tables: &[Table],
+) -> Vec<Vec<CellAnnotation>> {
+    tables
+        .iter()
+        .map(|table| {
+            preprocess(table, config)
+                .candidates
+                .iter()
+                .filter_map(|&cell| {
+                    let query = build_cell_query(table, cell, None);
+                    if query.trim().is_empty() {
+                        return None;
+                    }
+                    let results = engine.search(&query, config.top_k);
+                    annotate_from_results(&results, cell, classifier, config)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn cells_of(annotations: &[TableAnnotations]) -> Vec<Vec<CellAnnotation>> {
+    annotations.iter().map(|t| t.cells.clone()).collect()
+}
+
+/// Streams `tables` through `batch` (window 3) and collects the results.
+fn stream(batch: &BatchAnnotator, tables: &[Table]) -> Vec<TableAnnotations> {
+    let mut sink = Collect::new();
+    let summary = batch.annotate_stream(SliceSource::new(tables), &mut sink, 3);
+    assert_eq!(summary.errors, 0);
+    sink.into_annotations().expect("slice sources never fail")
+}
+
+#[test]
+fn memoized_verdicts_equal_a_fresh_vote_on_every_hit() {
+    let (world, engine, classifier) = fixture();
+    let tables = seeded_corpus(&world, 8, 12);
+    for config in memo_configs() {
+        let reference = fresh_cells(engine.as_ref(), &classifier, &config, &tables);
+        assert!(
+            reference.iter().any(|cells| !cells.is_empty()),
+            "the corpus must annotate something (clustering {})",
+            config.use_clustering
+        );
+        let batch = BatchAnnotator::new(engine.clone(), classifier.clone(), config.clone());
+        let first = stream(&batch, &tables);
+        let misses = batch.cache_stats().misses;
+        let second = stream(&batch, &tables);
+        assert_eq!(
+            batch.cache_stats().misses,
+            misses,
+            "the second pass must be all hits"
+        );
+        assert_eq!(cells_of(&first), reference, "first pass");
+        assert_eq!(cells_of(&second), reference, "second pass, all hits");
+    }
+}
+
+#[test]
+fn evicted_entries_recompute_equal_verdicts() {
+    let (world, engine, classifier) = fixture();
+    let tables = seeded_corpus(&world, 6, 12);
+    for config in memo_configs() {
+        let reference = fresh_cells(engine.as_ref(), &classifier, &config, &tables);
+        let batch = BatchAnnotator::new(engine.clone(), classifier.clone(), config.clone())
+            .with_cache_config(CacheConfig {
+                shards: 1,
+                capacity: Some(1),
+                ttl: None,
+            });
+        let first = batch.annotate_corpus(&tables);
+        let misses = batch.cache_stats().misses;
+        let second = batch.annotate_corpus(&tables);
+        let stats = batch.cache_stats();
+        assert!(stats.evictions > 0, "a one-entry cache must evict");
+        assert!(stats.misses > misses, "evicted keys must be searched again");
+        assert_eq!(cells_of(&first), reference, "first pass");
+        assert_eq!(cells_of(&second), reference, "after evictions");
+    }
+}
+
+#[test]
+fn restored_entries_judge_like_a_cold_run() {
+    let (world, engine, classifier) = fixture();
+    let tables = seeded_corpus(&world, 6, 12);
+    for config in memo_configs() {
+        let warm = BatchAnnotator::new(engine.clone(), classifier.clone(), config.clone());
+        warm.annotate_corpus(&tables);
+        let entries = warm.cache().export_entries();
+        assert!(!entries.is_empty());
+
+        let restored = BatchAnnotator::new(engine.clone(), classifier.clone(), config.clone());
+        assert_eq!(
+            restored.cache().restore_entries(entries.clone()),
+            entries.len()
+        );
+        let got = restored.annotate_corpus(&tables);
+        assert_eq!(
+            restored.cache_stats().misses,
+            0,
+            "every lookup must hit a restored entry"
+        );
+
+        let cold = BatchAnnotator::new(engine.clone(), classifier.clone(), config.clone())
+            .annotate_corpus(&tables);
+        assert_eq!(got, cold, "restored verdicts diverged from a cold run");
+        assert_eq!(
+            cells_of(&got),
+            fresh_cells(engine.as_ref(), &classifier, &config, &tables)
+        );
+    }
+}
+
+#[test]
+fn a_publish_clears_verdicts_with_their_results() {
+    let (world, _, classifier) = fixture();
+    let tables = seeded_corpus(&world, 4, 10);
+    let web = WebCorpus::build(&world, WebCorpusSpec::tiny(), 42);
+    // Pages that name the first table's entities in museum vocabulary:
+    // after the publish, those cells' result lists (and verdicts) change.
+    let names: Vec<String> = (0..tables[0].n_rows())
+        .map(|row| tables[0].cell_at(CellId::new(row, 0)).to_owned())
+        .collect();
+    let added: Vec<WebPage> = names
+        .iter()
+        .enumerate()
+        .flat_map(|(i, name)| {
+            (0..12).map(move |j| WebPage {
+                url: format!("http://memo-oracle/{i}/{j}"),
+                title: format!("{name} museum"),
+                body: format!(
+                    "{name} museum gallery exhibition paintings collection curator \
+                     sculpture artworks exhibit {name}"
+                ),
+            })
+        })
+        .collect();
+
+    for (n, config) in memo_configs().into_iter().enumerate() {
+        let dir =
+            std::env::temp_dir().join(format!("teda_memo_publish_{}_{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        CorpusStore::open(&dir)
+            .expect("open store")
+            .save(&web)
+            .expect("seed snapshot");
+        let live = Arc::new(LiveCorpus::open(&dir, TierPolicy::default()).expect("open live"));
+        let engine = Arc::new(BingSim::instant(live.backend()));
+        let service = AnnotationService::start_live(
+            BatchAnnotator::new(engine.clone(), classifier.clone(), config.clone()),
+            ServiceConfig {
+                workers: 2,
+                ..ServiceConfig::default()
+            },
+            Arc::clone(&live),
+        );
+        let annotate = |service: &AnnotationService| -> Vec<TableAnnotations> {
+            tables
+                .iter()
+                .map(|t| {
+                    service
+                        .submit(Arc::new(t.clone()))
+                        .expect("queue has room")
+                        .wait()
+                        .expect("request completes")
+                        .annotations
+                })
+                .collect()
+        };
+        let before = annotate(&service);
+        service.add_pages(added.clone()).expect("publish");
+        let after = annotate(&service);
+
+        let fresh = BatchAnnotator::new(engine.clone(), classifier.clone(), config.clone());
+        let want: Vec<TableAnnotations> = tables.iter().map(|t| fresh.annotate_table(t)).collect();
+        assert_eq!(after, want, "a verdict outlived the publish");
+        assert_eq!(
+            cells_of(&after),
+            fresh_cells(engine.as_ref(), &classifier, &config, &tables)
+        );
+        assert_ne!(before, after, "the published pages must change a verdict");
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_new_classifier_starts_from_an_empty_memo() {
+    let (world, engine, svm) = fixture();
+    let tables = seeded_corpus(&world, 6, 12);
+    let net = CategoryNetwork::build(&world, 42);
+    let corpus = harvest(
+        &world,
+        &net,
+        engine.as_ref(),
+        &EntityType::TARGETS,
+        TrainerConfig {
+            max_entities_per_type: Some(12),
+            ..TrainerConfig::default()
+        },
+    );
+    let bayes = train_bayes(&corpus, NaiveBayesConfig::snippet_default());
+    for config in memo_configs() {
+        let first = Annotator::new(engine.clone(), svm.clone(), config.clone()).into_batch();
+        let svm_cells = cells_of(&first.annotate_corpus(&tables));
+        assert!(!first.cache().is_empty());
+
+        let (engine_back, _, config_back) =
+            Annotator::new(engine.clone(), svm.clone(), config.clone()).into_parts();
+        let second = Annotator::new(engine_back, bayes.clone(), config_back).into_batch();
+        assert!(
+            second.cache().is_empty(),
+            "into_batch must start a new memo"
+        );
+        let bayes_cells = cells_of(&second.annotate_corpus(&tables));
+        assert_eq!(
+            bayes_cells,
+            fresh_cells(engine.as_ref(), &bayes, &config, &tables),
+            "a verdict judged by another classifier leaked in"
+        );
+        assert_ne!(
+            svm_cells, bayes_cells,
+            "the two classifiers must disagree somewhere for this check to bite"
+        );
+    }
 }

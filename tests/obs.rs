@@ -237,7 +237,7 @@ mod wire {
         assert_eq!(trace.id, 0xabcd);
         assert_eq!(trace.node, "service");
         assert_eq!(trace.spans[0].name, "request");
-        let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = trace.spans.iter().map(|s| &*s.name).collect();
         assert!(names.contains(&"queue_wait"), "{names:?}");
         assert!(names.contains(&"annotate"), "{names:?}");
         // Every child's window sits inside the root's.
