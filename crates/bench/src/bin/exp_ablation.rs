@@ -1,15 +1,6 @@
 //! Runs the extension ablations (reject class, clustering, kernel).
+//! `--quick` runs the reduced fixture.
 
-use teda_bench::exp::ablation;
-use teda_bench::harness::{Fixture, Scale};
-
-fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Standard
-    };
-    let fixture = Fixture::build(scale, 42);
-    let result = ablation::run(&fixture);
-    println!("{}", ablation::render(&result));
+fn main() -> std::process::ExitCode {
+    teda_bench::harness::main("ablation")
 }

@@ -1,15 +1,6 @@
-//! Regenerates the §6.3 Wiki Manual comparison.
+//! Regenerates the §6.3 Wiki Manual comparison. `--quick` runs the
+//! reduced fixture.
 
-use teda_bench::exp::comparison;
-use teda_bench::harness::{Fixture, Scale};
-
-fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Standard
-    };
-    let fixture = Fixture::build(scale, 42);
-    let result = comparison::run(&fixture);
-    println!("{}", comparison::render(&result));
+fn main() -> std::process::ExitCode {
+    teda_bench::harness::main("comparison")
 }

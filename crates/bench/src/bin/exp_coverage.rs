@@ -1,15 +1,6 @@
-//! Regenerates the §1 catalogue-coverage statistic (22%).
+//! Regenerates the §1 catalogue-coverage statistic (22%). `--quick`
+//! runs the reduced fixture.
 
-use teda_bench::exp::coverage;
-use teda_bench::harness::{Fixture, Scale};
-
-fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Standard
-    };
-    let fixture = Fixture::build(scale, 42);
-    let result = coverage::run(&fixture);
-    println!("{}", coverage::render(&result));
+fn main() -> std::process::ExitCode {
+    teda_bench::harness::main("coverage")
 }

@@ -1,15 +1,6 @@
 //! Regenerates the §6.4 efficiency analysis (virtual-latency timing).
+//! `--quick` runs the reduced fixture.
 
-use teda_bench::exp::efficiency;
-use teda_bench::harness::{Fixture, Scale};
-
-fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Standard
-    };
-    let fixture = Fixture::build(scale, 42);
-    let result = efficiency::run(&fixture);
-    println!("{}", efficiency::render(&result));
+fn main() -> std::process::ExitCode {
+    teda_bench::harness::main("efficiency")
 }

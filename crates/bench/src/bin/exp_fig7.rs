@@ -1,8 +1,6 @@
-//! Prints the Figure 7 toponym-disambiguation worked example.
+//! Prints the Figure 7 toponym-disambiguation worked example (no
+//! fixture).
 
-use teda_bench::exp::fig7;
-
-fn main() {
-    let result = fig7::run();
-    println!("{}", fig7::render(&result));
+fn main() -> std::process::ExitCode {
+    teda_bench::harness::main("fig7")
 }

@@ -1,31 +1,7 @@
-//! Runs the `teda-lint` static analyzer over the live workspace, prints
-//! the coverage table, emits `BENCH_lint.json`, and asserts the gate:
-//! no unbaselined findings, no stale baseline entries, zero lock-order
-//! cycles. (`--quick` is accepted for CI uniformity; the pass is always
-//! the full workspace — it takes milliseconds.)
+//! Runs the `teda-lint` analyzer over the workspace and gates on it
+//! (`teda_bench::exp::lint`). `--quick` is accepted; the pass always
+//! covers the whole workspace.
 
-use teda_bench::exp::lint;
-
-fn main() {
-    let result = lint::run();
-    println!("{}", lint::render(&result));
-    let json = lint::to_json(&result);
-    json.write_logged();
-    assert!(
-        result.files_scanned > 100,
-        "suspiciously few files scanned ({}) — wrong root?",
-        result.files_scanned
-    );
-    assert_eq!(
-        result.new_findings, 0,
-        "unbaselined lint findings — run `cargo run -p teda-lint -- --check`"
-    );
-    assert_eq!(
-        result.stale_entries, 0,
-        "stale baseline entries — the baseline is shrink-only, prune them"
-    );
-    assert_eq!(
-        result.lock_cycles, 0,
-        "mutex acquisition cycle detected in the workspace"
-    );
+fn main() -> std::process::ExitCode {
+    teda_bench::harness::main("lint")
 }

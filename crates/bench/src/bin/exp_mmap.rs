@@ -1,133 +1,6 @@
-//! Measures serving off the mmap'd snapshot: cold start-to-first-query
-//! vs eager decode (≥ 5× asserted), steady-state p50/p99 within a fixed
-//! factor of the heap index (asserted), bit identity at every probed
-//! (query, k) including under journal overlays and post-compaction
-//! (asserted), and — via re-executed probe children, since `VmHWM` is
-//! per-process monotone — peak RSS strictly below the eager path and
-//! growing sublinearly in corpus size. Emits `BENCH_mmap.json`.
-//!
-//! `--quick` runs the reduced configuration (the CI smoke): one corpus
-//! size, single RSS comparison. The full run adds a second, larger
-//! corpus to assert the sublinear-RSS claim.
+//! Measures serving off the mmap'd snapshot, peak RSS included
+//! (`teda_bench::exp::mmap`). `--quick` runs the reduced configuration.
 
-use teda_bench::exp::mmap;
-use teda_bench::harness::Scale;
-use teda_store::CorpusStore;
-use teda_websim::WebCorpus;
-
-/// Builds a store directory holding a snapshot of `n` synthetic pages
-/// and returns the snapshot size in bytes.
-fn build_store(dir: &std::path::Path, n: usize) -> u64 {
-    let _ = std::fs::remove_dir_all(dir);
-    let store = CorpusStore::open(dir).expect("open store");
-    store
-        .save(&WebCorpus::from_pages(mmap::synthetic_pages(n)))
-        .expect("save snapshot");
-    std::fs::metadata(store.snapshot_path())
-        .expect("snapshot exists")
-        .len()
-}
-
-/// One mapped-vs-eager RSS comparison over a fresh store of `n` pages.
-/// Returns `(mapped_kb, eager_kb)`, or `None` where procfs or
-/// re-execution is unavailable (the claim is then skipped, not faked).
-fn rss_comparison(dir: &std::path::Path, n: usize) -> Option<(u64, u64)> {
-    build_store(dir, n);
-    let mapped = mmap::probe_peak_rss("mapped", dir)?;
-    let eager = mmap::probe_peak_rss("eager", dir)?;
-    Some((mapped, eager))
-}
-
-fn main() {
-    // Probe-child mode: `exp_mmap --rss-probe <mapped|eager> <dir>`.
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--rss-probe") {
-        let mode = args.get(i + 1).expect("--rss-probe needs a mode");
-        let dir = args.get(i + 2).expect("--rss-probe needs a store dir");
-        mmap::rss_probe(mode, std::path::Path::new(dir));
-        return;
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let scale = if quick { Scale::Quick } else { Scale::Standard };
-
-    let result = mmap::run(scale);
-    println!("{}", mmap::render(&result));
-    let json = mmap::to_json(&result);
-
-    assert!(
-        result.mapped_identical,
-        "mapped top-k diverged from the eager corpus"
-    );
-    assert!(
-        result.overlay_identical,
-        "overlaid mapped reads diverged from the rebuild"
-    );
-    assert!(
-        result.open_speedup >= 5.0,
-        "mapped start-to-first-query must be >= 5x eager decode, got {:.1}x",
-        result.open_speedup
-    );
-    assert!(
-        result.steady_ratio_p50 <= 8.0,
-        "steady-state p50 must stay within 8x of the heap index, got {:.2}x",
-        result.steady_ratio_p50
-    );
-    assert!(
-        result.steady_ratio_p99 <= 10.0,
-        "steady-state p99 must stay within 10x of the heap index, got {:.2}x",
-        result.steady_ratio_p99
-    );
-    assert!(
-        result.resident_fraction < 0.5,
-        "resident side tables must stay well below the file size"
-    );
-
-    // Peak-RSS claims, in child processes. Sizes are chosen so the
-    // corpus dwarfs the ~few-MiB process baseline: at the small size
-    // mapped must already beat eager; between the sizes the mapped
-    // peak must grow by less than half the eager growth (sublinear —
-    // the mapping only faults in what queries touch).
-    let dir = std::env::temp_dir().join(format!("teda_exp_mmap_rss_{}", std::process::id()));
-    let (n_small, n_large) = if quick { (4_000, 0) } else { (6_000, 18_000) };
-    let mut rss_metrics: Vec<(&str, f64)> = Vec::new();
-    match rss_comparison(&dir, n_small) {
-        None => println!("peak-RSS probes unavailable here; skipping the RSS assertions"),
-        Some((mapped_small, eager_small)) => {
-            println!(
-                "peak RSS over {n_small} pages: mapped {mapped_small} KiB, eager {eager_small} KiB"
-            );
-            assert!(
-                mapped_small < eager_small,
-                "mapped peak RSS ({mapped_small} KiB) must be strictly below eager ({eager_small} KiB)"
-            );
-            rss_metrics.push(("rss_mapped_kb", mapped_small as f64));
-            rss_metrics.push(("rss_eager_kb", eager_small as f64));
-            if n_large > 0 {
-                let (mapped_large, eager_large) =
-                    rss_comparison(&dir, n_large).expect("probes worked at the small size");
-                println!(
-                    "peak RSS over {n_large} pages: mapped {mapped_large} KiB, eager {eager_large} KiB"
-                );
-                let mapped_delta = mapped_large.saturating_sub(mapped_small) as f64;
-                let eager_delta = eager_large.saturating_sub(eager_small) as f64;
-                assert!(
-                    mapped_large < eager_large,
-                    "mapped peak RSS must stay below eager at the large size too"
-                );
-                assert!(
-                    mapped_delta < 0.5 * eager_delta,
-                    "mapped RSS growth ({mapped_delta} KiB) must be sublinear vs eager ({eager_delta} KiB)"
-                );
-                rss_metrics.push(("rss_mapped_large_kb", mapped_large as f64));
-                rss_metrics.push(("rss_eager_large_kb", eager_large as f64));
-            }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let mut json = json;
-    for (name, value) in rss_metrics {
-        json.metric(name, value, "KiB");
-    }
-    json.write_logged();
+fn main() -> std::process::ExitCode {
+    teda_bench::harness::main("mmap")
 }

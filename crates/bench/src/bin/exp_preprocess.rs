@@ -1,15 +1,6 @@
-//! Audits the §5.1 pre-processing savings over the benchmark.
+//! Audits the §5.1 pre-processing savings over the benchmark. `--quick`
+//! runs the reduced fixture.
 
-use teda_bench::exp::preprocess_stats;
-use teda_bench::harness::{Fixture, Scale};
-
-fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Standard
-    };
-    let fixture = Fixture::build(scale, 42);
-    let result = preprocess_stats::run(&fixture);
-    println!("{}", preprocess_stats::render(&result));
+fn main() -> std::process::ExitCode {
+    teda_bench::harness::main("preprocess")
 }

@@ -1,30 +1,6 @@
-//! Measures the annotation service: sustained requests/sec under
-//! open-loop load, p50/p99 latency, cache hit rate, and the shed rate of
-//! admission control under a tiny queue + query pool.
-//!
-//! Emits `BENCH_service.json`.
-//!
-//! `--quick` runs on the reduced fixture (the CI smoke configuration).
+//! Measures the annotation service: req/s, latency, admission control
+//! (`teda_bench::exp::service`). `--quick` runs the reduced fixture.
 
-use teda_bench::exp::service;
-use teda_bench::harness::{Fixture, Scale};
-
-fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Standard
-    };
-    let fixture = Fixture::build(scale, 42);
-    let result = service::run(&fixture);
-    println!("{}", service::render(&result));
-    service::to_json(&result).write_logged();
-    assert!(
-        result.deterministic,
-        "service results diverged from the offline batch path"
-    );
-    assert!(
-        result.pressure.shed() > 0,
-        "admission control failed to shed under pressure"
-    );
+fn main() -> std::process::ExitCode {
+    teda_bench::harness::main("service")
 }

@@ -1,45 +1,7 @@
-//! Measures the persistence layer: snapshot load vs cold index build
-//! (load must win — asserted), delta replay and compaction cost with
-//! the compact-equals-full-rebuild byte identity asserted, and the
-//! warm-start cache hit rate of a service restarted over a store
-//! directory (asserted ≥ 99%).
-//!
-//! `--quick` runs on the reduced fixture (the CI smoke configuration).
+//! Measures persistence: snapshot vs cold build, compaction, warm
+//! restart (`teda_bench::exp::store`). `--quick` runs the reduced
+//! fixture.
 
-use teda_bench::exp::store;
-use teda_bench::harness::{Fixture, Scale};
-
-fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Standard
-    };
-    let fixture = Fixture::build(scale, 42);
-    let result = store::run(&fixture);
-    println!("{}", store::render(&result));
-    store::to_json(&result).write_logged();
-    assert!(
-        result.load_identical,
-        "loaded snapshot diverged from the freshly built index"
-    );
-    assert!(
-        result.compact_identical,
-        "compacted snapshot is not byte-identical to a full rebuild"
-    );
-    assert!(
-        result.load < result.cold_build,
-        "snapshot load ({:?}) must be faster than the cold build ({:?})",
-        result.load,
-        result.cold_build
-    );
-    assert!(
-        result.warm_hit_rate >= 0.99,
-        "warm-start hit rate {:.3} — the restored cache is not serving",
-        result.warm_hit_rate
-    );
-    assert!(
-        result.warm_identical,
-        "warm-start results diverged from the cold run"
-    );
+fn main() -> std::process::ExitCode {
+    teda_bench::harness::main("store")
 }

@@ -1,50 +1,6 @@
-//! Measures the streaming annotation driver: tables/sec and peak
-//! resident tables at several `max_in_flight` windows over a lazily
-//! generated stream, plus the service's backpressure front-end — and
-//! asserts stream-vs-batch bit-identity and the O(window) memory bound
-//! on every run.
-//!
-//! Emits `BENCH_stream.json`.
-//!
-//! `--quick` runs on the reduced fixture (the CI smoke configuration).
+//! Measures the streaming driver: tables/sec, peak window, backpressure
+//! (`teda_bench::exp::stream`). `--quick` runs the reduced fixture.
 
-use teda_bench::exp::stream;
-use teda_bench::harness::{Fixture, Scale};
-
-fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Standard
-    };
-    let fixture = Fixture::build(scale, 42);
-    let result = stream::run(&fixture);
-    println!("{}", stream::render(&result));
-    stream::to_json(&result).write_logged();
-    for run in &result.runs {
-        assert!(
-            run.identical,
-            "streaming diverged from the batch path at max_in_flight={}",
-            run.window
-        );
-        assert!(
-            run.peak_live <= run.window,
-            "max_in_flight={} held {} tables live",
-            run.window,
-            run.peak_live
-        );
-    }
-    assert!(
-        result.service_identical,
-        "service streaming diverged from the offline batch path"
-    );
-    assert_eq!(
-        result.service.shed(),
-        0,
-        "streaming admission shed tables instead of applying backpressure"
-    );
-    assert!(
-        result.service.backpressure_waits > 0,
-        "the tiny-queue phase never exercised backpressure"
-    );
+fn main() -> std::process::ExitCode {
+    teda_bench::harness::main("stream")
 }

@@ -1,16 +1,6 @@
-//! Regenerates Table 1 (run with `--release`; ~a minute on the standard
-//! fixture). `--quick` uses the reduced fixture.
+//! Regenerates Table 1 — P/R/F of SVM / Bayes / TIN / TIS. `--quick`
+//! runs the reduced fixture.
 
-use teda_bench::exp::table1;
-use teda_bench::harness::{Fixture, Scale};
-
-fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Standard
-    };
-    let fixture = Fixture::build(scale, 42);
-    let result = table1::run(&fixture);
-    println!("{}", table1::render(&result));
+fn main() -> std::process::ExitCode {
+    teda_bench::harness::main("table1")
 }

@@ -1,15 +1,6 @@
-//! Regenerates Table 2 (corpus sizes, classifier test F, grid search).
+//! Regenerates Table 2 — corpus sizes, classifier test F, grid search.
+//! `--quick` runs the reduced fixture.
 
-use teda_bench::exp::table2;
-use teda_bench::harness::{Fixture, Scale};
-
-fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Standard
-    };
-    let fixture = Fixture::build(scale, 42);
-    let result = table2::run(&fixture);
-    println!("{}", table2::render(&result));
+fn main() -> std::process::ExitCode {
+    teda_bench::harness::main("table2")
 }

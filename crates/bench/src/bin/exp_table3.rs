@@ -1,15 +1,6 @@
-//! Regenerates Table 3 (post-processing / disambiguation ablation).
+//! Regenerates Table 3 — the post-processing / disambiguation ablation.
+//! `--quick` runs the reduced fixture.
 
-use teda_bench::exp::table3;
-use teda_bench::harness::{Fixture, Scale};
-
-fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Standard
-    };
-    let fixture = Fixture::build(scale, 42);
-    let result = table3::run(&fixture);
-    println!("{}", table3::render(&result));
+fn main() -> std::process::ExitCode {
+    teda_bench::harness::main("table3")
 }

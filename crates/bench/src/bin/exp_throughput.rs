@@ -1,24 +1,6 @@
-//! Measures batch annotation throughput: tables/sec, sequential-vs-
-//! parallel speedup, and the queries saved by `(query, k)` memoization.
-//!
-//! `--quick` runs on the reduced fixture. Worker count follows
-//! `RAYON_NUM_THREADS` (default: all available cores).
+//! Measures batch throughput, parallel speedup and cache hits
+//! (`teda_bench::exp::throughput`). `--quick` runs the reduced fixture.
 
-use teda_bench::exp::throughput;
-use teda_bench::harness::{Fixture, Scale};
-
-fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Standard
-    };
-    let fixture = Fixture::build(scale, 42);
-    let result = throughput::run(&fixture);
-    println!("{}", throughput::render(&result));
-    throughput::to_json(&result).write_logged();
-    assert!(
-        result.deterministic,
-        "parallel annotation diverged from the sequential path"
-    );
+fn main() -> std::process::ExitCode {
+    teda_bench::harness::main("throughput")
 }

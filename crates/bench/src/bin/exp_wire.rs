@@ -1,38 +1,6 @@
-//! Measures the wire front-end: sustained requests/sec over loopback
-//! TCP (bit-identity against the offline batch path asserted on every
-//! run) and the per-client fairness demonstration — a bulk hog and an
-//! interactive trickle sharing a drip-fed query pool, where the
-//! trickle's p99 must stay within 5× of its solo baseline.
-//!
-//! Emits `BENCH_wire.json`.
-//!
-//! `--quick` runs on the reduced fixture (the CI smoke configuration).
+//! Measures the wire front-end: loopback req/s and per-client fairness
+//! (`teda_bench::exp::wire`). `--quick` runs the reduced fixture.
 
-use teda_bench::exp::wire;
-use teda_bench::harness::{Fixture, Scale};
-
-fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Standard
-    };
-    let fixture = Fixture::build(scale, 42);
-    let result = wire::run(&fixture);
-    println!("{}", wire::render(&result));
-    wire::to_json(&result).write_logged();
-    assert!(
-        result.deterministic,
-        "wire results diverged from the offline batch path"
-    );
-    assert!(
-        result.fairness_ratio <= 5.0,
-        "fairness violated: trickle p99 {:.1} ms is {:.2}x its solo baseline",
-        result.trickle_contended.p99.as_secs_f64() * 1e3,
-        result.fairness_ratio
-    );
-    assert!(
-        result.hog_completed > 0,
-        "the hog never completed a table — the demo did not exercise contention"
-    );
+fn main() -> std::process::ExitCode {
+    teda_bench::harness::main("wire")
 }

@@ -1,44 +1,7 @@
-//! Runs every experiment in order over one shared fixture and prints the
-//! full report (the source of EXPERIMENTS.md's measured numbers).
+//! Runs every experiment in order over one shared fixture, prints the
+//! full report and checks every claim. `--quick` runs the reduced
+//! fixture.
 
-use teda_bench::exp::{
-    ablation, cluster, comparison, coverage, efficiency, fig7, lint, mmap, obs, preprocess_stats,
-    segments, service, store, stream, table1, table2, table3, throughput, wire,
-};
-use teda_bench::harness::{Fixture, Scale};
-
-fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Standard
-    };
-    let fixture = Fixture::build(scale, 42);
-
-    println!("==============================================================");
-    println!(" teda — full experiment suite (seed 42, {scale:?} fixture)");
-    println!("==============================================================\n");
-
-    println!("{}", table2::render(&table2::run(&fixture)));
-    println!("{}", table1::render(&table1::run(&fixture)));
-    println!("{}", table3::render(&table3::run(&fixture)));
-    println!("{}", comparison::render(&comparison::run(&fixture)));
-    println!("{}", coverage::render(&coverage::run(&fixture)));
-    println!(
-        "{}",
-        preprocess_stats::render(&preprocess_stats::run(&fixture))
-    );
-    println!("{}", efficiency::render(&efficiency::run(&fixture)));
-    println!("{}", throughput::render(&throughput::run(&fixture)));
-    println!("{}", service::render(&service::run(&fixture)));
-    println!("{}", stream::render(&stream::run(&fixture)));
-    println!("{}", wire::render(&wire::run(&fixture)));
-    println!("{}", store::render(&store::run(&fixture)));
-    println!("{}", segments::render(&segments::run(&fixture)));
-    println!("{}", mmap::render(&mmap::run(scale)));
-    println!("{}", cluster::render(&cluster::run(scale)));
-    println!("{}", obs::render(&obs::run(&fixture, scale)));
-    println!("{}", fig7::render(&fig7::run()));
-    println!("{}", lint::render(&lint::run()));
-    println!("{}", ablation::render(&ablation::run(&fixture)));
+fn main() -> std::process::ExitCode {
+    teda_bench::harness::run_all()
 }

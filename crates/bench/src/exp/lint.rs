@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 
 use teda_lint::{baseline, lockorder, run_all_lints, Finding, LINT_NAMES};
 
+use crate::harness::Claim;
 use crate::report::BenchJson;
 
 /// One analyzer pass over the workspace.
@@ -127,4 +128,43 @@ pub fn to_json(r: &LintResult) -> BenchJson {
         .metric("lock_edges", r.lock_edges as f64, "edges")
         .metric("lock_cycles", r.lock_cycles as f64, "cycles");
     json
+}
+
+/// The analyzer gate: no unbaselined findings, no stale baseline
+/// entries, zero lock-order cycles.
+pub fn claims(r: &LintResult) -> Vec<Claim> {
+    vec![
+        Claim::exact(
+            "files_scanned > 100",
+            r.files_scanned > 100,
+            format!(
+                "suspiciously few files scanned ({}) — wrong root?",
+                r.files_scanned
+            ),
+        ),
+        Claim::exact(
+            "new_findings == 0",
+            r.new_findings == 0,
+            format!(
+                "{} unbaselined lint findings — run `cargo run -p teda-lint -- --check`",
+                r.new_findings
+            ),
+        ),
+        Claim::exact(
+            "stale_entries == 0",
+            r.stale_entries == 0,
+            format!(
+                "{} stale baseline entries — the baseline is shrink-only, prune them",
+                r.stale_entries
+            ),
+        ),
+        Claim::exact(
+            "lock_cycles == 0",
+            r.lock_cycles == 0,
+            format!(
+                "{} mutex acquisition cycles detected in the workspace",
+                r.lock_cycles
+            ),
+        ),
+    ]
 }

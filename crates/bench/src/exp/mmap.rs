@@ -16,18 +16,21 @@
 //!
 //! Peak-RSS claims (mapped strictly below eager, sublinear in corpus
 //! size) need process isolation — `VmHWM` is monotone per process — so
-//! they live in the `exp_mmap` binary, which re-executes itself as
-//! one-shot probe children (see [`rss_probe`] / [`probe_peak_rss`]).
+//! [`measure_rss`] re-executes the running experiment binary as one-shot
+//! probe children (see [`rss_probe`] / `probe_peak_rss`); [`run`]
+//! leaves [`MmapReport::rss`] empty.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use teda_simkit::stats::percentile_sorted;
 use teda_simkit::tablefmt::{Align, TextTable};
 use teda_store::corpus_snapshot::decode_corpus;
 use teda_store::{CorpusStore, ViewBackend};
 use teda_websim::{SearchBackend, WebCorpus, WebPage};
 
-use crate::harness::Scale;
+use crate::harness::{best_of, bits, probes, Claim, Scale};
+use crate::report::log;
 
 /// Timing repetitions (minimum of): damps scheduler noise.
 const REPS: usize = 5;
@@ -92,16 +95,16 @@ pub struct MmapReport {
     /// Segmented-over-mapped == segmented-over-heap == rebuild on every
     /// probe, with live deltas applied, and again after compaction.
     pub overlay_identical: bool,
+    /// Peak-RSS comparisons, smallest corpus first (see [`measure_rss`]).
+    pub rss: Vec<Rss>,
 }
 
-fn best_of(reps: usize, mut f: impl FnMut()) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed());
-    }
-    best
+/// One mapped-vs-eager peak-RSS comparison over a fresh store.
+#[derive(Debug, Clone, Copy)]
+pub struct Rss {
+    pub pages: usize,
+    pub mapped_kb: u64,
+    pub eager_kb: u64,
 }
 
 /// Synthetic pages with long bodies: ~240 words each, so page text
@@ -127,35 +130,16 @@ pub fn synthetic_pages(n: usize) -> Vec<WebPage> {
 }
 
 /// Probe queries: high-df vocabulary, sparse tags, and a guaranteed
-/// miss, crossed with several k values.
-fn probes() -> Vec<(String, usize)> {
-    let queries = [
-        "restaurant city review",
-        "museum gallery",
-        "tag17",
-        "tag3 bridge market",
-        "menu listing opening",
-        "zzz-no-such-term",
-    ];
-    let ks = [1, 3, 10];
-    queries
-        .iter()
-        .flat_map(|q| ks.iter().map(|&k| (q.to_string(), k)))
-        .collect()
-}
-
-/// Bit-pattern view of a result list (scores as raw bits: "identical"
-/// means identical, not approximately equal).
-fn bits(results: &[(teda_websim::PageId, f64)]) -> Vec<(u32, u64)> {
-    results.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
-}
-
-/// Nearest-rank percentile over raw per-query samples.
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    let n = sorted.len();
-    let r = ((p * n as f64).ceil().max(1.0) as usize).min(n);
-    sorted[r - 1]
-}
+/// miss, crossed with [`PROBE_KS`].
+const PROBE_QUERIES: [&str; 6] = [
+    "restaurant city review",
+    "museum gallery",
+    "tag17",
+    "tag3 bridge market",
+    "menu listing opening",
+    "zzz-no-such-term",
+];
+const PROBE_KS: [usize; 3] = [1, 3, 10];
 
 /// Corpus size per scale. Standard is big enough that the eager decode
 /// is visibly O(file); quick keeps the CI smoke under a second.
@@ -184,12 +168,12 @@ pub fn run(scale: Scale) -> MmapReport {
     // isolates the work each path *does* (verify index sections vs
     // decode the whole corpus), not disk speed.
     let first_probe = ("restaurant city review", 10usize);
-    let mapped_first_query = best_of(REPS, || {
+    let (mapped_first_query, _) = best_of(REPS, || {
         let snap = store.open_mapped().expect("map snapshot");
         let backend = ViewBackend::new(snap).expect("verify index half");
         std::hint::black_box(backend.search(first_probe.0, first_probe.1));
     });
-    let eager_first_query = best_of(REPS, || {
+    let (eager_first_query, _) = best_of(REPS, || {
         let bytes = std::fs::read(store.snapshot_path()).expect("read snapshot");
         let eager = decode_corpus(&bytes).expect("eager decode");
         std::hint::black_box(eager.index().search(first_probe.0, first_probe.1));
@@ -202,25 +186,26 @@ pub fn run(scale: Scale) -> MmapReport {
     let kernel_mapped = snap.is_kernel_mapped();
     let mut queries_probed = 0usize;
     let mut mapped_identical = true;
-    for (query, k) in probes() {
+    for (query, k) in probes(&PROBE_QUERIES, &PROBE_KS) {
         queries_probed += 1;
         mapped_identical &=
             bits(&backend.search(&query, k)) == bits(&corpus.index().search(&query, k));
     }
 
     // Claim 2: steady-state per-query latency, mapped vs heap index.
-    let probe_set = probes();
+    let probe_set = probes(&PROBE_QUERIES, &PROBE_KS);
     let steady = |f: &mut dyn FnMut(&str, usize)| -> (Duration, Duration) {
         let mut samples = Vec::with_capacity(STEADY_ROUNDS * probe_set.len());
         for _ in 0..STEADY_ROUNDS {
             for (query, k) in &probe_set {
                 let t0 = Instant::now();
                 f(query, *k);
-                samples.push(t0.elapsed());
+                samples.push(t0.elapsed().as_secs_f64());
             }
         }
-        samples.sort_unstable();
-        (percentile(&samples, 0.50), percentile(&samples, 0.99))
+        samples.sort_by(f64::total_cmp);
+        let at = |q| Duration::from_secs_f64(percentile_sorted(&samples, q));
+        (at(0.50), at(0.99))
     };
     let (mapped_p50, mapped_p99) = steady(&mut |q, k| {
         std::hint::black_box(backend.search(q, k));
@@ -257,7 +242,7 @@ pub fn run(scale: Scale) -> MmapReport {
         let over_mapped = store.load_segmented_mapped().expect("mapped open").corpus;
         let over_heap = store.load_segmented().expect("heap open").corpus;
         let oracle = WebCorpus::from_pages(over_heap.to_pages());
-        for (query, k) in probes() {
+        for (query, k) in probes(&PROBE_QUERIES, &PROBE_KS) {
             queries_probed += 1;
             let want = bits(&oracle.index().search(&query, k));
             overlay_identical &= bits(&over_mapped.search(&query, k)) == want;
@@ -288,6 +273,7 @@ pub fn run(scale: Scale) -> MmapReport {
         queries_probed,
         mapped_identical,
         overlay_identical,
+        rss: Vec::new(),
     }
 }
 
@@ -352,6 +338,12 @@ pub fn render(r: &MmapReport) -> String {
         ),
     ]);
     out.push_str(&tbl.render());
+    for rss in &r.rss {
+        out.push_str(&format!(
+            "peak RSS over {} pages: mapped {} KiB, eager {} KiB\n",
+            rss.pages, rss.mapped_kb, rss.eager_kb
+        ));
+    }
     out.push_str(
         "(the mapped open verifies only the index sections — page text is CRC'd \
          on first display access and hydrated per hit, so start-up and RSS track \
@@ -382,13 +374,153 @@ pub fn to_json(r: &MmapReport) -> crate::report::BenchJson {
         .metric("queries_probed", r.queries_probed as f64, "queries")
         .metric("mapped_identical", flag(r.mapped_identical), "bool")
         .metric("overlay_identical", flag(r.overlay_identical), "bool");
+    for (rss, suffix) in r.rss.iter().zip(["", "_large"]) {
+        json.metric(
+            &format!("rss_mapped{suffix}_kb"),
+            rss.mapped_kb as f64,
+            "KiB",
+        )
+        .metric(&format!("rss_eager{suffix}_kb"), rss.eager_kb as f64, "KiB");
+    }
     json
+}
+
+/// The mmap-serving claims. The peak-RSS claims are there only when
+/// [`measure_rss`] could probe: at the small size mapped must already
+/// beat eager; between the sizes the mapped peak must grow by less than
+/// half the eager growth (sublinear — the mapping only faults in what
+/// queries touch).
+pub fn claims(r: &MmapReport) -> Vec<Claim> {
+    let mut claims = vec![
+        Claim::exact(
+            "mapped_identical",
+            r.mapped_identical,
+            "mapped top-k diverged from the eager corpus",
+        ),
+        Claim::exact(
+            "overlay_identical",
+            r.overlay_identical,
+            "overlaid mapped reads diverged from the rebuild",
+        ),
+        Claim::exact(
+            "hydrations > 0",
+            r.hydrations > 0,
+            "displayed hits must hydrate",
+        ),
+        Claim::exact(
+            "hydrations < pages",
+            (r.hydrations as usize) < r.pages,
+            format!(
+                "hydration must stay per-hit, not corpus-wide: {} of {} pages",
+                r.hydrations, r.pages
+            ),
+        ),
+        Claim::exact(
+            "resident_fraction < 0.5",
+            r.resident_fraction < 0.5,
+            format!(
+                "resident side tables must stay well below the file size, got {:.2}",
+                r.resident_fraction
+            ),
+        ),
+        Claim::timed(
+            "open_speedup >= 5",
+            r.open_speedup >= 5.0,
+            format!(
+                "mapped start-to-first-query must be >= 5x eager decode, got {:.1}x",
+                r.open_speedup
+            ),
+        ),
+        Claim::timed(
+            "steady_ratio_p50 <= 8",
+            r.steady_ratio_p50 <= 8.0,
+            format!(
+                "steady-state p50 must stay within 8x of the heap index, got {:.2}x",
+                r.steady_ratio_p50
+            ),
+        ),
+        Claim::timed(
+            "steady_ratio_p99 <= 10",
+            r.steady_ratio_p99 <= 10.0,
+            format!(
+                "steady-state p99 must stay within 10x of the heap index, got {:.2}x",
+                r.steady_ratio_p99
+            ),
+        ),
+    ];
+    for rss in &r.rss {
+        claims.push(Claim::timed(
+            "rss mapped < eager",
+            rss.mapped_kb < rss.eager_kb,
+            format!(
+                "mapped peak RSS ({} KiB) must be strictly below eager ({} KiB) over {} pages",
+                rss.mapped_kb, rss.eager_kb, rss.pages
+            ),
+        ));
+    }
+    if let [small, large] = r.rss[..] {
+        let mapped_delta = large.mapped_kb.saturating_sub(small.mapped_kb) as f64;
+        let eager_delta = large.eager_kb.saturating_sub(small.eager_kb) as f64;
+        claims.push(Claim::timed(
+            "rss growth sublinear",
+            mapped_delta < 0.5 * eager_delta,
+            format!(
+                "mapped RSS growth ({mapped_delta} KiB) must be sublinear vs eager ({eager_delta} KiB)"
+            ),
+        ));
+    }
+    claims
+}
+
+/// One mapped-vs-eager comparison over a fresh store of `n` pages, or
+/// `None` where procfs or re-execution is unavailable.
+fn rss_comparison(dir: &std::path::Path, n: usize) -> Option<Rss> {
+    let _ = std::fs::remove_dir_all(dir);
+    let store = CorpusStore::open(dir).expect("open store");
+    store
+        .save(&WebCorpus::from_pages(synthetic_pages(n)))
+        .expect("save snapshot");
+    Some(Rss {
+        pages: n,
+        mapped_kb: probe_peak_rss("mapped", dir)?,
+        eager_kb: probe_peak_rss("eager", dir)?,
+    })
+}
+
+/// The peak-RSS comparisons, in child processes of the running binary
+/// (which must answer `--rss-probe`, as every experiment binary does).
+/// Sizes are chosen so the corpus dwarfs the ~few-MiB process baseline;
+/// the quick run compares one size, the full run adds a larger corpus
+/// for the sublinear-growth claim. Empty where the probes are
+/// unavailable: the claims are then skipped, not faked.
+pub fn measure_rss(scale: Scale) -> Vec<Rss> {
+    let dir = std::env::temp_dir().join(format!("teda_exp_mmap_rss_{}", std::process::id()));
+    let sizes: &[usize] = match scale {
+        Scale::Quick => &[4_000],
+        Scale::Standard => &[6_000, 18_000],
+    };
+    let mut rss = Vec::new();
+    for &n in sizes {
+        match rss_comparison(&dir, n) {
+            Some(comparison) => rss.push(comparison),
+            None if rss.is_empty() => {
+                log(
+                    "exp_mmap",
+                    "peak-RSS probes unavailable here; skipping the RSS claims",
+                );
+                break;
+            }
+            None => panic!("peak-RSS probes worked at {} pages, not at {n}", sizes[0]),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    rss
 }
 
 /// This process's peak resident set (`VmHWM`) in KiB, from
 /// `/proc/self/status`. `None` where procfs is unavailable — RSS
 /// assertions are skipped there, never faked.
-pub fn peak_rss_kb() -> Option<u64> {
+fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     line.split_whitespace().nth(1)?.parse().ok()
@@ -415,13 +547,13 @@ pub fn rss_probe(mode: &str, dir: &std::path::Path) {
         "mapped" => {
             let snap = store.open_mapped().expect("map snapshot");
             let backend = ViewBackend::new(snap).expect("verify index half");
-            for (query, k) in probes() {
+            for (query, k) in probes(&PROBE_QUERIES, &PROBE_KS) {
                 std::hint::black_box(backend.search(&query, k));
             }
         }
         "eager" => {
             let corpus = store.load().expect("eager load").corpus;
-            for (query, k) in probes() {
+            for (query, k) in probes(&PROBE_QUERIES, &PROBE_KS) {
                 std::hint::black_box(corpus.index().search(&query, k));
             }
         }
@@ -435,7 +567,7 @@ pub fn rss_probe(mode: &str, dir: &std::path::Path) {
 
 /// Spawns this binary as an RSS probe child over `dir` and parses its
 /// peak. `None` when procfs (or re-execution) is unavailable.
-pub fn probe_peak_rss(mode: &str, dir: &std::path::Path) -> Option<u64> {
+fn probe_peak_rss(mode: &str, dir: &std::path::Path) -> Option<u64> {
     let exe = std::env::current_exe().ok()?;
     let out = std::process::Command::new(exe)
         .arg("--rss-probe")
@@ -458,35 +590,12 @@ pub fn probe_peak_rss(mode: &str, dir: &std::path::Path) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::assert_exact;
 
     #[test]
     fn mmap_experiment_asserts_its_own_invariants() {
         let r = run(Scale::Quick);
-        assert!(r.mapped_identical, "mapped top-k diverged from eager");
-        assert!(
-            r.overlay_identical,
-            "overlaid mapped reads diverged from the rebuild"
-        );
-        assert!(
-            r.open_speedup >= 5.0,
-            "mapped start-to-first-query must be >= 5x eager, got {:.1}x",
-            r.open_speedup
-        );
-        assert!(
-            r.steady_ratio_p50 <= 8.0,
-            "steady-state p50 ratio too high: {:.2}x",
-            r.steady_ratio_p50
-        );
-        assert!(r.hydrations > 0, "displayed hits must hydrate");
-        assert!(
-            (r.hydrations as usize) < r.pages,
-            "hydration must stay per-hit, not corpus-wide"
-        );
-        assert!(
-            r.resident_fraction < 0.5,
-            "side tables must stay well below the file size, got {:.2}",
-            r.resident_fraction
-        );
+        assert_exact(&claims(&r));
         assert!(render(&r).contains("open speedup"));
         assert!(to_json(&r).render().contains("\"open_speedup\""));
     }

@@ -17,14 +17,14 @@
 //!   rewrote the journal files.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use teda_simkit::tablefmt::{Align, TextTable};
 use teda_store::corpus_snapshot::decode_corpus;
 use teda_store::{CorpusStore, DeltaOp, MappedSnapshot, SnapshotBytes, TierPolicy, ViewBackend};
 use teda_websim::{SearchBackend, WebCorpus, WebPage};
 
-use crate::harness::Fixture;
+use crate::harness::{best_of, bits, probes, Claim, Fixture};
 
 /// Timing repetitions (minimum of): damps scheduler noise.
 const REPS: usize = 5;
@@ -82,16 +82,6 @@ pub struct SegmentsReport {
     pub segments_after: usize,
 }
 
-fn best_of(reps: usize, mut f: impl FnMut()) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed());
-    }
-    best
-}
-
 fn delta_batch(batch: usize) -> Vec<WebPage> {
     (0..BATCH_PAGES)
         .map(|i| WebPage {
@@ -106,28 +96,16 @@ fn delta_batch(batch: usize) -> Vec<WebPage> {
 }
 
 /// Probe queries: fixed vocabulary that hits base pages, delta pages,
-/// and nothing at all, crossed with several k values.
-fn probes() -> Vec<(String, usize)> {
-    let queries = [
-        "restaurant city review",
-        "incremental update museum",
-        "river opening hours",
-        "menu listing",
-        "zzz-no-such-term",
-        "delta page",
-    ];
-    let ks = [1, 3, 10];
-    queries
-        .iter()
-        .flat_map(|q| ks.iter().map(|&k| (q.to_string(), k)))
-        .collect()
-}
-
-/// Bit-pattern view of a result list (`f64` scores as raw bits, so
-/// "identical" means identical, not approximately equal).
-fn bits(results: &[(teda_websim::PageId, f64)]) -> Vec<(u32, u64)> {
-    results.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
-}
+/// and nothing at all, crossed with [`PROBE_KS`].
+const PROBE_QUERIES: [&str; 6] = [
+    "restaurant city review",
+    "incremental update museum",
+    "river opening hours",
+    "menu listing",
+    "zzz-no-such-term",
+    "delta page",
+];
+const PROBE_KS: [usize; 3] = [1, 3, 10];
 
 /// Runs the experiment in `dir` (a scratch directory, wiped first).
 pub fn run(fixture: &Fixture) -> SegmentsReport {
@@ -167,10 +145,10 @@ pub fn run(fixture: &Fixture) -> SegmentsReport {
     let loads_identical = incremental_loaded.corpus.index() == legacy_loaded.corpus.index()
         && incremental_loaded.corpus.pages() == legacy_loaded.corpus.pages()
         && !legacy_loaded.incremental;
-    let incremental_load = best_of(REPS, || {
+    let (incremental_load, _) = best_of(REPS, || {
         indexed.load().expect("incremental load");
     });
-    let full_reindex_load = best_of(REPS, || {
+    let (full_reindex_load, _) = best_of(REPS, || {
         legacy.load().expect("legacy load");
     });
     let incremental_speedup =
@@ -189,11 +167,11 @@ pub fn run(fixture: &Fixture) -> SegmentsReport {
         teda_service::LiveCorpus::open(&live_dir, TierPolicy::default()).expect("open live corpus");
     let logical_pages: Vec<WebPage> = incremental_loaded.corpus.pages().to_vec();
     let mut live_batch = 1000usize;
-    let live_update = best_of(REPS, || {
+    let (live_update, _) = best_of(REPS, || {
         live.add_pages(delta_batch(live_batch)).expect("live add");
         live_batch += 1;
     });
-    let full_reindex = best_of(REPS, || {
+    let (full_reindex, _) = best_of(REPS, || {
         teda_websim::InvertedIndex::build(&logical_pages);
     });
     let live_speedup = full_reindex.as_secs_f64() / live_update.as_secs_f64().max(1e-9);
@@ -213,13 +191,13 @@ pub fn run(fixture: &Fixture) -> SegmentsReport {
     let eager = decode_corpus(&snapshot_bytes).expect("eager decode");
     let view = open_in_place();
     let mut lazy_identical = view.n_docs() == eager.len();
-    for (query, k) in probes() {
+    for (query, k) in probes(&PROBE_QUERIES, &PROBE_KS) {
         lazy_identical &= bits(&view.search(&query, k)) == bits(&eager.index().search(&query, k));
     }
-    let eager_open = best_of(REPS, || {
+    let (eager_open, _) = best_of(REPS, || {
         decode_corpus(&snapshot_bytes).expect("eager decode");
     });
-    let lazy_open = best_of(REPS, || {
+    let (lazy_open, _) = best_of(REPS, || {
         open_in_place();
     });
     let lazy_speedup = eager_open.as_secs_f64() / lazy_open.as_secs_f64().max(1e-9);
@@ -239,7 +217,7 @@ pub fn run(fixture: &Fixture) -> SegmentsReport {
     let mut check_identity = |store: &CorpusStore| {
         let segmented = store.load_segmented().expect("segmented open").corpus;
         let oracle = WebCorpus::from_pages(segmented.to_pages());
-        for (query, k) in probes() {
+        for (query, k) in probes(&PROBE_QUERIES, &PROBE_KS) {
             queries_probed += 1;
             segmented_identical &=
                 bits(&segmented.search(&query, k)) == bits(&oracle.index().search(&query, k));
@@ -386,22 +364,77 @@ pub fn to_json(r: &SegmentsReport) -> crate::report::BenchJson {
     json
 }
 
+/// The segmented-store claims.
+pub fn claims(r: &SegmentsReport) -> Vec<Claim> {
+    vec![
+        Claim::exact(
+            "incremental_path_taken",
+            r.incremental_path_taken,
+            "the indexed journal must reload through the O(delta) merge",
+        ),
+        Claim::exact(
+            "loads_identical",
+            r.loads_identical,
+            "incremental and legacy loads must produce identical corpora",
+        ),
+        Claim::exact(
+            "lazy_identical",
+            r.lazy_identical,
+            "the in-place view diverged from the eager decode",
+        ),
+        Claim::exact(
+            "segmented_identical",
+            r.segmented_identical,
+            "segmented top-k diverged from the full rebuild",
+        ),
+        Claim::exact(
+            "tier_merges > 0",
+            r.tier_merges > 0,
+            "the tier policy must have merged",
+        ),
+        Claim::exact(
+            "segments_after <= 3",
+            r.segments_after <= 3,
+            format!("segment count must be bounded, got {}", r.segments_after),
+        ),
+        Claim::timed(
+            "live_speedup >= 5",
+            r.live_speedup >= 5.0,
+            format!(
+                "publishing a delta must be >= 5x faster than a full re-index, got {:.1}x",
+                r.live_speedup
+            ),
+        ),
+        Claim::timed(
+            "incremental_load < full_reindex_load",
+            r.incremental_load < r.full_reindex_load,
+            format!(
+                "the indexed journal must reload faster ({:?}) than the legacy \
+                 re-tokenize path ({:?})",
+                r.incremental_load, r.full_reindex_load
+            ),
+        ),
+        Claim::timed(
+            "lazy_open < eager_open",
+            r.lazy_open < r.eager_open,
+            format!(
+                "warm in-place open ({:?}) must beat eager decode ({:?})",
+                r.lazy_open, r.eager_open
+            ),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::{assert_exact, Scale};
 
     #[test]
     fn segments_experiment_asserts_its_own_invariants() {
         let fixture = Fixture::build(Scale::Quick, 42);
         let r = run(&fixture);
-        assert!(r.incremental_path_taken, "indexed store fell off O(delta)");
-        assert!(r.loads_identical, "incremental load diverged from legacy");
-        assert!(r.live_speedup > 1.0, "live publish must beat re-indexing");
-        assert!(r.lazy_identical, "in-place view diverged from eager decode");
-        assert!(r.segmented_identical, "overlay reads diverged from rebuild");
-        assert!(r.tier_merges > 0, "the tier policy must have merged");
-        assert!(r.segments_after <= 3, "segment count must be bounded");
+        assert_exact(&claims(&r));
         assert!(render(&r).contains("segmented == rebuild"));
         assert!(to_json(&r).render().contains("\"incremental_speedup\""));
     }

@@ -25,7 +25,7 @@ use teda_simkit::tablefmt::{Align, TextTable};
 use teda_tabular::Table;
 
 use crate::exp::throughput::build_corpus;
-use crate::harness::Fixture;
+use crate::harness::{Claim, Fixture};
 
 /// The service experiment report.
 #[derive(Debug, Clone)]
@@ -214,38 +214,58 @@ pub fn to_json(r: &ServiceReport) -> crate::report::BenchJson {
     json
 }
 
+/// The service claims.
+pub fn claims(r: &ServiceReport) -> Vec<Claim> {
+    vec![
+        Claim::exact(
+            "sustained completed > 0",
+            r.sustained.completed > 0,
+            "sustained phase completed nothing",
+        ),
+        Claim::exact(
+            "deterministic",
+            r.deterministic,
+            "service results diverged from the offline batch path",
+        ),
+        Claim::exact(
+            "sustained shed == 0",
+            r.sustained.shed() == 0,
+            format!(
+                "a wide queue must not shed the sustained burst, shed {}",
+                r.sustained.shed()
+            ),
+        ),
+        Claim::exact(
+            "sustained cache_hit_rate > 0",
+            r.sustained.cache_hit_rate() > 0.0,
+            "duplicate-heavy corpus must hit the cache",
+        ),
+        Claim::exact(
+            "pressure shed > 0",
+            r.pressure.shed() > 0,
+            format!(
+                "admission control failed to shed under pressure: {:?}",
+                r.pressure
+            ),
+        ),
+        Claim::timed(
+            "req_per_sec > 0",
+            r.req_per_sec > 0.0,
+            "the sustained phase measured no throughput",
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::{assert_exact, Scale};
 
     #[test]
     fn service_experiment_completes_sheds_and_stays_deterministic() {
         let fixture = Fixture::build(Scale::Quick, 42);
         let r = run(&fixture);
-        assert!(
-            r.sustained.completed > 0,
-            "sustained phase completed nothing"
-        );
-        assert!(
-            r.deterministic,
-            "service results diverged from the offline batch path"
-        );
-        assert_eq!(
-            r.sustained.shed(),
-            0,
-            "a wide queue must not shed the sustained burst"
-        );
-        assert!(
-            r.sustained.cache_hit_rate() > 0.0,
-            "duplicate-heavy corpus must hit the cache"
-        );
-        assert!(
-            r.pressure.shed() > 0,
-            "pressure phase must demonstrate admission control: {:?}",
-            r.pressure
-        );
-        assert!(r.req_per_sec > 0.0);
+        assert_exact(&claims(&r));
         assert!(render(&r).contains("req/s"));
         assert!(to_json(&r).render().contains("\"req_per_sec\""));
     }

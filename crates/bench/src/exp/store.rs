@@ -22,7 +22,7 @@
 //!   and replay the same tables: the restored cache must serve the
 //!   rerun without re-searching (hit rate ≈ 1, asserted ≥ 0.99).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use teda_service::{AnnotationService, ServiceConfig};
 use teda_simkit::tablefmt::{Align, TextTable};
@@ -30,7 +30,7 @@ use teda_store::{CorpusStore, OpenOutcome};
 use teda_websim::{WebCorpus, WebPage};
 
 use crate::exp::throughput::build_corpus;
-use crate::harness::Fixture;
+use crate::harness::{best_of, Claim, Fixture};
 
 /// Timing repetitions: the minimum damps scheduler noise without
 /// turning the experiment into a benchmark suite. The quick fixture's
@@ -74,19 +74,6 @@ pub struct StoreReport {
     pub warm_hit_rate: f64,
     /// Whether warm results were bit-identical to cold results.
     pub warm_identical: bool,
-}
-
-fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
-    let mut best: Option<(Duration, T)> = None;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        let out = f();
-        let elapsed = t0.elapsed();
-        if best.as_ref().is_none_or(|(d, _)| elapsed < *d) {
-            best = Some((elapsed, out));
-        }
-    }
-    best.expect("reps >= 1")
 }
 
 /// Runs all three phases.
@@ -279,33 +266,58 @@ pub fn to_json(r: &StoreReport) -> crate::report::BenchJson {
     json
 }
 
+/// The persistence claims.
+pub fn claims(r: &StoreReport) -> Vec<Claim> {
+    vec![
+        Claim::exact(
+            "load_identical",
+            r.load_identical,
+            "loaded snapshot diverged from the freshly built index",
+        ),
+        Claim::exact(
+            "compact_identical",
+            r.compact_identical,
+            "compacted snapshot is not byte-identical to a full rebuild",
+        ),
+        Claim::exact(
+            "restored_entries > 0",
+            r.restored_entries > 0,
+            "the restart must start warm",
+        ),
+        Claim::exact(
+            "warm_hit_rate >= 0.99",
+            r.warm_hit_rate >= 0.99,
+            format!(
+                "warm-start hit rate {:.3} — the restored cache is not serving",
+                r.warm_hit_rate
+            ),
+        ),
+        Claim::exact(
+            "warm_identical",
+            r.warm_identical,
+            "warm-start results diverged from the cold run",
+        ),
+        Claim::timed(
+            "load < cold_build",
+            r.load < r.cold_build,
+            format!(
+                "snapshot load ({:?}) must be faster than the cold build ({:?})",
+                r.load, r.cold_build
+            ),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::{assert_exact, Scale};
 
     #[test]
     fn store_experiment_asserts_its_own_invariants() {
         let fixture = Fixture::build(Scale::Quick, 42);
         let r = run(&fixture);
-        assert!(r.load_identical, "loaded index diverged from the built one");
-        assert!(
-            r.compact_identical,
-            "compaction diverged from a full rebuild"
-        );
-        assert!(
-            r.load < r.cold_build,
-            "snapshot load ({:?}) must beat the cold build ({:?})",
-            r.load,
-            r.cold_build
-        );
-        assert!(r.restored_entries > 0, "the restart must start warm");
-        assert!(
-            r.warm_hit_rate >= 0.99,
-            "warm rerun must hit the restored memo, got {:.3}",
-            r.warm_hit_rate
-        );
-        assert!(r.warm_identical, "a warm start must not change results");
+        assert_exact(&claims(&r));
         assert!(render(&r).contains("compact == full rebuild"));
     }
 }

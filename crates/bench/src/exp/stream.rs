@@ -32,7 +32,7 @@ use teda_service::{AnnotationService, ClientId, ServiceConfig, ServiceStats};
 use teda_simkit::tablefmt::{Align, TextTable};
 use teda_tabular::Table;
 
-use crate::harness::Fixture;
+use crate::harness::{Claim, Fixture};
 
 /// Stream length and shape: long enough that O(corpus) and O(window)
 /// are visibly different regimes, duplicate-heavy like the throughput
@@ -348,38 +348,75 @@ pub fn to_json(r: &StreamReport) -> crate::report::BenchJson {
     json
 }
 
+/// The streaming claims; each window claim covers every row of the
+/// sweep and names the windows that broke it.
+pub fn claims(r: &StreamReport) -> Vec<Claim> {
+    let windows = |broken: fn(&WindowRun) -> bool| -> Vec<usize> {
+        r.runs
+            .iter()
+            .filter(|w| broken(w))
+            .map(|w| w.window)
+            .collect()
+    };
+    let diverged = windows(|w| !w.identical);
+    let over_bound = windows(|w| w.peak_live > w.window);
+    let misreported = windows(|w| w.peak_live != w.peak_reported);
+    vec![
+        Claim::exact("window sweep ran", !r.runs.is_empty(), "no window was run"),
+        Claim::exact(
+            "every window identical",
+            diverged.is_empty(),
+            format!("streaming diverged from the batch path at max_in_flight {diverged:?}"),
+        ),
+        Claim::exact(
+            "peak_live <= window",
+            over_bound.is_empty(),
+            format!("max_in_flight {over_bound:?} held more tables live than the window"),
+        ),
+        Claim::exact(
+            "peak_live == peak_reported",
+            misreported.is_empty(),
+            format!("the driver misreported its high-water mark at max_in_flight {misreported:?}"),
+        ),
+        Claim::exact(
+            "service_identical",
+            r.service_identical,
+            "service streaming diverged from the offline batch path",
+        ),
+        Claim::exact(
+            "service shed == 0",
+            r.service.shed() == 0,
+            "streaming admission shed tables instead of applying backpressure",
+        ),
+        Claim::exact(
+            "service stream_tables == tables",
+            r.service.stream_tables == r.tables as u64,
+            format!(
+                "the service admitted {} of {} streamed tables",
+                r.service.stream_tables, r.tables
+            ),
+        ),
+        Claim::exact(
+            "backpressure_waits > 0",
+            r.service.backpressure_waits > 0,
+            format!(
+                "a depth-1 queue under a {}-table stream must stall the source",
+                r.tables
+            ),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::{assert_exact, Scale};
 
     #[test]
     fn stream_experiment_is_identical_bounded_and_backpressured() {
         let fixture = Fixture::build(Scale::Quick, 42);
         let r = run(&fixture);
-        assert!(!r.runs.is_empty());
-        for run in &r.runs {
-            assert!(
-                run.identical,
-                "window {} diverged from the batch path",
-                run.window
-            );
-            assert!(
-                run.peak_live <= run.window,
-                "window {} exceeded its bound: {}",
-                run.window,
-                run.peak_live
-            );
-            assert_eq!(run.peak_live, run.peak_reported);
-        }
-        assert!(r.service_identical, "service streaming diverged");
-        assert_eq!(r.service.shed(), 0, "streaming must not shed");
-        assert_eq!(r.service.stream_tables, r.tables as u64);
-        assert!(
-            r.service.backpressure_waits > 0,
-            "a depth-1 queue under a {}-table stream must stall the source",
-            r.tables
-        );
+        assert_exact(&claims(&r));
         assert!(render(&r).contains("backpressure"));
         assert!(to_json(&r)
             .render()

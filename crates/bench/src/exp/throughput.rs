@@ -23,7 +23,7 @@ use teda_simkit::rng_from_seed;
 use teda_simkit::tablefmt::{Align, TextTable};
 use teda_tabular::Table;
 
-use crate::harness::Fixture;
+use crate::harness::{Claim, Fixture};
 
 /// Corpus shape: enough tables to keep every worker busy, with entity
 /// sampling cycling through the per-type pools so duplicate cell
@@ -230,43 +230,69 @@ pub fn render(t: &Throughput) -> String {
     out
 }
 
+/// The throughput claims. The ≥3x speedup target needs ≥4 unloaded
+/// cores, so the timed claim only pins down that the parallel path
+/// never collapses, on any machine or CI runner.
+pub fn claims(t: &Throughput) -> Vec<Claim> {
+    vec![
+        Claim::exact(
+            "deterministic",
+            t.deterministic,
+            "parallel annotation diverged from the sequential path",
+        ),
+        Claim::exact(
+            "queries_saved > 0",
+            t.queries_saved > 0,
+            "a corpus with duplicate cell contents must produce cache hits",
+        ),
+        Claim::exact(
+            "cache misses > 0",
+            t.cache.misses > 0,
+            "cold cache must miss at least once",
+        ),
+        Claim::exact(
+            "cells_queried > 0",
+            t.cells_queried > 0,
+            "no candidate cell was queried",
+        ),
+        Claim::exact(
+            "cache misses <= cells_queried",
+            t.cache.misses <= t.cells_queried as u64,
+            format!(
+                "the memo can only reduce engine traffic: {} misses over {} cells",
+                t.cache.misses, t.cells_queried
+            ),
+        ),
+        Claim::exact(
+            "rerun_hit_rate >= 0.9",
+            t.rerun_hit_rate >= 0.9,
+            format!(
+                "warm re-annotation must be ≥90% cache hits at the default capacity, got {:.0}%",
+                t.rerun_hit_rate * 100.0
+            ),
+        ),
+        Claim::timed(
+            "speedup > 0.4",
+            t.speedup() > 0.4,
+            format!(
+                "parallel path collapsed: {:.2}x on {} threads",
+                t.speedup(),
+                t.threads
+            ),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::{assert_exact, Scale};
 
     #[test]
     fn throughput_batch_engine_is_deterministic_and_caches() {
         let fixture = Fixture::build(Scale::Quick, 42);
         let t = run(&fixture);
-        assert!(
-            t.deterministic,
-            "parallel annotations must be bit-identical to sequential"
-        );
-        assert!(
-            t.queries_saved > 0,
-            "a corpus with duplicate cell contents must produce cache hits"
-        );
-        assert!(t.cache.misses > 0, "cold cache must miss at least once");
-        assert!(t.cells_queried > 0);
-        // The memo can only reduce engine traffic.
-        assert!(t.cache.misses <= (t.cells_queried as u64));
-        // Wall-clock speedup is a property of the host (the ≥3x target
-        // holds on ≥4 *unloaded* cores and is what the exp_throughput
-        // binary reports); in a test we only pin down that the parallel
-        // path never falls off a cliff, on any machine or CI runner.
-        assert!(
-            t.speedup() > 0.4,
-            "parallel path collapsed: {:.2}x on {} threads",
-            t.speedup(),
-            t.threads
-        );
-        assert!(
-            t.rerun_hit_rate >= 0.9,
-            "warm re-annotation must be ≥90% cache hits at the default \
-             capacity, got {:.0}%",
-            t.rerun_hit_rate * 100.0
-        );
+        assert_exact(&claims(&t));
         assert!(render(&t).contains("queries saved"));
     }
 }

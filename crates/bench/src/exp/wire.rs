@@ -32,7 +32,7 @@ use teda_wire::protocol::render_annotations;
 use teda_wire::{WireClient, WireServer};
 
 use crate::exp::throughput::build_corpus;
-use crate::harness::Fixture;
+use crate::harness::{Claim, Fixture};
 
 /// Trickle requests per fairness window (solo and contended alike);
 /// p99 over so few samples is the worst observation, which is exactly
@@ -324,36 +324,63 @@ pub fn to_json(r: &WireReport) -> crate::report::BenchJson {
     json
 }
 
+/// The wire claims.
+pub fn claims(r: &WireReport) -> Vec<Claim> {
+    let trickle_completed = r
+        .fairness_stats
+        .client("trickle")
+        .map_or(0, |c| c.completed);
+    vec![
+        Claim::exact(
+            "deterministic",
+            r.deterministic,
+            "wire results diverged from the offline batch path",
+        ),
+        Claim::exact(
+            "hog_completed > 0",
+            r.hog_completed > 0,
+            "the hog never completed a table — the demo did not exercise contention",
+        ),
+        Claim::exact(
+            "hog client accounted",
+            r.fairness_stats.client("hog").is_some(),
+            "the fairness service kept no line for the hog",
+        ),
+        Claim::exact(
+            "trickle completed every request",
+            trickle_completed == 2 * TRICKLE_REQUESTS as u64,
+            format!(
+                "the trickle completed {trickle_completed} of {} requests",
+                2 * TRICKLE_REQUESTS
+            ),
+        ),
+        Claim::timed(
+            "req_per_sec > 0",
+            r.req_per_sec > 0.0,
+            "the loopback phase measured no throughput",
+        ),
+        Claim::timed(
+            "fairness_ratio <= 5",
+            r.fairness_ratio <= 5.0,
+            format!(
+                "fairness violated: trickle p99 {:.1} ms is {:.2}x its solo baseline",
+                r.trickle_contended.p99.as_secs_f64() * 1e3,
+                r.fairness_ratio
+            ),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::{assert_exact, Scale};
 
     #[test]
     fn wire_experiment_is_deterministic_and_fair() {
         let fixture = Fixture::build(Scale::Quick, 42);
         let r = run(&fixture);
-        assert!(
-            r.deterministic,
-            "wire payloads diverged from the offline batch rendering"
-        );
-        assert!(r.req_per_sec > 0.0);
-        assert!(
-            r.hog_completed > 0,
-            "the hog must actually stream during the contended window"
-        );
-        assert!(
-            r.fairness_ratio <= 5.0,
-            "trickle p99 {:?} exceeds 5x its solo baseline {:?}",
-            r.trickle_contended.p99,
-            r.trickle_solo.p99
-        );
-        let stats = &r.fairness_stats;
-        assert!(stats.client("hog").is_some());
-        assert_eq!(
-            stats.client("trickle").unwrap().completed,
-            2 * TRICKLE_REQUESTS as u64
-        );
+        assert_exact(&claims(&r));
         assert!(render(&r).contains("fairness ratio"));
         assert!(to_json(&r).render().contains("\"fairness_ratio\""));
     }

@@ -1,7 +1,10 @@
-//! The shared experiment fixture and evaluation helpers.
+//! The shared experiment fixture, the evaluation and sampling helpers,
+//! and the suite: the registry of experiments, their claims, and the one
+//! driver behind every `exp_*` binary and `run_all`.
 
+use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use teda_classifier::naive_bayes::NaiveBayesConfig;
 use teda_classifier::svm::pegasos::PegasosConfig;
@@ -16,11 +19,19 @@ use teda_corpus::datasets::{gft_benchmark, BenchmarkSet};
 use teda_corpus::gold::GoldTable;
 use teda_geo::SimGeocoder;
 use teda_kb::{Catalogue, CategoryNetwork, EntityType, TypeCategory, World, WorldSpec};
+use teda_simkit::stats::percentile_sorted;
 use teda_simkit::{LatencyModel, VirtualClock};
 use teda_tabular::CellId;
-use teda_websim::{BingSim, WebCorpus, WebCorpusSpec};
+use teda_websim::{BingSim, PageId, WebCorpus, WebCorpusSpec};
 
-use crate::report::log;
+use crate::exp::{
+    ablation, cluster, comparison, coverage, efficiency, fig7, lint, mmap, obs, preprocess_stats,
+    segments, service, store, stream, table1, table2, table3, throughput, wire,
+};
+use crate::report::{log, BenchJson};
+
+/// The master seed of every experiment fixture.
+const SEED: u64 = 42;
 
 /// Everything an experiment needs, built once per process.
 pub struct Fixture {
@@ -229,6 +240,298 @@ where
     RunOutput { per_table }
 }
 
+/// The fastest of `reps` timed runs of `f`, with that run's output: the
+/// minimum damps scheduler noise.
+pub(crate) fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
+    let mut best: Option<(Duration, T)> = None;
+    for _ in 0..reps.max(1) {
+        let t0 = Instant::now();
+        let out = f();
+        let elapsed = t0.elapsed();
+        if best.as_ref().is_none_or(|(d, _)| elapsed < *d) {
+            best = Some((elapsed, out));
+        }
+    }
+    best.expect("reps >= 1")
+}
+
+/// `pairs` interleaved samples of two measurements, `(a, b)` per pair in
+/// pair order. Even pairs run `a` first and odd pairs `b` first, so
+/// drift over the phase cancels instead of favouring one side.
+pub(crate) fn paired(
+    pairs: usize,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> Vec<(f64, f64)> {
+    (0..pairs)
+        .map(|pair| {
+            if pair % 2 == 0 {
+                let x = a();
+                (x, b())
+            } else {
+                let y = b();
+                (a(), y)
+            }
+        })
+        .collect()
+}
+
+/// Median and quartiles of a sample (interpolated, by
+/// `percentile_sorted`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Spread {
+    pub median: f64,
+    pub q1: f64,
+    pub q3: f64,
+}
+
+impl Spread {
+    /// The spread of a non-empty sample, in any order.
+    pub(crate) fn of(samples: impl IntoIterator<Item = f64>) -> Spread {
+        let mut xs: Vec<f64> = samples.into_iter().collect();
+        xs.sort_by(f64::total_cmp);
+        Spread {
+            median: percentile_sorted(&xs, 0.5),
+            q1: percentile_sorted(&xs, 0.25),
+            q3: percentile_sorted(&xs, 0.75),
+        }
+    }
+}
+
+/// Bit-pattern view of a result list (scores as raw bits: "identical"
+/// means identical, not approximately equal).
+pub(crate) fn bits(hits: &[(PageId, f64)]) -> Vec<(u32, u64)> {
+    hits.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
+}
+
+/// Every `(query, k)` of `queries` × `ks`: an identity-check probe set.
+pub(crate) fn probes(queries: &[&str], ks: &[usize]) -> Vec<(String, usize)> {
+    queries
+        .iter()
+        .flat_map(|q| ks.iter().map(|&k| (q.to_string(), k)))
+        .collect()
+}
+
+/// What a claim reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// An identity or a structural count: holds on any host, so the
+    /// in-crate tests assert it.
+    Exact,
+    /// Reads the wall clock (or, for `exp_mmap`'s peak-RSS claims, the
+    /// host's memory accounting): asserted only by the `exp_*` binaries.
+    Timed,
+}
+
+/// One claim an experiment makes about its report.
+#[derive(Debug, Clone)]
+pub struct Claim {
+    pub name: &'static str,
+    pub kind: Kind,
+    pub holds: bool,
+    /// What failed, with the measured values.
+    pub detail: String,
+}
+
+impl Claim {
+    pub fn exact(name: &'static str, holds: bool, detail: impl Into<String>) -> Claim {
+        Claim {
+            name,
+            kind: Kind::Exact,
+            holds,
+            detail: detail.into(),
+        }
+    }
+
+    pub fn timed(name: &'static str, holds: bool, detail: impl Into<String>) -> Claim {
+        Claim {
+            kind: Kind::Timed,
+            ..Claim::exact(name, holds, detail)
+        }
+    }
+}
+
+/// One `name: detail` line per failed claim.
+pub(crate) fn failures<'a>(claims: impl IntoIterator<Item = &'a Claim>) -> Vec<String> {
+    claims
+        .into_iter()
+        .filter(|c| !c.holds)
+        .map(|c| format!("{}: {}", c.name, c.detail))
+        .collect()
+}
+
+/// The in-crate tests' assert: every exact claim holds, and a failure
+/// names all the claims that failed.
+#[cfg(test)]
+pub(crate) fn assert_exact(claims: &[Claim]) {
+    let failed = failures(claims.iter().filter(|c| c.kind == Kind::Exact));
+    assert!(failed.is_empty(), "failed claims:\n{}", failed.join("\n"));
+}
+
+/// One experiment run, ready for the driver.
+struct Outcome {
+    rendered: String,
+    json: Option<BenchJson>,
+    claims: Vec<Claim>,
+}
+
+/// The outcome of `$m::run($args)`: its rendered report, plus — for a
+/// `checked` systems experiment — its `BENCH_*.json` and its claims.
+macro_rules! outcome {
+    ($m:ident($($arg:expr),*)) => {
+        Outcome {
+            rendered: $m::render(&$m::run($($arg),*)),
+            json: None,
+            claims: Vec::new(),
+        }
+    };
+    (checked $m:ident($($arg:expr),*)) => {
+        outcome!(checked $m, $m::run($($arg),*))
+    };
+    (checked $m:ident, $report:expr) => {{
+        let report = $report;
+        Outcome {
+            rendered: $m::render(&report),
+            json: Some($m::to_json(&report)),
+            claims: $m::claims(&report),
+        }
+    }};
+}
+
+/// What an experiment runs with: the scale, and the fixture, built on
+/// first use so experiments that need none never pay for it.
+struct Suite {
+    scale: Scale,
+    fixture: std::cell::OnceCell<Fixture>,
+}
+
+impl Suite {
+    fn new(scale: Scale) -> Suite {
+        Suite {
+            scale,
+            fixture: std::cell::OnceCell::new(),
+        }
+    }
+
+    fn fixture(&self) -> &Fixture {
+        self.fixture
+            .get_or_init(|| Fixture::build(self.scale, SEED))
+    }
+}
+
+/// One registered experiment: `exp_<name>` is its binary.
+type Experiment = (&'static str, fn(&Suite) -> Outcome);
+
+/// Every experiment, in `run_all` order.
+const EXPERIMENTS: &[Experiment] = &[
+    ("table2", |s| outcome!(table2(s.fixture()))),
+    ("table1", |s| outcome!(table1(s.fixture()))),
+    ("table3", |s| outcome!(table3(s.fixture()))),
+    ("comparison", |s| outcome!(comparison(s.fixture()))),
+    ("coverage", |s| outcome!(coverage(s.fixture()))),
+    ("preprocess", |s| outcome!(preprocess_stats(s.fixture()))),
+    ("efficiency", |s| outcome!(efficiency(s.fixture()))),
+    ("throughput", |s| outcome!(checked throughput(s.fixture()))),
+    ("service", |s| outcome!(checked service(s.fixture()))),
+    ("stream", |s| outcome!(checked stream(s.fixture()))),
+    ("wire", |s| outcome!(checked wire(s.fixture()))),
+    ("store", |s| outcome!(checked store(s.fixture()))),
+    ("segments", |s| outcome!(checked segments(s.fixture()))),
+    ("mmap", |s| {
+        let mut report = mmap::run(s.scale);
+        report.rss = mmap::measure_rss(s.scale);
+        outcome!(checked mmap, report)
+    }),
+    ("cluster", |s| outcome!(checked cluster(s.scale))),
+    ("obs", |s| outcome!(checked obs(s.fixture(), s.scale))),
+    ("fig7", |_| outcome!(fig7())),
+    ("lint", |_| outcome!(checked lint())),
+    ("ablation", |s| outcome!(ablation(s.fixture()))),
+];
+
+/// Reads the command line: answers an `exp_mmap` peak-RSS probe re-exec
+/// (`--rss-probe <mapped|eager> <dir>`) and returns `None`, or returns
+/// the scale (`--quick` selects [`Scale::Quick`]).
+fn scale_from_args() -> Option<Scale> {
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(i) = args.iter().position(|a| a == "--rss-probe") {
+        let mode = args.get(i + 1).expect("--rss-probe needs a mode");
+        let dir = args.get(i + 2).expect("--rss-probe needs a store dir");
+        mmap::rss_probe(mode, std::path::Path::new(dir));
+        return None;
+    }
+    Some(if args.iter().any(|a| a == "--quick") {
+        Scale::Quick
+    } else {
+        Scale::Standard
+    })
+}
+
+/// Logs every failed claim and turns the list into the exit status.
+fn verdict(component: &str, failed: &[String], total: usize) -> ExitCode {
+    for line in failed {
+        log(component, &format!("FAILED claim {line}"));
+    }
+    log(
+        component,
+        &format!("{} of {total} claims hold", total - failed.len()),
+    );
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// The `main` of the `exp_<name>` binary: run the experiment, print its
+/// report, write its `BENCH_<name>.json` (if it has one), then check
+/// every claim and exit non-zero after listing each one that failed.
+pub fn main(name: &str) -> ExitCode {
+    let Some(scale) = scale_from_args() else {
+        return ExitCode::SUCCESS;
+    };
+    let (_, run) = EXPERIMENTS
+        .iter()
+        .find(|(registered, _)| *registered == name)
+        .expect("every exp_* binary is registered");
+    let outcome = run(&Suite::new(scale));
+    println!("{}", outcome.rendered);
+    if let Some(json) = &outcome.json {
+        json.write_logged();
+    }
+    verdict(
+        &format!("exp_{name}"),
+        &failures(&outcome.claims),
+        outcome.claims.len(),
+    )
+}
+
+/// The `main` of `run_all`: every experiment in order over one shared
+/// fixture, every claim checked, every failure listed at the end.
+pub fn run_all() -> ExitCode {
+    let Some(scale) = scale_from_args() else {
+        return ExitCode::SUCCESS;
+    };
+    let suite = Suite::new(scale);
+    println!("==============================================================");
+    println!(" teda — full experiment suite (seed {SEED}, {scale:?} fixture)");
+    println!("==============================================================\n");
+
+    let mut failed = Vec::new();
+    let mut total = 0;
+    for (name, run) in EXPERIMENTS {
+        let outcome = run(&suite);
+        println!("{}", outcome.rendered);
+        total += outcome.claims.len();
+        failed.extend(
+            failures(&outcome.claims)
+                .into_iter()
+                .map(|line| format!("exp_{name} {line}")),
+        );
+    }
+    verdict("run_all", &failed, total)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,5 +578,70 @@ mod tests {
         let avg = out.category_average(TypeCategory::Poi);
         // restaurants perfect, the other six POI types are 0/0/0 → mean
         assert!(avg.f1 > 0.0);
+    }
+
+    #[test]
+    fn paired_sampler_alternates_and_its_spread_matches_percentile_sorted() {
+        use std::cell::RefCell;
+
+        let order = RefCell::new(String::new());
+        let sample = |side: char| {
+            let mut order = order.borrow_mut();
+            order.push(side);
+            order.len() as f64
+        };
+        let pairs = paired(4, || sample('a'), || sample('b'));
+        assert_eq!(order.into_inner(), "abbaabba");
+        // Each pair keeps its sides apart whichever ran first.
+        assert_eq!(pairs, vec![(1.0, 2.0), (4.0, 3.0), (5.0, 6.0), (8.0, 7.0)]);
+
+        for n in [5usize, 6] {
+            let xs: Vec<f64> = (0..n).map(|i| ((i * 7) % n) as f64 * 1.5).collect();
+            let mut sorted = xs.clone();
+            sorted.sort_by(f64::total_cmp);
+            let spread = Spread::of(xs);
+            assert_eq!(spread.median, percentile_sorted(&sorted, 0.5));
+            assert_eq!(spread.q1, percentile_sorted(&sorted, 0.25));
+            assert_eq!(spread.q3, percentile_sorted(&sorted, 0.75));
+        }
+    }
+
+    #[test]
+    fn a_claim_list_reports_every_failure() {
+        let claims = vec![
+            Claim::exact("first_broken", false, "one"),
+            Claim::timed("fine", true, "never shown"),
+            Claim::timed("second_broken", false, "two"),
+        ];
+        assert_eq!(
+            failures(&claims),
+            vec!["first_broken: one", "second_broken: two"]
+        );
+        // Timed claims never fail an in-crate test.
+        assert_exact(&[Claim::timed("slow_host", false, "")]);
+    }
+
+    #[test]
+    fn the_registry_names_every_experiment_binary_once() {
+        let manifest = include_str!("../Cargo.toml");
+        let mut bins: Vec<&str> = manifest
+            .split("[[bin]]")
+            .skip(1)
+            .map(|section| {
+                section
+                    .lines()
+                    .find_map(|l| l.strip_prefix("name = \""))
+                    .and_then(|l| l.strip_suffix('"'))
+                    .expect("every [[bin]] has a name")
+            })
+            .collect();
+        bins.sort_unstable();
+        let mut registered: Vec<String> = EXPERIMENTS
+            .iter()
+            .map(|(name, _)| format!("exp_{name}"))
+            .chain(["run_all".to_string()])
+            .collect();
+        registered.sort_unstable();
+        assert_eq!(bins, registered);
     }
 }

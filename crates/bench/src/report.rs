@@ -77,8 +77,8 @@ impl BenchJson {
 
     /// [`write`](Self::write) with the outcome reported the way every
     /// experiment binary does it: the artefact path on stdout, a write
-    /// failure through [`log`] without aborting the run (the asserted
-    /// claims have already passed by the time the JSON drops).
+    /// failure through [`log`] without aborting the run (the claims are
+    /// checked after the JSON drops, so a failed run still leaves it).
     pub fn write_logged(&self) {
         match self.write() {
             Ok(path) => println!("wrote {}", path.display()),

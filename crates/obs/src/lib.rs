@@ -7,10 +7,9 @@
 //!   quantile estimates are bounded by their bucket.
 //! * [`trace`] — per-request span trees with deterministic ids,
 //!   collected into a bounded ring and reassemblable across nodes.
-//! * [`registry`] — the per-node surface tying both together, with
-//!   Prometheus-style ([`Registry::to_prometheus`]) and JSON
-//!   ([`Registry::to_json`]) exposition behind the `METRICS` and
-//!   `TRACE-DUMP` wire verbs.
+//! * [`registry`] — the per-node surface tying both together: the
+//!   Prometheus-style exposition ([`Registry::to_prometheus`]) behind the
+//!   `METRICS` wire verb, and the span trees behind `TRACE-DUMP`.
 //!
 //! The determinism contract: observation never perturbs results. A
 //! disabled registry hands out disabled histograms and inert trace

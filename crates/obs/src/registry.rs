@@ -200,51 +200,6 @@ impl Registry {
         .expect("string write");
         out
     }
-
-    /// Hand-rolled JSON exposition (the offline build has no serde):
-    /// node label, per-stage quantile estimates, and non-empty buckets
-    /// as `[lower, upper, count]` triples. Feeds `BENCH_obs.json`.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-
-        let snaps = self.snapshots();
-        let mut out = format!(
-            "{{\n  \"node\": \"{}\",\n  \"traces_completed\": {},\n  \"stages\": [",
-            self.node,
-            self.traces.completed()
-        );
-        for (si, (name, snap)) in snaps.iter().enumerate() {
-            write!(
-                out,
-                "{}\n    {{\"stage\": \"{}\", \"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-                 \"max_us\": {}, \"buckets\": [",
-                if si == 0 { "" } else { "," },
-                name,
-                snap.count(),
-                snap.quantile(0.50),
-                snap.quantile(0.99),
-                snap.max_bound()
-            )
-            .expect("string write");
-            let mut first = true;
-            for (i, &count) in snap.buckets.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                let (lo, hi) = bucket_bounds(i);
-                write!(
-                    out,
-                    "{}[{lo}, {hi}, {count}]",
-                    if first { "" } else { ", " }
-                )
-                .expect("string write");
-                first = false;
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -305,16 +260,5 @@ mod tests {
         assert!(annotate_pos < search_pos, "stages must be sorted");
         assert!(a.contains("teda_stage_us_count{node=\"node-a\",stage=\"annotate\"} 2"));
         assert!(a.contains("le=\"+Inf\""));
-    }
-
-    #[test]
-    fn json_rendering_carries_quantiles_and_buckets() {
-        let reg = Registry::new("node-b");
-        reg.histogram(stage::MERGE).record(7);
-        let json = reg.to_json();
-        assert!(json.contains("\"node\": \"node-b\""));
-        assert!(json.contains("\"stage\": \"merge\""));
-        assert!(json.contains("\"count\": 1"));
-        assert!(json.contains("[4, 7, 1]"), "bucket triple for 7: {json}");
     }
 }

@@ -16,7 +16,8 @@
 //!   (world, web corpus, table set, classifier initialisation) is
 //!   deterministic given one master seed, yet decorrelated across
 //!   components.
-//! * [`stats`] — summary statistics used by the experiment harness.
+//! * [`stats`] — the interpolated percentile and mean used by the
+//!   experiment harness.
 //! * [`tablefmt`] — a plain-text table renderer; every experiment binary
 //!   prints paper-style tables through it.
 
@@ -27,5 +28,4 @@ pub mod tablefmt;
 
 pub use clock::{LatencyModel, VirtualClock};
 pub use rng::{derive_seed, rng_from_seed};
-pub use stats::Summary;
 pub use tablefmt::TextTable;

@@ -1,64 +1,6 @@
 //! Small summary-statistics helpers used by the experiment harness when
 //! reporting per-row timings, score distributions and sweep series.
 
-use std::time::Duration;
-
-/// Summary statistics over a sample of `f64` observations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub n: usize,
-    /// Arithmetic mean; 0.0 when empty.
-    pub mean: f64,
-    /// Population standard deviation; 0.0 when empty.
-    pub std_dev: f64,
-    /// Minimum; 0.0 when empty.
-    pub min: f64,
-    /// Maximum; 0.0 when empty.
-    pub max: f64,
-    /// Median (linear interpolation); 0.0 when empty.
-    pub p50: f64,
-    /// 95th percentile (linear interpolation); 0.0 when empty.
-    pub p95: f64,
-}
-
-impl Summary {
-    /// Computes summary statistics of `xs`. Non-finite values are ignored.
-    pub fn of(xs: &[f64]) -> Self {
-        let mut clean: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
-        if clean.is_empty() {
-            return Summary {
-                n: 0,
-                mean: 0.0,
-                std_dev: 0.0,
-                min: 0.0,
-                max: 0.0,
-                p50: 0.0,
-                p95: 0.0,
-            };
-        }
-        clean.sort_by(|a, b| a.total_cmp(b));
-        let n = clean.len();
-        let mean = clean.iter().sum::<f64>() / n as f64;
-        let var = clean.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        Summary {
-            n,
-            mean,
-            std_dev: var.sqrt(),
-            min: clean[0],
-            max: clean[n - 1],
-            p50: percentile_sorted(&clean, 0.50),
-            p95: percentile_sorted(&clean, 0.95),
-        }
-    }
-
-    /// Convenience constructor from durations, reported in seconds.
-    pub fn of_durations(ds: &[Duration]) -> Self {
-        let xs: Vec<f64> = ds.iter().map(Duration::as_secs_f64).collect();
-        Summary::of(&xs)
-    }
-}
-
 /// Linear-interpolated percentile of an already-sorted, non-empty slice.
 /// `q` in `[0, 1]`.
 pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
@@ -92,50 +34,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_summary_is_zeroed() {
-        let s = Summary::of(&[]);
-        assert_eq!(s.n, 0);
-        assert_eq!(s.mean, 0.0);
-        assert_eq!(s.p95, 0.0);
-    }
-
-    #[test]
     fn single_value() {
-        let s = Summary::of(&[3.5]);
-        assert_eq!(s.n, 1);
-        assert_eq!(s.mean, 3.5);
-        assert_eq!(s.min, 3.5);
-        assert_eq!(s.max, 3.5);
-        assert_eq!(s.p50, 3.5);
-        assert_eq!(s.std_dev, 0.0);
+        assert_eq!(percentile_sorted(&[3.5], 0.0), 3.5);
+        assert_eq!(percentile_sorted(&[3.5], 0.5), 3.5);
+        assert_eq!(percentile_sorted(&[3.5], 1.0), 3.5);
     }
 
     #[test]
     fn known_values() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.mean, 2.5);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert!((s.p50 - 2.5).abs() < 1e-12);
-        // population std dev of 1..4 = sqrt(1.25)
-        assert!((s.std_dev - 1.25f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn non_finite_values_ignored() {
-        let s = Summary::of(&[1.0, f64::NAN, 3.0, f64::INFINITY]);
-        assert_eq!(s.n, 2);
-        assert_eq!(s.mean, 2.0);
-    }
-
-    #[test]
-    fn all_non_finite_input_yields_the_empty_summary() {
-        // The sort runs on the filtered sample; an all-NaN input must
-        // fall into the empty branch, not panic in the comparator.
-        let s = Summary::of(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
-        assert_eq!(s.n, 0);
-        assert_eq!(s.p50, 0.0);
-        assert_eq!(s.p95, 0.0);
+        // An even count: the median interpolates between the middle two.
+        let xs = [1.0, 2.0, 3.0, 4.0];
+        assert!((percentile_sorted(&xs, 0.5) - 2.5).abs() < 1e-12);
+        assert!((percentile_sorted(&xs, 0.25) - 1.75).abs() < 1e-12);
     }
 
     #[test]
@@ -145,12 +55,6 @@ mod tests {
         assert_eq!(percentile_sorted(&xs, 1.0), 50.0);
         assert_eq!(percentile_sorted(&xs, 0.5), 30.0);
         assert!((percentile_sorted(&xs, 0.25) - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn durations_reported_in_seconds() {
-        let s = Summary::of_durations(&[Duration::from_millis(500), Duration::from_millis(1500)]);
-        assert!((s.mean - 1.0).abs() < 1e-9);
     }
 
     #[test]
