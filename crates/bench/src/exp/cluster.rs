@@ -268,7 +268,8 @@ pub fn run(scale: Scale) -> ClusterReport {
             failover_identical &= bits(&got) == bits(&corpus.index().search(q, *k));
         }
     }
-    let (_, failover_partials, failover_retries) = router.telemetry().snapshot();
+    let failover_partials = router.obs().counter("partial_results").get();
+    let failover_retries = router.obs().counter("replica_retries").get();
 
     // …then kill the whole group: typed partial results, exact live merge.
     replicas[0].remove(0).shutdown();

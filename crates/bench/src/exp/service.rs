@@ -167,11 +167,11 @@ pub fn render(r: &ServiceReport) -> String {
     ]);
     tbl.row(vec![
         "pressure: queue sheds".into(),
-        r.pressure.shed_queue.to_string(),
+        r.pressure.counter("shed_queue").to_string(),
     ]);
     tbl.row(vec![
         "pressure: budget sheds".into(),
-        r.pressure.shed_budget.to_string(),
+        r.pressure.counter("shed_budget").to_string(),
     ]);
     tbl.row(vec![
         "pressure: shed rate".into(),
@@ -208,8 +208,16 @@ pub fn to_json(r: &ServiceReport) -> crate::report::BenchJson {
         .metric("cache_hit_rate", r.sustained.cache_hit_rate(), "ratio")
         .metric("sustained_shed_rate", r.sustained.shed_rate(), "ratio")
         .metric("deterministic", flag(r.deterministic), "bool")
-        .metric("pressure_shed_queue", r.pressure.shed_queue as f64, "req")
-        .metric("pressure_shed_budget", r.pressure.shed_budget as f64, "req")
+        .metric(
+            "pressure_shed_queue",
+            r.pressure.counter("shed_queue") as f64,
+            "req",
+        )
+        .metric(
+            "pressure_shed_budget",
+            r.pressure.counter("shed_budget") as f64,
+            "req",
+        )
         .metric("pressure_shed_rate", r.pressure.shed_rate(), "ratio");
     json
 }
@@ -219,7 +227,7 @@ pub fn claims(r: &ServiceReport) -> Vec<Claim> {
     vec![
         Claim::exact(
             "sustained completed > 0",
-            r.sustained.completed > 0,
+            r.sustained.counter("completed") > 0,
             "sustained phase completed nothing",
         ),
         Claim::exact(

@@ -148,7 +148,7 @@ pub fn run(fixture: &Fixture) -> StoreReport {
     let cold_stats = cold_service.shutdown(); // persists cache.snap
     let warm_service =
         AnnotationService::start(fixture.svm_annotator(true, false).into_batch(), config);
-    let restored_entries = warm_service.stats().restored_cache_entries;
+    let restored_entries = warm_service.stats().counter("restored_cache_entries");
     let warm_results = run_corpus(&warm_service);
     let warm_stats = warm_service.shutdown();
     let warm_identical = warm_results == cold_results;
@@ -173,8 +173,8 @@ pub fn run(fixture: &Fixture) -> StoreReport {
         compact,
         compact_identical,
         restored_entries,
-        cold_hit_rate: cold_stats.cache.hit_rate(),
-        warm_hit_rate: warm_stats.cache.hit_rate(),
+        cold_hit_rate: cold_stats.cache_hit_rate(),
+        warm_hit_rate: warm_stats.cache_hit_rate(),
         warm_identical,
     }
 }

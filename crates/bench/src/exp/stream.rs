@@ -290,11 +290,11 @@ pub fn render(r: &StreamReport) -> String {
     svc.align(1, Align::Right);
     svc.row(vec![
         "tables admitted".into(),
-        r.service.stream_tables.to_string(),
+        r.service.counter("stream_tables").to_string(),
     ]);
     svc.row(vec![
         "backpressure waits".into(),
-        r.service.backpressure_waits.to_string(),
+        r.service.counter("backpressure_waits").to_string(),
     ]);
     svc.row(vec!["tables shed".into(), r.service.shed().to_string()]);
     svc.row(vec![
@@ -335,12 +335,12 @@ pub fn to_json(r: &StreamReport) -> crate::report::BenchJson {
     }
     json.metric(
         "service_stream_tables",
-        r.service.stream_tables as f64,
+        r.service.counter("stream_tables") as f64,
         "tables",
     )
     .metric(
         "service_backpressure_waits",
-        r.service.backpressure_waits as f64,
+        r.service.counter("backpressure_waits") as f64,
         "waits",
     )
     .metric("service_shed", r.service.shed() as f64, "tables")
@@ -390,15 +390,16 @@ pub fn claims(r: &StreamReport) -> Vec<Claim> {
         ),
         Claim::exact(
             "service stream_tables == tables",
-            r.service.stream_tables == r.tables as u64,
+            r.service.counter("stream_tables") == r.tables as u64,
             format!(
                 "the service admitted {} of {} streamed tables",
-                r.service.stream_tables, r.tables
+                r.service.counter("stream_tables"),
+                r.tables
             ),
         ),
         Claim::exact(
             "backpressure_waits > 0",
-            r.service.backpressure_waits > 0,
+            r.service.counter("backpressure_waits") > 0,
             format!(
                 "a depth-1 queue under a {}-table stream must stall the source",
                 r.tables

@@ -4,11 +4,12 @@
 //! `BENCH_<name>.json` beside the working directory: a flat array of
 //! `{"metric": ..., "value": ..., "unit": ...}` records, so CI and
 //! regression tooling can diff runs without scraping the text render.
-//! Hand-rolled serialization — the values are floats and short ASCII
-//! names, and the offline-build constraint rules out a serde
-//! dependency.
+//! Strings and floats go through `teda-obs`'s shared JSON writer; the
+//! offline-build constraint rules out a serde dependency.
 
 use std::path::PathBuf;
+
+use teda_obs::json;
 
 /// One tagged diagnostic line on stderr — the shared logging funnel of
 /// the experiment binaries and the fixture builder. Stdout stays
@@ -57,9 +58,9 @@ impl BenchJson {
         for (i, e) in self.entries.iter().enumerate() {
             out.push_str(&format!(
                 "  {{\"metric\": {}, \"value\": {}, \"unit\": {}}}{}\n",
-                json_string(&e.metric),
-                json_number(e.value),
-                json_string(&e.unit),
+                json::string(&e.metric),
+                json::number(e.value),
+                json::string(&e.unit),
                 if i + 1 < self.entries.len() { "," } else { "" }
             ));
         }
@@ -90,43 +91,6 @@ impl BenchJson {
     }
 }
 
-/// JSON string escaping for the restricted names this crate emits
-/// (quotes, backslashes and control bytes; everything else verbatim).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON has no NaN/Infinity literals; clamp them to null so a damaged
-/// metric breaks the consumer loudly instead of producing invalid JSON.
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        // Shortest round-trip float formatting (Rust's default `{}` for
-        // f64 is round-trip precise).
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') || s.contains("inf") {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,9 +110,11 @@ mod tests {
 
     #[test]
     fn escapes_and_clamps() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(3.0), "3.0");
-        assert_eq!(json_number(0.125), "0.125");
+        let mut r = BenchJson::new("demo");
+        r.metric("a\"b\\c\n", f64::NAN, "x");
+        assert_eq!(
+            r.render(),
+            "[\n  {\"metric\": \"a\\\"b\\\\c\\n\", \"value\": null, \"unit\": \"x\"}\n]\n"
+        );
     }
 }

@@ -28,8 +28,8 @@
 //! shard never panics and never silently shrinks the answer: the typed
 //! path returns [`ClusterError::PartialResults`] naming the dead
 //! shards, and the [`SearchBackend`] path bumps the `partial_results`
-//! telemetry counter that [`ServiceStats`](teda_service::ServiceStats)
-//! surfaces.
+//! counter of the router's registry, which the annotation service's
+//! `ServiceStats` surfaces.
 
 use std::net::SocketAddr;
 use std::ops::ControlFlow;
@@ -37,8 +37,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use teda_obs::{stage, Histogram, Registry, SpanGuard, StageTimer, Trace, TraceCtx};
-use teda_service::ClusterTelemetry;
+use teda_obs::{stage, Counter, Histogram, Registry, SpanGuard, StageTimer, Trace, TraceCtx};
 use teda_websim::scoring::{merge_topk, rank_order};
 use teda_websim::{PageId, SearchBackend, SearchResult};
 use teda_wire::protocol::{parse_hits, parse_scored};
@@ -130,15 +129,22 @@ pub struct ClusterRouter {
     groups: Vec<ReplicaGroup>,
     global_docs: u64,
     config: RouterConfig,
-    telemetry: Arc<ClusterTelemetry>,
-    /// The router's observability surface: `shard_scatter`/`merge`
-    /// histograms and one trace per routed search. All timing goes
-    /// through `teda-obs` types — this is a scoring/merge module, and
-    /// the no-wallclock invariant (`wallclock_in_scoring`) still holds:
-    /// observation never feeds back into ranking.
+    /// The router's observability surface: the counters below,
+    /// `shard_scatter`/`merge` histograms and one trace per routed
+    /// search. All timing goes through `teda-obs` types — this is a
+    /// scoring/merge module, and the no-wallclock invariant
+    /// (`wallclock_in_scoring`) still holds: observation never feeds
+    /// back into ranking.
     obs: Arc<Registry>,
     hist_scatter: Arc<Histogram>,
     hist_merge: Arc<Histogram>,
+    /// Shard queries fanned out (the group count of each scatter).
+    shard_fanouts: Arc<Counter>,
+    /// Searches answered without a whole replica group — each one is a
+    /// degraded result, never a silent one.
+    partial_results: Arc<Counter>,
+    /// Failover retries against another replica.
+    replica_retries: Arc<Counter>,
 }
 
 impl std::fmt::Debug for ClusterRouter {
@@ -187,16 +193,16 @@ impl ClusterRouter {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let obs = Registry::new("router");
-        let hist_scatter = obs.histogram(stage::SHARD_SCATTER);
-        let hist_merge = obs.histogram(stage::MERGE);
         let router = ClusterRouter {
             groups,
             global_docs: 0,
             config,
-            telemetry: Arc::new(ClusterTelemetry::default()),
+            hist_scatter: obs.histogram(stage::SHARD_SCATTER),
+            hist_merge: obs.histogram(stage::MERGE),
+            shard_fanouts: obs.counter("shard_fanouts"),
+            partial_results: obs.counter("partial_results"),
+            replica_retries: obs.counter("replica_retries"),
             obs,
-            hist_scatter,
-            hist_merge,
         };
         let mut router = router;
         router.global_docs = router.validate_topology()?;
@@ -231,17 +237,18 @@ impl ClusterRouter {
         Ok(global_docs.expect("topology has at least one shard"))
     }
 
-    /// The telemetry handle — pass it to
-    /// [`AnnotationService::attach_cluster_telemetry`](teda_service::AnnotationService::attach_cluster_telemetry)
-    /// so `STATS` surfaces the fan-out/partial/retry counters.
-    pub fn telemetry(&self) -> Arc<ClusterTelemetry> {
-        Arc::clone(&self.telemetry)
+    /// The router's registry, [`obs`](Self::obs), as
+    /// `AnnotationService::attach_cluster_telemetry` takes it, so the
+    /// service's `STATS` surfaces the fan-out/partial/retry counters.
+    pub fn telemetry(&self) -> Arc<Registry> {
+        self.obs()
     }
 
-    /// The router's observability registry: `shard_scatter` and `merge`
-    /// stage histograms, plus one completed trace per routed search
-    /// (deterministic ids 1, 2, 3, …). `METRICS`-style exposition and
-    /// `BENCH_obs.json` read from here.
+    /// The router's observability registry: the `shard_fanouts`,
+    /// `partial_results` and `replica_retries` counters, `shard_scatter`
+    /// and `merge` stage histograms, plus one completed trace per routed
+    /// search (deterministic ids 1, 2, 3, …). `METRICS`-style exposition
+    /// and `BENCH_obs.json` read from here.
     pub fn obs(&self) -> Arc<Registry> {
         Arc::clone(&self.obs)
     }
@@ -320,7 +327,7 @@ impl ClusterRouter {
                 std::thread::sleep(self.config.backoff * pass);
             }
             if t > 0 {
-                self.telemetry.record_retry();
+                self.replica_retries.inc();
             }
             let replica = &group.replicas[order[t % n]];
             match self.attempt(group, replica, self.checkout(replica), op) {
@@ -392,7 +399,7 @@ impl ClusterRouter {
         parse: fn(&str) -> Result<T, WireError>,
         trace: &TraceCtx,
     ) -> Vec<Result<T, ClusterError>> {
-        self.telemetry.record_fanout(self.groups.len() as u64);
+        self.shard_fanouts.add(self.groups.len() as u64);
         let timer = StageTimer::start(&self.hist_scatter);
         let sent: Vec<_> = self
             .groups
@@ -480,7 +487,7 @@ impl ClusterRouter {
             }
         }
         if !dead.is_empty() {
-            self.telemetry.record_partial();
+            self.partial_results.inc();
         }
         Ok((live, dead))
     }

@@ -62,37 +62,12 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use teda_memo::{lead, Counters, Flight, Shards, Slot};
-use teda_obs::{Histogram, StageTimer, Stopwatch};
+pub use teda_memo::CacheStats;
+use teda_memo::{lead, Flight, Shards, Slot};
+use teda_obs::{Counter, Histogram, StageTimer, Stopwatch};
 use teda_websim::{SearchEngine, SearchResult};
 
 use crate::annotate::Verdict;
-
-/// Hit/miss/eviction accounting of a [`QueryCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Queries answered from the cache (searches saved).
-    pub hits: u64,
-    /// Queries that went to the engine.
-    pub misses: u64,
-    /// Entries evicted to honour the capacity bound.
-    pub evictions: u64,
-    /// Lookups that found an entry past its TTL (counted in `misses` too:
-    /// the expired entry is dropped and the query re-searched).
-    pub expired: u64,
-}
-
-impl CacheStats {
-    /// Hit fraction in `[0, 1]`; 0 when nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
 
 /// Capacity/TTL/sharding knobs of a [`QueryCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,7 +182,15 @@ pub struct QueryCache {
     /// `Ready` entries allowed per shard; `usize::MAX` when unbounded.
     per_shard_capacity: usize,
     ttl: Option<Duration>,
-    counters: Counters,
+    /// Queries answered from the cache (searches saved).
+    hits: Arc<Counter>,
+    /// Queries that went to the engine.
+    misses: Arc<Counter>,
+    /// Entries evicted to honour the capacity bound.
+    evictions: Arc<Counter>,
+    /// Lookups that found an entry past its TTL (counted in `misses`
+    /// too).
+    expired: Arc<Counter>,
     /// `cache_lookup` stage histogram — time from lookup to a memoized
     /// answer (fast-path hits and follower waits), one observation per
     /// hit. Only waits are timed: a hit that took its shard lock at the
@@ -253,7 +236,10 @@ impl QueryCache {
             shards: Shards::new(n),
             per_shard_capacity,
             ttl: config.ttl,
-            counters: Counters::default(),
+            hits: Arc::default(),
+            misses: Arc::default(),
+            evictions: Arc::default(),
+            expired: Arc::default(),
             hist_lookup: OnceLock::new(),
             hist_search: OnceLock::new(),
         }
@@ -261,9 +247,15 @@ impl QueryCache {
 
     /// Attaches the serving node's observability registry: lookups
     /// record into its `cache_lookup` stage histogram and leader engine
-    /// calls into `search`. First attach wins. Timing is observation
+    /// calls into `search` (first attach wins), and the cache's
+    /// counters join the node's as `cache.hits`, `cache.misses`,
+    /// `cache.evictions` and `cache.expired`. Timing is observation
     /// only — results stay a pure function of `(query, k)`.
     pub fn attach_obs(&self, obs: &teda_obs::Registry) {
+        obs.register_counter("cache.hits", &self.hits);
+        obs.register_counter("cache.misses", &self.misses);
+        obs.register_counter("cache.evictions", &self.evictions);
+        obs.register_counter("cache.expired", &self.expired);
         let _ = self
             .hist_lookup
             .set(obs.histogram(teda_obs::stage::CACHE_LOOKUP));
@@ -365,7 +357,7 @@ impl QueryCache {
                 };
                 match found {
                     Found::Hit(memo) => {
-                        self.counters.hit();
+                        self.hits.inc();
                         drop(shard);
                         self.record_lookup(watch);
                         return memo;
@@ -375,10 +367,10 @@ impl QueryCache {
                         // First caller (or the entry aged out): install
                         // the flight, then search outside the shard lock.
                         if matches!(stale_or_missing, Found::Stale) {
-                            self.counters.expire();
+                            self.expired.inc();
                             remove_entry(&mut shard, query, k);
                         }
-                        self.counters.miss();
+                        self.misses.inc();
                         let flight = install_flight(&mut shard, query, k, tick);
                         drop(shard);
                         // Leader: run the engine call outside the shard
@@ -401,7 +393,7 @@ impl QueryCache {
             // loop and race to become the new leader.
             self.time_wait(&mut watch);
             if let Some(memo) = flight.wait() {
-                self.counters.hit();
+                self.hits.inc();
                 self.record_lookup(watch);
                 return memo;
             }
@@ -438,7 +430,7 @@ impl QueryCache {
                         if !evict_lru(&mut shard) {
                             break;
                         }
-                        self.counters.evicted(1);
+                        self.evictions.inc();
                     }
                 }
                 None => remove_entry(&mut shard, query, k),
@@ -450,12 +442,11 @@ impl QueryCache {
 
     /// Hit/miss/eviction counters so far.
     pub fn stats(&self) -> CacheStats {
-        let snap = self.counters.snapshot();
         CacheStats {
-            hits: snap.hits,
-            misses: snap.misses,
-            evictions: snap.evictions,
-            expired: snap.expired,
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            expired: self.expired.get(),
         }
     }
 
@@ -556,21 +547,20 @@ impl QueryCache {
                 if !evict_lru(&mut shard) {
                     break;
                 }
-                self.counters.evicted(1);
+                self.evictions.inc();
             }
         }
         installed
     }
 
-    /// Drops all entries, their verdicts with them, and zeroes the
-    /// counters.
+    /// Drops all entries, their verdicts with them. The counters keep
+    /// counting: they are monotonic, so a scraper never sees a reset.
     pub fn clear(&self) {
         self.shards.for_each(|shard| {
             shard.map.clear();
             shard.ready = 0;
             shard.tick = 0;
         });
-        self.counters.reset();
     }
 }
 
@@ -685,14 +675,15 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_everything() {
+    fn clear_drops_entries_and_keeps_counters() {
         let cache = QueryCache::new(4);
         let engine = Counting(AtomicUsize::new(0));
         cache.get_or_search(&engine, "a", 5);
         cache.get_or_search(&engine, "a", 5);
+        let before = cache.stats();
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.stats(), CacheStats::default());
+        assert_eq!(cache.stats(), before, "counters are monotonic");
         cache.get_or_search(&engine, "a", 5);
         assert_eq!(
             engine.0.load(Ordering::Relaxed),

@@ -41,7 +41,7 @@
 use std::borrow::{Borrow, Cow};
 use std::sync::Arc;
 
-use teda_geo::{GeocodeCache, GeocodeStats, SimGeocoder};
+use teda_geo::{GeocodeCache, SimGeocoder};
 use teda_kb::EntityType;
 use teda_tabular::{infer::infer_column_types, CellId, ColumnType, Table};
 use teda_websim::SearchEngine;
@@ -332,7 +332,7 @@ impl BatchAnnotator {
 
     /// Geocoding-memo accounting so far — `hits` is the number of
     /// geocoder round-trips the memo saved across the corpus.
-    pub fn geo_stats(&self) -> GeocodeStats {
+    pub fn geo_stats(&self) -> CacheStats {
         self.geo_memo.stats()
     }
 

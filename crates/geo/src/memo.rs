@@ -23,33 +23,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use teda_memo::{lead, Counters, Flight, Shards, Slot};
+use teda_memo::{lead, CacheStats, Flight, Shards, Slot};
+use teda_obs::Counter;
 
 use crate::gazetteer::LocationId;
 use crate::geocoder::Geocoder;
-
-/// Hit/miss accounting of a [`GeocodeCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GeocodeStats {
-    /// Addresses answered from the memo (geocoder calls saved).
-    pub hits: u64,
-    /// Addresses that went to the geocoder.
-    pub misses: u64,
-    /// Entries dropped by shard flushes of a bounded memo.
-    pub evictions: u64,
-}
-
-impl GeocodeStats {
-    /// Hit fraction in `[0, 1]`; 0 when nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
 
 /// The memoized value: one shared candidate set per address.
 type Candidates = Arc<[LocationId]>;
@@ -72,7 +50,12 @@ pub struct GeocodeCache {
     /// `Ready` entries allowed per shard before it is flushed;
     /// `usize::MAX` when unbounded.
     per_shard_capacity: usize,
-    counters: Counters,
+    /// Addresses answered from the memo (geocoder calls saved).
+    hits: Arc<Counter>,
+    /// Addresses that went to the geocoder.
+    misses: Arc<Counter>,
+    /// Entries dropped by shard flushes of a bounded memo.
+    evictions: Arc<Counter>,
 }
 
 impl Default for GeocodeCache {
@@ -99,8 +82,19 @@ impl GeocodeCache {
         GeocodeCache {
             shards: Shards::new(shards),
             per_shard_capacity,
-            counters: Counters::default(),
+            hits: Arc::default(),
+            misses: Arc::default(),
+            evictions: Arc::default(),
         }
+    }
+
+    /// Registers the memo's counters on the serving node's
+    /// observability registry as `geocode.hits`, `geocode.misses` and
+    /// `geocode.evictions`.
+    pub fn attach_obs(&self, obs: &teda_obs::Registry) {
+        obs.register_counter("geocode.hits", &self.hits);
+        obs.register_counter("geocode.misses", &self.misses);
+        obs.register_counter("geocode.evictions", &self.evictions);
     }
 
     /// The effective total capacity (`None` when unbounded).
@@ -124,12 +118,12 @@ impl GeocodeCache {
                 let mut map = self.shards.lock(address.as_bytes());
                 match map.get(address) {
                     Some(Slot::Ready(cands)) => {
-                        self.counters.hit();
+                        self.hits.inc();
                         return Arc::clone(cands);
                     }
                     Some(Slot::Pending(flight)) => Arc::clone(flight),
                     None => {
-                        self.counters.miss();
+                        self.misses.inc();
                         let flight = Flight::new();
                         map.insert(address.to_owned(), Slot::Pending(Arc::clone(&flight)));
                         drop(map);
@@ -143,7 +137,7 @@ impl GeocodeCache {
                 }
             };
             if let Some(cands) = flight.wait() {
-                self.counters.hit();
+                self.hits.inc();
                 return cands;
             }
         }
@@ -161,7 +155,7 @@ impl GeocodeCache {
                     let ready = map.values().filter(|s| s.is_ready()).count();
                     if ready >= self.per_shard_capacity {
                         map.retain(|_, slot| !slot.is_ready());
-                        self.counters.evicted(ready as u64);
+                        self.evictions.add(ready as u64);
                     }
                     map.insert(address.to_owned(), Slot::Ready(Arc::clone(c)));
                 }
@@ -174,13 +168,13 @@ impl GeocodeCache {
         flight.finish(cands.map(Arc::clone));
     }
 
-    /// Hit/miss counters so far.
-    pub fn stats(&self) -> GeocodeStats {
-        let snap = self.counters.snapshot();
-        GeocodeStats {
-            hits: snap.hits,
-            misses: snap.misses,
-            evictions: snap.evictions,
+    /// Hit/miss counters so far (`expired` stays 0: no TTL).
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            expired: 0,
         }
     }
 
@@ -197,10 +191,10 @@ impl GeocodeCache {
         self.len() == 0
     }
 
-    /// Drops all entries and zeroes the counters.
+    /// Drops all entries. The counters keep counting: they are
+    /// monotonic, so a scraper never sees a reset.
     pub fn clear(&self) {
         self.shards.for_each(|map| map.clear());
-        self.counters.reset();
     }
 }
 
@@ -226,10 +220,10 @@ mod tests {
         assert_eq!(gc.query_count(), 2, "one geocoder call per address");
         assert_eq!(
             cache.stats(),
-            GeocodeStats {
+            CacheStats {
                 hits: 1,
                 misses: 2,
-                ..GeocodeStats::default()
+                ..CacheStats::default()
             }
         );
         assert_eq!(cache.len(), 2);
@@ -302,5 +296,6 @@ mod tests {
         assert!(cache.is_empty());
         cache.get_or_geocode(&gc, "Paris");
         assert_eq!(gc.query_count(), 2);
+        assert_eq!(cache.stats().misses, 2, "clear keeps the counters");
     }
 }

@@ -1,8 +1,8 @@
 //! `teda-lint` — the workspace invariant analyzer.
 //!
-//! An offline, dependency-free static-analysis pass that walks every
-//! workspace `.rs` file and enforces the ROADMAP's hard invariants as
-//! named lints (see `src/README.md` for the catalogue):
+//! An offline static-analysis pass, free of outside crates, that walks
+//! every workspace `.rs` file and enforces the ROADMAP's hard invariants
+//! as named lints (see `src/README.md` for the catalogue):
 //!
 //! * [`float_ord_panic`](lints::float_ord_panic) — NaN-panicking float
 //!   comparisons; require `total_cmp`.

@@ -1,7 +1,8 @@
 //! Report rendering: machine-readable JSON and the human diff-vs-baseline.
 //!
-//! JSON is hand-rolled (the analyzer is dependency-free by design); the
-//! shape mirrors the flat-and-greppable style of `BENCH_*.json`:
+//! JSON strings go through `teda-obs`'s shared writer (dependency-free,
+//! like the analyzer); the layout is this module's own and mirrors the
+//! flat-and-greppable style of `BENCH_*.json`:
 //!
 //! ```json
 //! {
@@ -13,36 +14,20 @@
 //! }
 //! ```
 
+use teda_obs::json;
+
 use crate::baseline::Diff;
 use crate::lockorder::LockReport;
 use crate::{Finding, LINT_NAMES};
 
-/// JSON string escaping (control chars, quotes, backslash).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn finding_json(f: &Finding) -> String {
     format!(
-        "{{\"lint\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \
-         \"excerpt\": \"{}\"}}",
-        json_escape(f.lint),
-        json_escape(&f.file),
+        "{{\"lint\": {}, \"file\": {}, \"line\": {}, \"message\": {}, \"excerpt\": {}}}",
+        json::string(f.lint),
+        json::string(&f.file),
         f.line,
-        json_escape(&f.message),
-        json_escape(&f.excerpt),
+        json::string(&f.message),
+        json::string(&f.excerpt),
     )
 }
 
@@ -87,29 +72,26 @@ pub fn render_json(
         } else {
             ", "
         };
-        s.push_str(&format!("\"{}\"{sep}", json_escape(m)));
+        s.push_str(&format!("{}{sep}", json::string(m)));
     }
     s.push_str("],\n    \"edges\": [\n");
     for (i, e) in lock.edges.iter().enumerate() {
         let sep = if i + 1 == lock.edges.len() { "" } else { "," };
         s.push_str(&format!(
-            "      {{\"from\": \"{}\", \"to\": \"{}\", \"in_fn\": \"{}\", \"file\": \"{}\", \
-             \"line\": {}, \"via\": \"{}\"}}{sep}\n",
-            json_escape(&e.from),
-            json_escape(&e.to),
-            json_escape(&e.in_fn),
-            json_escape(&e.file),
+            "      {{\"from\": {}, \"to\": {}, \"in_fn\": {}, \"file\": {}, \"line\": {}, \
+             \"via\": {}}}{sep}\n",
+            json::string(&e.from),
+            json::string(&e.to),
+            json::string(&e.in_fn),
+            json::string(&e.file),
             e.line,
-            json_escape(&e.via),
+            json::string(&e.via),
         ));
     }
     s.push_str("    ],\n    \"cycles\": [");
     for (i, c) in lock.cycles.iter().enumerate() {
         let sep = if i + 1 == lock.cycles.len() { "" } else { ", " };
-        let names: Vec<String> = c
-            .iter()
-            .map(|n| format!("\"{}\"", json_escape(n)))
-            .collect();
+        let names: Vec<String> = c.iter().map(|n| json::string(n)).collect();
         s.push_str(&format!("[{}]{sep}", names.join(", ")));
     }
     s.push_str("]\n  }\n}\n");
@@ -161,8 +143,18 @@ mod tests {
 
     #[test]
     fn escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let f = Finding {
+            file: "a\\b.rs".into(),
+            line: 1,
+            lint: "float_ord_panic",
+            message: "m\u{1}".into(),
+            excerpt: "a\"b\nd".into(),
+        };
+        assert_eq!(
+            finding_json(&f),
+            "{\"lint\": \"float_ord_panic\", \"file\": \"a\\\\b.rs\", \"line\": 1, \
+             \"message\": \"m\\u0001\", \"excerpt\": \"a\\\"b\\nd\"}"
+        );
     }
 
     #[test]

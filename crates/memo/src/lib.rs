@@ -25,13 +25,13 @@
 //! * [`lead`] — leader execution: runs the computation and guarantees
 //!   the publish callback fires exactly once, with `None` if the
 //!   computation unwinds, so followers retry instead of hanging;
-//! * [`Counters`] — the hit/miss/eviction/expiry accounting every memo
-//!   reports.
+//! * [`CacheStats`] — the hit/miss/eviction/expiry snapshot every memo
+//!   reports. Each memo keeps its own `teda-obs` counters and registers
+//!   them on the node it serves.
 //!
 //! The crate is dependency-free (std only) so both consumers can use it
 //! without widening the workspace graph.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 
 /// Rendezvous for callers waiting on another caller's in-flight
@@ -203,67 +203,32 @@ pub fn lead<V>(compute: impl FnOnce() -> V, publish: impl FnOnce(Option<&V>)) ->
     value
 }
 
-/// The accounting every memo reports: hits (computations saved), misses
-/// (computations run), evictions (entries dropped for capacity) and
-/// expiries (entries aged out by a TTL).
-#[derive(Debug, Default)]
-pub struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    expired: AtomicU64,
-}
-
-/// A point-in-time copy of [`Counters`].
+/// A point-in-time copy of a memo's accounting: hits (computations
+/// saved), misses (computations run), evictions (entries dropped for
+/// capacity) and expiries (entries aged out by a TTL).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CounterSnapshot {
+pub struct CacheStats {
     /// Lookups answered from the memo.
     pub hits: u64,
     /// Lookups that ran the computation.
     pub misses: u64,
     /// Entries dropped to honour a capacity bound.
     pub evictions: u64,
-    /// Lookups that found an entry past its TTL.
+    /// Lookups that found an entry past its TTL (counted in `misses`
+    /// too: the expired entry is dropped and recomputed). Always 0 for
+    /// a memo without a TTL.
     pub expired: u64,
 }
 
-impl Counters {
-    /// Records a hit.
-    pub fn hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a miss.
-    pub fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` evictions.
-    pub fn evicted(&self, n: u64) {
-        self.evictions.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records a TTL expiry.
-    pub fn expire(&self) {
-        self.expired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough snapshot (each counter read is atomic).
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
+impl CacheStats {
+    /// Hit fraction in `[0, 1]`; 0 when nothing was looked up.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
         }
-    }
-
-    /// Zeroes every counter.
-    pub fn reset(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.expired.store(0, Ordering::Relaxed);
     }
 }
 
@@ -271,7 +236,7 @@ impl Counters {
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn flight_resolves_waiters_with_the_value() {
@@ -357,27 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_snapshot_and_reset() {
-        let c = Counters::default();
-        c.hit();
-        c.hit();
-        c.miss();
-        c.evicted(3);
-        c.expire();
-        assert_eq!(
-            c.snapshot(),
-            CounterSnapshot {
-                hits: 2,
-                misses: 1,
-                evictions: 3,
-                expired: 1,
-            }
-        );
-        c.reset();
-        assert_eq!(c.snapshot(), CounterSnapshot::default());
-    }
-
-    #[test]
     fn slot_helpers() {
         let flight: Arc<Flight<u8>> = Flight::new();
         let pending = Slot::Pending(Arc::clone(&flight));
@@ -394,7 +338,8 @@ mod tests {
     fn assembled_memo_is_single_flight() {
         struct TinyMemo {
             shards: Shards<HashMap<String, Slot<Arc<str>>>>,
-            counters: Counters,
+            hits: AtomicUsize,
+            misses: AtomicUsize,
         }
         impl TinyMemo {
             fn get_or_compute(
@@ -407,12 +352,12 @@ mod tests {
                         let mut shard = self.shards.lock(key.as_bytes());
                         match shard.get(key) {
                             Some(Slot::Ready(v)) => {
-                                self.counters.hit();
+                                self.hits.fetch_add(1, Ordering::Relaxed);
                                 return Arc::clone(v);
                             }
                             Some(Slot::Pending(f)) => Arc::clone(f),
                             None => {
-                                self.counters.miss();
+                                self.misses.fetch_add(1, Ordering::Relaxed);
                                 let flight = Flight::new();
                                 shard.insert(key.to_owned(), Slot::Pending(Arc::clone(&flight)));
                                 drop(shard);
@@ -442,7 +387,7 @@ mod tests {
                         }
                     };
                     if let Some(v) = flight.wait() {
-                        self.counters.hit();
+                        self.hits.fetch_add(1, Ordering::Relaxed);
                         return v;
                     }
                 }
@@ -451,7 +396,8 @@ mod tests {
 
         let memo = TinyMemo {
             shards: Shards::new(2),
-            counters: Counters::default(),
+            hits: AtomicUsize::new(0),
+            misses: AtomicUsize::new(0),
         };
         let calls = AtomicUsize::new(0);
         let compute = |key: &str| {
@@ -471,8 +417,7 @@ mod tests {
             }
         });
         assert_eq!(calls.load(Ordering::Relaxed), 3, "one computation per key");
-        let snap = memo.counters.snapshot();
-        assert_eq!(snap.misses, 3);
-        assert_eq!(snap.hits, 21);
+        assert_eq!(memo.misses.load(Ordering::Relaxed), 3);
+        assert_eq!(memo.hits.load(Ordering::Relaxed), 21);
     }
 }

@@ -1,6 +1,6 @@
-//! The per-node metric registry: named stage histograms, the completed
-//! trace ring, and the deterministic trace-id counter, with
-//! Prometheus-style and JSON exposition.
+//! The per-node metric registry: named event counters and stage
+//! histograms, the completed trace ring, and the deterministic trace-id
+//! counter, with Prometheus-style exposition.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,15 +28,39 @@ pub mod stage {
     pub const COMPACTION: &str = "compaction";
 }
 
+/// A monotonic event counter: one `AtomicU64`, bumped with one relaxed
+/// add. It never goes down, so a scraper never sees a reset.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Adds `n`.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds one.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// The count so far.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
 /// One node's observability surface. Cheap to share (`Arc`); a no-op
 /// registry hands out disabled histograms and disabled trace contexts,
 /// so instrumented code is written once and costs a branch when
-/// telemetry is off.
+/// telemetry is off. Counters count on a no-op registry too: they are
+/// the node's accounting (requests, sheds, cache hits), not timing.
 pub struct Registry {
     enabled: bool,
     /// The node label, `&'static` so every trace can carry it without
     /// a copy ([`static_name`]).
     node: &'static str,
+    counters: Mutex<BTreeMap<&'static str, Arc<Counter>>>,
     hists: Mutex<BTreeMap<String, Arc<Histogram>>>,
     traces: Arc<TraceRing>,
     next_trace_id: AtomicU64,
@@ -57,18 +81,20 @@ impl Registry {
         Arc::new(Registry {
             enabled: true,
             node: static_name(node),
+            counters: Mutex::new(BTreeMap::new()),
             hists: Mutex::new(BTreeMap::new()),
             traces: Arc::new(TraceRing::new(TRACE_RING_CAPACITY)),
             next_trace_id: AtomicU64::new(1),
         })
     }
 
-    /// A disabled registry: histograms never record, trace contexts
-    /// are inert, exposition renders empty.
+    /// A disabled registry: histograms never record and trace contexts
+    /// are inert; only counters count.
     pub fn noop(node: &str) -> Arc<Registry> {
         Arc::new(Registry {
             enabled: false,
             node: static_name(node),
+            counters: Mutex::new(BTreeMap::new()),
             hists: Mutex::new(BTreeMap::new()),
             traces: Arc::new(TraceRing::new(1)),
             next_trace_id: AtomicU64::new(1),
@@ -83,6 +109,28 @@ impl Registry {
     /// The node label exposition carries.
     pub fn node(&self) -> &str {
         self.node
+    }
+
+    /// Get-or-register the counter `name`. Callers cache the `Arc` —
+    /// the lock here is for registration, not the count path.
+    pub fn counter(&self, name: &'static str) -> Arc<Counter> {
+        let mut counters = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(counters.entry(name).or_default())
+    }
+
+    /// Registers a counter its owner created, replacing any counter
+    /// registered under `name` before: how a component that counts
+    /// before it joins a node (a cache, a cluster router) exposes its
+    /// counts there.
+    pub fn register_counter(&self, name: &'static str, counter: &Arc<Counter>) {
+        let mut counters = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
+        counters.insert(name, Arc::clone(counter));
+    }
+
+    /// Every registered counter's count, in name order.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        let counters = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
+        counters.iter().map(|(&name, c)| (name, c.get())).collect()
     }
 
     /// Get-or-create the stage histogram. Callers cache the `Arc` —
@@ -154,7 +202,9 @@ impl Registry {
     /// Prometheus-style text exposition: one `teda_stage_us` histogram
     /// family with a `stage` label per registered histogram, non-empty
     /// buckets as cumulative `_bucket` samples plus the `+Inf` bucket
-    /// and `_count`. Ordering is stable (stages sorted, buckets
+    /// and `_count`; the completed-trace gauge; and one
+    /// `teda_counter_total` family with a `counter` label per
+    /// registered counter. Ordering is stable (names sorted, buckets
     /// ascending), so two scrapes of identical state render
     /// identically.
     pub fn to_prometheus(&self) -> String {
@@ -198,6 +248,15 @@ impl Registry {
             self.traces.completed()
         )
         .expect("string write");
+        out.push_str("# TYPE teda_counter_total counter\n");
+        for (name, count) in self.counters() {
+            writeln!(
+                out,
+                "teda_counter_total{{node=\"{}\",counter=\"{name}\"}} {count}",
+                self.node
+            )
+            .expect("string write");
+        }
         out
     }
 }
@@ -214,6 +273,21 @@ mod tests {
         a.record(10);
         assert_eq!(b.snapshot().count(), 1, "same underlying histogram");
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn counters_are_get_or_register_and_count_when_disabled() {
+        let reg = Registry::noop("off");
+        let a = reg.counter("b.hits");
+        a.add(2);
+        reg.counter("b.hits").inc();
+        assert_eq!(a.get(), 3, "same underlying counter");
+        let owned = Arc::new(Counter::default());
+        owned.add(5);
+        reg.register_counter("a.misses", &owned);
+        assert_eq!(reg.counters(), vec![("a.misses", 5), ("b.hits", 3)]);
+        reg.register_counter("b.hits", &owned);
+        assert_eq!(reg.counters(), vec![("a.misses", 5), ("b.hits", 5)]);
     }
 
     #[test]
@@ -260,5 +334,13 @@ mod tests {
         assert!(annotate_pos < search_pos, "stages must be sorted");
         assert!(a.contains("teda_stage_us_count{node=\"node-a\",stage=\"annotate\"} 2"));
         assert!(a.contains("le=\"+Inf\""));
+        reg.counter("shed").add(4);
+        reg.counter("completed").inc();
+        let c = reg.to_prometheus();
+        assert!(c.ends_with(
+            "# TYPE teda_counter_total counter\n\
+             teda_counter_total{node=\"node-a\",counter=\"completed\"} 1\n\
+             teda_counter_total{node=\"node-a\",counter=\"shed\"} 4\n"
+        ));
     }
 }

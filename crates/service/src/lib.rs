@@ -72,7 +72,7 @@ pub use scheduler::{
     AnnotationService, Rejection, RequestFailed, RequestHandle, RequestOutcome, ServiceConfig,
     SubmitRequest, Wait,
 };
-pub use stats::{ClientStats, ClusterTelemetry, LatencySummary, ServiceStats, StageStats};
+pub use stats::{ClientStats, LatencySummary, ServiceStats, StageStats};
 // The persistence layer's error type, surfaced by
 // `AnnotationService::snapshot_now` (and mapped onto the wire by the
 // `SNAPSHOT` verb) — re-exported so callers need not depend on

@@ -37,7 +37,7 @@ use teda_core::pipeline::{BatchAnnotator, TableAnnotations};
 use teda_core::stream::{
     AnnotatedTable, AnnotationSink, IntoArcTable, SourceError, StreamSummary, TableSource,
 };
-use teda_obs::{stage, Histogram, Registry, StageTimer, TraceCtx};
+use teda_obs::{stage, Counter, Histogram, Registry, StageTimer, TraceCtx};
 use teda_tabular::Table;
 
 use crate::fairness::{Admission, Cancelled, ClientId};
@@ -280,23 +280,33 @@ struct Shared {
     /// buckets + per-client counters (see [`crate::fairness`]). Parked
     /// blocking submitters wait on its condvar; refunds wake them.
     admission: Admission,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    shed_queue: AtomicU64,
-    shed_budget: AtomicU64,
-    rejected_oversize: AtomicU64,
-    stream_tables: AtomicU64,
-    backpressure_waits: AtomicU64,
-    /// Query-cache entries restored from the store at start (warm
-    /// start); 0 when no store is configured or the snapshot was
-    /// missing/damaged.
-    restored_cache_entries: AtomicU64,
+    // The node's counters, each registered on `obs` under its field
+    // name.
+    /// Submission attempts, accepted or not.
+    submitted: Arc<Counter>,
+    /// Requests that ran to completion.
+    completed: Arc<Counter>,
+    /// Requests whose worker panicked (completed with an error outcome).
+    failed: Arc<Counter>,
+    /// Requests shed because the submission queue was full.
+    shed_queue: Arc<Counter>,
+    /// Requests shed because the pooled query budget was exhausted.
+    shed_budget: Arc<Counter>,
+    /// Requests rejected because their worst-case query need exceeded
+    /// the per-request budget.
+    rejected_oversize: Arc<Counter>,
+    /// Tables admitted through [`AnnotationService::submit_stream`].
+    stream_tables: Arc<Counter>,
+    /// Times a blocking submission stalled on a full queue or an empty
+    /// query pool — each one is backpressure applied to a source
+    /// instead of a shed table.
+    backpressure_waits: Arc<Counter>,
     /// Live corpus updates published while serving (each one swapped
     /// the search backend and invalidated the query memo).
-    corpus_refreshes: AtomicU64,
-    /// The node's observability surface: stage histograms, the trace
-    /// ring, exposition. A no-op registry when telemetry is off.
+    corpus_refreshes: Arc<Counter>,
+    /// The node's observability surface: counters, stage histograms,
+    /// the trace ring, exposition. A no-op registry when telemetry is
+    /// off (its counters still count).
     obs: Arc<Registry>,
     /// Stage histograms cached at start so the completion path records
     /// with one atomic increment — never the registry's lookup lock.
@@ -344,10 +354,6 @@ pub struct AnnotationService {
     /// Set by [`start_live`](Self::start_live): the updatable corpus
     /// behind the engine, driving `add_pages`/`remove_pages`.
     live: Option<Arc<crate::live::LiveCorpus>>,
-    /// Set by [`attach_cluster_telemetry`](Self::attach_cluster_telemetry):
-    /// the fan-out counters of a cluster router serving this node's
-    /// searches, folded into [`stats`](Self::stats).
-    cluster: std::sync::OnceLock<Arc<crate::stats::ClusterTelemetry>>,
 }
 
 impl AnnotationService {
@@ -397,6 +403,14 @@ impl AnnotationService {
         } else {
             Registry::noop("service")
         };
+        // Query-cache entries restored from the store (warm start); 0
+        // when no store is configured or the snapshot was damaged.
+        obs.counter("restored_cache_entries").add(restored);
+        // A cluster router's counters, zero until
+        // `attach_cluster_telemetry` registers the router's own.
+        for name in ["shard_fanouts", "partial_results", "replica_retries"] {
+            obs.counter(name);
+        }
         let shared = Arc::new(Shared {
             annotator,
             admission: Admission::new(
@@ -404,16 +418,15 @@ impl AnnotationService {
                 config.fair_quantum,
                 config.max_tracked_clients,
             ),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            shed_queue: AtomicU64::new(0),
-            shed_budget: AtomicU64::new(0),
-            rejected_oversize: AtomicU64::new(0),
-            stream_tables: AtomicU64::new(0),
-            backpressure_waits: AtomicU64::new(0),
-            restored_cache_entries: AtomicU64::new(restored),
-            corpus_refreshes: AtomicU64::new(0),
+            submitted: obs.counter("submitted"),
+            completed: obs.counter("completed"),
+            failed: obs.counter("failed"),
+            shed_queue: obs.counter("shed_queue"),
+            shed_budget: obs.counter("shed_budget"),
+            rejected_oversize: obs.counter("rejected_oversize"),
+            stream_tables: obs.counter("stream_tables"),
+            backpressure_waits: obs.counter("backpressure_waits"),
+            corpus_refreshes: obs.counter("corpus_refreshes"),
             hist_request: obs.histogram(stage::REQUEST),
             hist_queue_wait: obs.histogram(stage::QUEUE_WAIT),
             hist_annotate: obs.histogram(stage::ANNOTATE),
@@ -423,8 +436,10 @@ impl AnnotationService {
         });
         // The engine's query cache reports into the same registry:
         // `cache_lookup` for memoized answers, `search` for the leader
-        // engine calls behind misses.
+        // engine calls behind misses, and its `cache.*` counters; the
+        // geocoding memo adds its `geocode.*` counters.
         shared.annotator.cache().attach_obs(&shared.obs);
+        shared.annotator.geo_memo().attach_obs(&shared.obs);
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -441,21 +456,21 @@ impl AnnotationService {
             workers: handles,
             config,
             live: None,
-            cluster: std::sync::OnceLock::new(),
         }
     }
 
-    /// Attaches the fan-out counters of a cluster router fronting this
-    /// service, so scatter-gather accounting (`shard_fanouts`,
+    /// Registers the counters of a cluster router fronting this
+    /// service — its registry, `ClusterRouter::telemetry` — on this
+    /// node, so scatter-gather accounting (`shard_fanouts`,
     /// `partial_results`, `replica_retries`) appears in
-    /// [`stats`](Self::stats) and on the `STATS` wire verb. One router
-    /// per service: later attaches are ignored and the first telemetry
-    /// handle is returned.
-    pub fn attach_cluster_telemetry(
-        &self,
-        telemetry: Arc<crate::stats::ClusterTelemetry>,
-    ) -> Arc<crate::stats::ClusterTelemetry> {
-        Arc::clone(self.cluster.get_or_init(|| telemetry))
+    /// [`stats`](Self::stats) and on the `STATS` and `METRICS` wire
+    /// verbs. A later attach replaces an earlier router's counters.
+    pub fn attach_cluster_telemetry(&self, router: Arc<Registry>) {
+        for (name, _) in router.counters() {
+            self.shared
+                .obs
+                .register_counter(name, &router.counter(name));
+        }
     }
 
     /// Starts the service over a [`LiveCorpus`](crate::live::LiveCorpus):
@@ -498,7 +513,7 @@ impl AnnotationService {
             .ok_or(teda_store::StoreError::NotConfigured)?;
         let report = live.add_pages(pages)?;
         self.shared.annotator.cache().clear();
-        self.shared.corpus_refreshes.fetch_add(1, Ordering::Relaxed);
+        self.shared.corpus_refreshes.inc();
         Ok(report)
     }
 
@@ -515,7 +530,7 @@ impl AnnotationService {
             .ok_or(teda_store::StoreError::NotConfigured)?;
         let report = live.remove_pages(urls)?;
         self.shared.annotator.cache().clear();
-        self.shared.corpus_refreshes.fetch_add(1, Ordering::Relaxed);
+        self.shared.corpus_refreshes.inc();
         Ok(report)
     }
 
@@ -585,14 +600,12 @@ impl AnnotationService {
             },
             (None, false) => JobTrace::Off,
         };
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
+        self.shared.submitted.inc();
         let need = (table.n_rows() * table.n_cols()) as u64;
 
         if let Some(budget) = self.config.max_queries_per_request {
             if need > budget {
-                self.shared
-                    .rejected_oversize
-                    .fetch_add(1, Ordering::Relaxed);
+                self.shared.rejected_oversize.inc();
                 self.shared.admission.note_rejected(&client);
                 return Err(Rejection::RequestTooLarge { need, budget });
             }
@@ -602,7 +615,7 @@ impl AnnotationService {
         let blocking = match wait {
             Wait::Shed => {
                 if !self.shared.admission.try_reserve(&client, need) {
-                    self.shared.shed_budget.fetch_add(1, Ordering::Relaxed);
+                    self.shared.shed_budget.inc();
                     return Err(Rejection::BudgetExhausted);
                 }
                 false
@@ -614,9 +627,7 @@ impl AnnotationService {
                     .reserve_blocking(&client, need, cancel)
                     .map_err(|Cancelled| Rejection::Cancelled)?;
                 if stalled {
-                    self.shared
-                        .backpressure_waits
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.shared.backpressure_waits.inc();
                 }
                 true
             }
@@ -670,9 +681,7 @@ impl AnnotationService {
             Err(TrySendError::Full(job)) if blocking => {
                 // Queue full: block until a worker frees a slot. The
                 // stall is what throttles a streaming source.
-                self.shared
-                    .backpressure_waits
-                    .fetch_add(1, Ordering::Relaxed);
+                self.shared.backpressure_waits.inc();
                 match tx.send(job) {
                     Ok(()) => Ok(RequestHandle { reply: reply_rx }),
                     Err(_) => {
@@ -686,7 +695,7 @@ impl AnnotationService {
             Err(TrySendError::Full(_)) => {
                 self.shared.clear_inflight(ticket);
                 self.refund(need);
-                self.shared.shed_queue.fetch_add(1, Ordering::Relaxed);
+                self.shared.shed_queue.inc();
                 self.shared.admission.note_shed(client);
                 Err(Rejection::QueueFull)
             }
@@ -777,7 +786,7 @@ impl AnnotationService {
                         ..Arc::clone(&table).into()
                     }) {
                         Ok(handle) => {
-                            self.shared.stream_tables.fetch_add(1, Ordering::Relaxed);
+                            self.shared.stream_tables.inc();
                             PendingStream::Running(table, handle)
                         }
                         Err(rejection) => PendingStream::Failed(SourceError::msg(format!(
@@ -878,34 +887,15 @@ impl AnnotationService {
             .as_ref()
             .and_then(|live| live.map_stats())
             .unwrap_or_default();
-        let (shard_fanouts, partial_results, replica_retries) = self
-            .cluster
-            .get()
-            .map(|t| t.snapshot())
-            .unwrap_or((0, 0, 0));
         ServiceStats {
-            submitted: self.shared.submitted.load(Ordering::Relaxed),
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            failed: self.shared.failed.load(Ordering::Relaxed),
-            shed_queue: self.shared.shed_queue.load(Ordering::Relaxed),
-            shed_budget: self.shared.shed_budget.load(Ordering::Relaxed),
-            rejected_oversize: self.shared.rejected_oversize.load(Ordering::Relaxed),
-            stream_tables: self.shared.stream_tables.load(Ordering::Relaxed),
-            backpressure_waits: self.shared.backpressure_waits.load(Ordering::Relaxed),
-            restored_cache_entries: self.shared.restored_cache_entries.load(Ordering::Relaxed),
-            corpus_refreshes: self.shared.corpus_refreshes.load(Ordering::Relaxed),
+            counters: self.shared.obs.counters(),
             mapped_bytes: map_stats.mapped_bytes,
             resident_bytes: map_stats.resident_bytes,
             page_hydrations: map_stats.hydrations,
-            shard_fanouts,
-            partial_results,
-            replica_retries,
             inflight,
             inflight_oldest_ms,
             latency,
             stages,
-            cache: self.shared.annotator.cache_stats(),
-            geocode: self.shared.annotator.geo_stats(),
             clients: self.shared.admission.client_stats(),
         }
     }
@@ -1041,7 +1031,7 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
                         .saturating_sub(annotations.queried_cells as u64),
                 );
                 let latency = done.saturating_duration_since(job.enqueued);
-                shared.completed.fetch_add(1, Ordering::Relaxed);
+                shared.completed.inc();
                 shared.hist_request.record(latency.as_micros() as u64);
                 shared.clear_inflight(job.ticket);
                 trace.finish_at(done);
@@ -1054,7 +1044,7 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
             Err(_) => {
                 // The engine unwound mid-request: the reservation is not
                 // refunded (true usage unknown), the caller is told.
-                shared.failed.fetch_add(1, Ordering::Relaxed);
+                shared.failed.inc();
                 shared.admission.on_failed(&job.client);
                 shared.clear_inflight(job.ticket);
                 trace.finish_at(done);
@@ -1181,8 +1171,8 @@ mod tests {
         assert_eq!(outcome.annotations, reference, "service changed a result");
         assert!(outcome.latency >= outcome.queue_wait);
         let stats = service.shutdown();
-        assert_eq!(stats.submitted, 1);
-        assert_eq!(stats.completed, 1);
+        assert_eq!(stats.counter("submitted"), 1);
+        assert_eq!(stats.counter("completed"), 1);
         assert_eq!(stats.shed(), 0);
     }
 
@@ -1211,8 +1201,8 @@ mod tests {
             handle.wait().expect("accepted requests complete");
         }
         let stats = service.shutdown();
-        assert_eq!(stats.shed_queue, shed);
-        assert_eq!(stats.completed + stats.shed_queue, 12);
+        assert_eq!(stats.counter("shed_queue"), shed);
+        assert_eq!(stats.counter("completed") + stats.counter("shed_queue"), 12);
         assert!(stats.shed_rate() > 0.0);
     }
 
@@ -1234,8 +1224,8 @@ mod tests {
             "{err}"
         );
         let stats = service.shutdown();
-        assert_eq!(stats.rejected_oversize, 1);
-        assert_eq!(stats.completed, 0);
+        assert_eq!(stats.counter("rejected_oversize"), 1);
+        assert_eq!(stats.counter("completed"), 0);
     }
 
     #[test]
@@ -1288,7 +1278,11 @@ mod tests {
             .map(|i| service.submit(restaurant_table(&i.to_string())).unwrap())
             .collect();
         let stats = service.shutdown();
-        assert_eq!(stats.completed, 6, "queued work drains before exit");
+        assert_eq!(
+            stats.counter("completed"),
+            6,
+            "queued work drains before exit"
+        );
         for handle in handles {
             handle.wait().expect("drained requests still answer");
         }
@@ -1320,7 +1314,7 @@ mod tests {
         let results = sink.into_annotations().expect("no errors");
         assert_eq!(results, reference, "streamed service diverged from batch");
         let stats = service.shutdown();
-        assert_eq!(stats.stream_tables, 8);
+        assert_eq!(stats.counter("stream_tables"), 8);
         assert_eq!(stats.shed(), 0, "streaming must not shed");
     }
 
@@ -1349,9 +1343,9 @@ mod tests {
         assert_eq!(summary.errors, 0);
         let stats = service.shutdown();
         assert_eq!(stats.shed(), 0, "blocking admission never sheds");
-        assert_eq!(stats.completed, 10);
+        assert_eq!(stats.counter("completed"), 10);
         assert!(
-            stats.backpressure_waits > 0,
+            stats.counter("backpressure_waits") > 0,
             "a depth-1 queue under a 10-table stream must stall the source"
         );
     }
@@ -1395,7 +1389,11 @@ mod tests {
         });
         assert_eq!(summary.annotated, 5, "refills must admit the stream");
         let stats = service.shutdown();
-        assert_eq!(stats.shed_budget, 0, "budget pauses, never sheds, here");
+        assert_eq!(
+            stats.counter("shed_budget"),
+            0,
+            "budget pauses, never sheds, here"
+        );
     }
 
     #[test]
@@ -1498,10 +1496,10 @@ mod tests {
         assert_eq!(outcome.annotations.queried_cells, 2);
         // …and the stats path must not be wedged either.
         let stats = service.stats();
-        assert_eq!(stats.failed, 1);
-        assert_eq!(stats.completed, 1);
+        assert_eq!(stats.counter("failed"), 1);
+        assert_eq!(stats.counter("completed"), 1);
         let final_stats = service.shutdown();
-        assert_eq!(final_stats.failed, 1);
+        assert_eq!(final_stats.counter("failed"), 1);
     }
 
     /// Regression (lock-poisoning wedge, unit level): the latency path
@@ -1530,7 +1528,7 @@ mod tests {
             .expect("completion path recovers the poisoned map");
         assert!(outcome.latency >= outcome.queue_wait);
         let stats = service.stats();
-        assert_eq!(stats.completed, 1);
+        assert_eq!(stats.counter("completed"), 1);
         assert_eq!(stats.inflight, 0, "completed ticket must be retired");
         assert_eq!(stats.latency.max, stats.latency.p99.max(stats.latency.max));
         service.shutdown();
@@ -1568,12 +1566,13 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         };
         assert_eq!(
-            seen.completed, 0,
+            seen.counter("completed"),
+            0,
             "the request must still be running when observed"
         );
         handle.wait().expect("completes");
         let done = service.shutdown();
-        assert_eq!(done.completed, 1);
+        assert_eq!(done.counter("completed"), 1);
         assert_eq!(done.inflight, 0);
         assert_eq!(done.inflight_oldest_ms, 0);
         // The tail latency the old summary would have discarded until
@@ -1666,7 +1665,7 @@ mod tests {
         assert_eq!(outcome.annotations.queried_cells, 2);
         let stats = service.stats();
         assert!(
-            stats.backpressure_waits >= 1,
+            stats.counter("backpressure_waits") >= 1,
             "the stall must be counted as backpressure"
         );
         // 4 reserved, 2 actually queried → 2 refunded.
@@ -1828,17 +1827,21 @@ mod tests {
             .unwrap()
             .wait()
             .expect("completes");
-        let cold_misses = service.stats().cache.misses;
+        let cold_misses = service.stats().counter("cache.misses");
         assert!(cold_misses > 0, "the first generation must actually search");
         let stats = service.shutdown(); // writes <dir>/cache.snap
-        assert_eq!(stats.restored_cache_entries, 0, "generation one was cold");
+        assert_eq!(
+            stats.counter("restored_cache_entries"),
+            0,
+            "generation one was cold"
+        );
 
         let reborn = AnnotationService::start(annotator(Duration::ZERO), config);
         let warm_stats = reborn.stats();
         assert!(
-            warm_stats.restored_cache_entries >= cold_misses,
+            warm_stats.counter("restored_cache_entries") >= cold_misses,
             "restore must land every persisted entry, got {} of {}",
-            warm_stats.restored_cache_entries,
+            warm_stats.counter("restored_cache_entries"),
             cold_misses
         );
         let again = reborn
@@ -1852,10 +1855,11 @@ mod tests {
         );
         let final_stats = reborn.shutdown();
         assert_eq!(
-            final_stats.cache.misses, 0,
+            final_stats.counter("cache.misses"),
+            0,
             "every query of the rerun must hit the restored memo"
         );
-        assert_eq!(final_stats.cache.hits, cold_misses);
+        assert_eq!(final_stats.counter("cache.hits"), cold_misses);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1895,7 +1899,11 @@ mod tests {
                 ..ServiceConfig::default()
             },
         );
-        assert_eq!(service.stats().restored_cache_entries, 0, "cold, not dead");
+        assert_eq!(
+            service.stats().counter("restored_cache_entries"),
+            0,
+            "cold, not dead"
+        );
         assert!(!stale.exists(), "stale .tmp leftovers are swept at start");
         let outcome = service
             .submit(restaurant_table("after-corruption"))
@@ -1967,7 +1975,7 @@ mod tests {
                         }
                     }
 
-                    let oversize_before = service.stats().rejected_oversize;
+                    let oversize_before = service.stats().counter("rejected_oversize");
                     let rejected = service.submit(SubmitRequest {
                         table: Arc::clone(&big),
                         client: client.clone(),
@@ -1980,7 +1988,7 @@ mod tests {
                         "{label}"
                     );
                     assert_eq!(
-                        service.stats().rejected_oversize,
+                        service.stats().counter("rejected_oversize"),
                         oversize_before + 1,
                         "{label}: an oversized table is counted once"
                     );
@@ -1989,7 +1997,11 @@ mod tests {
         }
         let stats = service.shutdown();
         assert_eq!(
-            (stats.submitted, stats.completed, stats.rejected_oversize),
+            (
+                stats.counter("submitted"),
+                stats.counter("completed"),
+                stats.counter("rejected_oversize")
+            ),
             (24, 12, 12)
         );
         // Each client ran 6 admitted and 6 oversized submissions.
@@ -2030,7 +2042,7 @@ mod tests {
                 .unwrap();
         }
         let stats = service.shutdown();
-        assert_eq!(stats.submitted, 3);
+        assert_eq!(stats.counter("submitted"), 3);
         assert_eq!(stats.client("anonymous").unwrap().completed, 1);
         let ui_stats = stats.client("ui").unwrap();
         assert_eq!(ui_stats.submitted, 2);

@@ -1,50 +1,9 @@
-//! Service accounting: latency percentiles, shed rates, cache hit
-//! rates, and the cluster serving counters.
+//! Service accounting: the node's counters, latency percentiles and
+//! stage distributions, and per-client admission counts.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use teda_core::cache::CacheStats;
-use teda_geo::GeocodeStats;
-
-/// Counters a cluster router shares with the service it fronts, so
-/// scatter-gather behaviour shows up in the same [`ServiceStats`]
-/// report (and `STATS` wire payload) as everything else. Lock-free:
-/// the router bumps these on its fan-out path.
-#[derive(Debug, Default)]
-pub struct ClusterTelemetry {
-    shard_fanouts: AtomicU64,
-    partial_results: AtomicU64,
-    replica_retries: AtomicU64,
-}
-
-impl ClusterTelemetry {
-    /// Records one search fanned out to `shards` shard groups.
-    pub fn record_fanout(&self, shards: u64) {
-        self.shard_fanouts.fetch_add(shards, Ordering::Relaxed);
-    }
-
-    /// Records one search answered without a whole replica group —
-    /// a degraded (partial) result the operator should know about.
-    pub fn record_partial(&self) {
-        self.partial_results.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one failover retry against another replica.
-    pub fn record_retry(&self) {
-        self.replica_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A point-in-time `(shard_fanouts, partial_results,
-    /// replica_retries)` snapshot.
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.shard_fanouts.load(Ordering::Relaxed),
-            self.partial_results.load(Ordering::Relaxed),
-            self.replica_retries.load(Ordering::Relaxed),
-        )
-    }
-}
 
 /// One pipeline stage's latency distribution, summarized from its
 /// log-bucketed `teda-obs` histogram: counts are exact, quantiles and
@@ -124,34 +83,13 @@ pub struct ClientStats {
 /// A point-in-time report of the service counters.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceStats {
-    /// Submission attempts, accepted or not.
-    pub submitted: u64,
-    /// Requests that ran to completion.
-    pub completed: u64,
-    /// Requests whose worker panicked (completed with an error outcome).
-    pub failed: u64,
-    /// Requests shed because the submission queue was full.
-    pub shed_queue: u64,
-    /// Requests shed because the pooled query budget was exhausted.
-    pub shed_budget: u64,
-    /// Requests rejected because their worst-case query need exceeded
-    /// the per-request budget.
-    pub rejected_oversize: u64,
-    /// Tables admitted through the streaming front-end
-    /// (`AnnotationService::submit_stream`).
-    pub stream_tables: u64,
-    /// Times a blocking submission stalled on a full queue or an empty
-    /// query pool — each one is backpressure applied to a source
-    /// instead of a shed table.
-    pub backpressure_waits: u64,
-    /// Query-cache entries restored from the persistent store at start
-    /// (the warm-start handoff); 0 without a `store_dir` or when the
-    /// snapshot was missing or damaged.
-    pub restored_cache_entries: u64,
-    /// Live corpus updates (`add_pages`/`remove_pages`) published to
-    /// the running engine; each one swapped the search backend and
-    /// cleared the query memo. 0 without a live corpus.
-    pub corpus_refreshes: u64,
+    /// Every counter of the node's `teda-obs` registry, in name order:
+    /// the scheduler's (`submitted`, `completed`, `shed_queue`, …), the
+    /// query cache's `cache.*` and the geocoding memo's `geocode.*`,
+    /// and an attached cluster router's `shard_fanouts`,
+    /// `partial_results` and `replica_retries`. Counters are monotonic;
+    /// [`counter`](Self::counter) reads one by name.
+    pub counters: Vec<(&'static str, u64)>,
     /// Bytes of the mmap'd corpus snapshot behind the live backend.
     /// 0 unless the service runs with `ServiceConfig::mmap_corpus`. All
     /// three mapping counters describe the *current* mapping — a
@@ -164,15 +102,6 @@ pub struct ServiceStats {
     /// Page-text hydrations served from the mapping (one per hit whose
     /// fields were materialized for display).
     pub page_hydrations: u64,
-    /// Shard queries fanned out by an attached cluster router (the sum
-    /// of group count over its searches); 0 without
-    /// [`ClusterTelemetry`] attached.
-    pub shard_fanouts: u64,
-    /// Searches a cluster router answered without a whole replica
-    /// group — each one is a degraded result, never a silent one.
-    pub partial_results: u64,
-    /// Failover retries a cluster router made against other replicas.
-    pub replica_retries: u64,
     /// Requests admitted but not yet completed (queued or running).
     /// The completed-only latency summary cannot see these; a wedged
     /// request shows up here *while* it is wedged.
@@ -187,16 +116,21 @@ pub struct ServiceStats {
     /// Per-stage latency distributions (queue wait, annotate, snapshot,
     /// …), sorted by stage name. Empty until a stage records.
     pub stages: Vec<StageStats>,
-    /// Query-cache accounting of the underlying batch engine.
-    pub cache: CacheStats,
-    /// Geocoding-memo accounting of the underlying batch engine.
-    pub geocode: GeocodeStats,
     /// Per-client admission accounting, sorted by client name. Clients
     /// appear once they have submitted (or registered) at least once.
     pub clients: Vec<ClientStats>,
 }
 
 impl ServiceStats {
+    /// The count of the counter `name`; 0 when no such counter is
+    /// registered.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |&(_, count)| count)
+    }
+
     /// The counters of one client, if it has been seen.
     pub fn client(&self, name: &str) -> Option<&ClientStats> {
         self.clients.iter().find(|c| c.client == name)
@@ -209,21 +143,25 @@ impl ServiceStats {
 
     /// Shed + rejected requests.
     pub fn shed(&self) -> u64 {
-        self.shed_queue + self.shed_budget + self.rejected_oversize
+        self.counter("shed_queue") + self.counter("shed_budget") + self.counter("rejected_oversize")
     }
 
     /// Fraction of submission attempts that were shed, in `[0, 1]`.
     pub fn shed_rate(&self) -> f64 {
-        if self.submitted == 0 {
-            0.0
-        } else {
-            self.shed() as f64 / self.submitted as f64
+        match self.counter("submitted") {
+            0 => 0.0,
+            submitted => self.shed() as f64 / submitted as f64,
         }
     }
 
     /// Query-cache hit rate of the underlying engine, in `[0, 1]`.
     pub fn cache_hit_rate(&self) -> f64 {
-        self.cache.hit_rate()
+        CacheStats {
+            hits: self.counter("cache.hits"),
+            misses: self.counter("cache.misses"),
+            ..CacheStats::default()
+        }
+        .hit_rate()
     }
 }
 
@@ -257,10 +195,12 @@ mod tests {
     #[test]
     fn shed_rate_math() {
         let stats = ServiceStats {
-            submitted: 10,
-            completed: 7,
-            shed_queue: 2,
-            shed_budget: 1,
+            counters: vec![
+                ("completed", 7),
+                ("shed_budget", 1),
+                ("shed_queue", 2),
+                ("submitted", 10),
+            ],
             ..ServiceStats::default()
         };
         assert_eq!(stats.shed(), 3);

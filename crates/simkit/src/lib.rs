@@ -16,8 +16,8 @@
 //!   (world, web corpus, table set, classifier initialisation) is
 //!   deterministic given one master seed, yet decorrelated across
 //!   components.
-//! * [`stats`] — the interpolated percentile and mean used by the
-//!   experiment harness.
+//! * [`stats`] — the interpolated percentile used by the experiment
+//!   harness.
 //! * [`tablefmt`] — a plain-text table renderer; every experiment binary
 //!   prints paper-style tables through it.
 

@@ -1,5 +1,5 @@
-//! Small summary-statistics helpers used by the experiment harness when
-//! reporting per-row timings, score distributions and sweep series.
+//! The interpolated percentile the experiment harness reports its
+//! timed samples with.
 
 /// Linear-interpolated percentile of an already-sorted, non-empty slice.
 /// `q` in `[0, 1]`.
@@ -17,15 +17,6 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     } else {
         let frac = pos - lo as f64;
         sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
-}
-
-/// The mean of a slice; 0.0 when empty. Shared by several report builders.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
     }
 }
 
@@ -55,11 +46,5 @@ mod tests {
         assert_eq!(percentile_sorted(&xs, 1.0), 50.0);
         assert_eq!(percentile_sorted(&xs, 0.5), 30.0);
         assert!((percentile_sorted(&xs, 0.25) - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_of_empty_is_zero() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[2.0, 4.0]), 3.0);
     }
 }

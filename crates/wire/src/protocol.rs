@@ -537,31 +537,25 @@ pub fn render_annotations(a: &TableAnnotations) -> String {
 }
 
 /// Text rendering of a [`ServiceStats`] snapshot — the `STATS` payload.
-/// One `key=value` summary line, then one `client …` line per client in
-/// name order.
+/// One `key=value` summary line (every counter in name order, then the
+/// latency summary), then one `client …` line per client in name order.
 pub fn render_stats(s: &ServiceStats) -> String {
     use std::fmt::Write;
 
-    let mut out = format!(
-        "submitted={} completed={} failed={} shed_queue={} shed_budget={} \
-         rejected_oversize={} stream_tables={} backpressure_waits={} \
-         p50_us={} p99_us={} max_us={} shard_fanouts={} partial_results={} \
-         replica_retries={}\n",
-        s.submitted,
-        s.completed,
-        s.failed,
-        s.shed_queue,
-        s.shed_budget,
-        s.rejected_oversize,
-        s.stream_tables,
-        s.backpressure_waits,
+    let mut out = String::new();
+    for (name, count) in &s.counters {
+        // teda-lint: allow(panic_on_untrusted) -- fmt::Write into String is infallible
+        write!(out, "{name}={count} ").expect("string write");
+    }
+    writeln!(
+        out,
+        "p50_us={} p99_us={} max_us={}",
         s.latency.p50.as_micros(),
         s.latency.p99.as_micros(),
         s.latency.max.as_micros(),
-        s.shard_fanouts,
-        s.partial_results,
-        s.replica_retries,
-    );
+    )
+    // teda-lint: allow(panic_on_untrusted) -- fmt::Write into String is infallible
+    .expect("string write");
     for c in &s.clients {
         writeln!(
             out,
@@ -574,67 +568,53 @@ pub fn render_stats(s: &ServiceStats) -> String {
     out
 }
 
-fn json_str(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + 2);
-    out.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                // teda-lint: allow(panic_on_untrusted) -- fmt::Write into String is infallible
-                write!(out, "\\u{:04x}", c as u32).expect("string write");
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Renders a [`ServiceStats`] snapshot as one JSON object — the
-/// `STATS JSON` payload. Every counter, the latency summary, the
-/// per-stage histogram summaries, cache/geocode accounting and the
-/// per-client table ride in a single machine-readable frame, so a
-/// scraper never reassembles them from the `key=value` text form.
-/// Key order is fixed (declaration order; stages and clients are
-/// pre-sorted by name), so equal snapshots render identically.
+/// `STATS JSON` payload. The gauges, every counter, the latency
+/// summary, the per-stage histogram summaries and the per-client table
+/// ride in a single machine-readable frame, so a scraper never
+/// reassembles them from the `key=value` text form. A counter named
+/// `group.key` lands in a nested `"group"` object (`cache.hits` at
+/// `cache` → `hits`). Key order is fixed (counters, stages and clients
+/// are pre-sorted by name), so equal snapshots render identically.
 pub fn render_stats_json(s: &ServiceStats) -> String {
     use std::fmt::Write;
+    use teda_obs::json;
 
     let mut out = String::with_capacity(1024);
     // teda-lint: allow(panic_on_untrusted) -- fmt::Write into String is infallible
     let mut put = |frag: std::fmt::Arguments<'_>| out.write_fmt(frag).expect("string write");
     put(format_args!(
-        "{{\"submitted\":{},\"completed\":{},\"failed\":{},\"shed_queue\":{},\
-         \"shed_budget\":{},\"rejected_oversize\":{},\"stream_tables\":{},\
-         \"backpressure_waits\":{},\"restored_cache_entries\":{},\
-         \"corpus_refreshes\":{},\"mapped_bytes\":{},\"resident_bytes\":{},\
-         \"page_hydrations\":{},\"shard_fanouts\":{},\"partial_results\":{},\
-         \"replica_retries\":{},\"inflight\":{},\"inflight_oldest_ms\":{}",
-        s.submitted,
-        s.completed,
-        s.failed,
-        s.shed_queue,
-        s.shed_budget,
-        s.rejected_oversize,
-        s.stream_tables,
-        s.backpressure_waits,
-        s.restored_cache_entries,
-        s.corpus_refreshes,
-        s.mapped_bytes,
-        s.resident_bytes,
-        s.page_hydrations,
-        s.shard_fanouts,
-        s.partial_results,
-        s.replica_retries,
-        s.inflight,
-        s.inflight_oldest_ms,
+        "{{\"mapped_bytes\":{},\"resident_bytes\":{},\"page_hydrations\":{},\
+         \"inflight\":{},\"inflight_oldest_ms\":{}",
+        s.mapped_bytes, s.resident_bytes, s.page_hydrations, s.inflight, s.inflight_oldest_ms,
     ));
+    // Counters arrive sorted, so each group's members are adjacent.
+    let mut open: Option<&str> = None;
+    for &(name, count) in &s.counters {
+        let (group, key) = match name.split_once('.') {
+            Some((group, key)) => (Some(group), key),
+            None => (None, name),
+        };
+        let sep = if group.is_some() && group == open {
+            ","
+        } else {
+            if open.is_some() {
+                put(format_args!("}}"));
+            }
+            open = group;
+            match group {
+                Some(group) => {
+                    put(format_args!(",{}:{{", json::string(group)));
+                    ""
+                }
+                None => ",",
+            }
+        };
+        put(format_args!("{sep}{}:{count}", json::string(key)));
+    }
+    if open.is_some() {
+        put(format_args!("}}"));
+    }
     put(format_args!(
         ",\"latency\":{{\"p50_us\":{},\"p99_us\":{},\"max_us\":{}}}",
         s.latency.p50.as_micros(),
@@ -646,28 +626,20 @@ pub fn render_stats_json(s: &ServiceStats) -> String {
         put(format_args!(
             "{}{{\"stage\":{},\"count\":{},\"p50_us\":{},\"p99_us\":{},\"max_us\":{}}}",
             if i == 0 { "" } else { "," },
-            json_str(&st.stage),
+            json::string(&st.stage),
             st.count,
             st.p50_us,
             st.p99_us,
             st.max_us,
         ));
     }
-    put(format_args!(
-        "],\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"expired\":{}}}",
-        s.cache.hits, s.cache.misses, s.cache.evictions, s.cache.expired,
-    ));
-    put(format_args!(
-        ",\"geocode\":{{\"hits\":{},\"misses\":{},\"evictions\":{}}}",
-        s.geocode.hits, s.geocode.misses, s.geocode.evictions,
-    ));
-    put(format_args!(",\"clients\":["));
+    put(format_args!("],\"clients\":["));
     for (i, c) in s.clients.iter().enumerate() {
         put(format_args!(
             "{}{{\"client\":{},\"submitted\":{},\"completed\":{},\"failed\":{},\
              \"shed\":{},\"granted\":{},\"bucket\":{},\"waiting\":{}}}",
             if i == 0 { "" } else { "," },
-            json_str(&c.client),
+            json::string(&c.client),
             c.submitted,
             c.completed,
             c.failed,
@@ -1067,8 +1039,13 @@ mod tests {
         use teda_service::{ClientStats, LatencySummary, StageStats};
 
         let stats = ServiceStats {
-            submitted: 3,
-            completed: 2,
+            counters: vec![
+                ("cache.evictions", 1),
+                ("cache.hits", 4),
+                ("completed", 2),
+                ("geocode.hits", 5),
+                ("submitted", 3),
+            ],
             inflight: 1,
             inflight_oldest_ms: 40,
             latency: LatencySummary {
@@ -1106,6 +1083,7 @@ mod tests {
             "\"stage\":\"annotate\"",
             "\"cache\":{",
             "\"geocode\":{",
+            "\"cache\":{\"evictions\":1,\"hits\":4},\"completed\":2,\"geocode\":{\"hits\":5}",
             "\"client\":\"bulk \\\"loader\\\"\\n\"",
         ] {
             assert!(json.contains(key), "missing {key:?} in {json}");

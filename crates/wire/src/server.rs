@@ -22,12 +22,12 @@
 
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use teda_corpus::table_from_csv;
-use teda_obs::{stage, Registry as ObsRegistry, TraceCtx};
+use teda_obs::{stage, Counter, Registry as ObsRegistry, TraceCtx};
 use teda_service::{AnnotationService, ClientId, SubmitRequest, Wait};
 use teda_websim::SearchBackend;
 
@@ -63,8 +63,9 @@ pub struct SearchNode {
 struct NodeParts {
     service: Option<Arc<AnnotationService>>,
     search: Option<SearchNode>,
-    /// Lifetime `SEARCH`/`SEARCH-FULL` counter, for `SHARD-STATS`.
-    searches: AtomicU64,
+    /// Lifetime `SEARCH`/`SEARCH-FULL` counter, for `SHARD-STATS`;
+    /// registered on `obs` as `searches` when the node serves search.
+    searches: Arc<Counter>,
     /// The node's observability surface: the service's registry when
     /// this node runs one (so `METRICS` sees the scheduler's stage
     /// histograms), a fresh per-node registry on a search-only node.
@@ -142,10 +143,14 @@ impl WireServer {
                 ObsRegistry::new(&name)
             }
         };
+        let searches = match &search {
+            Some(_) => obs.counter("searches"),
+            None => Arc::default(),
+        };
         let parts = Arc::new(NodeParts {
             service,
             search,
-            searches: AtomicU64::new(0),
+            searches,
             obs,
         });
 
@@ -336,7 +341,7 @@ fn handle_connection(parts: &NodeParts, stream: TcpStream, stop: &AtomicBool) {
             },
             Ok(Request::Search { k, query, full }) => match &parts.search {
                 Some(node) => {
-                    parts.searches.fetch_add(1, Ordering::Relaxed);
+                    parts.searches.inc();
                     serve_search(node, &query, k, full)
                 }
                 None => Reply::Err(WireError::BadRequest(
@@ -356,7 +361,7 @@ fn handle_connection(parts: &NodeParts, stream: TcpStream, stop: &AtomicBool) {
                         n_shards: info.n_shards,
                         docs,
                         global_docs: info.global_docs,
-                        searches: parts.searches.load(Ordering::Relaxed),
+                        searches: parts.searches.get(),
                     }))
                 }
                 None => Reply::Err(WireError::BadRequest(
@@ -402,7 +407,7 @@ fn serve_traced(
     match inner {
         Request::Search { k, query, full } => match &parts.search {
             Some(node) => {
-                parts.searches.fetch_add(1, Ordering::Relaxed);
+                parts.searches.inc();
                 let ctx = parts.obs.trace_with_id(id, "search");
                 let reply = {
                     let _span = ctx.span(stage::SEARCH);

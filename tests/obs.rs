@@ -137,27 +137,34 @@ fn concurrent_recording_loses_nothing() {
 
 mod wire {
     use std::sync::Arc;
+    use std::time::Duration;
 
     use teda::classifier::svm::pegasos::PegasosConfig;
+    use teda::cluster::{partition_corpus, ClusterRouter, RouterConfig, ShardServer};
+    use teda::core::cache::CacheConfig;
     use teda::core::config::AnnotatorConfig;
+    use teda::core::model::SnippetClassifier;
     use teda::core::pipeline::BatchAnnotator;
     use teda::core::trainer::{harvest, train_svm_linear, TrainerConfig};
     use teda::corpus::{gft::poi_table, typed_table_to_csv};
+    use teda::geo::SimGeocoder;
     use teda::kb::{CategoryNetwork, EntityType, World, WorldSpec};
-    use teda::service::{AnnotationService, ServiceConfig};
+    use teda::service::{AnnotationService, LiveCorpus, Rejection, ServiceConfig, TierPolicy};
     use teda::simkit::rng_from_seed;
+    use teda::store::CorpusStore;
+    use teda::tabular::Table;
     use teda::websim::{BingSim, WebCorpus, WebCorpusSpec};
     use teda::wire::{WireClient, WireError, WireServer};
 
-    fn annotation_node() -> (Arc<AnnotationService>, WireServer) {
+    /// The tiny world, its Web, and a classifier trained over it.
+    fn fixture() -> (World, Arc<WebCorpus>, SnippetClassifier) {
         let world = World::generate(WorldSpec::tiny(), 42);
         let net = CategoryNetwork::build(&world, 42);
         let web = Arc::new(WebCorpus::build(&world, WebCorpusSpec::tiny(), 42));
-        let engine = Arc::new(BingSim::instant(web));
         let corpus = harvest(
             &world,
             &net,
-            engine.as_ref(),
+            &BingSim::instant(web.clone()),
             &EntityType::TARGETS,
             TrainerConfig {
                 max_entities_per_type: Some(8),
@@ -165,6 +172,12 @@ mod wire {
             },
         );
         let classifier = train_svm_linear(&corpus, PegasosConfig::default());
+        (world, web, classifier)
+    }
+
+    fn annotation_node() -> (Arc<AnnotationService>, WireServer) {
+        let (_, web, classifier) = fixture();
+        let engine = Arc::new(BingSim::instant(web));
         let service = Arc::new(AnnotationService::start(
             BatchAnnotator::new(engine, classifier, AnnotatorConfig::default()),
             ServiceConfig {
@@ -220,6 +233,191 @@ mod wire {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
         server.shutdown();
+    }
+
+    /// The numeric value at `path` of a `STATS JSON` frame: a top-level
+    /// key, or a key inside a top-level object.
+    fn json_at(json: &str, path: &[&str]) -> Option<u64> {
+        let (scope, key) = match path {
+            [key] => (json, *key),
+            [object, key] => {
+                let start = json.find(&format!("\"{object}\":{{"))?;
+                let body = &json[start..];
+                (&body[..body.find('}')?], *key)
+            }
+            _ => return None,
+        };
+        let at = scope.find(&format!("\"{key}\":"))? + key.len() + 3;
+        let digits = scope[at..].split(|c: char| !c.is_ascii_digit()).next()?;
+        digits.parse().ok()
+    }
+
+    /// Every `STATS JSON` path and `METRICS` stage count the serving
+    /// benchmark reads is present and non-zero once the node has shed,
+    /// rejected, evicted, geocoded and fanned out. The benchmark reads a
+    /// missing path as 0, so a moved key would zero its metric instead
+    /// of failing; this test fails instead.
+    #[test]
+    fn stats_json_and_metrics_carry_every_benchmarked_path() {
+        let (world, web, classifier) = fixture();
+        let dir = std::env::temp_dir().join(format!("teda_obs_paths_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // A service over the mmap'd live corpus (resident bytes, page
+        // hydrations), geocoding addresses, with a one-slot queue, an
+        // empty query pool, a 40-query request bound and an 8-entry cache.
+        CorpusStore::open(dir.join("corpus"))
+            .and_then(|store| store.save(&web))
+            .expect("corpus snapshot");
+        let live = Arc::new(
+            LiveCorpus::open_mapped(dir.join("corpus"), TierPolicy::default()).expect("mapped"),
+        );
+        let annotator = BatchAnnotator::new(
+            Arc::new(BingSim::instant(live.backend())),
+            classifier,
+            AnnotatorConfig {
+                use_disambiguation: true,
+                ..AnnotatorConfig::default()
+            },
+        )
+        .with_geocoder(Arc::new(SimGeocoder::instant(world.gazetteer().clone())));
+        let service = Arc::new(AnnotationService::start_live(
+            annotator,
+            ServiceConfig {
+                workers: 1,
+                queue_depth: 1,
+                max_queries_per_request: Some(40),
+                query_pool: Some(0),
+                cache: Some(CacheConfig {
+                    shards: 1,
+                    capacity: Some(8),
+                    ttl: None,
+                }),
+                ..ServiceConfig::default()
+            },
+            live,
+        ));
+        let mut rng = rng_from_seed(5);
+        let mut table = |rows: usize, i: u8| -> Arc<Table> {
+            Arc::new(
+                poi_table(
+                    &world,
+                    EntityType::Restaurant,
+                    rows,
+                    0,
+                    &format!("p{i}"),
+                    &mut rng,
+                )
+                .table,
+            )
+        };
+        let small = table(2, 0);
+
+        // The empty pool sheds; a refill admits.
+        assert!(matches!(
+            service.submit(Arc::clone(&small)),
+            Err(Rejection::BudgetExhausted)
+        ));
+        service.add_budget(1_000_000);
+        // The same table twice: the second pass hits the query cache
+        // and the geocoding memo. Then distinct tables overflow the cache.
+        for t in [
+            Arc::clone(&small),
+            Arc::clone(&small),
+            table(6, 1),
+            table(6, 2),
+        ] {
+            service
+                .submit(t)
+                .expect("admitted")
+                .wait()
+                .expect("annotated");
+        }
+        // A burst against the one-slot queue sheds.
+        let burst: Vec<_> = (0..32)
+            .filter_map(|_| service.submit(Arc::clone(&small)).ok())
+            .collect();
+        for handle in burst {
+            handle.wait().expect("annotated");
+        }
+        assert!(matches!(
+            service.submit(table(10, 3)),
+            Err(Rejection::RequestTooLarge { .. })
+        ));
+
+        // A router over two shard groups: killing one of group 0's two
+        // replicas forces retries, killing group 1 a partial result.
+        let shard_dirs = partition_corpus(&web, 2, &dir.join("shards")).expect("partition");
+        let mut group0: Vec<ShardServer> = (0..2)
+            .map(|_| ShardServer::start(&shard_dirs[0], true, "127.0.0.1:0").expect("shard 0"))
+            .collect();
+        let group1 = ShardServer::start(&shard_dirs[1], true, "127.0.0.1:0").expect("shard 1");
+        let topology = vec![
+            group0.iter().map(ShardServer::local_addr).collect(),
+            vec![group1.local_addr()],
+        ];
+        let router = ClusterRouter::connect(
+            &topology,
+            RouterConfig {
+                attempts: 2,
+                backoff: Duration::from_millis(5),
+                ..RouterConfig::default()
+            },
+        )
+        .expect("connect");
+        service.attach_cluster_telemetry(router.telemetry());
+        group0.remove(0).shutdown();
+        for _ in 0..6 {
+            router
+                .try_search("restaurant", 5)
+                .expect("one replica suffices");
+        }
+        group1.shutdown();
+        assert!(router.try_search("restaurant", 5).is_err());
+
+        let server = WireServer::start(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+        let mut client = WireClient::connect(server.local_addr()).expect("connect");
+        let json = client.stats_json().expect("STATS JSON");
+        for path in [
+            &["shed_queue"][..],
+            &["shed_budget"],
+            &["rejected_oversize"],
+            &["cache", "evictions"],
+            &["geocode", "hits"],
+            &["geocode", "misses"],
+            &["partial_results"],
+            &["replica_retries"],
+            &["resident_bytes"],
+        ] {
+            let value = json_at(&json, path);
+            assert!(value > Some(0), "{path:?} reads {value:?} in {json}");
+        }
+        let metrics = client.metrics().expect("METRICS");
+        for stage in [
+            "request",
+            "queue_wait",
+            "annotate",
+            "cache_lookup",
+            "search",
+            "page_hydration",
+        ] {
+            let key = format!("teda_stage_us_count{{node=\"service\",stage=\"{stage}\"}} ");
+            let count = metrics
+                .lines()
+                .find_map(|line| line.strip_prefix(&key))
+                .and_then(|n| n.parse::<u64>().ok());
+            assert!(
+                count > Some(0),
+                "stage {stage} reads {count:?} in:\n{metrics}"
+            );
+        }
+
+        server.shutdown();
+        drop(router);
+        for s in group0 {
+            s.shutdown();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -283,10 +481,15 @@ mod wire {
             "{:?}",
             trace.spans
         );
-        // The search-only node still answers METRICS from its own registry.
+        // The search-only node still answers METRICS from its own
+        // registry, its SEARCH count included.
         let metrics = client.metrics().expect("METRICS");
         assert!(
             metrics.contains("teda_traces_completed{node=\"node\"} 1"),
+            "{metrics}"
+        );
+        assert!(
+            metrics.contains("teda_counter_total{node=\"node\",counter=\"searches\"} 2"),
             "{metrics}"
         );
         server.shutdown();

@@ -295,9 +295,12 @@ fn service_matches_offline_batch_bit_for_bit() {
         );
     }
     let stats = service.shutdown();
-    assert_eq!(stats.completed, tables.len() as u64);
+    assert_eq!(stats.counter("completed"), tables.len() as u64);
     assert_eq!(stats.shed(), 0);
-    assert!(stats.cache.hits > 0, "duplicate corpus must hit the cache");
+    assert!(
+        stats.counter("cache.hits") > 0,
+        "duplicate corpus must hit the cache"
+    );
 }
 
 #[test]
@@ -333,8 +336,8 @@ fn service_sheds_when_the_queue_bound_is_hit() {
         h.wait().expect("accepted work completes");
     }
     let stats = service.shutdown();
-    assert_eq!(stats.shed_queue, shed);
-    assert_eq!(stats.completed + shed, tables.len() as u64);
+    assert_eq!(stats.counter("shed_queue"), shed);
+    assert_eq!(stats.counter("completed") + shed, tables.len() as u64);
     assert!(stats.shed_rate() > 0.0);
 }
 
@@ -390,7 +393,7 @@ fn mmap_corpus_service_is_bit_identical_and_reports_mapping_counters() {
     }
 
     let stats = service.shutdown();
-    assert_eq!(stats.completed, tables.len() as u64);
+    assert_eq!(stats.counter("completed"), tables.len() as u64);
     assert!(
         stats.page_hydrations > 0,
         "annotating tables must have hydrated page text per hit"

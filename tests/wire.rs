@@ -413,7 +413,7 @@ fn auto_reconnect_retries_read_only_verbs_across_a_server_restart() {
         .expect_err("a mutating verb must not be replayed onto the new server");
     assert!(matches!(err, WireError::Transport(_)), "{err:?}");
     assert_eq!(
-        service.stats().submitted,
+        service.stats().counter("submitted"),
         0,
         "nothing may have been replayed"
     );
