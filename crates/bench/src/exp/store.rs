@@ -46,11 +46,11 @@ pub struct StoreReport {
     pub pages: usize,
     /// Snapshot file size in bytes.
     pub snapshot_bytes: u64,
-    /// Cold index construction over the page list (best of [`REPS`]).
+    /// Cold index construction over the page list (best of `REPS`).
     pub cold_build: Duration,
-    /// Snapshot serialization + atomic write (best of [`REPS`]).
+    /// Snapshot serialization + atomic write (best of `REPS`).
     pub save: Duration,
-    /// Snapshot load, empty journal (best of [`REPS`]).
+    /// Snapshot load, empty journal (best of `REPS`).
     pub load: Duration,
     /// `cold_build / load`.
     pub load_speedup: f64,

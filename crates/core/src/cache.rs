@@ -51,9 +51,8 @@
 //! ([`export_entries`](QueryCache::export_entries)), so a restored entry
 //! computes its verdict on its first hit.
 //!
-//! The single-flight machinery itself — [`Flight`](teda_memo::Flight),
-//! [`Slot`](teda_memo::Slot), shard routing, leader execution — lives in
-//! [`teda_memo`], shared with `teda-geo`'s geocoding memo; this module
+//! The single-flight machinery itself — [`Flight`], [`Slot`], shard
+//! routing, leader execution — lives in [`teda_memo`], shared with `teda-geo`'s geocoding memo; this module
 //! keeps only what is specific to the query cache: the per-`k` entry
 //! layout, the LRU + TTL eviction policy, and the [`SearchEngine`]
 //! integration.

@@ -10,7 +10,9 @@
 //!   so duplicate cell contents — pervasive in real table corpora — are
 //!   searched and classified once: each cache entry keeps the §5.2.1
 //!   verdict over its results beside them, so a hit skips both the
-//!   search and the `k` snippet classifications.
+//!   search and the `k` snippet classifications. A miss classifies
+//!   only the snippets the annotator has never judged: a bounded
+//!   [`SnippetClassMemo`] keeps each snippet's class.
 //!
 //! The corpus-scale entry point is the streaming driver
 //! [`BatchAnnotator::annotate_stream`]: a [`TableSource`] is pulled
@@ -46,7 +48,9 @@ use teda_kb::EntityType;
 use teda_tabular::{infer::infer_column_types, CellId, ColumnType, Table};
 use teda_websim::SearchEngine;
 
-use crate::annotate::{annotate_cells, build_cell_query, verdict, CellAnnotation};
+use crate::annotate::{
+    annotate_cells, build_cell_query, memoized_verdict, CellAnnotation, SnippetClassMemo,
+};
 use crate::cache::{CacheConfig, CacheStats, QueryCache};
 use crate::config::AnnotatorConfig;
 use crate::model::SnippetClassifier;
@@ -179,9 +183,9 @@ impl Annotator {
     }
 
     /// Upgrades this annotator into a [`BatchAnnotator`] with a fresh
-    /// query cache, preserving engine, classifier, geocoder and config.
-    /// The fresh cache holds no verdicts, so none judged by another
-    /// classifier can leak in.
+    /// query cache and snippet-class memo, preserving engine,
+    /// classifier, geocoder and config. The fresh memos hold no verdicts
+    /// or classes, so none judged by another classifier can leak in.
     pub fn into_batch(self) -> BatchAnnotator {
         let mut batch = BatchAnnotator::new(self.engine, self.classifier, self.config);
         batch.geocoder = self.geocoder;
@@ -255,7 +259,8 @@ pub(crate) fn finish_table(
 /// each entry's §5.2.1 verdict, judged by this annotator's classifier
 /// under this config; a config changed under a warm cache would serve
 /// verdicts computed under the old targets or threshold, so there is no
-/// way to change it.
+/// way to change it. Likewise the snippet-class memo holds classes
+/// judged by this annotator's classifier, which is fixed too.
 pub struct BatchAnnotator {
     engine: Arc<dyn SearchEngine + Send + Sync>,
     classifier: SnippetClassifier,
@@ -265,6 +270,10 @@ pub struct BatchAnnotator {
     /// Distinct-address geocoding memo: across the whole corpus, each
     /// address string hits the geocoder once (§6.4 round-trip cost).
     geo_memo: GeocodeCache,
+    /// Each snippet's class under `classifier`, so a query-cache miss
+    /// classifies only snippets never seen before. Keyed by text, so a
+    /// corpus publish (which clears `cache`) leaves it valid.
+    class_memo: SnippetClassMemo,
 }
 
 impl BatchAnnotator {
@@ -281,6 +290,7 @@ impl BatchAnnotator {
             config,
             cache: QueryCache::default(),
             geo_memo: GeocodeCache::default(),
+            class_memo: SnippetClassMemo::new(),
         }
     }
 
@@ -336,8 +346,15 @@ impl BatchAnnotator {
         self.geo_memo.stats()
     }
 
+    /// The snippet-class memo (accounting): its hits are snippet
+    /// classifications saved on query-cache misses.
+    pub fn class_memo(&self) -> &SnippetClassMemo {
+        &self.class_memo
+    }
+
     /// Annotates one cell through the cache: the entry's verdict is
-    /// judged on its first use and attached to `cell` on every later hit.
+    /// judged on its first use, through the snippet-class memo, and
+    /// attached to `cell` on every later hit.
     fn annotate_cell_cached(
         &self,
         table: &Table,
@@ -351,8 +368,10 @@ impl BatchAnnotator {
         let memo = self
             .cache
             .get_or_search_memo(self.engine.as_ref(), &query, self.config.top_k);
-        memo.verdict(|results| verdict(results, &self.classifier, &self.config))
-            .map(|v| v.at(cell))
+        memo.verdict(|results| {
+            memoized_verdict(results, &self.classifier, &self.config, &self.class_memo)
+        })
+        .map(|v| v.at(cell))
     }
 
     /// Annotates one table, cells sequential, queries memoized.

@@ -14,9 +14,8 @@
 //! string (latency aside), so memoization changes the number of geocoder
 //! round-trips — the §6.4 cost — never a candidate set.
 //!
-//! The single-flight machinery — [`Flight`](teda_memo::Flight),
-//! [`Slot`](teda_memo::Slot), shard routing, leader execution — lives in
-//! [`teda_memo`], shared with `teda-core`'s query cache; this module
+//! The single-flight machinery — [`Flight`], [`Slot`], shard routing,
+//! leader execution — lives in [`teda_memo`], shared with `teda-core`'s query cache; this module
 //! keeps only the geocoding-specific parts: the flat address map and the
 //! flush-the-shard eviction policy.
 

@@ -65,7 +65,7 @@ impl Catalogue {
     }
 
     /// Looks up a pre-normalized name (as produced by
-    /// [`normalize_name`](teda_text::similarity::normalize_name)) without
+    /// [`normalize_name`]) without
     /// re-normalizing — the annotators' hot path.
     pub fn lookup_normalized(&self, normalized: &str) -> &[(EntityId, EntityType)] {
         self.entries.get(normalized).map_or(&[], Vec::as_slice)

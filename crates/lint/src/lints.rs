@@ -166,7 +166,7 @@ fn unwrapped_ahead(code: &[Tok], i: usize) -> bool {
 ///
 /// Containers are recognized file-locally: `name: HashMap<..>` in
 /// struct/fn/let positions and `let name = HashMap::new()`-style
-/// initializers. Order-insensitive reductions ([`ORDER_FREE_SINKS`])
+/// initializers. Order-insensitive reductions (`ORDER_FREE_SINKS`)
 /// are admitted; anything else needs a sort or an allow with a reason.
 pub fn nondeterministic_iteration(f: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();

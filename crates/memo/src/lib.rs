@@ -152,7 +152,14 @@ impl<S> Shards<S> {
 
     /// Locks the shard `key` routes to.
     pub fn lock(&self, key: &[u8]) -> MutexGuard<'_, S> {
-        let i = (fnv1a(key) % self.shards.len() as u64) as usize;
+        self.lock_hashed(fnv1a(key))
+    }
+
+    /// Locks the shard a key whose [`fnv1a`] is `hash` routes to, for a
+    /// caller that keeps the hash (to key its shard map by it, say), so
+    /// a lookup hashes its key once.
+    pub fn lock_hashed(&self, hash: u64) -> MutexGuard<'_, S> {
+        let i = (hash % self.shards.len() as u64) as usize;
         self.shards[i].lock().expect("memo shard poisoned")
     }
 
@@ -300,8 +307,10 @@ mod tests {
         assert_eq!(shards.len(), 4);
         shards.lock(b"alpha").insert("alpha".into(), 1);
         shards.lock(b"beta").insert("beta".into(), 2);
-        // the same key routes to the same shard every time
+        // the same key routes to the same shard every time, by key or
+        // by its hash
         assert_eq!(shards.lock(b"alpha").get("alpha"), Some(&1));
+        assert_eq!(shards.lock_hashed(fnv1a(b"beta")).get("beta"), Some(&2));
         let mut total = 0;
         shards.for_each(|m| total += m.len());
         assert_eq!(total, 2);

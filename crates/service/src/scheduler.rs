@@ -437,9 +437,11 @@ impl AnnotationService {
         // The engine's query cache reports into the same registry:
         // `cache_lookup` for memoized answers, `search` for the leader
         // engine calls behind misses, and its `cache.*` counters; the
-        // geocoding memo adds its `geocode.*` counters.
+        // geocoding memo adds its `geocode.*` counters and the
+        // snippet-class memo its `classify.*` counters.
         shared.annotator.cache().attach_obs(&shared.obs);
         shared.annotator.geo_memo().attach_obs(&shared.obs);
+        shared.annotator.class_memo().attach_obs(&shared.obs);
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);

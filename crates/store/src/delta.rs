@@ -134,7 +134,7 @@ pub fn encode_segment(base: BaseId, ops: &[DeltaOp]) -> Vec<u8> {
 }
 
 /// Serializes one segment with per-add partial indexes: each `AddPages`
-/// section is followed by a [`SEC_ADD_INDEX`] section holding the
+/// section is followed by a `SEC_ADD_INDEX` section holding the
 /// [`IndexParts`] built over exactly that op's pages. `indexes` runs
 /// parallel to `ops` (`None` for removals, or for adds the caller
 /// declines to index).

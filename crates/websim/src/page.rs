@@ -31,9 +31,17 @@ impl WebPage {
 /// The snippet of a page body: its first [`SNIPPET_WORDS`] words.
 /// Shared by [`WebPage`] and the borrowed page views of
 /// [`crate::backend::PageFields`].
+///
+/// One scan of the body collects the words on the stack, and `join`
+/// copies them into one string sized to fit them exactly.
 pub fn snippet_of(body: &str) -> String {
-    let words: Vec<&str> = body.split_whitespace().take(SNIPPET_WORDS).collect();
-    words.join(" ")
+    let mut words = [""; SNIPPET_WORDS];
+    let mut n = 0;
+    for (slot, word) in words.iter_mut().zip(body.split_whitespace()) {
+        *slot = word;
+        n += 1;
+    }
+    words[..n].join(" ")
 }
 
 #[cfg(test)]
@@ -51,6 +59,33 @@ mod tests {
         let s = p.snippet();
         assert_eq!(s.split_whitespace().count(), SNIPPET_WORDS);
         assert!(s.starts_with("w0 w1"));
+    }
+
+    #[test]
+    fn snippet_matches_the_split_and_join_recipe() {
+        let recipe = |body: &str| {
+            body.split_whitespace()
+                .take(SNIPPET_WORDS)
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        let twenty_five: Vec<String> = (0..25).map(|i| format!("w{i}")).collect();
+        let bodies = [
+            String::new(),
+            " \t\n ".into(),
+            "one".into(),
+            "  leading and trailing  ".into(),
+            "tabs\tand\nnewlines\r\nmixed \t \n in".into(),
+            "ideographic\u{3000}space\u{3000}\u{3000}splits".into(),
+            "café naïve 東京 \u{a0}nbsp".into(),
+            twenty_five.join(" \t"),
+            format!("\n{}\n", twenty_five[..SNIPPET_WORDS].join("\n")),
+        ];
+        for body in &bodies {
+            let snippet = snippet_of(body);
+            assert_eq!(snippet, recipe(body), "{body:?}");
+            assert_eq!(snippet.capacity(), snippet.len(), "{body:?}");
+        }
     }
 
     #[test]

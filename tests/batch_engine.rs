@@ -7,7 +7,10 @@ use std::sync::Arc;
 
 use teda::classifier::naive_bayes::NaiveBayesConfig;
 use teda::classifier::svm::pegasos::PegasosConfig;
-use teda::core::annotate::{annotate_from_results, build_cell_query, CellAnnotation};
+use teda::core::annotate::{
+    annotate_from_results, build_cell_query, memoized_verdict, verdict, CellAnnotation,
+    SnippetClassMemo, Verdict,
+};
 use teda::core::cache::CacheConfig;
 use teda::core::config::AnnotatorConfig;
 use teda::core::model::SnippetClassifier;
@@ -21,7 +24,7 @@ use teda::service::{AnnotationService, LiveCorpus, ServiceConfig};
 use teda::simkit::rng_from_seed;
 use teda::store::{CorpusStore, TierPolicy};
 use teda::tabular::{CellId, Table};
-use teda::websim::{BingSim, SearchEngine, WebCorpus, WebCorpusSpec, WebPage};
+use teda::websim::{BingSim, SearchEngine, SearchResult, WebCorpus, WebCorpusSpec, WebPage};
 
 fn fixture() -> (World, Arc<BingSim>, SnippetClassifier) {
     let world = World::generate(WorldSpec::tiny(), 42);
@@ -372,6 +375,14 @@ fn a_new_classifier_starts_from_an_empty_memo() {
             second.cache().is_empty(),
             "into_batch must start a new memo"
         );
+        // Plain voting fills the snippet-class memo; the new annotator's
+        // starts empty, so no class judged by the SVM reaches the Bayes
+        // model's votes.
+        assert_eq!(first.class_memo().is_empty(), config.use_clustering);
+        assert!(
+            second.class_memo().is_empty(),
+            "into_batch must start a new snippet-class memo"
+        );
         let bayes_cells = cells_of(&second.annotate_corpus(&tables));
         assert_eq!(
             bayes_cells,
@@ -383,4 +394,255 @@ fn a_new_classifier_starts_from_an_empty_memo() {
             "the two classifiers must disagree somewhere for this check to bite"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Snippet-class memo oracles. A query-cache miss takes each snippet's
+// class from a memo keyed by the snippet text; these check that the
+// memo never changes a verdict, counts every snippet it is asked about,
+// and survives a corpus publish without going stale.
+
+/// The plain-voting config (the only one that consults the memo).
+fn plain_config() -> AnnotatorConfig {
+    memo_configs()[0].clone()
+}
+
+/// Every candidate cell's query, in stream order.
+fn cell_queries(tables: &[Table], config: &AnnotatorConfig) -> Vec<String> {
+    tables
+        .iter()
+        .flat_map(|table| {
+            preprocess(table, config)
+                .candidates
+                .iter()
+                .map(|&cell| build_cell_query(table, cell, None))
+                .filter(|query| !query.trim().is_empty())
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+#[test]
+fn snippet_memo_verdicts_equal_unmemoized_ones_on_a_two_pass_stream() {
+    let (world, engine, classifier) = fixture();
+    let tables = seeded_corpus(&world, 6, 12);
+    let config = plain_config();
+    let lists: Vec<Vec<SearchResult>> = cell_queries(&tables, &config)
+        .iter()
+        .map(|query| engine.search(query, config.top_k))
+        .collect();
+    let want: Vec<Option<Verdict>> = lists
+        .iter()
+        .map(|results| verdict(results, &classifier, &config))
+        .collect();
+    assert!(want.iter().any(Option::is_some), "the stream must annotate");
+    let snippets: usize = lists.iter().map(Vec::len).sum();
+    for capacity in [Some(1), None] {
+        for threads in [1, 8] {
+            let memo = SnippetClassMemo::with_capacity(capacity);
+            std::thread::scope(|scope| {
+                for t in 0..threads {
+                    let (memo, lists, want, classifier, config) =
+                        (&memo, &lists, &want, &classifier, &config);
+                    scope.spawn(move || {
+                        // Each thread walks both passes from its own
+                        // offset, so threads race on different snippets.
+                        let offset = t * lists.len() / threads;
+                        for i in 0..2 * lists.len() {
+                            let j = (i + offset) % lists.len();
+                            assert_eq!(
+                                memoized_verdict(&lists[j], classifier, config, memo),
+                                want[j],
+                                "cell {j}, capacity {capacity:?}, {threads} threads"
+                            );
+                        }
+                    });
+                }
+            });
+            let stats = memo.stats();
+            assert_eq!(
+                stats.hits + stats.misses,
+                (2 * threads * snippets) as u64,
+                "every snippet asks the memo once"
+            );
+            match capacity {
+                Some(1) => {
+                    assert!(stats.evictions > 0, "a one-snippet memo must flush");
+                    assert!(memo.len() <= 1);
+                }
+                _ => {
+                    assert_eq!(stats.evictions, 0);
+                    assert!(stats.hits >= snippets as u64, "the second pass must hit");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn snippet_memo_counts_every_snippet_judged_on_the_miss_path() {
+    let (world, engine, classifier) = fixture();
+    let tables = seeded_corpus(&world, 8, 12);
+    let config = plain_config();
+    let batch = BatchAnnotator::new(engine.clone(), classifier.clone(), config.clone());
+    batch.annotate_corpus(&tables);
+
+    // Each distinct query misses the query cache once, and its verdict
+    // judges every snippet of its result list.
+    let mut distinct = cell_queries(&tables, &config);
+    distinct.sort();
+    distinct.dedup();
+    let judged: usize = distinct
+        .iter()
+        .map(|query| engine.search(query, config.top_k).len())
+        .sum();
+    let stats = batch.class_memo().stats();
+    assert_eq!(stats.hits + stats.misses, judged as u64);
+    assert!(stats.hits > 0, "result lists must share snippets");
+    assert_eq!(stats.evictions, 0);
+    assert_eq!(stats.misses as usize, batch.class_memo().len());
+
+    // A second pass hits the query cache and judges nothing.
+    batch.annotate_corpus(&tables);
+    assert_eq!(batch.class_memo().stats(), stats);
+}
+
+/// A service over a live corpus saved from the tiny Web, with its
+/// directory (removed by the caller).
+fn live_service(
+    web: &WebCorpus,
+    classifier: &SnippetClassifier,
+    tag: &str,
+) -> (AnnotationService, Arc<BingSim>, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("teda_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    CorpusStore::open(&dir)
+        .expect("open store")
+        .save(web)
+        .expect("seed snapshot");
+    let live = Arc::new(LiveCorpus::open(&dir, TierPolicy::default()).expect("open live"));
+    let engine = Arc::new(BingSim::instant(live.backend()));
+    let service = AnnotationService::start_live(
+        BatchAnnotator::new(engine.clone(), classifier.clone(), plain_config()),
+        ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        },
+        live,
+    );
+    (service, engine, dir)
+}
+
+fn served(service: &AnnotationService, tables: &[Table]) -> Vec<TableAnnotations> {
+    tables
+        .iter()
+        .map(|t| {
+            service
+                .submit(Arc::new(t.clone()))
+                .expect("queue has room")
+                .wait()
+                .expect("request completes")
+                .annotations
+        })
+        .collect()
+}
+
+fn classify_counters(service: &AnnotationService) -> [u64; 3] {
+    let stats = service.stats();
+    ["classify.hits", "classify.misses", "classify.evictions"].map(|name| stats.counter(name))
+}
+
+#[test]
+fn a_publish_leaves_the_snippet_memo_and_its_counters_intact() {
+    let (world, _, classifier) = fixture();
+    let tables = seeded_corpus(&world, 4, 10);
+    let web = WebCorpus::build(&world, WebCorpusSpec::tiny(), 42);
+    let (service, _, dir) = live_service(&web, &classifier, "snippet_memo_publish");
+    let before = served(&service, &tables);
+    let memo = service.annotator().class_memo();
+    let counters = classify_counters(&service);
+    let memoized = memo.len();
+    assert!(memoized > 0);
+    assert_eq!(counters[1] as usize, memoized, "STATS carries the misses");
+    assert_eq!(counters[0] + counters[1], {
+        let s = memo.stats();
+        s.hits + s.misses
+    });
+
+    service
+        .add_pages(vec![WebPage {
+            url: "http://snippet-memo/unrelated".into(),
+            title: "unrelated".into(),
+            body: "an unrelated page about nothing in particular".into(),
+        }])
+        .expect("publish");
+    assert!(
+        service.annotator().cache().is_empty(),
+        "a publish clears the query cache"
+    );
+    assert_eq!(memo.len(), memoized, "a publish leaves the snippet memo");
+    assert_eq!(classify_counters(&service), counters);
+
+    // Every query misses the cleared cache again, and every snippet it
+    // judges is one the memo already holds.
+    let after = served(&service, &tables);
+    assert_eq!(after, before);
+    let [hits, misses, evictions] = classify_counters(&service);
+    assert_eq!((misses, evictions), (counters[1], counters[2]));
+    assert!(hits > counters[0], "the re-judged snippets must hit");
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_republished_page_body_gets_its_new_texts_class() {
+    let (world, _, classifier) = fixture();
+    let tables = seeded_corpus(&world, 3, 10);
+    let web = WebCorpus::build(&world, WebCorpusSpec::tiny(), 42);
+    let (service, engine, dir) = live_service(&web, &classifier, "snippet_memo_republish");
+    let config = plain_config();
+    let before = served(&service, &tables);
+
+    // Every page the first table's cells retrieve comes back under its
+    // own URL and title with a museum body: the same pages, new text.
+    let mut urls: Vec<String> = cell_queries(&tables[..1], &config)
+        .iter()
+        .flat_map(|query| engine.search(query, config.top_k))
+        .map(|r| r.url)
+        .collect();
+    urls.sort();
+    urls.dedup();
+    let republished: Vec<WebPage> = urls
+        .iter()
+        .map(|url| {
+            let page = web
+                .pages()
+                .iter()
+                .find(|p| &p.url == url)
+                .expect("results name corpus pages");
+            WebPage {
+                url: page.url.clone(),
+                title: page.title.clone(),
+                body: format!(
+                    "{} museum gallery exhibition paintings collection curator \
+                     sculpture artworks exhibit",
+                    page.title
+                ),
+            }
+        })
+        .collect();
+    service.remove_pages(urls).expect("remove");
+    service.add_pages(republished).expect("republish");
+
+    let after = served(&service, &tables);
+    assert_ne!(before, after, "the new bodies must change a verdict");
+    let fresh = BatchAnnotator::new(engine.clone(), classifier.clone(), config.clone());
+    let want: Vec<TableAnnotations> = tables.iter().map(|t| fresh.annotate_table(t)).collect();
+    assert_eq!(after, want, "a class outlived its page's text");
+    assert_eq!(
+        cells_of(&after),
+        fresh_cells(engine.as_ref(), &classifier, &config, &tables)
+    );
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
