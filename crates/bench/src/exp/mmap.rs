@@ -239,7 +239,11 @@ pub fn run(scale: Scale) -> MmapReport {
 
     let mut overlay_identical = true;
     let mut check_overlays = |store: &CorpusStore| {
-        let over_mapped = store.load_segmented_mapped().expect("mapped open").corpus;
+        let over_mapped = store
+            .load_segmented_mapped()
+            .expect("mapped open")
+            .segmented
+            .corpus;
         let over_heap = store.load_segmented().expect("heap open").corpus;
         let oracle = WebCorpus::from_pages(over_heap.to_pages());
         for (query, k) in probes(&PROBE_QUERIES, &PROBE_KS) {

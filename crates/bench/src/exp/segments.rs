@@ -117,7 +117,7 @@ pub fn run(fixture: &Fixture) -> SegmentsReport {
 
     // Two stores over the same base and the same logical journal: one
     // with embedded partial indexes (today's append path), one without
-    // (the legacy format, still readable — the tolerant decode).
+    // (the legacy format, still readable — every add re-tokenized).
     let indexed = CorpusStore::open(dir.join("indexed")).expect("open indexed store");
     indexed.save(&base).expect("save base");
     let legacy = CorpusStore::open(dir.join("legacy")).expect("open legacy store");
@@ -131,7 +131,11 @@ pub fn run(fixture: &Fixture) -> SegmentsReport {
         indexed.add_pages(&pages).expect("journal indexed add");
         // The legacy journal: identical ops, no embedded index — the
         // on-disk shape every pre-segment store wrote.
-        let seg = teda_store::delta::encode_segment(legacy_base_id, &[DeltaOp::AddPages(pages)]);
+        let seg = teda_store::delta::encode_segment_indexed(
+            legacy_base_id,
+            &[DeltaOp::AddPages(pages)],
+            &[None],
+        );
         let path = legacy
             .dir()
             .join(format!("delta-{:06}.seg", batch as u64 + 1));
@@ -163,8 +167,8 @@ pub fn run(fixture: &Fixture) -> SegmentsReport {
     let live_store = CorpusStore::open(&live_dir).expect("open live store");
     live_store.save(&base).expect("save live base");
     drop(live_store);
-    let live =
-        teda_service::LiveCorpus::open(&live_dir, TierPolicy::default()).expect("open live corpus");
+    let live = teda_service::LiveCorpus::open_mapped(&live_dir, TierPolicy::default())
+        .expect("open live corpus");
     let logical_pages: Vec<WebPage> = incremental_loaded.corpus.pages().to_vec();
     let mut live_batch = 1000usize;
     let (live_update, _) = best_of(REPS, || {

@@ -159,20 +159,23 @@ impl<S> Shards<S> {
     /// caller that keeps the hash (to key its shard map by it, say), so
     /// a lookup hashes its key once.
     pub fn lock_hashed(&self, hash: u64) -> MutexGuard<'_, S> {
-        let i = (hash % self.shards.len() as u64) as usize;
-        self.shards[i].lock().expect("memo shard poisoned")
+        self.shard(hash).lock().expect("memo shard poisoned")
     }
 
     /// Locks the shard `key` routes to if no one holds it; `None` when
     /// the lock is taken (callers that time their waits start the clock
     /// only then).
     pub fn try_lock(&self, key: &[u8]) -> Option<MutexGuard<'_, S>> {
-        let i = (fnv1a(key) % self.shards.len() as u64) as usize;
-        match self.shards[i].try_lock() {
+        match self.shard(fnv1a(key)).try_lock() {
             Ok(guard) => Some(guard),
             Err(TryLockError::WouldBlock) => None,
             Err(TryLockError::Poisoned(_)) => panic!("memo shard poisoned"),
         }
+    }
+
+    /// The shard a key whose [`fnv1a`] is `hash` routes to.
+    fn shard(&self, hash: u64) -> &Mutex<S> {
+        &self.shards[(hash % self.shards.len() as u64) as usize]
     }
 
     /// Locks every shard in turn (stats, clears).

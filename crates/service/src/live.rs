@@ -4,13 +4,13 @@
 //! updating it still meant stop → journal → restart: the running
 //! engine held an immutable index. This module closes that gap with
 //! the segment machinery: a [`LiveCorpus`] pairs the on-disk store
-//! with an in-memory [`SegmentedCorpus`] overlay behind a
-//! [`SwappableBackend`]. `add_pages` builds the batch's partial index
-//! *once*, journals it (so the next restart loads O(delta)) and pushes
-//! the same index as a read-time overlay — in-flight queries keep
-//! their backend snapshot, the next query sees the new pages, and
-//! results are bit-identical to a full rebuild of the logical corpus
-//! at every point.
+//! with an in-memory [`SegmentedCorpus`] overlay — its base served
+//! straight off the mmap'd snapshot — behind a [`SwappableBackend`].
+//! `add_pages` builds the batch's partial index *once*, journals it
+//! (so the next restart loads O(delta)) and pushes the same index as a
+//! read-time overlay — in-flight queries keep their backend snapshot,
+//! the next query sees the new pages, and results are bit-identical to
+//! a full rebuild of the logical corpus at every point.
 //!
 //! Journal growth is bounded by a [`TierPolicy`]: once an update trips
 //! a tier merge or a full fold on disk, the in-memory overlay chain is
@@ -22,7 +22,10 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use teda_obs::{stage, Histogram, Registry, Stopwatch};
-use teda_store::{CompactionReport, CorpusStore, DeltaOp, MapStats, StoreError, TierPolicy};
+use teda_store::{
+    CompactionReport, CorpusStore, DeltaOp, MapStats, MappedLoad, MappedSnapshot, StoreError,
+    TierPolicy,
+};
 use teda_websim::{InvertedIndex, Segment, SegmentOp, SegmentedCorpus, SwappableBackend, WebPage};
 
 /// A persistent corpus that can grow and shrink while being served.
@@ -35,12 +38,10 @@ use teda_websim::{InvertedIndex, Segment, SegmentOp, SegmentedCorpus, SwappableB
 pub struct LiveCorpus {
     store: CorpusStore,
     policy: TierPolicy,
-    /// Serve the base off the mmap'd snapshot instead of decoding it.
-    mapped: bool,
-    /// The mapping behind the current base in mapped mode (`None` on
-    /// the heap path). Replaced on every fold/merge reload; the old
-    /// mapping stays valid for in-flight readers until dropped.
-    snapshot: Mutex<Option<Arc<teda_store::MappedSnapshot>>>,
+    /// The mapping behind the current base. Replaced on every
+    /// fold/merge reload; the old mapping stays valid for in-flight
+    /// readers until dropped.
+    snapshot: Mutex<Arc<MappedSnapshot>>,
     current: Mutex<Arc<SegmentedCorpus>>,
     backend: Arc<SwappableBackend>,
     /// `compaction` stage histogram, attached by the service that
@@ -54,51 +55,24 @@ pub struct LiveCorpus {
 
 impl LiveCorpus {
     /// Opens `dir` (which must hold a corpus snapshot — seed it with
-    /// [`CorpusStore::save`] or `open_or_build` first) and replays the
-    /// journal as overlays.
-    pub fn open(dir: impl Into<PathBuf>, policy: TierPolicy) -> Result<Self, StoreError> {
-        Self::open_with(dir, policy, false)
-    }
-
-    /// [`open`](Self::open), but serving the base corpus straight off
-    /// the mmap'd snapshot ([`CorpusStore::load_segmented_mapped`]): no
-    /// page text is materialized, cold start is O(index + delta), and N
-    /// processes serving the same directory share one page-cache copy.
-    /// Results are bit-identical to the heap path.
+    /// [`CorpusStore::save`] or `open_or_build` first), serving the base
+    /// corpus straight off the mmap'd snapshot
+    /// ([`CorpusStore::load_segmented_mapped`]) and replaying the
+    /// journal as overlays: no page text is materialized, cold start is
+    /// O(index + delta), and N processes serving the same directory
+    /// share one page-cache copy. Where the platform cannot map a file,
+    /// the snapshot is read to the heap behind the same interface.
     pub fn open_mapped(dir: impl Into<PathBuf>, policy: TierPolicy) -> Result<Self, StoreError> {
-        Self::open_with(dir, policy, true)
-    }
-
-    /// Opens per the service configuration:
-    /// [`open_mapped`](Self::open_mapped) when
-    /// [`mmap_corpus`](crate::ServiceConfig::mmap_corpus) is set, else
-    /// the heap path — the one switch a deployment flips to serve a
-    /// beyond-RAM corpus.
-    pub fn open_for(
-        config: &crate::ServiceConfig,
-        dir: impl Into<PathBuf>,
-        policy: TierPolicy,
-    ) -> Result<Self, StoreError> {
-        Self::open_with(dir, policy, config.mmap_corpus)
-    }
-
-    fn open_with(
-        dir: impl Into<PathBuf>,
-        policy: TierPolicy,
-        mapped: bool,
-    ) -> Result<Self, StoreError> {
         let store = CorpusStore::open(dir)?;
-        let (corpus, snapshot) = if mapped {
-            let load = store.load_segmented_mapped()?;
-            (Arc::new(load.corpus), Some(load.snapshot))
-        } else {
-            (Arc::new(store.load_segmented()?.corpus), None)
-        };
+        let MappedLoad {
+            segmented,
+            snapshot,
+        } = store.load_segmented_mapped()?;
+        let corpus = Arc::new(segmented.corpus);
         let backend = Arc::new(SwappableBackend::new(corpus.clone()));
         Ok(LiveCorpus {
             store,
             policy,
-            mapped,
             snapshot: Mutex::new(snapshot),
             current: Mutex::new(corpus),
             backend,
@@ -109,34 +83,30 @@ impl LiveCorpus {
 
     /// Attaches the serving node's observability registry: compaction
     /// work (tier merges, full folds, and the reload they force)
-    /// records into its `compaction` stage histogram, and in mapped
-    /// mode every page hydration records into `page_hydration`. First
-    /// attach wins; [`crate::AnnotationService::start_live`] calls this.
+    /// records into its `compaction` stage histogram, and every page
+    /// hydration records into `page_hydration`. First attach wins;
+    /// [`crate::AnnotationService::start_live`] calls this.
     pub fn attach_obs(&self, obs: &Registry) {
         let _ = self.hist_compaction.set(obs.histogram(stage::COMPACTION));
         let _ = self
             .hist_hydration
             .set(obs.histogram(stage::PAGE_HYDRATION));
-        if let (Some(hist), Some(snapshot)) = (
-            self.hist_hydration.get(),
+        if let Some(hist) = self.hist_hydration.get() {
             self.snapshot
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .as_ref(),
-        ) {
-            snapshot.attach_hydration_histogram(Arc::clone(hist));
+                .attach_hydration_histogram(Arc::clone(hist));
         }
     }
 
-    /// Mapping counters in mapped mode (`None` on the heap path). The
-    /// counters describe the *current* mapping — a fold/merge reload
-    /// replaces it, so hydration counts restart from zero.
-    pub fn map_stats(&self) -> Option<MapStats> {
+    /// Mapping counters. They describe the *current* mapping — a
+    /// fold/merge reload replaces it, so hydration counts restart from
+    /// zero.
+    pub fn map_stats(&self) -> MapStats {
         self.snapshot
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .map(|s| s.stats())
+            .stats()
     }
 
     /// The backend handle to build the service's search engine over:
@@ -207,19 +177,18 @@ impl LiveCorpus {
             Stopwatch::started_if(self.hist_compaction.get().is_some_and(|h| h.is_enabled()));
         let report = self.store.maybe_compact(self.policy)?;
         if report.full_fold || report.merges > 0 {
-            // Reload from the compacted store; in mapped mode this maps
-            // the freshly renamed snapshot (the superseded mapping stays
-            // valid for any in-flight reader holding the old view).
-            let reloaded = if self.mapped {
-                let load = self.store.load_segmented_mapped()?;
-                if let Some(hist) = self.hist_hydration.get() {
-                    load.snapshot.attach_hydration_histogram(Arc::clone(hist));
-                }
-                *self.snapshot.lock().unwrap_or_else(PoisonError::into_inner) = Some(load.snapshot);
-                Arc::new(load.corpus)
-            } else {
-                Arc::new(self.store.load_segmented()?.corpus)
-            };
+            // Reload from the compacted store, mapping the freshly
+            // renamed snapshot (the superseded mapping stays valid for
+            // any in-flight reader holding the old view).
+            let MappedLoad {
+                segmented,
+                snapshot,
+            } = self.store.load_segmented_mapped()?;
+            if let Some(hist) = self.hist_hydration.get() {
+                snapshot.attach_hydration_histogram(Arc::clone(hist));
+            }
+            *self.snapshot.lock().unwrap_or_else(PoisonError::into_inner) = snapshot;
+            let reloaded = Arc::new(segmented.corpus);
             **current = Arc::clone(&reloaded);
             self.backend.swap(reloaded);
             if let (Some(h), true) = (self.hist_compaction.get(), watch.is_running()) {
@@ -257,7 +226,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("teda_live_vis_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         seeded(&dir, 4);
-        let live = LiveCorpus::open(&dir, TierPolicy::default()).expect("open live");
+        let live = LiveCorpus::open_mapped(&dir, TierPolicy::default()).expect("open live");
         let backend = live.backend();
         assert!(backend.search("tiramisu dessert", 5).is_empty());
         live.add_pages(vec![page(100, "tiramisu dessert recipe")])
@@ -279,12 +248,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         seeded(&dir, 3);
         {
-            let live = LiveCorpus::open(&dir, TierPolicy::default()).expect("open live");
+            let live = LiveCorpus::open_mapped(&dir, TierPolicy::default()).expect("open live");
             live.add_pages(vec![page(7, "florence museum guide")])
                 .expect("add");
             live.remove_pages(vec!["http://live/1".into()]).expect("rm");
         }
-        let reopened = LiveCorpus::open(&dir, TierPolicy::default()).expect("reopen");
+        let reopened = LiveCorpus::open_mapped(&dir, TierPolicy::default()).expect("reopen");
         let corpus = reopened.corpus();
         let rebuilt = WebCorpus::from_pages(corpus.to_pages());
         assert_eq!(corpus.n_docs(), 3);
@@ -309,28 +278,30 @@ mod tests {
             max_removed: 2,
         };
         let live = LiveCorpus::open_mapped(&dir, policy).expect("open mapped");
-        let stats = live.map_stats().expect("mapped mode must report stats");
+        let stats = live.map_stats();
         assert!(stats.mapped_bytes > 0);
         assert_eq!(stats.hydrations, 0, "open must not hydrate page text");
 
+        // The rebuild oracle replays the same updates on a plain page
+        // list; the live corpus must match a fresh build of it.
+        let mut oracle: Vec<WebPage> = (0..5).map(|i| page(i, "rome pasta restaurant")).collect();
         let backend = live.backend();
         for i in 0..6 {
-            live.add_pages(vec![page(300 + i, "tiramisu dessert recipe")])
-                .expect("add");
+            let added = vec![page(300 + i, "tiramisu dessert recipe")];
+            DeltaOp::AddPages(added.clone()).apply(&mut oracle);
+            live.add_pages(added).expect("add");
         }
-        live.remove_pages(vec!["http://live/300".into()])
-            .expect("remove");
-        live.remove_pages(vec!["http://live/301".into()])
-            .expect("remove");
-        live.remove_pages(vec!["http://live/302".into()])
-            .expect("remove (trips the full fold)");
+        for url in ["http://live/300", "http://live/301", "http://live/302"] {
+            DeltaOp::RemovePages(vec![url.into()]).apply(&mut oracle);
+            // The third removal trips the full fold.
+            live.remove_pages(vec![url.into()]).expect("remove");
+        }
 
         // Still mapped after tier merges and the full fold.
-        assert!(live.map_stats().is_some());
+        assert!(live.map_stats().mapped_bytes > 0);
         // Bit-identical to a heap rebuild of the same logical corpus.
-        let corpus = live.corpus();
-        let rebuilt = WebCorpus::from_pages(corpus.to_pages());
-        assert_eq!(corpus.n_docs(), 5 + 6 - 3);
+        assert_eq!(live.corpus().to_pages(), oracle);
+        let rebuilt = WebCorpus::from_pages(oracle);
         for (query, k) in [("tiramisu dessert", 10), ("rome pasta restaurant", 5)] {
             let got = backend.search(query, k);
             let want = rebuilt.index().search(query, k);
@@ -352,7 +323,7 @@ mod tests {
             fanout: 2,
             max_removed: 4,
         };
-        let live = LiveCorpus::open(&dir, policy).expect("open live");
+        let live = LiveCorpus::open_mapped(&dir, policy).expect("open live");
         for i in 0..10 {
             live.add_pages(vec![page(200 + i, "venice canal gondola")])
                 .expect("add");

@@ -86,15 +86,6 @@ pub struct ServiceConfig {
     /// [`AnnotationService::snapshot_now`] (the wire `SNAPSHOT` verb).
     /// `None` disables persistence.
     pub store_dir: Option<std::path::PathBuf>,
-    /// Serve the base corpus straight off the mmap'd snapshot file
-    /// instead of decoding it to the heap
-    /// ([`LiveCorpus::open_for`](crate::live::LiveCorpus::open_for)
-    /// consults this): cold start becomes O(index + delta), page text
-    /// hydrates lazily per hit, and N service processes over the same
-    /// store directory share one page-cache copy of the corpus.
-    /// Results are bit-identical either way. [`ServiceStats`] reports
-    /// the mapping's resident-bytes and hydration counters when on.
-    pub mmap_corpus: bool,
     /// Telemetry master switch. `true` (the default) wires a recording
     /// [`teda_obs::Registry`] through the pipeline: per-stage latency
     /// histograms, per-request trace spans, and the `METRICS` /
@@ -118,7 +109,6 @@ impl Default for ServiceConfig {
             fair_quantum: 64,
             max_tracked_clients: 1_024,
             store_dir: None,
-            mmap_corpus: false,
             telemetry: true,
         }
     }
@@ -887,7 +877,7 @@ impl AnnotationService {
         let map_stats = self
             .live
             .as_ref()
-            .and_then(|live| live.map_stats())
+            .map(|live| live.map_stats())
             .unwrap_or_default();
         ServiceStats {
             counters: self.shared.obs.counters(),

@@ -91,8 +91,8 @@ pub struct ServiceStats {
     /// [`counter`](Self::counter) reads one by name.
     pub counters: Vec<(&'static str, u64)>,
     /// Bytes of the mmap'd corpus snapshot behind the live backend.
-    /// 0 unless the service runs with `ServiceConfig::mmap_corpus`. All
-    /// three mapping counters describe the *current* mapping — a
+    /// The three mapping gauges are 0 only for a service started
+    /// without a live corpus; they describe the *current* mapping — a
     /// compaction reload replaces it and they restart.
     pub mapped_bytes: u64,
     /// Heap bytes of the mapping's side tables (term lookup, page-span

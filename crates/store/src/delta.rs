@@ -32,7 +32,7 @@
 //! yields the same index a from-scratch sequential build would, which
 //! is the whole compaction correctness argument.
 
-use teda_websim::{IndexParts, WebPage};
+use teda_websim::{IndexParts, InvertedIndex, WebPage};
 
 use crate::corpus_snapshot::{decode_index_parts, encode_index_parts};
 use crate::format::{
@@ -45,8 +45,9 @@ const SEC_ADD: u32 = 1;
 const SEC_REMOVE: u32 = 2;
 /// A partial index over the pages of the immediately preceding
 /// [`SEC_ADD`] section — the segment-level indexing that makes loads
-/// O(delta). Readers that predate (or distrust) it skip it and
-/// re-tokenize; [`decode_segment`] is exactly that tolerant reader.
+/// O(delta). [`read_segment`] hands it over undecoded and
+/// [`adopt_index`] decides whether it is used; an add without a usable
+/// one is re-tokenized.
 const SEC_ADD_INDEX: u32 = 4;
 
 /// Identifies the exact snapshot file a segment applies to: the CRC-32
@@ -124,20 +125,10 @@ fn base_section(base: BaseId) -> (u32, Vec<u8>) {
 }
 
 /// Serializes one segment: the base binding first, then the operations
-/// in order (no embedded partial indexes — a reader of this file
-/// re-tokenizes the added pages).
-pub fn encode_segment(base: BaseId, ops: &[DeltaOp]) -> Vec<u8> {
-    let sections: Vec<(u32, Vec<u8>)> = std::iter::once(base_section(base))
-        .chain(ops.iter().map(op_section))
-        .collect();
-    encode_container(KIND_DELTA, &sections)
-}
-
-/// Serializes one segment with per-add partial indexes: each `AddPages`
-/// section is followed by a `SEC_ADD_INDEX` section holding the
-/// [`IndexParts`] built over exactly that op's pages. `indexes` runs
-/// parallel to `ops` (`None` for removals, or for adds the caller
-/// declines to index).
+/// in order, each `AddPages` section followed by a `SEC_ADD_INDEX`
+/// section holding the [`IndexParts`] built over exactly that op's
+/// pages. `indexes` runs parallel to `ops` (`None` for removals, or for
+/// adds the caller declines to index — a reader re-tokenizes those).
 ///
 /// # Panics
 /// If the slices differ in length or an index is attached to a removal
@@ -148,32 +139,51 @@ pub fn encode_segment_indexed(
     indexes: &[Option<IndexParts>],
 ) -> Vec<u8> {
     assert_eq!(ops.len(), indexes.len(), "one index slot per operation");
+    encode_segment_sections(
+        base,
+        ops,
+        indexes
+            .iter()
+            .map(|parts| parts.as_ref().map(encode_index_parts)),
+    )
+}
+
+/// [`encode_segment_indexed`] over index sections already encoded —
+/// what a tier merge copies verbatim from its sources. `index_sections`
+/// runs parallel to `ops`.
+pub(crate) fn encode_segment_sections(
+    base: BaseId,
+    ops: &[DeltaOp],
+    index_sections: impl IntoIterator<Item = Option<Vec<u8>>>,
+) -> Vec<u8> {
     let mut sections: Vec<(u32, Vec<u8>)> = Vec::with_capacity(1 + ops.len() * 2);
     sections.push(base_section(base));
-    for (op, parts) in ops.iter().zip(indexes) {
+    for (op, index) in ops.iter().zip(index_sections) {
         sections.push(op_section(op));
-        if let Some(parts) = parts {
+        if let Some(index) = index {
             assert!(
                 matches!(op, DeltaOp::AddPages(_)),
                 "only additions carry a partial index"
             );
-            sections.push((SEC_ADD_INDEX, encode_index_parts(parts)));
+            sections.push((SEC_ADD_INDEX, index));
         }
     }
     encode_container(KIND_DELTA, &sections)
 }
 
-/// A fully decoded segment: the binding, the operations, and — aligned
-/// with `ops` — the partial index each `AddPages` brought along
-/// (`None` when the segment was written without one).
+/// A segment as [`read_segment`] finds it: the binding, the operations,
+/// and — aligned with `ops` — the partial-index section journaled
+/// directly after each `AddPages`, **undecoded** (`None` for removals
+/// and for adds written without one). Borrows the segment bytes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SegmentPayload {
+pub struct SegmentPayload<'a> {
     /// The snapshot this segment applies to.
     pub base: BaseId,
     /// The journaled operations, in order.
     pub ops: Vec<DeltaOp>,
-    /// `add_indexes[i]` is the partial index of `ops[i]`, if present.
-    pub add_indexes: Vec<Option<IndexParts>>,
+    /// `add_indexes[i]` is the raw index section of `ops[i]`, if any;
+    /// [`adopt_index`] decides whether it is used.
+    pub add_indexes: Vec<Option<&'a [u8]>>,
 }
 
 fn decode_base(payload: &[u8]) -> Result<BaseId, StoreError> {
@@ -225,79 +235,32 @@ fn decode_op(tag: u32, payload: &[u8]) -> Result<DeltaOp, StoreError> {
     Ok(op)
 }
 
-/// Deserializes one segment back into its base binding and operations,
-/// in order, **skipping** any embedded partial-index sections — the
-/// tolerant reader the O(corpus) re-index fallback uses, so a segment
-/// whose index bytes rotted still replays its operations. The binding
-/// must be the first section — a segment without one cannot be safely
-/// applied to anything.
-pub fn decode_segment(bytes: &[u8]) -> Result<(BaseId, Vec<DeltaOp>), StoreError> {
+/// Reads one segment: its base binding, its operations in order, and
+/// each add's partial-index section left undecoded — so a caller that
+/// only needs the operations (the compaction policy counting removals)
+/// never pays for an index. An index section that does not directly
+/// follow an add (after a removal, before any op, a second one on the
+/// same add) is dropped here. Defects in the binding or in an operation
+/// are typed errors: the binding must be the first section — a segment
+/// without one cannot be safely applied to anything.
+pub fn read_segment(bytes: &[u8]) -> Result<SegmentPayload<'_>, StoreError> {
     let sections = decode_container(bytes, KIND_DELTA)?;
     let mut base = None;
     let mut ops = Vec::with_capacity(sections.len());
+    let mut add_indexes: Vec<Option<&[u8]>> = Vec::with_capacity(sections.len());
     for (i, (tag, payload)) in sections.into_iter().enumerate() {
         match tag {
+            SEC_BASE if i == 0 => base = Some(decode_base(payload)?),
             SEC_BASE => {
-                if i != 0 || base.is_some() {
-                    return Err(StoreError::Corrupt(
-                        "delta base binding must be the first and only binding section".into(),
-                    ));
-                }
-                base = Some(decode_base(payload)?);
-            }
-            // Tolerated without being decoded: the ops alone fully
-            // determine the logical corpus.
-            SEC_ADD_INDEX => {}
-            _ => ops.push(decode_op(tag, payload)?),
-        }
-    }
-    let Some(base) = base else {
-        return Err(StoreError::Corrupt(
-            "delta segment has no base binding".into(),
-        ));
-    };
-    Ok((base, ops))
-}
-
-/// Deserializes one segment *with* its embedded partial indexes — the
-/// strict reader the O(delta) load path uses. Any defect in an index
-/// section (structural rot, an index preceding any add, two indexes on
-/// one add) is a typed error; the caller then falls back to
-/// [`decode_segment`] and re-tokenizes, so corrupt index bytes degrade
-/// to the slow path instead of corrupt search results.
-pub fn decode_segment_full(bytes: &[u8]) -> Result<SegmentPayload, StoreError> {
-    let sections = decode_container(bytes, KIND_DELTA)?;
-    let mut base = None;
-    let mut ops = Vec::with_capacity(sections.len());
-    let mut add_indexes: Vec<Option<IndexParts>> = Vec::with_capacity(sections.len());
-    for (i, (tag, payload)) in sections.into_iter().enumerate() {
-        match tag {
-            SEC_BASE => {
-                if i != 0 || base.is_some() {
-                    return Err(StoreError::Corrupt(
-                        "delta base binding must be the first and only binding section".into(),
-                    ));
-                }
-                base = Some(decode_base(payload)?);
+                return Err(StoreError::Corrupt(
+                    "delta base binding must be the first and only binding section".into(),
+                ))
             }
             SEC_ADD_INDEX => {
-                let parts = decode_index_parts(payload)?;
-                match (ops.last(), add_indexes.last_mut()) {
-                    (Some(DeltaOp::AddPages(pages)), Some(slot @ None)) => {
-                        if parts.n_docs != pages.len() as u64 {
-                            return Err(StoreError::Corrupt(format!(
-                                "segment partial index covers {} documents but the op adds {}",
-                                parts.n_docs,
-                                pages.len()
-                            )));
-                        }
-                        *slot = Some(parts);
-                    }
-                    _ => {
-                        return Err(StoreError::Corrupt(
-                            "partial-index section must directly follow its add section".into(),
-                        ))
-                    }
+                if let (Some(DeltaOp::AddPages(_)), Some(slot @ None)) =
+                    (ops.last(), add_indexes.last_mut())
+                {
+                    *slot = Some(payload);
                 }
             }
             _ => {
@@ -316,6 +279,20 @@ pub fn decode_segment_full(bytes: &[u8]) -> Result<SegmentPayload, StoreError> {
         ops,
         add_indexes,
     })
+}
+
+/// The one adoption rule for a journaled partial index: `section` is
+/// used for the add of `pages` only if it decodes into a valid index
+/// covering exactly those pages. Anything else — no section, rotten or
+/// forged bytes, a document count that disagrees — is `None`, and the
+/// caller re-tokenizes that add alone: damage costs speed, never a
+/// wrong result.
+pub fn adopt_index(section: Option<&[u8]>, pages: &[WebPage]) -> Option<InvertedIndex> {
+    let parts = decode_index_parts(section?).ok()?;
+    if parts.n_docs != pages.len() as u64 {
+        return None;
+    }
+    InvertedIndex::from_parts(parts).ok()
 }
 
 #[cfg(test)]
@@ -338,10 +315,11 @@ mod tests {
             DeltaOp::RemovePages(vec!["a".into()]),
             DeltaOp::AddPages(vec![page("c")]),
         ];
-        let (decoded_base, decoded) =
-            decode_segment(&encode_segment(base, &ops)).expect("own bytes decode");
-        assert_eq!(decoded_base, base);
-        assert_eq!(decoded, ops);
+        let bytes = encode_segment_indexed(base, &ops, &[None, None, None]);
+        let decoded = read_segment(&bytes).expect("own bytes decode");
+        assert_eq!(decoded.base, base);
+        assert_eq!(decoded.ops, ops);
+        assert_eq!(decoded.add_indexes, vec![None; 3]);
         assert_ne!(base, BaseId::of(b"a different snapshot"));
     }
 
@@ -364,94 +342,121 @@ mod tests {
     fn indexed_segments_round_trip_and_tolerant_reader_skips_indexes() {
         let base = BaseId::of(b"snapshot bytes");
         let added = vec![page("a"), page("b")];
-        let parts = teda_websim::InvertedIndex::build(&added).to_parts();
+        let built = teda_websim::InvertedIndex::build(&added);
         let ops = vec![
-            DeltaOp::AddPages(added),
+            DeltaOp::AddPages(added.clone()),
             DeltaOp::RemovePages(vec!["a".into()]),
         ];
-        let indexes = vec![Some(parts.clone()), None];
-        let bytes = encode_segment_indexed(base, &ops, &indexes);
+        let bytes = encode_segment_indexed(base, &ops, &[Some(built.to_parts()), None]);
 
-        let full = decode_segment_full(&bytes).expect("own bytes decode");
-        assert_eq!(full.base, base);
-        assert_eq!(full.ops, ops);
-        assert_eq!(full.add_indexes, indexes);
-
-        // The tolerant reader sees identical operations, no indexes.
-        let (b2, ops2) = decode_segment(&bytes).expect("tolerant reader decodes");
-        assert_eq!(b2, base);
-        assert_eq!(ops2, ops);
+        // The reader returns the index section as bytes, not decoded.
+        let read = read_segment(&bytes).expect("own bytes decode");
+        assert_eq!(read.base, base);
+        assert_eq!(read.ops, ops);
+        assert_eq!(
+            read.add_indexes,
+            vec![Some(encode_index_parts(&built.to_parts()).as_slice()), None]
+        );
+        // Adoption decodes it back into the very index that was built...
+        assert_eq!(adopt_index(read.add_indexes[0], &added), Some(built));
+        // ...and an add without one degrades to a re-tokenize.
+        assert_eq!(adopt_index(None, &added), None);
     }
 
     #[test]
-    fn misplaced_or_mismatched_index_sections_are_corrupt() {
+    fn misplaced_or_mismatched_index_sections_degrade_to_a_re_index() {
         let base = BaseId::of(b"snapshot bytes");
         let added = vec![page("a")];
         let parts = teda_websim::InvertedIndex::build(&added).to_parts();
+        let index_section = || (SEC_ADD_INDEX, encode_index_parts(&parts));
 
-        // Index bound to a remove op (nothing it could cover).
+        // Index bound to a remove op (nothing it could cover), one
+        // before any op, and a second one on the same add: each is
+        // dropped where it stands, and the ops still replay.
         let remove = op_section(&DeltaOp::RemovePages(vec!["a".into()]));
-        let bad = encode_container(
+        let add = op_section(&DeltaOp::AddPages(added.clone()));
+        let bytes = encode_container(
             KIND_DELTA,
             &[
                 base_section(base),
+                index_section(),
                 remove,
-                (SEC_ADD_INDEX, encode_index_parts(&parts)),
+                index_section(),
+                add,
+                index_section(),
+                (SEC_ADD_INDEX, vec![0xFF; 12]),
             ],
         );
-        assert!(matches!(
-            decode_segment_full(&bad),
-            Err(StoreError::Corrupt(_))
-        ));
-        // ...but the tolerant reader still recovers the operations.
-        assert!(decode_segment(&bad).is_ok());
+        let read = read_segment(&bytes).expect("misplaced indexes are dropped, not fatal");
+        assert_eq!(read.ops.len(), 2);
+        assert_eq!(
+            read.add_indexes[0], None,
+            "an index after a removal is dropped"
+        );
+        assert_eq!(
+            read.add_indexes[1],
+            Some(encode_index_parts(&parts).as_slice()),
+            "the add keeps the index directly after it, not the second one"
+        );
+        assert!(adopt_index(read.add_indexes[1], &added).is_some());
 
         // Index whose document count disagrees with its add.
-        let two = op_section(&DeltaOp::AddPages(vec![page("a"), page("b")]));
-        let bad = encode_container(
+        let two = vec![page("a"), page("b")];
+        let bytes = encode_container(
             KIND_DELTA,
             &[
                 base_section(base),
-                two,
-                (SEC_ADD_INDEX, encode_index_parts(&parts)),
+                op_section(&DeltaOp::AddPages(two.clone())),
+                index_section(),
             ],
         );
-        assert!(matches!(
-            decode_segment_full(&bad),
-            Err(StoreError::Corrupt(_))
-        ));
+        let read = read_segment(&bytes).expect("structurally sound");
+        assert!(read.add_indexes[0].is_some());
+        assert_eq!(adopt_index(read.add_indexes[0], &two), None);
 
-        // Structurally rotten index payload: strict reader errors,
-        // tolerant reader still replays.
-        let add = op_section(&DeltaOp::AddPages(added));
-        let bad = encode_container(
+        // Structurally rotten index payload: the segment still reads,
+        // and only adoption refuses the bytes.
+        let bytes = encode_container(
             KIND_DELTA,
-            &[base_section(base), add, (SEC_ADD_INDEX, vec![0xFF; 12])],
+            &[
+                base_section(base),
+                op_section(&DeltaOp::AddPages(added.clone())),
+                (SEC_ADD_INDEX, vec![0xFF; 12]),
+            ],
         );
-        assert!(decode_segment_full(&bad).is_err());
-        let (_, ops) = decode_segment(&bad).expect("ops survive rotten index bytes");
-        assert_eq!(ops.len(), 1);
+        let read = read_segment(&bytes).expect("ops survive rotten index bytes");
+        assert_eq!(read.ops, vec![DeltaOp::AddPages(added.clone())]);
+        assert_eq!(adopt_index(read.add_indexes[0], &added), None);
     }
 
     #[test]
     fn corrupt_segments_are_typed_errors() {
         let base = BaseId::of(b"base");
-        let bytes = encode_segment(base, &[DeltaOp::AddPages(vec![page("x")])]);
+        let bytes = encode_segment_indexed(base, &[DeltaOp::AddPages(vec![page("x")])], &[None]);
         for cut in 20..bytes.len() {
             assert!(
-                decode_segment(&bytes[..cut]).is_err(),
+                read_segment(&bytes[..cut]).is_err(),
                 "truncation at {cut} must fail"
             );
         }
         let mut flipped = bytes.clone();
         let last = flipped.len() - 1;
         flipped[last] ^= 1;
-        assert!(decode_segment(&flipped).is_err());
+        assert!(read_segment(&flipped).is_err());
         // A segment without its base binding is unusable by definition.
         let unbound = crate::format::encode_container(KIND_DELTA, &[]);
         assert!(matches!(
-            decode_segment(&unbound),
+            read_segment(&unbound),
             Err(StoreError::Corrupt(_))
         ));
+        // A binding anywhere but first, and an op section with trailing
+        // bytes, are typed errors too.
+        let add = op_section(&DeltaOp::AddPages(vec![page("x")]));
+        let late = encode_container(KIND_DELTA, &[add.clone(), base_section(base)]);
+        assert!(matches!(read_segment(&late), Err(StoreError::Corrupt(_))));
+        let mut padded = add;
+        padded.1.push(0);
+        let padded = encode_container(KIND_DELTA, &[base_section(base), padded]);
+        assert!(matches!(read_segment(&padded), Err(StoreError::Corrupt(_))));
     }
 }

@@ -25,12 +25,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use teda_websim::{
-    IndexParts, InvertedIndex, Segment, SegmentOp, SegmentedCorpus, WebCorpus, WebPage,
+    BaseCorpus, IndexParts, InvertedIndex, Segment, SegmentOp, SegmentedCorpus, WebCorpus, WebPage,
 };
 
-use crate::corpus_snapshot::{decode_corpus, encode_corpus, SnapshotBytes};
+use crate::corpus_snapshot::{decode_corpus, encode_corpus, encode_index_parts, SnapshotBytes};
 use crate::delta::{
-    decode_segment, decode_segment_full, encode_segment_indexed, BaseId, DeltaOp, SegmentPayload,
+    adopt_index, encode_segment_indexed, encode_segment_sections, read_segment, BaseId, DeltaOp,
+    SegmentPayload,
 };
 use crate::format::{sync_dir, write_atomic};
 use crate::mapped::{MappedSnapshot, ViewBackend};
@@ -124,22 +125,14 @@ pub struct SegmentedLoad {
 /// A corpus opened for serving straight off the mmap'd snapshot: the
 /// base is a [`ViewBackend`] borrowing the mapping (no page text
 /// materialized) and the journal is replayed as overlays exactly as in
-/// [`SegmentedLoad`] — results stay bit-identical to the heap path.
+/// [`CorpusStore::load_segmented`] — results stay bit-identical to it.
 #[derive(Debug)]
 pub struct MappedLoad {
-    /// Mapped base + journal overlays; search results are bit-identical
-    /// to [`CorpusStore::load_segmented`] over the same directory.
-    pub corpus: SegmentedCorpus,
+    /// Mapped base + journal overlays, with the replay counts.
+    pub segmented: SegmentedLoad,
     /// The mapping behind the base, for counters and explicit
     /// verification ([`MappedSnapshot::stats`]).
     pub snapshot: Arc<MappedSnapshot>,
-    /// Journal segments turned into overlays.
-    pub replayed_segments: usize,
-    /// Add operations whose journaled partial index was adopted as-is.
-    pub prebuilt_ops: usize,
-    /// Add operations that had to be re-tokenized (missing or unusable
-    /// embedded index).
-    pub reindexed_ops: usize,
 }
 
 /// How [`CorpusStore::open_or_build`] obtained its corpus.
@@ -264,8 +257,8 @@ impl CorpusStore {
     pub fn load(&self) -> Result<Loaded, StoreError> {
         let path = self.snapshot_path();
         let bytes = std::fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
-        let segments = self.active_segments()?;
-        if segments.is_empty() {
+        let files = self.active_segments()?;
+        if files.is_empty() {
             // Fast path: no journal, so the base binding (a second
             // whole-file CRC) never needs computing.
             return Ok(Loaded {
@@ -275,8 +268,30 @@ impl CorpusStore {
             });
         }
         let base_id = self.bind(&bytes);
-        let payloads = self.read_bound_payloads(&segments, base_id)?;
-        let replayed = payloads.len();
+        let mut replayed = 0usize;
+        let mut ops = Vec::new();
+        // The adopted partial index of every add, while the journal
+        // stays eligible for the O(delta) graft: pure additions, each
+        // with an index that passes adoption. A removal would change
+        // interning order and break the byte-identity guarantee. The
+        // graft below takes parts, so an adopted index goes back to them.
+        let mut parts: Option<Vec<IndexParts>> = Some(Vec::new());
+        self.for_each_bound(&files, base_id, |_, payload| {
+            replayed += 1;
+            for (op, section) in payload.ops.into_iter().zip(payload.add_indexes) {
+                if let Some(adopted) = &mut parts {
+                    match &op {
+                        DeltaOp::AddPages(pages) => match adopt_index(section, pages) {
+                            Some(index) => adopted.push(index.to_parts()),
+                            None => parts = None,
+                        },
+                        DeltaOp::RemovePages(_) => parts = None,
+                    }
+                }
+                ops.push(op);
+            }
+            Ok(())
+        })?;
         let base = decode_corpus(&bytes)?;
         if replayed == 0 {
             return Ok(Loaded {
@@ -285,34 +300,18 @@ impl CorpusStore {
                 incremental: false,
             });
         }
-        let incremental_eligible = payloads.iter().all(|p| {
-            p.ops
-                .iter()
-                .zip(&p.add_indexes)
-                .all(|(op, idx)| matches!(op, DeltaOp::AddPages(_)) && idx.is_some())
-        });
-        if incremental_eligible {
+        if let Some(parts) = parts {
             // O(delta) path: graft the journaled partial indexes onto
-            // the base index. Pure additions only — a removal would
-            // change interning order and break the byte-identity
-            // guarantee, so it never reaches this branch.
+            // the base index. A graft that fails its combined-size
+            // checks degrades to one re-index of the page list.
             let (mut pages, index) = base.into_pages_and_index();
-            let mut parts = Vec::new();
-            for payload in payloads {
-                for (op, idx) in payload.ops.into_iter().zip(payload.add_indexes) {
-                    if let DeltaOp::AddPages(ps) = op {
-                        pages.extend(ps);
-                        parts.push(idx.expect("eligibility checked every add is indexed"));
-                    }
-                }
+            for op in ops {
+                apply_owned(op, &mut pages);
             }
-            // Forged parts that passed the structural decode but fail
-            // index validation — including a document count that does
-            // not match the pages they ride with — degrade to one
-            // re-index of the already-assembled page list.
-            let merged = match index.extend_with_parts(parts) {
-                Ok(m) if m.n_docs() == pages.len() => m,
-                _ => {
+            let corpus = match index.extend_with_parts(parts) {
+                Ok(merged) => WebCorpus::from_parts(pages, merged)
+                    .map_err(|e| StoreError::Corrupt(e.to_string()))?,
+                Err(_) => {
                     return Ok(Loaded {
                         corpus: WebCorpus::from_pages(pages),
                         replayed_segments: replayed,
@@ -320,8 +319,6 @@ impl CorpusStore {
                     })
                 }
             };
-            let corpus = WebCorpus::from_parts(pages, merged)
-                .map_err(|e| StoreError::Corrupt(e.to_string()))?;
             return Ok(Loaded {
                 corpus,
                 replayed_segments: replayed,
@@ -329,10 +326,8 @@ impl CorpusStore {
             });
         }
         let mut pages = base.into_pages();
-        for payload in payloads {
-            for op in payload.ops {
-                apply_owned(op, &mut pages);
-            }
+        for op in ops {
+            apply_owned(op, &mut pages);
         }
         Ok(Loaded {
             corpus: WebCorpus::from_pages(pages),
@@ -343,53 +338,14 @@ impl CorpusStore {
 
     /// Opens the store for segment-overlay reads: the base snapshot is
     /// decoded once and each journal segment becomes an in-memory
-    /// overlay, adopting its journaled partial index when intact
-    /// (O(delta) open) and re-tokenizing only the damaged ops.
+    /// overlay, adopting each add's journaled partial index when it
+    /// passes [`adopt_index`] (O(delta) open) and re-tokenizing only
+    /// the adds whose index does not.
     pub fn load_segmented(&self) -> Result<SegmentedLoad, StoreError> {
         let path = self.snapshot_path();
         let bytes = std::fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
-        let segment_files = self.active_segments()?;
-        let payloads = if segment_files.is_empty() {
-            Vec::new()
-        } else {
-            let base_id = self.bind(&bytes);
-            self.read_bound_payloads(&segment_files, base_id)?
-        };
-        let base = Arc::new(decode_corpus(&bytes)?);
-        let replayed_segments = payloads.len();
-        let mut prebuilt_ops = 0usize;
-        let mut reindexed_ops = 0usize;
-        let mut segments = Vec::with_capacity(payloads.len());
-        for payload in payloads {
-            let mut ops = Vec::with_capacity(payload.ops.len());
-            for (op, idx) in payload.ops.into_iter().zip(payload.add_indexes) {
-                ops.push(match op {
-                    DeltaOp::AddPages(pages) => {
-                        match idx.and_then(|parts| InvertedIndex::from_parts(parts).ok()) {
-                            Some(ix) if ix.n_docs() == pages.len() => {
-                                prebuilt_ops += 1;
-                                SegmentOp::add_prebuilt(pages, ix)
-                                    .map_err(|e| StoreError::Corrupt(e.to_string()))?
-                            }
-                            _ => {
-                                reindexed_ops += 1;
-                                SegmentOp::add(pages)
-                            }
-                        }
-                    }
-                    DeltaOp::RemovePages(urls) => SegmentOp::remove(urls),
-                });
-            }
-            segments.push(Arc::new(Segment::new(ops)));
-        }
-        let corpus =
-            SegmentedCorpus::new(base, segments).map_err(|e| StoreError::Corrupt(e.to_string()))?;
-        Ok(SegmentedLoad {
-            corpus,
-            replayed_segments,
-            prebuilt_ops,
-            reindexed_ops,
-        })
+        let overlays = self.overlays(&bytes)?;
+        overlays.over(Arc::new(decode_corpus(&bytes)?))
     }
 
     /// Maps the base snapshot file read-only and opens it with all
@@ -415,8 +371,8 @@ impl CorpusStore {
     /// [`load_segmented`](Self::load_segmented) with the base served
     /// straight off the mmap'd snapshot: the index half is verified up
     /// front (it is what every query walks), page text hydrates lazily
-    /// per hit, and journal overlays apply exactly as on the heap path
-    /// — bit-identical results, O(index + delta) open instead of
+    /// per hit, and journal overlays apply exactly as there —
+    /// bit-identical results, O(index + delta) open instead of
     /// O(corpus).
     ///
     /// If the journal contains a removal, the pages half is verified
@@ -424,98 +380,81 @@ impl CorpusStore {
     /// fields, which must never be read unverified.
     pub fn load_segmented_mapped(&self) -> Result<MappedLoad, StoreError> {
         let snapshot = self.open_mapped()?;
-        let segment_files = self.active_segments()?;
-        let payloads = if segment_files.is_empty() {
-            Vec::new()
-        } else {
-            let base_id = self.bind(snapshot.bytes());
-            self.read_bound_payloads(&segment_files, base_id)?
-        };
+        let overlays = self.overlays(snapshot.bytes())?;
         let backend = ViewBackend::new(Arc::clone(&snapshot))?;
-        let replayed_segments = payloads.len();
-        let mut prebuilt_ops = 0usize;
-        let mut reindexed_ops = 0usize;
-        let mut any_remove = false;
-        let mut segments = Vec::with_capacity(payloads.len());
-        for payload in payloads {
-            let mut ops = Vec::with_capacity(payload.ops.len());
-            for (op, idx) in payload.ops.into_iter().zip(payload.add_indexes) {
-                ops.push(match op {
-                    DeltaOp::AddPages(pages) => {
-                        match idx.and_then(|parts| InvertedIndex::from_parts(parts).ok()) {
-                            Some(ix) if ix.n_docs() == pages.len() => {
-                                prebuilt_ops += 1;
-                                SegmentOp::add_prebuilt(pages, ix)
-                                    .map_err(|e| StoreError::Corrupt(e.to_string()))?
-                            }
-                            _ => {
-                                reindexed_ops += 1;
-                                SegmentOp::add(pages)
-                            }
-                        }
-                    }
-                    DeltaOp::RemovePages(urls) => {
-                        any_remove = true;
-                        SegmentOp::remove(urls)
-                    }
-                });
-            }
-            segments.push(Arc::new(Segment::new(ops)));
-        }
+        let any_remove = overlays
+            .segments
+            .iter()
+            .flat_map(|segment| segment.ops())
+            .any(|op| op.removed().is_some());
         if any_remove {
             snapshot.verify_pages()?;
         }
-        let corpus = SegmentedCorpus::new(Arc::new(backend), segments)
-            .map_err(|e| StoreError::Corrupt(e.to_string()))?;
         Ok(MappedLoad {
-            corpus,
+            segmented: overlays.over(Arc::new(backend))?,
             snapshot,
-            replayed_segments,
-            prebuilt_ops,
-            reindexed_ops,
         })
     }
 
-    /// Reads and decodes the given segment files, sweeping any bound to
-    /// a different (older) snapshot. A segment whose embedded index
-    /// sections are damaged but whose op journal is intact degrades to
-    /// an unindexed payload instead of failing the load.
-    fn read_bound_payloads(
-        &self,
-        segments: &[SegFile],
-        base_id: BaseId,
-    ) -> Result<Vec<SegmentPayload>, StoreError> {
-        let mut payloads = Vec::with_capacity(segments.len());
-        let mut swept = false;
-        for seg in segments {
-            let bytes = std::fs::read(&seg.path).map_err(|e| StoreError::io(&seg.path, e))?;
-            let payload = match decode_segment_full(&bytes) {
-                Ok(payload) => payload,
-                Err(strict_err) => match decode_segment(&bytes) {
-                    Ok((base, ops)) => {
-                        let n = ops.len();
-                        SegmentPayload {
-                            base,
-                            ops,
-                            add_indexes: vec![None; n],
+    /// The overlay builder behind both segmented opens: the journal
+    /// bound to `snapshot_bytes` as one [`Segment`] per file, each add
+    /// adopting its journaled index or re-tokenized.
+    fn overlays(&self, snapshot_bytes: &[u8]) -> Result<Overlays, StoreError> {
+        let mut overlays = Overlays::default();
+        let files = self.active_segments()?;
+        if files.is_empty() {
+            return Ok(overlays);
+        }
+        let base_id = self.bind(snapshot_bytes);
+        self.for_each_bound(&files, base_id, |_, payload| {
+            let mut ops = Vec::with_capacity(payload.ops.len());
+            for (op, section) in payload.ops.into_iter().zip(payload.add_indexes) {
+                ops.push(match op {
+                    DeltaOp::AddPages(pages) => match adopt_index(section, &pages) {
+                        Some(index) => {
+                            overlays.prebuilt_ops += 1;
+                            SegmentOp::add_prebuilt(pages, index)
+                                .map_err(|e| StoreError::Corrupt(e.to_string()))?
                         }
-                    }
-                    Err(_) => return Err(strict_err),
-                },
-            };
+                        None => {
+                            overlays.reindexed_ops += 1;
+                            SegmentOp::add(pages)
+                        }
+                    },
+                    DeltaOp::RemovePages(urls) => SegmentOp::remove(urls),
+                });
+            }
+            overlays.segments.push(Arc::new(Segment::new(ops)));
+            Ok(())
+        })?;
+        Ok(overlays)
+    }
+
+    /// Reads each of `files` in order, sweeping any bound to a snapshot
+    /// other than `base_id` and handing the rest to `visit`.
+    fn for_each_bound(
+        &self,
+        files: &[SegFile],
+        base_id: BaseId,
+        mut visit: impl FnMut(&SegFile, SegmentPayload<'_>) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let mut swept = false;
+        for file in files {
+            let bytes = std::fs::read(&file.path).map_err(|e| StoreError::io(&file.path, e))?;
+            let payload = read_segment(&bytes)?;
             if payload.base != base_id {
                 // Already folded into the snapshot by an interrupted
                 // compaction — applying it again would duplicate pages.
-                std::fs::remove_file(&seg.path).map_err(|e| StoreError::io(&seg.path, e))?;
+                std::fs::remove_file(&file.path).map_err(|e| StoreError::io(&file.path, e))?;
                 swept = true;
                 continue;
             }
-            payloads.push(payload);
+            visit(file, payload)?;
         }
         if swept {
             sync_dir(&self.snapshot_path())?;
         }
-        Ok(payloads)
+        Ok(())
     }
 
     /// The fast path: load the persisted corpus, or fall back to
@@ -638,30 +577,22 @@ impl CorpusStore {
             Err(e) => return Err(e),
         };
         // One pass over the live journal: sweep stale-bound leftovers,
-        // count removal URLs for the full-fold trigger.
+        // count removal URLs for the full-fold trigger (no index section
+        // is decoded here).
         let mut removed = 0usize;
-        let mut swept = false;
         let mut active: Vec<SegFile> = Vec::new();
-        for file in self.active_segments()? {
-            let bytes = std::fs::read(&file.path).map_err(|e| StoreError::io(&file.path, e))?;
-            let (bound_to, ops) = decode_segment(&bytes)?;
-            if bound_to != base_id {
-                std::fs::remove_file(&file.path).map_err(|e| StoreError::io(&file.path, e))?;
-                swept = true;
-                continue;
-            }
-            removed += ops
+        self.for_each_bound(&self.active_segments()?, base_id, |file, payload| {
+            removed += payload
+                .ops
                 .iter()
                 .map(|op| match op {
                     DeltaOp::RemovePages(urls) => urls.len(),
                     DeltaOp::AddPages(_) => 0,
                 })
                 .sum::<usize>();
-            active.push(file);
-        }
-        if swept {
-            sync_dir(&self.snapshot_path())?;
-        }
+            active.push(file.clone());
+            Ok(())
+        })?;
         if removed > policy.max_removed {
             self.compact_in_place()?;
             report.full_fold = true;
@@ -691,31 +622,22 @@ impl CorpusStore {
     /// them, so no op is ever replayed twice.
     fn merge_segments(&self, victims: &[SegFile], base_id: BaseId) -> Result<SegFile, StoreError> {
         let mut ops = Vec::new();
-        let mut indexes = Vec::new();
+        let mut sections = Vec::new();
         for victim in victims {
             let bytes = std::fs::read(&victim.path).map_err(|e| StoreError::io(&victim.path, e))?;
-            let payload = match decode_segment_full(&bytes) {
-                Ok(payload) => payload,
-                Err(strict_err) => match decode_segment(&bytes) {
-                    Ok((base, segment_ops)) => {
-                        let n = segment_ops.len();
-                        SegmentPayload {
-                            base,
-                            ops: segment_ops,
-                            add_indexes: vec![None; n],
-                        }
-                    }
-                    Err(_) => return Err(strict_err),
-                },
-            };
-            ops.extend(payload.ops);
-            indexes.extend(payload.add_indexes);
-        }
-        // A merged add op may have lost its index to damage; re-derive
-        // it here so the run restores O(delta) eligibility.
-        for (op, idx) in ops.iter().zip(indexes.iter_mut()) {
-            if let (DeltaOp::AddPages(pages), None) = (op, &idx) {
-                *idx = Some(InvertedIndex::build(pages).to_parts());
+            let payload = read_segment(&bytes)?;
+            for (op, section) in payload.ops.into_iter().zip(payload.add_indexes) {
+                // An adopted index is copied verbatim; one that fails
+                // adoption is re-derived, so the run restores O(delta)
+                // eligibility.
+                sections.push(match &op {
+                    DeltaOp::AddPages(pages) => Some(match section {
+                        Some(raw) if adopt_index(Some(raw), pages).is_some() => raw.to_vec(),
+                        _ => encode_index_parts(&InvertedIndex::build(pages).to_parts()),
+                    }),
+                    DeltaOp::RemovePages(_) => None,
+                });
+                ops.push(op);
             }
         }
         let start = victims
@@ -726,7 +648,7 @@ impl CorpusStore {
         let path = self
             .dir
             .join(format!("{DELTA_PREFIX}{start:06}-{end:06}.{DELTA_EXT}"));
-        write_atomic(&path, &encode_segment_indexed(base_id, &ops, &indexes))?;
+        write_atomic(&path, &encode_segment_sections(base_id, &ops, sections))?;
         for victim in victims {
             std::fs::remove_file(&victim.path).map_err(|e| StoreError::io(&victim.path, e))?;
         }
@@ -823,6 +745,26 @@ impl CorpusStore {
             sync_dir(&self.snapshot_path())?;
         }
         Ok(active)
+    }
+}
+
+/// The journal as overlays, before they are laid over a base.
+#[derive(Default)]
+struct Overlays {
+    segments: Vec<Arc<Segment>>,
+    prebuilt_ops: usize,
+    reindexed_ops: usize,
+}
+
+impl Overlays {
+    fn over(self, base: Arc<dyn BaseCorpus>) -> Result<SegmentedLoad, StoreError> {
+        Ok(SegmentedLoad {
+            replayed_segments: self.segments.len(),
+            corpus: SegmentedCorpus::new(base, self.segments)
+                .map_err(|e| StoreError::Corrupt(e.to_string()))?,
+            prebuilt_ops: self.prebuilt_ops,
+            reindexed_ops: self.reindexed_ops,
+        })
     }
 }
 

@@ -169,7 +169,7 @@ fn assert_all_backends_conform(store: &CorpusStore, oracle: &WebCorpus, when: &s
     let mapped = store.load_segmented_mapped().expect("mapped load");
     assert_conforms(
         oracle,
-        &mapped.corpus,
+        &mapped.segmented.corpus,
         &format!("{when}: SegmentedCorpus over mapped view"),
     );
 

@@ -307,7 +307,8 @@ fn a_publish_clears_verdicts_with_their_results() {
             .expect("open store")
             .save(&web)
             .expect("seed snapshot");
-        let live = Arc::new(LiveCorpus::open(&dir, TierPolicy::default()).expect("open live"));
+        let live =
+            Arc::new(LiveCorpus::open_mapped(&dir, TierPolicy::default()).expect("open live"));
         let engine = Arc::new(BingSim::instant(live.backend()));
         let service = AnnotationService::start_live(
             BatchAnnotator::new(engine.clone(), classifier.clone(), config.clone()),
@@ -520,7 +521,7 @@ fn live_service(
         .expect("open store")
         .save(web)
         .expect("seed snapshot");
-    let live = Arc::new(LiveCorpus::open(&dir, TierPolicy::default()).expect("open live"));
+    let live = Arc::new(LiveCorpus::open_mapped(&dir, TierPolicy::default()).expect("open live"));
     let engine = Arc::new(BingSim::instant(live.backend()));
     let service = AnnotationService::start_live(
         BatchAnnotator::new(engine.clone(), classifier.clone(), plain_config()),

@@ -365,11 +365,10 @@ fn mmap_corpus_service_is_bit_identical_and_reports_mapping_counters() {
     let config = ServiceConfig {
         workers: 2,
         queue_depth: tables.len() * 2,
-        mmap_corpus: true,
         ..ServiceConfig::default()
     };
     let live = Arc::new(
-        teda::service::LiveCorpus::open_for(&config, &dir, teda::store::TierPolicy::default())
+        teda::service::LiveCorpus::open_mapped(&dir, teda::store::TierPolicy::default())
             .expect("open mapped live corpus"),
     );
     let mapped_engine = Arc::new(BingSim::instant(live.backend()));

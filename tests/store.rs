@@ -23,7 +23,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use teda::kb::{World, WorldSpec};
-use teda::store::delta::{decode_segment_full, encode_segment_indexed};
+use teda::store::delta::{adopt_index, encode_segment_indexed, read_segment};
+use teda::store::format::{decode_container, encode_container, KIND_DELTA};
 use teda::store::{
     load_cache_snapshot, save_cache_snapshot, BaseId, CorpusStore, DeltaOp, MappedSnapshot,
     OpenOutcome, SnapshotBytes, StoreError, TierPolicy, ViewBackend, CACHE_FILE, SNAPSHOT_FILE,
@@ -664,7 +665,7 @@ proptest::proptest! {
     }
 
     /// One flipped bit or truncation anywhere in an indexed segment
-    /// file: the strict decoder returns a typed error (or the rot is
+    /// file: the segment reader returns a typed error (or the rot is
     /// provably inert), and a store open either errors typed or serves
     /// a corpus consistent with the journal — never a panic, never
     /// wrong results.
@@ -699,13 +700,16 @@ proptest::proptest! {
         }
         std::fs::write(&seg_path, &bad).expect("write rotted segment");
 
-        // Strict decode: every section is CRC-framed, so damage is a
-        // typed error; if it somehow decodes, the payload must be the
-        // original one (the rot landed on provably inert bytes).
-        if let Ok(payload) = decode_segment_full(&bad) {
-            proptest::prop_assert_eq!(
-                &payload.ops,
-                &vec![DeltaOp::AddPages(delta_pages.clone())]
+        // Every section payload is CRC-framed, so damage is a typed
+        // error; if the segment still reads, its ops are the original
+        // ones (the rot landed on inert bytes) or none at all (the add
+        // section's tag turned into an index tag, so both sections are
+        // index sections that follow no add and are dropped — the
+        // loads below then serve the base alone).
+        if let Ok(payload) = read_segment(&bad) {
+            proptest::prop_assert!(
+                payload.ops.is_empty()
+                    || payload.ops == vec![DeltaOp::AddPages(delta_pages.clone())]
             );
         }
 
@@ -772,19 +776,15 @@ fn forged_embedded_index_degrades_to_a_re_index_never_wrong_results() {
     )
     .expect("write forged segment");
 
-    // The strict decoder refuses the count mismatch with a *typed*
-    // error naming the defect — this is the trust boundary, not a
-    // panic site.
-    match decode_segment_full(&std::fs::read(dir.join("delta-000001.seg")).expect("read forged")) {
-        Err(StoreError::Corrupt(msg)) => assert!(
-            msg.contains("covers"),
-            "unexpected corruption message: {msg}"
-        ),
-        other => panic!("short partial index must be typed Corrupt, got {other:?}"),
-    }
+    // The segment reads, index section and all; adoption — the trust
+    // boundary — refuses the count mismatch.
+    let forged = std::fs::read(dir.join("delta-000001.seg")).expect("read forged");
+    let payload = read_segment(&forged).expect("forged segment is structurally valid");
+    assert!(payload.add_indexes[0].is_some());
+    assert!(adopt_index(payload.add_indexes[0], &delta_pages).is_none());
 
-    // The store itself degrades: the tolerant decode keeps the ops,
-    // drops the indexes, and replay re-tokenizes — results stay exact.
+    // The store itself degrades: the ops replay, the refused index is
+    // dropped, and replay re-tokenizes — results stay exact.
     let rebuild = WebCorpus::from_pages(base_pages.iter().chain(&delta_pages).cloned().collect());
     let loaded = store.load().expect("load degrades, not errors");
     assert!(
@@ -810,15 +810,104 @@ fn forged_embedded_index_degrades_to_a_re_index_never_wrong_results() {
         encode_segment_indexed(base_id, &ops, &[Some(lying_parts)]),
     )
     .expect("overwrite with lying segment");
-    let payload =
-        decode_segment_full(&std::fs::read(dir.join("delta-000001.seg")).expect("read lying"))
-            .expect("lying segment is structurally valid");
+    let lying = std::fs::read(dir.join("delta-000001.seg")).expect("read lying");
+    let payload = read_segment(&lying).expect("lying segment is structurally valid");
     assert!(payload.add_indexes[0].is_some());
+    assert!(adopt_index(payload.add_indexes[0], &delta_pages).is_none());
     let loaded = store.load().expect("load degrades on lying parts");
     assert!(!loaded.incremental);
     let seg = store.load_segmented().expect("segmented open degrades too");
     assert_eq!(seg.reindexed_ops, 1);
     assert_replay_matches_rebuild(&store, &rebuild);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One segment with two adds, the second add's index unusable — moved
+/// away from its add, or covering the wrong page count: adoption is
+/// decided per add, so the first add keeps its journaled index and only
+/// the second is re-tokenized, on both overlay opens, and every probe
+/// ranks exactly like a rebuild.
+#[test]
+fn an_unusable_index_degrades_only_its_own_add() {
+    let mut rng = StdRng::seed_from_u64(0xadd2);
+    let base_pages: Vec<WebPage> = (0..5)
+        .map(|i| synth_page(&mut rng, &format!("http://base/{i}")))
+        .collect();
+    let first: Vec<WebPage> = (0..3)
+        .map(|i| synth_page(&mut rng, &format!("http://first/{i}")))
+        .collect();
+    let second: Vec<WebPage> = (0..2)
+        .map(|i| synth_page(&mut rng, &format!("http://second/{i}")))
+        .collect();
+    let dir = temp_store("per_add_degrade");
+    let store = CorpusStore::open(&dir).expect("open store");
+    store
+        .save(&WebCorpus::from_pages(base_pages.clone()))
+        .expect("save base");
+    let base_id = BaseId::of(&std::fs::read(store.snapshot_path()).expect("read snapshot"));
+    let ops = vec![
+        DeltaOp::AddPages(first.clone()),
+        DeltaOp::AddPages(second.clone()),
+    ];
+    let first_index = Some(InvertedIndex::build(&first).to_parts());
+
+    // Misplaced: the sections [base, add 1, index 1, add 2, index 2]
+    // reordered so index 2 comes before its add, straight after index 1.
+    let intact = encode_segment_indexed(
+        base_id,
+        &ops,
+        &[
+            first_index.clone(),
+            Some(InvertedIndex::build(&second).to_parts()),
+        ],
+    );
+    let mut sections: Vec<(u32, Vec<u8>)> = decode_container(&intact, KIND_DELTA)
+        .expect("own bytes decode")
+        .into_iter()
+        .map(|(tag, payload)| (tag, payload.to_vec()))
+        .collect();
+    sections.swap(3, 4);
+    let misplaced = encode_container(KIND_DELTA, &sections);
+    // Wrong count: add 2's index covers only one of its two pages.
+    let short = encode_segment_indexed(
+        base_id,
+        &ops,
+        &[
+            first_index,
+            Some(InvertedIndex::build(&second[..1]).to_parts()),
+        ],
+    );
+
+    let rebuild = WebCorpus::from_pages(
+        base_pages
+            .iter()
+            .chain(&first)
+            .chain(&second)
+            .cloned()
+            .collect(),
+    );
+    for (defect, bytes) in [("misplaced", misplaced), ("short", short)] {
+        std::fs::write(dir.join("delta-000001.seg"), bytes).expect("write segment");
+        let seg = store.load_segmented().expect("segmented open");
+        let mapped = store
+            .load_segmented_mapped()
+            .expect("mapped open")
+            .segmented;
+        for (path, load) in [("load_segmented", &seg), ("load_segmented_mapped", &mapped)] {
+            assert_eq!(load.prebuilt_ops, 1, "{defect}: {path} adopts add 1");
+            assert_eq!(load.reindexed_ops, 1, "{defect}: {path} re-tokenizes add 2");
+            for q in vocab_probes() {
+                for k in [1, 3, 10] {
+                    assert_eq!(
+                        bits(&load.corpus.search(&q, k)),
+                        bits(&rebuild.index().search(&q, k)),
+                        "{defect}: {path} diverged on {q:?} k {k}"
+                    );
+                }
+            }
+        }
+        assert_replay_matches_rebuild(&store, &rebuild);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
