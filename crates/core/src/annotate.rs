@@ -333,13 +333,12 @@ impl SnippetClassMemo {
         class
     }
 
-    /// Hits, misses and evictions so far (`expired` stays 0: no TTL).
+    /// Hits, misses and evictions so far.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
             evictions: self.evictions.get(),
-            expired: 0,
         }
     }
 

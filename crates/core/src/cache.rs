@@ -20,22 +20,19 @@
 //! # Boundedness
 //!
 //! A long-running annotation *service* cannot let the memo grow without
-//! bound the way an offline corpus run can. [`CacheConfig`] adds two
-//! knobs:
+//! bound the way an offline corpus run can. [`CacheConfig::capacity`]
+//! caps the memoized entries, split evenly across the shards and
+//! enforced per shard with exact LRU eviction (shards are small —
+//! `capacity / shards` entries — so the eviction scan is a short,
+//! bounded critical section; an intrusive LRU list would buy nothing at
+//! this size).
 //!
-//! * **capacity** — a cap on memoized entries, split evenly across the
-//!   shards and enforced per shard with exact LRU eviction (shards are
-//!   small — `capacity / shards` entries — so the eviction scan is a
-//!   short, bounded critical section; an intrusive LRU list would buy
-//!   nothing at this size);
-//! * **TTL** — entries older than the deadline answer as misses and are
-//!   re-searched, so a service that runs for days does not serve
-//!   arbitrarily stale results.
-//!
-//! **Determinism invariant (hard):** search results are a pure function
-//! of `(query, k)`, so an eviction or expiry can only change the *cost*
-//! of a lookup (one extra engine call), never its result. Bounded and
-//! unbounded caches produce bit-identical annotations.
+//! Entries never expire by age. **Determinism invariant (hard):** search
+//! results are a pure function of `(query, k)` over the corpus, and the
+//! service [`clear`](QueryCache::clear)s the memo on every corpus
+//! publish, so an entry is never stale and an eviction can only change
+//! the *cost* of a lookup (one extra engine call), never its result.
+//! Bounded and unbounded caches produce bit-identical annotations.
 //!
 //! # The verdict slot
 //!
@@ -46,20 +43,19 @@
 //! config fixed at construction, so the slot never holds a verdict
 //! another model would not give. A cache hit then costs a lookup, not
 //! `k` featurizations and classifications. The slot lives and dies with
-//! its results: eviction, TTL expiry and [`clear`](QueryCache::clear)
-//! drop both together. Snapshots carry results only
+//! its results: eviction and [`clear`](QueryCache::clear) drop both
+//! together. Snapshots carry results only
 //! ([`export_entries`](QueryCache::export_entries)), so a restored entry
 //! computes its verdict on its first hit.
 //!
 //! The single-flight machinery itself — [`Flight`], [`Slot`], shard
 //! routing, leader execution — lives in [`teda_memo`], shared with `teda-geo`'s geocoding memo; this module
 //! keeps only what is specific to the query cache: the per-`k` entry
-//! layout, the LRU + TTL eviction policy, and the [`SearchEngine`]
+//! layout, the LRU eviction policy, and the [`SearchEngine`]
 //! integration.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
 
 pub use teda_memo::CacheStats;
 use teda_memo::{lead, Flight, Shards, Slot};
@@ -68,7 +64,7 @@ use teda_websim::{SearchEngine, SearchResult};
 
 use crate::annotate::Verdict;
 
-/// Capacity/TTL/sharding knobs of a [`QueryCache`].
+/// Capacity and sharding knobs of a [`QueryCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Lock shards (rounded up to 1). More shards, less contention.
@@ -78,9 +74,6 @@ pub struct CacheConfig {
     /// unbounded — the right choice for one-shot corpus runs, not for a
     /// long-running service.
     pub capacity: Option<usize>,
-    /// Entries older than this answer as misses and are re-searched.
-    /// `None` never expires.
-    pub ttl: Option<Duration>,
 }
 
 impl Default for CacheConfig {
@@ -88,7 +81,6 @@ impl Default for CacheConfig {
         CacheConfig {
             shards: 64,
             capacity: None,
-            ttl: None,
         }
     }
 }
@@ -131,11 +123,6 @@ type Memoized = Arc<Memo>;
 /// One exported cache entry, as
 /// [`QueryCache::export_entries`]/[`QueryCache::restore_entries`]
 /// exchange them with the persistence layer (`teda-store`).
-///
-/// `age` is the entry's elapsed residency at export time — the portable
-/// form of the TTL clock. An `Instant` cannot cross a process boundary;
-/// an age can, and the restoring cache turns it back into "inserted
-/// `age` ago on *my* clock".
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheEntrySnapshot {
     /// The query text.
@@ -144,8 +131,6 @@ pub struct CacheEntrySnapshot {
     pub k: usize,
     /// The memoized result list, shared not copied.
     pub results: Arc<[SearchResult]>,
-    /// Time since the entry was published, at export time.
-    pub age: Duration,
 }
 
 /// One memo entry under a query key.
@@ -156,8 +141,6 @@ struct Entry {
     /// Shard tick at the last hit (LRU recency). Pending entries carry
     /// their install tick but are never eviction victims.
     last_used: u64,
-    /// Publish time, read only when a TTL is configured.
-    inserted: Instant,
 }
 
 /// One shard: query text → per-k entries, plus the shard-local LRU tick
@@ -180,16 +163,12 @@ pub struct QueryCache {
     shards: Shards<Shard>,
     /// `Ready` entries allowed per shard; `usize::MAX` when unbounded.
     per_shard_capacity: usize,
-    ttl: Option<Duration>,
     /// Queries answered from the cache (searches saved).
     hits: Arc<Counter>,
     /// Queries that went to the engine.
     misses: Arc<Counter>,
     /// Entries evicted to honour the capacity bound.
     evictions: Arc<Counter>,
-    /// Lookups that found an entry past its TTL (counted in `misses`
-    /// too).
-    expired: Arc<Counter>,
     /// `cache_lookup` stage histogram — time from lookup to a memoized
     /// answer (fast-path hits and follower waits), one observation per
     /// hit. Only waits are timed: a hit that took its shard lock at the
@@ -234,11 +213,9 @@ impl QueryCache {
         QueryCache {
             shards: Shards::new(n),
             per_shard_capacity,
-            ttl: config.ttl,
             hits: Arc::default(),
             misses: Arc::default(),
             evictions: Arc::default(),
-            expired: Arc::default(),
             hist_lookup: OnceLock::new(),
             hist_search: OnceLock::new(),
         }
@@ -247,14 +224,13 @@ impl QueryCache {
     /// Attaches the serving node's observability registry: lookups
     /// record into its `cache_lookup` stage histogram and leader engine
     /// calls into `search` (first attach wins), and the cache's
-    /// counters join the node's as `cache.hits`, `cache.misses`,
-    /// `cache.evictions` and `cache.expired`. Timing is observation
-    /// only — results stay a pure function of `(query, k)`.
+    /// counters join the node's as `cache.hits`, `cache.misses` and
+    /// `cache.evictions`. Timing is observation only — results stay a
+    /// pure function of `(query, k)`.
     pub fn attach_obs(&self, obs: &teda_obs::Registry) {
         obs.register_counter("cache.hits", &self.hits);
         obs.register_counter("cache.misses", &self.misses);
         obs.register_counter("cache.evictions", &self.evictions);
-        obs.register_counter("cache.expired", &self.expired);
         let _ = self
             .hist_lookup
             .set(obs.histogram(teda_obs::stage::CACHE_LOOKUP));
@@ -297,8 +273,8 @@ impl QueryCache {
     /// Returns the memoized results for `(query, k)`, consulting `engine`
     /// once per distinct *live* key across all threads: racing callers of
     /// the same key wait for the first caller's flight; distinct keys
-    /// never wait on each other's engine calls; evicted or expired keys
-    /// are simply re-searched (same results, one more engine call).
+    /// never wait on each other's engine calls; evicted keys are simply
+    /// re-searched (same results, one more engine call).
     pub fn get_or_search<E: SearchEngine + ?Sized>(
         &self,
         engine: &E,
@@ -319,7 +295,6 @@ impl QueryCache {
         /// What the shard held for the key, borrow-free.
         enum Found {
             Hit(Memoized),
-            Stale,
             InFlight(Arc<Flight<Memoized>>),
             Missing,
         }
@@ -342,13 +317,9 @@ impl QueryCache {
                 {
                     Some(entry) => match &entry.slot {
                         Slot::Ready(memo) => {
-                            if self.ttl.is_some_and(|ttl| entry.inserted.elapsed() >= ttl) {
-                                Found::Stale
-                            } else {
-                                let memo = Arc::clone(memo);
-                                entry.last_used = tick;
-                                Found::Hit(memo)
-                            }
+                            let memo = Arc::clone(memo);
+                            entry.last_used = tick;
+                            Found::Hit(memo)
                         }
                         Slot::Pending(flight) => Found::InFlight(Arc::clone(flight)),
                     },
@@ -362,13 +333,9 @@ impl QueryCache {
                         return memo;
                     }
                     Found::InFlight(flight) => flight,
-                    stale_or_missing => {
-                        // First caller (or the entry aged out): install
-                        // the flight, then search outside the shard lock.
-                        if matches!(stale_or_missing, Found::Stale) {
-                            self.expired.inc();
-                            remove_entry(&mut shard, query, k);
-                        }
+                    Found::Missing => {
+                        // First caller: install the flight, then search
+                        // outside the shard lock.
                         self.misses.inc();
                         let flight = install_flight(&mut shard, query, k, tick);
                         drop(shard);
@@ -423,7 +390,6 @@ impl QueryCache {
                 Some(m) => {
                     entry.slot = Slot::Ready(Arc::clone(m));
                     entry.last_used = tick;
-                    entry.inserted = Instant::now();
                     shard.ready += 1;
                     while shard.ready > self.per_shard_capacity {
                         if !evict_lru(&mut shard) {
@@ -445,7 +411,6 @@ impl QueryCache {
             hits: self.hits.get(),
             misses: self.misses.get(),
             evictions: self.evictions.get(),
-            expired: self.expired.get(),
         }
     }
 
@@ -465,11 +430,7 @@ impl QueryCache {
     /// Exports every `Ready` entry's results for persistence
     /// (`teda-store`'s cache snapshot; verdicts are not exported, see
     /// the module doc): in-flight (`Pending`) slots are skipped — a
-    /// search that has not finished has nothing to persist — and
-    /// entries already past the TTL are skipped too. Each entry carries
-    /// its **age** (time since publish), so a restore into another
-    /// process can rebase the TTL clock instead of granting stale
-    /// entries a fresh lease on life.
+    /// search that has not finished has nothing to persist.
     ///
     /// Entries are sorted by `(query, k)` so snapshots of the same
     /// cache state are byte-identical regardless of shard iteration
@@ -483,15 +444,10 @@ impl QueryCache {
                     let Slot::Ready(memo) = &e.slot else {
                         continue;
                     };
-                    let age = e.inserted.elapsed();
-                    if self.ttl.is_some_and(|ttl| age >= ttl) {
-                        continue;
-                    }
                     out.push(CacheEntrySnapshot {
                         query: query.clone(),
                         k: e.k,
                         results: Arc::clone(memo.results()),
-                        age,
                     });
                 }
             }
@@ -500,33 +456,18 @@ impl QueryCache {
         out
     }
 
-    /// Restores exported entries into this cache, rebasing each TTL
-    /// clock: an entry restored with age `a` expires `ttl − a` from
-    /// now, exactly as if the process had never restarted. Entries
-    /// whose age already exceeds this cache's TTL are dropped, live
-    /// entries for the same `(query, k)` are never overwritten (the
-    /// running process knows better than the snapshot), and the
-    /// capacity bound is enforced as usual — a snapshot from a larger
-    /// cache evicts down to this cache's limit. Hit/miss counters are
-    /// untouched: restoration is not traffic. A restored entry starts
-    /// with an empty verdict slot.
+    /// Restores exported entries into this cache. Live entries for the
+    /// same `(query, k)` are never overwritten (the running process
+    /// knows better than the snapshot), and the capacity bound is
+    /// enforced as usual — a snapshot from a larger cache evicts down to
+    /// this cache's limit. Hit/miss counters are untouched: restoration
+    /// is not traffic. A restored entry starts with an empty verdict
+    /// slot.
     ///
     /// Returns the number of entries actually installed.
     pub fn restore_entries(&self, entries: impl IntoIterator<Item = CacheEntrySnapshot>) -> usize {
         let mut installed = 0usize;
         for entry in entries {
-            if self.ttl.is_some_and(|ttl| entry.age >= ttl) {
-                continue;
-            }
-            // Rebase the publish instant. If the age reaches back past
-            // what `Instant` can represent here, the entry is ancient:
-            // drop it when a TTL could ever expire it, otherwise age is
-            // irrelevant and "now" is as good as any instant.
-            let inserted = match Instant::now().checked_sub(entry.age) {
-                Some(at) => at,
-                None if self.ttl.is_some() => continue,
-                None => Instant::now(),
-            };
             let mut shard = self.shards.lock(entry.query.as_bytes());
             shard.tick += 1;
             let tick = shard.tick;
@@ -538,7 +479,6 @@ impl QueryCache {
                 k: entry.k,
                 slot: Slot::Ready(Memo::new(entry.results)),
                 last_used: tick,
-                inserted,
             });
             shard.ready += 1;
             installed += 1;
@@ -571,7 +511,6 @@ fn install_flight(shard: &mut Shard, query: &str, k: usize, tick: u64) -> Arc<Fl
         k,
         slot: Slot::Pending(Arc::clone(&flight)),
         last_used: tick,
-        inserted: Instant::now(),
     });
     flight
 }
@@ -618,6 +557,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
+    use std::time::Duration;
 
     /// Engine that counts calls and answers `k` canned results.
     struct Counting(AtomicUsize);
@@ -719,7 +659,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_serialize_behind_a_slow_search() {
-        use std::time::{Duration, Instant};
+        use std::time::Instant;
 
         /// Engine whose every search takes a fixed wall-clock time.
         struct Slow;
@@ -793,7 +733,6 @@ mod tests {
         let cache = QueryCache::with_config(CacheConfig {
             shards: 1,
             capacity: Some(2),
-            ttl: None,
         });
         assert_eq!(cache.capacity(), Some(2));
         let engine = Counting(AtomicUsize::new(0));
@@ -818,7 +757,6 @@ mod tests {
         let cache = QueryCache::with_config(CacheConfig {
             shards: 1,
             capacity: Some(1),
-            ttl: None,
         });
         let engine = Counting(AtomicUsize::new(0));
         let first = cache.get_or_search(&engine, "melisse", 5);
@@ -829,31 +767,6 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_entries() {
-        let cache = QueryCache::with_config(CacheConfig {
-            shards: 4,
-            capacity: None,
-            ttl: Some(Duration::from_millis(40)),
-        });
-        let engine = Counting(AtomicUsize::new(0));
-        let fresh = cache.get_or_search(&engine, "melisse", 3);
-        assert_eq!(
-            cache.get_or_search(&engine, "melisse", 3),
-            fresh,
-            "within TTL: a hit"
-        );
-        assert_eq!(engine.0.load(Ordering::Relaxed), 1);
-        std::thread::sleep(Duration::from_millis(120));
-        let stale_rehit = cache.get_or_search(&engine, "melisse", 3);
-        assert_eq!(engine.0.load(Ordering::Relaxed), 2, "expired → re-search");
-        assert_eq!(stale_rehit, fresh, "expiry never changes the result");
-        let stats = cache.stats();
-        assert_eq!(stats.expired, 1);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.hits, 1);
-    }
-
-    #[test]
     fn capacity_smaller_than_shard_count_clamps_the_shards() {
         // 64 shards over capacity 3 would round the per-shard split up
         // to one entry per shard — 64 entries. The constructor clamps
@@ -861,7 +774,6 @@ mod tests {
         let cache = QueryCache::with_config(CacheConfig {
             shards: 64,
             capacity: Some(3),
-            ttl: None,
         });
         assert_eq!(cache.capacity(), Some(3));
         let engine = Counting(AtomicUsize::new(0));
@@ -874,29 +786,6 @@ mod tests {
             cache.len()
         );
         assert!(cache.stats().evictions >= 29);
-    }
-
-    #[test]
-    fn zero_ttl_expires_immediately_but_never_changes_results() {
-        let cache = QueryCache::with_config(CacheConfig {
-            shards: 2,
-            capacity: None,
-            ttl: Some(Duration::ZERO),
-        });
-        let engine = Counting(AtomicUsize::new(0));
-        let first = cache.get_or_search(&engine, "melisse", 3);
-        let second = cache.get_or_search(&engine, "melisse", 3);
-        assert_eq!(first, second, "expiry must never change a result");
-        assert_eq!(
-            engine.0.load(Ordering::Relaxed),
-            2,
-            "ttl == 0 answers every lookup as a miss"
-        );
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.expired, 1, "the re-lookup found and dropped a corpse");
-        // Nothing survives export either: every entry is already stale.
-        assert!(cache.export_entries().is_empty());
     }
 
     #[test]
@@ -934,43 +823,29 @@ mod tests {
     }
 
     #[test]
-    fn restore_respects_ttl_and_capacity() {
+    fn restore_respects_capacity() {
         let cache = QueryCache::new(2);
         let engine = Counting(AtomicUsize::new(0));
         for q in ["a", "b", "c"] {
             cache.get_or_search(&engine, q, 1);
         }
-        let mut exported = cache.export_entries();
-        // Pretend "a" sat in the cache for an hour before the export.
-        exported
-            .iter_mut()
-            .find(|e| e.query == "a")
-            .expect("exported")
-            .age = Duration::from_secs(3600);
+        let exported = cache.export_entries();
 
-        // A TTL-bearing cache drops the entry that is already past its
-        // lease; the fresh ones land with their clocks rebased.
-        let ttl_cache = QueryCache::with_config(CacheConfig {
-            shards: 2,
-            capacity: None,
-            ttl: Some(Duration::from_secs(60)),
-        });
-        assert_eq!(ttl_cache.restore_entries(exported.clone()), 2);
-        let counting = Counting(AtomicUsize::new(0));
-        ttl_cache.get_or_search(&counting, "b", 1);
-        ttl_cache.get_or_search(&counting, "c", 1);
-        assert_eq!(counting.0.load(Ordering::Relaxed), 0, "b and c restored");
-        ttl_cache.get_or_search(&counting, "a", 1);
-        assert_eq!(counting.0.load(Ordering::Relaxed), 1, "a was already stale");
-
-        // A smaller cache enforces its own capacity during restore.
+        // A smaller cache enforces its own capacity during restore: the
+        // first restored entry is the least recently used, so it goes.
         let small = QueryCache::with_config(CacheConfig {
             shards: 1,
-            capacity: Some(1),
-            ttl: None,
+            capacity: Some(2),
         });
-        small.restore_entries(exported);
-        assert!(small.len() <= 1, "restore must respect the capacity bound");
+        assert_eq!(small.restore_entries(exported), 3);
+        assert_eq!(small.len(), 2, "restore must respect the capacity bound");
+        assert_eq!(small.stats().evictions, 1);
+        let counting = Counting(AtomicUsize::new(0));
+        small.get_or_search(&counting, "b", 1);
+        small.get_or_search(&counting, "c", 1);
+        assert_eq!(counting.0.load(Ordering::Relaxed), 0, "b and c restored");
+        small.get_or_search(&counting, "a", 1);
+        assert_eq!(counting.0.load(Ordering::Relaxed), 1, "a was evicted");
     }
 
     /// A judge that counts its calls and gives a fixed verdict.
@@ -990,7 +865,6 @@ mod tests {
         let cache = QueryCache::with_config(CacheConfig {
             shards: 1,
             capacity: Some(1),
-            ttl: None,
         });
         let engine = Counting(AtomicUsize::new(0));
         let calls = AtomicUsize::new(0);
@@ -1087,7 +961,6 @@ mod tests {
         let cache = Arc::new(QueryCache::with_config(CacheConfig {
             shards: 1,
             capacity: Some(1),
-            ttl: None,
         }));
         std::thread::scope(|s| {
             let c = Arc::clone(&cache);

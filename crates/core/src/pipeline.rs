@@ -301,7 +301,7 @@ impl BatchAnnotator {
     }
 
     /// Replaces the cache with one built from the full knob set —
-    /// capacity bound, TTL, shard count. The service layer uses this to
+    /// capacity bound and shard count. The service layer uses this to
     /// keep long-running processes memory-bounded; results are identical
     /// to the unbounded cache (evictions only cost an extra search).
     pub fn with_cache_config(mut self, config: CacheConfig) -> Self {

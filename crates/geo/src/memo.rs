@@ -167,13 +167,12 @@ impl GeocodeCache {
         flight.finish(cands.map(Arc::clone));
     }
 
-    /// Hit/miss counters so far (`expired` stays 0: no TTL).
+    /// Hit/miss/eviction counters so far.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
             evictions: self.evictions.get(),
-            expired: 0,
         }
     }
 

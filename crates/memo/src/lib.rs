@@ -13,7 +13,7 @@
 //! What stays with each consumer is the part that genuinely differs:
 //! the map layout (the query cache keys entries by query string with a
 //! per-`k` list; the geocode memo is a flat address map) and the
-//! **eviction policy** (exact per-shard LRU + TTL vs. wholesale shard
+//! **eviction policy** (exact per-shard LRU vs. wholesale shard
 //! flush). This crate owns everything else:
 //!
 //! * [`Flight`] — the rendezvous a miss leader publishes through and
@@ -25,7 +25,7 @@
 //! * [`lead`] — leader execution: runs the computation and guarantees
 //!   the publish callback fires exactly once, with `None` if the
 //!   computation unwinds, so followers retry instead of hanging;
-//! * [`CacheStats`] — the hit/miss/eviction/expiry snapshot every memo
+//! * [`CacheStats`] — the hit/miss/eviction snapshot every memo
 //!   reports. Each memo keeps its own `teda-obs` counters and registers
 //!   them on the node it serves.
 //!
@@ -214,8 +214,8 @@ pub fn lead<V>(compute: impl FnOnce() -> V, publish: impl FnOnce(Option<&V>)) ->
 }
 
 /// A point-in-time copy of a memo's accounting: hits (computations
-/// saved), misses (computations run), evictions (entries dropped for
-/// capacity) and expiries (entries aged out by a TTL).
+/// saved), misses (computations run) and evictions (entries dropped
+/// for capacity).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the memo.
@@ -224,10 +224,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries dropped to honour a capacity bound.
     pub evictions: u64,
-    /// Lookups that found an entry past its TTL (counted in `misses`
-    /// too: the expired entry is dropped and recomputed). Always 0 for
-    /// a memo without a TTL.
-    pub expired: u64,
 }
 
 impl CacheStats {

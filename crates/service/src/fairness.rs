@@ -117,6 +117,14 @@ struct ClientState {
 }
 
 /// Everything the admission mutex protects.
+/// Bound on the per-client registry of a service's [`Admission`]:
+/// beyond this many distinct [`ClientId`]s, the least-recently-active
+/// *idle* client is forgotten (its bucket tokens return to the pool;
+/// parked waiters are never evicted), so one-id-per-request abuse
+/// cannot grow the admission state without bound. 1,024 comfortably
+/// covers named tenants.
+pub(crate) const MAX_TRACKED_CLIENTS: usize = 1_024;
+
 #[derive(Debug)]
 struct AdmissionState {
     /// Unassigned tokens in the shared pool; `None` = unmetered.

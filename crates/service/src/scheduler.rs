@@ -40,8 +40,13 @@ use teda_core::stream::{
 use teda_obs::{stage, Counter, Histogram, Registry, StageTimer, TraceCtx};
 use teda_tabular::Table;
 
-use crate::fairness::{Admission, Cancelled, ClientId};
+use crate::fairness::{Admission, Cancelled, ClientId, MAX_TRACKED_CLIENTS};
 use crate::stats::{LatencySummary, ServiceStats, StageStats};
+
+/// Bound on the service's distinct-address geocoding memo, so a service
+/// running for days cannot grow it without limit. Flushes only cost
+/// extra geocoder calls.
+const GEO_MEMO_CAPACITY: usize = 65_536;
 
 /// Scheduler and budget knobs of an [`AnnotationService`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,27 +63,15 @@ pub struct ServiceConfig {
     /// dry; unused reservation is returned on completion.
     pub query_pool: Option<u64>,
     /// Bounded-cache configuration applied to the annotator's query
-    /// cache (capacity / TTL / shards). `None` keeps the annotator's
-    /// existing cache.
+    /// cache (capacity / shards). `None` keeps the annotator's existing
+    /// cache.
     pub cache: Option<CacheConfig>,
-    /// Bound on the distinct-address geocoding memo. The default caps it
-    /// at 65,536 addresses so a service running for days cannot grow the
-    /// memo without limit; `None` leaves it unbounded (corpus-run
-    /// behaviour). Flushes only cost extra geocoder calls.
-    pub geo_memo_capacity: Option<usize>,
     /// Deficit-round-robin quantum of the per-client fairness layer:
     /// tokens granted to each waiting client per rotation when a dry
     /// pool is refilled. Smaller values interleave clients more finely;
     /// the default (64) lets a typical interactive table through in one
     /// round. Only meaningful when `query_pool` is set.
     pub fair_quantum: u64,
-    /// Bound on the per-client fairness registry: beyond this many
-    /// distinct [`ClientId`]s, the least-recently-active *idle* client
-    /// is forgotten (its bucket tokens return to the pool; parked
-    /// waiters are never evicted), so one-id-per-request abuse cannot
-    /// grow the admission state without bound. The default (1,024)
-    /// comfortably covers named tenants.
-    pub max_tracked_clients: usize,
     /// Persistence home (`teda-store`): when set, the service restores
     /// the query-cache snapshot from `<dir>/cache.snap` at start (any
     /// corruption degrades to a cold cache, never a panic) and writes a
@@ -105,9 +98,7 @@ impl Default for ServiceConfig {
             max_queries_per_request: None,
             query_pool: None,
             cache: None,
-            geo_memo_capacity: Some(65_536),
             fair_quantum: 64,
-            max_tracked_clients: 1_024,
             store_dir: None,
             telemetry: true,
         }
@@ -344,25 +335,26 @@ pub struct AnnotationService {
     /// Set by [`start_live`](Self::start_live): the updatable corpus
     /// behind the engine, driving `add_pages`/`remove_pages`.
     live: Option<Arc<crate::live::LiveCorpus>>,
+    /// Held across a cache snapshot and across a corpus update's
+    /// remove-publish-clear, so a snapshot never persists pre-update
+    /// entries after the update removed the file.
+    persist: Mutex<()>,
 }
 
 impl AnnotationService {
     /// Starts the worker pool over `annotator`. When `config.cache` is
     /// set, the annotator's query cache is replaced with the bounded
-    /// configuration first; likewise `config.geo_memo_capacity` bounds
-    /// the address memo.
+    /// configuration first. The address memo is always bounded to
+    /// 65,536 addresses.
     pub fn start(annotator: BatchAnnotator, mut config: ServiceConfig) -> Self {
         let annotator = match config.cache {
             Some(cache) => annotator.with_cache_config(cache),
             None => annotator,
         };
-        let annotator = match config.geo_memo_capacity {
-            Some(capacity) => annotator.with_geo_memo_capacity(capacity),
-            None => annotator,
-        };
-        // Warm start: restore the persisted query memo, TTL clocks
-        // rebased. A missing snapshot is a cold start; *any* damage
-        // (bad magic, wrong version, failed CRC, truncation) degrades
+        let annotator = annotator.with_geo_memo_capacity(GEO_MEMO_CAPACITY);
+        // Warm start: restore the persisted query memo. A missing
+        // snapshot is a cold start; *any* damage (bad magic, wrong
+        // version, failed CRC, truncation, a retired layout) degrades
         // to a cold cache — restore can turn misses into hits, never a
         // start into a crash. Stale `.tmp` crash leftovers are swept
         // first so an interrupted snapshot cannot linger forever.
@@ -403,11 +395,7 @@ impl AnnotationService {
         }
         let shared = Arc::new(Shared {
             annotator,
-            admission: Admission::new(
-                config.query_pool,
-                config.fair_quantum,
-                config.max_tracked_clients,
-            ),
+            admission: Admission::new(config.query_pool, config.fair_quantum, MAX_TRACKED_CLIENTS),
             submitted: obs.counter("submitted"),
             completed: obs.counter("completed"),
             failed: obs.counter("failed"),
@@ -448,6 +436,7 @@ impl AnnotationService {
             workers: handles,
             config,
             live: None,
+            persist: Mutex::new(()),
         }
     }
 
@@ -492,21 +481,16 @@ impl AnnotationService {
     /// Adds `pages` to the live corpus: journaled to the store,
     /// searchable by the very next query, no restart. The query memo
     /// is cleared — memoized results describe the pre-update corpus,
-    /// and a restore/hit must never resurrect them.
+    /// and a restore/hit must never resurrect them — and, before the
+    /// update is published, so is the warm-start file
+    /// `<store_dir>/cache.snap`.
     /// [`StoreError::NotConfigured`](teda_store::StoreError::NotConfigured)
     /// without a live corpus.
     pub fn add_pages(
         &self,
         pages: Vec<teda_websim::WebPage>,
     ) -> Result<teda_store::CompactionReport, teda_store::StoreError> {
-        let live = self
-            .live
-            .as_ref()
-            .ok_or(teda_store::StoreError::NotConfigured)?;
-        let report = live.add_pages(pages)?;
-        self.shared.annotator.cache().clear();
-        self.shared.corpus_refreshes.inc();
-        Ok(report)
+        self.update_corpus(|live| live.add_pages(pages))
     }
 
     /// Removes every live page whose URL is listed, with the same
@@ -516,11 +500,26 @@ impl AnnotationService {
         &self,
         urls: Vec<String>,
     ) -> Result<teda_store::CompactionReport, teda_store::StoreError> {
+        self.update_corpus(|live| live.remove_pages(urls))
+    }
+
+    /// Removes the warm-start file, then `publish`es one update to the
+    /// live corpus, then clears the query memo.
+    fn update_corpus(
+        &self,
+        publish: impl FnOnce(
+            &crate::live::LiveCorpus,
+        ) -> Result<teda_store::CompactionReport, teda_store::StoreError>,
+    ) -> Result<teda_store::CompactionReport, teda_store::StoreError> {
         let live = self
             .live
             .as_ref()
             .ok_or(teda_store::StoreError::NotConfigured)?;
-        let report = live.remove_pages(urls)?;
+        let _persist = self.persist.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(dir) = &self.config.store_dir {
+            teda_store::remove_cache_snapshot(&dir.join(teda_store::CACHE_FILE))?;
+        }
+        let report = publish(live)?;
         self.shared.annotator.cache().clear();
         self.shared.corpus_refreshes.inc();
         Ok(report)
@@ -818,8 +817,7 @@ impl AnnotationService {
     /// Persists the current query-cache contents to
     /// `<store_dir>/cache.snap` (atomic temp-file + rename), returning
     /// how many entries the snapshot holds. In-flight searches are
-    /// skipped; entry ages ride along so the next start rebases their
-    /// TTL clocks. Errors are typed: [`teda_store::StoreError::NotConfigured`]
+    /// skipped. Errors are typed: [`teda_store::StoreError::NotConfigured`]
     /// when the service runs without a `store_dir`, I/O failures
     /// otherwise — this is also the wire `SNAPSHOT` verb's backend.
     pub fn snapshot_now(&self) -> Result<usize, teda_store::StoreError> {
@@ -829,6 +827,7 @@ impl AnnotationService {
             return Err(teda_store::StoreError::NotConfigured);
         };
         std::fs::create_dir_all(dir).map_err(|e| teda_store::StoreError::io(dir, e))?;
+        let _persist = self.persist.lock().unwrap_or_else(PoisonError::into_inner);
         let entries = self.shared.annotator.cache().export_entries();
         teda_store::save_cache_snapshot(&dir.join(teda_store::CACHE_FILE), &entries)?;
         Ok(entries.len())
@@ -1443,7 +1442,6 @@ mod tests {
                 cache: Some(CacheConfig {
                     shards: 4,
                     capacity: Some(8),
-                    ttl: None,
                 }),
                 ..ServiceConfig::default()
             },

@@ -1,27 +1,29 @@
 //! Query-cache snapshot codec: the warm-start file a restarted service
 //! restores its memo from.
 //!
-//! One section (tag 1) of [`CacheEntrySnapshot`]s: per entry the query
-//! text, `k`, the entry's **age** in nanoseconds (the portable form of
-//! its TTL clock — an `Instant` cannot cross a process boundary, an age
-//! can), and the memoized result list. In-flight (`Pending`) entries
-//! never reach this codec: `QueryCache::export_entries` skips them, and
-//! a restore installs only `Ready` values, so a snapshot can turn
-//! misses into hits but never publish a half-computed result.
+//! One section (tag 2) of [`CacheEntrySnapshot`]s: per entry the query
+//! text, `k`, and the memoized result list. In-flight (`Pending`)
+//! entries never reach this codec: `QueryCache::export_entries` skips
+//! them, and a restore installs only `Ready` values, so a snapshot can
+//! turn misses into hits but never publish a half-computed result.
+//!
+//! Tag 1 must never be reused: older files carry an 8-byte entry age
+//! after `k` under it. Such a file is refused as [`StoreError::Corrupt`]
+//! (a cold start), never misread as the current layout.
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use teda_core::cache::CacheEntrySnapshot;
 use teda_websim::SearchResult;
 
 use crate::format::{
-    decode_container, encode_container, put_string, put_u64, write_atomic, Cursor, KIND_CACHE,
+    decode_container, encode_container, put_string, put_u64, sync_dir, write_atomic, Cursor,
+    KIND_CACHE,
 };
 use crate::StoreError;
 
-const SEC_ENTRIES: u32 = 1;
+const SEC_ENTRIES: u32 = 2;
 
 /// Serializes exported cache entries into a snapshot file image.
 pub fn encode_cache(entries: &[CacheEntrySnapshot]) -> Vec<u8> {
@@ -30,10 +32,6 @@ pub fn encode_cache(entries: &[CacheEntrySnapshot]) -> Vec<u8> {
     for entry in entries {
         put_string(&mut payload, &entry.query);
         put_u64(&mut payload, entry.k as u64);
-        put_u64(
-            &mut payload,
-            u64::try_from(entry.age.as_nanos()).unwrap_or(u64::MAX),
-        );
         put_u64(&mut payload, entry.results.len() as u64);
         for result in entry.results.iter() {
             put_string(&mut payload, &result.url);
@@ -59,7 +57,6 @@ pub fn decode_cache(bytes: &[u8]) -> Result<Vec<CacheEntrySnapshot>, StoreError>
         let query = cur.string("cache entry query")?;
         let k = usize::try_from(cur.u64("cache entry k")?)
             .map_err(|_| StoreError::Corrupt("cache entry k overflows usize".into()))?;
-        let age = Duration::from_nanos(cur.u64("cache entry age")?);
         let n_results = cur.len_prefix(24, "cache result count")?;
         let mut results = Vec::with_capacity(n_results);
         for _ in 0..n_results {
@@ -73,7 +70,6 @@ pub fn decode_cache(bytes: &[u8]) -> Result<Vec<CacheEntrySnapshot>, StoreError>
             query,
             k,
             results: Arc::from(results),
-            age,
         });
     }
     if !cur.is_empty() {
@@ -89,6 +85,19 @@ pub fn save_cache_snapshot(path: &Path, entries: &[CacheEntrySnapshot]) -> Resul
     write_atomic(path, &encode_cache(entries))
 }
 
+/// Removes the cache snapshot at `path` ahead of a corpus change, so a
+/// crash after the change can never restore entries computed over the
+/// old corpus (a restore may only turn misses into hits). The unlink is
+/// made durable by a directory sync before this returns; when no file
+/// exists there is nothing to sync.
+pub fn remove_cache_snapshot(path: &Path) -> Result<(), StoreError> {
+    match std::fs::remove_file(path) {
+        Ok(()) => sync_dir(path),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(StoreError::io(path, e)),
+    }
+}
+
 /// Loads a cache snapshot. [`StoreError::Missing`] means no snapshot
 /// was ever written — a cold start, not damage.
 pub fn load_cache_snapshot(path: &Path) -> Result<Vec<CacheEntrySnapshot>, StoreError> {
@@ -100,7 +109,7 @@ pub fn load_cache_snapshot(path: &Path) -> Result<Vec<CacheEntrySnapshot>, Store
 mod tests {
     use super::*;
 
-    fn entry(query: &str, k: usize, age_ms: u64) -> CacheEntrySnapshot {
+    fn entry(query: &str, k: usize) -> CacheEntrySnapshot {
         let results: Vec<SearchResult> = (0..k)
             .map(|i| SearchResult {
                 url: format!("http://{query}/{i}"),
@@ -112,13 +121,12 @@ mod tests {
             query: query.into(),
             k,
             results: Arc::from(results),
-            age: Duration::from_millis(age_ms),
         }
     }
 
     #[test]
     fn cache_entries_round_trip() {
-        let entries = vec![entry("louvre", 2, 0), entry("melisse", 3, 1500)];
+        let entries = vec![entry("louvre", 2), entry("melisse", 3)];
         let decoded = decode_cache(&encode_cache(&entries)).expect("own bytes decode");
         assert_eq!(decoded, entries);
         // Empty snapshots are legal (a service that never got a query).
@@ -127,7 +135,7 @@ mod tests {
 
     #[test]
     fn corrupt_cache_snapshots_are_typed_errors() {
-        let bytes = encode_cache(&[entry("q", 1, 7)]);
+        let bytes = encode_cache(&[entry("q", 1)]);
         assert!(decode_cache(&bytes[..bytes.len() - 3]).is_err());
         let mut flipped = bytes.clone();
         flipped[30] ^= 0xff;

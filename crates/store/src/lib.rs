@@ -35,10 +35,10 @@
 //!   hydrates page text lazily per hit, so cold start is O(sections)
 //!   and peak RSS tracks what queries touch, not corpus size.
 //! * [`cache_snapshot`] — persists
-//!   [`QueryCache`](teda_core::cache::QueryCache) entries with their
-//!   TTL clocks rebased (in-flight entries skipped), so a restarted
-//!   service answers its first queries from the warm memo instead of
-//!   re-spending the search allowance.
+//!   [`QueryCache`](teda_core::cache::QueryCache) entries (in-flight
+//!   entries skipped), so a restarted service answers its first queries
+//!   from the warm memo instead of re-spending the search allowance.
+//!   Every corpus write removes the co-located file first.
 //! * [`CorpusStore`] — the directory-level API:
 //!   [`open_or_build`](CorpusStore::open_or_build) is the fast path
 //!   (load the snapshot, replay any deltas, fall back to a fresh build
@@ -62,7 +62,7 @@ mod store;
 
 use std::path::Path;
 
-pub use cache_snapshot::{load_cache_snapshot, save_cache_snapshot};
+pub use cache_snapshot::{load_cache_snapshot, remove_cache_snapshot, save_cache_snapshot};
 pub use corpus_snapshot::SnapshotBytes;
 pub use delta::{BaseId, DeltaOp, SegmentPayload};
 pub use mapped::{MapStats, MappedSnapshot, ViewBackend};

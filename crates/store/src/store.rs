@@ -28,6 +28,7 @@ use teda_websim::{
     BaseCorpus, IndexParts, InvertedIndex, Segment, SegmentOp, SegmentedCorpus, WebCorpus, WebPage,
 };
 
+use crate::cache_snapshot::remove_cache_snapshot;
 use crate::corpus_snapshot::{decode_corpus, encode_corpus, encode_index_parts, SnapshotBytes};
 use crate::delta::{
     adopt_index, encode_segment_indexed, encode_segment_sections, read_segment, BaseId, DeltaOp,
@@ -208,6 +209,11 @@ impl CorpusStore {
     /// Writes `corpus` as the new base snapshot (atomically) and drops
     /// the delta journal — the snapshot *is* the journal folded in.
     ///
+    /// The corpus changes, so any co-located query-cache snapshot
+    /// describes a world that no longer exists: it is removed, durably,
+    /// *before* the new snapshot lands, so no crash can leave it beside
+    /// the new corpus for a restarted service to serve as hits.
+    ///
     /// Crash safety of the pair: the rename is atomic but the segment
     /// deletions after it are not, so a crash here can leave old
     /// segments beside the new snapshot. They are harmless — every
@@ -216,6 +222,7 @@ impl CorpusStore {
     /// [`load`](Self::load) skips and sweeps them instead of
     /// double-applying operations the snapshot already contains.
     pub fn save(&self, corpus: &WebCorpus) -> Result<(), StoreError> {
+        remove_cache_snapshot(&self.cache_path())?;
         let bytes = encode_corpus(corpus);
         let base = BaseId::of(&bytes);
         write_atomic(&self.snapshot_path(), &bytes)?;
@@ -225,15 +232,6 @@ impl CorpusStore {
             .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(base);
         for segment in self.delta_segments()? {
             std::fs::remove_file(&segment).map_err(|e| StoreError::io(&segment, e))?;
-        }
-        // The corpus changed, so any co-located query-cache snapshot
-        // describes a world that no longer exists: drop it rather than
-        // let a restarted service serve pre-update results forever
-        // (restore must only ever turn misses into hits).
-        if let Err(e) = std::fs::remove_file(self.cache_path()) {
-            if e.kind() != std::io::ErrorKind::NotFound {
-                return Err(StoreError::io(&self.cache_path(), e));
-            }
         }
         sync_dir(&self.snapshot_path())
     }
@@ -255,42 +253,23 @@ impl CorpusStore {
     /// — their operations are already folded into the snapshot, so they
     /// are swept, not applied.
     pub fn load(&self) -> Result<Loaded, StoreError> {
-        let path = self.snapshot_path();
-        let bytes = std::fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
-        let files = self.active_segments()?;
-        if files.is_empty() {
-            // Fast path: no journal, so the base binding (a second
-            // whole-file CRC) never needs computing.
-            return Ok(Loaded {
-                corpus: decode_corpus(&bytes)?,
-                replayed_segments: 0,
-                incremental: false,
-            });
-        }
-        let base_id = self.bind(&bytes);
-        let mut replayed = 0usize;
-        let mut ops = Vec::new();
+        let bytes = self.read_snapshot()?;
         // The adopted partial index of every add, while the journal
         // stays eligible for the O(delta) graft: pure additions, each
         // with an index that passes adoption. A removal would change
         // interning order and break the byte-identity guarantee. The
         // graft below takes parts, so an adopted index goes back to them.
         let mut parts: Option<Vec<IndexParts>> = Some(Vec::new());
-        self.for_each_bound(&files, base_id, |_, payload| {
-            replayed += 1;
-            for (op, section) in payload.ops.into_iter().zip(payload.add_indexes) {
-                if let Some(adopted) = &mut parts {
-                    match &op {
-                        DeltaOp::AddPages(pages) => match adopt_index(section, pages) {
-                            Some(index) => adopted.push(index.to_parts()),
-                            None => parts = None,
-                        },
-                        DeltaOp::RemovePages(_) => parts = None,
-                    }
+        let (ops, replayed) = self.bound_ops(&bytes, |op, section| {
+            if let Some(adopted) = &mut parts {
+                match op {
+                    DeltaOp::AddPages(pages) => match adopt_index(section, pages) {
+                        Some(index) => adopted.push(index.to_parts()),
+                        None => parts = None,
+                    },
+                    DeltaOp::RemovePages(_) => parts = None,
                 }
-                ops.push(op);
             }
-            Ok(())
         })?;
         let base = decode_corpus(&bytes)?;
         if replayed == 0 {
@@ -334,6 +313,37 @@ impl CorpusStore {
             replayed_segments: replayed,
             incremental: false,
         })
+    }
+
+    /// The base snapshot's bytes.
+    fn read_snapshot(&self) -> Result<Vec<u8>, StoreError> {
+        let path = self.snapshot_path();
+        std::fs::read(&path).map_err(|e| StoreError::io(&path, e))
+    }
+
+    /// Every journaled op bound to the snapshot `bytes`, in journal
+    /// order, and the number of segments they came from. `each` sees
+    /// every op beside its raw index section. With no journal the base
+    /// binding (a second whole-file CRC) is never computed.
+    fn bound_ops(
+        &self,
+        bytes: &[u8],
+        mut each: impl FnMut(&DeltaOp, Option<&[u8]>),
+    ) -> Result<(Vec<DeltaOp>, usize), StoreError> {
+        let files = self.active_segments()?;
+        let mut ops = Vec::new();
+        let mut replayed = 0usize;
+        if !files.is_empty() {
+            self.for_each_bound(&files, self.bind(bytes), |_, payload| {
+                replayed += 1;
+                for (op, section) in payload.ops.into_iter().zip(payload.add_indexes) {
+                    each(&op, section);
+                    ops.push(op);
+                }
+                Ok(())
+            })?;
+        }
+        Ok((ops, replayed))
     }
 
     /// Opens the store for segment-overlay reads: the base snapshot is
@@ -521,12 +531,16 @@ impl CorpusStore {
     /// segment. Callers that keep an in-memory overlay (the service's
     /// live corpus) build each add's index exactly once and share it
     /// between the journal and the overlay.
+    ///
+    /// Like [`save`](Self::save), this first removes the co-located
+    /// query-cache snapshot: it was computed over the pre-update corpus.
     pub fn append_segment_indexed(
         &self,
         ops: &[DeltaOp],
         indexes: &[Option<IndexParts>],
     ) -> Result<u64, StoreError> {
         let base = self.base_id()?;
+        remove_cache_snapshot(&self.cache_path())?;
         let next = self.segment_files()?.last().map_or(0, |f| f.end) + 1;
         let path = self
             .dir
@@ -547,11 +561,20 @@ impl CorpusStore {
     /// function of the corpus. Proven file-against-file in
     /// `tests/store.rs`.
     pub fn compact(&self) -> Result<WebCorpus, StoreError> {
-        let loaded = self.load()?;
+        let bytes = self.read_snapshot()?;
+        let (ops, _) = self.bound_ops(&bytes, |_, _| {})?;
+        let mut pages = decode_corpus(&bytes)?.into_pages();
+        // The old file image would otherwise stay resident through the
+        // re-index and the new snapshot's encode.
+        drop(bytes);
+        for op in ops {
+            apply_owned(op, &mut pages);
+        }
         // Re-derive the index from the logical page list even when the
         // journal was empty: compaction's contract is "as if built from
-        // scratch", not "whatever the old snapshot held".
-        let compacted = WebCorpus::from_pages(loaded.corpus.into_pages());
+        // scratch", not "whatever the old snapshot held". No journaled
+        // index is adopted: it would be discarded here.
+        let compacted = WebCorpus::from_pages(pages);
         self.save(&compacted)?;
         Ok(compacted)
     }

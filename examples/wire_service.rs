@@ -72,10 +72,14 @@ fn main() {
     let big_csv = typed_table_to_csv(&big);
 
     let stop = Arc::new(AtomicBool::new(false));
+    // The drip outlives the bulk client: its last ANNOTATE may be
+    // parked on a dry pool when `stop` is raised, and only the drip can
+    // let it finish.
+    let bulk_returned = Arc::new(AtomicBool::new(false));
     std::thread::scope(|s| {
         // The allowance drip.
         let refill = Arc::clone(&service);
-        let stop_refill = Arc::clone(&stop);
+        let stop_refill = Arc::clone(&bulk_returned);
         s.spawn(move || {
             while !stop_refill.load(Ordering::Relaxed) {
                 refill.add_budget(80);
@@ -118,7 +122,9 @@ fn main() {
         }
 
         stop.store(true, Ordering::Relaxed);
-        let (bulk_done, bulk_worst) = bulk.join().expect("bulk thread");
+        let joined = bulk.join();
+        bulk_returned.store(true, Ordering::Relaxed);
+        let (bulk_done, bulk_worst) = joined.expect("bulk thread");
         println!(
             "\nbulk:        {bulk_done} tables, worst {:.1} ms (token-metered, as intended)",
             bulk_worst.as_secs_f64() * 1e3

@@ -229,7 +229,6 @@ fn evicted_entries_recompute_equal_verdicts() {
             .with_cache_config(CacheConfig {
                 shards: 1,
                 capacity: Some(1),
-                ttl: None,
             });
         let first = batch.annotate_corpus(&tables);
         let misses = batch.cache_stats().misses;

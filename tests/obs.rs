@@ -291,7 +291,6 @@ mod wire {
                 cache: Some(CacheConfig {
                     shards: 1,
                     capacity: Some(8),
-                    ttl: None,
                 }),
                 ..ServiceConfig::default()
             },

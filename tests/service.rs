@@ -1,15 +1,14 @@
 //! Service-layer integration: the bounded query cache must never change
-//! an annotation (only its cost), capacity and TTL must be honoured
+//! an annotation (only its cost), capacity must be honoured
 //! under real corpus load, single-flight must survive eviction pressure,
 //! the geocoding memo must deduplicate addresses corpus-wide, and the
 //! request scheduler must match the offline batch path bit for bit while
 //! shedding what it cannot queue.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use teda::classifier::svm::pegasos::PegasosConfig;
-use teda::core::cache::CacheConfig;
+use teda::core::cache::{CacheConfig, CacheEntrySnapshot};
 use teda::core::config::AnnotatorConfig;
 use teda::core::model::SnippetClassifier;
 use teda::core::pipeline::{BatchAnnotator, TableAnnotations};
@@ -21,7 +20,7 @@ use teda::kb::{CategoryNetwork, EntityType, World, WorldSpec};
 use teda::service::{AnnotationService, Rejection, ServiceConfig};
 use teda::simkit::rng_from_seed;
 use teda::tabular::Table;
-use teda::websim::{BingSim, SearchEngine, WebCorpus, WebCorpusSpec};
+use teda::websim::{BingSim, SearchEngine, WebCorpus, WebCorpusSpec, WebPage};
 
 fn fixture() -> (World, Arc<BingSim>, SnippetClassifier) {
     let world = World::generate(WorldSpec::tiny(), 42);
@@ -80,7 +79,6 @@ fn bounded_cache_annotations_are_bit_identical_to_unbounded() {
     let bounded = batch(engine, classifier).with_cache_config(CacheConfig {
         shards: 2,
         capacity: Some(8),
-        ttl: None,
     });
     let out: Vec<TableAnnotations> = bounded.annotate_corpus_par(&tables);
     assert_eq!(out, reference, "eviction changed an annotation");
@@ -103,7 +101,6 @@ fn cache_capacity_is_respected_under_load() {
         let annotator = batch(engine.clone(), classifier.clone()).with_cache_config(CacheConfig {
             shards: 4,
             capacity: Some(capacity),
-            ttl: None,
         });
         annotator.annotate_corpus_par(&tables);
         let cap = annotator
@@ -119,40 +116,6 @@ fn cache_capacity_is_respected_under_load() {
 }
 
 #[test]
-fn zero_ttl_expires_everything_but_changes_nothing() {
-    let (world, engine, classifier) = fixture();
-    let tables = seeded_corpus(&world, 3, 10);
-
-    let reference = batch(engine.clone(), classifier.clone()).annotate_corpus(&tables);
-
-    let expiring = batch(engine, classifier).with_cache_config(CacheConfig {
-        ttl: Some(Duration::ZERO),
-        ..CacheConfig::default()
-    });
-    let out = expiring.annotate_corpus(&tables);
-    assert_eq!(out, reference, "TTL expiry changed an annotation");
-    let cold = expiring.cache_stats();
-    // A second pass revisits every key: with a zero TTL each revisit
-    // finds an aged-out entry and re-searches instead of hitting.
-    let rerun = expiring.annotate_corpus(&tables);
-    assert_eq!(rerun, reference, "expire-then-rehit diverged");
-    let stats = expiring.cache_stats();
-    assert_eq!(
-        stats.hits, 0,
-        "a zero TTL must never serve a (sequential) hit"
-    );
-    assert_eq!(
-        stats.expired, cold.misses,
-        "the warm pass must age out every distinct key"
-    );
-    assert_eq!(
-        stats.misses,
-        2 * cold.misses,
-        "the warm pass re-searches everything"
-    );
-}
-
-#[test]
 fn single_flight_holds_under_eviction_pressure() {
     let (_, engine, _) = fixture();
 
@@ -161,7 +124,6 @@ fn single_flight_holds_under_eviction_pressure() {
     let cache = Arc::new(QueryCache::with_config(CacheConfig {
         shards: 1,
         capacity: Some(1),
-        ttl: None,
     }));
     let queries = ["melisse a", "louvre b", "bayona c", "orsay d"];
     let reference: Vec<_> = queries.iter().map(|q| engine.search(q, 5)).collect();
@@ -339,6 +301,133 @@ fn service_sheds_when_the_queue_bound_is_hit() {
     assert_eq!(stats.counter("shed_queue"), shed);
     assert_eq!(stats.counter("completed") + shed, tables.len() as u64);
     assert!(stats.shed_rate() > 0.0);
+}
+
+/// A cache file in the layout written before the query cache lost its
+/// TTL: section tag 1, and an 8-byte entry age after each `k`.
+fn aged_layout_cache_file(entries: &[CacheEntrySnapshot]) -> Vec<u8> {
+    use teda::store::format::{encode_container, put_string, put_u64, KIND_CACHE};
+    let mut payload = Vec::new();
+    put_u64(&mut payload, entries.len() as u64);
+    for entry in entries {
+        put_string(&mut payload, &entry.query);
+        put_u64(&mut payload, entry.k as u64);
+        put_u64(&mut payload, 1_500_000); // age, ns
+        put_u64(&mut payload, entry.results.len() as u64);
+        for result in entry.results.iter() {
+            put_string(&mut payload, &result.url);
+            put_string(&mut payload, &result.title);
+            put_string(&mut payload, &result.snippet);
+        }
+    }
+    encode_container(KIND_CACHE, &[(1, payload)])
+}
+
+#[test]
+fn an_aged_layout_cache_file_is_refused_and_the_service_starts_cold() {
+    let (world, engine, classifier) = fixture();
+    let tables: Vec<Arc<Table>> = seeded_corpus(&world, 4, 10)
+        .into_iter()
+        .map(Arc::new)
+        .collect();
+    let cold = batch(engine.clone(), classifier.clone());
+    let reference: Vec<TableAnnotations> = tables.iter().map(|t| cold.annotate_table(t)).collect();
+
+    let dir = std::env::temp_dir().join(format!("teda_svc_aged_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(teda::store::CACHE_FILE);
+    std::fs::write(
+        &path,
+        aged_layout_cache_file(&cold.cache().export_entries()),
+    )
+    .unwrap();
+    assert!(matches!(
+        teda::store::load_cache_snapshot(&path),
+        Err(teda::store::StoreError::Corrupt(_))
+    ));
+
+    let service = AnnotationService::start(
+        batch(engine, classifier),
+        ServiceConfig {
+            workers: 2,
+            queue_depth: tables.len() * 2,
+            store_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        },
+    );
+    assert_eq!(service.stats().counter("restored_cache_entries"), 0);
+    for (i, table) in tables.iter().enumerate() {
+        let outcome = service
+            .submit(Arc::clone(table))
+            .expect("queue has room")
+            .wait()
+            .expect("request completes");
+        assert_eq!(outcome.annotations, reference[i], "table {i}");
+    }
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_live_update_removes_the_warm_start_file_before_it_publishes() {
+    let (world, engine, classifier) = fixture();
+    let table = Arc::new(seeded_corpus(&world, 1, 10).remove(0));
+    let web = WebCorpus::build(&world, WebCorpusSpec::tiny(), 42);
+    let root = std::env::temp_dir().join(format!("teda_svc_update_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    // The warm-start file beside the corpus store, and in a directory
+    // of its own.
+    for (corpus_dir, store_dir) in [
+        (root.join("shared"), root.join("shared")),
+        (root.join("corpus"), root.join("cache")),
+    ] {
+        teda::store::CorpusStore::open(&corpus_dir)
+            .expect("open store")
+            .save(&web)
+            .expect("seed snapshot");
+        let live = Arc::new(
+            teda::service::LiveCorpus::open_mapped(&corpus_dir, teda::store::TierPolicy::default())
+                .expect("open mapped live corpus"),
+        );
+        let service = AnnotationService::start_live(
+            batch(engine.clone(), classifier.clone()),
+            ServiceConfig {
+                workers: 1,
+                store_dir: Some(store_dir.clone()),
+                ..ServiceConfig::default()
+            },
+            live,
+        );
+        let cache_file = store_dir.join(teda::store::CACHE_FILE);
+        let warm = |service: &AnnotationService| {
+            service
+                .submit(Arc::clone(&table))
+                .expect("queue has room")
+                .wait()
+                .expect("request completes");
+            assert!(service.snapshot_now().expect("snapshot") > 0);
+            assert!(cache_file.exists());
+        };
+
+        warm(&service);
+        service
+            .add_pages(vec![WebPage {
+                url: "http://update/0".into(),
+                title: "Update".into(),
+                body: "a page added while serving".into(),
+            }])
+            .expect("add");
+        assert!(!cache_file.exists(), "an add must remove {cache_file:?}");
+
+        warm(&service);
+        service
+            .remove_pages(vec!["http://update/0".into()])
+            .expect("remove");
+        assert!(!cache_file.exists(), "a removal must remove {cache_file:?}");
+        service.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

@@ -391,6 +391,44 @@ fn corpus_save_invalidates_the_co_located_cache_snapshot() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A journal append changes the corpus as much as a save does: the
+/// co-located cache snapshot is removed before the segment lands, so a
+/// crash right after an update restarts cold instead of serving
+/// pre-update entries as hits.
+#[test]
+fn journal_appends_remove_the_co_located_cache_snapshot() {
+    use teda::core::cache::QueryCache;
+
+    let dir = temp_store("append_invalidate");
+    let store = CorpusStore::open(&dir).expect("open");
+    store.save(&corpus(22)).expect("save");
+    let persist = || {
+        let cache = QueryCache::new(2);
+        cache.get_or_search(&Counting(AtomicUsize::new(0)), "melisse", 3);
+        save_cache_snapshot(&store.cache_path(), &cache.export_entries()).expect("persist cache");
+        assert!(store.cache_path().exists());
+    };
+
+    persist();
+    store
+        .add_pages(&[page("http://new/0", "New", "new page body")])
+        .expect("journal add");
+    assert!(
+        !store.cache_path().exists(),
+        "an add must remove the co-located cache snapshot"
+    );
+
+    persist();
+    store
+        .remove_pages(&["http://new/0".to_string()])
+        .expect("journal remove");
+    assert!(
+        !store.cache_path().exists(),
+        "a removal must remove the co-located cache snapshot"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Concurrent `SNAPSHOT` requests (each wire connection runs on its own
 /// thread) must not trample each other's temp files: every write uses a
 /// unique temp name, so the published snapshot is always one writer's
