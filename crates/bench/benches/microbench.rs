@@ -218,6 +218,7 @@ fn bench_cluster(c: &mut Criterion) {
 
 fn bench_batch(c: &mut Criterion) {
     use teda_core::pipeline::BatchAnnotator;
+    use teda_core::stream::{default_max_in_flight, Collect, SliceSource};
 
     let world = World::generate(WorldSpec::tiny(), 42);
     let net = CategoryNetwork::build(&world, 42);
@@ -249,25 +250,32 @@ fn bench_batch(c: &mut Criterion) {
         })
         .collect();
 
+    // One pass over the corpus through `batch`'s streaming driver, in
+    // table order, with `window` tables in flight.
+    let annotate = |batch: &BatchAnnotator, window: usize| {
+        let mut sink = Collect::new();
+        batch.annotate_stream(SliceSource::new(black_box(&tables)), &mut sink, window);
+        sink.into_results().len()
+    };
     let mut group = c.benchmark_group("batch");
     let cold = BatchAnnotator::new(engine.clone(), svm.clone(), AnnotatorConfig::default());
     group.bench_function("annotate_corpus_seq", |b| {
         b.iter(|| {
             cold.cache().clear();
-            cold.annotate_corpus(black_box(&tables)).len()
+            annotate(&cold, 1)
         })
     });
     let par = BatchAnnotator::new(engine.clone(), svm.clone(), AnnotatorConfig::default());
     group.bench_function("annotate_corpus_par", |b| {
         b.iter(|| {
             par.cache().clear();
-            par.annotate_corpus_par(black_box(&tables)).len()
+            annotate(&par, default_max_in_flight())
         })
     });
     let warm = BatchAnnotator::new(engine, svm, AnnotatorConfig::default());
-    warm.annotate_corpus(&tables);
+    annotate(&warm, 1);
     group.bench_function("annotate_corpus_warm_cache", |b| {
-        b.iter(|| warm.annotate_corpus(black_box(&tables)).len())
+        b.iter(|| annotate(&warm, 1))
     });
     group.finish();
 }

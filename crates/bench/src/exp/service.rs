@@ -65,7 +65,6 @@ pub fn run(fixture: &Fixture) -> ServiceReport {
             queue_depth: tables.len().max(4) * 2,
             cache: Some(CacheConfig {
                 capacity: Some(4096),
-                ..CacheConfig::default()
             }),
             ..ServiceConfig::default()
         },

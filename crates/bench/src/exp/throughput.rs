@@ -17,7 +17,8 @@
 use std::time::Instant;
 
 use teda_core::cache::CacheStats;
-use teda_core::pipeline::TableAnnotations;
+use teda_core::pipeline::{BatchAnnotator, TableAnnotations};
+use teda_core::stream::{default_max_in_flight, Collect, SliceSource};
 use teda_kb::EntityType;
 use teda_simkit::rng_from_seed;
 use teda_simkit::tablefmt::{Align, TextTable};
@@ -112,6 +113,15 @@ pub fn build_corpus(fixture: &Fixture) -> Vec<Table> {
         .collect()
 }
 
+/// Annotates `tables` one task per table at the default in-flight
+/// window, in table order.
+fn annotate_par(batch: &BatchAnnotator, tables: &[Table]) -> Vec<TableAnnotations> {
+    let mut sink = Collect::new();
+    batch.annotate_stream(SliceSource::new(tables), &mut sink, default_max_in_flight());
+    sink.into_annotations()
+        .expect("slice sources never yield errors")
+}
+
 /// Runs the sweep: sequential batch, then parallel batch, both from a
 /// cold cache, and checks the outputs are identical.
 pub fn run(fixture: &Fixture) -> Throughput {
@@ -119,12 +129,15 @@ pub fn run(fixture: &Fixture) -> Throughput {
 
     let sequential = fixture.svm_annotator(true, false).into_batch();
     let t0 = Instant::now();
-    let seq_out: Vec<TableAnnotations> = sequential.annotate_corpus(&tables);
+    let seq_out: Vec<TableAnnotations> = tables
+        .iter()
+        .map(|t| sequential.annotate_table(t))
+        .collect();
     let seq_secs = t0.elapsed().as_secs_f64();
 
     let parallel = fixture.svm_annotator(true, false).into_batch();
     let t0 = Instant::now();
-    let par_out: Vec<TableAnnotations> = parallel.annotate_corpus_par(&tables);
+    let par_out = annotate_par(&parallel, &tables);
     let par_secs = t0.elapsed().as_secs_f64();
 
     let cache = parallel.cache_stats();
@@ -132,7 +145,7 @@ pub fn run(fixture: &Fixture) -> Throughput {
     // Warm re-annotation: the same corpus again through the same memo —
     // the sustained-service scenario. Every lookup should hit.
     let t0 = Instant::now();
-    let rerun_out: Vec<TableAnnotations> = parallel.annotate_corpus_par(&tables);
+    let rerun_out = annotate_par(&parallel, &tables);
     let rerun_secs = t0.elapsed().as_secs_f64();
     let warm = parallel.cache_stats();
     let rerun_lookups = (warm.hits + warm.misses) - (cache.hits + cache.misses);

@@ -8,24 +8,23 @@
 //! behind a sharded lock so concurrent annotation workers share one
 //! result set per distinct query.
 //!
-//! Misses are *single-flight per key*: the first worker to miss a
-//! `(query, k)` installs an in-flight marker, releases the shard lock,
-//! and searches; workers racing on the *same* key block on that flight
-//! (not on the shard), while workers on *different* keys of the same
-//! shard proceed immediately. One search per distinct key, identical
+//! The lookup is [`teda_memo::Memo`], shared with `teda-geo`'s geocoding
+//! memo: misses are *single-flight per key* (workers racing on the same
+//! `(query, k)` wait for the first one's search, workers on different
+//! keys never wait on each other's engine calls), and a bounded cache
+//! evicts by exact per-shard LRU. One search per distinct key, identical
 //! results for every caller, and the engine's query counter (the
-//! paper's daily-allowance concern) stays deterministic — without
-//! serializing unrelated queries behind a slow engine call.
+//! paper's daily-allowance concern) stays deterministic. This module
+//! keeps what is the query cache's own: the verdict slot beside each
+//! result list, the `search` stage timer around the engine call, the
+//! snapshot exchange with `teda-store`, and the `cache.*` counter names.
 //!
 //! # Boundedness
 //!
 //! A long-running annotation *service* cannot let the memo grow without
 //! bound the way an offline corpus run can. [`CacheConfig::capacity`]
-//! caps the memoized entries, split evenly across the shards and
-//! enforced per shard with exact LRU eviction (shards are small —
-//! `capacity / shards` entries — so the eviction scan is a short,
-//! bounded critical section; an intrusive LRU list would buy nothing at
-//! this size).
+//! caps the memoized entries; the shard count follows it (64 shards of
+//! 4 entries at the served 256-entry bound, 64 shards when unbounded).
 //!
 //! Entries never expire by age. **Determinism invariant (hard):** search
 //! results are a pure function of `(query, k)` over the corpus, and the
@@ -47,55 +46,37 @@
 //! together. Snapshots carry results only
 //! ([`export_entries`](QueryCache::export_entries)), so a restored entry
 //! computes its verdict on its first hit.
-//!
-//! The single-flight machinery itself — [`Flight`], [`Slot`], shard
-//! routing, leader execution — lives in [`teda_memo`], shared with `teda-geo`'s geocoding memo; this module
-//! keeps only what is specific to the query cache: the per-`k` entry
-//! layout, the LRU eviction policy, and the [`SearchEngine`]
-//! integration.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 pub use teda_memo::CacheStats;
-use teda_memo::{lead, Flight, Shards, Slot};
-use teda_obs::{Counter, Histogram, StageTimer, Stopwatch};
+use teda_memo::Memo;
+use teda_obs::{Histogram, StageTimer};
 use teda_websim::{SearchEngine, SearchResult};
 
 use crate::annotate::Verdict;
 
-/// Capacity and sharding knobs of a [`QueryCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Capacity of a [`QueryCache`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Lock shards (rounded up to 1). More shards, less contention.
-    pub shards: usize,
-    /// Total memoized-entry bound, split evenly across shards (each shard
-    /// holds at most `ceil(capacity / shards)`, minimum 1). `None` is
+    /// Total memoized-entry bound, split evenly across the shards the
+    /// cache derives from it (each holds at least one entry). `None` is
     /// unbounded — the right choice for one-shot corpus runs, not for a
     /// long-running service.
     pub capacity: Option<usize>,
 }
 
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            shards: 64,
-            capacity: None,
-        }
-    }
-}
-
-/// The memoized value of one `(query, k)` entry: its shared result
+/// The memoized answer of one `(query, k)` entry: its shared result
 /// list and, once some caller has judged it, the §5.2.1 verdict over it.
 #[derive(Debug)]
-pub(crate) struct Memo {
+pub(crate) struct Answer {
     results: Arc<[SearchResult]>,
     verdict: OnceLock<Option<Verdict>>,
 }
 
-impl Memo {
-    fn new(results: Arc<[SearchResult]>) -> Arc<Memo> {
-        Arc::new(Memo {
+impl Answer {
+    fn new(results: Arc<[SearchResult]>) -> Arc<Answer> {
+        Arc::new(Answer {
             results,
             verdict: OnceLock::new(),
         })
@@ -117,9 +98,6 @@ impl Memo {
     }
 }
 
-/// What a slot holds.
-type Memoized = Arc<Memo>;
-
 /// One exported cache entry, as
 /// [`QueryCache::export_entries`]/[`QueryCache::restore_entries`]
 /// exchange them with the persistence layer (`teda-store`).
@@ -133,50 +111,11 @@ pub struct CacheEntrySnapshot {
     pub results: Arc<[SearchResult]>,
 }
 
-/// One memo entry under a query key.
-#[derive(Debug)]
-struct Entry {
-    k: usize,
-    slot: Slot<Memoized>,
-    /// Shard tick at the last hit (LRU recency). Pending entries carry
-    /// their install tick but are never eviction victims.
-    last_used: u64,
-}
-
-/// One shard: query text → per-k entries, plus the shard-local LRU tick
-/// and the count of `Ready` entries the capacity bound applies to.
-///
-/// Keyed by the query string alone so a hit needs no key allocation;
-/// `k` rarely takes more than one value per run, so the inner list is a
-/// linear scan over one or two entries.
-#[derive(Debug, Default)]
-struct Shard {
-    map: HashMap<String, Vec<Entry>>,
-    tick: u64,
-    ready: usize,
-}
-
 /// A sharded, thread-safe, optionally bounded memo of search-engine
 /// responses.
 #[derive(Debug)]
 pub struct QueryCache {
-    shards: Shards<Shard>,
-    /// `Ready` entries allowed per shard; `usize::MAX` when unbounded.
-    per_shard_capacity: usize,
-    /// Queries answered from the cache (searches saved).
-    hits: Arc<Counter>,
-    /// Queries that went to the engine.
-    misses: Arc<Counter>,
-    /// Entries evicted to honour the capacity bound.
-    evictions: Arc<Counter>,
-    /// `cache_lookup` stage histogram — time from lookup to a memoized
-    /// answer (fast-path hits and follower waits), one observation per
-    /// hit. Only waits are timed: a hit that took its shard lock at the
-    /// first try holds it for one map probe, far below the histogram's
-    /// 1 µs resolution, and records 0 µs without reading the clock.
-    /// Unattached (the default) records nothing; see
-    /// [`attach_obs`](Self::attach_obs).
-    hist_lookup: OnceLock<Arc<Histogram>>,
+    memo: Memo<Arc<Answer>>,
     /// `search` stage histogram — the leader's engine call on a miss.
     hist_search: OnceLock<Arc<Histogram>>,
 }
@@ -188,35 +127,10 @@ impl Default for QueryCache {
 }
 
 impl QueryCache {
-    /// Creates an unbounded cache with `shards` lock shards (rounded up
-    /// to 1) — the PR-1 constructor, kept for offline corpus runs.
-    pub fn new(shards: usize) -> Self {
-        QueryCache::with_config(CacheConfig {
-            shards,
-            ..CacheConfig::default()
-        })
-    }
-
-    /// Creates a cache from the full knob set. When a capacity is set,
-    /// the shard count is clamped to it so the per-shard split never
-    /// inflates the bound (`capacity: 8` with 64 shards would otherwise
-    /// round up to one entry *per shard* — 64 entries).
+    /// Creates a cache bounded as `config` says.
     pub fn with_config(config: CacheConfig) -> Self {
-        let n = match config.capacity {
-            Some(cap) => config.shards.clamp(1, cap.max(1)),
-            None => config.shards.max(1),
-        };
-        let per_shard_capacity = match config.capacity {
-            Some(cap) => cap.div_ceil(n).max(1),
-            None => usize::MAX,
-        };
         QueryCache {
-            shards: Shards::new(n),
-            per_shard_capacity,
-            hits: Arc::default(),
-            misses: Arc::default(),
-            evictions: Arc::default(),
-            hist_lookup: OnceLock::new(),
+            memo: Memo::new(config.capacity),
             hist_search: OnceLock::new(),
         }
     }
@@ -228,46 +142,18 @@ impl QueryCache {
     /// `cache.evictions`. Timing is observation only — results stay a
     /// pure function of `(query, k)`.
     pub fn attach_obs(&self, obs: &teda_obs::Registry) {
-        obs.register_counter("cache.hits", &self.hits);
-        obs.register_counter("cache.misses", &self.misses);
-        obs.register_counter("cache.evictions", &self.evictions);
-        let _ = self
-            .hist_lookup
-            .set(obs.histogram(teda_obs::stage::CACHE_LOOKUP));
+        self.memo
+            .register_counters(obs, ["cache.hits", "cache.misses", "cache.evictions"]);
+        self.memo
+            .time_lookups(obs.histogram(teda_obs::stage::CACHE_LOOKUP));
         let _ = self.hist_search.set(obs.histogram(teda_obs::stage::SEARCH));
-    }
-
-    /// A stopwatch running only when the `cache_lookup` histogram is
-    /// attached and recording.
-    fn lookup_watch(&self) -> Stopwatch {
-        Stopwatch::started_if(self.hist_lookup.get().is_some_and(|h| h.is_enabled()))
-    }
-
-    /// Starts `watch` unless it runs already: the lookup is about to
-    /// wait.
-    fn time_wait(&self, watch: &mut Stopwatch) {
-        if !watch.is_running() {
-            *watch = self.lookup_watch();
-        }
-    }
-
-    /// Records one hit: the waited time when `watch` runs, else 0 µs
-    /// (no-op when unattached or disabled).
-    fn record_lookup(&self, watch: Stopwatch) {
-        if let Some(h) = self.hist_lookup.get() {
-            h.record(watch.elapsed_us());
-        }
     }
 
     /// The effective total capacity (`None` when unbounded). Rounded up
     /// from the configured value to a multiple of the shard count, since
     /// the bound is enforced per shard.
     pub fn capacity(&self) -> Option<usize> {
-        if self.per_shard_capacity == usize::MAX {
-            None
-        } else {
-            Some(self.per_shard_capacity * self.shards.len())
-        }
+        self.memo.capacity()
     }
 
     /// Returns the memoized results for `(query, k)`, consulting `engine`
@@ -291,169 +177,46 @@ impl QueryCache {
         engine: &E,
         query: &str,
         k: usize,
-    ) -> Memoized {
-        /// What the shard held for the key, borrow-free.
-        enum Found {
-            Hit(Memoized),
-            InFlight(Arc<Flight<Memoized>>),
-            Missing,
-        }
-        let mut watch = Stopwatch::started_if(false);
-        loop {
-            let flight = {
-                let mut shard = match self.shards.try_lock(query.as_bytes()) {
-                    Some(shard) => shard,
-                    None => {
-                        self.time_wait(&mut watch);
-                        self.shards.lock(query.as_bytes())
-                    }
-                };
-                shard.tick += 1;
-                let tick = shard.tick;
-                let found = match shard
-                    .map
-                    .get_mut(query)
-                    .and_then(|entries| entries.iter_mut().find(|e| e.k == k))
-                {
-                    Some(entry) => match &entry.slot {
-                        Slot::Ready(memo) => {
-                            let memo = Arc::clone(memo);
-                            entry.last_used = tick;
-                            Found::Hit(memo)
-                        }
-                        Slot::Pending(flight) => Found::InFlight(Arc::clone(flight)),
-                    },
-                    None => Found::Missing,
-                };
-                match found {
-                    Found::Hit(memo) => {
-                        self.hits.inc();
-                        drop(shard);
-                        self.record_lookup(watch);
-                        return memo;
-                    }
-                    Found::InFlight(flight) => flight,
-                    Found::Missing => {
-                        // First caller: install the flight, then search
-                        // outside the shard lock.
-                        self.misses.inc();
-                        let flight = install_flight(&mut shard, query, k, tick);
-                        drop(shard);
-                        // Leader: run the engine call outside the shard
-                        // lock; on unwind the slot is removed so
-                        // followers retry instead of hanging.
-                        return lead(
-                            || {
-                                let timer = self.hist_search.get().map(|h| StageTimer::start(h));
-                                let results = engine.search(query, k).into();
-                                drop(timer);
-                                Memo::new(results)
-                            },
-                            |memo| self.resolve_slot(query, k, &flight, memo),
-                        );
-                    }
-                }
-            };
-            // Follower: wait for the leader's result (a hit — the memo
-            // saved this engine call). `None` means the leader unwound;
-            // loop and race to become the new leader.
-            self.time_wait(&mut watch);
-            if let Some(memo) = flight.wait() {
-                self.hits.inc();
-                self.record_lookup(watch);
-                return memo;
-            }
-        }
-    }
-
-    /// Publishes a flight's outcome: `Some` marks the slot ready (and
-    /// enforces the capacity bound), `None` (abandon) removes it. Only
-    /// touches the slot if it still holds this very flight (a concurrent
-    /// `clear` may have dropped it).
-    fn resolve_slot(
-        &self,
-        query: &str,
-        k: usize,
-        flight: &Arc<Flight<Memoized>>,
-        memo: Option<&Memoized>,
-    ) {
-        let mut shard = self.shards.lock(query.as_bytes());
-        shard.tick += 1;
-        let tick = shard.tick;
-        let held = shard.map.get_mut(query).and_then(|entries| {
-            entries
-                .iter_mut()
-                .find(|e| e.k == k && e.slot.holds(flight))
-        });
-        if let Some(entry) = held {
-            match memo {
-                Some(m) => {
-                    entry.slot = Slot::Ready(Arc::clone(m));
-                    entry.last_used = tick;
-                    shard.ready += 1;
-                    while shard.ready > self.per_shard_capacity {
-                        if !evict_lru(&mut shard) {
-                            break;
-                        }
-                        self.evictions.inc();
-                    }
-                }
-                None => remove_entry(&mut shard, query, k),
-            }
-        }
-        drop(shard);
-        flight.finish(memo.map(Arc::clone));
+    ) -> Arc<Answer> {
+        self.memo.get_or_compute(query, k, || {
+            let timer = self.hist_search.get().map(|h| StageTimer::start(h));
+            let results = engine.search(query, k).into();
+            drop(timer);
+            Answer::new(results)
+        })
     }
 
     /// Hit/miss/eviction counters so far.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            evictions: self.evictions.get(),
-        }
+        self.memo.stats()
     }
 
     /// Number of memoized `(query, k)` entries (in-flight searches not
     /// yet counted).
     pub fn len(&self) -> usize {
-        let mut total = 0;
-        self.shards.for_each(|s| total += s.ready);
-        total
+        self.memo.len()
     }
 
     /// Whether nothing is memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.memo.is_empty()
     }
 
-    /// Exports every `Ready` entry's results for persistence
+    /// Exports every memoized entry's results for persistence
     /// (`teda-store`'s cache snapshot; verdicts are not exported, see
-    /// the module doc): in-flight (`Pending`) slots are skipped — a
-    /// search that has not finished has nothing to persist.
-    ///
-    /// Entries are sorted by `(query, k)` so snapshots of the same
-    /// cache state are byte-identical regardless of shard iteration
-    /// order.
+    /// the module doc), sorted by `(query, k)` so snapshots of the same
+    /// cache state are byte-identical. A search still in flight has
+    /// nothing to persist.
     pub fn export_entries(&self) -> Vec<CacheEntrySnapshot> {
-        let mut out = Vec::new();
-        self.shards.for_each(|shard| {
-            // teda-lint: allow(nondeterministic_iteration) -- collected across shards, then sorted by (query, k) before return
-            for (query, entries) in shard.map.iter() {
-                for e in entries {
-                    let Slot::Ready(memo) = &e.slot else {
-                        continue;
-                    };
-                    out.push(CacheEntrySnapshot {
-                        query: query.clone(),
-                        k: e.k,
-                        results: Arc::clone(memo.results()),
-                    });
-                }
-            }
-        });
-        out.sort_by(|a, b| a.query.cmp(&b.query).then(a.k.cmp(&b.k)));
-        out
+        self.memo
+            .ready_entries()
+            .into_iter()
+            .map(|(query, k, answer)| CacheEntrySnapshot {
+                query,
+                k,
+                results: Arc::clone(answer.results()),
+            })
+            .collect()
     }
 
     /// Restores exported entries into this cache. Live entries for the
@@ -466,98 +229,24 @@ impl QueryCache {
     ///
     /// Returns the number of entries actually installed.
     pub fn restore_entries(&self, entries: impl IntoIterator<Item = CacheEntrySnapshot>) -> usize {
-        let mut installed = 0usize;
-        for entry in entries {
-            let mut shard = self.shards.lock(entry.query.as_bytes());
-            shard.tick += 1;
-            let tick = shard.tick;
-            let slots = shard.map.entry(entry.query).or_default();
-            if slots.iter().any(|e| e.k == entry.k) {
-                continue; // live state wins over the snapshot
-            }
-            slots.push(Entry {
-                k: entry.k,
-                slot: Slot::Ready(Memo::new(entry.results)),
-                last_used: tick,
-            });
-            shard.ready += 1;
-            installed += 1;
-            while shard.ready > self.per_shard_capacity {
-                if !evict_lru(&mut shard) {
-                    break;
-                }
-                self.evictions.inc();
-            }
-        }
-        installed
+        entries
+            .into_iter()
+            .map(|e| self.memo.restore(e.query, e.k, Answer::new(e.results)))
+            .filter(|&installed| installed)
+            .count()
     }
 
     /// Drops all entries, their verdicts with them. The counters keep
     /// counting: they are monotonic, so a scraper never sees a reset.
     pub fn clear(&self) {
-        self.shards.for_each(|shard| {
-            shard.map.clear();
-            shard.ready = 0;
-            shard.tick = 0;
-        });
+        self.memo.clear();
     }
-}
-
-/// Installs a fresh `Pending` entry for `(query, k)` and returns its
-/// flight. Caller must have verified the key is absent.
-fn install_flight(shard: &mut Shard, query: &str, k: usize, tick: u64) -> Arc<Flight<Memoized>> {
-    let flight = Flight::new();
-    shard.map.entry(query.to_owned()).or_default().push(Entry {
-        k,
-        slot: Slot::Pending(Arc::clone(&flight)),
-        last_used: tick,
-    });
-    flight
-}
-
-/// Removes the `(query, k)` entry if present, maintaining the ready count
-/// and dropping emptied key lists.
-fn remove_entry(shard: &mut Shard, query: &str, k: usize) {
-    if let Some(entries) = shard.map.get_mut(query) {
-        if let Some(pos) = entries.iter().position(|e| e.k == k) {
-            if matches!(entries[pos].slot, Slot::Ready(_)) {
-                shard.ready -= 1;
-            }
-            entries.remove(pos);
-            if entries.is_empty() {
-                shard.map.remove(query);
-            }
-        }
-    }
-}
-
-/// Evicts the least-recently-used `Ready` entry of the shard. Returns
-/// `false` when no `Ready` entry exists (all Pending — nothing evictable).
-fn evict_lru(shard: &mut Shard) -> bool {
-    let mut victim: Option<(&String, usize, u64)> = None;
-    // teda-lint: allow(nondeterministic_iteration) -- last_used ticks are unique (one per shard op), so the strict-< minimum is order-independent
-    for (q, entries) in shard.map.iter() {
-        for e in entries {
-            if matches!(e.slot, Slot::Ready(_))
-                && victim.is_none_or(|(_, _, used)| e.last_used < used)
-            {
-                victim = Some((q, e.k, e.last_used));
-            }
-        }
-    }
-    let Some((q, k, _)) = victim.map(|(q, k, u)| (q.clone(), k, u)) else {
-        return false;
-    };
-    remove_entry(shard, &q, k);
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    use std::time::Duration;
 
     /// Engine that counts calls and answers `k` canned results.
     struct Counting(AtomicUsize);
@@ -577,7 +266,7 @@ mod tests {
 
     #[test]
     fn hits_and_misses_are_counted() {
-        let cache = QueryCache::new(8);
+        let cache = QueryCache::default();
         let engine = Counting(AtomicUsize::new(0));
         let a = cache.get_or_search(&engine, "melisse", 10);
         let b = cache.get_or_search(&engine, "melisse", 10);
@@ -595,7 +284,7 @@ mod tests {
         );
         assert!((cache.stats().hit_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.capacity(), None, "new() stays unbounded");
+        assert_eq!(cache.capacity(), None, "the default stays unbounded");
     }
 
     #[test]
@@ -615,7 +304,7 @@ mod tests {
 
     #[test]
     fn clear_drops_entries_and_keeps_counters() {
-        let cache = QueryCache::new(4);
+        let cache = QueryCache::default();
         let engine = Counting(AtomicUsize::new(0));
         cache.get_or_search(&engine, "a", 5);
         cache.get_or_search(&engine, "a", 5);
@@ -632,108 +321,8 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_duplicate_queries_search_once() {
-        let cache = Arc::new(QueryCache::new(16));
-        let engine = Arc::new(Counting(AtomicUsize::new(0)));
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let cache = Arc::clone(&cache);
-                let engine = Arc::clone(&engine);
-                s.spawn(move || {
-                    for q in ["melisse", "louvre", "bayona"] {
-                        let r = cache.get_or_search(engine.as_ref(), q, 10);
-                        assert_eq!(r.len(), 10);
-                    }
-                });
-            }
-        });
-        assert_eq!(
-            engine.0.load(Ordering::Relaxed),
-            3,
-            "single flight per distinct query"
-        );
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 3);
-        assert_eq!(stats.hits, 21);
-    }
-
-    #[test]
-    fn distinct_keys_do_not_serialize_behind_a_slow_search() {
-        use std::time::Instant;
-
-        /// Engine whose every search takes a fixed wall-clock time.
-        struct Slow;
-        impl SearchEngine for Slow {
-            fn search(&self, query: &str, k: usize) -> Vec<SearchResult> {
-                std::thread::sleep(Duration::from_millis(120));
-                (0..k)
-                    .map(|i| SearchResult {
-                        url: format!("http://s/{query}/{i}"),
-                        title: "t".into(),
-                        snippet: "s".into(),
-                    })
-                    .collect()
-            }
-        }
-
-        // One shard: both keys *must* share it. Misses still overlap
-        // because the engine call runs outside the shard lock.
-        let cache = Arc::new(QueryCache::new(1));
-        let t0 = Instant::now();
-        std::thread::scope(|s| {
-            for q in ["alpha", "beta"] {
-                let cache = Arc::clone(&cache);
-                s.spawn(move || {
-                    assert_eq!(cache.get_or_search(&Slow, q, 2).len(), 2);
-                });
-            }
-        });
-        let elapsed = t0.elapsed();
-        assert!(
-            elapsed < Duration::from_millis(220),
-            "two distinct slow searches serialized: {elapsed:?}"
-        );
-        assert_eq!(cache.stats().misses, 2);
-    }
-
-    #[test]
-    fn abandoned_flight_lets_the_next_caller_retry() {
-        /// Engine that panics on its first call only.
-        struct PanicsOnce(AtomicUsize);
-        impl SearchEngine for PanicsOnce {
-            fn search(&self, query: &str, k: usize) -> Vec<SearchResult> {
-                if self.0.fetch_add(1, Ordering::Relaxed) == 0 {
-                    panic!("engine exploded");
-                }
-                (0..k)
-                    .map(|i| SearchResult {
-                        url: format!("http://p/{query}/{i}"),
-                        title: "t".into(),
-                        snippet: "s".into(),
-                    })
-                    .collect()
-            }
-        }
-
-        let cache = QueryCache::new(4);
-        let engine = PanicsOnce(AtomicUsize::new(0));
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.get_or_search(&engine, "boom", 3)
-        }));
-        assert!(unwound.is_err(), "first call must propagate the panic");
-        // The abandoned flight's slot was removed — the retry searches
-        // again instead of hanging on a dead Pending marker.
-        assert_eq!(cache.get_or_search(&engine, "boom", 3).len(), 3);
-        assert_eq!(cache.stats().misses, 2, "both attempts were misses");
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
     fn capacity_is_enforced_with_lru_eviction() {
-        let cache = QueryCache::with_config(CacheConfig {
-            shards: 1,
-            capacity: Some(2),
-        });
+        let cache = QueryCache::with_config(CacheConfig { capacity: Some(2) });
         assert_eq!(cache.capacity(), Some(2));
         let engine = Counting(AtomicUsize::new(0));
         cache.get_or_search(&engine, "a", 1);
@@ -754,10 +343,7 @@ mod tests {
 
     #[test]
     fn eviction_never_changes_results() {
-        let cache = QueryCache::with_config(CacheConfig {
-            shards: 1,
-            capacity: Some(1),
-        });
+        let cache = QueryCache::with_config(CacheConfig { capacity: Some(1) });
         let engine = Counting(AtomicUsize::new(0));
         let first = cache.get_or_search(&engine, "melisse", 5);
         cache.get_or_search(&engine, "louvre", 5); // evicts "melisse"
@@ -769,12 +355,10 @@ mod tests {
     #[test]
     fn capacity_smaller_than_shard_count_clamps_the_shards() {
         // 64 shards over capacity 3 would round the per-shard split up
-        // to one entry per shard — 64 entries. The constructor clamps
-        // the shard count instead, so the bound holds exactly.
-        let cache = QueryCache::with_config(CacheConfig {
-            shards: 64,
-            capacity: Some(3),
-        });
+        // to one entry per shard — 64 entries. The shard count follows
+        // the capacity instead (one shard here), so the bound holds
+        // exactly.
+        let cache = QueryCache::with_config(CacheConfig { capacity: Some(3) });
         assert_eq!(cache.capacity(), Some(3));
         let engine = Counting(AtomicUsize::new(0));
         for i in 0..32 {
@@ -790,7 +374,7 @@ mod tests {
 
     #[test]
     fn export_skips_pending_and_restore_serves_hits() {
-        let cache = QueryCache::new(4);
+        let cache = QueryCache::default();
         let engine = Counting(AtomicUsize::new(0));
         cache.get_or_search(&engine, "melisse", 3);
         cache.get_or_search(&engine, "louvre", 2);
@@ -805,7 +389,7 @@ mod tests {
             "export order is sorted (query, k)"
         );
 
-        let warm = QueryCache::new(4);
+        let warm = QueryCache::default();
         assert_eq!(warm.restore_entries(exported.clone()), 2);
         let warm_engine = Counting(AtomicUsize::new(0));
         let hit = warm.get_or_search(&warm_engine, "melisse", 3);
@@ -824,7 +408,7 @@ mod tests {
 
     #[test]
     fn restore_respects_capacity() {
-        let cache = QueryCache::new(2);
+        let cache = QueryCache::default();
         let engine = Counting(AtomicUsize::new(0));
         for q in ["a", "b", "c"] {
             cache.get_or_search(&engine, q, 1);
@@ -833,10 +417,7 @@ mod tests {
 
         // A smaller cache enforces its own capacity during restore: the
         // first restored entry is the least recently used, so it goes.
-        let small = QueryCache::with_config(CacheConfig {
-            shards: 1,
-            capacity: Some(2),
-        });
+        let small = QueryCache::with_config(CacheConfig { capacity: Some(2) });
         assert_eq!(small.restore_entries(exported), 3);
         assert_eq!(small.len(), 2, "restore must respect the capacity bound");
         assert_eq!(small.stats().evictions, 1);
@@ -862,10 +443,7 @@ mod tests {
 
     #[test]
     fn a_verdict_is_judged_once_per_entry_and_dropped_with_it() {
-        let cache = QueryCache::with_config(CacheConfig {
-            shards: 1,
-            capacity: Some(1),
-        });
+        let cache = QueryCache::with_config(CacheConfig { capacity: Some(1) });
         let engine = Counting(AtomicUsize::new(0));
         let calls = AtomicUsize::new(0);
         let judge = |cache: &QueryCache, q: &str| {
@@ -889,7 +467,7 @@ mod tests {
 
         // Snapshots carry results only: a restored entry is a hit whose
         // verdict is judged on first use.
-        let restored = QueryCache::new(1);
+        let restored = QueryCache::default();
         restored.restore_entries(cache.export_entries());
         let searches = engine.0.load(Ordering::Relaxed);
         assert_eq!(judge(&restored, "melisse"), first);
@@ -900,23 +478,11 @@ mod tests {
     }
 
     #[test]
-    fn lookups_read_no_clock_unless_they_can_record() {
-        let cache = QueryCache::new(1);
-        assert!(!cache.lookup_watch().is_running(), "unattached");
-        cache.attach_obs(&teda_obs::Registry::noop("off"));
-        assert!(!cache.lookup_watch().is_running(), "disabled histogram");
-
-        let live = QueryCache::new(1);
-        live.attach_obs(&teda_obs::Registry::new("on"));
-        assert!(live.lookup_watch().is_running(), "recording histogram");
-    }
-
-    #[test]
     fn every_hit_is_one_lookup_observation() {
         // The histogram's count is the hit count (fast hits record 0 µs
         // untimed, waits record their time); misses record nothing here.
         let obs = teda_obs::Registry::new("node");
-        let cache = QueryCache::new(4);
+        let cache = QueryCache::default();
         cache.attach_obs(&obs);
         let engine = Counting(AtomicUsize::new(0));
         for q in ["a", "b", "a", "a", "b", "c"] {
@@ -927,55 +493,5 @@ mod tests {
         assert_eq!(lookups.count(), 3);
         let searches = obs.histogram(teda_obs::stage::SEARCH).snapshot();
         assert_eq!(searches.count(), cache.stats().misses);
-    }
-
-    #[test]
-    fn pending_flights_are_never_evicted() {
-        use std::sync::mpsc;
-
-        /// Engine whose first search blocks until released.
-        struct Gated {
-            release: Mutex<Option<mpsc::Receiver<()>>>,
-        }
-        impl SearchEngine for Gated {
-            fn search(&self, query: &str, k: usize) -> Vec<SearchResult> {
-                if query == "slow" {
-                    if let Some(rx) = self.release.lock().unwrap().take() {
-                        rx.recv().unwrap();
-                    }
-                }
-                (0..k)
-                    .map(|i| SearchResult {
-                        url: format!("http://g/{query}/{i}"),
-                        title: "t".into(),
-                        snippet: "s".into(),
-                    })
-                    .collect()
-            }
-        }
-
-        let (tx, rx) = mpsc::channel();
-        let engine = Arc::new(Gated {
-            release: Mutex::new(Some(rx)),
-        });
-        let cache = Arc::new(QueryCache::with_config(CacheConfig {
-            shards: 1,
-            capacity: Some(1),
-        }));
-        std::thread::scope(|s| {
-            let c = Arc::clone(&cache);
-            let e = Arc::clone(&engine);
-            let slow = s.spawn(move || c.get_or_search(e.as_ref(), "slow", 2));
-            // While "slow" is in flight, fill the shard past capacity.
-            std::thread::sleep(Duration::from_millis(30));
-            for q in ["a", "b", "c"] {
-                cache.get_or_search(engine.as_ref(), q, 2);
-            }
-            tx.send(()).unwrap();
-            let r = slow.join().expect("slow search panicked");
-            assert_eq!(r.len(), 2, "in-flight search survived eviction pressure");
-        });
-        assert!(cache.len() <= 1 + 1, "capacity still honoured after flight");
-        assert!(cache.stats().evictions >= 2);
     }
 }

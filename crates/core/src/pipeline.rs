@@ -19,10 +19,9 @@
 //! through a bounded in-flight window into an [`AnnotationSink`], so
 //! memory is O(window) whatever the corpus size, and sources backed by
 //! parsers or live feeds are throttled to the annotation rate
-//! (backpressure). The classic `Vec<Table>`-era methods
-//! ([`annotate_corpus`](BatchAnnotator::annotate_corpus),
-//! [`annotate_corpus_par`](BatchAnnotator::annotate_corpus_par)) are
-//! thin shims over it.
+//! (backpressure). A corpus already in memory streams through a
+//! [`SliceSource`](crate::stream::SliceSource) into a
+//! [`Collect`](crate::stream::Collect) sink.
 //!
 //! Determinism is a hard invariant: for the same inputs the parallel
 //! and streaming paths produce bit-identical annotations to the
@@ -35,8 +34,8 @@
 //! `crates/core/src/README.md`).
 //!
 //! Perf knobs: worker count (`RAYON_NUM_THREADS`), in-flight window
-//! (`annotate_stream`'s `max_in_flight`), cache shard count
-//! ([`CacheConfig::shards`] through
+//! (`annotate_stream`'s `max_in_flight`), cache capacity
+//! ([`CacheConfig::capacity`] through
 //! [`BatchAnnotator::with_cache_config`]), snippets per query
 //! (`AnnotatorConfig::top_k`).
 
@@ -57,10 +56,7 @@ use crate::model::SnippetClassifier;
 use crate::postprocess::eliminate_spurious;
 use crate::preprocess::preprocess;
 use crate::query::{build_spatial_context_cached, SpatialContext};
-use crate::stream::{
-    default_max_in_flight, AnnotatedTable, AnnotationSink, Collect, SliceSource, StreamSummary,
-    TableSource,
-};
+use crate::stream::{AnnotatedTable, AnnotationSink, StreamSummary, TableSource};
 
 /// One annotated row: the paper's final output shape ("identifies the rows
 /// that contain information on entities of a specific type … and
@@ -246,9 +242,8 @@ pub(crate) fn finish_table(
 /// memoization.
 ///
 /// The fan-out is one task per table
-/// ([`annotate_stream`](Self::annotate_stream) and its
-/// [`annotate_corpus_par`](Self::annotate_corpus_par) shim); cells
-/// within a table stay sequential. Tables are coarse enough to saturate
+/// ([`annotate_stream`](Self::annotate_stream)); cells within a table
+/// stay sequential. Tables are coarse enough to saturate
 /// a pool sized to the machine, and the service layer already runs one
 /// table per worker.
 ///
@@ -277,7 +272,7 @@ pub struct BatchAnnotator {
 }
 
 impl BatchAnnotator {
-    /// Creates a batch annotator with the default cache sharding.
+    /// Creates a batch annotator with an unbounded query cache.
     pub fn new(
         engine: Arc<dyn SearchEngine + Send + Sync>,
         classifier: SnippetClassifier,
@@ -300,22 +295,12 @@ impl BatchAnnotator {
         self
     }
 
-    /// Replaces the cache with one built from the full knob set —
-    /// capacity bound and shard count. The service layer uses this to
-    /// keep long-running processes memory-bounded; results are identical
-    /// to the unbounded cache (evictions only cost an extra search).
+    /// Replaces the cache with one bounded as `config` says. The
+    /// service layer uses this to keep long-running processes
+    /// memory-bounded; results are identical to the unbounded cache
+    /// (evictions only cost an extra search).
     pub fn with_cache_config(mut self, config: CacheConfig) -> Self {
         self.cache = QueryCache::with_config(config);
-        self
-    }
-
-    /// Bounds the distinct-address geocoding memo to ~`capacity`
-    /// addresses (the service-layer companion to
-    /// [`with_cache_config`](Self::with_cache_config); the default memo
-    /// is unbounded, sized for one corpus run). Flushes only cost extra
-    /// geocoder calls — candidates never change.
-    pub fn with_geo_memo_capacity(mut self, capacity: usize) -> Self {
-        self.geo_memo = GeocodeCache::bounded(16, capacity);
         self
     }
 
@@ -420,9 +405,8 @@ impl BatchAnnotator {
     ///   [`on_error`](AnnotationSink::on_error); the stream continues.
     ///
     /// `max_in_flight == 1` degrades to a strictly sequential pull →
-    /// annotate → deliver loop ([`annotate_corpus`](Self::annotate_corpus)
-    /// is exactly that); [`crate::stream::default_max_in_flight`] is the
-    /// throughput-oriented default of the parallel shims.
+    /// annotate → deliver loop; [`crate::stream::default_max_in_flight`]
+    /// is the throughput-oriented default.
     pub fn annotate_stream<S, K>(
         &self,
         mut source: S,
@@ -483,42 +467,6 @@ impl BatchAnnotator {
             errors: errors.get(),
             peak_in_flight: peak.get(),
         }
-    }
-
-    /// Annotates a corpus sequentially (the memo still deduplicates
-    /// queries across tables). Results are in table order.
-    ///
-    /// **Migration note.** This is the pre-streaming (`Vec<Table>`-era)
-    /// entry point, kept as a thin shim over
-    /// [`annotate_stream`](Self::annotate_stream) with a window of 1 —
-    /// zero behavior change, bit-identical results. New code that reads
-    /// tables incrementally (files, sockets, generators) should call
-    /// `annotate_stream` with a [`TableSource`] directly and keep memory
-    /// O(window) instead of materializing the corpus.
-    pub fn annotate_corpus(&self, tables: &[Table]) -> Vec<TableAnnotations> {
-        self.drain_slice(tables, 1)
-    }
-
-    /// Annotates a corpus with one worker task per table. Results are in
-    /// table order and bit-identical to [`annotate_corpus`](Self::annotate_corpus).
-    ///
-    /// **Migration note.** Pre-streaming shim over
-    /// [`annotate_stream`](Self::annotate_stream) at the default
-    /// in-flight window ([`crate::stream::default_max_in_flight`]);
-    /// results are unchanged. Prefer `annotate_stream` with a
-    /// [`TableSource`] when the corpus does not already live in memory.
-    pub fn annotate_corpus_par(&self, tables: &[Table]) -> Vec<TableAnnotations> {
-        self.drain_slice(tables, default_max_in_flight())
-    }
-
-    /// The shared shim body: stream a slice, collect, unwrap (slice
-    /// sources are infallible).
-    fn drain_slice(&self, tables: &[Table], max_in_flight: usize) -> Vec<TableAnnotations> {
-        let mut sink = Collect::new();
-        let summary = self.annotate_stream(SliceSource::new(tables), &mut sink, max_in_flight);
-        debug_assert!(summary.peak_in_flight <= max_in_flight.max(1));
-        sink.into_annotations()
-            .expect("slice sources never yield errors")
     }
 }
 
@@ -690,7 +638,10 @@ mod tests {
     #[test]
     fn streaming_matches_the_batch_path_at_every_window() {
         let tables = small_corpus();
-        let reference = annotator(true).into_batch().annotate_corpus(&tables);
+        let reference: Vec<TableAnnotations> = {
+            let batch = annotator(true).into_batch();
+            tables.iter().map(|t| batch.annotate_table(t)).collect()
+        };
         for window in [1, 2, 3, 64] {
             let batch = annotator(true).into_batch();
             let mut sink = crate::stream::Collect::new();
@@ -716,7 +667,8 @@ mod tests {
         use crate::stream::{IterSource, SourceError};
         let tables = small_corpus();
         let batch = annotator(true).into_batch();
-        let reference = batch.annotate_corpus(&tables);
+        let reference: Vec<TableAnnotations> =
+            tables.iter().map(|t| batch.annotate_table(t)).collect();
 
         let items: Vec<Result<Table, SourceError>> = {
             let mut v: Vec<Result<Table, SourceError>> = tables.iter().cloned().map(Ok).collect();
@@ -734,14 +686,5 @@ mod tests {
             let slot = if i < 2 { i } else { i + 1 };
             assert_eq!(results[slot].as_ref().unwrap(), want, "slot {slot}");
         }
-    }
-
-    #[test]
-    fn corpus_shims_are_bit_identical_to_each_other() {
-        let tables = small_corpus();
-        let seq = annotator(true).into_batch().annotate_corpus(&tables);
-        let par = annotator(true).into_batch().annotate_corpus_par(&tables);
-        assert_eq!(seq, par, "shims over the streaming driver diverged");
-        assert_eq!(seq.len(), tables.len());
     }
 }

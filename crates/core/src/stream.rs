@@ -108,8 +108,8 @@ pub trait TableSource {
     }
 }
 
-/// A source over a borrowed slice — the adapter behind the classic
-/// `annotate_corpus(&[Table])` entry points. Infallible.
+/// A source over a borrowed slice: how a corpus already in memory is
+/// streamed. Infallible.
 pub struct SliceSource<'a> {
     tables: std::slice::Iter<'a, Table>,
 }
@@ -307,9 +307,9 @@ pub trait AnnotationSink<T> {
     fn on_error(&mut self, index: usize, error: SourceError);
 }
 
-/// The sink that preserves the classic return types: collects one
-/// `Result<TableAnnotations, SourceError>` per stream position, in
-/// order — what `annotate_corpus[_par]` return once unwrapped.
+/// The sink that collects one `Result<TableAnnotations, SourceError>`
+/// per stream position, in order; over a [`SliceSource`],
+/// [`into_annotations`](Collect::into_annotations) unwraps them.
 #[derive(Debug, Default)]
 pub struct Collect {
     results: Vec<Result<TableAnnotations, SourceError>>,
@@ -326,8 +326,8 @@ impl Collect {
         self.results
     }
 
-    /// All annotations, or the first per-table error — the shape the
-    /// pre-streaming API returned for infallible inputs.
+    /// All annotations, or the first per-table error: the whole corpus
+    /// of an infallible stream.
     pub fn into_annotations(self) -> Result<Vec<TableAnnotations>, SourceError> {
         self.results.into_iter().collect()
     }

@@ -38,4 +38,4 @@ pub use address::ParsedAddress;
 pub use disambiguate::{disambiguate, DisambiguationConfig, DisambiguationResult};
 pub use gazetteer::{Gazetteer, Location, LocationId, LocationKind};
 pub use geocoder::{Geocoder, SimGeocoder};
-pub use memo::GeocodeCache;
+pub use memo::{GeocodeCache, GEO_MEMO_CAPACITY};

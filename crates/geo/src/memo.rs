@@ -14,185 +14,83 @@
 //! string (latency aside), so memoization changes the number of geocoder
 //! round-trips — the §6.4 cost — never a candidate set.
 //!
-//! The single-flight machinery — [`Flight`], [`Slot`], shard routing,
-//! leader execution — lives in [`teda_memo`], shared with `teda-core`'s query cache; this module
-//! keeps only the geocoding-specific parts: the flat address map and the
-//! flush-the-shard eviction policy.
+//! The lookup, the single flight and the LRU eviction are
+//! [`teda_memo::Memo`], shared with `teda-core`'s query cache; this
+//! module keeps the address key, the one capacity bound and the
+//! `geocode.*` counter names.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use teda_memo::{lead, CacheStats, Flight, Shards, Slot};
-use teda_obs::Counter;
+use teda_memo::{CacheStats, Memo};
 
 use crate::gazetteer::LocationId;
 use crate::geocoder::Geocoder;
 
-/// The memoized value: one shared candidate set per address.
-type Candidates = Arc<[LocationId]>;
+/// Addresses a [`GeocodeCache`] remembers, at most, so a service
+/// running for days cannot grow it without limit. An eviction only
+/// costs an extra geocoder call.
+pub const GEO_MEMO_CAPACITY: usize = 65_536;
 
 /// A sharded, thread-safe memo of geocoder responses, keyed by the raw
-/// address string.
+/// address string and bounded to [`GEO_MEMO_CAPACITY`] addresses.
 ///
-/// [`new`](Self::new) is unbounded — right for a one-shot corpus run,
-/// which holds at most one entry per *distinct* address and then drops
-/// the whole memo. A long-running service should use
-/// [`bounded`](Self::bounded): when a shard fills, it is flushed
-/// (cheap wholesale reset — addresses are cheap to re-geocode and the
-/// memo's value is within-burst deduplication, so LRU bookkeeping buys
-/// little here). Flushing only ever costs extra geocoder calls; the
-/// geocoder is a pure function of the address, so candidates never
-/// change.
+/// A one-shot corpus run holds one entry per *distinct* address, far
+/// below the bound. Past it, the least recently used address of a shard
+/// is evicted; the geocoder is a pure function of the address, so an
+/// eviction never changes a candidate set.
 #[derive(Debug)]
 pub struct GeocodeCache {
-    shards: Shards<HashMap<String, Slot<Candidates>>>,
-    /// `Ready` entries allowed per shard before it is flushed;
-    /// `usize::MAX` when unbounded.
-    per_shard_capacity: usize,
-    /// Addresses answered from the memo (geocoder calls saved).
-    hits: Arc<Counter>,
-    /// Addresses that went to the geocoder.
-    misses: Arc<Counter>,
-    /// Entries dropped by shard flushes of a bounded memo.
-    evictions: Arc<Counter>,
+    memo: Memo<Arc<[LocationId]>>,
 }
 
 impl Default for GeocodeCache {
     fn default() -> Self {
-        GeocodeCache::new(16)
+        GeocodeCache {
+            memo: Memo::new(Some(GEO_MEMO_CAPACITY)),
+        }
     }
 }
 
 impl GeocodeCache {
-    /// Creates an unbounded cache with `shards` lock shards (rounded up
-    /// to 1).
-    pub fn new(shards: usize) -> Self {
-        GeocodeCache::with_capacity(shards, usize::MAX)
-    }
-
-    /// Creates a cache bounded to ~`capacity` memoized addresses, split
-    /// across `shards` (clamped so the split cannot inflate the bound).
-    pub fn bounded(shards: usize, capacity: usize) -> Self {
-        let n = shards.clamp(1, capacity.max(1));
-        GeocodeCache::with_capacity(n, capacity.div_ceil(n).max(1))
-    }
-
-    fn with_capacity(shards: usize, per_shard_capacity: usize) -> Self {
-        GeocodeCache {
-            shards: Shards::new(shards),
-            per_shard_capacity,
-            hits: Arc::default(),
-            misses: Arc::default(),
-            evictions: Arc::default(),
-        }
-    }
-
     /// Registers the memo's counters on the serving node's
     /// observability registry as `geocode.hits`, `geocode.misses` and
     /// `geocode.evictions`.
     pub fn attach_obs(&self, obs: &teda_obs::Registry) {
-        obs.register_counter("geocode.hits", &self.hits);
-        obs.register_counter("geocode.misses", &self.misses);
-        obs.register_counter("geocode.evictions", &self.evictions);
-    }
-
-    /// The effective total capacity (`None` when unbounded).
-    pub fn capacity(&self) -> Option<usize> {
-        if self.per_shard_capacity == usize::MAX {
-            None
-        } else {
-            Some(self.per_shard_capacity * self.shards.len())
-        }
+        self.memo
+            .register_counters(obs, ["geocode.hits", "geocode.misses", "geocode.evictions"]);
     }
 
     /// Returns the memoized candidate set for `address`, consulting
-    /// `geocoder` exactly once per distinct address across all threads.
+    /// `geocoder` exactly once per distinct live address across all
+    /// threads.
     pub fn get_or_geocode<G: Geocoder + ?Sized>(
         &self,
         geocoder: &G,
         address: &str,
     ) -> Arc<[LocationId]> {
-        loop {
-            let flight = {
-                let mut map = self.shards.lock(address.as_bytes());
-                match map.get(address) {
-                    Some(Slot::Ready(cands)) => {
-                        self.hits.inc();
-                        return Arc::clone(cands);
-                    }
-                    Some(Slot::Pending(flight)) => Arc::clone(flight),
-                    None => {
-                        self.misses.inc();
-                        let flight = Flight::new();
-                        map.insert(address.to_owned(), Slot::Pending(Arc::clone(&flight)));
-                        drop(map);
-                        // Leader: geocode outside the shard lock; on
-                        // unwind the slot is removed so followers retry.
-                        return lead(
-                            || geocoder.geocode(address).into(),
-                            |cands| self.resolve(address, &flight, cands),
-                        );
-                    }
-                }
-            };
-            if let Some(cands) = flight.wait() {
-                self.hits.inc();
-                return cands;
-            }
-        }
-    }
-
-    /// Publishes a flight's outcome if the slot still holds this flight,
-    /// flushing the shard first when the capacity bound is reached
-    /// (in-flight entries survive the flush).
-    fn resolve(&self, address: &str, flight: &Arc<Flight<Candidates>>, cands: Option<&Candidates>) {
-        let mut map = self.shards.lock(address.as_bytes());
-        let held = map.get(address).is_some_and(|slot| slot.holds(flight));
-        if held {
-            match cands {
-                Some(c) => {
-                    let ready = map.values().filter(|s| s.is_ready()).count();
-                    if ready >= self.per_shard_capacity {
-                        map.retain(|_, slot| !slot.is_ready());
-                        self.evictions.add(ready as u64);
-                    }
-                    map.insert(address.to_owned(), Slot::Ready(Arc::clone(c)));
-                }
-                None => {
-                    map.remove(address);
-                }
-            }
-        }
-        drop(map);
-        flight.finish(cands.map(Arc::clone));
+        self.memo
+            .get_or_compute(address, 0, || geocoder.geocode(address).into())
     }
 
     /// Hit/miss/eviction counters so far.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            evictions: self.evictions.get(),
-        }
+        self.memo.stats()
     }
 
     /// Number of memoized addresses.
     pub fn len(&self) -> usize {
-        let mut total = 0;
-        self.shards
-            .for_each(|map| total += map.values().filter(|slot| slot.is_ready()).count());
-        total
+        self.memo.len()
     }
 
     /// Whether nothing is memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.memo.is_empty()
     }
 
     /// Drops all entries. The counters keep counting: they are
     /// monotonic, so a scraper never sees a reset.
     pub fn clear(&self) {
-        self.shards.for_each(|map| map.clear());
+        self.memo.clear();
     }
 }
 
@@ -225,31 +123,42 @@ mod tests {
             }
         );
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.capacity(), None, "new() stays unbounded");
+        assert_eq!(cache.memo.capacity(), Some(GEO_MEMO_CAPACITY));
     }
 
     #[test]
-    fn bounded_memo_flushes_but_never_changes_candidates() {
+    fn bounded_memo_evicts_but_never_changes_candidates() {
         let gc = geocoder();
-        let cache = GeocodeCache::bounded(1, 2);
-        assert_eq!(cache.capacity(), Some(2));
-        let addresses = ["Paris", "Washington", "College Park, GA", "Paris"];
+        let cache = GeocodeCache {
+            memo: Memo::new(Some(2)),
+        };
+        let direct_gc = geocoder();
+        let addresses = [
+            "Paris",
+            "Washington",
+            "Paris",
+            "College Park, GA",
+            "Washington",
+        ];
         for addr in addresses {
-            let direct = gc.geocode(addr);
+            let direct = direct_gc.geocode(addr);
             assert_eq!(
                 &*cache.get_or_geocode(&gc, addr),
                 &direct[..],
-                "flush changed candidates: {addr}"
+                "eviction changed candidates: {addr}"
             );
         }
-        assert!(cache.stats().evictions > 0, "capacity 2 must flush");
-        assert!(cache.len() <= 2, "bound exceeded: {}", cache.len());
+        // "College Park, GA" evicted the least recent "Washington",
+        // which had to be geocoded again and evicted "Paris".
+        assert_eq!(gc.query_count(), 4);
+        assert_eq!(cache.stats().evictions, 2);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn memoized_candidates_match_direct_geocoding() {
         let gc = geocoder();
-        let cache = GeocodeCache::new(4);
+        let cache = GeocodeCache::default();
         for addr in [
             "1600 Pennsylvania Avenue",
             "Paris",
@@ -267,7 +176,7 @@ mod tests {
     #[test]
     fn concurrent_duplicate_addresses_single_flight() {
         let gc = Arc::new(geocoder());
-        let cache = Arc::new(GeocodeCache::new(8));
+        let cache = Arc::new(GeocodeCache::default());
         std::thread::scope(|s| {
             for _ in 0..8 {
                 let gc = Arc::clone(&gc);

@@ -1,43 +1,50 @@
-//! `teda-memo` — the sharded single-flight memoization machinery shared
-//! by `teda-core`'s query cache and `teda-geo`'s geocoding memo.
+//! `teda-memo` — the sharded single-flight memo behind `teda-core`'s
+//! query cache and `teda-geo`'s geocoding memo.
 //!
-//! Both caches follow the same concurrency protocol: a lookup locks one
-//! shard of a sharded map, and a miss installs an in-flight marker (a
-//! [`Flight`]), releases the shard lock, and computes the value outside
-//! it. Callers racing on the *same* key block on that flight — not on
-//! the shard — while callers on *different* keys of the same shard
-//! proceed immediately. One computation per distinct live key, identical
-//! values for every caller, and the expensive backend (search engine,
-//! geocoder) sees deterministic traffic.
+//! [`Memo`] maps a text key plus a small integer tag (the query cache's
+//! `k`; 0 for an address) to a value that is costly to compute. A
+//! lookup locks one shard of a sharded map. A miss installs an
+//! in-flight marker, releases the shard lock, and computes the value
+//! outside it. Callers racing on the *same* key block on that flight,
+//! not on the shard, while callers on *different* keys of the same
+//! shard proceed at once. So there is one computation per distinct live
+//! key, every caller gets the same value, and the expensive backend
+//! (search engine, geocoder) sees deterministic traffic. A computation
+//! that unwinds abandons its flight, and the callers waiting on it
+//! retry.
 //!
-//! What stays with each consumer is the part that genuinely differs:
-//! the map layout (the query cache keys entries by query string with a
-//! per-`k` list; the geocode memo is a flat address map) and the
-//! **eviction policy** (exact per-shard LRU vs. wholesale shard
-//! flush). This crate owns everything else:
+//! Each shard holds at most its share of the capacity and evicts its
+//! least recently used ready entry beyond it (exact LRU by a per-shard
+//! tick; shards hold a few entries, so the eviction scan is a short,
+//! bounded critical section). An in-flight entry is never a victim.
+//! The shard count follows the capacity: 64 when unbounded, else
+//! `clamp(capacity / 4, 1, 64)`. A consumer is a typed front-end: it
+//! supplies the computation, the counter names it reports under, and
+//! whatever it keeps beside the value.
 //!
-//! * [`Flight`] — the rendezvous a miss leader publishes through and
-//!   followers wait on, including the abandoned-on-unwind state;
-//! * [`Slot`] — the ready-or-pending cell a shard map stores;
-//! * [`Shards`] — the lock array with stable FNV-1a key routing, so
-//!   shard assignment (and therefore lock interleaving) is reproducible
-//!   across runs and processes;
-//! * [`lead`] — leader execution: runs the computation and guarantees
-//!   the publish callback fires exactly once, with `None` if the
-//!   computation unwinds, so followers retry instead of hanging;
-//! * [`CacheStats`] — the hit/miss/eviction snapshot every memo
-//!   reports. Each memo keeps its own `teda-obs` counters and registers
-//!   them on the node it serves.
-//!
-//! The crate is dependency-free (std only) so both consumers can use it
-//! without widening the workspace graph.
+//! The crate also holds the parts other memos build on: [`Shards`], the
+//! lock array with stable FNV-1a key routing (shard assignment, and so
+//! lock interleaving, is reproducible across runs and processes), and
+//! [`CacheStats`], the hit/miss/eviction snapshot every memo reports.
+//! Its counters and the optional `cache_lookup` timing come from
+//! `teda-obs`, its one dependency.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
+use std::collections::HashMap;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, TryLockError};
+
+use teda_obs::{Counter, Histogram, Registry, Stopwatch};
+
+/// Shards of an unbounded [`Memo`], and the most a bounded one gets.
+const MAX_SHARDS: usize = 64;
+
+/// Ready entries per shard a bounded [`Memo`] aims for when it derives
+/// its shard count from the capacity.
+const ENTRIES_PER_SHARD: usize = 4;
 
 /// Rendezvous for callers waiting on another caller's in-flight
 /// computation of the same key.
 #[derive(Debug)]
-pub struct Flight<V> {
+struct Flight<V> {
     state: Mutex<FlightState<V>>,
     done: Condvar,
 }
@@ -55,7 +62,7 @@ enum FlightState<V> {
 impl<V: Clone> Flight<V> {
     /// A fresh in-flight marker, ready to be stored in a [`Slot`].
     #[allow(clippy::new_ret_no_self)]
-    pub fn new() -> Arc<Self> {
+    fn new() -> Arc<Self> {
         Arc::new(Flight {
             state: Mutex::new(FlightState::InFlight),
             done: Condvar::new(),
@@ -64,7 +71,7 @@ impl<V: Clone> Flight<V> {
 
     /// Publishes the outcome: `Some` resolves every waiter with the
     /// value, `None` abandons the flight (waiters retry).
-    pub fn finish(&self, outcome: Option<V>) {
+    fn finish(&self, outcome: Option<V>) {
         *self.state.lock().expect("memo flight poisoned") = match outcome {
             Some(v) => FlightState::Done(v),
             None => FlightState::Abandoned,
@@ -74,7 +81,7 @@ impl<V: Clone> Flight<V> {
 
     /// Blocks until the flight resolves; `None` means the leader unwound
     /// and the caller should race to become the new leader.
-    pub fn wait(&self) -> Option<V> {
+    fn wait(&self) -> Option<V> {
         let mut state = self.state.lock().expect("memo flight poisoned");
         loop {
             match &*state {
@@ -89,9 +96,9 @@ impl<V: Clone> Flight<V> {
 }
 
 /// One memo cell: a finished value, or a computation currently in
-/// flight. Consumers store this in whatever map layout suits their key.
+/// flight.
 #[derive(Debug, Clone)]
-pub enum Slot<V> {
+enum Slot<V> {
     /// The value is memoized.
     Ready(V),
     /// The first caller is computing; later callers wait on the flight.
@@ -100,14 +107,14 @@ pub enum Slot<V> {
 
 impl<V> Slot<V> {
     /// Whether this slot holds a finished value (Pending slots are never
-    /// eviction victims in either consumer).
-    pub fn is_ready(&self) -> bool {
+    /// eviction victims).
+    fn is_ready(&self) -> bool {
         matches!(self, Slot::Ready(_))
     }
 
     /// Whether this slot holds exactly `flight` (leaders check before
     /// publishing, in case a concurrent `clear` dropped the slot).
-    pub fn holds(&self, flight: &Arc<Flight<V>>) -> bool {
+    fn holds(&self, flight: &Arc<Flight<V>>) -> bool {
         matches!(self, Slot::Pending(f) if Arc::ptr_eq(f, flight))
     }
 }
@@ -151,7 +158,7 @@ impl<S> Shards<S> {
     }
 
     /// Locks the shard `key` routes to.
-    pub fn lock(&self, key: &[u8]) -> MutexGuard<'_, S> {
+    fn lock(&self, key: &[u8]) -> MutexGuard<'_, S> {
         self.lock_hashed(fnv1a(key))
     }
 
@@ -163,9 +170,8 @@ impl<S> Shards<S> {
     }
 
     /// Locks the shard `key` routes to if no one holds it; `None` when
-    /// the lock is taken (callers that time their waits start the clock
-    /// only then).
-    pub fn try_lock(&self, key: &[u8]) -> Option<MutexGuard<'_, S>> {
+    /// the lock is taken (a timed lookup starts its clock only then).
+    fn try_lock(&self, key: &[u8]) -> Option<MutexGuard<'_, S>> {
         match self.shard(fnv1a(key)).try_lock() {
             Ok(guard) => Some(guard),
             Err(TryLockError::WouldBlock) => None,
@@ -189,10 +195,8 @@ impl<S> Shards<S> {
 /// Runs `compute` as the leader of an installed flight, guaranteeing
 /// `publish` is called exactly once before the value is returned or a
 /// panic resumes: with `Some(&value)` on success, with `None` if
-/// `compute` unwinds. The publish callback is where the consumer
-/// re-locks the shard, swaps the Pending slot for Ready (or removes it),
-/// enforces its eviction policy, and calls [`Flight::finish`].
-pub fn lead<V>(compute: impl FnOnce() -> V, publish: impl FnOnce(Option<&V>)) -> V {
+/// `compute` unwinds.
+fn lead<V>(compute: impl FnOnce() -> V, publish: impl FnOnce(Option<&V>)) -> V {
     struct Guard<V, P: FnOnce(Option<&V>)> {
         publish: Option<P>,
         _value: std::marker::PhantomData<fn(&V)>,
@@ -238,9 +242,343 @@ impl CacheStats {
     }
 }
 
+/// One memo entry under a text key.
+#[derive(Debug)]
+struct Entry<V> {
+    tag: usize,
+    slot: Slot<V>,
+    /// Shard tick at the last hit (LRU recency). Pending entries carry
+    /// their install tick but are never eviction victims.
+    last_used: u64,
+}
+
+/// One shard: text key → per-tag entries, plus the shard-local LRU tick
+/// and the count of `Ready` entries the capacity bound applies to.
+///
+/// Keyed by the text alone so a hit needs no key allocation; a tag
+/// rarely takes more than one value per key, so the inner list is a
+/// linear scan over one or two entries.
+#[derive(Debug)]
+struct Shard<V> {
+    map: HashMap<String, Vec<Entry<V>>>,
+    tick: u64,
+    ready: usize,
+}
+
+impl<V> Default for Shard<V> {
+    fn default() -> Self {
+        Shard {
+            map: HashMap::new(),
+            tick: 0,
+            ready: 0,
+        }
+    }
+}
+
+impl<V> Shard<V> {
+    /// Advances the LRU tick: every lookup, publish and restore is one
+    /// shard operation.
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    /// The `(key, tag)` entry, ready or pending.
+    fn get_mut(&mut self, key: &str, tag: usize) -> Option<&mut Entry<V>> {
+        self.map.get_mut(key)?.iter_mut().find(|e| e.tag == tag)
+    }
+
+    /// Removes the `(key, tag)` entry if present, keeping the ready
+    /// count and dropping emptied key lists.
+    fn remove(&mut self, key: &str, tag: usize) {
+        if let Some(entries) = self.map.get_mut(key) {
+            if let Some(pos) = entries.iter().position(|e| e.tag == tag) {
+                if entries[pos].slot.is_ready() {
+                    self.ready -= 1;
+                }
+                entries.remove(pos);
+                if entries.is_empty() {
+                    self.map.remove(key);
+                }
+            }
+        }
+    }
+
+    /// Evicts least recently used `Ready` entries until at most
+    /// `capacity` remain, and returns how many went. Pending entries are
+    /// never victims.
+    fn evict_over(&mut self, capacity: usize) -> u64 {
+        let mut evicted = 0;
+        while self.ready > capacity {
+            let mut victim: Option<(&String, usize, u64)> = None;
+            // last_used ticks are unique (one per shard op), so the
+            // strict-< minimum is independent of the map's order.
+            for (key, entries) in &self.map {
+                for e in entries {
+                    if e.slot.is_ready() && victim.is_none_or(|(_, _, used)| e.last_used < used) {
+                        victim = Some((key, e.tag, e.last_used));
+                    }
+                }
+            }
+            let Some((key, tag)) = victim.map(|(key, tag, _)| (key.clone(), tag)) else {
+                break;
+            };
+            self.remove(&key, tag);
+            evicted += 1;
+        }
+        evicted
+    }
+}
+
+/// A sharded, thread-safe, optionally bounded single-flight memo of
+/// `(text, tag) → V`. See the crate doc for the protocol and the
+/// eviction rule.
+#[derive(Debug)]
+pub struct Memo<V> {
+    shards: Shards<Shard<V>>,
+    /// `Ready` entries allowed per shard; `usize::MAX` when unbounded.
+    per_shard_capacity: usize,
+    /// Lookups answered from the memo (computations saved).
+    hits: Arc<Counter>,
+    /// Lookups that ran the computation.
+    misses: Arc<Counter>,
+    /// Entries evicted to honour the capacity bound.
+    evictions: Arc<Counter>,
+    /// Time from lookup to a memoized answer (fast-path hits and
+    /// follower waits), one observation per hit. Only waits are timed:
+    /// a hit that took its shard lock at the first try holds it for one
+    /// map probe, far below the histogram's 1 µs resolution, and records
+    /// 0 µs without reading the clock. Unset (the default) records
+    /// nothing; see [`time_lookups`](Self::time_lookups).
+    lookup: OnceLock<Arc<Histogram>>,
+}
+
+impl<V: Clone> Memo<V> {
+    /// An empty memo holding at most `capacity` ready entries (`None`:
+    /// unbounded). The shard count follows the capacity: 64 when
+    /// unbounded, else `clamp(capacity / 4, 1, 64)`, and the bound is
+    /// split evenly across the shards (at least one entry each).
+    pub fn new(capacity: Option<usize>) -> Self {
+        let (shards, per_shard_capacity) = match capacity {
+            Some(cap) => {
+                let n = (cap / ENTRIES_PER_SHARD).clamp(1, MAX_SHARDS);
+                (n, cap.div_ceil(n).max(1))
+            }
+            None => (MAX_SHARDS, usize::MAX),
+        };
+        Memo {
+            shards: Shards::new(shards),
+            per_shard_capacity,
+            hits: Arc::default(),
+            misses: Arc::default(),
+            evictions: Arc::default(),
+            lookup: OnceLock::new(),
+        }
+    }
+
+    /// Registers the memo's hit, miss and eviction counters on a serving
+    /// node's registry under `names`, in that order.
+    pub fn register_counters(&self, obs: &Registry, names: [&'static str; 3]) {
+        let [hits, misses, evictions] = names;
+        obs.register_counter(hits, &self.hits);
+        obs.register_counter(misses, &self.misses);
+        obs.register_counter(evictions, &self.evictions);
+    }
+
+    /// Records every hit's lookup time into `hist` from now on (the
+    /// first call wins).
+    pub fn time_lookups(&self, hist: Arc<Histogram>) {
+        let _ = self.lookup.set(hist);
+    }
+
+    /// A stopwatch running only when the lookup histogram is set and
+    /// recording.
+    fn lookup_watch(&self) -> Stopwatch {
+        Stopwatch::started_if(self.lookup.get().is_some_and(|h| h.is_enabled()))
+    }
+
+    /// Starts `watch` unless it runs already: the lookup is about to
+    /// wait.
+    fn time_wait(&self, watch: &mut Stopwatch) {
+        if !watch.is_running() {
+            *watch = self.lookup_watch();
+        }
+    }
+
+    /// Counts one hit and records its lookup time: the waited time when
+    /// `watch` runs, else 0 µs.
+    fn hit(&self, value: V, watch: Stopwatch) -> V {
+        self.hits.inc();
+        if let Some(h) = self.lookup.get() {
+            h.record(watch.elapsed_us());
+        }
+        value
+    }
+
+    /// The memoized value of `(key, tag)`, running `compute` once per
+    /// distinct *live* key across all threads: racing callers of the
+    /// same key wait for the first caller's flight, distinct keys never
+    /// wait on each other's computations, and an evicted key is simply
+    /// computed again. `compute` runs on the calling thread, so it needs
+    /// neither `Send` nor `Sync`.
+    pub fn get_or_compute(&self, key: &str, tag: usize, compute: impl FnOnce() -> V) -> V {
+        let mut watch = Stopwatch::started_if(false);
+        let flight = loop {
+            let waiting = {
+                let mut shard = match self.shards.try_lock(key.as_bytes()) {
+                    Some(shard) => shard,
+                    None => {
+                        self.time_wait(&mut watch);
+                        self.shards.lock(key.as_bytes())
+                    }
+                };
+                let tick = shard.next_tick();
+                match shard.get_mut(key, tag) {
+                    Some(entry) => match &entry.slot {
+                        Slot::Ready(value) => {
+                            entry.last_used = tick;
+                            let value = value.clone();
+                            drop(shard);
+                            return self.hit(value, watch);
+                        }
+                        Slot::Pending(flight) => Arc::clone(flight),
+                    },
+                    None => {
+                        // First caller: install the flight, then compute
+                        // outside the shard lock.
+                        self.misses.inc();
+                        let flight = Flight::new();
+                        shard.map.entry(key.to_owned()).or_default().push(Entry {
+                            tag,
+                            slot: Slot::Pending(Arc::clone(&flight)),
+                            last_used: tick,
+                        });
+                        break flight;
+                    }
+                }
+            };
+            // Follower: wait for the leader's value (a hit — the memo
+            // saved this computation). `None` means the leader unwound;
+            // loop and race to become the new leader.
+            self.time_wait(&mut watch);
+            if let Some(value) = waiting.wait() {
+                return self.hit(value, watch);
+            }
+        };
+        // Leader: on unwind the slot is removed, so followers retry
+        // instead of hanging.
+        lead(compute, |value| self.publish(key, tag, &flight, value))
+    }
+
+    /// Publishes a flight's outcome: `Some` marks the slot ready (and
+    /// enforces the capacity bound), `None` (abandon) removes it. Only
+    /// touches the slot if it still holds this very flight (a concurrent
+    /// `clear` may have dropped it).
+    fn publish(&self, key: &str, tag: usize, flight: &Arc<Flight<V>>, value: Option<&V>) {
+        let mut shard = self.shards.lock(key.as_bytes());
+        let tick = shard.next_tick();
+        if let Some(entry) = shard.get_mut(key, tag).filter(|e| e.slot.holds(flight)) {
+            match value {
+                Some(v) => {
+                    entry.slot = Slot::Ready(v.clone());
+                    entry.last_used = tick;
+                    shard.ready += 1;
+                    let evicted = shard.evict_over(self.per_shard_capacity);
+                    self.evictions.add(evicted);
+                }
+                None => shard.remove(key, tag),
+            }
+        }
+        drop(shard);
+        flight.finish(value.cloned());
+    }
+
+    /// Installs `value` as a ready `(key, tag)` entry unless the memo
+    /// holds that key already (live state wins), enforcing the capacity
+    /// bound as a publish does. Hits and misses are untouched: a restore
+    /// is not traffic. Returns whether the entry was installed.
+    pub fn restore(&self, key: String, tag: usize, value: V) -> bool {
+        let mut shard = self.shards.lock(key.as_bytes());
+        let tick = shard.next_tick();
+        let entries = shard.map.entry(key).or_default();
+        if entries.iter().any(|e| e.tag == tag) {
+            return false;
+        }
+        entries.push(Entry {
+            tag,
+            slot: Slot::Ready(value),
+            last_used: tick,
+        });
+        shard.ready += 1;
+        let evicted = shard.evict_over(self.per_shard_capacity);
+        self.evictions.add(evicted);
+        true
+    }
+
+    /// Every ready entry as `(key, tag, value)`, sorted by `(key, tag)`
+    /// so that equal memo states list equal entries whatever the shard
+    /// order. In-flight entries have nothing to list.
+    pub fn ready_entries(&self) -> Vec<(String, usize, V)> {
+        let mut out = Vec::new();
+        self.shards.for_each(|shard| {
+            for (key, entries) in &shard.map {
+                for e in entries {
+                    if let Slot::Ready(value) = &e.slot {
+                        out.push((key.clone(), e.tag, value.clone()));
+                    }
+                }
+            }
+        });
+        out.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        out
+    }
+}
+
+impl<V> Memo<V> {
+    /// The effective total capacity (`None` when unbounded): the
+    /// per-shard bound times the shard count, so a capacity that does
+    /// not divide evenly rounds up.
+    pub fn capacity(&self) -> Option<usize> {
+        (self.per_shard_capacity != usize::MAX).then(|| self.per_shard_capacity * self.shards.len())
+    }
+
+    /// Hit/miss/eviction counters so far.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+        }
+    }
+
+    /// Number of memoized entries (in-flight computations not counted).
+    pub fn len(&self) -> usize {
+        let mut total = 0;
+        self.shards.for_each(|s| total += s.ready);
+        total
+    }
+
+    /// Whether nothing is memoized.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Drops every entry. In-flight computations finish and answer their
+    /// waiters, but leave nothing behind. The counters keep counting:
+    /// they are monotonic, so a scraper never sees a reset.
+    pub fn clear(&self) {
+        self.shards.for_each(|shard| {
+            shard.map.clear();
+            shard.ready = 0;
+            shard.tick = 0;
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -340,92 +678,286 @@ mod tests {
         assert!(Slot::Ready(1u8).is_ready());
     }
 
-    /// End-to-end: a tiny memo assembled from the pieces behaves like the
-    /// consumers do — one computation per distinct key under concurrency.
     #[test]
-    fn assembled_memo_is_single_flight() {
-        struct TinyMemo {
-            shards: Shards<HashMap<String, Slot<Arc<str>>>>,
-            hits: AtomicUsize,
-            misses: AtomicUsize,
+    fn layout_follows_the_capacity() {
+        let layout = |capacity| {
+            let memo: Memo<u8> = Memo::new(capacity);
+            (memo.shards.len(), memo.per_shard_capacity, memo.capacity())
+        };
+        assert_eq!(
+            layout(Some(256)),
+            (64, 4, Some(256)),
+            "the served 256-entry cache"
+        );
+        assert_eq!(layout(None), (64, usize::MAX, None), "unbounded");
+        for cap in 1..=7 {
+            assert_eq!(layout(Some(cap)), (1, cap, Some(cap)), "capacity {cap}");
         }
-        impl TinyMemo {
-            fn get_or_compute(
-                &self,
-                key: &str,
-                compute: &(impl Fn(&str) -> String + Sync),
-            ) -> Arc<str> {
-                loop {
-                    let flight = {
-                        let mut shard = self.shards.lock(key.as_bytes());
-                        match shard.get(key) {
-                            Some(Slot::Ready(v)) => {
-                                self.hits.fetch_add(1, Ordering::Relaxed);
-                                return Arc::clone(v);
-                            }
-                            Some(Slot::Pending(f)) => Arc::clone(f),
-                            None => {
-                                self.misses.fetch_add(1, Ordering::Relaxed);
-                                let flight = Flight::new();
-                                shard.insert(key.to_owned(), Slot::Pending(Arc::clone(&flight)));
-                                drop(shard);
-                                return lead(
-                                    || Arc::<str>::from(compute(key)),
-                                    |out| {
-                                        let mut shard = self.shards.lock(key.as_bytes());
-                                        let held = shard.get(key).is_some_and(|s| s.holds(&flight));
-                                        if held {
-                                            match out {
-                                                Some(v) => {
-                                                    shard.insert(
-                                                        key.to_owned(),
-                                                        Slot::Ready(Arc::clone(v)),
-                                                    );
-                                                }
-                                                None => {
-                                                    shard.remove(key);
-                                                }
-                                            }
-                                        }
-                                        drop(shard);
-                                        flight.finish(out.cloned());
-                                    },
-                                );
-                            }
-                        }
-                    };
-                    if let Some(v) = flight.wait() {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return v;
-                    }
-                }
+        assert_eq!(layout(Some(0)), (1, 1, Some(1)), "at least one entry");
+        assert_eq!(
+            layout(Some(9)),
+            (2, 5, Some(10)),
+            "an uneven split rounds up"
+        );
+        assert_eq!(layout(Some(65_536)), (64, 1024, Some(65_536)));
+    }
+
+    /// The memo's answer to one lookup of the reference runs below.
+    fn value_of(key: &str, tag: usize) -> String {
+        format!("{key}#{tag}")
+    }
+
+    /// A reference LRU per shard: `(key, tag)` pairs from least to most
+    /// recently used, routed as the memo routes them.
+    struct Model {
+        shards: Vec<Vec<(String, usize)>>,
+        per_shard: usize,
+        stats: CacheStats,
+    }
+
+    impl Model {
+        fn of(memo: &Memo<String>) -> Model {
+            Model {
+                shards: vec![Vec::new(); memo.shards.len()],
+                per_shard: memo.per_shard_capacity,
+                stats: CacheStats::default(),
             }
         }
 
-        let memo = TinyMemo {
-            shards: Shards::new(2),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-        };
+        /// Looks `(key, tag)` up; returns whether it was a hit.
+        fn lookup(&mut self, key: &str, tag: usize) -> bool {
+            let n = self.shards.len() as u64;
+            let shard = &mut self.shards[(fnv1a(key.as_bytes()) % n) as usize];
+            let pair = (key.to_owned(), tag);
+            let hit = match shard.iter().position(|e| *e == pair) {
+                Some(pos) => {
+                    shard.remove(pos);
+                    true
+                }
+                None => false,
+            };
+            shard.push(pair);
+            if hit {
+                self.stats.hits += 1;
+            } else {
+                self.stats.misses += 1;
+                if shard.len() > self.per_shard {
+                    shard.remove(0);
+                    self.stats.evictions += 1;
+                }
+            }
+            hit
+        }
+    }
+
+    /// Each shard's ready entries from least to most recently used.
+    fn recency(memo: &Memo<String>) -> Vec<Vec<(String, usize)>> {
+        let mut out = Vec::new();
+        memo.shards.for_each(|shard| {
+            let mut entries: Vec<(u64, String, usize)> = shard
+                .map
+                .iter()
+                .flat_map(|(key, entries)| {
+                    entries.iter().map(|e| (e.last_used, key.clone(), e.tag))
+                })
+                .collect();
+            entries.sort();
+            out.push(
+                entries
+                    .into_iter()
+                    .map(|(_, key, tag)| (key, tag))
+                    .collect(),
+            );
+        });
+        out
+    }
+
+    proptest! {
+        /// Random lookups and clears against the reference LRU, at
+        /// capacities 1–9 and unbounded: every answer, the recency order
+        /// of every shard (so each eviction's victim), the size bound and
+        /// the counters agree after every step.
+        #[test]
+        fn lru_matches_a_reference_model(
+            capacity in 1usize..=10,
+            ops in collection::vec((0usize..12, 0usize..2, 0usize..40), 0..150),
+        ) {
+            let memo: Memo<String> = Memo::new((capacity <= 9).then_some(capacity));
+            let mut model = Model::of(&memo);
+            let computed = std::cell::Cell::new(0u64);
+            for (key, tag, roll) in ops {
+                if roll == 0 {
+                    memo.clear();
+                    model.shards.iter_mut().for_each(Vec::clear);
+                    continue;
+                }
+                let key = format!("key{key}");
+                let hit = model.lookup(&key, tag);
+                let before = computed.get();
+                let value = memo.get_or_compute(&key, tag, || {
+                    computed.set(computed.get() + 1);
+                    value_of(&key, tag)
+                });
+                prop_assert_eq!(value, value_of(&key, tag));
+                prop_assert_eq!(computed.get() == before, hit, "hit or miss of {}#{}", key, tag);
+                prop_assert_eq!(recency(&memo), model.shards.clone());
+                prop_assert_eq!(memo.stats(), model.stats);
+                prop_assert!(memo.len() <= memo.capacity().unwrap_or(usize::MAX));
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_duplicate_keys_compute_once() {
+        let memo: Memo<Arc<str>> = Memo::new(None);
         let calls = AtomicUsize::new(0);
-        let compute = |key: &str| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            format!("value-of-{key}")
-        };
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
-                    for key in ["a", "b", "c"] {
-                        assert_eq!(
-                            &*memo.get_or_compute(key, &compute),
-                            format!("value-of-{key}")
-                        );
+                    for key in ["melisse", "louvre", "bayona"] {
+                        let value = memo.get_or_compute(key, 10, || {
+                            calls.fetch_add(1, Ordering::Relaxed);
+                            Arc::from(value_of(key, 10))
+                        });
+                        assert_eq!(*value, value_of(key, 10));
                     }
                 });
             }
         });
-        assert_eq!(calls.load(Ordering::Relaxed), 3, "one computation per key");
-        assert_eq!(memo.misses.load(Ordering::Relaxed), 3);
-        assert_eq!(memo.hits.load(Ordering::Relaxed), 21);
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            3,
+            "single flight per distinct key"
+        );
+        let stats = memo.stats();
+        assert_eq!(stats.misses, 3);
+        assert_eq!(stats.hits, 21);
+    }
+
+    #[test]
+    fn distinct_keys_do_not_serialize_behind_a_slow_search() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        // One shard: both keys *must* share it. Each computation waits
+        // until the other has started, so both finish only if they run
+        // at once: outside the shard lock.
+        let memo: Memo<String> = Memo::new(Some(4));
+        assert_eq!(memo.shards.len(), 1);
+        let (alpha_started, alpha_seen) = mpsc::channel();
+        let (beta_started, beta_seen) = mpsc::channel();
+        std::thread::scope(|s| {
+            for (key, started, other) in [
+                ("alpha", alpha_started, beta_seen),
+                ("beta", beta_started, alpha_seen),
+            ] {
+                let memo = &memo;
+                s.spawn(move || {
+                    let value = memo.get_or_compute(key, 2, || {
+                        started.send(()).unwrap();
+                        other
+                            .recv_timeout(Duration::from_secs(10))
+                            .expect("two distinct computations serialized");
+                        value_of(key, 2)
+                    });
+                    assert_eq!(value, value_of(key, 2));
+                });
+            }
+        });
+        assert_eq!(memo.stats().misses, 2);
+    }
+
+    #[test]
+    fn abandoned_flight_lets_the_next_caller_retry() {
+        let memo: Memo<String> = Memo::new(Some(4));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            memo.get_or_compute("boom", 3, || panic!("backend exploded"))
+        }));
+        assert!(unwound.is_err(), "first call must propagate the panic");
+        // The abandoned flight's slot was removed — the retry computes
+        // again instead of hanging on a dead Pending marker.
+        assert_eq!(
+            memo.get_or_compute("boom", 3, || value_of("boom", 3)),
+            "boom#3"
+        );
+        assert_eq!(memo.stats().misses, 2, "both attempts were misses");
+        assert_eq!(memo.len(), 1);
+    }
+
+    #[test]
+    fn pending_flights_are_never_evicted() {
+        use std::sync::mpsc;
+
+        let memo: Memo<String> = Memo::new(Some(1));
+        let (started, flight_installed) = mpsc::channel();
+        let (release, gate) = mpsc::channel();
+        std::thread::scope(|s| {
+            let slow = s.spawn(|| {
+                memo.get_or_compute("slow", 2, move || {
+                    started.send(()).unwrap();
+                    gate.recv().unwrap();
+                    value_of("slow", 2)
+                })
+            });
+            // While "slow" is in flight, fill the shard past capacity:
+            // "b" evicts "a" and "c" evicts "b", never the pending entry.
+            flight_installed.recv().unwrap();
+            for key in ["a", "b", "c"] {
+                memo.get_or_compute(key, 2, || value_of(key, 2));
+            }
+            assert_eq!(memo.stats().evictions, 2);
+            release.send(()).unwrap();
+            let value = slow.join().expect("slow computation panicked");
+            assert_eq!(value, "slow#2");
+        });
+        // Its publish then evicts "c", and the bound holds again.
+        let keys: Vec<String> = memo
+            .ready_entries()
+            .into_iter()
+            .map(|(key, _, _)| key)
+            .collect();
+        assert_eq!(keys, ["slow"]);
+        assert_eq!(memo.stats().evictions, 3);
+    }
+
+    #[test]
+    fn lookups_read_no_clock_unless_they_can_record() {
+        let memo: Memo<u8> = Memo::new(Some(1));
+        assert!(!memo.lookup_watch().is_running(), "no histogram");
+        memo.time_lookups(Registry::noop("off").histogram(teda_obs::stage::CACHE_LOOKUP));
+        assert!(!memo.lookup_watch().is_running(), "disabled histogram");
+
+        let live: Memo<u8> = Memo::new(Some(1));
+        live.time_lookups(Registry::new("on").histogram(teda_obs::stage::CACHE_LOOKUP));
+        assert!(live.lookup_watch().is_running(), "recording histogram");
+    }
+
+    #[test]
+    fn restore_keeps_live_entries_and_enforces_the_bound() {
+        let memo: Memo<String> = Memo::new(Some(2));
+        memo.get_or_compute("a", 0, || "live".into());
+        assert!(
+            !memo.restore("a".into(), 0, "snapshot".into()),
+            "live state wins"
+        );
+        assert!(memo.restore("b".into(), 0, "b".into()));
+        assert!(
+            memo.restore("c".into(), 0, "c".into()),
+            "evicts a, the least recent"
+        );
+        assert_eq!(
+            memo.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 1,
+                evictions: 1
+            }
+        );
+        let keys: Vec<String> = memo
+            .ready_entries()
+            .into_iter()
+            .map(|(key, _, _)| key)
+            .collect();
+        assert_eq!(keys, ["b", "c"]);
     }
 }

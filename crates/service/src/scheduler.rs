@@ -43,11 +43,6 @@ use teda_tabular::Table;
 use crate::fairness::{Admission, Cancelled, ClientId, MAX_TRACKED_CLIENTS};
 use crate::stats::{LatencySummary, ServiceStats, StageStats};
 
-/// Bound on the service's distinct-address geocoding memo, so a service
-/// running for days cannot grow it without limit. Flushes only cost
-/// extra geocoder calls.
-const GEO_MEMO_CAPACITY: usize = 65_536;
-
 /// Scheduler and budget knobs of an [`AnnotationService`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
@@ -63,8 +58,7 @@ pub struct ServiceConfig {
     /// dry; unused reservation is returned on completion.
     pub query_pool: Option<u64>,
     /// Bounded-cache configuration applied to the annotator's query
-    /// cache (capacity / shards). `None` keeps the annotator's existing
-    /// cache.
+    /// cache. `None` keeps the annotator's existing cache.
     pub cache: Option<CacheConfig>,
     /// Deficit-round-robin quantum of the per-client fairness layer:
     /// tokens granted to each waiting client per rotation when a dry
@@ -344,14 +338,13 @@ pub struct AnnotationService {
 impl AnnotationService {
     /// Starts the worker pool over `annotator`. When `config.cache` is
     /// set, the annotator's query cache is replaced with the bounded
-    /// configuration first. The address memo is always bounded to
-    /// 65,536 addresses.
+    /// configuration first. The address memo, like every geocoding
+    /// memo, is bounded to `teda_geo::GEO_MEMO_CAPACITY` addresses.
     pub fn start(annotator: BatchAnnotator, mut config: ServiceConfig) -> Self {
         let annotator = match config.cache {
             Some(cache) => annotator.with_cache_config(cache),
             None => annotator,
         };
-        let annotator = annotator.with_geo_memo_capacity(GEO_MEMO_CAPACITY);
         // Warm start: restore the persisted query memo. A missing
         // snapshot is a cold start; *any* damage (bad magic, wrong
         // version, failed CRC, truncation, a retired layout) degrades
@@ -1287,7 +1280,10 @@ mod tests {
         let tables: Vec<Table> = (0..8)
             .map(|i| Arc::try_unwrap(restaurant_table(&i.to_string())).unwrap())
             .collect();
-        let reference: Vec<TableAnnotations> = annotator(Duration::ZERO).annotate_corpus(&tables);
+        let reference: Vec<TableAnnotations> = {
+            let batch = annotator(Duration::ZERO);
+            tables.iter().map(|t| batch.annotate_table(t)).collect()
+        };
 
         let service = AnnotationService::start(
             annotator(Duration::ZERO),
@@ -1439,10 +1435,7 @@ mod tests {
             annotator(Duration::ZERO),
             ServiceConfig {
                 workers: 1,
-                cache: Some(CacheConfig {
-                    shards: 4,
-                    capacity: Some(8),
-                }),
+                cache: Some(CacheConfig { capacity: Some(8) }),
                 ..ServiceConfig::default()
             },
         );

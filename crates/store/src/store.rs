@@ -272,6 +272,9 @@ impl CorpusStore {
             }
         })?;
         let base = decode_corpus(&bytes)?;
+        // The old file image would otherwise stay resident through a
+        // graft or a re-index of the replayed pages.
+        drop(bytes);
         if replayed == 0 {
             return Ok(Loaded {
                 corpus: base,

@@ -31,6 +31,15 @@ use teda::simkit::rng_from_seed;
 use teda::websim::{BingSim, WebCorpus, WebCorpusSpec};
 use teda::wire::{WireClient, WireServer};
 
+/// Raises its flag when dropped, on a return and on a panic alike.
+struct RaiseOnDrop(Arc<AtomicBool>);
+
+impl Drop for RaiseOnDrop {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 fn main() {
     // Fixture: world + web + trained classifier (tiny scale).
     let world = World::generate(WorldSpec::tiny(), 42);
@@ -71,17 +80,19 @@ fn main() {
     let small_csv = typed_table_to_csv(&small);
     let big_csv = typed_table_to_csv(&big);
 
+    // `stop` is raised when the interactive client is done, and
+    // `bulk_returned` when the bulk thread is; each from a drop guard,
+    // so a panic on either side raises it too. The drip runs until both
+    // are up: the bulk client's last ANNOTATE may be parked on a dry
+    // pool when `stop` is raised, and only the drip can let it finish.
     let stop = Arc::new(AtomicBool::new(false));
-    // The drip outlives the bulk client: its last ANNOTATE may be
-    // parked on a dry pool when `stop` is raised, and only the drip can
-    // let it finish.
     let bulk_returned = Arc::new(AtomicBool::new(false));
     std::thread::scope(|s| {
         // The allowance drip.
         let refill = Arc::clone(&service);
-        let stop_refill = Arc::clone(&bulk_returned);
+        let (stop_refill, bulk_gone) = (Arc::clone(&stop), Arc::clone(&bulk_returned));
         s.spawn(move || {
-            while !stop_refill.load(Ordering::Relaxed) {
+            while !(stop_refill.load(Ordering::Relaxed) && bulk_gone.load(Ordering::Relaxed)) {
                 refill.add_budget(80);
                 std::thread::sleep(Duration::from_millis(2));
             }
@@ -89,7 +100,9 @@ fn main() {
 
         // Bulk ingester: back-to-back ANNOTATE on its own connection.
         let stop_bulk = Arc::clone(&stop);
+        let returned = RaiseOnDrop(Arc::clone(&bulk_returned));
         let bulk = s.spawn(move || {
+            let _returned = returned;
             let mut client = WireClient::connect(addr).expect("connect bulk");
             client.set_client("bulk").expect("CLIENT");
             let mut done = 0u64;
@@ -104,6 +117,7 @@ fn main() {
         });
 
         // Interactive client: one lookup every 10 ms.
+        let interactive_done = RaiseOnDrop(Arc::clone(&stop));
         let mut client = WireClient::connect(addr).expect("connect interactive");
         client.set_client("interactive").expect("CLIENT");
         let mut worst = Duration::ZERO;
@@ -121,10 +135,8 @@ fn main() {
             std::thread::sleep(Duration::from_millis(10));
         }
 
-        stop.store(true, Ordering::Relaxed);
-        let joined = bulk.join();
-        bulk_returned.store(true, Ordering::Relaxed);
-        let (bulk_done, bulk_worst) = joined.expect("bulk thread");
+        drop(interactive_done);
+        let (bulk_done, bulk_worst) = bulk.join().expect("bulk thread");
         println!(
             "\nbulk:        {bulk_done} tables, worst {:.1} ms (token-metered, as intended)",
             bulk_worst.as_secs_f64() * 1e3

@@ -16,7 +16,7 @@ use teda::core::config::AnnotatorConfig;
 use teda::core::model::SnippetClassifier;
 use teda::core::pipeline::{Annotator, BatchAnnotator, TableAnnotations};
 use teda::core::preprocess::preprocess;
-use teda::core::stream::{Collect, SliceSource};
+use teda::core::stream::{default_max_in_flight, Collect, SliceSource};
 use teda::core::trainer::{harvest, train_bayes, train_svm_linear, TrainerConfig};
 use teda::corpus::gft::poi_table;
 use teda::kb::{CategoryNetwork, EntityType, World, WorldSpec};
@@ -43,6 +43,15 @@ fn fixture() -> (World, Arc<BingSim>, SnippetClassifier) {
     );
     let classifier = train_svm_linear(&corpus, PegasosConfig::default());
     (world, engine, classifier)
+}
+
+/// Annotates `tables` through `batch`'s streaming driver with `window`
+/// tables in flight, in table order.
+fn annotate_all(batch: &BatchAnnotator, tables: &[Table], window: usize) -> Vec<TableAnnotations> {
+    let mut sink = Collect::new();
+    batch.annotate_stream(SliceSource::new(tables), &mut sink, window);
+    sink.into_annotations()
+        .expect("slice sources never yield errors")
 }
 
 /// A corpus whose entity sampling cycles the per-type pools, guaranteeing
@@ -78,8 +87,8 @@ fn parallel_corpus_annotation_is_bit_identical_to_sequential() {
     let sequential = BatchAnnotator::new(engine.clone(), classifier.clone(), config.clone());
     let parallel = BatchAnnotator::new(engine, classifier, config);
 
-    let seq: Vec<TableAnnotations> = sequential.annotate_corpus(&tables);
-    let par: Vec<TableAnnotations> = parallel.annotate_corpus_par(&tables);
+    let seq: Vec<TableAnnotations> = annotate_all(&sequential, &tables, 1);
+    let par: Vec<TableAnnotations> = annotate_all(&parallel, &tables, default_max_in_flight());
 
     assert_eq!(seq, par, "parallel corpus annotation diverged");
     // and at least something was annotated, so the test has teeth
@@ -112,7 +121,7 @@ fn duplicate_cells_hit_the_cache_and_save_queries() {
     let batch = BatchAnnotator::new(engine.clone(), classifier, AnnotatorConfig::default());
 
     let q0 = engine.query_count();
-    batch.annotate_corpus_par(&tables);
+    annotate_all(&batch, &tables, default_max_in_flight());
     let engine_queries = engine.query_count() - q0;
 
     let stats = batch.cache_stats();
@@ -129,7 +138,7 @@ fn duplicate_cells_hit_the_cache_and_save_queries() {
 
     // Annotating the same corpus again through the same engine is free.
     let q1 = engine.query_count();
-    batch.annotate_corpus(&tables);
+    annotate_all(&batch, &tables, 1);
     assert_eq!(engine.query_count(), q1, "warm cache must not search");
 }
 
@@ -226,13 +235,10 @@ fn evicted_entries_recompute_equal_verdicts() {
     for config in memo_configs() {
         let reference = fresh_cells(engine.as_ref(), &classifier, &config, &tables);
         let batch = BatchAnnotator::new(engine.clone(), classifier.clone(), config.clone())
-            .with_cache_config(CacheConfig {
-                shards: 1,
-                capacity: Some(1),
-            });
-        let first = batch.annotate_corpus(&tables);
+            .with_cache_config(CacheConfig { capacity: Some(1) });
+        let first = annotate_all(&batch, &tables, 1);
         let misses = batch.cache_stats().misses;
-        let second = batch.annotate_corpus(&tables);
+        let second = annotate_all(&batch, &tables, 1);
         let stats = batch.cache_stats();
         assert!(stats.evictions > 0, "a one-entry cache must evict");
         assert!(stats.misses > misses, "evicted keys must be searched again");
@@ -247,7 +253,7 @@ fn restored_entries_judge_like_a_cold_run() {
     let tables = seeded_corpus(&world, 6, 12);
     for config in memo_configs() {
         let warm = BatchAnnotator::new(engine.clone(), classifier.clone(), config.clone());
-        warm.annotate_corpus(&tables);
+        annotate_all(&warm, &tables, 1);
         let entries = warm.cache().export_entries();
         assert!(!entries.is_empty());
 
@@ -256,15 +262,18 @@ fn restored_entries_judge_like_a_cold_run() {
             restored.cache().restore_entries(entries.clone()),
             entries.len()
         );
-        let got = restored.annotate_corpus(&tables);
+        let got = annotate_all(&restored, &tables, 1);
         assert_eq!(
             restored.cache_stats().misses,
             0,
             "every lookup must hit a restored entry"
         );
 
-        let cold = BatchAnnotator::new(engine.clone(), classifier.clone(), config.clone())
-            .annotate_corpus(&tables);
+        let cold = annotate_all(
+            &BatchAnnotator::new(engine.clone(), classifier.clone(), config.clone()),
+            &tables,
+            1,
+        );
         assert_eq!(got, cold, "restored verdicts diverged from a cold run");
         assert_eq!(
             cells_of(&got),
@@ -365,7 +374,7 @@ fn a_new_classifier_starts_from_an_empty_memo() {
     let bayes = train_bayes(&corpus, NaiveBayesConfig::snippet_default());
     for config in memo_configs() {
         let first = Annotator::new(engine.clone(), svm.clone(), config.clone()).into_batch();
-        let svm_cells = cells_of(&first.annotate_corpus(&tables));
+        let svm_cells = cells_of(&annotate_all(&first, &tables, 1));
         assert!(!first.cache().is_empty());
 
         let (engine_back, _, config_back) =
@@ -383,7 +392,7 @@ fn a_new_classifier_starts_from_an_empty_memo() {
             second.class_memo().is_empty(),
             "into_batch must start a new snippet-class memo"
         );
-        let bayes_cells = cells_of(&second.annotate_corpus(&tables));
+        let bayes_cells = cells_of(&annotate_all(&second, &tables, 1));
         assert_eq!(
             bayes_cells,
             fresh_cells(engine.as_ref(), &bayes, &config, &tables),
@@ -485,7 +494,7 @@ fn snippet_memo_counts_every_snippet_judged_on_the_miss_path() {
     let tables = seeded_corpus(&world, 8, 12);
     let config = plain_config();
     let batch = BatchAnnotator::new(engine.clone(), classifier.clone(), config.clone());
-    batch.annotate_corpus(&tables);
+    annotate_all(&batch, &tables, 1);
 
     // Each distinct query misses the query cache once, and its verdict
     // judges every snippet of its result list.
@@ -503,7 +512,7 @@ fn snippet_memo_counts_every_snippet_judged_on_the_miss_path() {
     assert_eq!(stats.misses as usize, batch.class_memo().len());
 
     // A second pass hits the query cache and judges nothing.
-    batch.annotate_corpus(&tables);
+    annotate_all(&batch, &tables, 1);
     assert_eq!(batch.class_memo().stats(), stats);
 }
 

@@ -288,10 +288,7 @@ mod wire {
                 queue_depth: 1,
                 max_queries_per_request: Some(40),
                 query_pool: Some(0),
-                cache: Some(CacheConfig {
-                    shards: 1,
-                    capacity: Some(8),
-                }),
+                cache: Some(CacheConfig { capacity: Some(8) }),
                 ..ServiceConfig::default()
             },
             live,

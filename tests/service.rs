@@ -12,6 +12,7 @@ use teda::core::cache::{CacheConfig, CacheEntrySnapshot};
 use teda::core::config::AnnotatorConfig;
 use teda::core::model::SnippetClassifier;
 use teda::core::pipeline::{BatchAnnotator, TableAnnotations};
+use teda::core::stream::{default_max_in_flight, Collect, SliceSource};
 use teda::core::trainer::{harvest, train_svm_linear, TrainerConfig};
 use teda::core::QueryCache;
 use teda::corpus::gft::poi_table;
@@ -39,6 +40,15 @@ fn fixture() -> (World, Arc<BingSim>, SnippetClassifier) {
     );
     let classifier = train_svm_linear(&corpus, PegasosConfig::default());
     (world, engine, classifier)
+}
+
+/// Annotates `tables` through `batch`'s streaming driver with `window`
+/// tables in flight, in table order.
+fn annotate_all(batch: &BatchAnnotator, tables: &[Table], window: usize) -> Vec<TableAnnotations> {
+    let mut sink = Collect::new();
+    batch.annotate_stream(SliceSource::new(tables), &mut sink, window);
+    sink.into_annotations()
+        .expect("slice sources never yield errors")
 }
 
 fn seeded_corpus(world: &World, n_tables: usize, rows: usize) -> Vec<Table> {
@@ -73,14 +83,11 @@ fn bounded_cache_annotations_are_bit_identical_to_unbounded() {
     let tables = seeded_corpus(&world, 8, 12);
 
     let unbounded = batch(engine.clone(), classifier.clone());
-    let reference: Vec<TableAnnotations> = unbounded.annotate_corpus(&tables);
+    let reference: Vec<TableAnnotations> = annotate_all(&unbounded, &tables, 1);
 
     // A cache far too small for the corpus: constant eviction churn.
-    let bounded = batch(engine, classifier).with_cache_config(CacheConfig {
-        shards: 2,
-        capacity: Some(8),
-    });
-    let out: Vec<TableAnnotations> = bounded.annotate_corpus_par(&tables);
+    let bounded = batch(engine, classifier).with_cache_config(CacheConfig { capacity: Some(8) });
+    let out: Vec<TableAnnotations> = annotate_all(&bounded, &tables, default_max_in_flight());
     assert_eq!(out, reference, "eviction changed an annotation");
     let stats = bounded.cache_stats();
     assert!(
@@ -89,7 +96,7 @@ fn bounded_cache_annotations_are_bit_identical_to_unbounded() {
         stats.misses
     );
     // Evict-then-rehit: the same corpus again is still bit-identical.
-    let again: Vec<TableAnnotations> = bounded.annotate_corpus(&tables);
+    let again: Vec<TableAnnotations> = annotate_all(&bounded, &tables, 1);
     assert_eq!(again, reference, "evict-then-rehit diverged");
 }
 
@@ -99,10 +106,9 @@ fn cache_capacity_is_respected_under_load() {
     let tables = seeded_corpus(&world, 8, 14);
     for capacity in [4, 16, 64] {
         let annotator = batch(engine.clone(), classifier.clone()).with_cache_config(CacheConfig {
-            shards: 4,
             capacity: Some(capacity),
         });
-        annotator.annotate_corpus_par(&tables);
+        annotate_all(&annotator, &tables, default_max_in_flight());
         let cap = annotator
             .cache()
             .capacity()
@@ -121,10 +127,7 @@ fn single_flight_holds_under_eviction_pressure() {
 
     // One shard, capacity 1: every publish evicts the previous entry
     // while concurrent workers race on a handful of keys.
-    let cache = Arc::new(QueryCache::with_config(CacheConfig {
-        shards: 1,
-        capacity: Some(1),
-    }));
+    let cache = Arc::new(QueryCache::with_config(CacheConfig { capacity: Some(1) }));
     let queries = ["melisse a", "louvre b", "bayona c", "orsay d"];
     let reference: Vec<_> = queries.iter().map(|q| engine.search(q, 5)).collect();
 
@@ -177,7 +180,7 @@ fn distinct_addresses_geocode_once_per_corpus() {
     )
     .with_geocoder(geocoder.clone());
 
-    annotator.annotate_corpus(&tables);
+    annotate_all(&annotator, &tables, 1);
     let stats = annotator.geo_stats();
     assert_eq!(
         geocoder.query_count(),
@@ -191,7 +194,7 @@ fn distinct_addresses_geocode_once_per_corpus() {
 
     // Re-annotating the same corpus issues zero further geocoder calls.
     let q0 = geocoder.query_count();
-    annotator.annotate_corpus(&tables);
+    annotate_all(&annotator, &tables, 1);
     assert_eq!(geocoder.query_count(), q0, "warm memo must not re-geocode");
 }
 
@@ -238,10 +241,7 @@ fn service_matches_offline_batch_bit_for_bit() {
         ServiceConfig {
             workers: 4,
             queue_depth: tables.len() * 2,
-            cache: Some(CacheConfig {
-                capacity: Some(64),
-                ..CacheConfig::default()
-            }),
+            cache: Some(CacheConfig { capacity: Some(64) }),
             ..ServiceConfig::default()
         },
     );

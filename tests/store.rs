@@ -325,7 +325,7 @@ fn restored_query_cache_serves_hits_without_re_searching() {
     let path = dir.join(CACHE_FILE);
 
     // Generation one: populate, persist.
-    let cache = QueryCache::new(8);
+    let cache = QueryCache::default();
     let engine = Counting(AtomicUsize::new(0));
     let expected: Vec<Arc<[SearchResult]>> = ["melisse", "louvre", "bayona"]
         .iter()
@@ -336,7 +336,7 @@ fn restored_query_cache_serves_hits_without_re_searching() {
 
     // Generation two: restore, replay the same queries — zero engine
     // calls, bit-identical results.
-    let reborn = QueryCache::new(8);
+    let reborn = QueryCache::default();
     let restored = reborn.restore_entries(load_cache_snapshot(&path).expect("load cache"));
     assert_eq!(restored, 3);
     let engine2 = Counting(AtomicUsize::new(0));
@@ -369,7 +369,7 @@ fn corpus_save_invalidates_the_co_located_cache_snapshot() {
     store.save(&corpus(21)).expect("save generation one");
 
     // A service persisted its memo beside the corpus…
-    let cache = QueryCache::new(2);
+    let cache = QueryCache::default();
     let engine = Counting(AtomicUsize::new(0));
     cache.get_or_search(&engine, "melisse", 3);
     save_cache_snapshot(&store.cache_path(), &cache.export_entries()).expect("persist cache");
@@ -403,7 +403,7 @@ fn journal_appends_remove_the_co_located_cache_snapshot() {
     let store = CorpusStore::open(&dir).expect("open");
     store.save(&corpus(22)).expect("save");
     let persist = || {
-        let cache = QueryCache::new(2);
+        let cache = QueryCache::default();
         cache.get_or_search(&Counting(AtomicUsize::new(0)), "melisse", 3);
         save_cache_snapshot(&store.cache_path(), &cache.export_entries()).expect("persist cache");
         assert!(store.cache_path().exists());
@@ -440,7 +440,7 @@ fn concurrent_cache_snapshots_never_publish_a_torn_file() {
     let dir = temp_store("concurrent");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(CACHE_FILE);
-    let cache = QueryCache::new(8);
+    let cache = QueryCache::default();
     let engine = Counting(AtomicUsize::new(0));
     for i in 0..32 {
         cache.get_or_search(&engine, &format!("q{i}"), 4);

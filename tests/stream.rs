@@ -12,7 +12,9 @@ use proptest::prelude::*;
 use teda::classifier::svm::pegasos::PegasosConfig;
 use teda::core::config::AnnotatorConfig;
 use teda::core::pipeline::{BatchAnnotator, TableAnnotations};
-use teda::core::stream::{table_channel, SourceError, TableFeed};
+use teda::core::stream::{
+    default_max_in_flight, table_channel, Collect, SliceSource, SourceError, TableFeed,
+};
 use teda::core::trainer::{harvest, train_svm_linear, TrainerConfig};
 use teda::corpus::gft::poi_table;
 use teda::kb::{CategoryNetwork, EntityType, World, WorldSpec};
@@ -71,7 +73,7 @@ fn shared() -> &'static Shared {
         let num_cells: usize = tables.iter().map(|t| t.n_rows() * t.n_cols()).sum();
 
         let batch = BatchAnnotator::new(engine, classifier, AnnotatorConfig::default());
-        let reference = batch.annotate_corpus(&tables);
+        let reference = tables.iter().map(|t| batch.annotate_table(t)).collect();
         Shared {
             tables,
             reference,
@@ -179,11 +181,20 @@ proptest! {
     }
 }
 
-/// The deprecated-era shims and the streaming driver are one code path:
-/// spot-check the shims against each other and the reference.
+/// A corpus already in memory streams through a slice source into a
+/// collecting sink: sequentially and at the default window, the result
+/// is the reference.
 #[test]
-fn corpus_shims_still_match_the_reference() {
+fn slice_streams_match_the_reference() {
     let s = shared();
-    assert_eq!(s.batch.annotate_corpus(&s.tables), s.reference);
-    assert_eq!(s.batch.annotate_corpus_par(&s.tables), s.reference);
+    for window in [1, default_max_in_flight()] {
+        let mut sink = Collect::new();
+        s.batch
+            .annotate_stream(SliceSource::new(&s.tables), &mut sink, window);
+        assert_eq!(
+            sink.into_annotations().unwrap(),
+            s.reference,
+            "window {window}"
+        );
+    }
 }
