@@ -288,6 +288,30 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_duplicate_queries_search_once() {
+        let cache = QueryCache::default();
+        let engine = Counting(AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for q in ["melisse", "louvre", "bayona"] {
+                        let r = cache.get_or_search(&engine, q, 10);
+                        assert_eq!(r.len(), 10);
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            engine.0.load(Ordering::Relaxed),
+            3,
+            "single flight per distinct query"
+        );
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 3);
+        assert_eq!(stats.hits, 21);
+    }
+
+    #[test]
     fn distinct_k_is_a_distinct_key() {
         let cache = QueryCache::default();
         let engine = Counting(AtomicUsize::new(0));

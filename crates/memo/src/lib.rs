@@ -807,8 +807,10 @@ mod tests {
         }
     }
 
+    /// End-to-end: the memo assembled from [`Shards`] and [`Flight`]
+    /// computes once per distinct key under concurrency.
     #[test]
-    fn concurrent_duplicate_keys_compute_once() {
+    fn assembled_memo_is_single_flight() {
         let memo: Memo<Arc<str>> = Memo::new(None);
         let calls = AtomicUsize::new(0);
         std::thread::scope(|s| {
