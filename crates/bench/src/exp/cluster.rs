@@ -4,6 +4,8 @@
 //! * **bit identity** — the router's top-k over 1/2/4/8 shards (real
 //!   TCP, mapped and heap shard images) equals the single-node index at
 //!   every probed `(query, k)`: same ids, same score bits, same order.
+//!   The probe set sent as one batch (`search_many`, one `SEARCH-MANY`
+//!   frame per shard) answers the same, query by query.
 //! * **throughput scaling** — a closed-loop client over a dense corpus
 //!   with a deliberately expensive query (every term matches every
 //!   page): a multi-shard cluster must beat the 1-shard cluster (same
@@ -38,7 +40,7 @@ use teda_cluster::{
 };
 use teda_simkit::tablefmt::{Align, TextTable};
 use teda_websim::scoring::merge_topk;
-use teda_websim::{SearchBackend, WebCorpus};
+use teda_websim::{SearchBackend, SearchResult, WebCorpus};
 
 use crate::harness::{bits, paired, probes, Claim, Scale, Spread};
 
@@ -53,6 +55,9 @@ pub struct ClusterReport {
     pub probes_checked: usize,
     /// Router == single node at every probe, every shard count.
     pub identical: bool,
+    /// The probe set as one routed batch == the single node, query by
+    /// query (ids, score bits and results), at every shard count.
+    pub batched_identical: bool,
     /// Closed-loop queries per second, 1-shard cluster (the baseline
     /// pays the same wire + router cost): the median sample.
     pub qps_single: f64,
@@ -190,12 +195,25 @@ pub fn run(scale: Scale) -> ClusterReport {
     let shard_counts = vec![1u32, 2, 4, 8];
     let mut probes_checked = 0usize;
     let mut identical = true;
+    let mut batched_identical = true;
     for &n_shards in &shard_counts {
         let (servers, topology) = serve(&corpus, n_shards, &root.join(format!("id_{n_shards}")));
         let router = ClusterRouter::connect(&topology, config()).expect("connect router");
-        for (q, k) in probes(&PROBE_QUERIES, &PROBE_KS) {
+        let probe_set = probes(&PROBE_QUERIES, &PROBE_KS);
+        for (q, k) in &probe_set {
             probes_checked += 1;
-            identical &= bits(&router.search(&q, k)) == bits(&corpus.index().search(&q, k));
+            identical &= bits(&router.search(q, *k)) == bits(&corpus.index().search(q, *k));
+        }
+        let batch: Vec<(&str, usize)> = probe_set.iter().map(|(q, k)| (q.as_str(), *k)).collect();
+        let mut answers: Vec<Option<Vec<SearchResult>>> = vec![None; batch.len()];
+        router.search_many(&batch, &mut |i, results| answers[i] = Some(results));
+        let typed = router.try_search_many(&batch);
+        for ((answer, outcome), &(q, k)) in answers.into_iter().zip(typed).zip(&batch) {
+            let scored: Option<Vec<_>> = outcome
+                .ok()
+                .map(|hits| hits.iter().map(|h| (h.id, h.score)).collect());
+            batched_identical &= answer == Some(corpus.search_results(q, k))
+                && scored.is_some_and(|s| bits(&s) == bits(&corpus.index().search(q, k)));
         }
         for s in servers {
             s.shutdown();
@@ -296,6 +314,7 @@ pub fn run(scale: Scale) -> ClusterReport {
         shard_counts,
         probes_checked,
         identical,
+        batched_identical,
         qps_single,
         qps_sharded,
         throughput_shards,
@@ -327,6 +346,10 @@ pub fn render(r: &ClusterReport) -> String {
     tbl.row(vec![
         "router == single node".into(),
         format!("{} ({} probes)", r.identical, r.probes_checked),
+    ]);
+    tbl.row(vec![
+        "batched router == single node".into(),
+        format!("{}", r.batched_identical),
     ]);
     tbl.row(vec![
         "closed-loop qps, 1 shard (median)".into(),
@@ -379,6 +402,7 @@ pub fn to_json(r: &ClusterReport) -> crate::report::BenchJson {
     json.metric("pages", r.pages as f64, "pages")
         .metric("probes_checked", r.probes_checked as f64, "probes")
         .metric("identical", flag(r.identical), "bool")
+        .metric("batched_identical", flag(r.batched_identical), "bool")
         .metric("qps_single", r.qps_single, "qps")
         .metric("qps_sharded", r.qps_sharded, "qps")
         .metric("throughput_shards", r.throughput_shards as f64, "shards")
@@ -412,6 +436,11 @@ pub fn claims(r: &ClusterReport) -> Vec<Claim> {
             "identical",
             r.identical,
             "router top-k diverged from the single-node index",
+        ),
+        Claim::exact(
+            "batched_identical",
+            r.batched_identical,
+            "a routed batch diverged from the single-node index",
         ),
         Claim::exact(
             "failover_identical",

@@ -21,6 +21,13 @@
 //! once do their schedules run on scoped threads, so a scatter still
 //! ends within one schedule.
 //!
+//! Batches: [`ClusterRouter::try_search_many`] (and the trait's
+//! `search_many`) scatter up to [`MAX_BATCH`] queries as one
+//! `SEARCH-MANY` frame per group, so a table's cache misses cost one
+//! round trip per shard instead of one per miss. Each query is merged on
+//! its own exactly as a single `SEARCH-FULL` is, so batching changes no
+//! answer.
+//!
 //! Failover: each shard is a replica group. A query rotates through the
 //! group's replicas (round-robin start, healthy replicas first),
 //! retries transport failures on a bounded backoff schedule, and only
@@ -40,7 +47,7 @@ use std::time::Duration;
 use teda_obs::{stage, Counter, Histogram, Registry, SpanGuard, StageTimer, Trace, TraceCtx};
 use teda_websim::scoring::{merge_topk, rank_order};
 use teda_websim::{PageId, SearchBackend, SearchResult};
-use teda_wire::protocol::{parse_hits, parse_scored};
+use teda_wire::protocol::{parse_hits, parse_many, parse_scored, MAX_BATCH};
 use teda_wire::{Request, SearchHit, WireClient, WireError};
 
 use crate::error::ClusterError;
@@ -396,7 +403,7 @@ impl ClusterRouter {
     fn scatter<T: Send>(
         &self,
         request: &Request,
-        parse: fn(&str) -> Result<T, WireError>,
+        parse: &(dyn Fn(&str) -> Result<T, WireError> + Sync),
         trace: &TraceCtx,
     ) -> Vec<Result<T, ClusterError>> {
         self.shard_fanouts.add(self.groups.len() as u64);
@@ -471,11 +478,12 @@ impl ClusterRouter {
 
     /// Splits scatter outcomes into live results and dead shards.
     /// Non-retryable wire errors propagate as hard errors; whole-group
-    /// outages degrade to the partial path. Bumps `partial_results`
-    /// once per degraded scatter.
+    /// outages degrade to the partial path. Bumps `partial_results` by
+    /// `queries`, the queries the scatter carried, when it degraded.
     fn gather<T>(
         &self,
         outcomes: Vec<Result<T, ClusterError>>,
+        queries: u64,
     ) -> Result<(Vec<T>, Vec<u32>), ClusterError> {
         let mut live = Vec::with_capacity(outcomes.len());
         let mut dead = Vec::new();
@@ -487,7 +495,7 @@ impl ClusterRouter {
             }
         }
         if !dead.is_empty() {
-            self.partial_results.inc();
+            self.partial_results.add(queries);
         }
         Ok((live, dead))
     }
@@ -514,8 +522,8 @@ impl ClusterRouter {
             },
             None => search,
         };
-        let outcomes = self.scatter(&request, parse_scored, &trace);
-        let (live, dead) = self.gather(outcomes)?;
+        let outcomes = self.scatter(&request, &parse_scored, &trace);
+        let (live, dead) = self.gather(outcomes, 1)?;
         let hits = {
             let timer = StageTimer::start(&self.hist_merge);
             let _span = trace.span(stage::MERGE);
@@ -545,26 +553,110 @@ impl ClusterRouter {
             query: query.into(),
             full: true,
         };
-        let outcomes = self.scatter(&request, parse_hits, &trace);
-        let (live, dead) = self.gather(outcomes)?;
-        let timer = StageTimer::start(&self.hist_merge);
+        let outcomes = self.scatter(&request, &parse_hits, &trace);
+        let (live, dead) = self.gather(outcomes, 1)?;
         let merge_span = trace.span(stage::MERGE);
-        // Same comparator as `merge_topk`, applied through the hit's
-        // (id, score) key — full hits rank exactly like scored pairs.
-        let mut hits: Vec<SearchHit> = live.into_iter().flatten().collect();
+        let hits = self.merge_hits(live.into_iter().flatten().collect(), k);
+        drop(merge_span);
+        trace.finish();
+        full_outcome(hits, &dead)
+    }
+
+    /// [`try_search_full`](Self::try_search_full) for every `(query,
+    /// k)` pair, in order, with one `SEARCH-MANY` frame per replica
+    /// group for each [`MAX_BATCH`] queries instead of one frame per
+    /// group per query. Each query keeps the single-query semantics:
+    /// its answer is bit-identical to the single node, a frame that
+    /// fails on one replica is retried whole on the group's next one,
+    /// and a dead group makes each query of the frame its own
+    /// [`ClusterError::PartialResults`] (counted once per query).
+    pub fn try_search_many(
+        &self,
+        queries: &[(&str, usize)],
+    ) -> Vec<Result<Vec<SearchHit>, ClusterError>> {
+        queries
+            .chunks(MAX_BATCH)
+            .flat_map(|frame| self.search_frame(frame))
+            .collect()
+    }
+
+    /// One `SEARCH-MANY` scatter of at most [`MAX_BATCH`] queries, traced
+    /// and forwarded under the router's trace id like `try_search`. A
+    /// hard wire error on a frame of several queries falls back to one
+    /// `SEARCH-FULL` per query, so an error stays with the query that
+    /// caused it.
+    fn search_frame(&self, frame: &[(&str, usize)]) -> Vec<Result<Vec<SearchHit>, ClusterError>> {
+        let trace = self.obs.start_trace("search_many");
+        let many = Request::SearchMany {
+            queries: frame.iter().map(|&(q, k)| (k, q.to_owned())).collect(),
+        };
+        let request = match trace.id() {
+            Some(id) => Request::Traced {
+                id,
+                inner: Box::new(many),
+            },
+            None => many,
+        };
+        let sent = frame.len();
+        let outcomes = self.scatter(&request, &|payload| parse_many(payload, sent), &trace);
+        let (live, dead) = match self.gather(outcomes, sent as u64) {
+            Ok(gathered) => gathered,
+            Err(error) if sent == 1 => return vec![Err(error)],
+            Err(_) => {
+                trace.finish();
+                return frame
+                    .iter()
+                    .map(|&(q, k)| self.try_search_full(q, k))
+                    .collect();
+            }
+        };
+        let mut per_query: Vec<Vec<SearchHit>> = vec![Vec::new(); sent];
+        for group in live {
+            for (hits, answer) in per_query.iter_mut().zip(group) {
+                hits.extend(answer);
+            }
+        }
+        let merge_span = trace.span(stage::MERGE);
+        let outcomes = per_query
+            .into_iter()
+            .zip(frame)
+            .map(|(hits, &(_, k))| full_outcome(self.merge_hits(hits, k), &dead))
+            .collect();
+        drop(merge_span);
+        trace.finish();
+        outcomes
+    }
+
+    /// The merge of one query's gathered hits, timed into `merge`: the
+    /// comparator of `merge_topk`, applied through each hit's (id,
+    /// score) key, so full hits rank exactly like scored pairs.
+    fn merge_hits(&self, mut hits: Vec<SearchHit>, k: usize) -> Vec<SearchHit> {
+        let timer = StageTimer::start(&self.hist_merge);
         hits.sort_by(|a, b| rank_order(&(a.id, a.score), &(b.id, b.score)));
         hits.truncate(k);
-        drop(merge_span);
         timer.finish();
-        trace.finish();
-        if dead.is_empty() {
-            Ok(hits)
-        } else {
-            Err(ClusterError::PartialResults {
-                dead_shards: dead,
-                hits: hits.iter().map(|h| (h.id, h.score)).collect(),
-            })
-        }
+        hits
+    }
+}
+
+/// A merged full answer, or its degraded form when `dead` names shards.
+fn full_outcome(hits: Vec<SearchHit>, dead: &[u32]) -> Result<Vec<SearchHit>, ClusterError> {
+    if dead.is_empty() {
+        Ok(hits)
+    } else {
+        Err(ClusterError::PartialResults {
+            dead_shards: dead.to_vec(),
+            hits: hits.iter().map(|h| (h.id, h.score)).collect(),
+        })
+    }
+}
+
+/// The infallible trait path's answer: the results of a full answer, or
+/// none at all when the answer degraded or failed.
+fn results_of_full(outcome: Result<Vec<SearchHit>, ClusterError>) -> Vec<SearchResult> {
+    match outcome {
+        Ok(hits) => hits.into_iter().map(|h| h.result).collect(),
+        Err(_) => Vec::new(),
     }
 }
 
@@ -581,9 +673,23 @@ impl SearchBackend for ClusterRouter {
     }
 
     fn search_results(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        match self.try_search_full(query, k) {
-            Ok(hits) => hits.into_iter().map(|h| h.result).collect(),
-            Err(_) => Vec::new(),
+        results_of_full(self.try_search_full(query, k))
+    }
+
+    /// One `SEARCH-MANY` frame per replica group for each [`MAX_BATCH`]
+    /// queries ([`try_search_many`](ClusterRouter::try_search_many)),
+    /// each frame's answers handed back as soon as it is merged, and
+    /// each answer the one [`search_results`](SearchBackend::search_results)
+    /// gives.
+    fn search_many(
+        &self,
+        queries: &[(&str, usize)],
+        answer: &mut dyn FnMut(usize, Vec<SearchResult>),
+    ) {
+        for (f, frame) in queries.chunks(MAX_BATCH).enumerate() {
+            for (i, outcome) in self.search_frame(frame).into_iter().enumerate() {
+                answer(f * MAX_BATCH + i, results_of_full(outcome));
+            }
         }
     }
 

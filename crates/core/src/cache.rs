@@ -51,7 +51,7 @@ use std::sync::{Arc, OnceLock};
 
 pub use teda_memo::CacheStats;
 use teda_memo::Memo;
-use teda_obs::{Histogram, StageTimer};
+use teda_obs::{Histogram, StageTimer, Stopwatch};
 use teda_websim::{SearchEngine, SearchResult};
 
 use crate::annotate::Verdict;
@@ -167,22 +167,43 @@ impl QueryCache {
         query: &str,
         k: usize,
     ) -> Arc<[SearchResult]> {
-        Arc::clone(self.get_or_search_memo(engine, query, k).results())
-    }
-
-    /// [`get_or_search`](Self::get_or_search), answering with the whole
-    /// entry, so the caller can read or fill its verdict slot.
-    pub(crate) fn get_or_search_memo<E: SearchEngine + ?Sized>(
-        &self,
-        engine: &E,
-        query: &str,
-        k: usize,
-    ) -> Arc<Answer> {
-        self.memo.get_or_compute(query, k, || {
+        let answer = self.memo.get_or_compute(query, k, || {
             let timer = self.hist_search.get().map(|h| StageTimer::start(h));
             let results = engine.search(query, k).into();
             drop(timer);
             Answer::new(results)
+        });
+        Arc::clone(answer.results())
+    }
+
+    /// The entries of a batch of `(query, k)` keys, in batch order, so
+    /// the caller can read or fill each one's verdict slot: the batch
+    /// form of [`get_or_search`](Self::get_or_search).
+    /// Hits answer from the memo; the distinct keys no thread is
+    /// fetching go to `engine` in one
+    /// [`search_many`](SearchEngine::search_many) call, each published
+    /// as soon as the engine hands it back; keys another thread is
+    /// fetching are waited on afterwards, never sent again. Counters
+    /// and `cache_lookup` observations are per key, as for a loop of
+    /// single lookups, and the batch's engine time is split evenly over
+    /// its keys' `search` observations.
+    pub(crate) fn get_or_search_many<E: SearchEngine + ?Sized>(
+        &self,
+        engine: &E,
+        keys: &[(&str, usize)],
+    ) -> Vec<Arc<Answer>> {
+        self.memo.get_or_compute_many(keys, |misses, publish| {
+            let hist = self.hist_search.get().filter(|h| h.is_enabled());
+            let watch = Stopwatch::started_if(hist.is_some());
+            engine.search_many(misses, &mut |j, results| {
+                publish(j, Answer::new(results.into()))
+            });
+            if let Some(hist) = hist {
+                let share = watch.elapsed_us() / misses.len() as u64;
+                for _ in misses {
+                    hist.record(share);
+                }
+            }
         })
     }
 
@@ -471,9 +492,7 @@ mod tests {
         let engine = Counting(AtomicUsize::new(0));
         let calls = AtomicUsize::new(0);
         let judge = |cache: &QueryCache, q: &str| {
-            cache
-                .get_or_search_memo(&engine, q, 3)
-                .verdict(counting_judge(&calls))
+            cache.get_or_search_many(&engine, &[(q, 3)])[0].verdict(counting_judge(&calls))
         };
         let first = judge(&cache, "melisse");
         assert_eq!(first.map(|v| v.votes), Some(3));
@@ -517,5 +536,70 @@ mod tests {
         assert_eq!(lookups.count(), 3);
         let searches = obs.histogram(teda_obs::stage::SEARCH).snapshot();
         assert_eq!(searches.count(), cache.stats().misses);
+    }
+
+    /// Counts the batches it is sent and the queries in them.
+    struct Batching {
+        batches: AtomicUsize,
+        queries: AtomicUsize,
+    }
+
+    impl SearchEngine for Batching {
+        fn search(&self, _: &str, _: usize) -> Vec<SearchResult> {
+            unreachable!("the batch path sends batches")
+        }
+
+        fn search_many(
+            &self,
+            queries: &[(&str, usize)],
+            answer: &mut dyn FnMut(usize, Vec<SearchResult>),
+        ) {
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            self.queries.fetch_add(queries.len(), Ordering::Relaxed);
+            // Answers in reverse: the order is the engine's to choose.
+            for (i, &(query, k)) in queries.iter().enumerate().rev() {
+                answer(i, Counting(AtomicUsize::new(0)).search(query, k));
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_sends_its_distinct_misses_once_and_counts_per_key() {
+        let obs = teda_obs::Registry::new("node");
+        let cache = QueryCache::default();
+        cache.attach_obs(&obs);
+        let engine = Batching {
+            batches: AtomicUsize::new(0),
+            queries: AtomicUsize::new(0),
+        };
+        cache.get_or_search(&Counting(AtomicUsize::new(0)), "a", 2);
+        let keys = [("a", 2), ("b", 2), ("c", 2), ("b", 2), ("b", 3)];
+        let answers = cache.get_or_search_many(&engine, &keys);
+        for (answer, &(query, k)) in answers.iter().zip(&keys) {
+            let want = Counting(AtomicUsize::new(0)).search(query, k);
+            assert_eq!(answer.results().as_ref(), want.as_slice());
+        }
+        assert_eq!(engine.batches.load(Ordering::Relaxed), 1);
+        assert_eq!(engine.queries.load(Ordering::Relaxed), 3, "b#2, c#2, b#3");
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 2,
+                misses: 4,
+                ..CacheStats::default()
+            },
+            "a is a hit, and so is b's repeat"
+        );
+        assert_eq!(
+            obs.histogram(teda_obs::stage::CACHE_LOOKUP)
+                .snapshot()
+                .count(),
+            2
+        );
+        assert_eq!(obs.histogram(teda_obs::stage::SEARCH).snapshot().count(), 4);
+
+        // A batch of hits sends nothing.
+        cache.get_or_search_many(&engine, &keys);
+        assert_eq!(engine.batches.load(Ordering::Relaxed), 1);
     }
 }

@@ -10,9 +10,10 @@
 //!   so duplicate cell contents — pervasive in real table corpora — are
 //!   searched and classified once: each cache entry keeps the §5.2.1
 //!   verdict over its results beside them, so a hit skips both the
-//!   search and the `k` snippet classifications. A miss classifies
-//!   only the snippets the annotator has never judged: a bounded
-//!   [`SnippetClassMemo`] keeps each snippet's class.
+//!   search and the `k` snippet classifications. A table's misses go
+//!   to the engine as one batch ([`SearchEngine::search_many`]), and a
+//!   miss classifies only the snippets the annotator has never judged:
+//!   a bounded [`SnippetClassMemo`] keeps each snippet's class.
 //!
 //! The corpus-scale entry point is the streaming driver
 //! [`BatchAnnotator::annotate_stream`]: a [`TableSource`] is pulled
@@ -337,29 +338,11 @@ impl BatchAnnotator {
         &self.class_memo
     }
 
-    /// Annotates one cell through the cache: the entry's verdict is
-    /// judged on its first use, through the snippet-class memo, and
-    /// attached to `cell` on every later hit.
-    fn annotate_cell_cached(
-        &self,
-        table: &Table,
-        cell: CellId,
-        spatial: Option<&SpatialContext>,
-    ) -> Option<CellAnnotation> {
-        let query = build_cell_query(table, cell, spatial);
-        if query.trim().is_empty() {
-            return None;
-        }
-        let memo = self
-            .cache
-            .get_or_search_memo(self.engine.as_ref(), &query, self.config.top_k);
-        memo.verdict(|results| {
-            memoized_verdict(results, &self.classifier, &self.config, &self.class_memo)
-        })
-        .map(|v| v.at(cell))
-    }
-
-    /// Annotates one table, cells sequential, queries memoized.
+    /// Annotates one table, queries memoized: every candidate cell's
+    /// query is built first, the table's cache misses go to the engine
+    /// in one batch ([`SearchEngine::search_many`]), and each entry's
+    /// verdict is judged on its first use, through the snippet-class
+    /// memo, and attached to its cell on every later hit.
     pub fn annotate_table(&self, table: &Table) -> TableAnnotations {
         let table = prepared_table(table);
         let table = table.as_ref();
@@ -372,10 +355,27 @@ impl BatchAnnotator {
             &self.config,
         );
 
-        let annotations: Vec<CellAnnotation> = pre
+        let queries: Vec<(CellId, String)> = pre
             .candidates
             .iter()
-            .filter_map(|&cell| self.annotate_cell_cached(table, cell, spatial.as_ref()))
+            .map(|&cell| (cell, build_cell_query(table, cell, spatial.as_ref())))
+            .filter(|(_, query)| !query.trim().is_empty())
+            .collect();
+        let keys: Vec<(&str, usize)> = queries
+            .iter()
+            .map(|(_, query)| (query.as_str(), self.config.top_k))
+            .collect();
+        let answers = self.cache.get_or_search_many(self.engine.as_ref(), &keys);
+        let annotations: Vec<CellAnnotation> = queries
+            .iter()
+            .zip(answers)
+            .filter_map(|(&(cell, _), answer)| {
+                answer
+                    .verdict(|results| {
+                        memoized_verdict(results, &self.classifier, &self.config, &self.class_memo)
+                    })
+                    .map(|v| v.at(cell))
+            })
             .collect();
 
         finish_table(table, annotations, &pre, &self.config)

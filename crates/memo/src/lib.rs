@@ -11,7 +11,8 @@
 //! key, every caller gets the same value, and the expensive backend
 //! (search engine, geocoder) sees deterministic traffic. A computation
 //! that unwinds abandons its flight, and the callers waiting on it
-//! retry.
+//! retry. [`Memo::get_or_compute_many`] resolves a batch of keys with
+//! one computation over its misses, under the same single flight.
 //!
 //! Each shard holds at most its share of the capacity and evicts its
 //! least recently used ready entry beyond it (exact LRU by a per-shard
@@ -93,6 +94,16 @@ impl<V: Clone> Flight<V> {
             }
         }
     }
+}
+
+/// What one [`Memo`] probe found.
+enum Lookup<V> {
+    /// The memoized value.
+    Ready(V),
+    /// Another caller's computation, to wait on.
+    Pending(Arc<Flight<V>>),
+    /// Nothing: the caller installed this flight and must publish it.
+    Claimed(Arc<Flight<V>>),
 }
 
 /// One memo cell: a finished value, or a computation currently in
@@ -215,6 +226,25 @@ fn lead<V>(compute: impl FnOnce() -> V, publish: impl FnOnce(Option<&V>)) -> V {
     let value = compute();
     (guard.publish.take().expect("publish consumed twice"))(Some(&value));
     value
+}
+
+/// The flights one [`Memo::get_or_compute_many`] round claimed, by
+/// claim order; a published one is taken out. Dropping the claims
+/// abandons every flight still open, so a batch that unwinds frees its
+/// waiters as a single leader's [`lead`] does.
+struct Claims<'a, 'k, V: Clone> {
+    memo: &'a Memo<V>,
+    keys: &'a [(&'k str, usize)],
+    open: Vec<Option<(usize, Arc<Flight<V>>)>>,
+}
+
+impl<V: Clone> Drop for Claims<'_, '_, V> {
+    fn drop(&mut self) {
+        for (i, flight) in self.open.iter_mut().filter_map(Option::take) {
+            let (key, tag) = self.keys[i];
+            self.memo.publish(key, tag, &flight, None);
+        }
+    }
 }
 
 /// A point-in-time copy of a memo's accounting: hits (computations
@@ -424,50 +454,160 @@ impl<V: Clone> Memo<V> {
     pub fn get_or_compute(&self, key: &str, tag: usize, compute: impl FnOnce() -> V) -> V {
         let mut watch = Stopwatch::started_if(false);
         let flight = loop {
-            let waiting = {
-                let mut shard = match self.shards.try_lock(key.as_bytes()) {
-                    Some(shard) => shard,
-                    None => {
-                        self.time_wait(&mut watch);
-                        self.shards.lock(key.as_bytes())
-                    }
-                };
-                let tick = shard.next_tick();
-                match shard.get_mut(key, tag) {
-                    Some(entry) => match &entry.slot {
-                        Slot::Ready(value) => {
-                            entry.last_used = tick;
-                            let value = value.clone();
-                            drop(shard);
-                            return self.hit(value, watch);
-                        }
-                        Slot::Pending(flight) => Arc::clone(flight),
-                    },
-                    None => {
-                        // First caller: install the flight, then compute
-                        // outside the shard lock.
-                        self.misses.inc();
-                        let flight = Flight::new();
-                        shard.map.entry(key.to_owned()).or_default().push(Entry {
-                            tag,
-                            slot: Slot::Pending(Arc::clone(&flight)),
-                            last_used: tick,
-                        });
-                        break flight;
+            match self.lookup(key, tag, &mut watch) {
+                Lookup::Ready(value) => return self.hit(value, watch),
+                Lookup::Claimed(flight) => break flight,
+                // Follower: wait for the leader's value (a hit — the
+                // memo saved this computation). `None` means the leader
+                // unwound; loop and race to become the new leader.
+                Lookup::Pending(flight) => {
+                    self.time_wait(&mut watch);
+                    if let Some(value) = flight.wait() {
+                        return self.hit(value, watch);
                     }
                 }
-            };
-            // Follower: wait for the leader's value (a hit — the memo
-            // saved this computation). `None` means the leader unwound;
-            // loop and race to become the new leader.
-            self.time_wait(&mut watch);
-            if let Some(value) = waiting.wait() {
-                return self.hit(value, watch);
             }
         };
         // Leader: on unwind the slot is removed, so followers retry
         // instead of hanging.
         lead(compute, |value| self.publish(key, tag, &flight, value))
+    }
+
+    /// One probe of `(key, tag)` under its shard lock (a contended lock
+    /// starts `watch`): a ready value is touched and returned; a pending
+    /// one hands back its flight to wait on; an absent one is claimed,
+    /// counted as a miss, by installing a fresh flight the caller must
+    /// publish.
+    fn lookup(&self, key: &str, tag: usize, watch: &mut Stopwatch) -> Lookup<V> {
+        let mut shard = match self.shards.try_lock(key.as_bytes()) {
+            Some(shard) => shard,
+            None => {
+                self.time_wait(watch);
+                self.shards.lock(key.as_bytes())
+            }
+        };
+        let tick = shard.next_tick();
+        match shard.get_mut(key, tag) {
+            Some(entry) => match &entry.slot {
+                Slot::Ready(value) => {
+                    entry.last_used = tick;
+                    Lookup::Ready(value.clone())
+                }
+                Slot::Pending(flight) => Lookup::Pending(Arc::clone(flight)),
+            },
+            None => {
+                self.misses.inc();
+                let flight = Flight::new();
+                shard.map.entry(key.to_owned()).or_default().push(Entry {
+                    tag,
+                    slot: Slot::Pending(Arc::clone(&flight)),
+                    last_used: tick,
+                });
+                Lookup::Claimed(flight)
+            }
+        }
+    }
+
+    /// The memoized values of a batch of `(key, tag)` pairs, in batch
+    /// order, with [`get_or_compute`](Self::get_or_compute)'s contract
+    /// per distinct key. The batch resolves in four steps:
+    ///
+    /// 1. repeated keys collapse onto their first position;
+    /// 2. every absent key is claimed by installing its flight, while
+    ///    ready keys answer at once;
+    /// 3. `compute` runs once over the claimed keys (distinct, in batch
+    ///    order) and must call `publish(j, value)` exactly once per
+    ///    claimed key `j`; each value is published to the memo, and to
+    ///    any thread waiting on it, as soon as it is handed over;
+    /// 4. only then does the caller wait on keys other threads lead.
+    ///
+    /// A leader therefore never waits before it has published, so
+    /// overlapping batches on several threads cannot deadlock, and a key
+    /// repeated within the batch is never waited on by its own leader.
+    /// A key whose leader unwound is claimed afresh in another round, so
+    /// `compute` may run more than once. If `compute` unwinds, or returns
+    /// leaving a claimed key unpublished, that key's flight is abandoned
+    /// (its waiters retry) and the call panics.
+    ///
+    /// Counters and `cache_lookup` observations are per position, as a
+    /// loop of `get_or_compute` calls would count them: a claimed key is
+    /// a miss, and every other position (ready, waited on, or a repeat)
+    /// a hit.
+    pub fn get_or_compute_many(
+        &self,
+        keys: &[(&str, usize)],
+        mut compute: impl FnMut(&[(&str, usize)], &mut dyn FnMut(usize, V)),
+    ) -> Vec<V> {
+        let mut first: HashMap<(&str, usize), usize> = HashMap::with_capacity(keys.len());
+        let mut todo = Vec::new();
+        let origin: Vec<usize> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| {
+                *first.entry(*key).or_insert_with(|| {
+                    todo.push(i);
+                    i
+                })
+            })
+            .collect();
+        let mut out: Vec<Option<V>> = vec![None; keys.len()];
+        while !todo.is_empty() {
+            let mut claimed = Claims {
+                memo: self,
+                keys,
+                open: Vec::new(),
+            };
+            let mut waiting = Vec::new();
+            for &i in &todo {
+                let (key, tag) = keys[i];
+                let mut watch = Stopwatch::started_if(false);
+                match self.lookup(key, tag, &mut watch) {
+                    Lookup::Ready(value) => out[i] = Some(self.hit(value, watch)),
+                    Lookup::Pending(flight) => waiting.push((i, flight, watch)),
+                    Lookup::Claimed(flight) => claimed.open.push(Some((i, flight))),
+                }
+            }
+            if !claimed.open.is_empty() {
+                let batch: Vec<(&str, usize)> = claimed
+                    .open
+                    .iter()
+                    .flatten()
+                    .map(|&(i, _)| keys[i])
+                    .collect();
+                compute(&batch, &mut |j, value| {
+                    let (i, flight) = claimed.open[j]
+                        .take()
+                        .expect("each claimed key is published once");
+                    let (key, tag) = keys[i];
+                    self.publish(key, tag, &flight, Some(&value));
+                    out[i] = Some(value);
+                });
+                assert!(
+                    claimed.open.iter().all(Option::is_none),
+                    "compute left a claimed key unpublished"
+                );
+            }
+            todo.clear();
+            for (i, flight, mut watch) in waiting {
+                self.time_wait(&mut watch);
+                match flight.wait() {
+                    Some(value) => out[i] = Some(self.hit(value, watch)),
+                    None => todo.push(i),
+                }
+            }
+        }
+        origin
+            .iter()
+            .enumerate()
+            .map(|(i, &f)| {
+                let value = out[f].clone().expect("every distinct key resolved");
+                if f == i {
+                    value
+                } else {
+                    self.hit(value, Stopwatch::started_if(false))
+                }
+            })
+            .collect()
     }
 
     /// Publishes a flight's outcome: `Some` marks the slot ready (and
@@ -932,6 +1072,283 @@ mod tests {
         let live: Memo<u8> = Memo::new(Some(1));
         live.time_lookups(Registry::new("on").histogram(teda_obs::stage::CACHE_LOOKUP));
         assert!(live.lookup_watch().is_running(), "recording histogram");
+    }
+
+    /// A batch computation that answers every claimed key with
+    /// [`value_of`], counting each key it computes in `calls`.
+    fn answer_all(
+        calls: &Mutex<HashMap<String, usize>>,
+        batch: &[(&str, usize)],
+        publish: &mut dyn FnMut(usize, String),
+    ) {
+        for (j, &(key, tag)) in batch.iter().enumerate() {
+            *calls.lock().unwrap().entry(key.to_owned()).or_default() += 1;
+            publish(j, value_of(key, tag));
+        }
+    }
+
+    /// Whether `(key, tag)` is in the memo, ready or pending.
+    fn present(memo: &Memo<String>, key: &str, tag: usize) -> bool {
+        memo.shards.lock(key.as_bytes()).get_mut(key, tag).is_some()
+    }
+
+    /// Overlapping batches from 2 and from 8 threads: every key is
+    /// computed exactly once, and every thread returns with the right
+    /// values. Each computation holds its values back until every key
+    /// of the batch is installed, so a thread's claimed keys are still
+    /// pending while the others look them up: the threads must wait on
+    /// each other's flights, and a leader that waited before publishing
+    /// would deadlock here.
+    #[test]
+    fn overlapping_batches_compute_each_key_once() {
+        for (threads, n_keys, rounds) in [(2usize, 2usize, 50), (8, 16, 20)] {
+            for _ in 0..rounds {
+                let memo: Memo<String> = Memo::new(None);
+                let calls = Mutex::new(HashMap::new());
+                let keys: Vec<String> = (0..n_keys).map(|k| format!("key{k}")).collect();
+                let start = std::sync::Barrier::new(threads);
+                std::thread::scope(|s| {
+                    for t in 0..threads {
+                        let (memo, calls, keys, start) = (&memo, &calls, &keys, &start);
+                        s.spawn(move || {
+                            // Thread t starts at key t and repeats one.
+                            let mut batch: Vec<(&str, usize)> = (0..n_keys)
+                                .map(|i| (keys[(t + i) % n_keys].as_str(), 1))
+                                .collect();
+                            batch.push(batch[0]);
+                            start.wait();
+                            let values = memo.get_or_compute_many(&batch, |claimed, publish| {
+                                while !keys.iter().all(|k| present(memo, k, 1)) {
+                                    std::thread::yield_now();
+                                }
+                                answer_all(calls, claimed, publish)
+                            });
+                            let want: Vec<String> =
+                                batch.iter().map(|&(k, tag)| value_of(k, tag)).collect();
+                            assert_eq!(values, want);
+                        });
+                    }
+                });
+                let calls = calls.into_inner().unwrap();
+                assert_eq!(calls.len(), n_keys);
+                assert!(
+                    calls.values().all(|&n| n == 1),
+                    "{threads} threads: {calls:?}"
+                );
+                let stats = memo.stats();
+                assert_eq!(stats.misses, n_keys as u64);
+                assert_eq!(stats.hits, (threads * (n_keys + 1) - n_keys) as u64);
+            }
+        }
+    }
+
+    /// Whether `(key, tag)` holds a published value.
+    fn ready(memo: &Memo<String>, key: &str, tag: usize) -> bool {
+        memo.shards
+            .lock(key.as_bytes())
+            .get_mut(key, tag)
+            .is_some_and(|e| e.slot.is_ready())
+    }
+
+    /// The order that makes overlapping batches safe, forced: another
+    /// leader holds "b" and will publish it only once "a" is ready,
+    /// while this batch leads "a" and needs "b". The batch must publish
+    /// "a" before it waits on "b"; one that waited first would never
+    /// see "b", and the other leader gives up after 10 s.
+    #[test]
+    fn a_leader_publishes_before_it_waits() {
+        use std::time::{Duration, Instant};
+
+        let memo: Memo<String> = Memo::new(None);
+        let (claimed_b, b_claimed) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let memo = &memo;
+            let other = s.spawn(move || {
+                memo.get_or_compute_many(&[("b", 0)], |batch, publish| {
+                    claimed_b.send(()).unwrap();
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while !ready(memo, "a", 0) {
+                        assert!(
+                            Instant::now() < deadline,
+                            "the batch waited before publishing"
+                        );
+                        std::thread::yield_now();
+                    }
+                    publish(0, value_of(batch[0].0, 0));
+                })
+            });
+            b_claimed.recv().unwrap();
+            let values = memo.get_or_compute_many(&[("a", 0), ("b", 0)], |batch, publish| {
+                assert_eq!(batch, [("a", 0)], "b is the other leader's");
+                publish(0, value_of("a", 0));
+            });
+            assert_eq!(values, ["a#0", "b#0"]);
+            assert_eq!(other.join().unwrap(), ["b#0"]);
+        });
+    }
+
+    #[test]
+    fn a_key_repeated_in_one_batch_is_computed_once_and_counted_per_position() {
+        let memo: Memo<String> = Memo::new(Some(1));
+        let calls = Mutex::new(HashMap::new());
+        let batch = [("a", 0), ("b", 0), ("a", 0), ("a", 1), ("b", 0)];
+        let values = memo.get_or_compute_many(&batch, |b, p| answer_all(&calls, b, p));
+        assert_eq!(values, ["a#0", "b#0", "a#0", "a#1", "b#0"]);
+        let calls = calls.into_inner().unwrap();
+        assert_eq!(
+            (calls["a"], calls["b"]),
+            (2, 1),
+            "a#0, a#1 and b#0 once each"
+        );
+        assert_eq!(
+            memo.stats(),
+            CacheStats {
+                hits: 2,
+                misses: 3,
+                evictions: 2
+            },
+            "the capacity-1 memo keeps only the last publish"
+        );
+    }
+
+    /// A batch whose computation publishes one key and then panics: the
+    /// published key stays, the other claimed keys' flights are
+    /// abandoned, and a thread already waiting on one of them retries
+    /// and computes it itself.
+    #[test]
+    fn a_panicking_batch_abandons_only_its_unpublished_flights() {
+        let memo: Memo<String> = Memo::new(None);
+        let waiters = |key: &str| match &memo.shards.lock(key.as_bytes()).get_mut(key, 0) {
+            Some(Entry {
+                slot: Slot::Pending(flight),
+                ..
+            }) => Arc::strong_count(flight),
+            _ => 0,
+        };
+        let (claimed, was_claimed) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let (memo, waiters) = (&memo, &waiters);
+            let leader = s.spawn(move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    memo.get_or_compute_many(&[("a", 0), ("b", 0), ("c", 0)], |batch, publish| {
+                        assert_eq!(batch.len(), 3);
+                        publish(0, value_of("a", 0));
+                        claimed.send(()).unwrap();
+                        // The slot, the batch's claim and the waiter.
+                        while waiters("b") < 3 {
+                            std::thread::yield_now();
+                        }
+                        panic!("backend exploded mid-batch");
+                    })
+                }))
+            });
+            was_claimed.recv().unwrap();
+            let waiter = s.spawn(|| memo.get_or_compute("b", 0, || "retried".to_owned()));
+            assert!(leader.join().unwrap().is_err(), "the panic propagates");
+            assert_eq!(waiter.join().unwrap(), "retried");
+        });
+        assert_eq!(memo.get_or_compute("a", 0, || unreachable!()), "a#0");
+        assert_eq!(memo.get_or_compute("c", 0, || "fresh".into()), "fresh");
+        assert_eq!(memo.len(), 3);
+        assert_eq!(
+            memo.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 5,
+                evictions: 0
+            },
+            "a, b, c, then b and c again are misses; a's second lookup a hit"
+        );
+    }
+
+    #[test]
+    fn a_batch_that_leaves_a_key_unpublished_abandons_it() {
+        let memo: Memo<String> = Memo::new(None);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            memo.get_or_compute_many(&[("a", 0), ("b", 0)], |_, publish| {
+                publish(1, value_of("b", 0))
+            })
+        }));
+        assert!(unwound.is_err());
+        assert!(!present(&memo, "a", 0), "the unpublished flight is gone");
+        assert_eq!(memo.get_or_compute("b", 0, || unreachable!()), "b#0");
+    }
+
+    #[test]
+    fn pending_batch_entries_are_never_evicted() {
+        use std::sync::mpsc;
+
+        let memo: Memo<String> = Memo::new(Some(1));
+        let (started, flights_installed) = mpsc::channel();
+        let (release, gate) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let slow = s.spawn(|| {
+                memo.get_or_compute_many(&[("slow", 2), ("slower", 2)], move |batch, publish| {
+                    started.send(()).unwrap();
+                    gate.recv().unwrap();
+                    for (j, &(key, tag)) in batch.iter().enumerate() {
+                        publish(j, value_of(key, tag));
+                    }
+                })
+            });
+            // While both keys are in flight, fill the shard past
+            // capacity: "b" evicts "a" and "c" evicts "b", never a
+            // pending entry.
+            flights_installed.recv().unwrap();
+            for key in ["a", "b", "c"] {
+                memo.get_or_compute(key, 2, || value_of(key, 2));
+            }
+            assert_eq!(memo.stats().evictions, 2);
+            assert!(present(&memo, "slow", 2) && present(&memo, "slower", 2));
+            release.send(()).unwrap();
+            assert_eq!(slow.join().unwrap(), ["slow#2", "slower#2"]);
+        });
+        // Each publish then evicts the least recent ready entry.
+        let keys: Vec<String> = memo
+            .ready_entries()
+            .into_iter()
+            .map(|(key, _, _)| key)
+            .collect();
+        assert_eq!(keys, ["slower"]);
+        assert_eq!(memo.stats().evictions, 4);
+    }
+
+    proptest! {
+        /// The batch path counts as a loop of single lookups over the
+        /// same sequence: the same values, hits, misses, memo contents
+        /// and `cache_lookup` observations, batch after batch.
+        #[test]
+        fn batches_count_like_the_per_key_path(
+            batches in collection::vec(
+                collection::vec((0usize..8, 0usize..2), 0..10),
+                0..12,
+            ),
+        ) {
+            let batched: Memo<String> = Memo::new(None);
+            let single: Memo<String> = Memo::new(None);
+            let hist_batched = Registry::new("batched").histogram(teda_obs::stage::CACHE_LOOKUP);
+            let hist_single = Registry::new("single").histogram(teda_obs::stage::CACHE_LOOKUP);
+            batched.time_lookups(Arc::clone(&hist_batched));
+            single.time_lookups(Arc::clone(&hist_single));
+            let calls = Mutex::new(HashMap::new());
+            for batch in batches {
+                let keys: Vec<String> = batch.iter().map(|(k, _)| format!("key{k}")).collect();
+                let batch: Vec<(&str, usize)> = keys
+                    .iter()
+                    .zip(&batch)
+                    .map(|(key, &(_, tag))| (key.as_str(), tag))
+                    .collect();
+                let got = batched.get_or_compute_many(&batch, |b, p| answer_all(&calls, b, p));
+                let want: Vec<String> = batch
+                    .iter()
+                    .map(|&(key, tag)| single.get_or_compute(key, tag, || value_of(key, tag)))
+                    .collect();
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(batched.stats(), single.stats());
+                prop_assert_eq!(batched.ready_entries(), single.ready_entries());
+                prop_assert_eq!(hist_batched.snapshot(), hist_single.snapshot());
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! [`SegmentedCorpus`](crate::SegmentedCorpus), `teda-store`'s in-place
 //! `ViewBackend` and `teda-cluster`'s shard backend and router. [`SwappableBackend`] adds atomic hot swap so a
 //! live service can fold in a freshly journaled segment without
-//! restarting (each query runs against one coherent backend, before or
-//! after the swap, never a mixture).
+//! restarting (each query, and each batch of queries, runs against one
+//! coherent backend, before or after the swap, never a mixture).
 
 use std::sync::{Arc, RwLock};
 
@@ -77,6 +77,23 @@ pub trait SearchBackend: Send + Sync {
             .zip(self.search_results(query, k))
             .map(|((id, score), result)| (id, score, result))
             .collect()
+    }
+
+    /// Answers a batch of `(query, k)` pairs: `answer(i, results)` runs
+    /// exactly once per position `i` of `queries`, each with what
+    /// [`search_results`](Self::search_results) would return for that
+    /// pair, in any order. The default loops over `search_results` and
+    /// hands each answer back as soon as it exists; a backend whose
+    /// queries cost a round trip (the cluster router) overrides it to
+    /// send the batch at once.
+    fn search_many(
+        &self,
+        queries: &[(&str, usize)],
+        answer: &mut dyn FnMut(usize, Vec<SearchResult>),
+    ) {
+        for (i, &(query, k)) in queries.iter().enumerate() {
+            answer(i, self.search_results(query, k));
+        }
     }
 
     /// Number of pages in the collection.
@@ -256,6 +273,16 @@ impl SearchBackend for SwappableBackend {
         // One resolve, one ranking: ids, scores and fields all come
         // from the backend current at the call.
         self.current().search_hits(query, k)
+    }
+
+    fn search_many(
+        &self,
+        queries: &[(&str, usize)],
+        answer: &mut dyn FnMut(usize, Vec<SearchResult>),
+    ) {
+        // One resolve per batch: every query of it runs against the
+        // backend current at the call.
+        self.current().search_many(queries, answer)
     }
 
     fn n_docs(&self) -> usize {

@@ -37,17 +37,49 @@ pub struct SearchResult {
 pub trait SearchEngine {
     /// Returns the top-`k` results for `query` (possibly fewer).
     fn search(&self, query: &str, k: usize) -> Vec<SearchResult>;
+
+    /// Answers a batch of `(query, k)` pairs: `answer(i, results)` runs
+    /// exactly once per position `i` of `queries`, each with what
+    /// [`search`](Self::search) would return for that pair, in any
+    /// order. The default loops over `search` and hands each answer
+    /// back as soon as it exists; an engine that can resolve a batch
+    /// in fewer round trips overrides it.
+    fn search_many(
+        &self,
+        queries: &[(&str, usize)],
+        answer: &mut dyn FnMut(usize, Vec<SearchResult>),
+    ) {
+        for (i, &(query, k)) in queries.iter().enumerate() {
+            answer(i, self.search(query, k));
+        }
+    }
 }
 
 impl<E: SearchEngine + ?Sized> SearchEngine for &E {
     fn search(&self, query: &str, k: usize) -> Vec<SearchResult> {
         (**self).search(query, k)
     }
+
+    fn search_many(
+        &self,
+        queries: &[(&str, usize)],
+        answer: &mut dyn FnMut(usize, Vec<SearchResult>),
+    ) {
+        (**self).search_many(queries, answer)
+    }
 }
 
 impl<E: SearchEngine + ?Sized> SearchEngine for Arc<E> {
     fn search(&self, query: &str, k: usize) -> Vec<SearchResult> {
         (**self).search(query, k)
+    }
+
+    fn search_many(
+        &self,
+        queries: &[(&str, usize)],
+        answer: &mut dyn FnMut(usize, Vec<SearchResult>),
+    ) {
+        (**self).search_many(queries, answer)
     }
 }
 
@@ -107,17 +139,34 @@ impl BingSim {
     pub fn clock(&self) -> &VirtualClock {
         &self.clock
     }
+
+    /// Charges `n` queries: one latency sample each on the shared
+    /// clock, and `n` on the query counter.
+    fn charge(&self, n: usize) {
+        let mut rng = self.rng.lock().expect("engine rng poisoned");
+        for _ in 0..n {
+            self.clock.advance(self.latency.sample(&mut *rng));
+        }
+        drop(rng);
+        self.queries.fetch_add(n as u64, Ordering::Relaxed);
+    }
 }
 
 impl SearchEngine for BingSim {
     fn search(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        let d = {
-            let mut rng = self.rng.lock().expect("engine rng poisoned");
-            self.latency.sample(&mut *rng)
-        };
-        self.clock.advance(d);
-        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.charge(1);
         self.backend.search_results(query, k)
+    }
+
+    /// Charges one query per key, as that many `search` calls would,
+    /// then hands the whole batch to the backend.
+    fn search_many(
+        &self,
+        queries: &[(&str, usize)],
+        answer: &mut dyn FnMut(usize, Vec<SearchResult>),
+    ) {
+        self.charge(queries.len());
+        self.backend.search_many(queries, answer)
     }
 }
 
@@ -175,6 +224,27 @@ mod tests {
         engine.search("anything else", 10);
         assert_eq!(clock.now(), Duration::from_millis(800));
         assert_eq!(engine.query_count(), 2);
+    }
+
+    #[test]
+    fn a_batch_charges_each_key_and_answers_like_search() {
+        let w = World::generate(WorldSpec::tiny(), 1);
+        let c = WebCorpus::build(&w, WebCorpusSpec::tiny(), 1);
+        let clock = VirtualClock::new();
+        let engine = BingSim::new(
+            Arc::new(c),
+            clock.clone(),
+            LatencyModel::Fixed(Duration::from_millis(400)),
+        );
+        let name = w.entities()[0].name.clone();
+        let batch = [(name.as_str(), 5), ("anything", 10), (name.as_str(), 0)];
+        let mut answers = vec![None; batch.len()];
+        engine.search_many(&batch, &mut |i, results| answers[i] = Some(results));
+        assert_eq!(engine.query_count(), 3, "one query per key");
+        assert_eq!(clock.now(), Duration::from_millis(1200));
+        for (answer, &(query, k)) in answers.into_iter().zip(&batch) {
+            assert_eq!(answer, Some(engine.search(query, k)));
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::time::Duration;
 use teda_websim::PageId;
 
 use crate::protocol::{
-    parse_hits, parse_scored, parse_shard_stats, read_frame, Reply, Request, SearchHit,
+    parse_hits, parse_many, parse_scored, parse_shard_stats, read_frame, Reply, Request, SearchHit,
     ShardStatsReport, WireError,
 };
 
@@ -174,6 +174,20 @@ impl WireClient {
             full: true,
         })?;
         parse_hits(&payload)
+    }
+
+    /// `SEARCH-MANY`: [`search_full`](Self::search_full) for each
+    /// `(query, k)` pair, in one frame and in request order. At most
+    /// [`MAX_BATCH`](crate::protocol::MAX_BATCH) pairs fit a frame; an
+    /// empty or larger batch is a `bad-request`.
+    pub fn search_many(
+        &mut self,
+        queries: &[(&str, usize)],
+    ) -> Result<Vec<Vec<SearchHit>>, WireError> {
+        let payload = self.roundtrip(&Request::SearchMany {
+            queries: queries.iter().map(|&(q, k)| (k, q.to_owned())).collect(),
+        })?;
+        parse_many(&payload, queries.len())
     }
 
     /// `SHARD-STATS`: the node's shard identity, document counts and

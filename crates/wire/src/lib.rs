@@ -23,11 +23,12 @@
 //!   BUDGET                   remaining query pool
 //!   SEARCH <k> <query>       scored top-k page ids (exact f64 bits)
 //!   SEARCH-FULL <k> <query>  scored top-k with hydrated page fields
+//!   SEARCH-MANY <n> <k> <q>\t…  SEARCH-FULL for n ≤ 16 queries at once
 //!   SHARD-STATS              shard identity + global corpus stats
 //!   STATS JSON               full ServiceStats as one JSON object
 //!   METRICS                  Prometheus-style stage histograms
 //!   TRACE-DUMP <id>          one completed span tree by trace id
-//!   TRACE <id> <request>     run SEARCH/ANNOTATE/TRY under trace id
+//!   TRACE <id> <request>     run a search verb, ANNOTATE or TRY under trace id
 //!   QUIT                     orderly close
 //!   ```
 //!

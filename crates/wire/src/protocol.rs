@@ -18,6 +18,8 @@
 //!          | "SNAPSHOT" LF                  ; persist the query-cache snapshot
 //!          | "SEARCH" SP k SP query LF      ; scored top-k page ids
 //!          | "SEARCH-FULL" SP k SP query LF ; scored top-k with page fields
+//!          | "SEARCH-MANY" SP n SP item *(HTAB item) LF
+//!                                         ; SEARCH-FULL for n queries at once
 //!          | "SHARD-STATS" LF               ; shard identity + global stats
 //!          | "STATS" SP "JSON" LF           ; ServiceStats as one JSON object
 //!          | "METRICS" LF                   ; Prometheus-style exposition
@@ -26,6 +28,8 @@
 //!          | "QUIT" LF                      ; close the connection
 //! name     = 1*VCHAR                        ; no spaces, ≤ 256 bytes
 //! k        = 1*DIGIT                        ; ≤ MAX_K
+//! n        = 1*DIGIT                        ; 1 ≤ n ≤ MAX_BATCH, the item count
+//! item     = k SP query                     ; the query escaped, so tab-free
 //! id       = 16HEXDIG                       ; a trace id, zero-padded hex
 //! csv      = escaped CSV document, optionally led by a "#types" row
 //!
@@ -38,7 +42,9 @@
 //! `SEARCH` scores travel as 16-hex-digit IEEE-754 bit patterns
 //! ([`render_scored`]), so cluster bit-identity is never at the mercy of
 //! decimal formatting; `SEARCH-FULL` adds the assembled result fields as
-//! tab-separated, field-escaped columns ([`render_hits`]).
+//! tab-separated, field-escaped columns ([`render_hits`]). A
+//! `SEARCH-MANY` reply is a `queries=<n>` header, then one
+//! [`render_hits`] body per query in request order ([`render_many`]).
 //!
 //! `ANNOTATE`/`TRY` payloads parse through
 //! [`teda_corpus::table_from_csv`], i.e. the exact format
@@ -62,6 +68,18 @@ pub const MAX_NAME: usize = 256;
 /// Bound on `SEARCH`'s `k`, enforced at parse time so a hostile frame
 /// cannot make the server pre-size unbounded result buffers.
 pub const MAX_K: usize = 100_000;
+
+/// Bound on the queries of one `SEARCH-MANY` frame, enforced at parse
+/// time; a caller with more splits them over several frames. At the
+/// served `k = 10` a cell query's answer renders to about 2 KB, so a
+/// frame stays near 35 KB: far under [`MAX_FRAME`], and under the
+/// 128 KiB above which glibc's allocator maps a buffer with `mmap` and,
+/// once it is freed, raises that threshold for the rest of the process,
+/// keeping later buffers of that size in its arenas. Larger frames
+/// (64 queries, up to ~115 KB) raised `serve_cluster`'s peak RSS by
+/// ~7% through buffers retained in the allocator's per-thread arenas,
+/// for no measurable throughput gain.
+pub const MAX_BATCH: usize = 16;
 
 /// Reads one bounded frame from a buffered stream — the one framing
 /// routine both the server and the client use, so the [`MAX_FRAME`]
@@ -169,6 +187,13 @@ pub enum Request {
         /// Whether to hydrate page fields (`SEARCH-FULL`).
         full: bool,
     },
+    /// `SEARCH-MANY <n> <k> <query>\t…` — `SEARCH-FULL` for each of
+    /// `1..=`[`MAX_BATCH`] `(k, query)` pairs in one frame, answered in
+    /// request order ([`render_many`]).
+    SearchMany {
+        /// The `(k, query)` pairs (each `k` ≤ [`MAX_K`]).
+        queries: Vec<(usize, String)>,
+    },
     /// `SHARD-STATS` — this node's shard identity and the global corpus
     /// statistics it scores with ([`render_shard_stats`]).
     ShardStats,
@@ -186,7 +211,8 @@ pub enum Request {
     },
     /// `TRACE <id> <request>` — run the inner request under the
     /// caller's trace id, so a cross-node request reconstructs from one
-    /// id. Only `SEARCH`/`SEARCH-FULL`/`ANNOTATE`/`TRY` can be traced.
+    /// id. Only `SEARCH`/`SEARCH-FULL`/`SEARCH-MANY`/`ANNOTATE`/`TRY`
+    /// can be traced.
     Traced {
         /// The caller-minted trace id.
         id: u64,
@@ -223,11 +249,12 @@ impl Request {
                 let inner = Request::parse(inner_line)?;
                 if !matches!(
                     inner,
-                    Request::Search { .. } | Request::Annotate { .. } | Request::Try { .. }
+                    Request::Search { .. }
+                        | Request::SearchMany { .. }
+                        | Request::Annotate { .. }
+                        | Request::Try { .. }
                 ) {
-                    return Err(WireError::BadRequest(
-                        "TRACE only prefixes SEARCH/SEARCH-FULL/ANNOTATE/TRY".into(),
-                    ));
+                    return Err(WireError::BadRequest(TRACEABLE.into()));
                 }
                 Ok(Request::Traced {
                     id,
@@ -251,20 +278,42 @@ impl Request {
                 }
             }
             ("SEARCH", Some(rest)) | ("SEARCH-FULL", Some(rest)) => {
-                let (k, query) = rest.split_once(' ').ok_or_else(|| {
-                    WireError::BadRequest(format!("{verb} needs a k and a query"))
-                })?;
-                let k: usize = k
-                    .parse()
-                    .map_err(|_| WireError::BadRequest(format!("bad k {k:?}")))?;
-                if k > MAX_K {
-                    return Err(WireError::BadRequest(format!("k {k} exceeds {MAX_K}")));
-                }
+                let (k, query) = parse_query(rest, verb)?;
                 Ok(Request::Search {
                     k,
-                    query: unescape(query)?,
+                    query,
                     full: verb == "SEARCH-FULL",
                 })
+            }
+            ("SEARCH-MANY", Some(rest)) => {
+                let (n, items) = rest.split_once(' ').unwrap_or((rest, ""));
+                let n: usize = n
+                    .parse()
+                    .map_err(|_| WireError::BadRequest(format!("bad query count {n:?}")))?;
+                if n == 0 {
+                    return Err(WireError::BadRequest("SEARCH-MANY of no queries".into()));
+                }
+                if n > MAX_BATCH {
+                    return Err(WireError::BadRequest(format!(
+                        "SEARCH-MANY of {n} queries exceeds {MAX_BATCH}"
+                    )));
+                }
+                let mut queries = Vec::with_capacity(n);
+                for item in items.split('\t') {
+                    if queries.len() == n {
+                        return Err(WireError::BadRequest(format!(
+                            "SEARCH-MANY promised {n} queries, carried more"
+                        )));
+                    }
+                    queries.push(parse_query(item, verb)?);
+                }
+                if queries.len() != n {
+                    return Err(WireError::BadRequest(format!(
+                        "SEARCH-MANY promised {n} queries, carried {}",
+                        queries.len()
+                    )));
+                }
+                Ok(Request::SearchMany { queries })
             }
             ("STATS", Some(_)) => Err(WireError::BadRequest(
                 "STATS takes no arguments (or the single word JSON)".into(),
@@ -273,7 +322,8 @@ impl Request {
                 Err(WireError::BadRequest(format!("{verb} takes no arguments")))
             }
             (
-                "CLIENT" | "ANNOTATE" | "TRY" | "SEARCH" | "SEARCH-FULL" | "TRACE-DUMP" | "TRACE",
+                "CLIENT" | "ANNOTATE" | "TRY" | "SEARCH" | "SEARCH-FULL" | "SEARCH-MANY"
+                | "TRACE-DUMP" | "TRACE",
                 None,
             ) => Err(WireError::BadRequest(format!("{verb} needs arguments"))),
             ("", _) => Err(WireError::BadRequest("empty request".into())),
@@ -296,6 +346,13 @@ impl Request {
             Request::Search { k, query, full } => {
                 let verb = if *full { "SEARCH-FULL" } else { "SEARCH" };
                 format!("{verb} {k} {}\n", escape(query))
+            }
+            Request::SearchMany { queries } => {
+                let items: Vec<String> = queries
+                    .iter()
+                    .map(|(k, query)| format!("{k} {}", escape(query)))
+                    .collect();
+                format!("SEARCH-MANY {} {}\n", queries.len(), items.join("\t"))
             }
             Request::ShardStats => "SHARD-STATS\n".into(),
             Request::StatsJson => "STATS JSON\n".into(),
@@ -321,6 +378,7 @@ impl Request {
             Request::Stats
             | Request::Budget
             | Request::Search { .. }
+            | Request::SearchMany { .. }
             | Request::ShardStats
             | Request::StatsJson
             | Request::Metrics
@@ -329,6 +387,25 @@ impl Request {
             _ => false,
         }
     }
+}
+
+/// What a `TRACE` prefix may wrap, as its `bad-request` says.
+pub(crate) const TRACEABLE: &str =
+    "TRACE only prefixes SEARCH/SEARCH-FULL/SEARCH-MANY/ANNOTATE/TRY";
+
+/// Parses one `<k> <query>` pair of a search verb: `k` bounded by
+/// [`MAX_K`], the query unescaped.
+fn parse_query(item: &str, verb: &str) -> Result<(usize, String), WireError> {
+    let (k, query) = item
+        .split_once(' ')
+        .ok_or_else(|| WireError::BadRequest(format!("{verb} needs a k and a query")))?;
+    let k: usize = k
+        .parse()
+        .map_err(|_| WireError::BadRequest(format!("bad k {k:?}")))?;
+    if k > MAX_K {
+        return Err(WireError::BadRequest(format!("k {k} exceeds {MAX_K}")));
+    }
+    Ok((k, unescape(query)?))
 }
 
 fn parse_trace_id(hex: &str) -> Result<u64, WireError> {
@@ -711,11 +788,10 @@ fn parse_score(hex: &str) -> Result<f64, WireError> {
         .map_err(|_| WireError::BadRequest(format!("bad score hex {hex:?}")))
 }
 
-fn parse_hits_header(payload: &str) -> Result<(usize, std::str::Lines<'_>), WireError> {
-    let mut lines = payload.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| WireError::BadRequest("empty search payload".into()))?;
+/// Reads a `hits=<n>` header (`None`: the payload ended first),
+/// bounding `n` by [`MAX_K`] before anyone allocates for it.
+fn parse_hits_header(header: Option<&str>) -> Result<usize, WireError> {
+    let header = header.ok_or_else(|| WireError::BadRequest("empty search payload".into()))?;
     let n: usize = header
         .strip_prefix("hits=")
         .and_then(|n| n.parse().ok())
@@ -725,7 +801,7 @@ fn parse_hits_header(payload: &str) -> Result<(usize, std::str::Lines<'_>), Wire
             "search payload claims {n} hits (max {MAX_K})"
         )));
     }
-    Ok((n, lines))
+    Ok(n)
 }
 
 /// Renders a `SEARCH` success payload: a `hits=<n>` header, then one
@@ -747,7 +823,8 @@ pub fn render_scored(hits: &[(PageId, f64)]) -> String {
 /// does not match the header, or a header past [`MAX_K`] is a
 /// [`WireError::BadRequest`].
 pub fn parse_scored(payload: &str) -> Result<Vec<(PageId, f64)>, WireError> {
-    let (n, lines) = parse_hits_header(payload)?;
+    let mut lines = payload.lines();
+    let n = parse_hits_header(lines.next())?;
     let mut hits = Vec::with_capacity(n);
     for line in lines {
         let (id, hex) = line
@@ -772,9 +849,17 @@ pub fn parse_scored(payload: &str) -> Result<Vec<(PageId, f64)>, WireError> {
 /// each text field [`escape`]d — tabs in field content become `\t`, so
 /// the five columns are unambiguous for arbitrary page text.
 pub fn render_hits(hits: &[SearchHit]) -> String {
+    let mut out = String::new();
+    render_hits_into(&mut out, hits);
+    out
+}
+
+/// Appends one [`render_hits`] body to `out`.
+fn render_hits_into(out: &mut String, hits: &[SearchHit]) {
     use std::fmt::Write;
 
-    let mut out = format!("hits={}\n", hits.len());
+    // teda-lint: allow(panic_on_untrusted) -- fmt::Write into String is infallible
+    writeln!(out, "hits={}", hits.len()).expect("string write");
     for h in hits {
         writeln!(
             out,
@@ -788,15 +873,66 @@ pub fn render_hits(hits: &[SearchHit]) -> String {
         // teda-lint: allow(panic_on_untrusted) -- fmt::Write into String is infallible
         .expect("string write");
     }
-    out
 }
 
 /// Reverses [`render_hits`], with the same typed failure modes as
 /// [`parse_scored`].
 pub fn parse_hits(payload: &str) -> Result<Vec<SearchHit>, WireError> {
-    let (n, lines) = parse_hits_header(payload)?;
+    let mut lines = payload.lines();
+    let hits = parse_hit_block(&mut lines)?;
+    if lines.next().is_some() {
+        return Err(WireError::BadRequest(format!(
+            "search payload promised {} hits, carried more",
+            hits.len()
+        )));
+    }
+    Ok(hits)
+}
+
+/// Renders a `SEARCH-MANY` success payload: a `queries=<n>` header,
+/// then one [`render_hits`] body per query, in request order.
+pub fn render_many(answers: &[Vec<SearchHit>]) -> String {
+    let mut out = format!("queries={}\n", answers.len());
+    for hits in answers {
+        render_hits_into(&mut out, hits);
+    }
+    out
+}
+
+/// Reverses [`render_many`] for a request of `sent` queries. A count
+/// other than `sent`, a truncated or malformed body, or trailing lines
+/// are a [`WireError::BadRequest`].
+pub fn parse_many(payload: &str, sent: usize) -> Result<Vec<Vec<SearchHit>>, WireError> {
+    let mut lines = payload.lines();
+    let header = lines
+        .next()
+        .ok_or_else(|| WireError::BadRequest("empty SEARCH-MANY payload".into()))?;
+    let n: usize = header
+        .strip_prefix("queries=")
+        .and_then(|n| n.parse().ok())
+        .ok_or_else(|| WireError::BadRequest(format!("bad SEARCH-MANY header {header:?}")))?;
+    if n != sent {
+        return Err(WireError::BadRequest(format!(
+            "SEARCH-MANY answered {n} queries, {sent} were sent"
+        )));
+    }
+    let answers = (0..n)
+        .map(|_| parse_hit_block(&mut lines))
+        .collect::<Result<Vec<_>, _>>()?;
+    if lines.next().is_some() {
+        return Err(WireError::BadRequest(
+            "SEARCH-MANY payload carries trailing lines".into(),
+        ));
+    }
+    Ok(answers)
+}
+
+/// Reads one [`render_hits`] body off `lines`: its `hits=<m>` header
+/// and exactly `m` hit lines.
+fn parse_hit_block(lines: &mut std::str::Lines<'_>) -> Result<Vec<SearchHit>, WireError> {
+    let n = parse_hits_header(lines.next())?;
     let mut hits = Vec::with_capacity(n);
-    for line in lines {
+    for line in lines.take(n) {
         let mut cols = line.splitn(5, '\t');
         let mut col = |what: &'static str| {
             cols.next()
@@ -912,10 +1048,24 @@ mod tests {
                 query: "multi\nline".into(),
                 full: true,
             },
+            Request::SearchMany {
+                queries: vec![
+                    (10, "harbor\tmuseum".into()),
+                    (0, String::new()),
+                    (3, "multi\nline \\ q".into()),
+                    (10, "harbor\tmuseum".into()),
+                ],
+            },
             Request::ShardStats,
             Request::StatsJson,
             Request::Metrics,
             Request::TraceDump { id: 0x2a },
+            Request::Traced {
+                id: 9,
+                inner: Box::new(Request::SearchMany {
+                    queries: vec![(1, "q".into())],
+                }),
+            },
             Request::Traced {
                 id: u64::MAX,
                 inner: Box::new(Request::Search {
@@ -995,6 +1145,9 @@ mod tests {
                 k: 1,
                 query: "q".into(),
                 full: true,
+            },
+            Request::SearchMany {
+                queries: vec![(1, "q".into())],
             },
             Request::StatsJson,
             Request::Metrics,
@@ -1105,6 +1258,90 @@ mod tests {
                 "{bad:?} must be a bad-request"
             );
         }
+    }
+
+    #[test]
+    fn search_many_frames_are_bounded_and_typed() {
+        let batch = |n: usize| {
+            let items: Vec<String> = (0..n).map(|i| format!("10 q{i}")).collect();
+            format!("SEARCH-MANY {n} {}\n", items.join("\t"))
+        };
+        assert!(Request::parse(&batch(1)).is_ok());
+        assert!(Request::parse(&batch(MAX_BATCH)).is_ok());
+        let ok = Request::parse("SEARCH-MANY 2 10 a\t0 \n").unwrap();
+        assert_eq!(
+            ok,
+            Request::SearchMany {
+                queries: vec![(10, "a".into()), (0, String::new())]
+            }
+        );
+        for bad in [
+            // a truncated frame
+            "SEARCH-MANY",
+            "SEARCH-MANY 2",
+            "SEARCH-MANY 2 10",
+            "SEARCH-MANY 2 10 a\t10",
+            // a count that does not match the queries sent
+            "SEARCH-MANY 2 10 a",
+            "SEARCH-MANY 1 10 a\t10 b",
+            "SEARCH-MANY x 10 a",
+            // k past MAX_K, and a bad k
+            &format!("SEARCH-MANY 2 10 a\t{} b", MAX_K + 1),
+            "SEARCH-MANY 1 ten a",
+            // an empty batch, and one past the per-frame bound
+            "SEARCH-MANY 0 ",
+            "SEARCH-MANY 0",
+            &batch(MAX_BATCH + 1),
+            // a bad escape inside one query
+            "SEARCH-MANY 2 10 a\t10 b\\q",
+        ] {
+            assert!(
+                matches!(Request::parse(bad), Err(WireError::BadRequest(_))),
+                "{bad:?} must be a bad-request"
+            );
+        }
+    }
+
+    #[test]
+    fn many_hits_round_trip_and_reject_truncation() {
+        let hit = |id: u32, snippet: &str| SearchHit {
+            id: PageId(id),
+            score: f64::from(id) * 0.5,
+            result: SearchResult {
+                url: format!("http://web.sim/{id}"),
+                title: "Tab\there".into(),
+                snippet: snippet.into(),
+            },
+        };
+        let answers = vec![
+            vec![hit(3, "first"), hit(1, "second\nline")],
+            Vec::new(),
+            vec![hit(7, "")],
+        ];
+        let payload = render_many(&answers);
+        assert_eq!(parse_many(&payload, 3).unwrap(), answers);
+        let framed = Reply::Ok(payload.clone()).encode();
+        assert_eq!(framed.matches('\n').count(), 1, "one frame");
+        let Reply::Ok(unframed) = Reply::parse(&framed).unwrap() else {
+            panic!("expected OK");
+        };
+        assert_eq!(parse_many(&unframed, 3).unwrap(), answers);
+
+        // A count that does not match the queries sent.
+        for sent in [0, 2, 4] {
+            assert!(parse_many(&payload, sent).is_err(), "sent {sent}");
+        }
+        // Every payload cut at a line boundary is truncated.
+        let lines: Vec<&str> = payload.lines().collect();
+        for cut in 0..lines.len() {
+            let truncated = lines[..cut].join("\n");
+            assert!(
+                matches!(parse_many(&truncated, 3), Err(WireError::BadRequest(_))),
+                "cut after {cut} lines"
+            );
+        }
+        assert!(parse_many(&format!("{payload}extra\n"), 3).is_err());
+        assert!(parse_many("queries=1\nhits=999999999\n", 1).is_err());
     }
 
     #[test]

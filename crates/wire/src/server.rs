@@ -32,8 +32,9 @@ use teda_service::{AnnotationService, ClientId, SubmitRequest, Wait};
 use teda_websim::SearchBackend;
 
 use crate::protocol::{
-    read_frame, render_annotations, render_hits, render_scored, render_shard_stats, render_stats,
-    render_stats_json, Reply, Request, SearchHit, ShardInfo, ShardStatsReport, WireError,
+    read_frame, render_annotations, render_hits, render_many, render_scored, render_shard_stats,
+    render_stats, render_stats_json, Reply, Request, SearchHit, ShardInfo, ShardStatsReport,
+    WireError, TRACEABLE,
 };
 
 /// Threads and sockets the server must reap on shutdown.
@@ -63,8 +64,10 @@ pub struct SearchNode {
 struct NodeParts {
     service: Option<Arc<AnnotationService>>,
     search: Option<SearchNode>,
-    /// Lifetime `SEARCH`/`SEARCH-FULL` counter, for `SHARD-STATS`;
-    /// registered on `obs` as `searches` when the node serves search.
+    /// Lifetime count of queries searched (one per `SEARCH`/
+    /// `SEARCH-FULL`, one per query of a `SEARCH-MANY`), for
+    /// `SHARD-STATS`; registered on `obs` as `searches` when the node
+    /// serves search.
     searches: Arc<Counter>,
     /// The node's observability surface: the service's registry when
     /// this node runs one (so `METRICS` sees the scheduler's stage
@@ -344,9 +347,11 @@ fn handle_connection(parts: &NodeParts, stream: TcpStream, stop: &AtomicBool) {
                     parts.searches.inc();
                     serve_search(node, &query, k, full)
                 }
-                None => Reply::Err(WireError::BadRequest(
-                    "this node serves no search backend".into(),
-                )),
+                None => no_search(),
+            },
+            Ok(Request::SearchMany { queries }) => match &parts.search {
+                Some(node) => serve_search_many(parts, node, &queries),
+                None => no_search(),
             },
             Ok(Request::ShardStats) => match &parts.search {
                 Some(node) => {
@@ -364,9 +369,7 @@ fn handle_connection(parts: &NodeParts, stream: TcpStream, stop: &AtomicBool) {
                         searches: parts.searches.get(),
                     }))
                 }
-                None => Reply::Err(WireError::BadRequest(
-                    "this node serves no search backend".into(),
-                )),
+                None => no_search(),
             },
         };
         if writer.write_all(reply.encode().as_bytes()).is_err() {
@@ -374,6 +377,25 @@ fn handle_connection(parts: &NodeParts, stream: TcpStream, stop: &AtomicBool) {
         }
         let _ = writer.flush();
     }
+}
+
+/// The reply to a search verb on a node that serves no search backend.
+fn no_search() -> Reply {
+    Reply::Err(WireError::BadRequest(
+        "this node serves no search backend".into(),
+    ))
+}
+
+/// Serves one `SEARCH-MANY` request: each query ranked once, as
+/// `SEARCH-FULL` ranks it, and answered in request order. Each query
+/// counts as one search.
+fn serve_search_many(parts: &NodeParts, node: &SearchNode, queries: &[(usize, String)]) -> Reply {
+    parts.searches.add(queries.len() as u64);
+    let answers: Vec<Vec<SearchHit>> = queries
+        .iter()
+        .map(|(k, query)| full_hits(node, query, *k))
+        .collect();
+    Reply::Ok(render_many(&answers))
 }
 
 /// Serves one `SEARCH`/`SEARCH-FULL` request. The full path takes ids,
@@ -384,13 +406,17 @@ fn serve_search(node: &SearchNode, query: &str, k: usize, full: bool) -> Reply {
     if !full {
         return Reply::Ok(render_scored(&node.backend.search(query, k)));
     }
-    let hits: Vec<SearchHit> = node
-        .backend
+    Reply::Ok(render_hits(&full_hits(node, query, k)))
+}
+
+/// A node's `SEARCH-FULL` answer to one query: ids, scores and fields
+/// from one ranking.
+fn full_hits(node: &SearchNode, query: &str, k: usize) -> Vec<SearchHit> {
+    node.backend
         .search_hits(query, k)
         .into_iter()
         .map(|(id, score, result)| SearchHit { id, score, result })
-        .collect();
-    Reply::Ok(render_hits(&hits))
+        .collect()
 }
 
 /// Serves one `TRACE <id>`-prefixed request: the inner request runs
@@ -416,9 +442,19 @@ fn serve_traced(
                 ctx.finish();
                 reply
             }
-            None => Reply::Err(WireError::BadRequest(
-                "this node serves no search backend".into(),
-            )),
+            None => no_search(),
+        },
+        Request::SearchMany { queries } => match &parts.search {
+            Some(node) => {
+                let ctx = parts.obs.trace_with_id(id, "search_many");
+                let reply = {
+                    let _span = ctx.span(stage::SEARCH);
+                    serve_search_many(parts, node, &queries)
+                };
+                ctx.finish();
+                reply
+            }
+            None => no_search(),
         },
         Request::Annotate { name, csv } => match &parts.service {
             Some(service) => annotate(
@@ -446,12 +482,10 @@ fn serve_traced(
                 "this node serves no annotation service".into(),
             )),
         },
-        // `Request::parse` only wraps the three verbs above; an
+        // `Request::parse` only wraps the verbs above; an
         // in-process caller handing us something else is a bad request,
         // not a panic.
-        _ => Reply::Err(WireError::BadRequest(
-            "TRACE only prefixes SEARCH/SEARCH-FULL/ANNOTATE/TRY".into(),
-        )),
+        _ => Reply::Err(WireError::BadRequest(TRACEABLE.into())),
     }
 }
 

@@ -17,6 +17,11 @@
 //! * `ShardBackend` shards of the oracle, heap-resident and mmap'd,
 //!   their per-shard rankings merged with `merge_topk`.
 //!
+//! Every backend's batch path, `search_many`, must also answer a batch
+//! exactly as the per-query `search_results` loop does
+//! ([`assert_batch_conforms`]), for `SwappableBackend` and the cluster
+//! router too.
+//!
 //! A property test drives all of them through the same random
 //! `(base, ops, query, k)` space, before and after tier compaction, so
 //! a ranking divergence in any backend fails here with the offending
@@ -26,7 +31,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use teda::store::{CorpusStore, DeltaOp, TierPolicy, ViewBackend};
-use teda::websim::{merge_topk, PageId, SearchBackend, WebCorpus, WebPage};
+use teda::websim::{
+    merge_topk, PageId, SearchBackend, SearchResult, SwappableBackend, WebCorpus, WebPage,
+};
 
 /// Small closed vocabulary: queries hit often, scores collide often —
 /// the regime where tie-breaking bugs actually show up.
@@ -118,6 +125,46 @@ fn assert_conforms(oracle: &WebCorpus, backend: &dyn SearchBackend, label: &str)
     }
 }
 
+/// `backend.search_many(batch)`, each answer placed at its position;
+/// every position must be answered exactly once.
+fn answers_of(backend: &dyn SearchBackend, batch: &[(&str, usize)]) -> Vec<Vec<SearchResult>> {
+    let mut answers = vec![None; batch.len()];
+    backend.search_many(batch, &mut |i, results| {
+        assert!(
+            answers[i].replace(results).is_none(),
+            "query {i} answered twice"
+        );
+    });
+    answers
+        .into_iter()
+        .enumerate()
+        .map(|(i, answer)| answer.unwrap_or_else(|| panic!("query {i} never answered")))
+        .collect()
+}
+
+/// The batch oracle: one `search_many` over every probe at every depth,
+/// with a repeated query, the empty query and `k = 0` among them,
+/// answers exactly what the per-query `search_results` loop answers;
+/// an empty batch answers nothing.
+fn assert_batch_conforms(backend: &dyn SearchBackend, label: &str) {
+    let probes = probes();
+    let mut batch: Vec<(&str, usize)> = probes
+        .iter()
+        .flat_map(|q| KS.iter().map(move |&k| (q.as_str(), k)))
+        .collect();
+    batch.extend([(probes[0].as_str(), 10), ("", 3), (probes[1].as_str(), 0)]);
+    let want: Vec<Vec<SearchResult>> = batch
+        .iter()
+        .map(|&(q, k)| backend.search_results(q, k))
+        .collect();
+    assert_eq!(
+        answers_of(backend, &batch),
+        want,
+        "{label}: search_many diverged from the per-query loop"
+    );
+    backend.search_many(&[], &mut |i, _| panic!("{label}: empty batch answered {i}"));
+}
+
 /// Partitions the oracle into `n_shards` shard images under `root` and
 /// checks the scatter-gather ranking without the wire: every shard
 /// opened heap-resident and mmap'd, the per-shard `search` lists merged
@@ -139,6 +186,9 @@ fn assert_shards_conform(oracle: &WebCorpus, n_shards: u32, root: &std::path::Pa
                 .expect("open shard")
             })
             .collect();
+        for (i, shard) in shards.iter().enumerate() {
+            assert_batch_conforms(shard, &format!("shard {i}/{n_shards}, mapped {mapped}"));
+        }
         for q in probes() {
             for k in KS {
                 let want = oracle_ranking(oracle, &q, k);
@@ -158,6 +208,9 @@ fn assert_shards_conform(oracle: &WebCorpus, n_shards: u32, root: &std::path::Pa
 fn assert_all_backends_conform(store: &CorpusStore, oracle: &WebCorpus, when: &str) {
     let eager = store.load().expect("eager load");
     assert_conforms(oracle, &eager.corpus, &format!("{when}: eager WebCorpus"));
+    assert_batch_conforms(&eager.corpus, &format!("{when}: eager WebCorpus"));
+    let swappable = SwappableBackend::new(std::sync::Arc::new(eager.corpus));
+    assert_batch_conforms(&swappable, &format!("{when}: SwappableBackend"));
 
     let seg = store.load_segmented().expect("segmented load");
     assert_conforms(
@@ -165,10 +218,18 @@ fn assert_all_backends_conform(store: &CorpusStore, oracle: &WebCorpus, when: &s
         &seg.corpus,
         &format!("{when}: SegmentedCorpus over heap base"),
     );
+    assert_batch_conforms(
+        &seg.corpus,
+        &format!("{when}: SegmentedCorpus over heap base"),
+    );
 
     let mapped = store.load_segmented_mapped().expect("mapped load");
     assert_conforms(
         oracle,
+        &mapped.segmented.corpus,
+        &format!("{when}: SegmentedCorpus over mapped view"),
+    );
+    assert_batch_conforms(
         &mapped.segmented.corpus,
         &format!("{when}: SegmentedCorpus over mapped view"),
     );
@@ -185,6 +246,7 @@ fn assert_all_backends_conform(store: &CorpusStore, oracle: &WebCorpus, when: &s
         &view,
         &format!("{when}: ViewBackend over base snapshot"),
     );
+    assert_batch_conforms(&view, &format!("{when}: ViewBackend over base snapshot"));
 }
 
 /// The fixed-seed smoke: one interesting journal (adds and removes),
@@ -279,6 +341,7 @@ fn the_cluster_router_conforms_like_any_single_node_backend() {
             &router,
             &format!("ClusterRouter over {n_shards} shard(s)"),
         );
+        assert_batch_conforms(&router, &format!("ClusterRouter over {n_shards} shard(s)"));
         for s in servers {
             s.shutdown();
         }

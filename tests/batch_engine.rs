@@ -142,6 +142,84 @@ fn duplicate_cells_hit_the_cache_and_save_queries() {
     assert_eq!(engine.query_count(), q1, "warm cache must not search");
 }
 
+/// A table's misses go to the engine as one batch. From 1 and from 8
+/// threads sharing one annotator, at cache capacity 1 and unbounded,
+/// every table's annotations equal the uncached per-cell `Annotator`'s,
+/// and the engine is charged one query per distinct key it was sent:
+/// exactly the cache's misses, never a repeat within a table.
+#[test]
+fn batched_tables_match_the_per_cell_path_at_every_capacity_and_thread_count() {
+    let (world, engine, classifier) = fixture();
+    let tables = seeded_corpus(&world, 16, 14);
+    let config = AnnotatorConfig::default();
+    let single = Annotator::new(engine.clone(), classifier.clone(), config.clone());
+    let reference: Vec<TableAnnotations> =
+        tables.iter().map(|t| single.annotate_table(t)).collect();
+    let distinct = |queries: Vec<String>| {
+        let mut queries = queries;
+        queries.sort();
+        queries.dedup();
+        queries.len() as u64
+    };
+    let per_table: u64 = tables
+        .iter()
+        .map(|t| distinct(cell_queries(std::slice::from_ref(t), &config)))
+        .sum();
+    let corpus_wide = distinct(cell_queries(&tables, &config));
+    assert!(
+        corpus_wide < per_table,
+        "the corpus must repeat keys across tables"
+    );
+
+    for capacity in [Some(1), None] {
+        for threads in [1usize, 8] {
+            let counted = Arc::new(BingSim::instant(Arc::new(WebCorpus::build(
+                &world,
+                WebCorpusSpec::tiny(),
+                42,
+            ))));
+            let batch = BatchAnnotator::new(counted.clone(), classifier.clone(), config.clone())
+                .with_cache_config(CacheConfig { capacity });
+            let got: Vec<(usize, TableAnnotations)> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let (batch, tables) = (&batch, &tables);
+                        s.spawn(move || {
+                            (t..tables.len())
+                                .step_by(threads)
+                                .map(|i| (i, batch.annotate_table(&tables[i])))
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("annotating thread"))
+                    .collect()
+            });
+            for (i, annotations) in got {
+                assert_eq!(
+                    annotations, reference[i],
+                    "capacity {capacity:?}, {threads} threads: table {i} diverged"
+                );
+            }
+            let label = format!("capacity {capacity:?}, {threads} threads");
+            let queries = counted.query_count();
+            assert_eq!(queries, batch.cache_stats().misses, "{label}");
+            assert!(
+                queries <= per_table,
+                "{label}: a key was sent twice in one table"
+            );
+            if capacity.is_none() {
+                assert_eq!(queries, corpus_wide, "{label}: one query per distinct key");
+            } else if threads == 1 {
+                // Only the one entry left by the table before can hit.
+                assert!(queries + tables.len() as u64 >= per_table, "{label}");
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Verdict-memo oracles. Each cache entry keeps the §5.2.1 verdict over
 // its results; these check that a memoized verdict always equals the

@@ -19,7 +19,8 @@ use teda::cluster::{
 };
 use teda::store::ShardManifest;
 use teda::websim::scoring::merge_topk;
-use teda::websim::{PageId, SearchBackend, WebCorpus, WebPage};
+use teda::websim::{PageId, SearchBackend, SearchResult, WebCorpus, WebPage};
+use teda::wire::protocol::MAX_BATCH;
 
 /// Small closed vocabulary — frequent collisions, the regime where
 /// merge/tie-break bugs show up (same as the conformance suite).
@@ -108,6 +109,46 @@ fn quick_config() -> RouterConfig {
 
 fn to_bits(hits: &[(PageId, f64)]) -> Vec<(u32, u64)> {
     hits.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
+}
+
+/// `backend.search_many(batch)`, each answer placed at its position;
+/// every position must be answered exactly once.
+fn answers_of(backend: &dyn SearchBackend, batch: &[(&str, usize)]) -> Vec<Vec<SearchResult>> {
+    let mut answers = vec![None; batch.len()];
+    backend.search_many(batch, &mut |i, results| {
+        assert!(
+            answers[i].replace(results).is_none(),
+            "query {i} answered twice"
+        );
+    });
+    answers
+        .into_iter()
+        .enumerate()
+        .map(|(i, answer)| answer.unwrap_or_else(|| panic!("query {i} never answered")))
+        .collect()
+}
+
+/// Checks a routed batch against the single node query by query: the
+/// typed path's ids and score bits, and the trait path's results.
+fn assert_batch_matches(router: &ClusterRouter, corpus: &WebCorpus, batch: &[(&str, usize)]) {
+    let typed = router.try_search_many(batch);
+    assert_eq!(typed.len(), batch.len());
+    for (outcome, &(q, k)) in typed.into_iter().zip(batch) {
+        let hits = outcome.unwrap_or_else(|e| panic!("{q:?} k {k}: {e:?}"));
+        let scored: Vec<(PageId, f64)> = hits.iter().map(|h| (h.id, h.score)).collect();
+        assert_eq!(
+            to_bits(&scored),
+            to_bits(&corpus.index().search(q, k)),
+            "batched ranking diverged on {q:?} k {k}"
+        );
+        let results: Vec<SearchResult> = hits.into_iter().map(|h| h.result).collect();
+        assert_eq!(results, corpus.search_results(q, k), "{q:?} k {k}");
+    }
+    let want: Vec<Vec<SearchResult>> = batch
+        .iter()
+        .map(|&(q, k)| corpus.search_results(q, k))
+        .collect();
+    assert_eq!(answers_of(router, batch), want, "search_many diverged");
 }
 
 /// The router's `(shard_fanouts, partial_results, replica_retries)`
@@ -219,6 +260,30 @@ fn router_over_tcp_is_bit_identical_at_every_shard_count() {
         let (fanouts, partials, _) = router_counts(&router);
         assert!(fanouts > 0, "scatter must be counted");
         assert_eq!(partials, 0, "healthy cluster must not report partials");
+
+        // Every (query, k) pair, cycled past two frame bounds, with
+        // repeats: three SEARCH-MANY frames per group, split at
+        // MAX_BATCH, each query answered as the single node answers it.
+        let probes = probes();
+        let pairs: Vec<(&str, usize)> = probes
+            .iter()
+            .flat_map(|q| KS.iter().map(move |&k| (q.as_str(), k)))
+            .chain([("harbor", 0)])
+            .collect();
+        let batch: Vec<(&str, usize)> = pairs
+            .iter()
+            .copied()
+            .cycle()
+            .take(2 * MAX_BATCH + 5)
+            .collect();
+        assert_batch_matches(&router, &corpus, &batch);
+        let (after, partials, _) = router_counts(&router);
+        assert_eq!(
+            after - fanouts,
+            2 * 3 * u64::from(n_shards),
+            "a batch of 2 × {MAX_BATCH} + 5 queries is 3 frames per group, twice"
+        );
+        assert_eq!(partials, 0);
         for s in servers {
             s.shutdown();
         }
@@ -335,6 +400,49 @@ fn whole_group_down_is_typed_partial_results() {
     let (_, partials, _) = router_counts(&router);
     assert!(partials >= 2, "both degraded scatters must be counted");
 
+    // A batch degrades query by query: each answer is the single-query
+    // degraded merge, each query counts one partial result, and the
+    // trait path answers as its per-query loop does.
+    let batch = [
+        ("harbor museum", 10),
+        ("jazz", 3),
+        ("zanzibar xylophone", 10),
+    ];
+    let per_query: Vec<_> = batch
+        .iter()
+        .map(|&(q, k)| router.try_search_full(q, k))
+        .collect();
+    let (_, before, _) = router_counts(&router);
+    let batched = router.try_search_many(&batch);
+    let (_, after, _) = router_counts(&router);
+    assert_eq!(after - before, batch.len() as u64, "one partial per query");
+    for ((got, want), &(q, k)) in batched.iter().zip(&per_query).zip(&batch) {
+        match (got, want) {
+            (
+                Err(ClusterError::PartialResults { dead_shards, hits }),
+                Err(ClusterError::PartialResults {
+                    dead_shards: want_dead,
+                    hits: want_hits,
+                }),
+            ) => {
+                assert_eq!(dead_shards, &vec![1]);
+                assert_eq!(dead_shards, want_dead);
+                assert_eq!(to_bits(hits), to_bits(want_hits), "{q:?}");
+                assert_eq!(
+                    to_bits(hits),
+                    to_bits(&merge_topk([shard0.search(q, k)], k)),
+                    "{q:?}: the exact merge over the live shard"
+                );
+            }
+            other => panic!("{q:?}: expected PartialResults twice, got {other:?}"),
+        }
+    }
+    let want: Vec<Vec<SearchResult>> = batch
+        .iter()
+        .map(|&(q, k)| router.search_results(q, k))
+        .collect();
+    assert_eq!(answers_of(&router, &batch), want);
+
     for s in servers {
         s.shutdown();
     }
@@ -360,9 +468,14 @@ fn a_replica_that_closes_without_replying_fails_over_bit_identically() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake replica");
     let fake_addr = listener.local_addr().unwrap();
     let frames = Arc::new(AtomicUsize::new(0));
+    let batch_frames = Arc::new(AtomicUsize::new(0));
     let stop = Arc::new(AtomicBool::new(false));
     let fake = {
-        let (frames, stop) = (Arc::clone(&frames), Arc::clone(&stop));
+        let (frames, batch_frames, stop) = (
+            Arc::clone(&frames),
+            Arc::clone(&batch_frames),
+            Arc::clone(&stop),
+        );
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 if stop.load(Ordering::SeqCst) {
@@ -372,6 +485,9 @@ fn a_replica_that_closes_without_replying_fails_over_bit_identically() {
                 let mut line = String::new();
                 if BufReader::new(&stream).read_line(&mut line).unwrap_or(0) > 0 {
                     frames.fetch_add(1, Ordering::SeqCst);
+                    if line.contains("SEARCH-MANY") {
+                        batch_frames.fetch_add(1, Ordering::SeqCst);
+                    }
                 }
                 // Dropping the stream closes it with no reply.
             }
@@ -386,7 +502,30 @@ fn a_replica_that_closes_without_replying_fails_over_bit_identically() {
     ];
     let router = ClusterRouter::connect(&topo, quick_config()).expect("connect");
     let frames_at_connect = frames.load(Ordering::SeqCst);
-    for q in probes() {
+
+    // Four routed batches (the typed and the trait path, twice):
+    // rotation starts every other one on the fake, which takes the
+    // SEARCH-MANY frame and dies without a reply; the frame is retried
+    // whole on the live replica.
+    let probes = probes();
+    let batch: Vec<(&str, usize)> = probes.iter().map(|q| (q.as_str(), 10)).collect();
+    let (_, _, retries_before) = router_counts(&router);
+    for _ in 0..2 {
+        assert_batch_matches(&router, &corpus, &batch);
+    }
+    assert_eq!(
+        batch_frames.load(Ordering::SeqCst),
+        2,
+        "two batch frames met the fake"
+    );
+    let (_, partials, retries) = router_counts(&router);
+    assert_eq!(partials, 0);
+    assert!(
+        retries > retries_before,
+        "the dead batch frame must be retried"
+    );
+
+    for q in probes {
         for k in KS {
             let got = router.try_search(&q, k).expect("the live replica answers");
             assert_eq!(

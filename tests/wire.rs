@@ -24,7 +24,7 @@ use teda::websim::BingSim;
 use teda::websim::{
     PageId, SearchBackend, SearchResult, SwappableBackend, WebCorpus, WebCorpusSpec, WebPage,
 };
-use teda::wire::protocol::render_annotations;
+use teda::wire::protocol::{render_annotations, MAX_BATCH};
 use teda::wire::{WireClient, WireError, WireServer};
 
 fn fixture() -> (World, Arc<BingSim>, SnippetClassifier) {
@@ -574,5 +574,81 @@ fn search_full_ranks_once_and_pairs_each_hit_with_its_own_page() {
             );
         }
     }
+    server.shutdown();
+}
+
+/// `SEARCH-MANY` answers each of its queries exactly as `SEARCH-FULL`
+/// answers it alone, in request order (repeats, the empty query and
+/// `k = 0` included); `SHARD-STATS` counts one search per query; the
+/// frame runs under a `TRACE` prefix; and malformed batches are typed
+/// `bad-request`s that leave the connection usable.
+#[test]
+fn search_many_answers_each_query_as_search_full_does() {
+    let page = |url: &str, body: &str| WebPage {
+        url: url.into(),
+        title: url.to_uppercase(),
+        body: body.into(),
+    };
+    let corpus = Arc::new(WebCorpus::from_pages(vec![
+        page("p0", "harbor museum"),
+        page("p1", "harbor harbor jazz"),
+        page("p2", "quartet\tlantern"),
+        page("p3", "museum museum lantern"),
+    ]));
+    let server = WireServer::start_search_only(corpus, None, "127.0.0.1:0").expect("bind");
+    let mut client = WireClient::connect(server.local_addr()).expect("connect");
+
+    let batch = [
+        ("harbor", 3),
+        ("museum lantern", 10),
+        ("", 5),
+        ("harbor", 3),
+        ("jazz", 0),
+        ("zanzibar", 2),
+    ];
+    let want: Vec<_> = batch
+        .iter()
+        .map(|&(q, k)| client.search_full(q, k).expect("SEARCH-FULL"))
+        .collect();
+    let searches = client.shard_stats().expect("SHARD-STATS").searches;
+    assert_eq!(searches, batch.len() as u64);
+    assert_eq!(client.search_many(&batch).expect("SEARCH-MANY"), want);
+    assert_eq!(
+        client.shard_stats().expect("SHARD-STATS").searches,
+        2 * batch.len() as u64,
+        "one search per query of the batch"
+    );
+
+    // An empty batch is refused, typed, and the connection lives on.
+    assert!(matches!(
+        client.search_many(&[]),
+        Err(WireError::BadRequest(_))
+    ));
+
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut roundtrip = |frame: &str| {
+        writer.write_all(frame.as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    };
+    let over_bound = format!("SEARCH-MANY {} 3 harbor\n", MAX_BATCH + 1);
+    for bad in [
+        "SEARCH-MANY 2 3 harbor\n",
+        "SEARCH-MANY 1 3 harbor\t3 jazz\n",
+        "SEARCH-MANY 1 100001 harbor\n",
+        &over_bound,
+        "SEARCH-MANY 0 \n",
+        "SEARCH-MANY 2 3 harbor\t3\n",
+    ] {
+        let reply = roundtrip(bad);
+        assert!(reply.starts_with("ERR bad-request"), "{bad:?}: {reply:?}");
+    }
+    let traced = roundtrip("TRACE 000000000000002a SEARCH-MANY 2 3 harbor\t1 jazz\n");
+    assert!(traced.starts_with("OK queries=2"), "{traced:?}");
+    let dump = client.trace_dump(0x2a).expect("the batch was traced");
+    assert!(dump.render().contains("search"), "{}", dump.render());
     server.shutdown();
 }
