@@ -24,9 +24,9 @@
 //! Batches: [`ClusterRouter::try_search_many`] (and the trait's
 //! `search_many`) scatter up to [`MAX_BATCH`] queries as one
 //! `SEARCH-MANY` frame per group, so a table's cache misses cost one
-//! round trip per shard instead of one per miss. Each query is merged on
-//! its own exactly as a single `SEARCH-FULL` is, so batching changes no
-//! answer.
+//! round trip per shard instead of one per miss. A single full search
+//! ([`ClusterRouter::try_search_full`]) is a one-query frame, and each
+//! query of a frame is merged on its own, so batching changes no answer.
 //!
 //! Failover: each shard is a replica group. A query rotates through the
 //! group's replicas (round-robin start, healthy replicas first),
@@ -47,7 +47,7 @@ use std::time::Duration;
 use teda_obs::{stage, Counter, Histogram, Registry, SpanGuard, StageTimer, Trace, TraceCtx};
 use teda_websim::scoring::{merge_topk, rank_order};
 use teda_websim::{PageId, SearchBackend, SearchResult};
-use teda_wire::protocol::{parse_hits, parse_many, parse_scored, MAX_BATCH};
+use teda_wire::protocol::{parse_many, parse_scored, MAX_BATCH};
 use teda_wire::{Request, SearchHit, WireClient, WireError};
 
 use crate::error::ClusterError;
@@ -296,7 +296,12 @@ impl ClusterRouter {
     }
 
     /// Returns a healthy connection to the pool (bounded; extras drop).
+    /// A connection that lost its frame boundary (an over-long reply
+    /// left unread) drops too: its next read would be the old tail.
     fn checkin(&self, replica: &Replica, client: WireClient) {
+        if !client.is_framed() {
+            return;
+        }
         let mut pool = replica.pool.lock().unwrap();
         if pool.len() < self.config.pool_per_replica {
             pool.push(client);
@@ -543,23 +548,13 @@ impl ClusterRouter {
     }
 
     /// Like [`try_search`](Self::try_search) but with hydrated
-    /// url/title/snippet fields on every hit (`SEARCH-FULL`). The
-    /// partial-results error carries the scored ids of the degraded
-    /// merge.
+    /// url/title/snippet fields on every hit: a one-query `SEARCH-MANY`
+    /// scatter. The partial-results error carries the scored ids of the
+    /// degraded merge.
     pub fn try_search_full(&self, query: &str, k: usize) -> Result<Vec<SearchHit>, ClusterError> {
-        let trace = self.obs.start_trace("search_full");
-        let request = Request::Search {
-            k,
-            query: query.into(),
-            full: true,
-        };
-        let outcomes = self.scatter(&request, &parse_hits, &trace);
-        let (live, dead) = self.gather(outcomes, 1)?;
-        let merge_span = trace.span(stage::MERGE);
-        let hits = self.merge_hits(live.into_iter().flatten().collect(), k);
-        drop(merge_span);
-        trace.finish();
-        full_outcome(hits, &dead)
+        self.search_frame(&[(query, k)])
+            .pop()
+            .expect("a one-query frame has one answer")
     }
 
     /// [`try_search_full`](Self::try_search_full) for every `(query,
@@ -583,8 +578,7 @@ impl ClusterRouter {
     /// One `SEARCH-MANY` scatter of at most [`MAX_BATCH`] queries, traced
     /// and forwarded under the router's trace id like `try_search`. A
     /// hard wire error on a frame of several queries falls back to one
-    /// `SEARCH-FULL` per query, so an error stays with the query that
-    /// caused it.
+    /// frame per query, so an error stays with the query that caused it.
     fn search_frame(&self, frame: &[(&str, usize)]) -> Vec<Result<Vec<SearchHit>, ClusterError>> {
         let trace = self.obs.start_trace("search_many");
         let many = Request::SearchMany {

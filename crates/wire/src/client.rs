@@ -25,6 +25,9 @@ pub struct WireClient {
     /// The timeout to reinstall on a redialled socket.
     io_timeout: Option<Duration>,
     auto_reconnect: bool,
+    /// False once a read failed mid-frame (an over-long reply, a
+    /// transport error): the stream's next frame boundary is unknown.
+    framed: bool,
 }
 
 impl WireClient {
@@ -85,6 +88,7 @@ impl WireClient {
             addr,
             io_timeout: None,
             auto_reconnect: false,
+            framed: true,
         })
     }
 
@@ -108,7 +112,17 @@ impl WireClient {
                 .map_err(|e| WireError::Transport(e.to_string()))?,
         );
         self.writer = stream;
+        self.framed = true;
         Ok(())
+    }
+
+    /// Whether the next [`receive`](Self::receive) starts at a frame
+    /// boundary. A reply that could not be read to its end (longer than
+    /// [`MAX_FRAME`](crate::protocol::MAX_FRAME), or cut by a transport
+    /// error) leaves the rest of its line unread, so the connection must
+    /// be dropped, never reused: its next read would be that tail.
+    pub fn is_framed(&self) -> bool {
+        self.framed
     }
 
     /// `CLIENT <name>`: attributes every later submission on this
@@ -279,8 +293,16 @@ impl WireClient {
     /// answers frames in order, so a caller may write to several
     /// connections first and collect the replies afterwards. No
     /// auto-reconnect here — after a transport error the connection
-    /// should be dropped.
+    /// should be dropped. On a connection that is no longer
+    /// [framed](Self::is_framed) it sends nothing and fails with
+    /// [`WireError::Transport`], so no reply is ever read off a stale
+    /// tail.
     pub fn send(&mut self, request: &Request) -> Result<(), WireError> {
+        if !self.framed {
+            return Err(WireError::Transport(
+                "connection lost its frame boundary".into(),
+            ));
+        }
         self.writer.write_all(request.encode().as_bytes())?;
         self.writer.flush()?;
         Ok(())
@@ -291,7 +313,8 @@ impl WireClient {
     /// the server uses: the `OK` payload, or the typed error the server
     /// answered with.
     pub fn receive(&mut self) -> Result<String, WireError> {
-        let line = read_frame(&mut self.reader)?
+        let line = read_frame(&mut self.reader)
+            .inspect_err(|_| self.framed = false)?
             .ok_or_else(|| WireError::Transport("server closed the connection".into()))?;
         match Reply::parse(&line)? {
             Reply::Ok(payload) => Ok(payload),

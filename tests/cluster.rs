@@ -20,7 +20,8 @@ use teda::cluster::{
 use teda::store::ShardManifest;
 use teda::websim::scoring::merge_topk;
 use teda::websim::{PageId, SearchBackend, SearchResult, WebCorpus, WebPage};
-use teda::wire::protocol::MAX_BATCH;
+use teda::wire::protocol::{render_many, render_shard_stats, MAX_BATCH, MAX_FRAME, MAX_K};
+use teda::wire::{Reply, Request, SearchHit, ShardStatsReport, WireError};
 
 /// Small closed vocabulary — frequent collisions, the regime where
 /// merge/tie-break bugs show up (same as the conformance suite).
@@ -502,30 +503,7 @@ fn a_replica_that_closes_without_replying_fails_over_bit_identically() {
     ];
     let router = ClusterRouter::connect(&topo, quick_config()).expect("connect");
     let frames_at_connect = frames.load(Ordering::SeqCst);
-
-    // Four routed batches (the typed and the trait path, twice):
-    // rotation starts every other one on the fake, which takes the
-    // SEARCH-MANY frame and dies without a reply; the frame is retried
-    // whole on the live replica.
-    let probes = probes();
-    let batch: Vec<(&str, usize)> = probes.iter().map(|q| (q.as_str(), 10)).collect();
-    let (_, _, retries_before) = router_counts(&router);
-    for _ in 0..2 {
-        assert_batch_matches(&router, &corpus, &batch);
-    }
-    assert_eq!(
-        batch_frames.load(Ordering::SeqCst),
-        2,
-        "two batch frames met the fake"
-    );
-    let (_, partials, retries) = router_counts(&router);
-    assert_eq!(partials, 0);
-    assert!(
-        retries > retries_before,
-        "the dead batch frame must be retried"
-    );
-
-    for q in probes {
+    for q in probes() {
         for k in KS {
             let got = router.try_search(&q, k).expect("the live replica answers");
             assert_eq!(
@@ -548,6 +526,32 @@ fn a_replica_that_closes_without_replying_fails_over_bit_identically() {
     assert_eq!(partials, 0, "failover within a group is not a partial");
     assert!(retries > 0, "the mute replica must be visible as retries");
 
+    // The batch path, on a second router whose health state starts
+    // fresh (the first one has learned to put the fake last). Four
+    // routed batches (the typed and the trait path, twice): rotation
+    // starts every other one on the fake, which takes the SEARCH-MANY
+    // frame and dies without a reply; the frame is retried whole on
+    // the live replica.
+    let router = ClusterRouter::connect(&topo, quick_config()).expect("connect");
+    let batch_frames_at_connect = batch_frames.load(Ordering::SeqCst);
+    let probes = probes();
+    let batch: Vec<(&str, usize)> = probes.iter().map(|q| (q.as_str(), 10)).collect();
+    let (_, _, retries_before) = router_counts(&router);
+    for _ in 0..2 {
+        assert_batch_matches(&router, &corpus, &batch);
+    }
+    assert_eq!(
+        batch_frames.load(Ordering::SeqCst) - batch_frames_at_connect,
+        2,
+        "two batch frames met the fake"
+    );
+    let (_, partials, retries) = router_counts(&router);
+    assert_eq!(partials, 0, "failover within a group is not a partial");
+    assert!(
+        retries > retries_before,
+        "the dead batch frame must be retried"
+    );
+
     stop.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect(fake_addr); // wake the accept loop
     fake.join().expect("fake replica thread");
@@ -555,6 +559,162 @@ fn a_replica_that_closes_without_replying_fails_over_bit_identically() {
         s.shutdown();
     }
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A hard wire error on a batch stays with the query that caused it:
+/// the shards refuse the whole frame (one `k` over `MAX_K`), the router
+/// resends each query as its own frame, and only that query fails; the
+/// others are answered as the single node answers them.
+#[test]
+fn a_batch_with_one_bad_query_fails_only_that_query() {
+    let mut rng = StdRng::seed_from_u64(71);
+    let corpus = synth_corpus(&mut rng, 16);
+    let root = temp_dir("bad_query");
+    let servers = serve_partition(&corpus, 2, &root);
+    let router = ClusterRouter::connect(&topology(&servers), quick_config()).expect("connect");
+
+    let batch = [("harbor", 10), ("jazz", MAX_K + 1), ("museum quartet", 3)];
+    let outcomes = router.try_search_many(&batch);
+    assert_eq!(outcomes.len(), batch.len());
+    for (outcome, &(q, k)) in outcomes.into_iter().zip(&batch) {
+        if k > MAX_K {
+            match outcome {
+                Err(ClusterError::Wire {
+                    error: WireError::BadRequest(_),
+                    ..
+                }) => {}
+                other => panic!("{q:?} k {k}: expected a bad request, got {other:?}"),
+            }
+            continue;
+        }
+        let hits = outcome.unwrap_or_else(|e| panic!("{q:?} k {k}: {e:?}"));
+        let scored: Vec<(PageId, f64)> = hits.iter().map(|h| (h.id, h.score)).collect();
+        assert_eq!(to_bits(&scored), to_bits(&corpus.index().search(q, k)));
+    }
+    let want: Vec<Vec<SearchResult>> = batch
+        .iter()
+        .map(|&(q, k)| {
+            if k > MAX_K {
+                Vec::new()
+            } else {
+                corpus.search_results(q, k)
+            }
+        })
+        .collect();
+    assert_eq!(answers_of(&router, &batch), want);
+    let (_, partials, retries) = router_counts(&router);
+    assert_eq!(
+        (partials, retries),
+        (0, 0),
+        "a bad request is not an outage"
+    );
+
+    for s in servers {
+        s.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A reply longer than `MAX_FRAME` is a hard error of its frame, and the
+/// connection that read it is dropped, not pooled. The fake shard below
+/// follows its over-long line with a well-formed forged reply, so a
+/// pooled connection would hand that forgery to the next query the
+/// router sends on it (here the fallback's first single-query frame).
+#[test]
+fn an_over_long_reply_drops_its_connection() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
+    let addr = listener.local_addr().unwrap();
+    let over_long = Arc::new(AtomicUsize::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let forged = vec![SearchHit {
+        id: PageId(7),
+        score: 1.0,
+        result: SearchResult {
+            url: "http://forged.example/".into(),
+            title: "forged".into(),
+            snippet: "a tail of another reply".into(),
+        },
+    }];
+    let serve = {
+        let over_long = Arc::clone(&over_long);
+        move |stream: TcpStream| {
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut writer = stream;
+            let mut line = String::new();
+            while matches!(reader.read_line(&mut line), Ok(n) if n > 0) {
+                let request = match Request::parse(&line) {
+                    Ok(Request::Traced { inner, .. }) => *inner,
+                    other => other.expect("the router sends well-formed frames"),
+                };
+                line.clear();
+                let reply = match request {
+                    Request::ShardStats => Reply::Ok(render_shard_stats(&ShardStatsReport {
+                        shard: 0,
+                        n_shards: 1,
+                        docs: 8,
+                        global_docs: 8,
+                        searches: 0,
+                    }))
+                    .encode(),
+                    Request::SearchMany { queries } if queries.len() > 1 => {
+                        over_long.fetch_add(1, Ordering::SeqCst);
+                        "x".repeat(MAX_FRAME + 1)
+                            + &Reply::Ok(render_many(std::slice::from_ref(&forged))).encode()
+                    }
+                    Request::SearchMany { queries } => {
+                        Reply::Ok(render_many(&vec![Vec::new(); queries.len()])).encode()
+                    }
+                    other => panic!("unexpected request {other:?}"),
+                };
+                if writer.write_all(reply.as_bytes()).is_err() {
+                    return; // the router dropped the connection mid-reply
+                }
+            }
+        }
+    };
+    let fake = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut handlers = Vec::new();
+            for stream in listener.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(stream) = stream else { continue };
+                let serve = serve.clone();
+                handlers.push(std::thread::spawn(move || serve(stream)));
+            }
+            for h in handlers {
+                h.join().expect("fake shard connection");
+            }
+        })
+    };
+
+    let router = ClusterRouter::connect(&[vec![addr]], quick_config()).expect("connect");
+    let outcomes = router.try_search_many(&[("harbor", 10), ("jazz", 10)]);
+    assert_eq!(over_long.load(Ordering::SeqCst), 1, "one over-long reply");
+    for outcome in outcomes {
+        let hits = outcome.expect("the fallback answers each query");
+        assert!(
+            hits.is_empty(),
+            "a stale tail was read as an answer: {hits:?}"
+        );
+    }
+    let (_, partials, retries) = router_counts(&router);
+    assert_eq!(
+        (partials, retries),
+        (0, 0),
+        "the fallback dials a fresh connection; it never meets the spoiled one"
+    );
+    drop(router);
+
+    stop.store(true, Ordering::SeqCst);
+    let _ = TcpStream::connect(addr); // wake the accept loop
+    fake.join().expect("fake shard thread");
 }
 
 /// Every group dead at once: the answer is a typed `PartialResults`

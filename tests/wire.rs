@@ -24,7 +24,7 @@ use teda::websim::BingSim;
 use teda::websim::{
     PageId, SearchBackend, SearchResult, SwappableBackend, WebCorpus, WebCorpusSpec, WebPage,
 };
-use teda::wire::protocol::{render_annotations, MAX_BATCH};
+use teda::wire::protocol::{render_annotations, MAX_BATCH, MAX_FRAME};
 use teda::wire::{WireClient, WireError, WireServer};
 
 fn fixture() -> (World, Arc<BingSim>, SnippetClassifier) {
@@ -334,6 +334,38 @@ fn io_timeout_errors_out_against_a_mute_server() {
     client.set_io_timeout(None).expect("clear timeout");
     assert_eq!(client.budget().unwrap(), "budget unmetered");
     server.shutdown();
+}
+
+/// A reply longer than `MAX_FRAME` is a typed `bad-request`, and it
+/// leaves the connection unframed: the rest of that line is still
+/// unread, so the client sends nothing more on it rather than read that
+/// tail as the next reply.
+#[test]
+fn an_over_long_reply_leaves_the_client_unframed() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake server");
+    let addr = listener.local_addr().unwrap();
+    let fake = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("one request");
+        let reply = "x".repeat(MAX_FRAME + 1) + "OK budget unmetered\n";
+        let _ = (&stream).write_all(reply.as_bytes());
+        // Hold the socket until the client hangs up.
+        let _ = reader.read_line(&mut line);
+    });
+
+    let mut client = WireClient::connect(addr).expect("connect");
+    assert!(client.is_framed());
+    let err = client.budget().expect_err("an over-long reply is refused");
+    assert!(matches!(err, WireError::BadRequest(_)), "{err:?}");
+    assert!(!client.is_framed());
+    let err = client
+        .budget()
+        .expect_err("the tail is never read as a reply");
+    assert!(matches!(err, WireError::Transport(_)), "{err:?}");
+    drop(client);
+    fake.join().unwrap();
 }
 
 /// The `SNAPSHOT` verb: persists the cache snapshot over the wire when
