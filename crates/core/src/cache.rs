@@ -9,7 +9,7 @@
 //! result set per distinct query.
 //!
 //! The lookup is [`teda_memo::Memo`], shared with `teda-geo`'s geocoding
-//! memo: misses are *single-flight per key* (workers racing on the same
+//! memo and the snippet-class memo: misses are *single-flight per key* (workers racing on the same
 //! `(query, k)` wait for the first one's search, workers on different
 //! keys never wait on each other's engine calls), and a bounded cache
 //! evicts by exact per-shard LRU. One search per distinct key, identical
@@ -252,7 +252,7 @@ impl QueryCache {
     pub fn restore_entries(&self, entries: impl IntoIterator<Item = CacheEntrySnapshot>) -> usize {
         entries
             .into_iter()
-            .map(|e| self.memo.restore(e.query, e.k, Answer::new(e.results)))
+            .map(|e| self.memo.restore(&e.query, e.k, Answer::new(e.results)))
             .filter(|&installed| installed)
             .count()
     }

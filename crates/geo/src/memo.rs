@@ -15,9 +15,9 @@
 //! round-trips — the §6.4 cost — never a candidate set.
 //!
 //! The lookup, the single flight and the LRU eviction are
-//! [`teda_memo::Memo`], shared with `teda-core`'s query cache; this
-//! module keeps the address key, the one capacity bound and the
-//! `geocode.*` counter names.
+//! [`teda_memo::Memo`], shared with `teda-core`'s query cache and
+//! snippet-class memo; this module keeps the address key, the one
+//! capacity bound and the `geocode.*` counter names.
 
 use std::sync::Arc;
 

@@ -1,18 +1,19 @@
 //! `teda-memo` — the sharded single-flight memo behind `teda-core`'s
-//! query cache and `teda-geo`'s geocoding memo.
+//! query cache and snippet-class memo and `teda-geo`'s geocoding memo.
 //!
 //! [`Memo`] maps a text key plus a small integer tag (the query cache's
-//! `k`; 0 for an address) to a value that is costly to compute. A
-//! lookup locks one shard of a sharded map. A miss installs an
-//! in-flight marker, releases the shard lock, and computes the value
+//! `k`; 0 for an address or a snippet) to a value that is costly to
+//! compute. A lookup locks one shard of a sharded map. A miss installs
+//! an in-flight marker, releases the shard lock, and computes the value
 //! outside it. Callers racing on the *same* key block on that flight,
 //! not on the shard, while callers on *different* keys of the same
 //! shard proceed at once. So there is one computation per distinct live
 //! key, every caller gets the same value, and the expensive backend
-//! (search engine, geocoder) sees deterministic traffic. A computation
-//! that unwinds abandons its flight, and the callers waiting on it
-//! retry. [`Memo::get_or_compute_many`] resolves a batch of keys with
-//! one computation over its misses, under the same single flight.
+//! (search engine, geocoder, classifier) sees deterministic traffic. A
+//! computation that unwinds abandons its flight, and the callers
+//! waiting on it retry. [`Memo::get_or_compute_many`] resolves a batch
+//! of keys with one computation over its misses, under the same single
+//! flight.
 //!
 //! Each shard holds at most its share of the capacity and evicts its
 //! least recently used ready entry beyond it (exact LRU by a per-shard
@@ -23,14 +24,25 @@
 //! supplies the computation, the counter names it reports under, and
 //! whatever it keeps beside the value.
 //!
-//! The crate also holds the parts other memos build on: [`Shards`], the
-//! lock array with stable FNV-1a key routing (shard assignment, and so
-//! lock interleaving, is reproducible across runs and processes), and
-//! [`CacheStats`], the hit/miss/eviction snapshot every memo reports.
+//! Keys are stored compactly. A key's stable FNV-1a hash, mixed with
+//! its tag, both routes it to its shard (so shard assignment, and lock
+//! interleaving, is reproducible across runs and processes) and keys
+//! the shard's index, so a lookup hashes its key once. Each shard keeps
+//! its keys back to back in one byte buffer, and an index entry names
+//! its key's bytes there, so no key gets an allocation of its own. A
+//! hash match whose stored text or tag differs is a miss, and its claim
+//! replaces the entry: a collision costs a recomputation, never a wrong
+//! value. A removed or evicted key leaves dead bytes behind; a shard
+//! whose dead bytes pass half its buffer rewrites the buffer with only
+//! its live keys, so the buffer stays within twice the live key bytes.
+//! A shard holds under 4 GiB of key bytes.
+//!
+//! [`CacheStats`] is the hit/miss/eviction snapshot every memo reports.
 //! Its counters and the optional `cache_lookup` timing come from
-//! `teda-obs`, its one dependency.
+//! `teda-obs`, the crate's one dependency.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, TryLockError};
 
 use teda_obs::{Counter, Histogram, Registry, Stopwatch};
@@ -124,7 +136,8 @@ impl<V> Slot<V> {
     }
 
     /// Whether this slot holds exactly `flight` (leaders check before
-    /// publishing, in case a concurrent `clear` dropped the slot).
+    /// publishing, in case a concurrent `clear` or a colliding claim
+    /// dropped the slot).
     fn holds(&self, flight: &Arc<Flight<V>>) -> bool {
         matches!(self, Slot::Pending(f) if Arc::ptr_eq(f, flight))
     }
@@ -133,7 +146,7 @@ impl<V> Slot<V> {
 /// Stable FNV-1a over the key bytes. Independent of the process's hash
 /// seed, so shard assignment — and therefore lock interleaving — is
 /// reproducible across runs.
-pub fn fnv1a(key: &[u8]) -> u64 {
+fn fnv1a(key: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in key {
         h ^= u64::from(*b);
@@ -142,15 +155,42 @@ pub fn fnv1a(key: &[u8]) -> u64 {
     h
 }
 
-/// A fixed array of independently locked shards with stable key routing.
+/// The hash of `(key, tag)` that routes it to a shard and keys that
+/// shard's index: the key's [`fnv1a`] mixed with the tag (tag 0 leaves
+/// it as is).
+fn key_hash(key: &str, tag: usize) -> u64 {
+    fnv1a(key.as_bytes()) ^ (tag as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// The hasher of a shard's index, whose keys are already [`key_hash`]es.
+/// The shard was chosen by the hash's low bits, so the index takes its
+/// high half instead.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a(bytes).rotate_left(32);
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash.rotate_left(32);
+    }
+}
+
+/// A fixed array of independently locked shards, routed by hash.
 #[derive(Debug)]
-pub struct Shards<S> {
+struct Shards<S> {
     shards: Vec<Mutex<S>>,
 }
 
 impl<S: Default> Shards<S> {
     /// `n` default-initialized shards (rounded up to 1).
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         Shards {
             shards: (0..n.max(1)).map(|_| Mutex::new(S::default())).collect(),
         }
@@ -159,44 +199,32 @@ impl<S: Default> Shards<S> {
 
 impl<S> Shards<S> {
     /// Number of shards.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.shards.len()
     }
 
-    /// Always at least one shard.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Locks the shard `key` routes to.
-    fn lock(&self, key: &[u8]) -> MutexGuard<'_, S> {
-        self.lock_hashed(fnv1a(key))
-    }
-
-    /// Locks the shard a key whose [`fnv1a`] is `hash` routes to, for a
-    /// caller that keeps the hash (to key its shard map by it, say), so
-    /// a lookup hashes its key once.
-    pub fn lock_hashed(&self, hash: u64) -> MutexGuard<'_, S> {
+    /// Locks the shard `hash` routes to.
+    fn lock(&self, hash: u64) -> MutexGuard<'_, S> {
         self.shard(hash).lock().expect("memo shard poisoned")
     }
 
-    /// Locks the shard `key` routes to if no one holds it; `None` when
+    /// Locks the shard `hash` routes to if no one holds it; `None` when
     /// the lock is taken (a timed lookup starts its clock only then).
-    fn try_lock(&self, key: &[u8]) -> Option<MutexGuard<'_, S>> {
-        match self.shard(fnv1a(key)).try_lock() {
+    fn try_lock(&self, hash: u64) -> Option<MutexGuard<'_, S>> {
+        match self.shard(hash).try_lock() {
             Ok(guard) => Some(guard),
             Err(TryLockError::WouldBlock) => None,
             Err(TryLockError::Poisoned(_)) => panic!("memo shard poisoned"),
         }
     }
 
-    /// The shard a key whose [`fnv1a`] is `hash` routes to.
+    /// The shard `hash` routes to.
     fn shard(&self, hash: u64) -> &Mutex<S> {
         &self.shards[(hash % self.shards.len() as u64) as usize]
     }
 
     /// Locks every shard in turn (stats, clears).
-    pub fn for_each(&self, mut f: impl FnMut(&mut S)) {
+    fn for_each(&self, mut f: impl FnMut(&mut S)) {
         for s in &self.shards {
             f(&mut s.lock().expect("memo shard poisoned"));
         }
@@ -242,7 +270,7 @@ impl<V: Clone> Drop for Claims<'_, '_, V> {
     fn drop(&mut self) {
         for (i, flight) in self.open.iter_mut().filter_map(Option::take) {
             let (key, tag) = self.keys[i];
-            self.memo.publish(key, tag, &flight, None);
+            self.memo.publish(key_hash(key, tag), &flight, None);
         }
     }
 }
@@ -272,9 +300,12 @@ impl CacheStats {
     }
 }
 
-/// One memo entry under a text key.
+/// One memo entry: where its key's bytes sit in the shard's buffer, its
+/// tag, its slot and its recency.
 #[derive(Debug)]
 struct Entry<V> {
+    start: u32,
+    len: u32,
     tag: usize,
     slot: Slot<V>,
     /// Shard tick at the last hit (LRU recency). Pending entries carry
@@ -282,15 +313,23 @@ struct Entry<V> {
     last_used: u64,
 }
 
-/// One shard: text key → per-tag entries, plus the shard-local LRU tick
-/// and the count of `Ready` entries the capacity bound applies to.
-///
-/// Keyed by the text alone so a hit needs no key allocation; a tag
-/// rarely takes more than one value per key, so the inner list is a
-/// linear scan over one or two entries.
+impl<V> Entry<V> {
+    /// The entry's key bytes in its shard's buffer `keys`.
+    fn key_in<'k>(&self, keys: &'k [u8]) -> &'k [u8] {
+        &keys[self.start as usize..][..self.len as usize]
+    }
+}
+
+/// One shard: an index from [`key_hash`] to entry, the entries' keys
+/// back to back in one buffer, the buffer's dead bytes, the shard-local
+/// LRU tick and the count of `Ready` entries the capacity bound applies
+/// to.
 #[derive(Debug)]
 struct Shard<V> {
-    map: HashMap<String, Vec<Entry<V>>>,
+    index: HashMap<u64, Entry<V>, BuildHasherDefault<Prehashed>>,
+    keys: Vec<u8>,
+    /// Bytes of `keys` no entry names any more.
+    dead: usize,
     tick: u64,
     ready: usize,
 }
@@ -298,7 +337,9 @@ struct Shard<V> {
 impl<V> Default for Shard<V> {
     fn default() -> Self {
         Shard {
-            map: HashMap::new(),
+            index: HashMap::default(),
+            keys: Vec::new(),
+            dead: 0,
             tick: 0,
             ready: 0,
         }
@@ -313,24 +354,56 @@ impl<V> Shard<V> {
         self.tick
     }
 
-    /// The `(key, tag)` entry, ready or pending.
-    fn get_mut(&mut self, key: &str, tag: usize) -> Option<&mut Entry<V>> {
-        self.map.get_mut(key)?.iter_mut().find(|e| e.tag == tag)
+    /// The `(key, tag)` entry, ready or pending, under its `hash`. An
+    /// entry under the same hash with other text or another tag is not
+    /// it.
+    fn get_mut(&mut self, hash: u64, key: &str, tag: usize) -> Option<&mut Entry<V>> {
+        let entry = self.index.get_mut(&hash)?;
+        (entry.tag == tag && entry.key_in(&self.keys) == key.as_bytes()).then_some(entry)
     }
 
-    /// Removes the `(key, tag)` entry if present, keeping the ready
-    /// count and dropping emptied key lists.
-    fn remove(&mut self, key: &str, tag: usize) {
-        if let Some(entries) = self.map.get_mut(key) {
-            if let Some(pos) = entries.iter().position(|e| e.tag == tag) {
-                if entries[pos].slot.is_ready() {
-                    self.ready -= 1;
-                }
-                entries.remove(pos);
-                if entries.is_empty() {
-                    self.map.remove(key);
-                }
+    /// Installs `(key, tag)` under its `hash`, replacing the entry a
+    /// colliding key holds there, and appends the key to the buffer.
+    fn insert(&mut self, hash: u64, key: &str, tag: usize, slot: Slot<V>, tick: u64) {
+        self.remove(hash);
+        let start = u32::try_from(self.keys.len()).expect("a memo shard holds under 4 GiB of keys");
+        let len = u32::try_from(key.len()).expect("a memo key is under 4 GiB");
+        self.keys.extend_from_slice(key.as_bytes());
+        if slot.is_ready() {
+            self.ready += 1;
+        }
+        self.index.insert(
+            hash,
+            Entry {
+                start,
+                len,
+                tag,
+                slot,
+                last_used: tick,
+            },
+        );
+    }
+
+    /// Removes the entry under `hash` if present, keeping the ready
+    /// count. Its key bytes go dead, and a buffer more than half dead is
+    /// rewritten with only the live keys.
+    fn remove(&mut self, hash: u64) {
+        let Some(entry) = self.index.remove(&hash) else {
+            return;
+        };
+        if entry.slot.is_ready() {
+            self.ready -= 1;
+        }
+        self.dead += entry.len as usize;
+        if self.dead * 2 > self.keys.len() {
+            let mut keys = Vec::with_capacity(self.keys.len() - self.dead);
+            for entry in self.index.values_mut() {
+                let start = keys.len() as u32;
+                keys.extend_from_slice(entry.key_in(&self.keys));
+                entry.start = start;
             }
+            self.keys = keys;
+            self.dead = 0;
         }
     }
 
@@ -340,20 +413,18 @@ impl<V> Shard<V> {
     fn evict_over(&mut self, capacity: usize) -> u64 {
         let mut evicted = 0;
         while self.ready > capacity {
-            let mut victim: Option<(&String, usize, u64)> = None;
             // last_used ticks are unique (one per shard op), so the
-            // strict-< minimum is independent of the map's order.
-            for (key, entries) in &self.map {
-                for e in entries {
-                    if e.slot.is_ready() && victim.is_none_or(|(_, _, used)| e.last_used < used) {
-                        victim = Some((key, e.tag, e.last_used));
-                    }
-                }
-            }
-            let Some((key, tag)) = victim.map(|(key, tag, _)| (key.clone(), tag)) else {
+            // minimum is independent of the index's order.
+            let victim = self
+                .index
+                .iter()
+                .filter(|(_, e)| e.slot.is_ready())
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(&hash, _)| hash);
+            let Some(hash) = victim else {
                 break;
             };
-            self.remove(&key, tag);
+            self.remove(hash);
             evicted += 1;
         }
         evicted
@@ -361,8 +432,8 @@ impl<V> Shard<V> {
 }
 
 /// A sharded, thread-safe, optionally bounded single-flight memo of
-/// `(text, tag) → V`. See the crate doc for the protocol and the
-/// eviction rule.
+/// `(text, tag) → V`. See the crate doc for the protocol, the key
+/// layout and the eviction rule.
 #[derive(Debug)]
 pub struct Memo<V> {
     shards: Shards<Shard<V>>,
@@ -452,9 +523,10 @@ impl<V: Clone> Memo<V> {
     /// computed again. `compute` runs on the calling thread, so it needs
     /// neither `Send` nor `Sync`.
     pub fn get_or_compute(&self, key: &str, tag: usize, compute: impl FnOnce() -> V) -> V {
+        let hash = key_hash(key, tag);
         let mut watch = Stopwatch::started_if(false);
         let flight = loop {
-            match self.lookup(key, tag, &mut watch) {
+            match self.lookup(hash, key, tag, &mut watch) {
                 Lookup::Ready(value) => return self.hit(value, watch),
                 Lookup::Claimed(flight) => break flight,
                 // Follower: wait for the leader's value (a hit — the
@@ -470,24 +542,24 @@ impl<V: Clone> Memo<V> {
         };
         // Leader: on unwind the slot is removed, so followers retry
         // instead of hanging.
-        lead(compute, |value| self.publish(key, tag, &flight, value))
+        lead(compute, |value| self.publish(hash, &flight, value))
     }
 
-    /// One probe of `(key, tag)` under its shard lock (a contended lock
-    /// starts `watch`): a ready value is touched and returned; a pending
-    /// one hands back its flight to wait on; an absent one is claimed,
-    /// counted as a miss, by installing a fresh flight the caller must
-    /// publish.
-    fn lookup(&self, key: &str, tag: usize, watch: &mut Stopwatch) -> Lookup<V> {
-        let mut shard = match self.shards.try_lock(key.as_bytes()) {
+    /// One probe of `(key, tag)`, whose [`key_hash`] is `hash`, under its
+    /// shard lock (a contended lock starts `watch`): a ready value is
+    /// touched and returned; a pending one hands back its flight to wait
+    /// on; an absent one is claimed, counted as a miss, by installing a
+    /// fresh flight the caller must publish.
+    fn lookup(&self, hash: u64, key: &str, tag: usize, watch: &mut Stopwatch) -> Lookup<V> {
+        let mut shard = match self.shards.try_lock(hash) {
             Some(shard) => shard,
             None => {
                 self.time_wait(watch);
-                self.shards.lock(key.as_bytes())
+                self.shards.lock(hash)
             }
         };
         let tick = shard.next_tick();
-        match shard.get_mut(key, tag) {
+        match shard.get_mut(hash, key, tag) {
             Some(entry) => match &entry.slot {
                 Slot::Ready(value) => {
                     entry.last_used = tick;
@@ -498,11 +570,7 @@ impl<V: Clone> Memo<V> {
             None => {
                 self.misses.inc();
                 let flight = Flight::new();
-                shard.map.entry(key.to_owned()).or_default().push(Entry {
-                    tag,
-                    slot: Slot::Pending(Arc::clone(&flight)),
-                    last_used: tick,
-                });
+                shard.insert(hash, key, tag, Slot::Pending(Arc::clone(&flight)), tick);
                 Lookup::Claimed(flight)
             }
         }
@@ -561,7 +629,7 @@ impl<V: Clone> Memo<V> {
             for &i in &todo {
                 let (key, tag) = keys[i];
                 let mut watch = Stopwatch::started_if(false);
-                match self.lookup(key, tag, &mut watch) {
+                match self.lookup(key_hash(key, tag), key, tag, &mut watch) {
                     Lookup::Ready(value) => out[i] = Some(self.hit(value, watch)),
                     Lookup::Pending(flight) => waiting.push((i, flight, watch)),
                     Lookup::Claimed(flight) => claimed.open.push(Some((i, flight))),
@@ -579,7 +647,7 @@ impl<V: Clone> Memo<V> {
                         .take()
                         .expect("each claimed key is published once");
                     let (key, tag) = keys[i];
-                    self.publish(key, tag, &flight, Some(&value));
+                    self.publish(key_hash(key, tag), &flight, Some(&value));
                     out[i] = Some(value);
                 });
                 assert!(
@@ -610,14 +678,15 @@ impl<V: Clone> Memo<V> {
             .collect()
     }
 
-    /// Publishes a flight's outcome: `Some` marks the slot ready (and
-    /// enforces the capacity bound), `None` (abandon) removes it. Only
-    /// touches the slot if it still holds this very flight (a concurrent
-    /// `clear` may have dropped it).
-    fn publish(&self, key: &str, tag: usize, flight: &Arc<Flight<V>>, value: Option<&V>) {
-        let mut shard = self.shards.lock(key.as_bytes());
+    /// Publishes a flight's outcome to the entry under `hash`: `Some`
+    /// marks it ready (and enforces the capacity bound), `None` (abandon)
+    /// removes it. Only touches the entry if it still holds this very
+    /// flight (a concurrent `clear` or a colliding claim may have dropped
+    /// it); the flight's waiters are resolved either way.
+    fn publish(&self, hash: u64, flight: &Arc<Flight<V>>, value: Option<&V>) {
+        let mut shard = self.shards.lock(hash);
         let tick = shard.next_tick();
-        if let Some(entry) = shard.get_mut(key, tag).filter(|e| e.slot.holds(flight)) {
+        if let Some(entry) = shard.index.get_mut(&hash).filter(|e| e.slot.holds(flight)) {
             match value {
                 Some(v) => {
                     entry.slot = Slot::Ready(v.clone());
@@ -626,7 +695,7 @@ impl<V: Clone> Memo<V> {
                     let evicted = shard.evict_over(self.per_shard_capacity);
                     self.evictions.add(evicted);
                 }
-                None => shard.remove(key, tag),
+                None => shard.remove(hash),
             }
         }
         drop(shard);
@@ -637,19 +706,14 @@ impl<V: Clone> Memo<V> {
     /// holds that key already (live state wins), enforcing the capacity
     /// bound as a publish does. Hits and misses are untouched: a restore
     /// is not traffic. Returns whether the entry was installed.
-    pub fn restore(&self, key: String, tag: usize, value: V) -> bool {
-        let mut shard = self.shards.lock(key.as_bytes());
+    pub fn restore(&self, key: &str, tag: usize, value: V) -> bool {
+        let hash = key_hash(key, tag);
+        let mut shard = self.shards.lock(hash);
         let tick = shard.next_tick();
-        let entries = shard.map.entry(key).or_default();
-        if entries.iter().any(|e| e.tag == tag) {
+        if shard.get_mut(hash, key, tag).is_some() {
             return false;
         }
-        entries.push(Entry {
-            tag,
-            slot: Slot::Ready(value),
-            last_used: tick,
-        });
-        shard.ready += 1;
+        shard.insert(hash, key, tag, Slot::Ready(value), tick);
         let evicted = shard.evict_over(self.per_shard_capacity);
         self.evictions.add(evicted);
         true
@@ -661,11 +725,11 @@ impl<V: Clone> Memo<V> {
     pub fn ready_entries(&self) -> Vec<(String, usize, V)> {
         let mut out = Vec::new();
         self.shards.for_each(|shard| {
-            for (key, entries) in &shard.map {
-                for e in entries {
-                    if let Slot::Ready(value) = &e.slot {
-                        out.push((key.clone(), e.tag, value.clone()));
-                    }
+            for entry in shard.index.values() {
+                if let Slot::Ready(value) = &entry.slot {
+                    let key = String::from_utf8(entry.key_in(&shard.keys).to_vec())
+                        .expect("a memo key is the bytes of a str");
+                    out.push((key, entry.tag, value.clone()));
                 }
             }
         });
@@ -708,7 +772,9 @@ impl<V> Memo<V> {
     /// they are monotonic, so a scraper never sees a reset.
     pub fn clear(&self) {
         self.shards.for_each(|shard| {
-            shard.map.clear();
+            shard.index.clear();
+            shard.keys.clear();
+            shard.dead = 0;
             shard.ready = 0;
             shard.tick = 0;
         });
@@ -782,12 +848,11 @@ mod tests {
     fn shards_route_stably_and_lock_independently() {
         let shards: Shards<HashMap<String, u32>> = Shards::new(4);
         assert_eq!(shards.len(), 4);
-        shards.lock(b"alpha").insert("alpha".into(), 1);
-        shards.lock(b"beta").insert("beta".into(), 2);
-        // the same key routes to the same shard every time, by key or
-        // by its hash
-        assert_eq!(shards.lock(b"alpha").get("alpha"), Some(&1));
-        assert_eq!(shards.lock_hashed(fnv1a(b"beta")).get("beta"), Some(&2));
+        shards.lock(key_hash("alpha", 0)).insert("alpha".into(), 1);
+        shards.lock(key_hash("beta", 0)).insert("beta".into(), 2);
+        // the same key routes to the same shard every time
+        assert_eq!(shards.lock(key_hash("alpha", 0)).get("alpha"), Some(&1));
+        assert_eq!(shards.lock(fnv1a(b"beta")).get("beta"), Some(&2));
         let mut total = 0;
         shards.for_each(|m| total += m.len());
         assert_eq!(total, 2);
@@ -797,7 +862,6 @@ mod tests {
     fn zero_shards_rounds_up_to_one() {
         let shards: Shards<Vec<u8>> = Shards::new(0);
         assert_eq!(shards.len(), 1);
-        assert!(!shards.is_empty());
     }
 
     #[test]
@@ -805,6 +869,9 @@ mod tests {
         // FNV-1a("a") per the published test vectors.
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        // tag 0 hashes the key alone; another tag moves it
+        assert_eq!(key_hash("a", 0), fnv1a(b"a"));
+        assert_ne!(key_hash("a", 1), key_hash("a", 0));
     }
 
     #[test]
@@ -867,7 +934,7 @@ mod tests {
         /// Looks `(key, tag)` up; returns whether it was a hit.
         fn lookup(&mut self, key: &str, tag: usize) -> bool {
             let n = self.shards.len() as u64;
-            let shard = &mut self.shards[(fnv1a(key.as_bytes()) % n) as usize];
+            let shard = &mut self.shards[(key_hash(key, tag) % n) as usize];
             let pair = (key.to_owned(), tag);
             let hit = match shard.iter().position(|e| *e == pair) {
                 Some(pos) => {
@@ -895,10 +962,11 @@ mod tests {
         let mut out = Vec::new();
         memo.shards.for_each(|shard| {
             let mut entries: Vec<(u64, String, usize)> = shard
-                .map
-                .iter()
-                .flat_map(|(key, entries)| {
-                    entries.iter().map(|e| (e.last_used, key.clone(), e.tag))
+                .index
+                .values()
+                .map(|e| {
+                    let key = String::from_utf8(e.key_in(&shard.keys).to_vec()).unwrap();
+                    (e.last_used, key, e.tag)
                 })
                 .collect();
             entries.sort();
@@ -910,6 +978,24 @@ mod tests {
             );
         });
         out
+    }
+
+    /// The keys of the reference runs: mixed lengths, the empty key, a
+    /// key that is a prefix of another, and multi-byte UTF-8.
+    fn model_keys() -> Vec<String> {
+        let short = [
+            "",
+            "a",
+            "ab",
+            "é",
+            "日本語のキー",
+            "🦀🦀",
+            "key1",
+            "key10",
+            "ключ",
+        ];
+        let long = ["k".repeat(300), "ü".repeat(120), "a b\tc\n".repeat(7)];
+        short.map(String::from).into_iter().chain(long).collect()
     }
 
     proptest! {
@@ -924,6 +1010,7 @@ mod tests {
         ) {
             let memo: Memo<String> = Memo::new((capacity <= 9).then_some(capacity));
             let mut model = Model::of(&memo);
+            let keys = model_keys();
             let computed = std::cell::Cell::new(0u64);
             for (key, tag, roll) in ops {
                 if roll == 0 {
@@ -931,14 +1018,14 @@ mod tests {
                     model.shards.iter_mut().for_each(Vec::clear);
                     continue;
                 }
-                let key = format!("key{key}");
-                let hit = model.lookup(&key, tag);
+                let key = &keys[key];
+                let hit = model.lookup(key, tag);
                 let before = computed.get();
-                let value = memo.get_or_compute(&key, tag, || {
+                let value = memo.get_or_compute(key, tag, || {
                     computed.set(computed.get() + 1);
-                    value_of(&key, tag)
+                    value_of(key, tag)
                 });
-                prop_assert_eq!(value, value_of(&key, tag));
+                prop_assert_eq!(value, value_of(key, tag));
                 prop_assert_eq!(computed.get() == before, hit, "hit or miss of {}#{}", key, tag);
                 prop_assert_eq!(recency(&memo), model.shards.clone());
                 prop_assert_eq!(memo.stats(), model.stats);
@@ -1087,9 +1174,21 @@ mod tests {
         }
     }
 
+    /// Runs `f` on the `(key, tag)` entry of `memo`, ready or pending,
+    /// under its shard lock.
+    fn with_entry<V, R>(
+        memo: &Memo<V>,
+        key: &str,
+        tag: usize,
+        f: impl FnOnce(Option<&mut Entry<V>>) -> R,
+    ) -> R {
+        let hash = key_hash(key, tag);
+        f(memo.shards.lock(hash).get_mut(hash, key, tag))
+    }
+
     /// Whether `(key, tag)` is in the memo, ready or pending.
     fn present(memo: &Memo<String>, key: &str, tag: usize) -> bool {
-        memo.shards.lock(key.as_bytes()).get_mut(key, tag).is_some()
+        with_entry(memo, key, tag, |e| e.is_some())
     }
 
     /// Overlapping batches from 2 and from 8 threads: every key is
@@ -1144,10 +1243,7 @@ mod tests {
 
     /// Whether `(key, tag)` holds a published value.
     fn ready(memo: &Memo<String>, key: &str, tag: usize) -> bool {
-        memo.shards
-            .lock(key.as_bytes())
-            .get_mut(key, tag)
-            .is_some_and(|e| e.slot.is_ready())
+        with_entry(memo, key, tag, |e| e.is_some_and(|e| e.slot.is_ready()))
     }
 
     /// The order that makes overlapping batches safe, forced: another
@@ -1218,12 +1314,14 @@ mod tests {
     #[test]
     fn a_panicking_batch_abandons_only_its_unpublished_flights() {
         let memo: Memo<String> = Memo::new(None);
-        let waiters = |key: &str| match &memo.shards.lock(key.as_bytes()).get_mut(key, 0) {
-            Some(Entry {
-                slot: Slot::Pending(flight),
-                ..
-            }) => Arc::strong_count(flight),
-            _ => 0,
+        let waiters = |key: &str| {
+            with_entry(&memo, key, 0, |e| match e {
+                Some(Entry {
+                    slot: Slot::Pending(flight),
+                    ..
+                }) => Arc::strong_count(flight),
+                _ => 0,
+            })
         };
         let (claimed, was_claimed) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
@@ -1355,13 +1453,10 @@ mod tests {
     fn restore_keeps_live_entries_and_enforces_the_bound() {
         let memo: Memo<String> = Memo::new(Some(2));
         memo.get_or_compute("a", 0, || "live".into());
+        assert!(!memo.restore("a", 0, "snapshot".into()), "live state wins");
+        assert!(memo.restore("b", 0, "b".into()));
         assert!(
-            !memo.restore("a".into(), 0, "snapshot".into()),
-            "live state wins"
-        );
-        assert!(memo.restore("b".into(), 0, "b".into()));
-        assert!(
-            memo.restore("c".into(), 0, "c".into()),
+            memo.restore("c", 0, "c".into()),
             "evicts a, the least recent"
         );
         assert_eq!(
@@ -1378,5 +1473,97 @@ mod tests {
             .map(|(key, _, _)| key)
             .collect();
         assert_eq!(keys, ["b", "c"]);
+    }
+
+    /// Two `(key, tag)` pairs forged onto one index key, as a hash
+    /// collision would put them: neither ever answers with the other's
+    /// value. Each claim replaces the other's entry, and a pending entry
+    /// that is replaced still resolves its waiters.
+    #[test]
+    fn a_hash_match_with_other_text_is_a_miss() {
+        let memo: Memo<&str> = Memo::new(None);
+        let hash = key_hash("menu cuisine", 0);
+        let probe = |key, tag| memo.lookup(hash, key, tag, &mut Stopwatch::started_if(false));
+        let claim = |key, tag| match probe(key, tag) {
+            Lookup::Claimed(flight) => flight,
+            _ => panic!("{key}#{tag} must miss"),
+        };
+
+        let restaurant = claim("menu cuisine", 0);
+        memo.publish(hash, &restaurant, Some(&"restaurant"));
+        assert!(matches!(
+            probe("menu cuisine", 0),
+            Lookup::Ready("restaurant")
+        ));
+
+        // Other text, then the same text under another tag, at the same
+        // index key: each misses, and its claim replaces the entry.
+        let museum = claim("gallery", 0);
+        let waiter = match probe("gallery", 0) {
+            Lookup::Pending(flight) => flight,
+            _ => panic!("the claim is pending"),
+        };
+        let other_tag = claim("menu cuisine", 1);
+        memo.publish(hash, &museum, Some(&"museum"));
+        assert_eq!(waiter.wait(), Some("museum"), "a replaced flight resolves");
+        assert_eq!(memo.len(), 0, "but leaves nothing behind");
+        memo.publish(hash, &other_tag, Some(&"other"));
+
+        assert!(matches!(probe("menu cuisine", 1), Lookup::Ready("other")));
+        let again = claim("gallery", 0);
+        memo.publish(hash, &again, Some(&"museum"));
+        assert!(matches!(probe("gallery", 0), Lookup::Ready("museum")));
+        let again = claim("menu cuisine", 0);
+        memo.publish(hash, &again, Some(&"restaurant"));
+        assert_eq!(
+            memo.ready_entries(),
+            [("menu cuisine".into(), 0, "restaurant")]
+        );
+        assert_eq!(
+            memo.stats().evictions,
+            0,
+            "a replacement is not an eviction"
+        );
+    }
+
+    /// Thousands of evictions at capacity 8 over keys of mixed lengths
+    /// and scripts: every shard's buffer stays within twice its live key
+    /// bytes, and `ready_entries` then `restore` round-trip every key
+    /// byte for byte.
+    #[test]
+    fn churn_keeps_each_key_buffer_within_twice_its_live_bytes() {
+        let key_of =
+            |i: usize| format!("{}{i}", ["", "é", "日本", "🦀", "k"][i % 5].repeat(i % 23));
+        let memo: Memo<usize> = Memo::new(Some(8));
+        assert_eq!(memo.shards.len(), 2);
+        for i in 0..5_000 {
+            let key = key_of(i);
+            assert_eq!(memo.get_or_compute(&key, i % 3, || i), i);
+            if i % 7 == 0 {
+                // An abandoned flight removes its entry too.
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    memo.get_or_compute(&format!("{key}!"), 0, || panic!("unwound"))
+                }));
+            }
+            memo.shards.for_each(|shard| {
+                let live: usize = shard.index.values().map(|e| e.len as usize).sum();
+                assert_eq!(shard.keys.len() - shard.dead, live, "step {i}");
+                assert!(shard.keys.len() <= 2 * live, "step {i}");
+            });
+        }
+        assert!(memo.stats().evictions > 4_900);
+
+        let entries = memo.ready_entries();
+        assert_eq!(entries.len(), 8);
+        for (key, tag, i) in &entries {
+            assert_eq!(key.as_bytes(), key_of(*i).as_bytes());
+            assert_eq!(*tag, i % 3);
+        }
+        let restored: Memo<usize> = Memo::new(Some(8));
+        for (key, tag, i) in &entries {
+            assert!(restored.restore(key, *tag, *i));
+        }
+        assert_eq!(restored.ready_entries(), entries);
+        assert_eq!(restored.stats().evictions, 0);
     }
 }

@@ -524,6 +524,9 @@ fn snippet_memo_verdicts_equal_unmemoized_ones_on_a_two_pass_stream() {
         .collect();
     assert!(want.iter().any(Option::is_some), "the stream must annotate");
     let snippets: usize = lists.iter().map(Vec::len).sum();
+    let mut distinct: Vec<&str> = lists.iter().flatten().map(|r| r.snippet.as_str()).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
     for capacity in [Some(1), None] {
         for threads in [1, 8] {
             let memo = SnippetClassMemo::with_capacity(capacity);
@@ -554,12 +557,19 @@ fn snippet_memo_verdicts_equal_unmemoized_ones_on_a_two_pass_stream() {
             );
             match capacity {
                 Some(1) => {
-                    assert!(stats.evictions > 0, "a one-snippet memo must flush");
+                    assert!(stats.evictions > 0, "a one-snippet memo must evict");
                     assert!(memo.len() <= 1);
                 }
                 _ => {
                     assert_eq!(stats.evictions, 0);
                     assert!(stats.hits >= snippets as u64, "the second pass must hit");
+                    assert_eq!(
+                        stats.misses,
+                        distinct.len() as u64,
+                        "single flight: each distinct snippet is classified once, \
+                         {threads} threads"
+                    );
+                    assert_eq!(memo.len(), distinct.len());
                 }
             }
         }
