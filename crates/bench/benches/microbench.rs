@@ -190,9 +190,10 @@ fn bench_search(c: &mut Criterion) {
     group.finish();
 }
 
-/// One routed `SEARCH-FULL` over the Quick corpus in 4 mmap'd shards
-/// behind a loopback router: the scatter, 4 shard rankings, the replies
-/// and the merge.
+/// One routed `search_results` over the Quick corpus in 4 mmap'd shards
+/// behind a loopback router — a one-query `SEARCH-MANY` frame: the
+/// scatter, 4 shard rankings with hydrated fields, the replies and the
+/// merge.
 fn bench_cluster(c: &mut Criterion) {
     use teda_cluster::{partition_corpus, ClusterRouter, RouterConfig, ShardServer};
 

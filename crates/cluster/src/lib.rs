@@ -20,8 +20,8 @@
 //! * [`ShardServer`] / [`ShardBackend`] — one shard process: opens its
 //!   image (mapped or heap), scores with the manifest's global
 //!   statistics so every local score equals the global score bit for
-//!   bit, and serves `SEARCH` / `SEARCH-FULL` / `SEARCH-MANY` /
-//!   `SHARD-STATS` over the wire protocol.
+//!   bit, and serves `SEARCH` / `SEARCH-MANY` / `SHARD-STATS` over the
+//!   wire protocol.
 //! * [`ClusterRouter`] — the stateless router: fans each query to all
 //!   shards over pooled connections, merges the per-shard top-`k` under
 //!   the one shared comparator ([`teda_websim::scoring::merge_topk`]),

@@ -24,8 +24,8 @@
 //! Batches: [`ClusterRouter::try_search_many`] (and the trait's
 //! `search_many`) scatter up to [`MAX_BATCH`] queries as one
 //! `SEARCH-MANY` frame per group, so a table's cache misses cost one
-//! round trip per shard instead of one per miss. A single full search
-//! ([`ClusterRouter::try_search_full`]) is a one-query frame, and each
+//! round trip per shard instead of one per miss. A single search with
+//! fields (the trait's `search_results`) is a one-query frame, and each
 //! query of a frame is merged on its own, so batching changes no answer.
 //!
 //! Failover: each shard is a replica group. A query rotates through the
@@ -258,6 +258,23 @@ impl ClusterRouter {
     /// and `BENCH_obs.json` read from here.
     pub fn obs(&self) -> Arc<Registry> {
         Arc::clone(&self.obs)
+    }
+
+    /// Starts a routed trace rooted at `root` and wraps `request` in
+    /// `TRACE <id>` under the router's deterministic id, so the
+    /// shard-side trees share it and
+    /// [`reconstruct_trace`](Self::reconstruct_trace) can reassemble the
+    /// whole request. With tracing off the request goes out bare.
+    fn traced(&self, root: &'static str, request: Request) -> (TraceCtx, Request) {
+        let trace = self.obs.start_trace(root);
+        let request = match trace.id() {
+            Some(id) => Request::Traced {
+                id,
+                inner: Box::new(request),
+            },
+            None => request,
+        };
+        (trace, request)
     }
 
     /// Reassembles the cross-node span tree of one routed search: the
@@ -510,23 +527,11 @@ impl ClusterRouter {
     /// [`ClusterError::PartialResults`] (carrying the exact merge over
     /// the live shards) when one or more whole replica groups are down.
     pub fn try_search(&self, query: &str, k: usize) -> Result<Vec<(PageId, f64)>, ClusterError> {
-        // Trace the scatter under the router's deterministic id and
-        // forward that id to every shard (`TRACE <id> SEARCH …`), so
-        // the shard-side trees share it and `reconstruct_trace` can
-        // reassemble the whole request.
-        let trace = self.obs.start_trace("search");
         let search = Request::Search {
             k,
             query: query.into(),
-            full: false,
         };
-        let request = match trace.id() {
-            Some(id) => Request::Traced {
-                id,
-                inner: Box::new(search),
-            },
-            None => search,
-        };
+        let (trace, request) = self.traced("search", search);
         let outcomes = self.scatter(&request, &parse_scored, &trace);
         let (live, dead) = self.gather(outcomes, 1)?;
         let hits = {
@@ -547,24 +552,15 @@ impl ClusterRouter {
         }
     }
 
-    /// Like [`try_search`](Self::try_search) but with hydrated
-    /// url/title/snippet fields on every hit: a one-query `SEARCH-MANY`
-    /// scatter. The partial-results error carries the scored ids of the
-    /// degraded merge.
-    pub fn try_search_full(&self, query: &str, k: usize) -> Result<Vec<SearchHit>, ClusterError> {
-        self.search_frame(&[(query, k)])
-            .pop()
-            .expect("a one-query frame has one answer")
-    }
-
-    /// [`try_search_full`](Self::try_search_full) for every `(query,
-    /// k)` pair, in order, with one `SEARCH-MANY` frame per replica
-    /// group for each [`MAX_BATCH`] queries instead of one frame per
-    /// group per query. Each query keeps the single-query semantics:
-    /// its answer is bit-identical to the single node, a frame that
-    /// fails on one replica is retried whole on the group's next one,
-    /// and a dead group makes each query of the frame its own
-    /// [`ClusterError::PartialResults`] (counted once per query).
+    /// The top-`k` with hydrated url/title/snippet fields for every
+    /// `(query, k)` pair, in order, with one `SEARCH-MANY` frame per
+    /// replica group for each [`MAX_BATCH`] queries instead of one frame
+    /// per group per query. Each query keeps the single-query
+    /// semantics: its answer is bit-identical to the single node (and to
+    /// a one-query batch), a frame that fails on one replica is retried
+    /// whole on the group's next one, and a dead group makes each query
+    /// of the frame its own [`ClusterError::PartialResults`] (counted
+    /// once per query), carrying the scored ids of the degraded merge.
     pub fn try_search_many(
         &self,
         queries: &[(&str, usize)],
@@ -580,17 +576,10 @@ impl ClusterRouter {
     /// hard wire error on a frame of several queries falls back to one
     /// frame per query, so an error stays with the query that caused it.
     fn search_frame(&self, frame: &[(&str, usize)]) -> Vec<Result<Vec<SearchHit>, ClusterError>> {
-        let trace = self.obs.start_trace("search_many");
         let many = Request::SearchMany {
             queries: frame.iter().map(|&(q, k)| (k, q.to_owned())).collect(),
         };
-        let request = match trace.id() {
-            Some(id) => Request::Traced {
-                id,
-                inner: Box::new(many),
-            },
-            None => many,
-        };
+        let (trace, request) = self.traced("search_many", many);
         let sent = frame.len();
         let outcomes = self.scatter(&request, &|payload| parse_many(payload, sent), &trace);
         let (live, dead) = match self.gather(outcomes, sent as u64) {
@@ -600,7 +589,7 @@ impl ClusterRouter {
                 trace.finish();
                 return frame
                     .iter()
-                    .map(|&(q, k)| self.try_search_full(q, k))
+                    .flat_map(|&pair| self.search_frame(&[pair]))
                     .collect();
             }
         };
@@ -666,8 +655,11 @@ impl SearchBackend for ClusterRouter {
         }
     }
 
+    /// A one-query `SEARCH-MANY` scatter.
     fn search_results(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        results_of_full(self.try_search_full(query, k))
+        self.search_frame(&[(query, k)])
+            .pop()
+            .map_or_else(Vec::new, results_of_full)
     }
 
     /// One `SEARCH-MANY` frame per replica group for each [`MAX_BATCH`]

@@ -165,7 +165,7 @@ impl SearchBackend for ShardBackend {
         results_of(self.search_hits(query, k))
     }
 
-    /// The shard's top-`k` as `SEARCH-FULL` hits from one ranking:
+    /// The shard's top-`k` as `SEARCH-MANY` hits from one ranking:
     /// global ids, exact score bits, hydrated fields.
     fn search_hits(&self, query: &str, k: usize) -> Vec<(PageId, f64, SearchResult)> {
         self.search_local(query, k)
@@ -344,7 +344,7 @@ mod tests {
         let hits = client.search("storage", 5).unwrap();
         assert_eq!(hits, expected, "wire transport must preserve score bits");
 
-        let full = client.search_full("storage", 5).unwrap();
+        let full = client.search_many(&[("storage", 5)]).unwrap().remove(0);
         assert_eq!(full.len(), expected.len());
         for (hit, (id, score)) in full.iter().zip(&expected) {
             assert_eq!(hit.id, *id);

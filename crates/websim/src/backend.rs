@@ -66,7 +66,7 @@ pub trait SearchBackend: Send + Sync {
     fn search_results(&self, query: &str, k: usize) -> Vec<SearchResult>;
 
     /// The top-`k` as `(id, score, fields)` hits from **one** ranking —
-    /// what a `SEARCH-FULL` answer carries. The default zips
+    /// what a `SEARCH-MANY` answer carries per query. The default zips
     /// [`search`](Self::search) with [`search_results`](Self::search_results),
     /// which ranks twice; backends that can rank once override it, and a
     /// hot-swappable backend must, so both halves come from the same

@@ -9,7 +9,7 @@ use std::time::Duration;
 use teda_websim::PageId;
 
 use crate::protocol::{
-    parse_hits, parse_many, parse_scored, parse_shard_stats, read_frame, Reply, Request, SearchHit,
+    parse_many, parse_scored, parse_shard_stats, read_frame, Reply, Request, SearchHit,
     ShardStatsReport, WireError,
 };
 
@@ -119,8 +119,8 @@ impl WireClient {
     /// Whether the next [`receive`](Self::receive) starts at a frame
     /// boundary. A reply that could not be read to its end (longer than
     /// [`MAX_FRAME`](crate::protocol::MAX_FRAME), or cut by a transport
-    /// error) leaves the rest of its line unread, so the connection must
-    /// be dropped, never reused: its next read would be that tail.
+    /// error or by EOF) leaves the stream mid-line, so the connection
+    /// must be dropped, never reused: its next read would be that tail.
     pub fn is_framed(&self) -> bool {
         self.framed
     }
@@ -174,24 +174,13 @@ impl WireClient {
         let payload = self.roundtrip(&Request::Search {
             k,
             query: query.into(),
-            full: false,
         })?;
         parse_scored(&payload)
     }
 
-    /// `SEARCH-FULL`: like [`search`](Self::search) but with the
-    /// hydrated url/title/snippet fields on every hit.
-    pub fn search_full(&mut self, query: &str, k: usize) -> Result<Vec<SearchHit>, WireError> {
-        let payload = self.roundtrip(&Request::Search {
-            k,
-            query: query.into(),
-            full: true,
-        })?;
-        parse_hits(&payload)
-    }
-
-    /// `SEARCH-MANY`: [`search_full`](Self::search_full) for each
-    /// `(query, k)` pair, in one frame and in request order. At most
+    /// `SEARCH-MANY`: the scored top-`k` with the hydrated
+    /// url/title/snippet fields on every hit, for each `(query, k)`
+    /// pair, in one frame and in request order. At most
     /// [`MAX_BATCH`](crate::protocol::MAX_BATCH) pairs fit a frame; an
     /// empty or larger batch is a `bad-request`.
     pub fn search_many(
@@ -245,7 +234,6 @@ impl WireClient {
             inner: Box::new(Request::Search {
                 k,
                 query: query.into(),
-                full: false,
             }),
         })?;
         parse_scored(&payload)

@@ -22,8 +22,8 @@
 //!   STATS                    service counters incl. per-client lines
 //!   BUDGET                   remaining query pool
 //!   SEARCH <k> <query>       scored top-k page ids (exact f64 bits)
-//!   SEARCH-FULL <k> <query>  scored top-k with hydrated page fields
-//!   SEARCH-MANY <n> <k> <q>\t…  SEARCH-FULL for n ≤ 16 queries at once
+//!   SEARCH-MANY <n> <k> <q>\t…  scored top-k with hydrated page fields,
+//!                            for n ≤ 16 queries at once
 //!   SHARD-STATS              shard identity + global corpus stats
 //!   STATS JSON               full ServiceStats as one JSON object
 //!   METRICS                  Prometheus-style stage histograms
@@ -37,7 +37,8 @@
 //!   `budget-exhausted`, `too-large <need> <budget>`, `shutting-down`,
 //!   plus `failed` (worker panic) and `bad-request` (framing/parse).
 //! * [`WireServer`] — acceptor thread + one reader thread per
-//!   connection, strict request/response. Submissions run as the
+//!   connection, strict request/response, serving either the annotation
+//!   service or a search backend. Submissions run as the
 //!   connection's [`teda_service::ClientId`], so the scheduler's
 //!   deficit-round-robin token buckets meter each wire client
 //!   separately: a bulk streamer saturating `ANNOTATE` cannot starve
@@ -49,7 +50,7 @@
 //!
 //! The search verbs make a wire node a cluster building block: a
 //! search-only [`WireServer`] over a shard's backend is the entire
-//! shard-server process of `teda-cluster`, and `SEARCH` scores travel
+//! shard-server process of `teda-cluster`, and search scores travel
 //! as exact IEEE-754 bit patterns so scatter-gather merging can be
 //! bit-identical to the single-node index.
 //!
@@ -66,4 +67,4 @@ pub mod server;
 
 pub use client::WireClient;
 pub use protocol::{Reply, Request, SearchHit, ShardInfo, ShardStatsReport, WireError};
-pub use server::{SearchNode, WireServer};
+pub use server::WireServer;

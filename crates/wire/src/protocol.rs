@@ -17,9 +17,9 @@
 //!          | "BUDGET" LF                    ; remaining query pool
 //!          | "SNAPSHOT" LF                  ; persist the query-cache snapshot
 //!          | "SEARCH" SP k SP query LF      ; scored top-k page ids
-//!          | "SEARCH-FULL" SP k SP query LF ; scored top-k with page fields
 //!          | "SEARCH-MANY" SP n SP item *(HTAB item) LF
-//!                                         ; SEARCH-FULL for n queries at once
+//!                                         ; scored top-k with page fields,
+//!                                         ; for n queries at once
 //!          | "SHARD-STATS" LF               ; shard identity + global stats
 //!          | "STATS" SP "JSON" LF           ; ServiceStats as one JSON object
 //!          | "METRICS" LF                   ; Prometheus-style exposition
@@ -41,10 +41,10 @@
 //!
 //! `SEARCH` scores travel as 16-hex-digit IEEE-754 bit patterns
 //! ([`render_scored`]), so cluster bit-identity is never at the mercy of
-//! decimal formatting; `SEARCH-FULL` adds the assembled result fields as
-//! tab-separated, field-escaped columns ([`render_hits`]). A
-//! `SEARCH-MANY` reply is a `queries=<n>` header, then one
-//! [`render_hits`] body per query in request order ([`render_many`]).
+//! decimal formatting. A `SEARCH-MANY` reply ([`render_many`]) is a
+//! `queries=<n>` header, then one `hits=<m>` body per query in request
+//! order, each hit carrying the same score bits plus the assembled
+//! result fields as tab-separated, field-escaped columns.
 //!
 //! `ANNOTATE`/`TRY` payloads parse through
 //! [`teda_corpus::table_from_csv`], i.e. the exact format
@@ -86,7 +86,9 @@ pub const MAX_BATCH: usize = 16;
 /// bound cannot drift between the two sides. `Ok(None)` is a clean
 /// EOF; an over-long frame is a [`WireError::BadRequest`] and the
 /// caller must drop the connection (there is no way to find the next
-/// frame boundary inside an unterminated line).
+/// frame boundary inside an unterminated line). A line cut off by EOF
+/// before its newline is a [`WireError::Transport`]: the peer went away
+/// mid-frame, so what arrived is not a frame at all.
 pub fn read_frame<R: std::io::BufRead>(reader: &mut R) -> Result<Option<String>, WireError> {
     use std::io::{BufRead, Read};
 
@@ -99,10 +101,12 @@ pub fn read_frame<R: std::io::BufRead>(reader: &mut R) -> Result<Option<String>,
     if n == 0 {
         return Ok(None);
     }
-    if !line.ends_with('\n') && line.len() > MAX_FRAME {
-        return Err(WireError::BadRequest(format!(
-            "frame longer than {MAX_FRAME} bytes"
-        )));
+    if !line.ends_with('\n') {
+        return Err(if line.len() > MAX_FRAME {
+            WireError::BadRequest(format!("frame longer than {MAX_FRAME} bytes"))
+        } else {
+            WireError::Transport(format!("frame cut off by EOF after {n} bytes"))
+        });
     }
     Ok(Some(line))
 }
@@ -110,7 +114,7 @@ pub fn read_frame<R: std::io::BufRead>(reader: &mut R) -> Result<Option<String>,
 /// Escapes a payload into single-line form (`\` → `\\`, newline →
 /// `\n`, carriage return → `\r`, tab → `\t`). Tab is escaped so an
 /// escaped field can never collide with the tab separators of
-/// [`render_hits`] lines.
+/// [`render_many`] hit lines.
 pub fn escape(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len() + raw.len() / 8);
     for c in raw.chars() {
@@ -175,21 +179,17 @@ pub enum Request {
     /// store directory now (`OK snapshot <entries>`); `ERR failed …`
     /// when the service runs without a store or the write fails.
     Snapshot,
-    /// `SEARCH <k> <query>` (`full = false`) or `SEARCH-FULL <k>
-    /// <query>` (`full = true`) — the node's top-`k` for the query:
-    /// scored page ids ([`render_scored`]), or ids plus assembled
-    /// result fields ([`render_hits`]).
+    /// `SEARCH <k> <query>` — the node's top-`k` for the query as
+    /// scored page ids ([`render_scored`]).
     Search {
         /// How many hits to return (≤ [`MAX_K`]).
         k: usize,
         /// The raw query string (escaped on the wire).
         query: String,
-        /// Whether to hydrate page fields (`SEARCH-FULL`).
-        full: bool,
     },
-    /// `SEARCH-MANY <n> <k> <query>\t…` — `SEARCH-FULL` for each of
-    /// `1..=`[`MAX_BATCH`] `(k, query)` pairs in one frame, answered in
-    /// request order ([`render_many`]).
+    /// `SEARCH-MANY <n> <k> <query>\t…` — the top-`k` with assembled
+    /// result fields for each of `1..=`[`MAX_BATCH`] `(k, query)` pairs
+    /// in one frame, answered in request order ([`render_many`]).
     SearchMany {
         /// The `(k, query)` pairs (each `k` ≤ [`MAX_K`]).
         queries: Vec<(usize, String)>,
@@ -211,8 +211,7 @@ pub enum Request {
     },
     /// `TRACE <id> <request>` — run the inner request under the
     /// caller's trace id, so a cross-node request reconstructs from one
-    /// id. Only `SEARCH`/`SEARCH-FULL`/`SEARCH-MANY`/`ANNOTATE`/`TRY`
-    /// can be traced.
+    /// id. Only `SEARCH`/`SEARCH-MANY`/`ANNOTATE`/`TRY` can be traced.
     Traced {
         /// The caller-minted trace id.
         id: u64,
@@ -247,13 +246,7 @@ impl Request {
                 })?;
                 let id = parse_trace_id(id)?;
                 let inner = Request::parse(inner_line)?;
-                if !matches!(
-                    inner,
-                    Request::Search { .. }
-                        | Request::SearchMany { .. }
-                        | Request::Annotate { .. }
-                        | Request::Try { .. }
-                ) {
+                if !inner.is_traceable() {
                     return Err(WireError::BadRequest(TRACEABLE.into()));
                 }
                 Ok(Request::Traced {
@@ -277,13 +270,9 @@ impl Request {
                     Ok(Request::Try { name, csv })
                 }
             }
-            ("SEARCH", Some(rest)) | ("SEARCH-FULL", Some(rest)) => {
+            ("SEARCH", Some(rest)) => {
                 let (k, query) = parse_query(rest, verb)?;
-                Ok(Request::Search {
-                    k,
-                    query,
-                    full: verb == "SEARCH-FULL",
-                })
+                Ok(Request::Search { k, query })
             }
             ("SEARCH-MANY", Some(rest)) => {
                 let (n, items) = rest.split_once(' ').unwrap_or((rest, ""));
@@ -322,8 +311,7 @@ impl Request {
                 Err(WireError::BadRequest(format!("{verb} takes no arguments")))
             }
             (
-                "CLIENT" | "ANNOTATE" | "TRY" | "SEARCH" | "SEARCH-FULL" | "SEARCH-MANY"
-                | "TRACE-DUMP" | "TRACE",
+                "CLIENT" | "ANNOTATE" | "TRY" | "SEARCH" | "SEARCH-MANY" | "TRACE-DUMP" | "TRACE",
                 None,
             ) => Err(WireError::BadRequest(format!("{verb} needs arguments"))),
             ("", _) => Err(WireError::BadRequest("empty request".into())),
@@ -343,10 +331,7 @@ impl Request {
             Request::Stats => "STATS\n".into(),
             Request::Budget => "BUDGET\n".into(),
             Request::Snapshot => "SNAPSHOT\n".into(),
-            Request::Search { k, query, full } => {
-                let verb = if *full { "SEARCH-FULL" } else { "SEARCH" };
-                format!("{verb} {k} {}\n", escape(query))
-            }
+            Request::Search { k, query } => format!("SEARCH {k} {}\n", escape(query)),
             Request::SearchMany { queries } => {
                 let items: Vec<String> = queries
                     .iter()
@@ -387,11 +372,22 @@ impl Request {
             _ => false,
         }
     }
+
+    /// Whether a `TRACE <id>` prefix may wrap this request: the two
+    /// search verbs and the two submissions, never another `TRACE`.
+    pub(crate) fn is_traceable(&self) -> bool {
+        matches!(
+            self,
+            Request::Search { .. }
+                | Request::SearchMany { .. }
+                | Request::Annotate { .. }
+                | Request::Try { .. }
+        )
+    }
 }
 
 /// What a `TRACE` prefix may wrap, as its `bad-request` says.
-pub(crate) const TRACEABLE: &str =
-    "TRACE only prefixes SEARCH/SEARCH-FULL/SEARCH-MANY/ANNOTATE/TRY";
+pub(crate) const TRACEABLE: &str = "TRACE only prefixes SEARCH/SEARCH-MANY/ANNOTATE/TRY";
 
 /// Parses one `<k> <query>` pair of a search verb: `k` bounded by
 /// [`MAX_K`], the query unescaped.
@@ -756,7 +752,8 @@ pub struct ShardStatsReport {
     pub docs: u64,
     /// Documents in the whole corpus.
     pub global_docs: u64,
-    /// `SEARCH`/`SEARCH-FULL` requests served since start.
+    /// Queries searched since start: one per `SEARCH`, one per query
+    /// of a `SEARCH-MANY`.
     pub searches: u64,
 }
 
@@ -844,18 +841,11 @@ pub fn parse_scored(payload: &str) -> Result<Vec<(PageId, f64)>, WireError> {
     Ok(hits)
 }
 
-/// Renders a `SEARCH-FULL` success payload: a `hits=<n>` header, then
+/// Appends one query's hit block to `out`: a `hits=<n>` header, then
 /// one `<id>\t<score-hex>\t<url>\t<title>\t<snippet>` line per hit with
 /// each text field [`escape`]d — tabs in field content become `\t`, so
 /// the five columns are unambiguous for arbitrary page text.
-pub fn render_hits(hits: &[SearchHit]) -> String {
-    let mut out = String::new();
-    render_hits_into(&mut out, hits);
-    out
-}
-
-/// Appends one [`render_hits`] body to `out`.
-fn render_hits_into(out: &mut String, hits: &[SearchHit]) {
+fn render_hit_block(out: &mut String, hits: &[SearchHit]) {
     use std::fmt::Write;
 
     // teda-lint: allow(panic_on_untrusted) -- fmt::Write into String is infallible
@@ -875,26 +865,12 @@ fn render_hits_into(out: &mut String, hits: &[SearchHit]) {
     }
 }
 
-/// Reverses [`render_hits`], with the same typed failure modes as
-/// [`parse_scored`].
-pub fn parse_hits(payload: &str) -> Result<Vec<SearchHit>, WireError> {
-    let mut lines = payload.lines();
-    let hits = parse_hit_block(&mut lines)?;
-    if lines.next().is_some() {
-        return Err(WireError::BadRequest(format!(
-            "search payload promised {} hits, carried more",
-            hits.len()
-        )));
-    }
-    Ok(hits)
-}
-
 /// Renders a `SEARCH-MANY` success payload: a `queries=<n>` header,
-/// then one [`render_hits`] body per query, in request order.
+/// then one hit block per query, in request order.
 pub fn render_many(answers: &[Vec<SearchHit>]) -> String {
     let mut out = format!("queries={}\n", answers.len());
     for hits in answers {
-        render_hits_into(&mut out, hits);
+        render_hit_block(&mut out, hits);
     }
     out
 }
@@ -927,8 +903,8 @@ pub fn parse_many(payload: &str, sent: usize) -> Result<Vec<Vec<SearchHit>>, Wir
     Ok(answers)
 }
 
-/// Reads one [`render_hits`] body off `lines`: its `hits=<m>` header
-/// and exactly `m` hit lines.
+/// Reads one hit block off `lines`: its `hits=<m>` header and exactly
+/// `m` hit lines.
 fn parse_hit_block(lines: &mut std::str::Lines<'_>) -> Result<Vec<SearchHit>, WireError> {
     let n = parse_hits_header(lines.next())?;
     let mut hits = Vec::with_capacity(n);
@@ -1041,12 +1017,10 @@ mod tests {
             Request::Search {
                 k: 10,
                 query: "french restaurant\tparis".into(),
-                full: false,
             },
             Request::Search {
                 k: 3,
                 query: "multi\nline".into(),
-                full: true,
             },
             Request::SearchMany {
                 queries: vec![
@@ -1071,7 +1045,6 @@ mod tests {
                 inner: Box::new(Request::Search {
                     k: 5,
                     query: "rome\ttrattoria".into(),
-                    full: true,
                 }),
             },
             Request::Traced {
@@ -1107,7 +1080,7 @@ mod tests {
                 "{bad:?} must be a bad-request"
             );
         }
-        // Only SEARCH/SEARCH-FULL/ANNOTATE/TRY can ride under TRACE —
+        // Only SEARCH/SEARCH-MANY/ANNOTATE/TRY can ride under TRACE —
         // in particular a nested TRACE cannot.
         for inner in [
             "STATS",
@@ -1129,10 +1102,40 @@ mod tests {
                 inner: Box::new(Request::Search {
                     k: 3,
                     query: "pizza".into(),
-                    full: false,
                 }),
             }
         );
+    }
+
+    /// The retired hydrated single-query verb is an unknown verb, bare
+    /// or under a `TRACE` prefix: a one-query `SEARCH-MANY` replaced it.
+    #[test]
+    fn search_full_is_an_unknown_verb() {
+        for line in [
+            "SEARCH-FULL 3 harbor\n",
+            "SEARCH-FULL",
+            "TRACE 000000000000002a SEARCH-FULL 3 harbor\n",
+        ] {
+            match Request::parse(line) {
+                Err(WireError::BadRequest(m)) => {
+                    assert_eq!(m, "unknown verb \"SEARCH-FULL\"", "{line:?}")
+                }
+                other => panic!("{line:?} must be an unknown verb, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_line_cut_off_by_eof_is_a_transport_error() {
+        let mut cut = std::io::Cursor::new(b"OK queries=1\\nhits=0".to_vec());
+        assert!(matches!(read_frame(&mut cut), Err(WireError::Transport(_))));
+        let mut whole = std::io::Cursor::new(b"OK\nSTATS".to_vec());
+        assert_eq!(read_frame(&mut whole).unwrap().as_deref(), Some("OK\n"));
+        assert!(matches!(
+            read_frame(&mut whole),
+            Err(WireError::Transport(_))
+        ));
+        assert_eq!(read_frame(&mut whole).unwrap(), None, "then a clean EOF");
     }
 
     #[test]
@@ -1144,7 +1147,6 @@ mod tests {
             Request::Search {
                 k: 1,
                 query: "q".into(),
-                full: true,
             },
             Request::SearchMany {
                 queries: vec![(1, "q".into())],
@@ -1157,7 +1159,6 @@ mod tests {
                 inner: Box::new(Request::Search {
                     k: 1,
                     query: "q".into(),
-                    full: false,
                 }),
             },
         ];
@@ -1375,15 +1376,16 @@ mod tests {
                 snippet: "plain words".into(),
             },
         }];
-        let payload = render_hits(&hits);
-        assert_eq!(parse_hits(&payload).unwrap(), hits);
+        let answers = vec![hits];
+        let payload = render_many(&answers);
+        assert_eq!(parse_many(&payload, 1).unwrap(), answers);
         // The whole payload survives a frame round-trip (the reply layer
         // escapes it once more).
         let framed = Reply::Ok(payload.clone()).encode();
         let Reply::Ok(unframed) = Reply::parse(&framed).unwrap() else {
             panic!("expected OK");
         };
-        assert_eq!(parse_hits(&unframed).unwrap(), hits);
+        assert_eq!(parse_many(&unframed, 1).unwrap(), answers);
     }
 
     #[test]

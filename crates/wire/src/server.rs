@@ -1,14 +1,16 @@
 //! The TCP front-end: a std-thread acceptor plus one reader thread per
-//! connection, each driving the shared [`AnnotationService`] and/or
-//! [`SearchBackend`] — a node may serve either half or both (a cluster
-//! shard process is a search-only node).
+//! connection, each driving the node's [`AnnotationService`] or its
+//! [`SearchBackend`] — a node serves one of the two (a cluster shard
+//! process is a search-only node).
 //!
 //! Shape: the acceptor blocks in `accept`; every connection gets a
 //! thread that reads one frame at a time, parses it with
 //! [`Request::parse`], and answers with exactly one [`Reply`] frame —
 //! strict request/response, so one connection has at most one request
 //! in flight and a bulk client is naturally rate-limited to its own
-//! round-trips while the fairness layer meters its tokens.
+//! round-trips while the fairness layer meters its tokens. One dispatch
+//! answers every verb; a `TRACE <id>` prefix only hands it the caller's
+//! trace id.
 //!
 //! Identity: a connection starts as [`ClientId::ANONYMOUS`]; a `CLIENT
 //! <name>` frame switches every later submission on that connection to
@@ -16,10 +18,13 @@
 //! [`ServiceStats::clients`](teda_service::ServiceStats) key on.
 //!
 //! Shutdown: [`WireServer::shutdown`] (also run on drop) raises a stop
-//! flag, force-closes the registered connection sockets, pokes the
-//! acceptor awake with a loopback connect, and joins every thread. In-
-//! flight requests finish or fail through the service's own drain.
+//! flag, force-closes the live connection sockets, pokes the acceptor
+//! awake with a loopback connect, and joins every thread. In-flight
+//! requests finish or fail through the service's own drain. A
+//! connection that ends before shutdown releases its socket and its
+//! thread handle as it ends, so the server holds only live connections.
 
+use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -32,55 +37,73 @@ use teda_service::{AnnotationService, ClientId, SubmitRequest, Wait};
 use teda_websim::SearchBackend;
 
 use crate::protocol::{
-    read_frame, render_annotations, render_hits, render_many, render_scored, render_shard_stats,
-    render_stats, render_stats_json, Reply, Request, SearchHit, ShardInfo, ShardStatsReport,
-    WireError, TRACEABLE,
+    read_frame, render_annotations, render_many, render_scored, render_shard_stats, render_stats,
+    render_stats_json, Reply, Request, SearchHit, ShardInfo, ShardStatsReport, WireError,
+    TRACEABLE,
 };
 
-/// Threads and sockets the server must reap on shutdown.
-#[derive(Default)]
-struct Registry {
-    /// One clone of each live connection's stream, for forced close.
-    streams: Vec<TcpStream>,
-    /// Connection reader threads.
-    handles: Vec<JoinHandle<()>>,
+/// The live connections by number: a clone of each socket, for forced
+/// close on shutdown, and its reader thread. A thread removes its own
+/// entry as it ends.
+type Connections = Mutex<BTreeMap<usize, (Option<TcpStream>, JoinHandle<()>)>>;
+
+/// What a wire node serves: the annotation service, or a search backend.
+/// A verb of the other kind is a typed `bad-request`, not a panic.
+enum Node {
+    Service(Arc<AnnotationService>),
+    Search(SearchNode),
 }
 
-/// The search-serving half of a wire node: any [`SearchBackend`] plus
-/// its optional cluster identity. With `info = None` the node reports
-/// itself as shard 0 of 1 with `global_docs = n_docs()` — a single-node
-/// server is just a one-shard cluster.
-pub struct SearchNode {
-    /// What `SEARCH`/`SEARCH-FULL` rank against.
-    pub backend: Arc<dyn SearchBackend>,
-    /// The node's place in a cluster, if it serves a shard image.
-    pub info: Option<ShardInfo>,
-}
-
-/// What the connection threads share: each half of the node is
-/// optional, and verbs against a missing half are `bad-request`, not
-/// panics. A shard server runs search-only; the classic annotation
-/// front-end runs service-only; a full node runs both.
-struct NodeParts {
-    service: Option<Arc<AnnotationService>>,
-    search: Option<SearchNode>,
-    /// Lifetime count of queries searched (one per `SEARCH`/
-    /// `SEARCH-FULL`, one per query of a `SEARCH-MANY`), for
-    /// `SHARD-STATS`; registered on `obs` as `searches` when the node
-    /// serves search.
+/// The search-serving node: any [`SearchBackend`] plus its optional
+/// cluster identity. With `info = None` the node reports itself as shard
+/// 0 of 1 with `global_docs = n_docs()` — a single-node server is just a
+/// one-shard cluster.
+struct SearchNode {
+    backend: Arc<dyn SearchBackend>,
+    info: Option<ShardInfo>,
+    /// Lifetime count of queries searched (one per `SEARCH`, one per
+    /// query of a `SEARCH-MANY`), for `SHARD-STATS`; registered on the
+    /// node's registry as `searches`.
     searches: Arc<Counter>,
-    /// The node's observability surface: the service's registry when
-    /// this node runs one (so `METRICS` sees the scheduler's stage
+}
+
+/// What the connection threads share.
+struct NodeParts {
+    node: Node,
+    /// The node's observability surface: the service's registry on an
+    /// annotation node (so `METRICS` sees the scheduler's stage
     /// histograms), a fresh per-node registry on a search-only node.
     obs: Arc<ObsRegistry>,
 }
 
-/// The line-protocol TCP front-end over one [`AnnotationService`],
-/// one [`SearchBackend`], or both.
+impl NodeParts {
+    /// A search-only node's parts. It has no service registry, so it
+    /// gets its own, labelled with its shard identity so grafted
+    /// cross-node traces name the shard that produced them.
+    fn search(backend: Arc<dyn SearchBackend>, info: Option<ShardInfo>) -> NodeParts {
+        let name = match info {
+            Some(info) => format!("shard{}", info.shard),
+            None => "node".to_string(),
+        };
+        let obs = ObsRegistry::new(&name);
+        let searches = obs.counter("searches");
+        NodeParts {
+            node: Node::Search(SearchNode {
+                backend,
+                info,
+                searches,
+            }),
+            obs,
+        }
+    }
+}
+
+/// The line-protocol TCP front-end over one [`AnnotationService`] or
+/// one [`SearchBackend`].
 pub struct WireServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    registry: Arc<Mutex<Registry>>,
+    conns: Arc<Connections>,
     acceptor: Option<JoinHandle<()>>,
     /// Kept so shutdown can unpark connection threads waiting on a dry
     /// query pool (`wake_blocked_submitters`).
@@ -93,83 +116,52 @@ impl WireServer {
     /// The service rides behind an `Arc` so in-process callers can keep
     /// submitting beside the wire clients. `SEARCH`/`SHARD-STATS` are
     /// `bad-request` on such a node; see
-    /// [`start_search_only`](Self::start_search_only) and
-    /// [`start_with_search`](Self::start_with_search).
+    /// [`start_search_only`](Self::start_search_only).
     pub fn start(
         service: Arc<AnnotationService>,
         addr: impl ToSocketAddrs,
     ) -> std::io::Result<WireServer> {
-        Self::start_node(Some(service), None, addr)
+        let obs = service.obs();
+        Self::start_node(
+            NodeParts {
+                node: Node::Service(service),
+                obs,
+            },
+            addr,
+        )
     }
 
     /// Starts a search-only node — what a cluster shard process runs:
-    /// no annotation pipeline, just `SEARCH`/`SEARCH-FULL`/
-    /// `SHARD-STATS` (plus `QUIT`) over the given backend.
+    /// no annotation pipeline, just `SEARCH`/`SEARCH-MANY`/`SHARD-STATS`
+    /// (plus `METRICS`, `TRACE-DUMP` and `QUIT`) over the given backend.
     pub fn start_search_only(
         backend: Arc<dyn SearchBackend>,
         info: Option<ShardInfo>,
         addr: impl ToSocketAddrs,
     ) -> std::io::Result<WireServer> {
-        Self::start_node(None, Some(SearchNode { backend, info }), addr)
+        Self::start_node(NodeParts::search(backend, info), addr)
     }
 
-    /// Starts a node serving both halves: the annotation verbs against
-    /// `service` and the search verbs against `backend`.
-    pub fn start_with_search(
-        service: Arc<AnnotationService>,
-        backend: Arc<dyn SearchBackend>,
-        info: Option<ShardInfo>,
-        addr: impl ToSocketAddrs,
-    ) -> std::io::Result<WireServer> {
-        Self::start_node(Some(service), Some(SearchNode { backend, info }), addr)
-    }
-
-    fn start_node(
-        service: Option<Arc<AnnotationService>>,
-        search: Option<SearchNode>,
-        addr: impl ToSocketAddrs,
-    ) -> std::io::Result<WireServer> {
+    fn start_node(parts: NodeParts, addr: impl ToSocketAddrs) -> std::io::Result<WireServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let registry = Arc::new(Mutex::new(Registry::default()));
-        let obs = match &service {
-            Some(service) => service.obs(),
-            None => {
-                // A search-only node has no service registry — give it
-                // its own, labelled with its shard identity so grafted
-                // cross-node traces name the shard that produced them.
-                let name = match search.as_ref().and_then(|s| s.info) {
-                    Some(info) => format!("shard{}", info.shard),
-                    None => "node".to_string(),
-                };
-                ObsRegistry::new(&name)
-            }
-        };
-        let searches = match &search {
-            Some(_) => obs.counter("searches"),
-            None => Arc::default(),
-        };
-        let parts = Arc::new(NodeParts {
-            service,
-            search,
-            searches,
-            obs,
-        });
+        let conns = Arc::new(Connections::default());
+        let parts = Arc::new(parts);
 
         let acceptor = {
             let stop = Arc::clone(&stop);
-            let registry = Arc::clone(&registry);
+            let conns = Arc::clone(&conns);
             let parts = Arc::clone(&parts);
             std::thread::Builder::new()
                 .name("teda-wire-acceptor".into())
-                .spawn(move || accept_loop(&listener, &parts, &stop, &registry))
+                .spawn(move || accept_loop(&listener, &parts, &stop, &conns))
                 .expect("spawn wire acceptor")
         };
         Ok(WireServer {
             addr,
             stop,
-            registry,
+            conns,
             acceptor: Some(acceptor),
             parts,
         })
@@ -193,25 +185,19 @@ impl WireServer {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        let (streams, handles) = {
-            let mut reg = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
-            (
-                std::mem::take(&mut reg.streams),
-                std::mem::take(&mut reg.handles),
-            )
-        };
-        for stream in streams {
+        let live = std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
+        for stream in live.values().filter_map(|(stream, _)| stream.as_ref()) {
             let _ = stream.shutdown(Shutdown::Both);
         }
         // Connection threads parked on a dry query pool are not
         // unblocked by the socket close — kick the admission condvar so
         // their cancellable submissions observe the stop flag, or the
         // joins below would deadlock.
-        if let Some(service) = &self.parts.service {
+        if let Node::Service(service) = &self.parts.node {
             service.wake_blocked_submitters();
         }
-        for handle in handles {
-            let _ = handle.join();
+        for (_, thread) in live.into_values() {
+            let _ = thread.join();
         }
     }
 }
@@ -227,7 +213,7 @@ fn accept_loop(
     listener: &TcpListener,
     parts: &Arc<NodeParts>,
     stop: &Arc<AtomicBool>,
-    registry: &Arc<Mutex<Registry>>,
+    conns: &Arc<Connections>,
 ) {
     let mut conn_id = 0usize;
     loop {
@@ -248,15 +234,22 @@ fn accept_loop(
         let parts = Arc::clone(parts);
         let stop_flag = Arc::clone(stop);
         let registered = stream.try_clone().ok();
-        let handle = std::thread::Builder::new()
+        let own = Arc::clone(conns);
+        // Spawn under the lock, so the thread cannot remove its entry
+        // before the entry is in. Removing it drops the socket clone and
+        // the thread's own handle: the connection is over, and all the
+        // thread has left to do is return.
+        let mut live = conns.lock().unwrap_or_else(PoisonError::into_inner);
+        let thread = std::thread::Builder::new()
             .name(format!("teda-wire-conn-{conn_id}"))
-            .spawn(move || handle_connection(&parts, stream, &stop_flag))
+            .spawn(move || {
+                handle_connection(&parts, stream, &stop_flag);
+                own.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .remove(&conn_id);
+            })
             .expect("spawn wire connection thread");
-        let mut reg = registry.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(stream) = registered {
-            reg.streams.push(stream);
-        }
-        reg.handles.push(handle);
+        live.insert(conn_id, (registered, thread));
     }
 }
 
@@ -268,13 +261,6 @@ fn handle_connection(parts: &NodeParts, stream: TcpStream, stop: &AtomicBool) {
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     let mut client = ClientId::ANONYMOUS;
-    // A verb against a half this node does not serve is a typed
-    // per-request failure; the connection lives on.
-    let no_service = || {
-        Reply::Err(WireError::BadRequest(
-            "this node serves no annotation service".into(),
-        ))
-    };
 
     while !stop.load(Ordering::SeqCst) {
         let line = match read_frame(&mut reader) {
@@ -286,206 +272,163 @@ fn handle_connection(parts: &NodeParts, stream: TcpStream, stop: &AtomicBool) {
                 let _ = writer.write_all(Reply::Err(e).encode().as_bytes());
                 return;
             }
-            Err(_) => return, // transport error
+            // A transport error, or a frame cut off by EOF: nothing
+            // complete arrived, so nothing runs.
+            Err(_) => return,
         };
-        let reply = match Request::parse(&line) {
+        let request = Request::parse(&line);
+        let quit = matches!(request, Ok(Request::Quit));
+        let reply = match request {
+            Ok(request) => dispatch(parts, &mut client, request, None, stop),
             Err(e) => Reply::Err(e),
-            Ok(Request::Quit) => {
-                let _ = writer.write_all(Reply::Ok("bye".into()).encode().as_bytes());
-                return;
-            }
-            Ok(Request::Client { name }) => {
-                client = ClientId::new(&name);
-                Reply::Ok(format!("client {name}"))
-            }
-            Ok(Request::Stats) => match &parts.service {
-                Some(service) => Reply::Ok(render_stats(&service.stats())),
-                None => no_service(),
-            },
-            Ok(Request::StatsJson) => match &parts.service {
-                Some(service) => Reply::Ok(render_stats_json(&service.stats())),
-                None => no_service(),
-            },
-            Ok(Request::Metrics) => Reply::Ok(parts.obs.to_prometheus()),
-            Ok(Request::TraceDump { id }) => match parts.obs.trace(id) {
-                Some(trace) => Reply::Ok(trace.render()),
-                None => Reply::Err(WireError::BadRequest(format!(
-                    "no completed trace {id:016x}"
-                ))),
-            },
-            Ok(Request::Traced { id, inner }) => serve_traced(parts, &client, id, *inner, stop),
-            Ok(Request::Budget) => match &parts.service {
-                Some(service) => Reply::Ok(match service.remaining_budget() {
-                    Some(n) => format!("budget {n}"),
-                    None => "budget unmetered".into(),
-                }),
-                None => no_service(),
-            },
-            // Persist the query-cache snapshot on demand (an operator
-            // checkpoint before a planned restart). Store trouble —
-            // including "no store configured" — is a typed failure on
-            // this request only; the connection lives on.
-            Ok(Request::Snapshot) => match &parts.service {
-                Some(service) => match service.snapshot_now() {
-                    Ok(entries) => Reply::Ok(format!("snapshot {entries}")),
-                    Err(e) => Reply::Err(WireError::Failed(e.to_string())),
-                },
-                None => no_service(),
-            },
-            Ok(Request::Annotate { name, csv }) => match &parts.service {
-                Some(service) => {
-                    annotate(service, &client, &name, &csv, Wait::Block(Some(stop)), None)
-                }
-                None => no_service(),
-            },
-            Ok(Request::Try { name, csv }) => match &parts.service {
-                Some(service) => annotate(service, &client, &name, &csv, Wait::Shed, None),
-                None => no_service(),
-            },
-            Ok(Request::Search { k, query, full }) => match &parts.search {
-                Some(node) => {
-                    parts.searches.inc();
-                    serve_search(node, &query, k, full)
-                }
-                None => no_search(),
-            },
-            Ok(Request::SearchMany { queries }) => match &parts.search {
-                Some(node) => serve_search_many(parts, node, &queries),
-                None => no_search(),
-            },
-            Ok(Request::ShardStats) => match &parts.search {
-                Some(node) => {
-                    let docs = node.backend.n_docs() as u64;
-                    let info = node.info.unwrap_or(ShardInfo {
-                        shard: 0,
-                        n_shards: 1,
-                        global_docs: docs,
-                    });
-                    Reply::Ok(render_shard_stats(&ShardStatsReport {
-                        shard: info.shard,
-                        n_shards: info.n_shards,
-                        docs,
-                        global_docs: info.global_docs,
-                        searches: parts.searches.get(),
-                    }))
-                }
-                None => no_search(),
-            },
         };
-        if writer.write_all(reply.encode().as_bytes()).is_err() {
+        if writer.write_all(reply.encode().as_bytes()).is_err() || quit {
             return;
         }
         let _ = writer.flush();
     }
 }
 
-/// The reply to a search verb on a node that serves no search backend.
-fn no_search() -> Reply {
-    Reply::Err(WireError::BadRequest(
-        "this node serves no search backend".into(),
-    ))
-}
-
-/// Serves one `SEARCH-MANY` request: each query ranked once, as
-/// `SEARCH-FULL` ranks it, and answered in request order. Each query
-/// counts as one search.
-fn serve_search_many(parts: &NodeParts, node: &SearchNode, queries: &[(usize, String)]) -> Reply {
-    parts.searches.add(queries.len() as u64);
-    let answers: Vec<Vec<SearchHit>> = queries
-        .iter()
-        .map(|(k, query)| full_hits(node, query, *k))
-        .collect();
-    Reply::Ok(render_many(&answers))
-}
-
-/// Serves one `SEARCH`/`SEARCH-FULL` request. The full path takes ids,
-/// scores and fields from one ranking ([`SearchBackend::search_hits`]),
-/// so a hot-swapped backend can never pair a hit with another corpus's
-/// page.
-fn serve_search(node: &SearchNode, query: &str, k: usize, full: bool) -> Reply {
-    if !full {
-        return Reply::Ok(render_scored(&node.backend.search(query, k)));
-    }
-    Reply::Ok(render_hits(&full_hits(node, query, k)))
-}
-
-/// A node's `SEARCH-FULL` answer to one query: ids, scores and fields
-/// from one ranking.
-fn full_hits(node: &SearchNode, query: &str, k: usize) -> Vec<SearchHit> {
-    node.backend
-        .search_hits(query, k)
-        .into_iter()
-        .map(|(id, score, result)| SearchHit { id, score, result })
-        .collect()
-}
-
-/// Serves one `TRACE <id>`-prefixed request: the inner request runs
-/// under a trace context carrying the caller's id, so the tree this
-/// node records can be fetched with `TRACE-DUMP <id>` and grafted into
-/// the caller's tree — one id reconstructs a cross-node request.
-fn serve_traced(
+/// Answers one request as `client`. `trace` is the caller's id when the
+/// request came under a `TRACE <id>` prefix: the verb then runs under a
+/// trace context carrying that id, so the tree this node records can be
+/// fetched with `TRACE-DUMP <id>` and grafted into the caller's tree —
+/// one id reconstructs a cross-node request. Tracing changes no reply.
+fn dispatch(
     parts: &NodeParts,
-    client: &ClientId,
-    id: u64,
-    inner: Request,
+    client: &mut ClientId,
+    request: Request,
+    trace: Option<u64>,
     stop: &AtomicBool,
 ) -> Reply {
-    match inner {
-        Request::Search { k, query, full } => match &parts.search {
-            Some(node) => {
-                parts.searches.inc();
-                let ctx = parts.obs.trace_with_id(id, "search");
-                let reply = {
-                    let _span = ctx.span(stage::SEARCH);
-                    serve_search(node, &query, k, full)
-                };
-                ctx.finish();
-                reply
+    match request {
+        Request::Quit => Reply::Ok("bye".into()),
+        Request::Client { name } => {
+            *client = ClientId::new(&name);
+            Reply::Ok(format!("client {name}"))
+        }
+        Request::Metrics => Reply::Ok(parts.obs.to_prometheus()),
+        Request::TraceDump { id } => match parts.obs.trace(id) {
+            Some(trace) => Reply::Ok(trace.render()),
+            None => Reply::Err(WireError::BadRequest(format!(
+                "no completed trace {id:016x}"
+            ))),
+        },
+        Request::Traced { id, inner } if inner.is_traceable() => {
+            dispatch(parts, client, *inner, Some(id), stop)
+        }
+        // `Request::parse` only wraps traceable verbs; an in-process
+        // caller handing us another is a bad request, not a panic.
+        Request::Traced { .. } => Reply::Err(WireError::BadRequest(TRACEABLE.into())),
+        request => match &parts.node {
+            Node::Service(service) => {
+                serve_service(service, &parts.obs, client, request, trace, stop)
             }
-            None => no_search(),
+            Node::Search(node) => serve_search(node, &parts.obs, request, trace),
         },
-        Request::SearchMany { queries } => match &parts.search {
-            Some(node) => {
-                let ctx = parts.obs.trace_with_id(id, "search_many");
-                let reply = {
-                    let _span = ctx.span(stage::SEARCH);
-                    serve_search_many(parts, node, &queries)
-                };
-                ctx.finish();
-                reply
-            }
-            None => no_search(),
+    }
+}
+
+/// The annotation node's verbs; a traced `ANNOTATE`/`TRY` runs under a
+/// `request` trace.
+fn serve_service(
+    service: &AnnotationService,
+    obs: &ObsRegistry,
+    client: &ClientId,
+    request: Request,
+    trace: Option<u64>,
+    stop: &AtomicBool,
+) -> Reply {
+    let trace = || trace.map(|id| obs.trace_with_id(id, "request"));
+    match request {
+        Request::Stats => Reply::Ok(render_stats(&service.stats())),
+        Request::StatsJson => Reply::Ok(render_stats_json(&service.stats())),
+        Request::Budget => Reply::Ok(match service.remaining_budget() {
+            Some(n) => format!("budget {n}"),
+            None => "budget unmetered".into(),
+        }),
+        // Persist the query-cache snapshot on demand (an operator
+        // checkpoint before a planned restart). Store trouble —
+        // including "no store configured" — is a typed failure on this
+        // request only; the connection lives on.
+        Request::Snapshot => match service.snapshot_now() {
+            Ok(entries) => Reply::Ok(format!("snapshot {entries}")),
+            Err(e) => Reply::Err(WireError::Failed(e.to_string())),
         },
-        Request::Annotate { name, csv } => match &parts.service {
-            Some(service) => annotate(
-                service,
-                client,
-                &name,
-                &csv,
-                Wait::Block(Some(stop)),
-                Some(parts.obs.trace_with_id(id, "request")),
-            ),
-            None => Reply::Err(WireError::BadRequest(
-                "this node serves no annotation service".into(),
-            )),
-        },
-        Request::Try { name, csv } => match &parts.service {
-            Some(service) => annotate(
-                service,
-                client,
-                &name,
-                &csv,
-                Wait::Shed,
-                Some(parts.obs.trace_with_id(id, "request")),
-            ),
-            None => Reply::Err(WireError::BadRequest(
-                "this node serves no annotation service".into(),
-            )),
-        },
-        // `Request::parse` only wraps the verbs above; an
-        // in-process caller handing us something else is a bad request,
-        // not a panic.
-        _ => Reply::Err(WireError::BadRequest(TRACEABLE.into())),
+        Request::Annotate { name, csv } => annotate(
+            service,
+            client,
+            &name,
+            &csv,
+            Wait::Block(Some(stop)),
+            trace(),
+        ),
+        Request::Try { name, csv } => annotate(service, client, &name, &csv, Wait::Shed, trace()),
+        _ => Reply::Err(WireError::BadRequest(
+            "this node serves no search backend".into(),
+        )),
+    }
+}
+
+/// The search node's verbs; a traced search runs in one `search` span
+/// under a root named for its verb (`search` or `search_many`).
+fn serve_search(
+    node: &SearchNode,
+    obs: &ObsRegistry,
+    request: Request,
+    trace: Option<u64>,
+) -> Reply {
+    let traced = |root: &'static str, serve: &dyn Fn() -> Reply| {
+        let ctx = trace.map_or_else(TraceCtx::disabled, |id| obs.trace_with_id(id, root));
+        let reply = {
+            let _span = ctx.span(stage::SEARCH);
+            serve()
+        };
+        ctx.finish();
+        reply
+    };
+    match request {
+        Request::Search { k, query } => {
+            node.searches.inc();
+            traced("search", &|| {
+                Reply::Ok(render_scored(&node.backend.search(&query, k)))
+            })
+        }
+        // Each query's ids, scores and fields come from one ranking
+        // (`search_hits`), so a hot-swapped backend can never pair a
+        // hit with another corpus's page.
+        Request::SearchMany { queries } => traced("search_many", &|| {
+            node.searches.add(queries.len() as u64);
+            let answers: Vec<Vec<SearchHit>> = queries
+                .iter()
+                .map(|(k, query)| {
+                    node.backend
+                        .search_hits(query, *k)
+                        .into_iter()
+                        .map(|(id, score, result)| SearchHit { id, score, result })
+                        .collect()
+                })
+                .collect();
+            Reply::Ok(render_many(&answers))
+        }),
+        Request::ShardStats => {
+            let docs = node.backend.n_docs() as u64;
+            let info = node.info.unwrap_or(ShardInfo {
+                shard: 0,
+                n_shards: 1,
+                global_docs: docs,
+            });
+            Reply::Ok(render_shard_stats(&ShardStatsReport {
+                shard: info.shard,
+                n_shards: info.n_shards,
+                docs,
+                global_docs: info.global_docs,
+                searches: node.searches.get(),
+            }))
+        }
+        _ => Reply::Err(WireError::BadRequest(
+            "this node serves no annotation service".into(),
+        )),
     }
 }
 
@@ -522,5 +465,113 @@ fn annotate(
         Err(_) => Reply::Err(WireError::Failed(
             "annotation worker failed (engine panic)".into(),
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::WireClient;
+    use std::time::{Duration, Instant};
+    use teda_websim::{WebCorpus, WebPage};
+
+    fn corpus() -> Arc<WebCorpus> {
+        let page = |url: &str, body: &str| WebPage {
+            url: url.into(),
+            title: url.to_uppercase(),
+            body: body.into(),
+        };
+        Arc::new(WebCorpus::from_pages(vec![
+            page("p0", "harbor museum"),
+            page("p1", "harbor jazz"),
+        ]))
+    }
+
+    fn held(server: &WireServer) -> usize {
+        server
+            .conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+    }
+
+    /// A connection that ends gives its socket and its thread back, so
+    /// the server holds only live connections however many it has
+    /// served; shutdown still closes the ones that are open.
+    #[test]
+    fn ended_connections_are_released_and_open_ones_closed_at_shutdown() {
+        let server = WireServer::start_search_only(corpus(), None, "127.0.0.1:0").unwrap();
+        for _ in 0..64 {
+            let mut client = WireClient::connect(server.local_addr()).unwrap();
+            assert_eq!(client.search("harbor", 3).unwrap().len(), 2);
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while held(&server) > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "{} ended connections still held",
+                held(&server)
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        let mut open = WireClient::connect(server.local_addr()).unwrap();
+        open.search("harbor", 3).unwrap();
+        assert_eq!(held(&server), 1, "an open connection stays held");
+        server.shutdown();
+        assert!(
+            matches!(open.search("harbor", 3), Err(WireError::Transport(_))),
+            "shutdown must close an open connection"
+        );
+    }
+
+    /// The dispatch refuses, typed, a `TRACE` around a request that
+    /// cannot be traced, however it was built: no trace is recorded, no
+    /// search runs, and a wrapped `CLIENT` renames nobody.
+    #[test]
+    fn a_non_traceable_request_handed_in_process_is_a_bad_request() {
+        let parts = NodeParts::search(corpus(), None);
+        let stop = AtomicBool::new(false);
+        let mut client = ClientId::ANONYMOUS;
+        let search = || Request::Search {
+            k: 3,
+            query: "harbor".into(),
+        };
+        for inner in [
+            Request::Stats,
+            Request::Quit,
+            Request::ShardStats,
+            Request::Client { name: "x".into() },
+            Request::Traced {
+                id: 2,
+                inner: Box::new(search()),
+            },
+        ] {
+            let traced = Request::Traced {
+                id: 1,
+                inner: Box::new(inner),
+            };
+            assert_eq!(
+                dispatch(&parts, &mut client, traced, None, &stop),
+                Reply::Err(WireError::BadRequest(TRACEABLE.into()))
+            );
+        }
+        assert_eq!(client, ClientId::ANONYMOUS);
+        assert!(parts.obs.trace_ids().is_empty(), "nothing was traced");
+        let Node::Search(node) = &parts.node else {
+            panic!("a search node");
+        };
+        assert_eq!(node.searches.get(), 0, "nothing was searched");
+
+        // A plain search records no trace; the same search traced does.
+        let plain = dispatch(&parts, &mut client, search(), None, &stop);
+        assert!(parts.obs.trace_ids().is_empty());
+        let traced = Request::Traced {
+            id: 7,
+            inner: Box::new(search()),
+        };
+        assert_eq!(dispatch(&parts, &mut client, traced, None, &stop), plain);
+        assert_eq!(parts.obs.trace_ids(), vec![7]);
+        assert_eq!(node.searches.get(), 2);
     }
 }

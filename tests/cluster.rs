@@ -411,7 +411,7 @@ fn whole_group_down_is_typed_partial_results() {
     ];
     let per_query: Vec<_> = batch
         .iter()
-        .map(|&(q, k)| router.try_search_full(q, k))
+        .flat_map(|&query| router.try_search_many(&[query]))
         .collect();
     let (_, before, _) = router_counts(&router);
     let batched = router.try_search_many(&batch);
@@ -565,6 +565,110 @@ fn a_replica_that_closes_without_replying_fails_over_bit_identically() {
 /// the shards refuse the whole frame (one `k` over `MAX_K`), the router
 /// resends each query as its own frame, and only that query fails; the
 /// others are answered as the single node answers them.
+/// A replica that relays the real shard's reply but cuts it off by EOF
+/// inside the frame fails over like a reset: the last byte of the last
+/// field, the escaped line end and the frame's newline never arrive. Cut
+/// there, a `SEARCH-MANY` reply still parses, with a shorter snippet, so
+/// the router must refuse every cut frame: each answer stays
+/// bit-identical, the detour shows as retries, and nothing degrades to
+/// partial.
+#[test]
+fn a_reply_cut_off_by_eof_fails_over_bit_identically() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    let mut rng = StdRng::seed_from_u64(67);
+    let corpus = synth_corpus(&mut rng, 18);
+    let root = temp_dir("cut_replica");
+    let servers = serve_partition(&corpus, 2, &root);
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake replica");
+    let fake_addr = listener.local_addr().unwrap();
+    let upstream = servers[0].local_addr();
+    let cuts = Arc::new(AtomicUsize::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    // Relays one connection's frames to the real replica; a search
+    // frame's reply goes back cut, and the connection closes.
+    let relay = {
+        let cuts = Arc::clone(&cuts);
+        move |stream: TcpStream| {
+            let shard = TcpStream::connect(upstream).expect("dial the real replica");
+            let mut from_shard = BufReader::new(shard.try_clone().unwrap());
+            let mut to_shard = shard;
+            let mut from_router = BufReader::new(stream.try_clone().unwrap());
+            let mut to_router = stream;
+            loop {
+                let mut frame = String::new();
+                if from_router.read_line(&mut frame).unwrap_or(0) == 0 {
+                    return;
+                }
+                to_shard.write_all(frame.as_bytes()).unwrap();
+                let mut reply = String::new();
+                from_shard.read_line(&mut reply).unwrap();
+                if frame.contains("SEARCH") {
+                    let _ = to_router.write_all(&reply.as_bytes()[..reply.len() - 4]);
+                    cuts.fetch_add(1, Ordering::SeqCst);
+                    return;
+                }
+                to_router.write_all(reply.as_bytes()).unwrap();
+            }
+        }
+    };
+    let fake = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut conns = Vec::new();
+            for stream in listener.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(stream) = stream else { continue };
+                let relay = relay.clone();
+                conns.push(std::thread::spawn(move || relay(stream)));
+            }
+            for conn in conns {
+                conn.join().expect("relay connection");
+            }
+        })
+    };
+
+    let topo = vec![
+        vec![fake_addr, servers[0].local_addr()],
+        vec![servers[1].local_addr()],
+    ];
+    let router = ClusterRouter::connect(&topo, quick_config()).expect("connect");
+    let probes = probes();
+    for q in &probes {
+        let got = router.try_search(q, 10).expect("the live replica answers");
+        assert_eq!(
+            to_bits(&got),
+            to_bits(&corpus.index().search(q, 10)),
+            "a cut reply changed the ranking of {q:?}"
+        );
+    }
+    let batch: Vec<(&str, usize)> = probes.iter().map(|q| (q.as_str(), 10)).collect();
+    for _ in 0..2 {
+        assert_batch_matches(&router, &corpus, &batch);
+    }
+    assert!(
+        cuts.load(Ordering::SeqCst) > 0,
+        "the fake replica must have cut a reply"
+    );
+    let (_, partials, retries) = router_counts(&router);
+    assert_eq!(partials, 0, "failover within a group is not a partial");
+    assert!(retries > 0, "the cut replies must be visible as retries");
+
+    drop(router);
+    stop.store(true, Ordering::SeqCst);
+    let _ = TcpStream::connect(fake_addr); // wake the accept loop
+    fake.join().expect("fake replica thread");
+    for s in servers {
+        s.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn a_batch_with_one_bad_query_fails_only_that_query() {
     let mut rng = StdRng::seed_from_u64(71);

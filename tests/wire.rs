@@ -5,8 +5,8 @@
 //! connection's client separately — the loopback smoke gate CI runs on
 //! every push.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 
 use teda::classifier::svm::pegasos::PegasosConfig;
@@ -24,8 +24,8 @@ use teda::websim::BingSim;
 use teda::websim::{
     PageId, SearchBackend, SearchResult, SwappableBackend, WebCorpus, WebCorpusSpec, WebPage,
 };
-use teda::wire::protocol::{render_annotations, MAX_BATCH, MAX_FRAME};
-use teda::wire::{WireClient, WireError, WireServer};
+use teda::wire::protocol::{parse_many, render_annotations, render_many, MAX_BATCH, MAX_FRAME};
+use teda::wire::{Reply, Request, SearchHit, WireClient, WireError, WireServer};
 
 fn fixture() -> (World, Arc<BingSim>, SnippetClassifier) {
     let world = World::generate(WorldSpec::tiny(), 42);
@@ -549,17 +549,12 @@ impl SearchBackend for FlippingBackend {
     }
 }
 
-/// `SEARCH-FULL` ranks once, so every hit's id, score and fields come
-/// from one corpus, even when the backend changes between rankings (a
-/// swappable node over a live corpus). Each reply must equal `search` +
-/// `search_results` of the corpus that one ranking resolved.
+/// A one-query `SEARCH-MANY` ranks once, so every hit's id, score and
+/// fields come from one corpus, even when the backend changes between
+/// rankings (a swappable node over a live corpus). Each reply must equal
+/// `search` + `search_results` of the corpus that one ranking resolved.
 #[test]
-fn search_full_ranks_once_and_pairs_each_hit_with_its_own_page() {
-    let page = |url: &str, body: &str| WebPage {
-        url: url.into(),
-        title: url.to_uppercase(),
-        body: body.into(),
-    };
+fn a_one_query_search_many_ranks_once_and_pairs_each_hit_with_its_own_page() {
     // The same query ranks different pages, under different ids, in
     // each corpus.
     let a = WebCorpus::from_pages(vec![
@@ -584,11 +579,14 @@ fn search_full_ranks_once_and_pairs_each_hit_with_its_own_page() {
     for (query, k) in [("harbor", 5), ("harbor museum", 2), ("zanzibar", 3)] {
         for _ in 0..2 {
             let before = flipping.rankings();
-            let hits = client.search_full(query, k).expect("SEARCH-FULL");
+            let hits = client
+                .search_many(&[(query, k)])
+                .expect("SEARCH-MANY")
+                .remove(0);
             assert_eq!(
                 flipping.rankings(),
                 before + 1,
-                "one SEARCH-FULL must rank exactly once ({query:?})"
+                "a one-query SEARCH-MANY must rank exactly once ({query:?})"
             );
             let corpus = &flipping.corpora[before % 2];
             let scored: Vec<(u32, u64)> =
@@ -609,25 +607,22 @@ fn search_full_ranks_once_and_pairs_each_hit_with_its_own_page() {
     server.shutdown();
 }
 
-/// `SEARCH-MANY` answers each of its queries exactly as `SEARCH-FULL`
-/// answers it alone, in request order (repeats, the empty query and
+/// `SEARCH-MANY` answers each of its queries exactly as a one-query
+/// frame answers it alone, and as the backend's one-ranking
+/// `search_hits` does, in request order (repeats, the empty query and
 /// `k = 0` included); `SHARD-STATS` counts one search per query; the
 /// frame runs under a `TRACE` prefix; and malformed batches are typed
 /// `bad-request`s that leave the connection usable.
 #[test]
-fn search_many_answers_each_query_as_search_full_does() {
-    let page = |url: &str, body: &str| WebPage {
-        url: url.into(),
-        title: url.to_uppercase(),
-        body: body.into(),
-    };
+fn search_many_answers_each_query_as_it_is_answered_alone() {
     let corpus = Arc::new(WebCorpus::from_pages(vec![
         page("p0", "harbor museum"),
         page("p1", "harbor harbor jazz"),
         page("p2", "quartet\tlantern"),
         page("p3", "museum museum lantern"),
     ]));
-    let server = WireServer::start_search_only(corpus, None, "127.0.0.1:0").expect("bind");
+    let server =
+        WireServer::start_search_only(Arc::clone(&corpus) as _, None, "127.0.0.1:0").expect("bind");
     let mut client = WireClient::connect(server.local_addr()).expect("connect");
 
     let batch = [
@@ -640,8 +635,20 @@ fn search_many_answers_each_query_as_search_full_does() {
     ];
     let want: Vec<_> = batch
         .iter()
-        .map(|&(q, k)| client.search_full(q, k).expect("SEARCH-FULL"))
+        .map(|&query| client.search_many(&[query]).expect("SEARCH-MANY").remove(0))
         .collect();
+    for (hits, &(q, k)) in want.iter().zip(&batch) {
+        let oracle: Vec<_> = corpus
+            .search_hits(q, k)
+            .into_iter()
+            .map(|(id, score, result)| (id, score.to_bits(), result))
+            .collect();
+        let got: Vec<_> = hits
+            .iter()
+            .map(|h| (h.id, h.score.to_bits(), h.result.clone()))
+            .collect();
+        assert_eq!(got, oracle, "{q:?} alone must be the backend's own hits");
+    }
     let searches = client.shard_stats().expect("SHARD-STATS").searches;
     assert_eq!(searches, batch.len() as u64);
     assert_eq!(client.search_many(&batch).expect("SEARCH-MANY"), want);
@@ -657,15 +664,7 @@ fn search_many_answers_each_query_as_search_full_does() {
         Err(WireError::BadRequest(_))
     ));
 
-    let stream = TcpStream::connect(server.local_addr()).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
-    let mut roundtrip = |frame: &str| {
-        writer.write_all(frame.as_bytes()).unwrap();
-        let mut reply = String::new();
-        reader.read_line(&mut reply).unwrap();
-        reply
-    };
+    let mut roundtrip = raw_connection(server.local_addr());
     let over_bound = format!("SEARCH-MANY {} 3 harbor\n", MAX_BATCH + 1);
     for bad in [
         "SEARCH-MANY 2 3 harbor\n",
@@ -682,5 +681,199 @@ fn search_many_answers_each_query_as_search_full_does() {
     assert!(traced.starts_with("OK queries=2"), "{traced:?}");
     let dump = client.trace_dump(0x2a).expect("the batch was traced");
     assert!(dump.render().contains("search"), "{}", dump.render());
+    server.shutdown();
+}
+
+fn page(url: &str, body: &str) -> WebPage {
+    WebPage {
+        url: url.into(),
+        title: url.to_uppercase(),
+        body: body.into(),
+    }
+}
+
+/// A raw connection: each call writes one frame and returns the reply
+/// line exactly as the server sent it.
+fn raw_connection(addr: SocketAddr) -> impl FnMut(&str) -> String {
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    move |frame| {
+        writer.write_all(frame.as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    }
+}
+
+/// One dispatch serves a traceable verb with or without a `TRACE <id>`
+/// prefix: `SEARCH`, `SEARCH-MANY`, `ANNOTATE` and `TRY` each answer the
+/// same bytes either way and count the same searches, and only the
+/// traced frame leaves a `TRACE-DUMP`-able tree under its id.
+#[test]
+fn traced_and_plain_frames_answer_the_same_bytes() {
+    let corpus = Arc::new(WebCorpus::from_pages(vec![
+        page("p0", "harbor museum"),
+        page("p1", "harbor harbor jazz"),
+        page("p2", "quartet lantern"),
+    ]));
+    let search_node = WireServer::start_search_only(corpus, None, "127.0.0.1:0").expect("bind");
+    let (world, engine, classifier) = fixture();
+    let (_service, annotation_node) = serve(engine, classifier, ServiceConfig::default());
+    let csv = typed_table_to_csv(&seeded_tables(&world, 1, 6)[0]);
+
+    // (node, request, trace root, searches the request counts; `None`
+    // where the node keeps no search counter)
+    let cases = [
+        (
+            &search_node,
+            Request::Search {
+                k: 3,
+                query: "harbor".into(),
+            },
+            "search",
+            Some(1),
+        ),
+        (
+            &search_node,
+            Request::SearchMany {
+                queries: vec![(3, "harbor".into()), (1, "jazz".into())],
+            },
+            "search_many",
+            Some(2),
+        ),
+        (
+            &annotation_node,
+            Request::Annotate {
+                name: "traced".into(),
+                csv: csv.clone(),
+            },
+            "request",
+            None,
+        ),
+        (
+            &annotation_node,
+            Request::Try {
+                name: "traced".into(),
+                csv,
+            },
+            "request",
+            None,
+        ),
+    ];
+    for (i, (server, request, root, searches)) in cases.into_iter().enumerate() {
+        let id = 0x7ace_0000_0000_0000 + i as u64;
+        let mut raw = raw_connection(server.local_addr());
+        let mut client = WireClient::connect(server.local_addr()).expect("connect");
+        let count = |client: &mut WireClient| {
+            searches.map(|_| client.shard_stats().expect("SHARD-STATS").searches)
+        };
+
+        let before = count(&mut client);
+        let plain = raw(&request.encode());
+        let after_plain = count(&mut client);
+        assert!(
+            client.trace_dump(id).is_err(),
+            "{root}: a plain frame records nothing under {id:016x}"
+        );
+        let traced = raw(&Request::Traced {
+            id,
+            inner: Box::new(request),
+        }
+        .encode());
+        let after_traced = count(&mut client);
+
+        assert!(plain.starts_with("OK "), "{root}: {plain:?}");
+        assert_eq!(
+            traced, plain,
+            "{root}: tracing must not change a reply byte"
+        );
+        if let (Some(n), Some(before), Some(mid), Some(after)) =
+            (searches, before, after_plain, after_traced)
+        {
+            assert_eq!(mid - before, n, "{root}: plain search count");
+            assert_eq!(after - mid, n, "{root}: traced search count");
+        }
+        let tree = client.trace_dump(id).expect("the traced frame left a tree");
+        assert_eq!(tree.id, id);
+        assert_eq!(tree.spans[0].name, root);
+    }
+    search_node.shutdown();
+    annotation_node.shutdown();
+}
+
+/// A reply cut off by EOF before its newline is a transport error, not
+/// an answer: cut inside the last snippet, the bytes would still parse,
+/// with a shorter snippet. The client then refuses to reuse the
+/// connection, which is how a router knows to try the next replica.
+#[test]
+fn a_reply_cut_off_by_eof_is_a_transport_error() {
+    let hit = SearchHit {
+        id: PageId(4),
+        score: 1.5,
+        result: SearchResult {
+            url: "http://web.sim/4".into(),
+            title: "Harbor".into(),
+            snippet: "harbor museum".into(),
+        },
+    };
+    let whole = Reply::Ok(render_many(&[vec![hit]])).encode();
+    let cut = whole
+        .strip_suffix(" museum\\n\n")
+        .expect("the reply ends in the snippet")
+        .to_owned();
+    let Ok(Reply::Ok(payload)) = Reply::parse(&cut) else {
+        panic!("the cut frame parses");
+    };
+    assert_eq!(
+        parse_many(&payload, 1).unwrap()[0][0].result.snippet,
+        "harbor"
+    );
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
+    let addr = listener.local_addr().unwrap();
+    let fake = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut frame = String::new();
+        BufReader::new(stream.try_clone().unwrap())
+            .read_line(&mut frame)
+            .unwrap();
+        assert!(frame.starts_with("SEARCH-MANY 1 "), "{frame:?}");
+        (&stream).write_all(cut.as_bytes()).unwrap();
+        // Dropping the stream closes it: EOF inside the frame.
+    });
+
+    let mut client = WireClient::connect(addr).expect("connect");
+    let answer = client.search_many(&[("harbor", 3)]);
+    assert!(matches!(answer, Err(WireError::Transport(_))), "{answer:?}");
+    assert!(!client.is_framed(), "the connection must not be reused");
+    fake.join().expect("fake shard");
+}
+
+/// A request cut off by EOF before its newline is never run: the server
+/// answers nothing and drops the connection, so `SHARD-STATS` counts no
+/// search. The same frame, ended, runs.
+#[test]
+fn a_request_cut_off_by_eof_is_never_run() {
+    let corpus = Arc::new(WebCorpus::from_pages(vec![page("p0", "harbor museum")]));
+    let server = WireServer::start_search_only(corpus, None, "127.0.0.1:0").expect("bind");
+
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    // A server that kept the socket open would stall the read below.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(b"SEARCH 5 harbor").unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut reply = String::new();
+    stream
+        .read_to_string(&mut reply)
+        .expect("the server closes the connection");
+    assert_eq!(reply, "", "no reply to a frame that never ended");
+
+    let mut client = WireClient::connect(server.local_addr()).expect("connect");
+    assert_eq!(client.shard_stats().expect("SHARD-STATS").searches, 0);
+    assert_eq!(client.search("harbor", 5).expect("SEARCH").len(), 1);
+    assert_eq!(client.shard_stats().expect("SHARD-STATS").searches, 1);
     server.shutdown();
 }
