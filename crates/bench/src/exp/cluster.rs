@@ -4,8 +4,11 @@
 //! * **bit identity** — the router's top-k over 1/2/4/8 shards (real
 //!   TCP, mapped and heap shard images) equals the single-node index at
 //!   every probed `(query, k)`: same ids, same score bits, same order.
-//!   The probe set sent as one batch (`search_many`, one `SEARCH-MANY`
-//!   frame per shard) answers the same, query by query.
+//!   The probe set sent as one batch (`search_many`: one `SEARCH-MANY`
+//!   frame of scored ids per shard and frame, then `FETCH` frames for
+//!   the merged winners) answers the same, query by query, and the
+//!   shards hydrate exactly each frame's distinct winners: at most `k`
+//!   pages per query however many shards ranked it.
 //! * **throughput scaling** — a closed-loop client over a dense corpus
 //!   with a deliberately expensive query (every term matches every
 //!   page): a multi-shard cluster must beat the 1-shard cluster (same
@@ -40,7 +43,8 @@ use teda_cluster::{
 };
 use teda_simkit::tablefmt::{Align, TextTable};
 use teda_websim::scoring::merge_topk;
-use teda_websim::{SearchBackend, SearchResult, WebCorpus};
+use teda_websim::{PageId, SearchBackend, SearchResult, WebCorpus};
+use teda_wire::protocol::MAX_BATCH;
 
 use crate::harness::{bits, paired, probes, Claim, Scale, Spread};
 
@@ -58,6 +62,16 @@ pub struct ClusterReport {
     /// The probe set as one routed batch == the single node, query by
     /// query (ids, score bits and results), at every shard count.
     pub batched_identical: bool,
+    /// Pages the shards hydrated (their `fetched` counters) for the
+    /// routed batches, summed over every shard count.
+    pub fetched: u64,
+    /// Each routed frame's distinct winners in the single node's
+    /// ranking, summed the same way: what `fetched` must equal.
+    pub distinct_winners: u64,
+    /// The `k`s of the routed queries, times the shard count, summed
+    /// the same way: what the shards hydrated when each returned its
+    /// whole local top-`k` with fields.
+    pub hydrated_per_shard_k: u64,
     /// Closed-loop queries per second, 1-shard cluster (the baseline
     /// pays the same wire + router cost): the median sample.
     pub qps_single: f64,
@@ -196,6 +210,7 @@ pub fn run(scale: Scale) -> ClusterReport {
     let mut probes_checked = 0usize;
     let mut identical = true;
     let mut batched_identical = true;
+    let (mut fetched, mut distinct_winners, mut hydrated_per_shard_k) = (0u64, 0u64, 0u64);
     for &n_shards in &shard_counts {
         let (servers, topology) = serve(&corpus, n_shards, &root.join(format!("id_{n_shards}")));
         let router = ClusterRouter::connect(&topology, config()).expect("connect router");
@@ -215,6 +230,23 @@ pub fn run(scale: Scale) -> ClusterReport {
             batched_identical &= answer == Some(corpus.search_results(q, k))
                 && scored.is_some_and(|s| bits(&s) == bits(&corpus.index().search(q, k)));
         }
+        // Two routed batches (the trait and the typed path) above.
+        fetched += servers
+            .iter()
+            .map(|s| s.obs().counter("fetched").get())
+            .sum::<u64>();
+        for frame in batch.chunks(MAX_BATCH) {
+            let mut ids: Vec<PageId> = frame
+                .iter()
+                .flat_map(|&(q, k)| corpus.index().search(q, k))
+                .map(|(id, _)| id)
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            distinct_winners += 2 * ids.len() as u64;
+        }
+        hydrated_per_shard_k +=
+            2 * u64::from(n_shards) * batch.iter().map(|&(_, k)| k as u64).sum::<u64>();
         for s in servers {
             s.shutdown();
         }
@@ -315,6 +347,9 @@ pub fn run(scale: Scale) -> ClusterReport {
         probes_checked,
         identical,
         batched_identical,
+        fetched,
+        distinct_winners,
+        hydrated_per_shard_k,
         qps_single,
         qps_sharded,
         throughput_shards,
@@ -350,6 +385,13 @@ pub fn render(r: &ClusterReport) -> String {
     tbl.row(vec![
         "batched router == single node".into(),
         format!("{}", r.batched_identical),
+    ]);
+    tbl.row(vec![
+        "pages hydrated for the batches".into(),
+        format!(
+            "{} (distinct winners {}; k x shards {})",
+            r.fetched, r.distinct_winners, r.hydrated_per_shard_k
+        ),
     ]);
     tbl.row(vec![
         "closed-loop qps, 1 shard (median)".into(),
@@ -403,6 +445,13 @@ pub fn to_json(r: &ClusterReport) -> crate::report::BenchJson {
         .metric("probes_checked", r.probes_checked as f64, "probes")
         .metric("identical", flag(r.identical), "bool")
         .metric("batched_identical", flag(r.batched_identical), "bool")
+        .metric("fetched", r.fetched as f64, "pages")
+        .metric("distinct_winners", r.distinct_winners as f64, "pages")
+        .metric(
+            "hydrated_per_shard_k",
+            r.hydrated_per_shard_k as f64,
+            "pages",
+        )
         .metric("qps_single", r.qps_single, "qps")
         .metric("qps_sharded", r.qps_sharded, "qps")
         .metric("throughput_shards", r.throughput_shards as f64, "shards")
@@ -441,6 +490,15 @@ pub fn claims(r: &ClusterReport) -> Vec<Claim> {
             "batched_identical",
             r.batched_identical,
             "a routed batch diverged from the single-node index",
+        ),
+        Claim::exact(
+            "fetched == distinct winners",
+            r.fetched == r.distinct_winners,
+            format!(
+                "the shards must hydrate each frame's distinct winners, no more: hydrated {}, \
+                 distinct winners {}",
+                r.fetched, r.distinct_winners
+            ),
         ),
         Claim::exact(
             "failover_identical",

@@ -13,10 +13,12 @@
 //!   wall time: one pass over a warm cache takes about a millisecond,
 //!   which is below a shared host's scheduling noise.
 //! * **cross-node tracing** — a scatter-gather cluster answers one
-//!   traced query; `ClusterRouter::reconstruct_trace` must return a
-//!   single span tree covering the router's scatter/merge stages *and*
-//!   a grafted subtree from every live shard, while the routed answer
-//!   stays bit-identical to the single-node index.
+//!   traced query with fields; `ClusterRouter::reconstruct_trace` must
+//!   return a single span tree covering the router's scatter/merge
+//!   stages *and* a grafted subtree from every live shard, with each
+//!   shard that held a winner showing its `fetch` tree beside its
+//!   `search_many` tree, while the routed answer stays bit-identical to
+//!   the single-node index.
 //!
 //! The stage histograms of the telemetry-on service feed
 //! `BENCH_obs.json` (count/p50/p99 per stage, from
@@ -27,7 +29,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use teda_cluster::{partition_corpus, ClusterRouter, RouterConfig, ShardServer};
+use teda_cluster::{partition_corpus, shard_of, ClusterRouter, RouterConfig, ShardServer};
 use teda_core::pipeline::BatchAnnotator;
 use teda_corpus::gft::poi_table;
 use teda_kb::EntityType;
@@ -35,7 +37,7 @@ use teda_service::{AnnotationService, ServiceConfig, SubmitRequest, Wait};
 use teda_simkit::rng_from_seed;
 use teda_simkit::tablefmt::{Align, TextTable};
 use teda_tabular::Table;
-use teda_websim::WebCorpus;
+use teda_websim::{SearchBackend, WebCorpus};
 
 use crate::harness::{bits, paired, Claim, Fixture, Scale, Spread};
 
@@ -78,6 +80,12 @@ pub struct ObsReport {
     pub trace_router_stages: bool,
     /// Shards whose own span subtree was grafted into the tree.
     pub trace_shards_grafted: u32,
+    /// Shards holding a winner of the traced query: the ones its
+    /// `FETCH` phase went to.
+    pub fetching_shards: u32,
+    /// Fetching shards whose grafted subtree shows both phases, a
+    /// `fetch` span beside the `search_many` one.
+    pub trace_shards_fetched: u32,
     /// The traced routed answer == the single-node index, bit for bit.
     pub cluster_identical: bool,
 }
@@ -277,8 +285,20 @@ pub fn run(fixture: &Fixture, scale: Scale) -> ObsReport {
     let router = ClusterRouter::connect(&topology, RouterConfig::default()).expect("connect");
 
     let (query, k) = ("restaurant city review", 10);
-    let routed = router.try_search(query, k).expect("routed search");
-    let cluster_identical = bits(&routed) == bits(&corpus.index().search(query, k));
+    let routed = router
+        .try_search_many(&[(query, k)])
+        .remove(0)
+        .expect("routed search");
+    let scored: Vec<_> = routed.iter().map(|h| (h.id, h.score)).collect();
+    let results: Vec<_> = routed.iter().map(|h| h.result.clone()).collect();
+    let cluster_identical = bits(&scored) == bits(&corpus.index().search(query, k))
+        && results == corpus.search_results(query, k);
+    let mut fetching: Vec<u32> = routed
+        .iter()
+        .map(|h| shard_of(h.id.0, CLUSTER_SHARDS))
+        .collect();
+    fetching.sort_unstable();
+    fetching.dedup();
     let trace_id = *router
         .obs()
         .trace_ids()
@@ -290,8 +310,13 @@ pub fn run(fixture: &Fixture, scale: Scale) -> ObsReport {
     let span_names: Vec<&str> = trace.spans.iter().map(|s| &*s.name).collect();
     let trace_router_stages = span_names.contains(&"merge")
         && (0..CLUSTER_SHARDS).all(|s| span_names.contains(&format!("shard{s}").as_str()));
+    let has = |name: String| span_names.contains(&name.as_str());
     let trace_shards_grafted = (0..CLUSTER_SHARDS)
-        .filter(|s| span_names.contains(&format!("shard{s}:search").as_str()))
+        .filter(|s| has(format!("shard{s}:search_many")))
+        .count() as u32;
+    let trace_shards_fetched = fetching
+        .iter()
+        .filter(|s| has(format!("shard{s}:search_many")) && has(format!("shard{s}:fetch")))
         .count() as u32;
     let trace_spans = trace.spans.len();
 
@@ -318,6 +343,8 @@ pub fn run(fixture: &Fixture, scale: Scale) -> ObsReport {
         trace_spans,
         trace_router_stages,
         trace_shards_grafted,
+        fetching_shards: fetching.len() as u32,
+        trace_shards_fetched,
         cluster_identical,
     }
 }
@@ -366,12 +393,15 @@ pub fn render(r: &ObsReport) -> String {
     tbl.row(vec![
         "cluster trace".into(),
         format!(
-            "id {:016x}: {} spans over {} shards, router stages {}, {} shard trees grafted",
+            "id {:016x}: {} spans over {} shards, router stages {}, {} shard trees grafted, \
+             {} of {} fetching shards show both phases",
             r.trace_id,
             r.trace_spans,
             r.cluster_shards,
             r.trace_router_stages,
-            r.trace_shards_grafted
+            r.trace_shards_grafted,
+            r.trace_shards_fetched,
+            r.fetching_shards
         ),
     ]);
     tbl.row(vec![
@@ -409,6 +439,12 @@ pub fn to_json(r: &ObsReport) -> crate::report::BenchJson {
         .metric(
             "trace_shards_grafted",
             r.trace_shards_grafted as f64,
+            "shards",
+        )
+        .metric("fetching_shards", r.fetching_shards as f64, "shards")
+        .metric(
+            "trace_shards_fetched",
+            r.trace_shards_fetched as f64,
             "shards",
         )
         .metric("cluster_identical", flag(r.cluster_identical), "bool");
@@ -469,6 +505,15 @@ pub fn claims(r: &ObsReport) -> Vec<Claim> {
             format!(
                 "every live shard must contribute a grafted span subtree: {} of {}",
                 r.trace_shards_grafted, r.cluster_shards
+            ),
+        ),
+        Claim::exact(
+            "trace_shards_fetched == fetching_shards > 0",
+            r.fetching_shards > 0 && r.trace_shards_fetched == r.fetching_shards,
+            format!(
+                "every shard holding a winner must show its fetch span beside its search_many \
+                 span: {} of {}",
+                r.trace_shards_fetched, r.fetching_shards
             ),
         ),
         Claim::timed(

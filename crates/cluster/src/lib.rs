@@ -20,8 +20,8 @@
 //! * [`ShardServer`] / [`ShardBackend`] — one shard process: opens its
 //!   image (mapped or heap), scores with the manifest's global
 //!   statistics so every local score equals the global score bit for
-//!   bit, and serves `SEARCH` / `SEARCH-MANY` / `SHARD-STATS` over the
-//!   wire protocol.
+//!   bit, and serves `SEARCH-MANY` (scored ids) / `FETCH` (page fields
+//!   by id) / `SHARD-STATS` over the wire protocol.
 //! * [`ClusterRouter`] — the stateless router: fans each query to all
 //!   shards over pooled connections, merges the per-shard top-`k` under
 //!   the one shared comparator ([`teda_websim::scoring::merge_topk`]),
@@ -31,7 +31,8 @@
 //!   panic, never a silent wrong answer. It implements
 //!   [`SearchBackend`](teda_websim::SearchBackend), so the annotation
 //!   engine runs over a cluster unchanged, and sends a table's batch of
-//!   cache misses as one `SEARCH-MANY` frame per shard group.
+//!   cache misses as one `SEARCH-MANY` frame of scored ids per shard
+//!   group, then one `FETCH` per group for the merged winners it holds.
 //!
 //! Why the merge is exact (and not just approximate): any document in
 //! the global top-`k` beats all but fewer than `k` documents globally,

@@ -1,6 +1,6 @@
 //! The stateless router: scatter a query to every shard's replica
 //! group, gather each shard's local top-`k`, merge under the shared
-//! tie rules ([`merge_topk`]).
+//! tie rules ([`merge_topk`](teda_websim::scoring::merge_topk)).
 //!
 //! The router holds no index — only pooled wire connections and the
 //! topology. Correctness rests on two facts proven elsewhere and merely
@@ -21,12 +21,18 @@
 //! once do their schedules run on scoped threads, so a scatter still
 //! ends within one schedule.
 //!
-//! Batches: [`ClusterRouter::try_search_many`] (and the trait's
-//! `search_many`) scatter up to [`MAX_BATCH`] queries as one
-//! `SEARCH-MANY` frame per group, so a table's cache misses cost one
-//! round trip per shard instead of one per miss. A single search with
-//! fields (the trait's `search_results`) is a one-query frame, and each
-//! query of a frame is merged on its own, so batching changes no answer.
+//! Query then fetch: a search with fields runs in two phases. Phase 1
+//! scatters up to [`MAX_BATCH`] queries as one `SEARCH-MANY` frame per
+//! group, whose reply is each query's local top-`k` as scored ids; the
+//! router merges each query on its own. Phase 2 sends one `FETCH` per
+//! group that holds a merged winner (per [`MAX_FETCH`] winners),
+//! carrying the frame's distinct winners on that shard, so the shards
+//! hydrate `k` pages per query in all instead of `k` each. A table's
+//! cache misses ([`ClusterRouter::try_search_many`], the trait's
+//! `search_many`) thus cost two round trips per shard per frame instead
+//! of one per miss; a single search with fields (`search_results`) is a
+//! one-query frame, and the ids-only `try_search` (the trait's
+//! `search`) is phase 1 alone. Batching changes no answer.
 //!
 //! Failover: each shard is a replica group. A query rotates through the
 //! group's replicas (round-robin start, healthy replicas first),
@@ -45,9 +51,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use teda_obs::{stage, Counter, Histogram, Registry, SpanGuard, StageTimer, Trace, TraceCtx};
-use teda_websim::scoring::{merge_topk, rank_order};
+use teda_websim::scoring::rank_order;
 use teda_websim::{PageId, SearchBackend, SearchResult};
-use teda_wire::protocol::{parse_many, parse_scored, MAX_BATCH};
+use teda_wire::protocol::{parse_fetched, parse_many, MAX_BATCH, MAX_FETCH};
 use teda_wire::{Request, SearchHit, WireClient, WireError};
 
 use crate::error::ClusterError;
@@ -87,6 +93,10 @@ impl Default for RouterConfig {
         }
     }
 }
+
+/// One live group's phase-1 answer: its index and, per query of the
+/// frame, its local scored top-`k`.
+type Ranked = (usize, Vec<Vec<(PageId, f64)>>);
 
 /// One read-only replica of a shard: its address, a consecutive-failure
 /// counter, and a small pool of idle connections.
@@ -145,7 +155,8 @@ pub struct ClusterRouter {
     obs: Arc<Registry>,
     hist_scatter: Arc<Histogram>,
     hist_merge: Arc<Histogram>,
-    /// Shard queries fanned out (the group count of each scatter).
+    /// Shard queries fanned out (the group count of each phase-1
+    /// scatter; `FETCH` frames are not counted).
     shard_fanouts: Arc<Counter>,
     /// Searches answered without a whole replica group — each one is a
     /// degraded result, never a silent one.
@@ -260,26 +271,24 @@ impl ClusterRouter {
         Arc::clone(&self.obs)
     }
 
-    /// Starts a routed trace rooted at `root` and wraps `request` in
-    /// `TRACE <id>` under the router's deterministic id, so the
-    /// shard-side trees share it and
+    /// Wraps `request` in `TRACE <id>` under `trace`'s id, so the
+    /// shard-side trees of both phases share the router's id and
     /// [`reconstruct_trace`](Self::reconstruct_trace) can reassemble the
     /// whole request. With tracing off the request goes out bare.
-    fn traced(&self, root: &'static str, request: Request) -> (TraceCtx, Request) {
-        let trace = self.obs.start_trace(root);
-        let request = match trace.id() {
+    fn traced(trace: &TraceCtx, request: Request) -> Request {
+        match trace.id() {
             Some(id) => Request::Traced {
                 id,
                 inner: Box::new(request),
             },
             None => request,
-        };
-        (trace, request)
+        }
     }
 
     /// Reassembles the cross-node span tree of one routed search: the
     /// router's own trace for `id`, with every live shard's tree (its
-    /// `TRACE-DUMP <id>` over the wire) grafted under the root. `None`
+    /// `TRACE-DUMP <id>` over the wire, both phases in one tree)
+    /// grafted under the root. `None`
     /// when the router never completed a trace with this id; shards
     /// that no longer remember the id (ring eviction, restart) are
     /// skipped, dead shards are skipped — the tree spans whoever still
@@ -409,31 +418,29 @@ impl ClusterRouter {
         }
     }
 
-    /// Sends `request` to every shard and parses each reply with
-    /// `parse`; returns per-group outcomes in shard order.
+    /// Sends each `(group, request)` of `sends` to its replica group and
+    /// parses the reply to send `i` with `parse(i, payload)`; returns
+    /// the outcomes in `sends` order.
     ///
-    /// The happy path spawns no thread: one frame goes to each group's
+    /// The happy path spawns no thread: every frame goes to its group's
     /// first replica (rotation and health order) before any reply is
     /// read, so the shards work concurrently while the router reads
-    /// their replies in shard order. A group whose first try fails
-    /// resumes its retry schedule from the next replica once every
-    /// reply is in; when several groups do, their schedules run
-    /// concurrently, so a scatter still ends within one schedule. The
-    /// whole fan-out records into the `shard_scatter` histogram and
-    /// each group stamps a `shard<i>` child span, send to final reply,
-    /// on `trace` — pass a disabled context to observe nothing.
+    /// their replies in order. A send whose first try fails resumes its
+    /// group's retry schedule from the next replica once every reply is
+    /// in; when several do, their schedules run concurrently, so a
+    /// scatter still ends within one schedule. Each send stamps a
+    /// `shard<i>` child span, send to final reply, on `trace` — pass a
+    /// disabled context to observe nothing.
     fn scatter<T: Send>(
         &self,
-        request: &Request,
-        parse: &(dyn Fn(&str) -> Result<T, WireError> + Sync),
+        sends: &[(usize, &Request)],
+        parse: &(dyn Fn(usize, &str) -> Result<T, WireError> + Sync),
         trace: &TraceCtx,
     ) -> Vec<Result<T, ClusterError>> {
-        self.shard_fanouts.add(self.groups.len() as u64);
-        let timer = StageTimer::start(&self.hist_scatter);
-        let sent: Vec<_> = self
-            .groups
+        let sent: Vec<_> = sends
             .iter()
-            .map(|group| {
+            .map(|&(g, request)| {
+                let group = &self.groups[g];
                 let span = trace.span(group.span_name);
                 let order = group.order();
                 let conn = self
@@ -445,23 +452,19 @@ impl ClusterRouter {
 
         let mut outcomes = Vec::with_capacity(sent.len());
         let mut resume = Vec::new();
-        for (group, order, conn, span) in sent {
+        for (i, (group, order, conn, span)) in sent.into_iter().enumerate() {
             let replica = &group.replicas[order[0]];
-            match self.attempt(group, replica, conn, |c| parse(&c.receive()?)) {
+            match self.attempt(group, replica, conn, |c| parse(i, &c.receive()?)) {
                 ControlFlow::Break(outcome) => outcomes.push(Some(outcome)),
                 ControlFlow::Continue(error) => {
-                    resume.push((outcomes.len(), group, order, error, span));
+                    resume.push((i, group, order, error, span));
                     outcomes.push(None);
                 }
             }
         }
 
         if !resume.is_empty() {
-            let op = |c: &mut WireClient| {
-                c.send(request)?;
-                parse(&c.receive()?)
-            };
-            // `_span` binds the group's span, which closes when `run`
+            // `_span` binds the send's span, which closes when `run`
             // returns: after the group's last try.
             type Job<'a> = (
                 usize,
@@ -470,8 +473,12 @@ impl ClusterRouter {
                 WireError,
                 SpanGuard<'a>,
             );
-            let run = |(slot, group, order, error, _span): Job<'_>| {
-                (slot, self.on_group_from(group, &order, 1, error, &op))
+            let run = |(i, group, order, error, _span): Job<'_>| {
+                let op = |c: &mut WireClient| {
+                    c.send(sends[i].1)?;
+                    parse(i, &c.receive()?)
+                };
+                (i, self.on_group_from(group, &order, 1, error, &op))
             };
             let resumed: Vec<_> = if resume.len() == 1 {
                 resume.into_iter().map(run).collect()
@@ -487,80 +494,119 @@ impl ClusterRouter {
                         .collect()
                 })
             };
-            for (slot, outcome) in resumed {
-                outcomes[slot] = Some(outcome);
+            for (i, outcome) in resumed {
+                outcomes[i] = Some(outcome);
             }
         }
-        timer.finish();
         outcomes
             .into_iter()
-            .map(|o| o.expect("every group settled"))
+            .map(|o| o.expect("every send settled"))
             .collect()
     }
 
-    /// Splits scatter outcomes into live results and dead shards.
-    /// Non-retryable wire errors propagate as hard errors; whole-group
-    /// outages degrade to the partial path. Bumps `partial_results` by
-    /// `queries`, the queries the scatter carried, when it degraded.
-    fn gather<T>(
+    /// Phase 1 of a routed search: one `SEARCH-MANY` of `frame` to every
+    /// group, each reply the group's scored top-`k` per query. Live
+    /// groups come back as `(group, answers)` in shard order beside the
+    /// dead shards; a non-retryable wire error is a hard error.
+    fn rank(
         &self,
-        outcomes: Vec<Result<T, ClusterError>>,
-        queries: u64,
-    ) -> Result<(Vec<T>, Vec<u32>), ClusterError> {
+        frame: &[(&str, usize)],
+        trace: &TraceCtx,
+    ) -> Result<(Vec<Ranked>, Vec<u32>), ClusterError> {
+        let request = Self::traced(
+            trace,
+            Request::SearchMany {
+                queries: frame.iter().map(|&(q, k)| (k, q.to_owned())).collect(),
+            },
+        );
+        self.shard_fanouts.add(self.groups.len() as u64);
+        let sends: Vec<(usize, &Request)> = (0..self.groups.len()).map(|g| (g, &request)).collect();
+        let outcomes = self.scatter(
+            &sends,
+            &|_, payload| parse_many(payload, frame.len()),
+            trace,
+        );
         let mut live = Vec::with_capacity(outcomes.len());
         let mut dead = Vec::new();
-        for (shard, outcome) in outcomes.into_iter().enumerate() {
+        for (g, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
-                Ok(v) => live.push(v),
-                Err(ClusterError::ShardDown { .. }) => dead.push(shard as u32),
+                Ok(answers) => live.push((g, answers)),
+                Err(ClusterError::ShardDown { .. }) => dead.push(g as u32),
                 Err(e) => return Err(e),
             }
-        }
-        if !dead.is_empty() {
-            self.partial_results.add(queries);
         }
         Ok((live, dead))
     }
 
-    /// The cluster's top-`k` for `query`: bit-identical to the
-    /// single-node index when every shard answers, and a typed
-    /// [`ClusterError::PartialResults`] (carrying the exact merge over
-    /// the live shards) when one or more whole replica groups are down.
+    /// The merge of one query's hits from the groups `live` answered
+    /// with, each hit tagged with its group, timed into `merge`: the
+    /// comparator of `merge_topk` over every live group's local top-`k`.
+    fn merge(
+        &self,
+        live: &[Ranked],
+        query: usize,
+        k: usize,
+        skip: &[u32],
+    ) -> Vec<(PageId, f64, usize)> {
+        let timer = StageTimer::start(&self.hist_merge);
+        let mut hits: Vec<(PageId, f64, usize)> = live
+            .iter()
+            .filter(|(g, _)| !skip.contains(&(*g as u32)))
+            .flat_map(|(g, answers)| answers[query].iter().map(|&(id, score)| (id, score, *g)))
+            .collect();
+        hits.sort_by(|a, b| rank_order(&(a.0, a.1), &(b.0, b.1)));
+        hits.truncate(k);
+        timer.finish();
+        hits
+    }
+
+    /// Counts the degraded answers among `outcomes` into
+    /// `partial_results`, one per query.
+    fn count_partials<T>(&self, outcomes: &[Result<T, ClusterError>]) {
+        let partial = outcomes
+            .iter()
+            .filter(|o| matches!(o, Err(ClusterError::PartialResults { .. })))
+            .count();
+        self.partial_results.add(partial as u64);
+    }
+
+    /// The cluster's top-`k` for `query`, ranked without fields (one
+    /// query of phase 1): bit-identical to the single-node index when
+    /// every shard answers, and a typed [`ClusterError::PartialResults`]
+    /// (carrying the exact merge over the live shards) when one or more
+    /// whole replica groups are down.
     pub fn try_search(&self, query: &str, k: usize) -> Result<Vec<(PageId, f64)>, ClusterError> {
-        let search = Request::Search {
-            k,
-            query: query.into(),
-        };
-        let (trace, request) = self.traced("search", search);
-        let outcomes = self.scatter(&request, &parse_scored, &trace);
-        let (live, dead) = self.gather(outcomes, 1)?;
-        let hits = {
-            let timer = StageTimer::start(&self.hist_merge);
-            let _span = trace.span(stage::MERGE);
-            let hits = merge_topk(live, k);
-            timer.finish();
-            hits
-        };
+        let trace = self.obs.start_trace("search");
+        let timer = StageTimer::start(&self.hist_scatter);
+        let ranked = self.rank(&[(query, k)], &trace);
+        timer.finish();
+        let outcome = ranked.and_then(|(live, dead)| {
+            let hits = {
+                let _span = trace.span(stage::MERGE);
+                self.merge(&live, 0, k, &[])
+            };
+            if dead.is_empty() {
+                Ok(hits.into_iter().map(|(id, score, _)| (id, score)).collect())
+            } else {
+                Err(partial(&dead, &hits))
+            }
+        });
         trace.finish();
-        if dead.is_empty() {
-            Ok(hits)
-        } else {
-            Err(ClusterError::PartialResults {
-                dead_shards: dead,
-                hits,
-            })
-        }
+        self.count_partials(std::slice::from_ref(&outcome));
+        outcome
     }
 
     /// The top-`k` with hydrated url/title/snippet fields for every
-    /// `(query, k)` pair, in order, with one `SEARCH-MANY` frame per
-    /// replica group for each [`MAX_BATCH`] queries instead of one frame
-    /// per group per query. Each query keeps the single-query
-    /// semantics: its answer is bit-identical to the single node (and to
-    /// a one-query batch), a frame that fails on one replica is retried
-    /// whole on the group's next one, and a dead group makes each query
-    /// of the frame its own [`ClusterError::PartialResults`] (counted
-    /// once per query), carrying the scored ids of the degraded merge.
+    /// `(query, k)` pair, in order: per [`MAX_BATCH`] queries, one
+    /// `SEARCH-MANY` frame of scored ids per replica group, then one
+    /// `FETCH` per group that holds a merged winner, carrying those
+    /// winners only. Each query keeps the single-query semantics: its
+    /// answer is bit-identical to the single node (and to a one-query
+    /// batch), a frame that fails on one replica is retried whole on
+    /// the group's next one, and a group dead in either phase makes
+    /// each query it held a winner for its own
+    /// [`ClusterError::PartialResults`] (counted once per query),
+    /// carrying the scored ids of the merge over the other groups.
     pub fn try_search_many(
         &self,
         queries: &[(&str, usize)],
@@ -571,66 +617,128 @@ impl ClusterRouter {
             .collect()
     }
 
-    /// One `SEARCH-MANY` scatter of at most [`MAX_BATCH`] queries, traced
-    /// and forwarded under the router's trace id like `try_search`. A
-    /// hard wire error on a frame of several queries falls back to one
-    /// frame per query, so an error stays with the query that caused it.
+    /// Both phases of at most [`MAX_BATCH`] queries, traced under one
+    /// router trace id and timed as one `shard_scatter` observation. A
+    /// hard wire error in either phase of a frame of several queries
+    /// falls back to one frame per query, so an error stays with the
+    /// query that caused it.
     fn search_frame(&self, frame: &[(&str, usize)]) -> Vec<Result<Vec<SearchHit>, ClusterError>> {
-        let many = Request::SearchMany {
-            queries: frame.iter().map(|&(q, k)| (k, q.to_owned())).collect(),
-        };
-        let (trace, request) = self.traced("search_many", many);
-        let sent = frame.len();
-        let outcomes = self.scatter(&request, &|payload| parse_many(payload, sent), &trace);
-        let (live, dead) = match self.gather(outcomes, sent as u64) {
-            Ok(gathered) => gathered,
-            Err(error) if sent == 1 => return vec![Err(error)],
-            Err(_) => {
-                trace.finish();
-                return frame
-                    .iter()
-                    .flat_map(|&pair| self.search_frame(&[pair]))
-                    .collect();
-            }
-        };
-        let mut per_query: Vec<Vec<SearchHit>> = vec![Vec::new(); sent];
-        for group in live {
-            for (hits, answer) in per_query.iter_mut().zip(group) {
-                hits.extend(answer);
-            }
-        }
-        let merge_span = trace.span(stage::MERGE);
-        let outcomes = per_query
-            .into_iter()
-            .zip(frame)
-            .map(|(hits, &(_, k))| full_outcome(self.merge_hits(hits, k), &dead))
-            .collect();
-        drop(merge_span);
+        let trace = self.obs.start_trace("search_many");
+        let timer = StageTimer::start(&self.hist_scatter);
+        let outcome = self.rank_then_fetch(frame, &trace);
+        timer.finish();
         trace.finish();
-        outcomes
+        match outcome {
+            Ok(answers) => {
+                self.count_partials(&answers);
+                answers
+            }
+            Err(error) if frame.len() == 1 => vec![Err(error)],
+            Err(_) => frame
+                .iter()
+                .flat_map(|&pair| self.search_frame(&[pair]))
+                .collect(),
+        }
     }
 
-    /// The merge of one query's gathered hits, timed into `merge`: the
-    /// comparator of `merge_topk`, applied through each hit's (id,
-    /// score) key, so full hits rank exactly like scored pairs.
-    fn merge_hits(&self, mut hits: Vec<SearchHit>, k: usize) -> Vec<SearchHit> {
-        let timer = StageTimer::start(&self.hist_merge);
-        hits.sort_by(|a, b| rank_order(&(a.id, a.score), &(b.id, b.score)));
-        hits.truncate(k);
-        timer.finish();
-        hits
+    /// Ranks `frame` (phase 1), merges each query, then fetches the
+    /// fields of the merged winners (phase 2): one `FETCH` per group
+    /// per [`MAX_FETCH`] of its distinct winners, in ascending id
+    /// order. A group dead in phase 1 degrades every query, and nothing
+    /// is fetched; a group that dies before its `FETCH` degrades
+    /// exactly the queries with a winner on it, each to the answer a
+    /// group dead from the start would give.
+    fn rank_then_fetch(
+        &self,
+        frame: &[(&str, usize)],
+        trace: &TraceCtx,
+    ) -> Result<Vec<Result<Vec<SearchHit>, ClusterError>>, ClusterError> {
+        let (live, dead) = self.rank(frame, trace)?;
+        let merged: Vec<Vec<(PageId, f64, usize)>> = {
+            let _span = trace.span(stage::MERGE);
+            frame
+                .iter()
+                .enumerate()
+                .map(|(q, &(_, k))| self.merge(&live, q, k, &[]))
+                .collect()
+        };
+        if !dead.is_empty() {
+            return Ok(merged
+                .into_iter()
+                .map(|hits| Err(partial(&dead, &hits)))
+                .collect());
+        }
+
+        // Each group's distinct winners, ascending, cut at MAX_FETCH.
+        let mut winners: Vec<Vec<PageId>> = vec![Vec::new(); self.groups.len()];
+        for &(id, _, g) in merged.iter().flatten() {
+            winners[g].push(id);
+        }
+        let mut chunks: Vec<(usize, &[PageId])> = Vec::new();
+        for (g, ids) in winners.iter_mut().enumerate() {
+            ids.sort_unstable();
+            ids.dedup();
+            chunks.extend(ids.chunks(MAX_FETCH).map(|chunk| (g, chunk)));
+        }
+        let requests: Vec<Request> = chunks
+            .iter()
+            .map(|&(_, ids)| Self::traced(trace, Request::Fetch { ids: ids.to_vec() }))
+            .collect();
+        let sends: Vec<(usize, &Request)> = chunks
+            .iter()
+            .zip(&requests)
+            .map(|(&(g, _), request)| (g, request))
+            .collect();
+        let fetched = self.scatter(
+            &sends,
+            &|i, payload| parse_fetched(payload, chunks[i].1),
+            trace,
+        );
+
+        // Each group's fetched fields, ascending by id like its winners.
+        let mut fields: Vec<Vec<SearchResult>> = vec![Vec::new(); self.groups.len()];
+        let mut died: Vec<u32> = Vec::new();
+        for (&(g, _), outcome) in chunks.iter().zip(fetched) {
+            match outcome {
+                Ok(pages) => fields[g].extend(pages),
+                Err(ClusterError::ShardDown { .. }) => died.push(g as u32),
+                Err(e) => return Err(e),
+            }
+        }
+        died.dedup();
+        Ok(merged
+            .into_iter()
+            .zip(frame)
+            .enumerate()
+            .map(|(q, (hits, &(_, k)))| {
+                if hits.iter().any(|&(_, _, g)| died.contains(&(g as u32))) {
+                    let _span = trace.span(stage::MERGE);
+                    return Err(partial(&died, &self.merge(&live, q, k, &died)));
+                }
+                Ok(hits
+                    .into_iter()
+                    .map(|(id, score, g)| {
+                        let at = winners[g]
+                            .binary_search(&id)
+                            .expect("every winner was fetched");
+                        SearchHit {
+                            id,
+                            score,
+                            result: fields[g][at].clone(),
+                        }
+                    })
+                    .collect())
+            })
+            .collect())
     }
 }
 
-/// A merged full answer, or its degraded form when `dead` names shards.
-fn full_outcome(hits: Vec<SearchHit>, dead: &[u32]) -> Result<Vec<SearchHit>, ClusterError> {
-    if dead.is_empty() {
-        Ok(hits)
-    } else {
-        Err(ClusterError::PartialResults {
-            dead_shards: dead.to_vec(),
-            hits: hits.iter().map(|h| (h.id, h.score)).collect(),
-        })
+/// The degraded answer of a query whose merged hits miss the `dead`
+/// shards: their scored ids, typed as partial.
+fn partial(dead: &[u32], hits: &[(PageId, f64, usize)]) -> ClusterError {
+    ClusterError::PartialResults {
+        dead_shards: dead.to_vec(),
+        hits: hits.iter().map(|&(id, score, _)| (id, score)).collect(),
     }
 }
 
@@ -655,7 +763,8 @@ impl SearchBackend for ClusterRouter {
         }
     }
 
-    /// A one-query `SEARCH-MANY` scatter.
+    /// A one-query two-phase search: ranked ids, then the winners'
+    /// fields.
     fn search_results(&self, query: &str, k: usize) -> Vec<SearchResult> {
         self.search_frame(&[(query, k)])
             .pop()
@@ -663,7 +772,8 @@ impl SearchBackend for ClusterRouter {
     }
 
     /// One `SEARCH-MANY` frame per replica group for each [`MAX_BATCH`]
-    /// queries ([`try_search_many`](ClusterRouter::try_search_many)),
+    /// queries, then the winners' `FETCH` frames
+    /// ([`try_search_many`](ClusterRouter::try_search_many)),
     /// each frame's answers handed back as soon as it is merged, and
     /// each answer the one [`search_results`](SearchBackend::search_results)
     /// gives.

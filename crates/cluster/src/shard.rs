@@ -162,17 +162,22 @@ impl SearchBackend for ShardBackend {
     }
 
     fn search_results(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        results_of(self.search_hits(query, k))
+        results_of(self.search_local(query, k), |local| {
+            self.base.page_fields(local)
+        })
     }
 
-    /// The shard's top-`k` as `SEARCH-MANY` hits from one ranking:
-    /// global ids, exact score bits, hydrated fields.
-    fn search_hits(&self, query: &str, k: usize) -> Vec<(PageId, f64, SearchResult)> {
-        self.search_local(query, k)
-            .into_iter()
-            .map(|(local, score)| {
-                let fields = self.base.page_fields(local).to_result();
-                (self.to_global(local), score, fields)
+    /// The fields of global pages `ids`, each found among this shard's
+    /// pages by binary search over the manifest's strictly ascending
+    /// `global_ids`; an id the shard does not hold is refused.
+    fn fetch(&self, ids: &[PageId]) -> Result<Vec<SearchResult>, String> {
+        ids.iter()
+            .map(|&id| match self.manifest.global_ids.binary_search(&id.0) {
+                Ok(local) => Ok(self.base.page_fields(PageId(local as u32)).to_result()),
+                Err(_) => Err(format!(
+                    "page {} is not on shard {}",
+                    id.0, self.manifest.shard
+                )),
             })
             .collect()
     }
@@ -228,6 +233,12 @@ impl ShardServer {
     /// The shard identity this server advertises.
     pub fn info(&self) -> ShardInfo {
         self.info
+    }
+
+    /// The server's registry: its `searches` counter (queries ranked)
+    /// and `fetched` counter (pages hydrated by `FETCH`).
+    pub fn obs(&self) -> Arc<teda_obs::Registry> {
+        self.server.obs()
     }
 
     /// Stops accepting, closes every connection, joins every thread.
@@ -344,13 +355,41 @@ mod tests {
         let hits = client.search("storage", 5).unwrap();
         assert_eq!(hits, expected, "wire transport must preserve score bits");
 
-        let full = client.search_many(&[("storage", 5)]).unwrap().remove(0);
-        assert_eq!(full.len(), expected.len());
-        for (hit, (id, score)) in full.iter().zip(&expected) {
-            assert_eq!(hit.id, *id);
-            assert_eq!(hit.score.to_bits(), score.to_bits());
-            assert!(!hit.result.url.is_empty());
+        let scored = client.search_many(&[("storage", 5)]).unwrap().remove(0);
+        assert_eq!(scored, expected);
+        // FETCH hydrates the ranked pages by global id, as the backend
+        // assembles them, in the ascending order asked for.
+        let mut ids: Vec<PageId> = expected.iter().map(|&(id, _)| id).collect();
+        ids.sort_unstable();
+        let pages = client.fetch(&ids).unwrap();
+        assert_eq!(pages, backend.fetch(&ids).unwrap());
+        for (page, id) in pages.iter().zip(&ids) {
+            assert_eq!(page.url, format!("http://web.sim/{}", id.0));
         }
+        // A page of the other shard, and one past the corpus, are
+        // typed refusals that leave the connection usable.
+        let foreign = (0..19u32)
+            .map(PageId)
+            .find(|id| backend.manifest().global_ids.binary_search(&id.0).is_err())
+            .expect("shard 1 holds a page");
+        for bad in [foreign, PageId(19)] {
+            assert!(
+                matches!(
+                    client.fetch(&[bad]),
+                    Err(teda_wire::WireError::BadRequest(_))
+                ),
+                "page {} must be refused",
+                bad.0
+            );
+        }
+        let metrics = client.metrics().unwrap();
+        assert!(
+            metrics.contains(&format!(
+                "teda_counter_total{{node=\"shard0\",counter=\"fetched\"}} {}",
+                ids.len()
+            )),
+            "{metrics}"
+        );
 
         let report = client.shard_stats().unwrap();
         assert_eq!(report.shard, 0);

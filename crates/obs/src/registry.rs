@@ -179,7 +179,8 @@ impl Registry {
         TraceCtx::new(id, self.node, root_name, origin, Arc::clone(&self.traces))
     }
 
-    /// The most recent completed trace with this id.
+    /// Every completed trace with this id, grafted into one tree
+    /// ([`TraceRing::get`](crate::trace::TraceRing::get)).
     pub fn trace(&self, id: u64) -> Option<crate::trace::Trace> {
         self.traces.get(id)
     }

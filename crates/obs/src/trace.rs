@@ -219,10 +219,18 @@ impl TraceRing {
         }
     }
 
-    /// The most recent completed trace with this id.
+    /// Every completed trace with this id as one tree: the oldest is
+    /// the root, and each later one (the fetch phase of a routed search,
+    /// a retried frame) is grafted under it with [`Trace::graft`], as a
+    /// child named `<node>:<root>`.
     pub fn get(&self, id: u64) -> Option<Trace> {
         let ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
-        ring.iter().rev().find(|t| t.id == id).cloned()
+        let mut trees = ring.iter().filter(|t| t.id == id);
+        let mut tree = trees.next()?.clone();
+        for later in trees {
+            tree.graft(later);
+        }
+        Some(tree)
     }
 
     /// Ids of every completed trace, oldest first.
@@ -518,6 +526,40 @@ mod tests {
         }
         assert_eq!(ring.ids(), vec![3, 4]);
         assert!(ring.get(0).is_none());
+    }
+
+    #[test]
+    fn get_grafts_every_tree_recorded_under_an_id() {
+        let span = |parent: u32, name: &'static str| Span {
+            parent,
+            name: name.into(),
+            start_us: 0,
+            end_us: 1,
+        };
+        let tree = |id: u64, spans: Vec<Span>| Trace {
+            id,
+            node: "shard0".into(),
+            spans,
+        };
+        let ring = TraceRing::new(3);
+        ring.append(tree(5, vec![span(0, "search_many"), span(0, "search")]));
+        ring.append(tree(6, vec![span(0, "other")]));
+        ring.append(tree(5, vec![span(0, "fetch"), span(0, "page_hydration")]));
+
+        let both = ring.get(5).expect("id 5 was recorded");
+        let names: Vec<&str> = both.spans.iter().map(|s| &*s.name).collect();
+        assert_eq!(
+            names,
+            ["search_many", "search", "shard0:fetch", "page_hydration"]
+        );
+        assert_eq!(both.children(0), vec![1, 2], "both phases under one root");
+        assert_eq!(both.children(2), vec![3]);
+        assert_eq!(ring.get(6).unwrap().spans.len(), 1, "other ids untouched");
+
+        // Once the first tree is evicted, the later one stands alone.
+        ring.append(tree(7, vec![span(0, "x")]));
+        assert_eq!(ring.get(5).unwrap().spans[0].name, "fetch");
+        assert!(ring.get(8).is_none());
     }
 
     #[test]

@@ -39,8 +39,7 @@ use std::sync::{Arc, OnceLock};
 
 use teda_obs::{Histogram, StageTimer};
 use teda_websim::{
-    assemble_hits, results_of, scoring, BaseCorpus, PageFields, PageId, SearchBackend,
-    SearchResult, WebCorpus,
+    results_of, scoring, BaseCorpus, PageFields, PageId, SearchBackend, SearchResult, WebCorpus,
 };
 
 use crate::corpus_snapshot::{
@@ -272,8 +271,8 @@ impl MappedSnapshot {
 /// kernel — property-tested in `tests/backend_conformance.rs`).
 ///
 /// Degradation contract: if the *pages* half fails verification (rot
-/// confined to page text), ranking keeps working; `search_results` and
-/// `search_hits` return nothing and [`BaseCorpus::page_fields`] serves empty
+/// confined to page text), ranking keeps working; `search_results`
+/// returns nothing and [`BaseCorpus::page_fields`] serves empty
 /// fields, with the typed error retrievable via
 /// [`MappedSnapshot::pages_error`]. Never a panic.
 #[derive(Debug, Clone)]
@@ -305,17 +304,13 @@ impl SearchBackend for ViewBackend {
     }
 
     fn search_results(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        results_of(self.search_hits(query, k))
-    }
-
-    fn search_hits(&self, query: &str, k: usize) -> Vec<(PageId, f64, SearchResult)> {
         let hits = scoring::top_k(self.core(), query, k);
         if hits.is_empty() || self.snap.page_table().is_err() {
             // Rot confined to page text degrades hydration only; the
             // typed error stays readable via `snapshot().pages_error()`.
             return Vec::new();
         }
-        assemble_hits(hits, |id| {
+        results_of(hits, |id| {
             self.snap.page_fields(id).expect("page table verified")
         })
     }

@@ -53,7 +53,7 @@ impl PageFields<'_> {
 ///
 /// Implementations must rank identically for identical logical corpora:
 /// BM25 through [`crate::scoring`], ties broken by ascending page id.
-/// Both methods take `&self` so one backend can serve concurrent
+/// Every method takes `&self` so one backend can serve concurrent
 /// workers. `search_results` exists (rather than a borrowed per-page
 /// accessor) so a hot-swappable backend can resolve one coherent
 /// backend per query — ranking and field assembly never straddle a
@@ -64,20 +64,6 @@ pub trait SearchBackend: Send + Sync {
 
     /// The top-`k` results with their fields assembled.
     fn search_results(&self, query: &str, k: usize) -> Vec<SearchResult>;
-
-    /// The top-`k` as `(id, score, fields)` hits from **one** ranking —
-    /// what a `SEARCH-MANY` answer carries per query. The default zips
-    /// [`search`](Self::search) with [`search_results`](Self::search_results),
-    /// which ranks twice; backends that can rank once override it, and a
-    /// hot-swappable backend must, so both halves come from the same
-    /// corpus.
-    fn search_hits(&self, query: &str, k: usize) -> Vec<(PageId, f64, SearchResult)> {
-        self.search(query, k)
-            .into_iter()
-            .zip(self.search_results(query, k))
-            .map(|((id, score), result)| (id, score, result))
-            .collect()
-    }
 
     /// Answers a batch of `(query, k)` pairs: `answer(i, results)` runs
     /// exactly once per position `i` of `queries`, each with what
@@ -96,26 +82,30 @@ pub trait SearchBackend: Send + Sync {
         }
     }
 
+    /// The fields of pages `ids`, in the order given, with no ranking:
+    /// the hydrate half of a query-then-fetch search, whose rank half is
+    /// [`search`](Self::search). An id the backend does not hold is
+    /// refused with the reason. The default refuses every id; so does
+    /// [`SwappableBackend`], because an id from one ranking may name
+    /// another page after a swap.
+    fn fetch(&self, ids: &[PageId]) -> Result<Vec<SearchResult>, String> {
+        let _ = ids;
+        Err("this backend does not fetch pages by id".into())
+    }
+
     /// Number of pages in the collection.
     fn n_docs(&self) -> usize;
 }
 
-/// Assembles owned `(id, score, fields)` hits from ranked hits and a
-/// page-field accessor — the one-liner every concrete backend's
-/// `search_hits` reduces to.
-pub fn assemble_hits<'a>(
+/// Assembles the results of ranked hits through a page-field accessor —
+/// the one-liner every concrete backend's `search_results` reduces to.
+pub fn results_of<'a>(
     hits: Vec<(PageId, f64)>,
     fields: impl Fn(PageId) -> PageFields<'a>,
-) -> Vec<(PageId, f64, SearchResult)> {
+) -> Vec<SearchResult> {
     hits.into_iter()
-        .map(|(page, score)| (page, score, fields(page).to_result()))
+        .map(|(page, _)| fields(page).to_result())
         .collect()
-}
-
-/// The fields of [`SearchBackend::search_hits`] without ids and scores
-/// — what every concrete backend's `search_results` reduces to.
-pub fn results_of(hits: Vec<(PageId, f64, SearchResult)>) -> Vec<SearchResult> {
-    hits.into_iter().map(|(_, _, result)| result).collect()
 }
 
 impl SearchBackend for WebCorpus {
@@ -124,11 +114,23 @@ impl SearchBackend for WebCorpus {
     }
 
     fn search_results(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        results_of(self.search_hits(query, k))
+        results_of(self.index().search(query, k), |id| self.page_fields(id))
     }
 
-    fn search_hits(&self, query: &str, k: usize) -> Vec<(PageId, f64, SearchResult)> {
-        assemble_hits(self.index().search(query, k), |id| self.page_fields(id))
+    fn fetch(&self, ids: &[PageId]) -> Result<Vec<SearchResult>, String> {
+        ids.iter()
+            .map(|&id| {
+                if (id.0 as usize) < self.len() {
+                    Ok(self.page_fields(id).to_result())
+                } else {
+                    Err(format!(
+                        "page {} is past this corpus of {}",
+                        id.0,
+                        self.len()
+                    ))
+                }
+            })
+            .collect()
     }
 
     fn n_docs(&self) -> usize {
@@ -269,12 +271,6 @@ impl SearchBackend for SwappableBackend {
         self.current().search_results(query, k)
     }
 
-    fn search_hits(&self, query: &str, k: usize) -> Vec<(PageId, f64, SearchResult)> {
-        // One resolve, one ranking: ids, scores and fields all come
-        // from the backend current at the call.
-        self.current().search_hits(query, k)
-    }
-
     fn search_many(
         &self,
         queries: &[(&str, usize)],
@@ -284,6 +280,9 @@ impl SearchBackend for SwappableBackend {
         // backend current at the call.
         self.current().search_many(queries, answer)
     }
+
+    // `fetch` keeps the refusing default: a swap between a ranking and
+    // its fetch would hydrate another corpus's pages under its ids.
 
     fn n_docs(&self) -> usize {
         self.current().n_docs()
@@ -319,6 +318,20 @@ mod tests {
         let results = c.search_results("melisse", 5);
         assert_eq!(results[0].url, "u0");
         assert_eq!(results[0].snippet, "melisse restaurant santa monica");
+    }
+
+    #[test]
+    fn a_corpus_fetches_what_it_ranks_and_a_swappable_backend_refuses() {
+        let c = corpus();
+        let ids: Vec<PageId> = SearchBackend::search(&c, "melisse", 5)
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(c.fetch(&ids).unwrap(), c.search_results("melisse", 5));
+        assert_eq!(c.fetch(&[PageId(1), PageId(0)]).unwrap()[0].url, "u1");
+        assert!(c.fetch(&[PageId(0), PageId(2)]).is_err(), "past the corpus");
+        let sw = SwappableBackend::new(Arc::new(c));
+        assert!(sw.fetch(&[PageId(0)]).is_err());
     }
 
     #[test]

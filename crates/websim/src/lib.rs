@@ -37,9 +37,7 @@ pub mod scoring;
 pub mod segment;
 pub mod template;
 
-pub use backend::{
-    assemble_hits, results_of, BaseCorpus, PageFields, SearchBackend, SwappableBackend,
-};
+pub use backend::{results_of, BaseCorpus, PageFields, SearchBackend, SwappableBackend};
 pub use corpus::{WebCorpus, WebCorpusSpec};
 pub use engine::{BingSim, SearchEngine, SearchResult};
 pub use index::{IndexParts, InvalidIndexParts, InvertedIndex};

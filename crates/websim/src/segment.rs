@@ -42,7 +42,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::backend::{assemble_hits, results_of, BaseCorpus, PageFields, SearchBackend};
+use crate::backend::{results_of, BaseCorpus, PageFields, SearchBackend};
 use crate::engine::SearchResult;
 use crate::index::{invalid_parts, InvalidIndexParts, InvertedIndex};
 use crate::page::{PageId, WebPage};
@@ -386,11 +386,7 @@ impl SearchBackend for SegmentedCorpus {
     }
 
     fn search_results(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        results_of(self.search_hits(query, k))
-    }
-
-    fn search_hits(&self, query: &str, k: usize) -> Vec<(PageId, f64, SearchResult)> {
-        assemble_hits(SegmentedCorpus::search(self, query, k), |id| {
+        results_of(SegmentedCorpus::search(self, query, k), |id| {
             self.page_fields(id)
         })
     }

@@ -6,11 +6,11 @@ use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use teda_websim::PageId;
+use teda_websim::{PageId, SearchResult};
 
 use crate::protocol::{
-    parse_many, parse_scored, parse_shard_stats, read_frame, Reply, Request, SearchHit,
-    ShardStatsReport, WireError,
+    parse_fetched, parse_many, parse_shard_stats, read_frame, Reply, Request, ShardStatsReport,
+    WireError,
 };
 
 /// One connection to a [`WireServer`](crate::WireServer): one reply
@@ -168,29 +168,38 @@ impl WireClient {
         self.roundtrip(&Request::Snapshot)
     }
 
-    /// `SEARCH`: the node's scored top-`k` for `query` — global page
-    /// ids with exact score bits, in rank order.
+    /// A one-query `SEARCH-MANY`: the node's scored top-`k` for
+    /// `query` — global page ids with exact score bits, in rank order.
     pub fn search(&mut self, query: &str, k: usize) -> Result<Vec<(PageId, f64)>, WireError> {
-        let payload = self.roundtrip(&Request::Search {
-            k,
-            query: query.into(),
-        })?;
-        parse_scored(&payload)
+        Ok(self.search_many(&[(query, k)])?.remove(0))
     }
 
-    /// `SEARCH-MANY`: the scored top-`k` with the hydrated
-    /// url/title/snippet fields on every hit, for each `(query, k)`
-    /// pair, in one frame and in request order. At most
+    /// `SEARCH-MANY`: the scored top-`k` for each `(query, k)` pair, in
+    /// one frame and in request order. At most
     /// [`MAX_BATCH`](crate::protocol::MAX_BATCH) pairs fit a frame; an
     /// empty or larger batch is a `bad-request`.
     pub fn search_many(
         &mut self,
         queries: &[(&str, usize)],
-    ) -> Result<Vec<Vec<SearchHit>>, WireError> {
-        let payload = self.roundtrip(&Request::SearchMany {
-            queries: queries.iter().map(|&(q, k)| (k, q.to_owned())).collect(),
-        })?;
+    ) -> Result<Vec<Vec<(PageId, f64)>>, WireError> {
+        let payload = self.roundtrip(&Self::search_request(queries))?;
         parse_many(&payload, queries.len())
+    }
+
+    fn search_request(queries: &[(&str, usize)]) -> Request {
+        Request::SearchMany {
+            queries: queries.iter().map(|&(q, k)| (k, q.to_owned())).collect(),
+        }
+    }
+
+    /// `FETCH`: the url, title and snippet of each page in `ids`
+    /// (strictly ascending, at most
+    /// [`MAX_FETCH`](crate::protocol::MAX_FETCH)), in that order. A
+    /// reply that answers other ids than those asked for is a
+    /// `bad-request`, as is an id the node does not hold.
+    pub fn fetch(&mut self, ids: &[PageId]) -> Result<Vec<SearchResult>, WireError> {
+        let payload = self.roundtrip(&Request::Fetch { ids: ids.to_vec() })?;
+        parse_fetched(&payload, ids)
     }
 
     /// `SHARD-STATS`: the node's shard identity, document counts and
@@ -220,9 +229,10 @@ impl WireClient {
         teda_obs::Trace::parse(&payload).map_err(WireError::BadRequest)
     }
 
-    /// `TRACE <id> SEARCH …`: a scored search run under the caller's
-    /// trace id — the node records its span tree under `id`, ready for
-    /// [`trace_dump`](Self::trace_dump) and cross-node grafting.
+    /// `TRACE <id> SEARCH-MANY …`: a one-query scored search run under
+    /// the caller's trace id — the node records its span tree under
+    /// `id`, ready for [`trace_dump`](Self::trace_dump) and cross-node
+    /// grafting.
     pub fn search_traced(
         &mut self,
         id: u64,
@@ -231,12 +241,9 @@ impl WireClient {
     ) -> Result<Vec<(PageId, f64)>, WireError> {
         let payload = self.roundtrip(&Request::Traced {
             id,
-            inner: Box::new(Request::Search {
-                k,
-                query: query.into(),
-            }),
+            inner: Box::new(Self::search_request(&[(query, k)])),
         })?;
-        parse_scored(&payload)
+        Ok(parse_many(&payload, 1)?.remove(0))
     }
 
     /// `TRACE <id> ANNOTATE …`: a blocking submission run under the

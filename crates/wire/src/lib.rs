@@ -21,9 +21,10 @@
 //!   TRY <name> <csv>         non-blocking submit (sheds under pressure)
 //!   STATS                    service counters incl. per-client lines
 //!   BUDGET                   remaining query pool
-//!   SEARCH <k> <query>       scored top-k page ids (exact f64 bits)
-//!   SEARCH-MANY <n> <k> <q>\t…  scored top-k with hydrated page fields,
+//!   SEARCH-MANY <n> <k> <q>\t…  scored top-k page ids (exact f64 bits),
 //!                            for n ≤ 16 queries at once
+//!   FETCH <m> <id>…          url/title/snippet of m ≤ 256 pages by id
+//!                            (ids strictly ascending)
 //!   SHARD-STATS              shard identity + global corpus stats
 //!   STATS JSON               full ServiceStats as one JSON object
 //!   METRICS                  Prometheus-style stage histograms
@@ -52,7 +53,9 @@
 //! search-only [`WireServer`] over a shard's backend is the entire
 //! shard-server process of `teda-cluster`, and search scores travel
 //! as exact IEEE-754 bit patterns so scatter-gather merging can be
-//! bit-identical to the single-node index.
+//! bit-identical to the single-node index. Ranking and hydration are
+//! separate verbs, so a router fetches the fields of the hits it keeps
+//! and no others.
 //!
 //! Determinism invariant (hard, inherited): the `OK` payload of
 //! `ANNOTATE`/`TRY` is [`protocol::render_annotations`] of the

@@ -16,10 +16,10 @@
 //!          | "STATS" LF                     ; ServiceStats snapshot
 //!          | "BUDGET" LF                    ; remaining query pool
 //!          | "SNAPSHOT" LF                  ; persist the query-cache snapshot
-//!          | "SEARCH" SP k SP query LF      ; scored top-k page ids
 //!          | "SEARCH-MANY" SP n SP item *(HTAB item) LF
-//!                                         ; scored top-k with page fields,
+//!                                         ; scored top-k page ids,
 //!                                         ; for n queries at once
+//!          | "FETCH" SP m 1*(SP page)  LF   ; the fields of m pages by id
 //!          | "SHARD-STATS" LF               ; shard identity + global stats
 //!          | "STATS" SP "JSON" LF           ; ServiceStats as one JSON object
 //!          | "METRICS" LF                   ; Prometheus-style exposition
@@ -30,6 +30,9 @@
 //! k        = 1*DIGIT                        ; ≤ MAX_K
 //! n        = 1*DIGIT                        ; 1 ≤ n ≤ MAX_BATCH, the item count
 //! item     = k SP query                     ; the query escaped, so tab-free
+//! m        = 1*DIGIT                        ; 1 ≤ m ≤ MAX_FETCH, the id count
+//! page     = 1*DIGIT                        ; a global page id, strictly
+//!                                           ; ascending along the list
 //! id       = 16HEXDIG                       ; a trace id, zero-padded hex
 //! csv      = escaped CSV document, optionally led by a "#types" row
 //!
@@ -39,12 +42,16 @@
 //!          | "shutting-down" | "failed" | "bad-request"
 //! ```
 //!
-//! `SEARCH` scores travel as 16-hex-digit IEEE-754 bit patterns
-//! ([`render_scored`]), so cluster bit-identity is never at the mercy of
-//! decimal formatting. A `SEARCH-MANY` reply ([`render_many`]) is a
-//! `queries=<n>` header, then one `hits=<m>` body per query in request
-//! order, each hit carrying the same score bits plus the assembled
-//! result fields as tab-separated, field-escaped columns.
+//! A search is two verbs, query then fetch. A `SEARCH-MANY` reply
+//! ([`render_many`]) is a `queries=<n>` header, then one `hits=<m>` body
+//! per query in request order, one `<id> <score-hex>` line per hit.
+//! Scores travel as 16-hex-digit IEEE-754 bit patterns, so cluster
+//! bit-identity is never at the mercy of decimal formatting. A `FETCH`
+//! reply ([`render_fetched`]) is a `pages=<m>` header, then one
+//! `<id>\t<url>\t<title>\t<snippet>` line per requested id in request
+//! order, the fields escaped so the columns cannot be forged by page
+//! text. A cluster router ranks with the first and hydrates only its
+//! merged winners with the second.
 //!
 //! `ANNOTATE`/`TRY` payloads parse through
 //! [`teda_corpus::table_from_csv`], i.e. the exact format
@@ -65,21 +72,36 @@ pub const MAX_FRAME: usize = 4 * 1024 * 1024;
 /// Bound on client and table names.
 pub const MAX_NAME: usize = 256;
 
-/// Bound on `SEARCH`'s `k`, enforced at parse time so a hostile frame
+/// Bound on a search's `k`, enforced at parse time so a hostile frame
 /// cannot make the server pre-size unbounded result buffers.
 pub const MAX_K: usize = 100_000;
 
 /// Bound on the queries of one `SEARCH-MANY` frame, enforced at parse
-/// time; a caller with more splits them over several frames. At the
-/// served `k = 10` a cell query's answer renders to about 2 KB, so a
-/// frame stays near 35 KB: far under [`MAX_FRAME`], and under the
-/// 128 KiB above which glibc's allocator maps a buffer with `mmap` and,
-/// once it is freed, raises that threshold for the rest of the process,
-/// keeping later buffers of that size in its arenas. Larger frames
-/// (64 queries, up to ~115 KB) raised `serve_cluster`'s peak RSS by
-/// ~7% through buffers retained in the allocator's per-thread arenas,
-/// for no measurable throughput gain.
+/// time; a caller with more splits them over several frames. A frame
+/// carries scored ids only. Measured on the Standard `serve_cluster`
+/// fixture (64 tables over 4 shards, `k = 10`): a query's answer is
+/// about 240 B per shard, so a full frame's reply stays under 4 KB
+/// (largest seen 3,880 B). The fields travel in `FETCH` replies, about
+/// 195 B per page, which averaged 5.5 KB per frame and shard (largest
+/// 11.3 KB). A frame of hydrated answers, about 2 KB per query per
+/// shard, was near 35 KB. Every reply is thus far under [`MAX_FRAME`]
+/// and under the 128 KiB above which glibc maps a buffer with `mmap`
+/// and, once it is freed, raises that threshold, keeping later buffers
+/// of that size in its per-thread arenas (which is how 64-query
+/// hydrated frames once raised `serve_cluster`'s peak RSS by ~7%).
+/// Size is no longer what bounds the batch. Doubling it to 32 puts a
+/// table's ~25 misses in one frame instead of two; over 10 interleaved
+/// Standard `serve_cluster` pairs that won every pair, but by a median
+/// of 25.3 req/s (+7.5%), inside the 25.5 req/s interquartile range of
+/// the runs at 16, and peak RSS rose in 9 of the 10 pairs (+0.5 MB), so
+/// the bound stays 16 until a longer measurement settles it.
 pub const MAX_BATCH: usize = 16;
+
+/// Bound on the page ids of one `FETCH` frame, enforced at parse time;
+/// a caller with more splits them over several frames. It covers the
+/// winners of one full `SEARCH-MANY` frame at the served `k`
+/// ([`MAX_BATCH`] × 10 = 160) in one frame.
+pub const MAX_FETCH: usize = 256;
 
 /// Reads one bounded frame from a buffered stream — the one framing
 /// routine both the server and the client use, so the [`MAX_FRAME`]
@@ -179,20 +201,19 @@ pub enum Request {
     /// store directory now (`OK snapshot <entries>`); `ERR failed …`
     /// when the service runs without a store or the write fails.
     Snapshot,
-    /// `SEARCH <k> <query>` — the node's top-`k` for the query as
-    /// scored page ids ([`render_scored`]).
-    Search {
-        /// How many hits to return (≤ [`MAX_K`]).
-        k: usize,
-        /// The raw query string (escaped on the wire).
-        query: String,
-    },
-    /// `SEARCH-MANY <n> <k> <query>\t…` — the top-`k` with assembled
-    /// result fields for each of `1..=`[`MAX_BATCH`] `(k, query)` pairs
-    /// in one frame, answered in request order ([`render_many`]).
+    /// `SEARCH-MANY <n> <k> <query>\t…` — the scored top-`k` page ids
+    /// for each of `1..=`[`MAX_BATCH`] `(k, query)` pairs in one frame,
+    /// answered in request order ([`render_many`]).
     SearchMany {
         /// The `(k, query)` pairs (each `k` ≤ [`MAX_K`]).
         queries: Vec<(usize, String)>,
+    },
+    /// `FETCH <m> <id>…` — the url, title and snippet of each of
+    /// `1..=`[`MAX_FETCH`] global page ids, strictly ascending, answered
+    /// in request order ([`render_fetched`]).
+    Fetch {
+        /// The page ids, strictly ascending.
+        ids: Vec<PageId>,
     },
     /// `SHARD-STATS` — this node's shard identity and the global corpus
     /// statistics it scores with ([`render_shard_stats`]).
@@ -211,7 +232,7 @@ pub enum Request {
     },
     /// `TRACE <id> <request>` — run the inner request under the
     /// caller's trace id, so a cross-node request reconstructs from one
-    /// id. Only `SEARCH`/`SEARCH-MANY`/`ANNOTATE`/`TRY` can be traced.
+    /// id. Only `SEARCH-MANY`/`FETCH`/`ANNOTATE`/`TRY` can be traced.
     Traced {
         /// The caller-minted trace id.
         id: u64,
@@ -270,23 +291,9 @@ impl Request {
                     Ok(Request::Try { name, csv })
                 }
             }
-            ("SEARCH", Some(rest)) => {
-                let (k, query) = parse_query(rest, verb)?;
-                Ok(Request::Search { k, query })
-            }
             ("SEARCH-MANY", Some(rest)) => {
                 let (n, items) = rest.split_once(' ').unwrap_or((rest, ""));
-                let n: usize = n
-                    .parse()
-                    .map_err(|_| WireError::BadRequest(format!("bad query count {n:?}")))?;
-                if n == 0 {
-                    return Err(WireError::BadRequest("SEARCH-MANY of no queries".into()));
-                }
-                if n > MAX_BATCH {
-                    return Err(WireError::BadRequest(format!(
-                        "SEARCH-MANY of {n} queries exceeds {MAX_BATCH}"
-                    )));
-                }
+                let n = parse_count(n, verb, MAX_BATCH)?;
                 let mut queries = Vec::with_capacity(n);
                 for item in items.split('\t') {
                     if queries.len() == n {
@@ -304,6 +311,33 @@ impl Request {
                 }
                 Ok(Request::SearchMany { queries })
             }
+            ("FETCH", Some(rest)) => {
+                let mut words = rest.split(' ');
+                let m = parse_count(words.next().unwrap_or(""), verb, MAX_FETCH)?;
+                let mut ids: Vec<PageId> = Vec::with_capacity(m);
+                for word in words {
+                    if ids.len() == m {
+                        return Err(WireError::BadRequest(format!(
+                            "FETCH promised {m} ids, carried more"
+                        )));
+                    }
+                    let id = PageId(parse_page_id(word)?);
+                    if let Some(&last) = ids.last().filter(|&&last| last >= id) {
+                        return Err(WireError::BadRequest(format!(
+                            "FETCH ids must be strictly ascending, got {} after {}",
+                            id.0, last.0
+                        )));
+                    }
+                    ids.push(id);
+                }
+                if ids.len() != m {
+                    return Err(WireError::BadRequest(format!(
+                        "FETCH promised {m} ids, carried {}",
+                        ids.len()
+                    )));
+                }
+                Ok(Request::Fetch { ids })
+            }
             ("STATS", Some(_)) => Err(WireError::BadRequest(
                 "STATS takes no arguments (or the single word JSON)".into(),
             )),
@@ -311,7 +345,7 @@ impl Request {
                 Err(WireError::BadRequest(format!("{verb} takes no arguments")))
             }
             (
-                "CLIENT" | "ANNOTATE" | "TRY" | "SEARCH" | "SEARCH-MANY" | "TRACE-DUMP" | "TRACE",
+                "CLIENT" | "ANNOTATE" | "TRY" | "SEARCH-MANY" | "FETCH" | "TRACE-DUMP" | "TRACE",
                 None,
             ) => Err(WireError::BadRequest(format!("{verb} needs arguments"))),
             ("", _) => Err(WireError::BadRequest("empty request".into())),
@@ -331,13 +365,23 @@ impl Request {
             Request::Stats => "STATS\n".into(),
             Request::Budget => "BUDGET\n".into(),
             Request::Snapshot => "SNAPSHOT\n".into(),
-            Request::Search { k, query } => format!("SEARCH {k} {}\n", escape(query)),
             Request::SearchMany { queries } => {
                 let items: Vec<String> = queries
                     .iter()
                     .map(|(k, query)| format!("{k} {}", escape(query)))
                     .collect();
                 format!("SEARCH-MANY {} {}\n", queries.len(), items.join("\t"))
+            }
+            Request::Fetch { ids } => {
+                use std::fmt::Write;
+
+                let mut line = format!("FETCH {}", ids.len());
+                for id in ids {
+                    // teda-lint: allow(panic_on_untrusted) -- fmt::Write into String is infallible
+                    write!(line, " {}", id.0).expect("string write");
+                }
+                line.push('\n');
+                line
             }
             Request::ShardStats => "SHARD-STATS\n".into(),
             Request::StatsJson => "STATS JSON\n".into(),
@@ -362,8 +406,8 @@ impl Request {
         match self {
             Request::Stats
             | Request::Budget
-            | Request::Search { .. }
             | Request::SearchMany { .. }
+            | Request::Fetch { .. }
             | Request::ShardStats
             | Request::StatsJson
             | Request::Metrics
@@ -378,8 +422,8 @@ impl Request {
     pub(crate) fn is_traceable(&self) -> bool {
         matches!(
             self,
-            Request::Search { .. }
-                | Request::SearchMany { .. }
+            Request::SearchMany { .. }
+                | Request::Fetch { .. }
                 | Request::Annotate { .. }
                 | Request::Try { .. }
         )
@@ -387,7 +431,26 @@ impl Request {
 }
 
 /// What a `TRACE` prefix may wrap, as its `bad-request` says.
-pub(crate) const TRACEABLE: &str = "TRACE only prefixes SEARCH/SEARCH-MANY/ANNOTATE/TRY";
+pub(crate) const TRACEABLE: &str = "TRACE only prefixes SEARCH-MANY/FETCH/ANNOTATE/TRY";
+
+/// Parses the item count of a batch verb: `1..=max`.
+fn parse_count(n: &str, verb: &str, max: usize) -> Result<usize, WireError> {
+    let n: usize = n
+        .parse()
+        .map_err(|_| WireError::BadRequest(format!("bad {verb} count {n:?}")))?;
+    match n {
+        0 => Err(WireError::BadRequest(format!("{verb} of nothing"))),
+        n if n > max => Err(WireError::BadRequest(format!(
+            "{verb} of {n} items exceeds {max}"
+        ))),
+        n => Ok(n),
+    }
+}
+
+fn parse_page_id(word: &str) -> Result<u32, WireError> {
+    word.parse()
+        .map_err(|_| WireError::BadRequest(format!("bad page id {word:?}")))
+}
 
 /// Parses one `<k> <query>` pair of a search verb: `k` bounded by
 /// [`MAX_K`], the query unescaped.
@@ -741,7 +804,7 @@ pub struct ShardInfo {
 }
 
 /// The `SHARD-STATS` payload: the node's [`ShardInfo`] plus its local
-/// document count and lifetime `SEARCH` counter.
+/// document count and lifetime search counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStatsReport {
     /// This node's shard index.
@@ -752,13 +815,12 @@ pub struct ShardStatsReport {
     pub docs: u64,
     /// Documents in the whole corpus.
     pub global_docs: u64,
-    /// Queries searched since start: one per `SEARCH`, one per query
-    /// of a `SEARCH-MANY`.
+    /// Queries searched since start: one per query of a `SEARCH-MANY`.
     pub searches: u64,
 }
 
-/// One fully hydrated hit on the wire: the global page id, the exact
-/// score bits, and the assembled [`SearchResult`] fields.
+/// One routed hit: the global page id and exact score bits a
+/// `SEARCH-MANY` ranked it with, and the fields a `FETCH` hydrated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchHit {
     /// Global page id.
@@ -785,116 +847,70 @@ fn parse_score(hex: &str) -> Result<f64, WireError> {
         .map_err(|_| WireError::BadRequest(format!("bad score hex {hex:?}")))
 }
 
-/// Reads a `hits=<n>` header (`None`: the payload ended first),
-/// bounding `n` by [`MAX_K`] before anyone allocates for it.
-fn parse_hits_header(header: Option<&str>) -> Result<usize, WireError> {
-    let header = header.ok_or_else(|| WireError::BadRequest("empty search payload".into()))?;
-    let n: usize = header
-        .strip_prefix("hits=")
+/// Reads a `<key>=<n>` header line (`None`: the payload ended first).
+fn parse_header(header: Option<&str>, key: &str) -> Result<usize, WireError> {
+    let header = header.ok_or_else(|| WireError::BadRequest(format!("no {key} header")))?;
+    header
+        .strip_prefix(key)
+        .and_then(|rest| rest.strip_prefix('='))
         .and_then(|n| n.parse().ok())
-        .ok_or_else(|| WireError::BadRequest(format!("bad search header {header:?}")))?;
-    if n > MAX_K {
-        return Err(WireError::BadRequest(format!(
-            "search payload claims {n} hits (max {MAX_K})"
-        )));
-    }
-    Ok(n)
-}
-
-/// Renders a `SEARCH` success payload: a `hits=<n>` header, then one
-/// `<id> <score-hex>` line per hit in rank order. Scores are IEEE-754
-/// bit patterns, so [`parse_scored`]`(`[`render_scored`]`(h)) == h`
-/// bit for bit — including NaNs and signed zeros.
-pub fn render_scored(hits: &[(PageId, f64)]) -> String {
-    use std::fmt::Write;
-
-    let mut out = format!("hits={}\n", hits.len());
-    for (id, score) in hits {
-        // teda-lint: allow(panic_on_untrusted) -- fmt::Write into String is infallible
-        writeln!(out, "{} {}", id.0, score_hex(*score)).expect("string write");
-    }
-    out
-}
-
-/// Reverses [`render_scored`]. Any malformed line, a hit count that
-/// does not match the header, or a header past [`MAX_K`] is a
-/// [`WireError::BadRequest`].
-pub fn parse_scored(payload: &str) -> Result<Vec<(PageId, f64)>, WireError> {
-    let mut lines = payload.lines();
-    let n = parse_hits_header(lines.next())?;
-    let mut hits = Vec::with_capacity(n);
-    for line in lines {
-        let (id, hex) = line
-            .split_once(' ')
-            .ok_or_else(|| WireError::BadRequest(format!("bad hit line {line:?}")))?;
-        let id: u32 = id
-            .parse()
-            .map_err(|_| WireError::BadRequest(format!("bad page id {id:?}")))?;
-        hits.push((PageId(id), parse_score(hex)?));
-    }
-    if hits.len() != n {
-        return Err(WireError::BadRequest(format!(
-            "search payload promised {n} hits, carried {}",
-            hits.len()
-        )));
-    }
-    Ok(hits)
-}
-
-/// Appends one query's hit block to `out`: a `hits=<n>` header, then
-/// one `<id>\t<score-hex>\t<url>\t<title>\t<snippet>` line per hit with
-/// each text field [`escape`]d — tabs in field content become `\t`, so
-/// the five columns are unambiguous for arbitrary page text.
-fn render_hit_block(out: &mut String, hits: &[SearchHit]) {
-    use std::fmt::Write;
-
-    // teda-lint: allow(panic_on_untrusted) -- fmt::Write into String is infallible
-    writeln!(out, "hits={}", hits.len()).expect("string write");
-    for h in hits {
-        writeln!(
-            out,
-            "{}\t{}\t{}\t{}\t{}",
-            h.id.0,
-            score_hex(h.score),
-            escape(&h.result.url),
-            escape(&h.result.title),
-            escape(&h.result.snippet),
-        )
-        // teda-lint: allow(panic_on_untrusted) -- fmt::Write into String is infallible
-        .expect("string write");
-    }
+        .ok_or_else(|| WireError::BadRequest(format!("bad {key} header {header:?}")))
 }
 
 /// Renders a `SEARCH-MANY` success payload: a `queries=<n>` header,
-/// then one hit block per query, in request order.
-pub fn render_many(answers: &[Vec<SearchHit>]) -> String {
+/// then per query, in request order, a `hits=<m>` header and one
+/// `<id> <score-hex>` line per hit in rank order. Scores are IEEE-754
+/// bit patterns, so [`parse_many`] gives back every score bit for bit,
+/// NaNs and signed zeros included.
+pub fn render_many(answers: &[Vec<(PageId, f64)>]) -> String {
+    use std::fmt::Write;
+
     let mut out = format!("queries={}\n", answers.len());
     for hits in answers {
-        render_hit_block(&mut out, hits);
+        // teda-lint: allow(panic_on_untrusted) -- fmt::Write into String is infallible
+        writeln!(out, "hits={}", hits.len()).expect("string write");
+        for (id, score) in hits {
+            // teda-lint: allow(panic_on_untrusted) -- fmt::Write into String is infallible
+            writeln!(out, "{} {}", id.0, score_hex(*score)).expect("string write");
+        }
     }
     out
 }
 
 /// Reverses [`render_many`] for a request of `sent` queries. A count
-/// other than `sent`, a truncated or malformed body, or trailing lines
-/// are a [`WireError::BadRequest`].
-pub fn parse_many(payload: &str, sent: usize) -> Result<Vec<Vec<SearchHit>>, WireError> {
+/// other than `sent`, a hit count past [`MAX_K`], a truncated or
+/// malformed body, or trailing lines are a [`WireError::BadRequest`].
+pub fn parse_many(payload: &str, sent: usize) -> Result<Vec<Vec<(PageId, f64)>>, WireError> {
     let mut lines = payload.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| WireError::BadRequest("empty SEARCH-MANY payload".into()))?;
-    let n: usize = header
-        .strip_prefix("queries=")
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| WireError::BadRequest(format!("bad SEARCH-MANY header {header:?}")))?;
+    let n = parse_header(lines.next(), "queries")?;
     if n != sent {
         return Err(WireError::BadRequest(format!(
             "SEARCH-MANY answered {n} queries, {sent} were sent"
         )));
     }
-    let answers = (0..n)
-        .map(|_| parse_hit_block(&mut lines))
-        .collect::<Result<Vec<_>, _>>()?;
+    let mut answers = Vec::with_capacity(n);
+    for _ in 0..n {
+        let m = parse_header(lines.next(), "hits")?;
+        if m > MAX_K {
+            return Err(WireError::BadRequest(format!(
+                "search payload claims {m} hits (max {MAX_K})"
+            )));
+        }
+        let mut hits = Vec::with_capacity(m);
+        for line in lines.by_ref().take(m) {
+            let (id, hex) = line
+                .split_once(' ')
+                .ok_or_else(|| WireError::BadRequest(format!("bad hit line {line:?}")))?;
+            hits.push((PageId(parse_page_id(id)?), parse_score(hex)?));
+        }
+        if hits.len() != m {
+            return Err(WireError::BadRequest(format!(
+                "search payload promised {m} hits, carried {}",
+                hits.len()
+            )));
+        }
+        answers.push(hits);
+    }
     if lines.next().is_some() {
         return Err(WireError::BadRequest(
             "SEARCH-MANY payload carries trailing lines".into(),
@@ -903,41 +919,72 @@ pub fn parse_many(payload: &str, sent: usize) -> Result<Vec<Vec<SearchHit>>, Wir
     Ok(answers)
 }
 
-/// Reads one hit block off `lines`: its `hits=<m>` header and exactly
-/// `m` hit lines.
-fn parse_hit_block(lines: &mut std::str::Lines<'_>) -> Result<Vec<SearchHit>, WireError> {
-    let n = parse_hits_header(lines.next())?;
-    let mut hits = Vec::with_capacity(n);
-    for line in lines.take(n) {
-        let mut cols = line.splitn(5, '\t');
-        let mut col = |what: &'static str| {
-            cols.next()
-                .ok_or_else(|| WireError::BadRequest(format!("hit line missing {what}")))
-        };
-        let id: u32 = col("page id")?
-            .parse()
-            .map_err(|_| WireError::BadRequest(format!("bad page id in {line:?}")))?;
-        let score = parse_score(col("score")?)?;
-        let url = unescape(col("url")?)?;
-        let title = unescape(col("title")?)?;
-        let snippet = unescape(col("snippet")?)?;
-        hits.push(SearchHit {
-            id: PageId(id),
-            score,
-            result: SearchResult {
-                url,
-                title,
-                snippet,
-            },
-        });
+/// Renders a `FETCH` success payload: a `pages=<m>` header, then one
+/// `<id>\t<url>\t<title>\t<snippet>` line per page, `ids[i]` beside
+/// `pages[i]`, each text field [`escape`]d so tabs in page text cannot
+/// forge a column.
+pub fn render_fetched(ids: &[PageId], pages: &[SearchResult]) -> String {
+    use std::fmt::Write;
+
+    let mut out = format!("pages={}\n", pages.len());
+    for (id, page) in ids.iter().zip(pages) {
+        writeln!(
+            out,
+            "{}\t{}\t{}\t{}",
+            id.0,
+            escape(&page.url),
+            escape(&page.title),
+            escape(&page.snippet),
+        )
+        // teda-lint: allow(panic_on_untrusted) -- fmt::Write into String is infallible
+        .expect("string write");
     }
-    if hits.len() != n {
+    out
+}
+
+/// Reverses [`render_fetched`] for a `FETCH` of `sent`: the fields of
+/// each page, in `sent`'s order. A page count other than `sent`'s, a
+/// line echoing another id than the one sent at its position, a
+/// malformed line or trailing lines are a [`WireError::BadRequest`],
+/// so a forged reply can never put one page's fields under another id.
+pub fn parse_fetched(payload: &str, sent: &[PageId]) -> Result<Vec<SearchResult>, WireError> {
+    let mut lines = payload.lines();
+    let m = parse_header(lines.next(), "pages")?;
+    if m != sent.len() {
         return Err(WireError::BadRequest(format!(
-            "search payload promised {n} hits, carried {}",
-            hits.len()
+            "FETCH answered {m} pages, {} were asked for",
+            sent.len()
         )));
     }
-    Ok(hits)
+    let mut pages = Vec::with_capacity(m);
+    for &want in sent {
+        let line = lines.next().ok_or_else(|| {
+            WireError::BadRequest(format!("FETCH reply ends before page {}", want.0))
+        })?;
+        let mut cols = line.splitn(4, '\t');
+        let mut col = |what: &'static str| {
+            cols.next()
+                .ok_or_else(|| WireError::BadRequest(format!("page line missing {what}")))
+        };
+        let id = parse_page_id(col("page id")?)?;
+        if id != want.0 {
+            return Err(WireError::BadRequest(format!(
+                "FETCH answered page {id} where page {} was asked for",
+                want.0
+            )));
+        }
+        pages.push(SearchResult {
+            url: unescape(col("url")?)?,
+            title: unescape(col("title")?)?,
+            snippet: unescape(col("snippet")?)?,
+        });
+    }
+    if lines.next().is_some() {
+        return Err(WireError::BadRequest(
+            "FETCH payload carries trailing lines".into(),
+        ));
+    }
+    Ok(pages)
 }
 
 /// Renders the `SHARD-STATS` payload: one
@@ -1014,13 +1061,11 @@ mod tests {
             Request::Stats,
             Request::Budget,
             Request::Snapshot,
-            Request::Search {
-                k: 10,
-                query: "french restaurant\tparis".into(),
+            Request::SearchMany {
+                queries: vec![(10, "french restaurant\tparis".into())],
             },
-            Request::Search {
-                k: 3,
-                query: "multi\nline".into(),
+            Request::Fetch {
+                ids: vec![PageId(0), PageId(7), PageId(u32::MAX)],
             },
             Request::SearchMany {
                 queries: vec![
@@ -1042,9 +1087,8 @@ mod tests {
             },
             Request::Traced {
                 id: u64::MAX,
-                inner: Box::new(Request::Search {
-                    k: 5,
-                    query: "rome\ttrattoria".into(),
+                inner: Box::new(Request::Fetch {
+                    ids: vec![PageId(3)],
                 }),
             },
             Request::Traced {
@@ -1073,20 +1117,20 @@ mod tests {
             "TRACE-DUMP 00000000000000zz",
             "TRACE-DUMP",
             "TRACE 000000000000002a",
-            "TRACE 2a SEARCH 1 q",
+            "TRACE 2a SEARCH-MANY 1 1 q",
         ] {
             assert!(
                 matches!(Request::parse(bad), Err(WireError::BadRequest(_))),
                 "{bad:?} must be a bad-request"
             );
         }
-        // Only SEARCH/SEARCH-MANY/ANNOTATE/TRY can ride under TRACE —
+        // Only SEARCH-MANY/FETCH/ANNOTATE/TRY can ride under TRACE —
         // in particular a nested TRACE cannot.
         for inner in [
             "STATS",
             "QUIT",
             "METRICS",
-            "TRACE 0000000000000001 SEARCH 1 q",
+            "TRACE 0000000000000001 SEARCH-MANY 1 1 q",
         ] {
             let line = format!("TRACE 000000000000002a {inner}\n");
             assert!(
@@ -1094,31 +1138,47 @@ mod tests {
                 "{inner:?} must not be traceable"
             );
         }
-        let ok = Request::parse("TRACE 000000000000002a SEARCH 3 pizza\n").unwrap();
+        let ok = Request::parse("TRACE 000000000000002a SEARCH-MANY 1 3 pizza\n").unwrap();
         assert_eq!(
             ok,
             Request::Traced {
                 id: 0x2a,
-                inner: Box::new(Request::Search {
-                    k: 3,
-                    query: "pizza".into(),
+                inner: Box::new(Request::SearchMany {
+                    queries: vec![(3, "pizza".into())],
+                }),
+            }
+        );
+        let ok = Request::parse("TRACE 000000000000002a FETCH 2 4 9\n").unwrap();
+        assert_eq!(
+            ok,
+            Request::Traced {
+                id: 0x2a,
+                inner: Box::new(Request::Fetch {
+                    ids: vec![PageId(4), PageId(9)],
                 }),
             }
         );
     }
 
-    /// The retired hydrated single-query verb is an unknown verb, bare
-    /// or under a `TRACE` prefix: a one-query `SEARCH-MANY` replaced it.
+    /// The retired single-query verbs, hydrated (`SEARCH-FULL`) and
+    /// scored (`SEARCH`), are unknown verbs, bare or under a `TRACE`
+    /// prefix: a one-query `SEARCH-MANY` replaced both.
     #[test]
     fn search_full_is_an_unknown_verb() {
-        for line in [
-            "SEARCH-FULL 3 harbor\n",
-            "SEARCH-FULL",
-            "TRACE 000000000000002a SEARCH-FULL 3 harbor\n",
+        for (verb, line) in [
+            ("SEARCH-FULL", "SEARCH-FULL 3 harbor\n"),
+            ("SEARCH-FULL", "SEARCH-FULL"),
+            (
+                "SEARCH-FULL",
+                "TRACE 000000000000002a SEARCH-FULL 3 harbor\n",
+            ),
+            ("SEARCH", "SEARCH 3 harbor\n"),
+            ("SEARCH", "SEARCH"),
+            ("SEARCH", "TRACE 000000000000002a SEARCH 3 harbor\n"),
         ] {
             match Request::parse(line) {
                 Err(WireError::BadRequest(m)) => {
-                    assert_eq!(m, "unknown verb \"SEARCH-FULL\"", "{line:?}")
+                    assert_eq!(m, format!("unknown verb {verb:?}"), "{line:?}")
                 }
                 other => panic!("{line:?} must be an unknown verb, got {other:?}"),
             }
@@ -1144,21 +1204,19 @@ mod tests {
             Request::Stats,
             Request::Budget,
             Request::ShardStats,
-            Request::Search {
-                k: 1,
-                query: "q".into(),
-            },
             Request::SearchMany {
                 queries: vec![(1, "q".into())],
+            },
+            Request::Fetch {
+                ids: vec![PageId(1)],
             },
             Request::StatsJson,
             Request::Metrics,
             Request::TraceDump { id: 1 },
             Request::Traced {
                 id: 1,
-                inner: Box::new(Request::Search {
-                    k: 1,
-                    query: "q".into(),
+                inner: Box::new(Request::SearchMany {
+                    queries: vec![(1, "q".into())],
                 }),
             },
         ];
@@ -1248,12 +1306,17 @@ mod tests {
 
     #[test]
     fn search_k_is_bounded_at_parse() {
-        assert!(Request::parse(&format!("SEARCH {MAX_K} q\n")).is_ok());
+        assert!(Request::parse(&format!("SEARCH-MANY 1 {MAX_K} q\n")).is_ok());
         assert!(matches!(
-            Request::parse(&format!("SEARCH {} q\n", MAX_K + 1)),
+            Request::parse(&format!("SEARCH-MANY 1 {} q\n", MAX_K + 1)),
             Err(WireError::BadRequest(_))
         ));
-        for bad in ["SEARCH", "SEARCH 5", "SEARCH x q", "SHARD-STATS now"] {
+        for bad in [
+            "SEARCH-MANY 1",
+            "SEARCH-MANY 1 5",
+            "SEARCH-MANY 1 x q",
+            "SHARD-STATS now",
+        ] {
             assert!(
                 matches!(Request::parse(bad), Err(WireError::BadRequest(_))),
                 "{bad:?} must be a bad-request"
@@ -1305,19 +1368,10 @@ mod tests {
 
     #[test]
     fn many_hits_round_trip_and_reject_truncation() {
-        let hit = |id: u32, snippet: &str| SearchHit {
-            id: PageId(id),
-            score: f64::from(id) * 0.5,
-            result: SearchResult {
-                url: format!("http://web.sim/{id}"),
-                title: "Tab\there".into(),
-                snippet: snippet.into(),
-            },
-        };
         let answers = vec![
-            vec![hit(3, "first"), hit(1, "second\nline")],
+            vec![(PageId(3), 1.5), (PageId(1), 0.75)],
             Vec::new(),
-            vec![hit(7, "")],
+            vec![(PageId(7), 0.0)],
         ];
         let payload = render_many(&answers);
         assert_eq!(parse_many(&payload, 3).unwrap(), answers);
@@ -1353,39 +1407,131 @@ mod tests {
             (PageId(42), -0.0),
             (PageId(9), 0.1 + 0.2), // not representable exactly in decimal
         ];
-        let payload = render_scored(&hits);
-        let back = parse_scored(&payload).unwrap();
+        let payload = render_many(std::slice::from_ref(&hits));
+        let back = parse_many(&payload, 1).unwrap().remove(0);
         assert_eq!(back.len(), hits.len());
         for ((id, s), (bid, bs)) in hits.iter().zip(&back) {
             assert_eq!(id, bid);
             assert_eq!(s.to_bits(), bs.to_bits(), "score bits must survive");
         }
-        assert!(parse_scored("hits=2\n1 0000000000000000\n").is_err());
-        assert!(parse_scored(&format!("hits={}\n", MAX_K + 1)).is_err());
-        assert!(parse_scored("hits=1\n1 xyz\n").is_err());
+        assert!(parse_many("queries=1\nhits=2\n1 0000000000000000\n", 1).is_err());
+        assert!(parse_many(&format!("queries=1\nhits={}\n", MAX_K + 1), 1).is_err());
+        assert!(parse_many("queries=1\nhits=1\n1 xyz\n", 1).is_err());
     }
 
     #[test]
     fn full_hits_round_trip_with_hostile_fields() {
-        let hits = vec![SearchHit {
-            id: PageId(3),
-            score: 2.25,
-            result: SearchResult {
+        let ids = [PageId(3), PageId(8)];
+        let pages = vec![
+            SearchResult {
                 url: "http://web.sim/p\t3".into(),
                 title: "Tab\there \\ and\nnewline".into(),
                 snippet: "plain words".into(),
             },
-        }];
-        let answers = vec![hits];
-        let payload = render_many(&answers);
-        assert_eq!(parse_many(&payload, 1).unwrap(), answers);
+            SearchResult {
+                url: String::new(),
+                title: "8\t9".into(),
+                snippet: String::new(),
+            },
+        ];
+        let payload = render_fetched(&ids, &pages);
+        assert_eq!(parse_fetched(&payload, &ids).unwrap(), pages);
         // The whole payload survives a frame round-trip (the reply layer
         // escapes it once more).
         let framed = Reply::Ok(payload.clone()).encode();
         let Reply::Ok(unframed) = Reply::parse(&framed).unwrap() else {
             panic!("expected OK");
         };
-        assert_eq!(parse_many(&unframed, 1).unwrap(), answers);
+        assert_eq!(parse_fetched(&unframed, &ids).unwrap(), pages);
+    }
+
+    /// `FETCH` takes 1..=MAX_FETCH strictly ascending page ids; anything
+    /// else is a typed `bad-request` at parse time, never a panic.
+    #[test]
+    fn fetch_frames_are_bounded_and_typed() {
+        let fetch = |ids: &[u64]| {
+            let words: Vec<String> = ids.iter().map(u64::to_string).collect();
+            format!("FETCH {} {}\n", ids.len(), words.join(" "))
+        };
+        let bound: Vec<u64> = (0..MAX_FETCH as u64).collect();
+        assert_eq!(
+            Request::parse(&fetch(&bound)).unwrap(),
+            Request::Fetch {
+                ids: (0..MAX_FETCH as u32).map(PageId).collect()
+            }
+        );
+        assert!(Request::parse(&fetch(&[u64::from(u32::MAX)])).is_ok());
+        let over: Vec<u64> = (0..=MAX_FETCH as u64).collect();
+        for (case, bad) in [
+            ("empty list", "FETCH 0\n".to_string()),
+            ("empty list, no count", "FETCH".to_string()),
+            ("over the bound", fetch(&over)),
+            ("unsorted", fetch(&[5, 3])),
+            ("repeated", fetch(&[3, 3])),
+            ("past u32", fetch(&[u64::from(u32::MAX) + 1])),
+            ("not a number", "FETCH 1 x\n".to_string()),
+            ("negative", "FETCH 1 -1\n".to_string()),
+            ("fewer than promised", "FETCH 2 1\n".to_string()),
+            ("more than promised", "FETCH 1 1 2\n".to_string()),
+            ("a doubled space", "FETCH 2 1  2\n".to_string()),
+            ("a bad count", "FETCH two 1 2\n".to_string()),
+        ] {
+            assert!(
+                matches!(Request::parse(&bad), Err(WireError::BadRequest(_))),
+                "{case}: {bad:?} must be a bad-request"
+            );
+        }
+    }
+
+    /// A `FETCH` reply must answer exactly the ids sent, in their order:
+    /// another count, another id at any position, a malformed line or
+    /// trailing lines are typed errors, so a forged reply never puts a
+    /// page's fields under another id.
+    #[test]
+    fn fetched_replies_must_echo_the_ids_sent() {
+        let page = |n: u32| SearchResult {
+            url: format!("http://web.sim/{n}"),
+            title: format!("page {n}"),
+            snippet: "words".into(),
+        };
+        let ids = [PageId(2), PageId(5), PageId(9)];
+        let pages: Vec<SearchResult> = ids.iter().map(|id| page(id.0)).collect();
+        let payload = render_fetched(&ids, &pages);
+        assert_eq!(parse_fetched(&payload, &ids).unwrap(), pages);
+
+        // Count: fewer or more ids asked for than answered.
+        assert!(parse_fetched(&payload, &ids[..2]).is_err());
+        assert!(parse_fetched(&payload, &[PageId(2), PageId(5), PageId(9), PageId(11)]).is_err());
+        // An echoed id differs, at each position in turn.
+        for at in 0..ids.len() {
+            let mut asked = ids;
+            asked[at] = PageId(asked[at].0 + 100);
+            assert!(
+                matches!(
+                    parse_fetched(&payload, &asked),
+                    Err(WireError::BadRequest(_))
+                ),
+                "a reply naming page {} where {} was asked",
+                ids[at].0,
+                asked[at].0
+            );
+        }
+        // The right ids in the wrong order.
+        let swapped = render_fetched(&[ids[1], ids[0], ids[2]], &pages);
+        assert!(parse_fetched(&swapped, &ids).is_err());
+        // Truncated at every line boundary, trailing lines, bad lines.
+        let lines: Vec<&str> = payload.lines().collect();
+        for cut in 0..lines.len() {
+            assert!(
+                parse_fetched(&lines[..cut].join("\n"), &ids).is_err(),
+                "cut {cut}"
+            );
+        }
+        assert!(parse_fetched(&format!("{payload}extra\n"), &ids).is_err());
+        assert!(parse_fetched("pages=1\n2\thttp://x\n", &ids[..1]).is_err());
+        assert!(parse_fetched("pages=1\nx\ta\tb\tc\n", &ids[..1]).is_err());
+        assert!(parse_fetched("pages=one\n", &ids[..1]).is_err());
+        assert!(parse_fetched("", &ids[..1]).is_err());
     }
 
     #[test]

@@ -37,9 +37,8 @@ use teda_service::{AnnotationService, ClientId, SubmitRequest, Wait};
 use teda_websim::SearchBackend;
 
 use crate::protocol::{
-    read_frame, render_annotations, render_many, render_scored, render_shard_stats, render_stats,
-    render_stats_json, Reply, Request, SearchHit, ShardInfo, ShardStatsReport, WireError,
-    TRACEABLE,
+    read_frame, render_annotations, render_fetched, render_many, render_shard_stats, render_stats,
+    render_stats_json, Reply, Request, ShardInfo, ShardStatsReport, WireError, TRACEABLE,
 };
 
 /// The live connections by number: a clone of each socket, for forced
@@ -61,10 +60,24 @@ enum Node {
 struct SearchNode {
     backend: Arc<dyn SearchBackend>,
     info: Option<ShardInfo>,
-    /// Lifetime count of queries searched (one per `SEARCH`, one per
-    /// query of a `SEARCH-MANY`), for `SHARD-STATS`; registered on the
-    /// node's registry as `searches`.
+    /// Lifetime count of queries searched (one per query of a
+    /// `SEARCH-MANY`), for `SHARD-STATS`; registered on the node's
+    /// registry as `searches`.
     searches: Arc<Counter>,
+    /// Lifetime count of pages hydrated by `FETCH`; registered on the
+    /// node's registry as `fetched`, so `METRICS` shows it.
+    fetched: Arc<Counter>,
+}
+
+impl SearchNode {
+    /// The cluster identity this node advertises.
+    fn info(&self) -> ShardInfo {
+        self.info.unwrap_or(ShardInfo {
+            shard: 0,
+            n_shards: 1,
+            global_docs: self.backend.n_docs() as u64,
+        })
+    }
 }
 
 /// What the connection threads share.
@@ -87,11 +100,13 @@ impl NodeParts {
         };
         let obs = ObsRegistry::new(&name);
         let searches = obs.counter("searches");
+        let fetched = obs.counter("fetched");
         NodeParts {
             node: Node::Search(SearchNode {
                 backend,
                 info,
                 searches,
+                fetched,
             }),
             obs,
         }
@@ -114,8 +129,8 @@ impl WireServer {
     /// Binds `addr` (use port 0 for an ephemeral port; read it back
     /// with [`local_addr`](Self::local_addr)) and starts the acceptor.
     /// The service rides behind an `Arc` so in-process callers can keep
-    /// submitting beside the wire clients. `SEARCH`/`SHARD-STATS` are
-    /// `bad-request` on such a node; see
+    /// submitting beside the wire clients. `SEARCH-MANY`, `FETCH` and
+    /// `SHARD-STATS` are `bad-request` on such a node; see
     /// [`start_search_only`](Self::start_search_only).
     pub fn start(
         service: Arc<AnnotationService>,
@@ -132,7 +147,7 @@ impl WireServer {
     }
 
     /// Starts a search-only node — what a cluster shard process runs:
-    /// no annotation pipeline, just `SEARCH`/`SEARCH-MANY`/`SHARD-STATS`
+    /// no annotation pipeline, just `SEARCH-MANY`/`FETCH`/`SHARD-STATS`
     /// (plus `METRICS`, `TRACE-DUMP` and `QUIT`) over the given backend.
     pub fn start_search_only(
         backend: Arc<dyn SearchBackend>,
@@ -170,6 +185,12 @@ impl WireServer {
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// The node's registry, what `METRICS` renders: on a search-only
+    /// node its `searches` and `fetched` counters.
+    pub fn obs(&self) -> Arc<ObsRegistry> {
+        Arc::clone(&self.parts.obs)
     }
 
     /// Stops accepting, closes every connection, joins every thread.
@@ -370,58 +391,57 @@ fn serve_service(
     }
 }
 
-/// The search node's verbs; a traced search runs in one `search` span
-/// under a root named for its verb (`search` or `search_many`).
+/// The search node's verbs; a traced search or fetch runs in one span
+/// (`search` or `page_hydration`) under a root named for its verb
+/// (`search_many` or `fetch`).
 fn serve_search(
     node: &SearchNode,
     obs: &ObsRegistry,
     request: Request,
     trace: Option<u64>,
 ) -> Reply {
-    let traced = |root: &'static str, serve: &dyn Fn() -> Reply| {
+    let traced = |root: &'static str, span: &'static str, serve: &dyn Fn() -> Reply| {
         let ctx = trace.map_or_else(TraceCtx::disabled, |id| obs.trace_with_id(id, root));
         let reply = {
-            let _span = ctx.span(stage::SEARCH);
+            let _span = ctx.span(span);
             serve()
         };
         ctx.finish();
         reply
     };
     match request {
-        Request::Search { k, query } => {
-            node.searches.inc();
-            traced("search", &|| {
-                Reply::Ok(render_scored(&node.backend.search(&query, k)))
-            })
-        }
-        // Each query's ids, scores and fields come from one ranking
-        // (`search_hits`), so a hot-swapped backend can never pair a
-        // hit with another corpus's page.
-        Request::SearchMany { queries } => traced("search_many", &|| {
+        // Scored ids only, one ranking per query: the fields go out in
+        // a later `FETCH` of the ids the caller keeps.
+        Request::SearchMany { queries } => traced("search_many", stage::SEARCH, &|| {
             node.searches.add(queries.len() as u64);
-            let answers: Vec<Vec<SearchHit>> = queries
+            let answers: Vec<Vec<_>> = queries
                 .iter()
-                .map(|(k, query)| {
-                    node.backend
-                        .search_hits(query, *k)
-                        .into_iter()
-                        .map(|(id, score, result)| SearchHit { id, score, result })
-                        .collect()
-                })
+                .map(|(k, query)| node.backend.search(query, *k))
                 .collect();
             Reply::Ok(render_many(&answers))
         }),
+        Request::Fetch { ids } => traced("fetch", stage::PAGE_HYDRATION, &|| {
+            let global_docs = node.info().global_docs;
+            if let Some(past) = ids.iter().find(|id| u64::from(id.0) >= global_docs) {
+                return Reply::Err(WireError::BadRequest(format!(
+                    "page {} is past the corpus of {global_docs}",
+                    past.0
+                )));
+            }
+            match node.backend.fetch(&ids) {
+                Ok(pages) => {
+                    node.fetched.add(pages.len() as u64);
+                    Reply::Ok(render_fetched(&ids, &pages))
+                }
+                Err(reason) => Reply::Err(WireError::BadRequest(reason)),
+            }
+        }),
         Request::ShardStats => {
-            let docs = node.backend.n_docs() as u64;
-            let info = node.info.unwrap_or(ShardInfo {
-                shard: 0,
-                n_shards: 1,
-                global_docs: docs,
-            });
+            let info = node.info();
             Reply::Ok(render_shard_stats(&ShardStatsReport {
                 shard: info.shard,
                 n_shards: info.n_shards,
-                docs,
+                docs: node.backend.n_docs() as u64,
                 global_docs: info.global_docs,
                 searches: node.searches.get(),
             }))
@@ -533,9 +553,8 @@ mod tests {
         let parts = NodeParts::search(corpus(), None);
         let stop = AtomicBool::new(false);
         let mut client = ClientId::ANONYMOUS;
-        let search = || Request::Search {
-            k: 3,
-            query: "harbor".into(),
+        let search = || Request::SearchMany {
+            queries: vec![(3, "harbor".into())],
         };
         for inner in [
             Request::Stats,

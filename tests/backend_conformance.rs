@@ -20,7 +20,10 @@
 //! Every backend's batch path, `search_many`, must also answer a batch
 //! exactly as the per-query `search_results` loop does
 //! ([`assert_batch_conforms`]), for `SwappableBackend` and the cluster
-//! router too.
+//! router too. Every flavour that can fetch pages by id (`WebCorpus` and
+//! the shards) must hydrate a ranking's ids into exactly the fields
+//! `search_results` assembles ([`assert_fetch_conforms`]); the others
+//! refuse every id.
 //!
 //! A property test drives all of them through the same random
 //! `(base, ops, query, k)` space, before and after tier compaction, so
@@ -145,8 +148,9 @@ fn answers_of(backend: &dyn SearchBackend, batch: &[(&str, usize)]) -> Vec<Vec<S
 /// The batch oracle: one `search_many` over every probe at every depth,
 /// with a repeated query, the empty query and `k = 0` among them,
 /// answers exactly what the per-query `search_results` loop answers;
-/// an empty batch answers nothing.
-fn assert_batch_conforms(backend: &dyn SearchBackend, label: &str) {
+/// an empty batch answers nothing. Returns whether `backend` fetches
+/// pages by id ([`assert_fetch_conforms`]).
+fn assert_batch_conforms(backend: &dyn SearchBackend, label: &str) -> bool {
     let probes = probes();
     let mut batch: Vec<(&str, usize)> = probes
         .iter()
@@ -163,6 +167,50 @@ fn assert_batch_conforms(backend: &dyn SearchBackend, label: &str) {
         "{label}: search_many diverged from the per-query loop"
     );
     backend.search_many(&[], &mut |i, _| panic!("{label}: empty batch answered {i}"));
+    assert_fetch_conforms(backend, label)
+}
+
+/// The fetch oracle: a flavour that fetches (it accepts the empty id
+/// list) hydrates every probe's ranked ids, in rank order and ascending,
+/// into exactly the fields `search_results` assembles for that probe,
+/// and refuses an id past its pages; a flavour that does not refuses
+/// every id. Returns whether `backend` fetches.
+fn assert_fetch_conforms(backend: &dyn SearchBackend, label: &str) -> bool {
+    let fetches = backend.fetch(&[]).is_ok();
+    for q in probes() {
+        for k in KS {
+            let ids: Vec<PageId> = backend
+                .search(&q, k)
+                .into_iter()
+                .map(|(id, _)| id)
+                .collect();
+            if !fetches {
+                assert!(backend.fetch(&ids).is_err(), "{label}: fetched {q:?} k {k}");
+                continue;
+            }
+            let results = backend.search_results(&q, k);
+            assert_eq!(
+                backend
+                    .fetch(&ids)
+                    .expect("a fetching flavour holds its own ids"),
+                results,
+                "{label}: fetched fields diverged from search_results on {q:?} k {k}"
+            );
+            let mut ascending: Vec<(PageId, SearchResult)> = ids.into_iter().zip(results).collect();
+            ascending.sort_by_key(|&(id, _)| id);
+            let (ids, results): (Vec<PageId>, Vec<SearchResult>) = ascending.into_iter().unzip();
+            assert_eq!(
+                backend.fetch(&ids).expect("ascending ids"),
+                results,
+                "{label}: ascending fetch diverged on {q:?} k {k}"
+            );
+        }
+    }
+    assert!(
+        backend.fetch(&[PageId(u32::MAX)]).is_err(),
+        "{label}: fetched a page past the corpus"
+    );
+    fetches
 }
 
 /// Partitions the oracle into `n_shards` shard images under `root` and
@@ -187,7 +235,11 @@ fn assert_shards_conform(oracle: &WebCorpus, n_shards: u32, root: &std::path::Pa
             })
             .collect();
         for (i, shard) in shards.iter().enumerate() {
-            assert_batch_conforms(shard, &format!("shard {i}/{n_shards}, mapped {mapped}"));
+            let label = format!("shard {i}/{n_shards}, mapped {mapped}");
+            assert!(
+                assert_batch_conforms(shard, &label),
+                "{label}: a shard fetches"
+            );
         }
         for q in probes() {
             for k in KS {
@@ -208,9 +260,15 @@ fn assert_shards_conform(oracle: &WebCorpus, n_shards: u32, root: &std::path::Pa
 fn assert_all_backends_conform(store: &CorpusStore, oracle: &WebCorpus, when: &str) {
     let eager = store.load().expect("eager load");
     assert_conforms(oracle, &eager.corpus, &format!("{when}: eager WebCorpus"));
-    assert_batch_conforms(&eager.corpus, &format!("{when}: eager WebCorpus"));
+    assert!(
+        assert_batch_conforms(&eager.corpus, &format!("{when}: eager WebCorpus")),
+        "{when}: a WebCorpus fetches"
+    );
     let swappable = SwappableBackend::new(std::sync::Arc::new(eager.corpus));
-    assert_batch_conforms(&swappable, &format!("{when}: SwappableBackend"));
+    assert!(
+        !assert_batch_conforms(&swappable, &format!("{when}: SwappableBackend")),
+        "{when}: a SwappableBackend refuses to fetch"
+    );
 
     let seg = store.load_segmented().expect("segmented load");
     assert_conforms(

@@ -20,8 +20,10 @@ use teda::cluster::{
 use teda::store::ShardManifest;
 use teda::websim::scoring::merge_topk;
 use teda::websim::{PageId, SearchBackend, SearchResult, WebCorpus, WebPage};
-use teda::wire::protocol::{render_many, render_shard_stats, MAX_BATCH, MAX_FRAME, MAX_K};
-use teda::wire::{Reply, Request, SearchHit, ShardStatsReport, WireError};
+use teda::wire::protocol::{
+    render_many, render_shard_stats, MAX_BATCH, MAX_FETCH, MAX_FRAME, MAX_K,
+};
+use teda::wire::{Reply, Request, ShardStatsReport, WireError};
 
 /// Small closed vocabulary — frequent collisions, the regime where
 /// merge/tie-break bugs show up (same as the conformance suite).
@@ -486,7 +488,7 @@ fn a_replica_that_closes_without_replying_fails_over_bit_identically() {
                 let mut line = String::new();
                 if BufReader::new(&stream).read_line(&mut line).unwrap_or(0) > 0 {
                     frames.fetch_add(1, Ordering::SeqCst);
-                    if line.contains("SEARCH-MANY") {
+                    if line.contains("SEARCH-MANY") || line.contains("FETCH") {
                         batch_frames.fetch_add(1, Ordering::SeqCst);
                     }
                 }
@@ -528,10 +530,14 @@ fn a_replica_that_closes_without_replying_fails_over_bit_identically() {
 
     // The batch path, on a second router whose health state starts
     // fresh (the first one has learned to put the fake last). Four
-    // routed batches (the typed and the trait path, twice): rotation
-    // starts every other one on the fake, which takes the SEARCH-MANY
-    // frame and dies without a reply; the frame is retried whole on
-    // the live replica.
+    // routed batches (the typed and the trait path, twice), each
+    // rotating the group twice: once for its SEARCH-MANY frame, once
+    // for its FETCH. Connecting tried the fake first (one failure) and
+    // left the rotation at 1, so every SEARCH-MANY starts on the live
+    // replica and every FETCH on the fake, which takes the frame and
+    // dies without a reply; the frame is retried whole on the live
+    // replica. The fake's third failure, at the second FETCH, marks it
+    // unhealthy, so the later FETCHes start on the live one.
     let router = ClusterRouter::connect(&topo, quick_config()).expect("connect");
     let batch_frames_at_connect = batch_frames.load(Ordering::SeqCst);
     let probes = probes();
@@ -543,7 +549,7 @@ fn a_replica_that_closes_without_replying_fails_over_bit_identically() {
     assert_eq!(
         batch_frames.load(Ordering::SeqCst) - batch_frames_at_connect,
         2,
-        "two batch frames met the fake"
+        "two batch frames, both FETCH frames, met the fake"
     );
     let (_, partials, retries) = router_counts(&router);
     assert_eq!(partials, 0, "failover within a group is not a partial");
@@ -568,10 +574,10 @@ fn a_replica_that_closes_without_replying_fails_over_bit_identically() {
 /// A replica that relays the real shard's reply but cuts it off by EOF
 /// inside the frame fails over like a reset: the last byte of the last
 /// field, the escaped line end and the frame's newline never arrive. Cut
-/// there, a `SEARCH-MANY` reply still parses, with a shorter snippet, so
-/// the router must refuse every cut frame: each answer stays
-/// bit-identical, the detour shows as retries, and nothing degrades to
-/// partial.
+/// there, a `FETCH` reply still parses, with a shorter snippet, so the
+/// router must refuse every cut frame, `SEARCH-MANY` and `FETCH` alike:
+/// each answer stays bit-identical, the detour shows as retries, and
+/// nothing degrades to partial.
 #[test]
 fn a_reply_cut_off_by_eof_fails_over_bit_identically() {
     use std::io::{BufRead, BufReader, Write};
@@ -606,7 +612,7 @@ fn a_reply_cut_off_by_eof_fails_over_bit_identically() {
                 to_shard.write_all(frame.as_bytes()).unwrap();
                 let mut reply = String::new();
                 from_shard.read_line(&mut reply).unwrap();
-                if frame.contains("SEARCH") {
+                if frame.contains("SEARCH-MANY") || frame.contains("FETCH") {
                     let _ = to_router.write_all(&reply.as_bytes()[..reply.len() - 4]);
                     cuts.fetch_add(1, Ordering::SeqCst);
                     return;
@@ -734,15 +740,7 @@ fn an_over_long_reply_drops_its_connection() {
     let addr = listener.local_addr().unwrap();
     let over_long = Arc::new(AtomicUsize::new(0));
     let stop = Arc::new(AtomicBool::new(false));
-    let forged = vec![SearchHit {
-        id: PageId(7),
-        score: 1.0,
-        result: SearchResult {
-            url: "http://forged.example/".into(),
-            title: "forged".into(),
-            snippet: "a tail of another reply".into(),
-        },
-    }];
+    let forged = vec![(PageId(7), 1.0)];
     let serve = {
         let over_long = Arc::clone(&over_long);
         move |stream: TcpStream| {
@@ -1048,4 +1046,475 @@ fn partitioning_is_deterministic_on_disk() {
     }
     let _ = std::fs::remove_dir_all(&root_a);
     let _ = std::fs::remove_dir_all(&root_b);
+}
+
+/// The `fetched` counters of every shard server, summed: pages hydrated
+/// by `FETCH` cluster-wide.
+fn fetched(servers: &[ShardServer]) -> u64 {
+    servers
+        .iter()
+        .map(|s| s.obs().counter("fetched").get())
+        .sum()
+}
+
+/// A batch past both frame bounds: more queries than `MAX_BATCH` (so
+/// several `SEARCH-MANY` frames) and, at a large `k`, more distinct
+/// winners on one shard than `MAX_FETCH` (so several `FETCH` frames for
+/// that shard in one frame). Every `(query, k)` is answered as the
+/// single node answers it, and the shards hydrate exactly each frame's
+/// distinct winners.
+#[test]
+fn a_batch_split_at_both_frame_bounds_equals_the_single_node() {
+    let mut rng = StdRng::seed_from_u64(89);
+    let corpus = synth_corpus(&mut rng, 2 * MAX_FETCH + 90);
+    let every_term = VOCAB.join(" ");
+    let root = temp_dir("frame_bounds");
+    let servers = serve_partition(&corpus, 2, &root);
+    let router = ClusterRouter::connect(&topology(&servers), quick_config()).expect("connect");
+
+    let probes = probes();
+    let pairs: Vec<(&str, usize)> = probes
+        .iter()
+        .flat_map(|q| KS.iter().map(move |&k| (q.as_str(), k)))
+        .chain([
+            (every_term.as_str(), corpus.len()),
+            (every_term.as_str(), 300),
+        ])
+        .collect();
+    let batch: Vec<(&str, usize)> = pairs
+        .iter()
+        .copied()
+        .cycle()
+        .take(2 * MAX_BATCH + 5)
+        .collect();
+    let assignment = partition_pages(corpus.len(), 2);
+    let most_on_one_shard = (0..2u32)
+        .map(|s| {
+            let on = |id: &PageId| assignment[id.0 as usize] == s;
+            corpus
+                .index()
+                .search(&every_term, corpus.len())
+                .iter()
+                .filter(|(id, _)| on(id))
+                .count()
+        })
+        .max()
+        .unwrap();
+    assert!(
+        most_on_one_shard > MAX_FETCH,
+        "a shard must hold more than one FETCH frame of winners"
+    );
+
+    // Each frame's distinct winners, as the single node ranks them.
+    let distinct_winners: u64 = batch
+        .chunks(MAX_BATCH)
+        .map(|frame| {
+            let mut ids: Vec<PageId> = frame
+                .iter()
+                .flat_map(|&(q, k)| corpus.index().search(q, k))
+                .map(|(id, _)| id)
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids.len() as u64
+        })
+        .sum();
+    assert_batch_matches(&router, &corpus, &batch);
+    assert_eq!(
+        fetched(&servers),
+        2 * distinct_winners,
+        "two routed batches hydrate each frame's distinct winners, no more"
+    );
+    let (_, partials, retries) = router_counts(&router);
+    assert_eq!((partials, retries), (0, 0));
+    for s in servers {
+        s.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A replica in front of a real shard server: it relays each frame and
+/// its reply until `dead` is raised. Dead, it closes each relayed
+/// connection at its next frame and drops every new connection unread,
+/// as a dead process would, keeping the frames it refused. `on_rank`,
+/// when set, is raised as a `SEARCH-MANY` reply goes back: the hook
+/// that kills a replica between the two phases of a routed search.
+struct Relay {
+    addr: SocketAddr,
+    dead: Arc<std::sync::atomic::AtomicBool>,
+    refused: Arc<std::sync::Mutex<Vec<String>>>,
+    stop: Arc<std::sync::atomic::AtomicBool>,
+    acceptor: std::thread::JoinHandle<()>,
+}
+
+impl Relay {
+    fn start(
+        upstream: SocketAddr,
+        dead: Arc<std::sync::atomic::AtomicBool>,
+        on_rank: Option<Arc<std::sync::atomic::AtomicBool>>,
+    ) -> Relay {
+        use std::io::{BufRead, BufReader, Write};
+        use std::net::{TcpListener, TcpStream};
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind relay");
+        let addr = listener.local_addr().unwrap();
+        let refused = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let stop = Arc::new(AtomicBool::new(false));
+        let relay = {
+            let (dead, refused) = (Arc::clone(&dead), Arc::clone(&refused));
+            move |stream: TcpStream| {
+                let shard = TcpStream::connect(upstream).expect("dial the real replica");
+                let mut from_shard = BufReader::new(shard.try_clone().unwrap());
+                let mut to_shard = shard;
+                let mut from_router = BufReader::new(stream.try_clone().unwrap());
+                let mut to_router = stream;
+                loop {
+                    let mut frame = String::new();
+                    if from_router.read_line(&mut frame).unwrap_or(0) == 0 {
+                        return;
+                    }
+                    if dead.load(Ordering::SeqCst) {
+                        refused.lock().unwrap().push(frame);
+                        return; // closes the connection with no reply
+                    }
+                    to_shard.write_all(frame.as_bytes()).unwrap();
+                    let mut reply = String::new();
+                    from_shard.read_line(&mut reply).unwrap();
+                    // Raised before the reply goes back, so the kill
+                    // lands before the router can send the FETCH.
+                    if frame.contains("SEARCH-MANY") {
+                        if let Some(flag) = &on_rank {
+                            flag.store(true, Ordering::SeqCst);
+                        }
+                    }
+                    to_router.write_all(reply.as_bytes()).unwrap();
+                }
+            }
+        };
+        let acceptor = {
+            let (dead, stop) = (Arc::clone(&dead), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut conns = Vec::new();
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(stream) = stream else { continue };
+                    if dead.load(Ordering::SeqCst) {
+                        continue; // dropped unread
+                    }
+                    let relay = relay.clone();
+                    conns.push(std::thread::spawn(move || relay(stream)));
+                }
+                for conn in conns {
+                    conn.join().expect("relay connection");
+                }
+            })
+        };
+        Relay {
+            addr,
+            dead,
+            refused,
+            stop,
+            acceptor,
+        }
+    }
+
+    /// Joins the relay; every router connected to it must be dropped
+    /// first, so its relayed connections end.
+    fn shutdown(self) {
+        self.stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        let _ = std::net::TcpStream::connect(self.addr); // wake the accept loop
+        self.acceptor.join().expect("relay thread");
+    }
+}
+
+/// Query then fetch with one replica killed between the phases: shard
+/// 0's group is two relays and the real server. A `SEARCH-MANY` through
+/// relay A kills relay B, which the group's rotation sends the `FETCH`
+/// to next; the `FETCH` fails there and is retried on the group's next
+/// replica. Every answer stays bit-identical, the detour shows as
+/// retries, and nothing degrades to partial.
+#[test]
+fn a_replica_killed_between_the_phases_fails_over_bit_identically() {
+    use std::sync::atomic::Ordering;
+
+    let mut rng = StdRng::seed_from_u64(97);
+    let corpus = synth_corpus(&mut rng, 18);
+    let root = temp_dir("between_phases");
+    let servers = serve_partition(&corpus, 2, &root);
+    let b_dead = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let relay_b = Relay::start(servers[0].local_addr(), Arc::clone(&b_dead), None);
+    let relay_a = Relay::start(servers[0].local_addr(), Arc::default(), Some(b_dead));
+    let topo = vec![
+        vec![relay_a.addr, relay_b.addr, servers[0].local_addr()],
+        vec![servers[1].local_addr()],
+    ];
+    let router = ClusterRouter::connect(&topo, quick_config()).expect("connect");
+
+    // Connecting rotated group 0 once. Two ids-only searches rotate it
+    // on to relay A, so the batch's SEARCH-MANY goes through A and its
+    // FETCH, one rotation later, to B.
+    for q in ["harbor", "jazz"] {
+        router.try_search(q, 10).expect("healthy");
+    }
+    assert!(!relay_b.dead.load(Ordering::SeqCst), "B still lives");
+    let probes = probes();
+    let batch: Vec<(&str, usize)> = probes.iter().map(|q| (q.as_str(), 10)).collect();
+    let (_, _, retries_before) = router_counts(&router);
+    assert_batch_matches(&router, &corpus, &batch);
+    assert!(
+        relay_b.dead.load(Ordering::SeqCst),
+        "A's SEARCH-MANY killed B"
+    );
+    assert!(
+        relay_b
+            .refused
+            .lock()
+            .unwrap()
+            .iter()
+            .any(|f| f.contains("FETCH")),
+        "the FETCH met the killed replica: {:?}",
+        relay_b.refused.lock().unwrap()
+    );
+    let (_, partials, retries) = router_counts(&router);
+    assert!(retries > retries_before, "the failed FETCH must be retried");
+    assert_eq!(partials, 0, "failover within a group is not a partial");
+
+    drop(router);
+    relay_a.shutdown();
+    relay_b.shutdown();
+    for s in servers {
+        s.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A whole group that answers phase 1 and dies before its `FETCH`: each
+/// query with a winner on that shard gets exactly the `PartialResults`
+/// a group dead from the start gives (the merge over the other shard),
+/// counted once per degraded query; the queries with no winner there
+/// stay exact.
+#[test]
+fn a_group_dying_between_the_phases_degrades_only_the_queries_it_held_winners_for() {
+    use std::sync::atomic::Ordering;
+
+    let mut rng = StdRng::seed_from_u64(101);
+    let corpus = synth_corpus(&mut rng, 18);
+    let root = temp_dir("group_between_phases");
+    let dirs = partition_corpus(&corpus, 2, &root).expect("partition");
+    let start = |dir: &PathBuf| ShardServer::start(dir, true, "127.0.0.1:0").expect("serve");
+    let servers: Vec<ShardServer> = dirs.iter().map(start).collect();
+    // The relay is shard 1's only replica, and kills itself once it has
+    // relayed a SEARCH-MANY reply.
+    let dead = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let relay = Relay::start(servers[1].local_addr(), Arc::clone(&dead), Some(dead));
+    let config = RouterConfig {
+        attempts: 2,
+        ..quick_config()
+    };
+    let router = ClusterRouter::connect(&[vec![servers[0].local_addr()], vec![relay.addr]], config)
+        .expect("connect");
+
+    // A router whose shard 1 is dead from the start: the oracle.
+    let from_start: Vec<ShardServer> = dirs.iter().map(start).collect();
+    let oracle = ClusterRouter::connect(&topology(&from_start), config).expect("connect");
+    let mut from_start = from_start;
+    from_start.remove(1).shutdown();
+
+    let probes = probes();
+    let batch: Vec<(&str, usize)> = probes
+        .iter()
+        .flat_map(|q| [(q.as_str(), 1), (q.as_str(), 10)])
+        .collect();
+    let assignment = partition_pages(corpus.len(), 2);
+    let held = |q: &str, k: usize| {
+        corpus
+            .index()
+            .search(q, k)
+            .iter()
+            .any(|(id, _)| assignment[id.0 as usize] == 1)
+    };
+    let (_, before, _) = router_counts(&router);
+    let outcomes = router.try_search_many(&batch);
+    let (_, after, _) = router_counts(&router);
+    assert!(
+        relay.dead.load(Ordering::SeqCst),
+        "the group died after phase 1"
+    );
+    let want = oracle.try_search_many(&batch);
+    let degraded = batch.iter().filter(|&&(q, k)| held(q, k)).count();
+    assert!(
+        degraded > 0 && degraded < batch.len(),
+        "the batch must hold both kinds of query"
+    );
+    assert_eq!(
+        after - before,
+        degraded as u64,
+        "one partial per degraded query"
+    );
+    for ((got, want), &(q, k)) in outcomes.iter().zip(&want).zip(&batch) {
+        if held(q, k) {
+            match (got, want) {
+                (
+                    Err(ClusterError::PartialResults { dead_shards, hits }),
+                    Err(ClusterError::PartialResults {
+                        dead_shards: want_dead,
+                        hits: want_hits,
+                    }),
+                ) => {
+                    assert_eq!(dead_shards, &vec![1], "{q:?} k {k}");
+                    assert_eq!(dead_shards, want_dead, "{q:?} k {k}");
+                    assert_eq!(to_bits(hits), to_bits(want_hits), "{q:?} k {k}");
+                }
+                other => panic!("{q:?} k {k}: expected PartialResults twice, got {other:?}"),
+            }
+        } else {
+            let hits = got
+                .as_ref()
+                .unwrap_or_else(|e| panic!("{q:?} k {k} held no winner on shard 1: {e:?}"));
+            let scored: Vec<(PageId, f64)> = hits.iter().map(|h| (h.id, h.score)).collect();
+            assert_eq!(to_bits(&scored), to_bits(&corpus.index().search(q, k)));
+            let results: Vec<SearchResult> = hits.iter().map(|h| h.result.clone()).collect();
+            assert_eq!(results, corpus.search_results(q, k), "{q:?} k {k}");
+        }
+    }
+
+    drop(router);
+    drop(oracle);
+    relay.shutdown();
+    for s in servers.into_iter().chain(from_start) {
+        s.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A shard that answers `FETCH` with a well-formed reply naming a page
+/// that was not asked for: the router returns a typed error for each
+/// query, never that page's fields under the id it ranked.
+#[test]
+fn a_forged_fetch_reply_is_a_typed_error_never_a_wrong_field() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use teda::wire::protocol::render_fetched;
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
+    let addr = listener.local_addr().unwrap();
+    let forged = Arc::new(AtomicUsize::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let serve = {
+        let forged = Arc::clone(&forged);
+        move |stream: TcpStream| {
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut writer = stream;
+            let mut line = String::new();
+            while matches!(reader.read_line(&mut line), Ok(n) if n > 0) {
+                let request = match Request::parse(&line) {
+                    Ok(Request::Traced { inner, .. }) => *inner,
+                    other => other.expect("the router sends well-formed frames"),
+                };
+                line.clear();
+                let reply = match request {
+                    Request::ShardStats => render_shard_stats(&ShardStatsReport {
+                        shard: 0,
+                        n_shards: 1,
+                        docs: 8,
+                        global_docs: 8,
+                        searches: 0,
+                    }),
+                    Request::SearchMany { queries } => {
+                        render_many(&vec![
+                            vec![(PageId(5), 2.0), (PageId(3), 1.0)];
+                            queries.len()
+                        ])
+                    }
+                    // Every id but the last is echoed; the last names
+                    // page 6, which nobody asked for.
+                    Request::Fetch { mut ids } => {
+                        forged.fetch_add(1, Ordering::SeqCst);
+                        let pages: Vec<SearchResult> = ids
+                            .iter()
+                            .map(|id| SearchResult {
+                                url: format!("http://forged.example/{}", id.0),
+                                title: "forged".into(),
+                                snippet: "the fields of another page".into(),
+                            })
+                            .collect();
+                        if let Some(last) = ids.last_mut() {
+                            *last = PageId(6);
+                        }
+                        render_fetched(&ids, &pages)
+                    }
+                    other => panic!("unexpected request {other:?}"),
+                };
+                if writer
+                    .write_all(Reply::Ok(reply).encode().as_bytes())
+                    .is_err()
+                {
+                    return;
+                }
+            }
+        }
+    };
+    let fake = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut handlers = Vec::new();
+            for stream in listener.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(stream) = stream else { continue };
+                let serve = serve.clone();
+                handlers.push(std::thread::spawn(move || serve(stream)));
+            }
+            for h in handlers {
+                h.join().expect("fake shard connection");
+            }
+        })
+    };
+
+    let router = ClusterRouter::connect(&[vec![addr]], quick_config()).expect("connect");
+    // The ids-only path never fetches, so it is answered.
+    assert_eq!(
+        to_bits(&router.try_search("harbor", 10).expect("no FETCH")),
+        vec![(5, 2.0f64.to_bits()), (3, 1.0f64.to_bits())]
+    );
+    // A two-query frame falls back to one frame per query; each fails
+    // typed, and so does a one-query frame.
+    let batch = [("harbor", 10), ("jazz", 10)];
+    let outcomes = router
+        .try_search_many(&batch)
+        .into_iter()
+        .chain(router.try_search_many(&[("museum", 10)]));
+    for outcome in outcomes {
+        match outcome {
+            Err(ClusterError::Wire {
+                shard: 0,
+                error: WireError::BadRequest(_),
+            }) => {}
+            other => panic!("a forged FETCH reply must be a typed error, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        forged.load(Ordering::SeqCst),
+        4,
+        "one forged reply per frame"
+    );
+    // The trait path answers no fields rather than forged ones.
+    assert!(router.search_results("harbor", 10).is_empty());
+    assert_eq!(answers_of(&router, &batch), vec![Vec::new(), Vec::new()]);
+    let (_, partials, retries) = router_counts(&router);
+    assert_eq!(
+        (partials, retries),
+        (0, 0),
+        "a forged reply is a hard error, not an outage"
+    );
+    drop(router);
+
+    stop.store(true, Ordering::SeqCst);
+    let _ = TcpStream::connect(addr); // wake the accept loop
+    fake.join().expect("fake shard thread");
 }

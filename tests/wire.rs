@@ -24,8 +24,10 @@ use teda::websim::BingSim;
 use teda::websim::{
     PageId, SearchBackend, SearchResult, SwappableBackend, WebCorpus, WebCorpusSpec, WebPage,
 };
-use teda::wire::protocol::{parse_many, render_annotations, render_many, MAX_BATCH, MAX_FRAME};
-use teda::wire::{Reply, Request, SearchHit, WireClient, WireError, WireServer};
+use teda::wire::protocol::{
+    parse_fetched, render_annotations, render_fetched, MAX_BATCH, MAX_FRAME,
+};
+use teda::wire::{Reply, Request, WireClient, WireError, WireServer};
 
 fn fixture() -> (World, Arc<BingSim>, SnippetClassifier) {
     let world = World::generate(WorldSpec::tiny(), 42);
@@ -540,19 +542,18 @@ impl SearchBackend for FlippingBackend {
         self.next().search_results(query, k)
     }
 
-    fn search_hits(&self, query: &str, k: usize) -> Vec<(PageId, f64, SearchResult)> {
-        self.next().search_hits(query, k)
-    }
-
     fn n_docs(&self) -> usize {
         self.corpora[0].len()
     }
 }
 
-/// A one-query `SEARCH-MANY` ranks once, so every hit's id, score and
-/// fields come from one corpus, even when the backend changes between
-/// rankings (a swappable node over a live corpus). Each reply must equal
-/// `search` + `search_results` of the corpus that one ranking resolved.
+/// A one-query `SEARCH-MANY` ranks once, so every hit's id and score
+/// come from one corpus, even when the backend changes between rankings
+/// (a swappable node over a live corpus): each reply must equal `search`
+/// of the corpus that one ranking resolved. The fields cannot be paired
+/// with those hits afterwards: a `FETCH` on the swappable node is
+/// refused, typed, because an id from one ranking may name another page
+/// after a swap.
 #[test]
 fn a_one_query_search_many_ranks_once_and_pairs_each_hit_with_its_own_page() {
     // The same query ranks different pages, under different ids, in
@@ -589,27 +590,37 @@ fn a_one_query_search_many_ranks_once_and_pairs_each_hit_with_its_own_page() {
                 "a one-query SEARCH-MANY must rank exactly once ({query:?})"
             );
             let corpus = &flipping.corpora[before % 2];
-            let scored: Vec<(u32, u64)> =
-                hits.iter().map(|h| (h.id.0, h.score.to_bits())).collect();
+            let scored: Vec<(u32, u64)> = hits
+                .iter()
+                .map(|&(id, score)| (id.0, score.to_bits()))
+                .collect();
             let want: Vec<(u32, u64)> = SearchBackend::search(corpus, query, k)
                 .iter()
                 .map(|&(id, score)| (id.0, score.to_bits()))
                 .collect();
             assert_eq!(scored, want, "ids and scores of {query:?}");
-            let results: Vec<SearchResult> = hits.into_iter().map(|h| h.result).collect();
-            assert_eq!(
-                results,
-                corpus.search_results(query, k),
-                "fields of {query:?} must be those of the ranked pages"
-            );
         }
     }
+    // Every page id is held by both corpora, and still refused.
+    for ids in [&[PageId(0)][..], &[PageId(1), PageId(2)]] {
+        match client.fetch(ids) {
+            Err(WireError::BadRequest(_)) => {}
+            other => panic!("a FETCH on a swappable node must be refused, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        client
+            .search("harbor", 5)
+            .expect("the connection lives on")
+            .len(),
+        2
+    );
     server.shutdown();
 }
 
 /// `SEARCH-MANY` answers each of its queries exactly as a one-query
-/// frame answers it alone, and as the backend's one-ranking
-/// `search_hits` does, in request order (repeats, the empty query and
+/// frame answers it alone, and as the backend's `search` does, in
+/// request order (repeats, the empty query and
 /// `k = 0` included); `SHARD-STATS` counts one search per query; the
 /// frame runs under a `TRACE` prefix; and malformed batches are typed
 /// `bad-request`s that leave the connection usable.
@@ -638,16 +649,14 @@ fn search_many_answers_each_query_as_it_is_answered_alone() {
         .map(|&query| client.search_many(&[query]).expect("SEARCH-MANY").remove(0))
         .collect();
     for (hits, &(q, k)) in want.iter().zip(&batch) {
-        let oracle: Vec<_> = corpus
-            .search_hits(q, k)
-            .into_iter()
-            .map(|(id, score, result)| (id, score.to_bits(), result))
-            .collect();
-        let got: Vec<_> = hits
-            .iter()
-            .map(|h| (h.id, h.score.to_bits(), h.result.clone()))
-            .collect();
-        assert_eq!(got, oracle, "{q:?} alone must be the backend's own hits");
+        let bits = |hits: &[(PageId, f64)]| -> Vec<(u32, u64)> {
+            hits.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
+        };
+        assert_eq!(
+            bits(hits),
+            bits(&SearchBackend::search(corpus.as_ref(), q, k)),
+            "{q:?} alone must be the backend's own hits"
+        );
     }
     let searches = client.shard_stats().expect("SHARD-STATS").searches;
     assert_eq!(searches, batch.len() as u64);
@@ -707,7 +716,7 @@ fn raw_connection(addr: SocketAddr) -> impl FnMut(&str) -> String {
 }
 
 /// One dispatch serves a traceable verb with or without a `TRACE <id>`
-/// prefix: `SEARCH`, `SEARCH-MANY`, `ANNOTATE` and `TRY` each answer the
+/// prefix: `SEARCH-MANY`, `FETCH`, `ANNOTATE` and `TRY` each answer the
 /// same bytes either way and count the same searches, and only the
 /// traced frame leaves a `TRACE-DUMP`-able tree under its id.
 #[test]
@@ -727,12 +736,11 @@ fn traced_and_plain_frames_answer_the_same_bytes() {
     let cases = [
         (
             &search_node,
-            Request::Search {
-                k: 3,
-                query: "harbor".into(),
+            Request::Fetch {
+                ids: vec![PageId(0), PageId(2)],
             },
-            "search",
-            Some(1),
+            "fetch",
+            Some(0),
         ),
         (
             &search_node,
@@ -803,21 +811,18 @@ fn traced_and_plain_frames_answer_the_same_bytes() {
 }
 
 /// A reply cut off by EOF before its newline is a transport error, not
-/// an answer: cut inside the last snippet, the bytes would still parse,
-/// with a shorter snippet. The client then refuses to reuse the
-/// connection, which is how a router knows to try the next replica.
+/// an answer: cut inside the last snippet of a `FETCH` reply, the bytes
+/// would still parse, with a shorter snippet. The client then refuses
+/// to reuse the connection, which is how a router knows to try the next
+/// replica.
 #[test]
 fn a_reply_cut_off_by_eof_is_a_transport_error() {
-    let hit = SearchHit {
-        id: PageId(4),
-        score: 1.5,
-        result: SearchResult {
-            url: "http://web.sim/4".into(),
-            title: "Harbor".into(),
-            snippet: "harbor museum".into(),
-        },
+    let page = SearchResult {
+        url: "http://web.sim/4".into(),
+        title: "Harbor".into(),
+        snippet: "harbor museum".into(),
     };
-    let whole = Reply::Ok(render_many(&[vec![hit]])).encode();
+    let whole = Reply::Ok(render_fetched(&[PageId(4)], &[page])).encode();
     let cut = whole
         .strip_suffix(" museum\\n\n")
         .expect("the reply ends in the snippet")
@@ -826,7 +831,7 @@ fn a_reply_cut_off_by_eof_is_a_transport_error() {
         panic!("the cut frame parses");
     };
     assert_eq!(
-        parse_many(&payload, 1).unwrap()[0][0].result.snippet,
+        parse_fetched(&payload, &[PageId(4)]).unwrap()[0].snippet,
         "harbor"
     );
 
@@ -838,13 +843,13 @@ fn a_reply_cut_off_by_eof_is_a_transport_error() {
         BufReader::new(stream.try_clone().unwrap())
             .read_line(&mut frame)
             .unwrap();
-        assert!(frame.starts_with("SEARCH-MANY 1 "), "{frame:?}");
+        assert_eq!(frame, "FETCH 1 4\n");
         (&stream).write_all(cut.as_bytes()).unwrap();
         // Dropping the stream closes it: EOF inside the frame.
     });
 
     let mut client = WireClient::connect(addr).expect("connect");
-    let answer = client.search_many(&[("harbor", 3)]);
+    let answer = client.fetch(&[PageId(4)]);
     assert!(matches!(answer, Err(WireError::Transport(_))), "{answer:?}");
     assert!(!client.is_framed(), "the connection must not be reused");
     fake.join().expect("fake shard");
@@ -863,7 +868,7 @@ fn a_request_cut_off_by_eof_is_never_run() {
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(10)))
         .unwrap();
-    stream.write_all(b"SEARCH 5 harbor").unwrap();
+    stream.write_all(b"SEARCH-MANY 1 5 harbor").unwrap();
     stream.shutdown(Shutdown::Write).unwrap();
     let mut reply = String::new();
     stream
@@ -873,7 +878,7 @@ fn a_request_cut_off_by_eof_is_never_run() {
 
     let mut client = WireClient::connect(server.local_addr()).expect("connect");
     assert_eq!(client.shard_stats().expect("SHARD-STATS").searches, 0);
-    assert_eq!(client.search("harbor", 5).expect("SEARCH").len(), 1);
+    assert_eq!(client.search("harbor", 5).expect("SEARCH-MANY").len(), 1);
     assert_eq!(client.shard_stats().expect("SHARD-STATS").searches, 1);
     server.shutdown();
 }
