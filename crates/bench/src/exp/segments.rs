@@ -1,6 +1,10 @@
 //! Segment-level incremental indexing under measurement: the three
 //! claims of the segmented-store design, each asserted in-run.
 //!
+//! * **O(delta) publish** — a live corpus publishes an add batch far
+//!   faster than a re-index of the corpus, and once its journal holds a
+//!   removal, every further push reads only the base pages its chain's
+//!   removal URLs name, never the whole base.
 //! * **O(delta) reload** — a store whose journal segments carry their
 //!   partial indexes (the default `add_pages` path) must reload at
 //!   least 5× faster than the same journal without embedded indexes
@@ -51,6 +55,9 @@ pub struct SegmentsReport {
     pub full_reindex: Duration,
     /// `full_reindex / live_update` — the O(delta) vs O(corpus) claim.
     pub live_speedup: f64,
+    /// Live pushes after a first removal: for each, the base pages it
+    /// hydrated and the base pages the chain's removal URLs name.
+    pub live_push_hydrations: Vec<(u64, u64)>,
     /// Reload with embedded partial indexes (the O(delta) merge).
     pub incremental_load: Duration,
     /// Reload of the identical journal without embedded indexes (the
@@ -179,6 +186,28 @@ pub fn run(fixture: &Fixture) -> SegmentsReport {
         teda_websim::InvertedIndex::build(&logical_pages);
     });
     let live_speedup = full_reindex.as_secs_f64() / live_update.as_secs_f64().max(1e-9);
+    // With a removal journaled, a push replays it: the base's URL index
+    // (built once, at the first removal) turns each removal URL into the
+    // base pages to confirm, so a push hydrates those pages alone.
+    let named = |url: &String| base_pages.iter().filter(|p| &p.url == url).count() as u64;
+    let removals: Vec<String> = base_pages.iter().map(|p| p.url.clone()).take(4).collect();
+    live.remove_pages(vec![removals[0].clone()])
+        .expect("live remove");
+    let mut base_named = named(&removals[0]);
+    let mut live_push_hydrations = Vec::new();
+    for url in &removals[1..] {
+        for remove in [false, true] {
+            let before = live.map_stats().hydrations;
+            if remove {
+                live.remove_pages(vec![url.clone()]).expect("live remove");
+                base_named += named(url);
+            } else {
+                live.add_pages(delta_batch(live_batch)).expect("live add");
+                live_batch += 1;
+            }
+            live_push_hydrations.push((live.map_stats().hydrations - before, base_named));
+        }
+    }
 
     // Claim 2: warm in-place open beats eager decode, bit-identically.
     // The timed open verifies both halves (index and pages), so it
@@ -244,6 +273,7 @@ pub fn run(fixture: &Fixture) -> SegmentsReport {
         live_update,
         full_reindex,
         live_speedup,
+        live_push_hydrations,
         incremental_load,
         full_reindex_load,
         incremental_speedup,
@@ -280,6 +310,20 @@ pub fn render(r: &SegmentsReport) -> String {
     tbl.row(vec![
         "live update speedup".into(),
         format!("{:.1}x", r.live_speedup),
+    ]);
+    tbl.row(vec![
+        "base pages hydrated per push".into(),
+        format!(
+            "{:?} (named by removals: {:?})",
+            r.live_push_hydrations
+                .iter()
+                .map(|p| p.0)
+                .collect::<Vec<_>>(),
+            r.live_push_hydrations
+                .iter()
+                .map(|p| p.1)
+                .collect::<Vec<_>>()
+        ),
     ]);
     tbl.row(vec![
         "reload, embedded indexes".into(),
@@ -348,6 +392,15 @@ pub fn to_json(r: &SegmentsReport) -> crate::report::BenchJson {
         .metric("live_update", ms(r.live_update), "ms")
         .metric("full_reindex", ms(r.full_reindex), "ms")
         .metric("live_speedup", r.live_speedup, "x")
+        .metric(
+            "live_push_hydrations_max",
+            r.live_push_hydrations
+                .iter()
+                .map(|&(got, _)| got)
+                .max()
+                .unwrap_or(0) as f64,
+            "pages",
+        )
         .metric("incremental_load", ms(r.incremental_load), "ms")
         .metric("full_reindex_load", ms(r.full_reindex_load), "ms")
         .metric("incremental_speedup", r.incremental_speedup, "x")
@@ -375,6 +428,18 @@ pub fn claims(r: &SegmentsReport) -> Vec<Claim> {
             "incremental_path_taken",
             r.incremental_path_taken,
             "the indexed journal must reload through the O(delta) merge",
+        ),
+        Claim::exact(
+            "live pushes hydrate only the base pages removals name",
+            r.live_push_hydrations
+                .iter()
+                .all(|&(got, named)| got == named && (got as usize) < r.base_pages),
+            format!(
+                "each push after a removal must hydrate exactly the base pages its \
+                 chain's removal URLs name, never the base; got (hydrated, named) {:?} \
+                 over {} base pages",
+                r.live_push_hydrations, r.base_pages
+            ),
         ),
         Claim::exact(
             "loads_identical",

@@ -12,11 +12,14 @@
 //! the next query sees the new pages, and results are bit-identical to
 //! a full rebuild of the logical corpus at every point.
 //!
-//! Journal growth is bounded by a [`TierPolicy`]: once an update trips
-//! a tier merge or a full fold on disk, the in-memory overlay chain is
-//! reloaded from the compacted store, so neither the file count nor
-//! the overlay depth grows without bound under a continuous update
-//! stream.
+//! Journal growth is bounded by a [`TierPolicy`], and the in-memory
+//! overlay chain mirrors the journal file for file. A tier merge on disk
+//! is answered in memory: the chain is regrouped by the same rule
+//! ([`TierPolicy::merge_tiers`]), sharing every operation, so no page
+//! text, index or plan is copied or recomputed. Only a full fold, the
+//! one step that changes the base, reloads from the store. Neither the
+//! file count nor the overlay depth grows without bound under a
+//! continuous update stream.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -26,7 +29,10 @@ use teda_store::{
     CompactionReport, CorpusStore, DeltaOp, MapStats, MappedLoad, MappedSnapshot, StoreError,
     TierPolicy,
 };
-use teda_websim::{InvertedIndex, Segment, SegmentOp, SegmentedCorpus, SwappableBackend, WebPage};
+use teda_websim::{
+    InvalidIndexParts, InvertedIndex, Segment, SegmentOp, SegmentedCorpus, SwappableBackend,
+    WebPage,
+};
 
 /// A persistent corpus that can grow and shrink while being served.
 ///
@@ -38,18 +44,20 @@ use teda_websim::{InvertedIndex, Segment, SegmentOp, SegmentedCorpus, SwappableB
 pub struct LiveCorpus {
     store: CorpusStore,
     policy: TierPolicy,
-    /// The mapping behind the current base. Replaced on every
-    /// fold/merge reload; the old mapping stays valid for in-flight
-    /// readers until dropped.
+    /// The mapping behind the current base. Replaced on every full
+    /// fold; the old mapping stays valid for in-flight readers until
+    /// dropped.
     snapshot: Mutex<Arc<MappedSnapshot>>,
     current: Mutex<Arc<SegmentedCorpus>>,
     backend: Arc<SwappableBackend>,
     /// `compaction` stage histogram, attached by the service that
-    /// serves this corpus (see [`attach_obs`](Self::attach_obs)); a
+    /// serves this corpus (see [`attach_obs`](Self::attach_obs)): one
+    /// sample per update that compacted, covering the journal work plus
+    /// the in-memory regroup (tier merge) or the reload (full fold). A
     /// standalone `LiveCorpus` records nothing.
     hist_compaction: OnceLock<Arc<Histogram>>,
     /// `page_hydration` stage histogram, forwarded to the mapped
-    /// snapshot (and re-forwarded after every fold/merge reload).
+    /// snapshot (and re-forwarded after every full fold).
     hist_hydration: OnceLock<Arc<Histogram>>,
 }
 
@@ -82,10 +90,10 @@ impl LiveCorpus {
     }
 
     /// Attaches the serving node's observability registry: compaction
-    /// work (tier merges, full folds, and the reload they force)
-    /// records into its `compaction` stage histogram, and every page
-    /// hydration records into `page_hydration`. First attach wins;
-    /// [`crate::AnnotationService::start_live`] calls this.
+    /// work (a tier merge with its in-memory regroup, a full fold with
+    /// its reload) records into its `compaction` stage histogram, and
+    /// every page hydration records into `page_hydration`. First attach
+    /// wins; [`crate::AnnotationService::start_live`] calls this.
     pub fn attach_obs(&self, obs: &Registry) {
         let _ = self.hist_compaction.set(obs.histogram(stage::COMPACTION));
         let _ = self
@@ -99,9 +107,12 @@ impl LiveCorpus {
         }
     }
 
-    /// Mapping counters. They describe the *current* mapping — a
-    /// fold/merge reload replaces it, so hydration counts restart from
-    /// zero.
+    /// Mapping counters. They describe the *current* mapping — only a
+    /// full fold replaces it, so hydration counts restart from zero only
+    /// at a fold. Between folds, an update hydrates just the base pages
+    /// whose URL hash matches one of the journal's removal URLs, plus
+    /// every base page once, at the first removal after the open or
+    /// the fold (to build the base's URL index).
     pub fn map_stats(&self) -> MapStats {
         self.snapshot
             .lock()
@@ -156,30 +167,33 @@ impl LiveCorpus {
     }
 
     /// Pushes one overlay op, swaps the backend, and lets the tier
-    /// policy bound both the on-disk journal and (via reload after any
-    /// fold/merge) the in-memory overlay chain.
+    /// policy bound both the on-disk journal and the in-memory overlay
+    /// chain: a tier merge regroups the chain in memory the same way, a
+    /// full fold reloads it from the folded store.
     fn apply_locked(
         &self,
         current: &mut MutexGuard<'_, Arc<SegmentedCorpus>>,
         op: SegmentOp,
     ) -> Result<CompactionReport, StoreError> {
+        let corrupt = |e: InvalidIndexParts| StoreError::Corrupt(e.to_string());
         let next = Arc::new(
             current
                 .push_segment(Arc::new(Segment::new(vec![op])))
-                .map_err(|e| StoreError::Corrupt(e.to_string()))?,
+                .map_err(corrupt)?,
         );
         **current = Arc::clone(&next);
         self.backend.swap(next);
-        // Time the compaction probe + any reload it forces, but only
-        // record when compaction actually did work — the every-update
-        // no-op probe would otherwise drown the distribution.
+        // Time the compaction probe + the regroup or reload it forces,
+        // but only record when compaction actually did work — the
+        // every-update no-op probe would otherwise drown the
+        // distribution.
         let watch =
             Stopwatch::started_if(self.hist_compaction.get().is_some_and(|h| h.is_enabled()));
         let report = self.store.maybe_compact(self.policy)?;
-        if report.full_fold || report.merges > 0 {
-            // Reload from the compacted store, mapping the freshly
-            // renamed snapshot (the superseded mapping stays valid for
-            // any in-flight reader holding the old view).
+        let compacted = if report.full_fold {
+            // The base changed: map the freshly renamed snapshot (the
+            // superseded mapping stays valid for any in-flight reader
+            // holding the old view).
             let MappedLoad {
                 segmented,
                 snapshot,
@@ -188,9 +202,23 @@ impl LiveCorpus {
                 snapshot.attach_hydration_histogram(Arc::clone(hist));
             }
             *self.snapshot.lock().unwrap_or_else(PoisonError::into_inner) = snapshot;
-            let reloaded = Arc::new(segmented.corpus);
-            **current = Arc::clone(&reloaded);
-            self.backend.swap(reloaded);
+            Some(segmented.corpus)
+        } else if report.merges > 0 {
+            // Same logical corpus, fewer segments: regroup the chain as
+            // the journal files were regrouped.
+            let mut segments = current.segments().to_vec();
+            self.policy.merge_tiers(&mut segments, |group| {
+                Ok::<_, StoreError>(Arc::new(Segment::concat(&group)))
+            })?;
+            debug_assert_eq!(segments.len(), report.segments_after);
+            Some(current.regroup(segments).map_err(corrupt)?)
+        } else {
+            None
+        };
+        if let Some(compacted) = compacted {
+            let compacted = Arc::new(compacted);
+            **current = Arc::clone(&compacted);
+            self.backend.swap(compacted);
             if let (Some(h), true) = (self.hist_compaction.get(), watch.is_running()) {
                 h.record(watch.elapsed_us());
             }

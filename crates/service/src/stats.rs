@@ -93,7 +93,8 @@ pub struct ServiceStats {
     /// Bytes of the mmap'd corpus snapshot behind the live backend.
     /// The three mapping gauges are 0 only for a service started
     /// without a live corpus; they describe the *current* mapping — a
-    /// compaction reload replaces it and they restart.
+    /// full fold replaces it and they restart (a tier merge regroups
+    /// the overlays in memory and keeps the mapping).
     pub mapped_bytes: u64,
     /// Heap bytes of the mapping's side tables (term lookup, page-span
     /// table) — the resident cost of serving off the mapping, always

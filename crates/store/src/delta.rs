@@ -235,20 +235,16 @@ fn decode_op(tag: u32, payload: &[u8]) -> Result<DeltaOp, StoreError> {
     Ok(op)
 }
 
-/// Reads one segment: its base binding, its operations in order, and
-/// each add's partial-index section left undecoded — so a caller that
-/// only needs the operations (the compaction policy counting removals)
-/// never pays for an index. An index section that does not directly
-/// follow an add (after a removal, before any op, a second one on the
-/// same add) is dropped here. Defects in the binding or in an operation
-/// are typed errors: the binding must be the first section — a segment
-/// without one cannot be safely applied to anything.
-pub fn read_segment(bytes: &[u8]) -> Result<SegmentPayload<'_>, StoreError> {
-    let sections = decode_container(bytes, KIND_DELTA)?;
+/// Walks a segment's sections, every one CRC-checked: the base binding,
+/// which must be the first section, is decoded here and every other
+/// section goes to `visit` in order. A segment without a binding cannot
+/// be safely applied to anything.
+fn walk_sections<'a>(
+    bytes: &'a [u8],
+    mut visit: impl FnMut(u32, &'a [u8]) -> Result<(), StoreError>,
+) -> Result<BaseId, StoreError> {
     let mut base = None;
-    let mut ops = Vec::with_capacity(sections.len());
-    let mut add_indexes: Vec<Option<&[u8]>> = Vec::with_capacity(sections.len());
-    for (i, (tag, payload)) in sections.into_iter().enumerate() {
+    for (i, (tag, payload)) in decode_container(bytes, KIND_DELTA)?.into_iter().enumerate() {
         match tag {
             SEC_BASE if i == 0 => base = Some(decode_base(payload)?),
             SEC_BASE => {
@@ -256,29 +252,58 @@ pub fn read_segment(bytes: &[u8]) -> Result<SegmentPayload<'_>, StoreError> {
                     "delta base binding must be the first and only binding section".into(),
                 ))
             }
-            SEC_ADD_INDEX => {
-                if let (Some(DeltaOp::AddPages(_)), Some(slot @ None)) =
-                    (ops.last(), add_indexes.last_mut())
-                {
-                    *slot = Some(payload);
-                }
-            }
-            _ => {
-                ops.push(decode_op(tag, payload)?);
-                add_indexes.push(None);
-            }
+            _ => visit(tag, payload)?,
         }
     }
-    let Some(base) = base else {
-        return Err(StoreError::Corrupt(
-            "delta segment has no base binding".into(),
-        ));
-    };
+    base.ok_or_else(|| StoreError::Corrupt("delta segment has no base binding".into()))
+}
+
+/// Reads one segment: its base binding, its operations in order, and
+/// each add's partial-index section left undecoded — so a caller that
+/// only needs the operations never pays for an index. An index section
+/// that does not directly follow an add (after a removal, before any
+/// op, a second one on the same add) is dropped here. Defects in the
+/// binding or in an operation are typed errors.
+pub fn read_segment(bytes: &[u8]) -> Result<SegmentPayload<'_>, StoreError> {
+    let mut ops = Vec::new();
+    let mut add_indexes: Vec<Option<&[u8]>> = Vec::new();
+    let base = walk_sections(bytes, |tag, payload| {
+        if tag == SEC_ADD_INDEX {
+            if let (Some(DeltaOp::AddPages(_)), Some(slot @ None)) =
+                (ops.last(), add_indexes.last_mut())
+            {
+                *slot = Some(payload);
+            }
+        } else {
+            ops.push(decode_op(tag, payload)?);
+            add_indexes.push(None);
+        }
+        Ok(())
+    })?;
     Ok(SegmentPayload {
         base,
         ops,
         add_indexes,
     })
+}
+
+/// A segment's base binding and the number of URLs its removals list —
+/// all the tier policy counts. Checks every section as [`read_segment`]
+/// does, but never decodes an add's pages.
+pub(crate) fn count_removed_urls(bytes: &[u8]) -> Result<(BaseId, usize), StoreError> {
+    let mut removed = 0usize;
+    let base = walk_sections(bytes, |tag, payload| {
+        match tag {
+            SEC_ADD | SEC_ADD_INDEX => {}
+            _ => {
+                if let DeltaOp::RemovePages(urls) = decode_op(tag, payload)? {
+                    removed += urls.len();
+                }
+            }
+        }
+        Ok(())
+    })?;
+    Ok((base, removed))
 }
 
 /// The one adoption rule for a journaled partial index: `section` is
@@ -427,6 +452,30 @@ mod tests {
         let read = read_segment(&bytes).expect("ops survive rotten index bytes");
         assert_eq!(read.ops, vec![DeltaOp::AddPages(added.clone())]);
         assert_eq!(adopt_index(read.add_indexes[0], &added), None);
+    }
+
+    #[test]
+    fn the_removal_count_reads_what_the_full_reader_reads() {
+        let base = BaseId::of(b"snapshot bytes");
+        let ops = vec![
+            DeltaOp::AddPages(vec![page("a"), page("b")]),
+            DeltaOp::RemovePages(vec!["a".into(), "ghost".into()]),
+            DeltaOp::AddPages(vec![page("c")]),
+            DeltaOp::RemovePages(vec!["c".into()]),
+        ];
+        let parts = teda_websim::InvertedIndex::build(&[page("c")]).to_parts();
+        let bytes = encode_segment_indexed(base, &ops, &[None, None, Some(parts), None]);
+        assert_eq!(count_removed_urls(&bytes).expect("reads"), (base, 3));
+
+        // Rot anywhere, in an add's pages included, is an error for both.
+        for at in [bytes.len() / 3, bytes.len() / 2, bytes.len() - 1] {
+            let mut rotten = bytes.clone();
+            rotten[at] ^= 0x40;
+            assert!(read_segment(&rotten).is_err());
+            assert!(count_removed_urls(&rotten).is_err(), "flip at {at}");
+        }
+        let unbound = encode_container(KIND_DELTA, &[]);
+        assert!(count_removed_urls(&unbound).is_err());
     }
 
     #[test]

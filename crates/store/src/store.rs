@@ -31,8 +31,8 @@ use teda_websim::{
 use crate::cache_snapshot::remove_cache_snapshot;
 use crate::corpus_snapshot::{decode_corpus, encode_corpus, encode_index_parts, SnapshotBytes};
 use crate::delta::{
-    adopt_index, encode_segment_indexed, encode_segment_sections, read_segment, BaseId, DeltaOp,
-    SegmentPayload,
+    adopt_index, count_removed_urls, encode_segment_indexed, encode_segment_sections, read_segment,
+    BaseId, DeltaOp, SegmentPayload,
 };
 use crate::format::{sync_dir, write_atomic};
 use crate::mapped::{MappedSnapshot, ViewBackend};
@@ -81,6 +81,34 @@ pub struct TierPolicy {
     pub fanout: usize,
     /// Maximum journaled removal URLs before a full fold.
     pub max_removed: usize,
+}
+
+impl TierPolicy {
+    /// The tier-merge rule over any oldest-first segment list: while
+    /// more than `max_segments` remain, `merge` folds the oldest
+    /// `fanout` into one, which re-enters at the front — the next round
+    /// (if the count is still over budget) folds it with its
+    /// successors, so the list strictly shrinks and the loop ends.
+    /// Returns the number of merges. [`CorpusStore::maybe_compact`]
+    /// runs it over the journal files and a live corpus over its
+    /// in-memory overlays, so both are grouped alike.
+    pub fn merge_tiers<T, E>(
+        &self,
+        segments: &mut Vec<T>,
+        mut merge: impl FnMut(Vec<T>) -> Result<T, E>,
+    ) -> Result<usize, E> {
+        let fanout = self.fanout.max(2);
+        let max_segments = self.max_segments.max(1);
+        let mut merges = 0;
+        while segments.len() > max_segments {
+            let n = fanout.min(segments.len());
+            let victims: Vec<T> = segments.drain(..n).collect();
+            let merged = merge(victims)?;
+            segments.insert(0, merged);
+            merges += 1;
+        }
+        Ok(merges)
+    }
 }
 
 impl Default for TierPolicy {
@@ -451,18 +479,33 @@ impl CorpusStore {
         base_id: BaseId,
         mut visit: impl FnMut(&SegFile, SegmentPayload<'_>) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
+        self.walk_journal(files, |file, bytes| {
+            let payload = read_segment(bytes)?;
+            if payload.base != base_id {
+                return Ok(false);
+            }
+            visit(file, payload)?;
+            Ok(true)
+        })
+    }
+
+    /// Reads each of `files` in order and hands its bytes to `bound`,
+    /// which decodes them and says whether the file is bound to the
+    /// current snapshot; a file that is not is swept.
+    fn walk_journal(
+        &self,
+        files: &[SegFile],
+        mut bound: impl FnMut(&SegFile, &[u8]) -> Result<bool, StoreError>,
+    ) -> Result<(), StoreError> {
         let mut swept = false;
         for file in files {
             let bytes = std::fs::read(&file.path).map_err(|e| StoreError::io(&file.path, e))?;
-            let payload = read_segment(&bytes)?;
-            if payload.base != base_id {
+            if !bound(file, &bytes)? {
                 // Already folded into the snapshot by an interrupted
                 // compaction — applying it again would duplicate pages.
                 std::fs::remove_file(&file.path).map_err(|e| StoreError::io(&file.path, e))?;
                 swept = true;
-                continue;
             }
-            visit(file, payload)?;
         }
         if swept {
             sync_dir(&self.snapshot_path())?;
@@ -603,40 +646,28 @@ impl CorpusStore {
             Err(e) => return Err(e),
         };
         // One pass over the live journal: sweep stale-bound leftovers,
-        // count removal URLs for the full-fold trigger (no index section
-        // is decoded here).
+        // count removal URLs for the full-fold trigger (every section
+        // CRC-checked, but no add's pages and no index section decoded).
         let mut removed = 0usize;
         let mut active: Vec<SegFile> = Vec::new();
-        self.for_each_bound(&self.active_segments()?, base_id, |file, payload| {
-            removed += payload
-                .ops
-                .iter()
-                .map(|op| match op {
-                    DeltaOp::RemovePages(urls) => urls.len(),
-                    DeltaOp::AddPages(_) => 0,
-                })
-                .sum::<usize>();
+        self.walk_journal(&self.active_segments()?, |file, bytes| {
+            let (base, urls) = count_removed_urls(bytes)?;
+            if base != base_id {
+                return Ok(false);
+            }
+            removed += urls;
             active.push(file.clone());
-            Ok(())
+            Ok(true)
         })?;
         if removed > policy.max_removed {
             self.compact_in_place()?;
             report.full_fold = true;
             return Ok(report);
         }
-        let fanout = policy.fanout.max(2);
-        let max_segments = policy.max_segments.max(1);
-        while active.len() > max_segments {
-            let n = fanout.min(active.len());
-            let victims: Vec<SegFile> = active.drain(..n).collect();
-            let merged = self.merge_segments(&victims, base_id)?;
-            report.merges += 1;
-            report.merged_segments += n;
-            // The run re-enters at the front: the next round (if the
-            // count is still over budget) folds it with its successors,
-            // so the loop strictly shrinks and terminates.
-            active.insert(0, merged);
-        }
+        report.merges = policy.merge_tiers(&mut active, |victims| {
+            report.merged_segments += victims.len();
+            self.merge_segments(&victims, base_id)
+        })?;
         report.segments_after = active.len();
         Ok(report)
     }

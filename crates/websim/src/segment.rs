@@ -40,7 +40,7 @@
 //! logical page list.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::backend::{results_of, BaseCorpus, PageFields, SearchBackend};
 use crate::engine::SearchResult;
@@ -51,11 +51,12 @@ use crate::scoring;
 /// One journaled operation inside a segment. Additions carry the
 /// partial index built over exactly their pages; the pairing is
 /// enforced by construction (no public way to attach a mismatched
-/// index).
+/// index). Cloning shares the operation (`Arc`), so regrouping
+/// segments copies no page text and no index.
 #[derive(Debug, Clone)]
-pub struct SegmentOp(OpKind);
+pub struct SegmentOp(Arc<OpKind>);
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum OpKind {
     Add {
         pages: Vec<WebPage>,
@@ -71,7 +72,7 @@ impl SegmentOp {
     /// one O(delta) tokenization this update will ever pay).
     pub fn add(pages: Vec<WebPage>) -> Self {
         let index = InvertedIndex::build(&pages);
-        SegmentOp(OpKind::Add { pages, index })
+        SegmentOp(Arc::new(OpKind::Add { pages, index }))
     }
 
     /// An addition with an already-built partial index (the snapshot
@@ -90,17 +91,17 @@ impl SegmentOp {
                 pages.len()
             )));
         }
-        Ok(SegmentOp(OpKind::Add { pages, index }))
+        Ok(SegmentOp(Arc::new(OpKind::Add { pages, index })))
     }
 
     /// A removal of every current page whose URL is listed.
     pub fn remove(urls: Vec<String>) -> Self {
-        SegmentOp(OpKind::Remove { urls })
+        SegmentOp(Arc::new(OpKind::Remove { urls }))
     }
 
     /// The added pages and their partial index, for an add op.
     pub fn added(&self) -> Option<(&[WebPage], &InvertedIndex)> {
-        match &self.0 {
+        match &*self.0 {
             OpKind::Add { pages, index } => Some((pages, index)),
             OpKind::Remove { .. } => None,
         }
@@ -108,7 +109,7 @@ impl SegmentOp {
 
     /// The removed URLs, for a remove op.
     pub fn removed(&self) -> Option<&[String]> {
-        match &self.0 {
+        match &*self.0 {
             OpKind::Remove { urls } => Some(urls),
             OpKind::Add { .. } => None,
         }
@@ -132,12 +133,27 @@ impl Segment {
     pub fn ops(&self) -> &[SegmentOp] {
         &self.ops
     }
+
+    /// One segment holding the operations of `segments` back to back —
+    /// the in-memory twin of a tier merge's run file. The operations
+    /// are shared, not copied.
+    pub fn concat(segments: &[Arc<Segment>]) -> Segment {
+        Segment {
+            ops: segments
+                .iter()
+                .flat_map(|s| s.ops.iter().cloned())
+                .collect(),
+        }
+    }
 }
 
 /// Where every surviving document lands in the final id space, plus the
-/// collection-level BM25 inputs. Recomputed when a segment is pushed —
-/// O(base) bookkeeping at worst (when removals exist), never any
-/// tokenization.
+/// collection-level BM25 inputs: a function of the operation sequence
+/// alone, so a regroup of the same operations shares it. Recomputed
+/// when a segment is pushed, without tokenizing and without reading
+/// base page text, except for the base pages whose URL hash matches a
+/// removal URL (see [`BaseUrls`]). What stays O(base) are flat array
+/// sweeps: the remap and the ordered length sum.
 #[derive(Debug)]
 struct Plan {
     /// Final (logical) document count.
@@ -161,8 +177,9 @@ struct Plan {
 /// starting at `first_final`.
 #[derive(Debug)]
 struct Run {
-    seg: u32,
-    op: u32,
+    /// The add op itself (shared), so the plan never depends on how the
+    /// operations are grouped into segments.
+    op: SegmentOp,
     first_final: u32,
     /// Local doc id (within the op) → final id (`u32::MAX` = removed).
     final_of_local: Vec<u32>,
@@ -171,11 +188,54 @@ struct Run {
     alive_locals: Vec<u32>,
 }
 
-/// Which page list slot a URL currently occupies, while replaying ops.
-#[derive(Clone, Copy)]
-enum Slot {
-    Base(u32),
-    Added { add: u32, local: u32 },
+/// Stable FNV-1a over a URL's bytes: the same hash in every process,
+/// so a URL index means the same thing wherever it is built.
+fn url_hash(url: &str) -> u64 {
+    url.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The base's URL index: `(url hash, base id)` for every base page,
+/// sorted. Built once per base, at the first removal any view of it
+/// replays, and shared by every view derived from that one — so a
+/// removal resolves in O(log base) plus a read of each base page whose
+/// URL hash matches, instead of hashing every base URL on every push.
+struct BaseUrls {
+    entries: Vec<(u64, u32)>,
+}
+
+impl BaseUrls {
+    /// Reads every base page's URL once.
+    fn build(base: &dyn BaseCorpus) -> Self {
+        let mut entries: Vec<(u64, u32)> = (0..base.n_docs() as u32)
+            .map(|i| (url_hash(base.page_fields(PageId(i)).url), i))
+            .collect();
+        entries.sort_unstable();
+        BaseUrls { entries }
+    }
+
+    /// Kills every alive base page whose URL is `url`. A candidate is
+    /// any entry with the URL's hash; each alive one is confirmed
+    /// against its page's own URL, so a hash collision never removes
+    /// the wrong page.
+    fn remove(&self, base: &dyn BaseCorpus, url: &str, alive: &mut [bool]) {
+        let hash = url_hash(url);
+        let from = self.entries.partition_point(|&(h, _)| h < hash);
+        for &(_, id) in self.entries[from..].iter().take_while(|&&(h, _)| h == hash) {
+            if alive[id as usize] && base.page_fields(PageId(id)).url == url {
+                alive[id as usize] = false;
+            }
+        }
+    }
+}
+
+impl std::fmt::Debug for BaseUrls {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BaseUrls")
+            .field("entries", &self.entries.len())
+            .finish()
+    }
 }
 
 /// A base corpus plus journal segments, searchable as one logical
@@ -183,33 +243,72 @@ enum Slot {
 #[derive(Debug)]
 pub struct SegmentedCorpus {
     base: Arc<dyn BaseCorpus>,
+    /// The base's URL index, empty until a removal needs it; one per
+    /// base, shared with every view pushed or regrouped from this one.
+    urls: Arc<OnceLock<BaseUrls>>,
     segments: Vec<Arc<Segment>>,
-    plan: Plan,
+    plan: Arc<Plan>,
 }
 
 impl SegmentedCorpus {
     /// A segmented view of `base` with `segments` applied in order.
     /// O(segments + base bookkeeping); no tokenization. `base` is any
-    /// [`BaseCorpus`] — an `Arc<WebCorpus>` coerces here unchanged.
+    /// [`BaseCorpus`] — an `Arc<WebCorpus>` coerces here unchanged. A
+    /// journal holding a removal reads every base URL once here, to
+    /// build the URL index.
     pub fn new(
         base: Arc<dyn BaseCorpus>,
         segments: Vec<Arc<Segment>>,
     ) -> Result<Self, InvalidIndexParts> {
-        let plan = compute_plan(base.as_ref(), &segments)?;
+        Self::with_urls(base, Arc::new(OnceLock::new()), segments)
+    }
+
+    fn with_urls(
+        base: Arc<dyn BaseCorpus>,
+        urls: Arc<OnceLock<BaseUrls>>,
+        segments: Vec<Arc<Segment>>,
+    ) -> Result<Self, InvalidIndexParts> {
+        let plan = Arc::new(compute_plan(base.as_ref(), &urls, &segments)?);
         Ok(SegmentedCorpus {
             base,
+            urls,
             segments,
             plan,
         })
     }
 
     /// A new view with one more segment at the end — the live-refresh
-    /// step. The base and existing segments are shared (`Arc`), only
-    /// the plan is recomputed.
+    /// step. The base, its URL index and the existing segments are
+    /// shared (`Arc`); only the plan is recomputed.
     pub fn push_segment(&self, segment: Arc<Segment>) -> Result<Self, InvalidIndexParts> {
         let mut segments = self.segments.clone();
         segments.push(segment);
-        Self::new(self.base.clone(), segments)
+        Self::with_urls(self.base.clone(), Arc::clone(&self.urls), segments)
+    }
+
+    /// The same view over `segments`, which must hold exactly this
+    /// view's operations in the same order, grouped differently — what
+    /// a tier merge does to the journal files (see [`Segment::concat`]).
+    /// Base, URL index, operations and plan are all shared: nothing is
+    /// recomputed or copied. Fails when the operation sequence differs.
+    pub fn regroup(&self, segments: Vec<Arc<Segment>>) -> Result<Self, InvalidIndexParts> {
+        fn op_ids(segments: &[Arc<Segment>]) -> impl Iterator<Item = *const OpKind> + '_ {
+            segments
+                .iter()
+                .flat_map(|s| s.ops())
+                .map(|op| Arc::as_ptr(&op.0))
+        }
+        if !op_ids(&self.segments).eq(op_ids(&segments)) {
+            return Err(invalid_parts(
+                "a regroup must keep the operation sequence".into(),
+            ));
+        }
+        Ok(SegmentedCorpus {
+            base: self.base.clone(),
+            urls: Arc::clone(&self.urls),
+            segments,
+            plan: Arc::clone(&self.plan),
+        })
     }
 
     /// The base collection under the segments.
@@ -258,7 +357,7 @@ impl SegmentedCorpus {
             }
         }
         for run in &self.plan.runs {
-            let (pages, _) = self.run_parts(run);
+            let (pages, _) = run.parts();
             for &l in &run.alive_locals {
                 out.push(pages[l as usize].clone());
             }
@@ -285,7 +384,7 @@ impl SegmentedCorpus {
             .expect("page id out of range");
         let run = &runs[at];
         let local = run.alive_locals[(f - run.first_final) as usize];
-        let (pages, _) = self.run_parts(run);
+        let (pages, _) = run.parts();
         let p = &pages[local as usize];
         PageFields {
             url: &p.url,
@@ -301,11 +400,11 @@ impl SegmentedCorpus {
     pub fn search(&self, query: &str, k: usize) -> Vec<(PageId, f64)> {
         scoring::top_k(self, query, k)
     }
+}
 
-    fn run_parts(&self, run: &Run) -> (&[WebPage], &InvertedIndex) {
-        self.segments[run.seg as usize].ops()[run.op as usize]
-            .added()
-            .expect("plan runs only reference add ops")
+impl Run {
+    fn parts(&self) -> (&[WebPage], &InvertedIndex) {
+        self.op.added().expect("plan runs only reference add ops")
     }
 }
 
@@ -340,7 +439,7 @@ impl scoring::ScoreSource for SegmentedCorpus {
         }
         let mut run_tids = Vec::with_capacity(self.plan.runs.len());
         for run in &self.plan.runs {
-            let (_, index) = self.run_parts(run);
+            let (_, index) = run.parts();
             let tid = index.term_id(token);
             if let Some(t) = tid {
                 df += index
@@ -368,7 +467,7 @@ impl scoring::ScoreSource for SegmentedCorpus {
         }
         for (run, &tid) in self.plan.runs.iter().zip(run_tids) {
             let Some(tid) = tid else { continue };
-            let (_, index) = self.run_parts(run);
+            let (_, index) = run.parts();
             for p in index.postings_of(tid) {
                 let local = p.page.0 as usize;
                 let f = run.final_of_local[local];
@@ -403,11 +502,11 @@ impl SearchBackend for SegmentedCorpus {
 /// with a matching URL, base and previously added pages alike.
 fn compute_plan(
     base: &dyn BaseCorpus,
+    urls: &OnceLock<BaseUrls>,
     segments: &[Arc<Segment>],
 ) -> Result<Plan, InvalidIndexParts> {
     struct AddState {
-        seg: u32,
-        op: u32,
+        op: SegmentOp,
         alive: Vec<bool>,
     }
 
@@ -416,62 +515,35 @@ fn compute_plan(
         .iter()
         .any(|s| s.ops().iter().any(|o| o.removed().is_some()));
 
+    // Removal targets resolve by URL against everything currently
+    // alive: base pages through the base's shared URL index, added
+    // pages through a multimap over the journal's own adds (O(delta)).
+    // Neither exists on the pure-append path, which never hashes a
+    // single base URL.
+    let base_urls = any_remove.then(|| urls.get_or_init(|| BaseUrls::build(base)));
+    let mut base_alive = vec![true; if any_remove { n_base } else { 0 }];
+    let mut added_by_url: HashMap<&str, Vec<(u32, u32)>> = HashMap::new();
     let mut adds: Vec<AddState> = Vec::new();
-    let mut base_alive: Vec<bool> = Vec::new();
-    if any_remove {
-        // Removal targets resolve by URL against everything currently
-        // alive, so a URL → slot multimap is maintained through the
-        // replay. Only built when a removal actually exists — the
-        // pure-append fast path never hashes a single base URL.
-        base_alive = vec![true; n_base];
-        let mut by_url: HashMap<&str, Vec<Slot>> = HashMap::with_capacity(n_base);
-        for i in 0..n_base {
-            by_url
-                .entry(base.page_fields(PageId(i as u32)).url)
-                .or_default()
-                .push(Slot::Base(i as u32));
-        }
-        for (si, seg) in segments.iter().enumerate() {
-            for (oi, op) in seg.ops().iter().enumerate() {
-                if let Some((pages, _)) = op.added() {
-                    let add = adds.len() as u32;
-                    for (l, p) in pages.iter().enumerate() {
-                        by_url.entry(p.url.as_str()).or_default().push(Slot::Added {
-                            add,
-                            local: l as u32,
-                        });
-                    }
-                    adds.push(AddState {
-                        seg: si as u32,
-                        op: oi as u32,
-                        alive: vec![true; pages.len()],
-                    });
-                } else if let Some(urls) = op.removed() {
-                    for url in urls {
-                        let Some(slots) = by_url.remove(url.as_str()) else {
-                            continue;
-                        };
-                        for slot in slots {
-                            match slot {
-                                Slot::Base(i) => base_alive[i as usize] = false,
-                                Slot::Added { add, local } => {
-                                    adds[add as usize].alive[local as usize] = false;
-                                }
-                            }
-                        }
-                    }
+    for op in segments.iter().flat_map(|s| s.ops()) {
+        if let Some((pages, _)) = op.added() {
+            if any_remove {
+                let add = adds.len() as u32;
+                for (l, p) in pages.iter().enumerate() {
+                    added_by_url
+                        .entry(p.url.as_str())
+                        .or_default()
+                        .push((add, l as u32));
                 }
             }
-        }
-    } else {
-        for (si, seg) in segments.iter().enumerate() {
-            for (oi, op) in seg.ops().iter().enumerate() {
-                if let Some((pages, _)) = op.added() {
-                    adds.push(AddState {
-                        seg: si as u32,
-                        op: oi as u32,
-                        alive: vec![true; pages.len()],
-                    });
+            adds.push(AddState {
+                op: op.clone(),
+                alive: vec![true; pages.len()],
+            });
+        } else if let (Some(removed), Some(base_urls)) = (op.removed(), base_urls) {
+            for url in removed {
+                base_urls.remove(base, url, &mut base_alive);
+                for (add, local) in added_by_url.remove(url.as_str()).into_iter().flatten() {
+                    adds[add as usize].alive[local as usize] = false;
                 }
             }
         }
@@ -517,7 +589,6 @@ fn compute_plan(
         }
         if !alive_locals.is_empty() {
             runs.push(Run {
-                seg: st.seg,
                 op: st.op,
                 first_final: first_final as u32,
                 final_of_local,
@@ -546,9 +617,7 @@ fn compute_plan(
         }
     }
     for run in &runs {
-        let (_, index) = segments[run.seg as usize].ops()[run.op as usize]
-            .added()
-            .expect("runs only reference add ops");
+        let (_, index) = run.parts();
         for &l in &run.alive_locals {
             total_len += index.doc_len_of(l as usize);
         }
@@ -705,6 +774,91 @@ mod tests {
         let pages = vec![page("a0", "t", "one two three")];
         let wrong = InvertedIndex::build(&[]);
         assert!(SegmentOp::add_prebuilt(pages, wrong).is_err());
+    }
+
+    #[test]
+    fn the_url_index_is_built_at_the_first_removal_and_shared_by_every_push() {
+        let base = Arc::new(WebCorpus::from_pages(base_pages()));
+        let seg = SegmentedCorpus::new(base, vec![]).unwrap();
+        let added = seg
+            .push_segment(Arc::new(Segment::new(vec![SegmentOp::add(vec![page(
+                "a0",
+                "Add",
+                "melisse added",
+            )])])))
+            .unwrap();
+        assert!(added.urls.get().is_none(), "appends read no base URL");
+        let removed = added
+            .push_segment(Arc::new(Segment::new(vec![SegmentOp::remove(vec![
+                "u2".into()
+            ])])))
+            .unwrap();
+        assert!(removed.urls.get().is_some());
+        assert!(Arc::ptr_eq(&seg.urls, &removed.urls));
+        assert_identical(&removed, &["melisse", "restaurant menu"]);
+    }
+
+    #[test]
+    fn a_hash_collision_never_removes_the_page_with_another_url() {
+        let base = WebCorpus::from_pages(base_pages());
+        // Forged: u2 is also listed under u0's hash.
+        let mut entries: Vec<(u64, u32)> = (0..4u32)
+            .map(|i| (url_hash(&format!("u{i}")), i))
+            .chain([(url_hash("u0"), 2)])
+            .collect();
+        entries.sort_unstable();
+        let urls = BaseUrls { entries };
+        let mut alive = vec![true; 4];
+        urls.remove(&base, "u0", &mut alive);
+        assert_eq!(alive, [false, true, true, true], "only the equal URL dies");
+
+        // The same forged index through a whole plan: each removal
+        // kills exactly its own page.
+        let seg = SegmentedCorpus::with_urls(
+            Arc::new(base),
+            Arc::new(OnceLock::from(urls)),
+            vec![
+                Arc::new(Segment::new(vec![SegmentOp::remove(vec!["u0".into()])])),
+                Arc::new(Segment::new(vec![SegmentOp::remove(vec!["u2".into()])])),
+            ],
+        )
+        .unwrap();
+        let left: Vec<String> = seg.to_pages().into_iter().map(|p| p.url).collect();
+        assert_eq!(left, ["u1", "u3"]);
+        assert_identical(&seg, &["melisse", "restaurant menu"]);
+    }
+
+    #[test]
+    fn regroup_shares_the_plan_and_refuses_another_operation_sequence() {
+        let base = Arc::new(WebCorpus::from_pages(base_pages()));
+        let s1 = Arc::new(Segment::new(vec![SegmentOp::add(vec![page(
+            "a0",
+            "New",
+            "melisse bistro menu",
+        )])]));
+        let s2 = Arc::new(Segment::new(vec![SegmentOp::remove(vec!["u1".into()])]));
+        let s3 = Arc::new(Segment::new(vec![SegmentOp::add(vec![page(
+            "a1",
+            "Later",
+            "restaurant late menu",
+        )])]));
+        let seg = SegmentedCorpus::new(base, vec![s1.clone(), s2.clone(), s3.clone()]).unwrap();
+        let merged = Arc::new(Segment::concat(&[s1.clone(), s2.clone()]));
+        let regrouped = seg.regroup(vec![merged, s3.clone()]).unwrap();
+        assert_eq!(regrouped.segments().len(), 2);
+        assert_eq!(regrouped.segments()[0].ops().len(), 2);
+        assert!(Arc::ptr_eq(&regrouped.plan, &seg.plan));
+        assert_eq!(regrouped.to_pages(), seg.to_pages());
+        assert_identical(&regrouped, &["melisse", "restaurant menu", "late"]);
+
+        // A dropped op, a reordering, or an equal op built anew is
+        // another sequence.
+        assert!(seg.regroup(vec![s1.clone(), s3.clone()]).is_err());
+        assert!(seg
+            .regroup(vec![s2.clone(), s1.clone(), s3.clone()])
+            .is_err());
+        let rebuilt = Arc::new(Segment::new(vec![SegmentOp::remove(vec!["u1".into()])]));
+        assert!(seg.regroup(vec![s1, rebuilt, s3]).is_err());
     }
 
     #[test]

@@ -23,6 +23,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use teda::kb::{World, WorldSpec};
+use teda::service::LiveCorpus;
 use teda::store::delta::{adopt_index, encode_segment_indexed, read_segment};
 use teda::store::format::{decode_container, encode_container, KIND_DELTA};
 use teda::store::{
@@ -30,7 +31,8 @@ use teda::store::{
     OpenOutcome, SnapshotBytes, StoreError, TierPolicy, ViewBackend, CACHE_FILE, SNAPSHOT_FILE,
 };
 use teda::websim::{
-    InvertedIndex, PageId, SearchEngine, SearchResult, WebCorpus, WebCorpusSpec, WebPage,
+    InvertedIndex, PageId, SearchEngine, SearchResult, SegmentedCorpus, WebCorpus, WebCorpusSpec,
+    WebPage,
 };
 
 fn corpus(seed: u64) -> WebCorpus {
@@ -1054,6 +1056,227 @@ fn removal_overflow_triggers_a_full_fold_identical_to_a_rebuild() {
     assert_replay_matches_rebuild(&store, &rebuild);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dir_fresh);
+}
+
+/// A live corpus view against the logical page list it must serve: the
+/// same pages in the same order, and bit-identical rankings to a
+/// rebuild of that list for every probe.
+fn assert_view_is_the_page_list(view: &SegmentedCorpus, oracle: &[WebPage], context: &str) {
+    assert_eq!(view.to_pages(), oracle, "{context}: page list");
+    let rebuild = WebCorpus::from_pages(oracle.to_vec());
+    for q in vocab_probes() {
+        for k in [1, 3, 10] {
+            assert_eq!(
+                bits(&view.search(&q, k)),
+                bits(&rebuild.index().search(&q, k)),
+                "{context}: {q:?} k {k}"
+            );
+        }
+    }
+}
+
+/// Applies `op` to a live corpus and to the page-list oracle.
+fn apply_live(
+    live: &LiveCorpus,
+    oracle: &mut Vec<WebPage>,
+    op: DeltaOp,
+) -> teda::store::CompactionReport {
+    op.apply(oracle);
+    match op {
+        DeltaOp::AddPages(pages) => live.add_pages(pages),
+        DeltaOp::RemovePages(urls) => live.remove_pages(urls),
+    }
+    .expect("live update")
+}
+
+#[test]
+fn a_live_chain_regrouped_in_memory_equals_a_reopen_after_every_update() {
+    let mut rng = StdRng::seed_from_u64(0x11fe);
+    let base_pages: Vec<WebPage> = (0..10)
+        .map(|i| synth_page(&mut rng, &format!("http://base/{i}")))
+        .collect();
+    let dir = temp_store("live_regroup");
+    CorpusStore::open(&dir)
+        .expect("open store")
+        .save(&WebCorpus::from_pages(base_pages.clone()))
+        .expect("save base");
+    let policy = TierPolicy {
+        max_segments: 3,
+        fanout: 2,
+        max_removed: 7,
+    };
+    let live = LiveCorpus::open_mapped(&dir, policy).expect("open live");
+    let mut oracle = base_pages;
+    let mut removed_urls: Vec<String> = Vec::new();
+    let (mut merges, mut folds) = (0usize, 0usize);
+    for update in 0..48 {
+        let op = if oracle.is_empty() || rng.gen_bool(0.6) {
+            let n = rng.gen_range(1..=3usize);
+            let pages = (0..n)
+                .map(|i| {
+                    // Now and then a URL comes back after its removal.
+                    let url = match removed_urls.choose(&mut rng) {
+                        Some(url) if i == 0 && rng.gen_bool(0.2) => url.clone(),
+                        _ => format!("http://live/{update}/{i}"),
+                    };
+                    synth_page(&mut rng, &url)
+                })
+                .collect();
+            DeltaOp::AddPages(pages)
+        } else {
+            let mut urls: Vec<String> = (0..rng.gen_range(1..=2usize))
+                .filter_map(|_| oracle.choose(&mut rng).map(|p| p.url.clone()))
+                .collect();
+            if rng.gen_bool(0.2) {
+                urls.push("http://nowhere/".into());
+            }
+            removed_urls.extend(urls.iter().cloned());
+            DeltaOp::RemovePages(urls)
+        };
+        let report = apply_live(&live, &mut oracle, op);
+        merges += report.merges;
+        folds += usize::from(report.full_fold);
+
+        let view = live.corpus();
+        let reopened = LiveCorpus::open_mapped(&dir, policy).expect("reopen");
+        let fresh = reopened.corpus();
+        let context = format!("update {update}");
+        assert_eq!(view.segments().len(), fresh.segments().len(), "{context}");
+        assert!(view.segments().len() <= policy.max_segments, "{context}");
+        for (a, b) in view.segments().iter().zip(fresh.segments()) {
+            assert_eq!(a.ops().len(), b.ops().len(), "{context}: ops per segment");
+        }
+        assert_eq!(view.to_pages(), fresh.to_pages(), "{context}");
+        for q in vocab_probes() {
+            for k in [1, 3, 10] {
+                assert_eq!(
+                    bits(&view.search(&q, k)),
+                    bits(&fresh.search(&q, k)),
+                    "{context}: {q:?} k {k}"
+                );
+            }
+        }
+        assert_view_is_the_page_list(&view, &oracle, &context);
+    }
+    assert!(
+        merges >= 3,
+        "the stream must cross several tier merges, got {merges}"
+    );
+    assert!(folds >= 1, "the stream must cross a full fold");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn each_push_hydrates_only_the_base_pages_its_removals_name() {
+    let mut rng = StdRng::seed_from_u64(0x4d2a);
+    let n_base = 64usize;
+    let base_pages: Vec<WebPage> = (0..n_base)
+        .map(|i| synth_page(&mut rng, &format!("http://base/{i}")))
+        .collect();
+    let dir = temp_store("live_hydrations");
+    CorpusStore::open(&dir)
+        .expect("open store")
+        .save(&WebCorpus::from_pages(base_pages.clone()))
+        .expect("save base");
+    // Tight segment bound, no fold: merges happen and must cost nothing.
+    let policy = TierPolicy {
+        max_segments: 3,
+        fanout: 2,
+        max_removed: 1 << 20,
+    };
+    let live = LiveCorpus::open_mapped(&dir, policy).expect("open live");
+    let mut oracle = base_pages;
+    let hydrations = |live: &LiveCorpus| live.map_stats().hydrations;
+
+    // The first removal reads every base URL once, to build the base's
+    // URL index, and then confirms its one match.
+    apply_live(
+        &live,
+        &mut oracle,
+        DeltaOp::RemovePages(vec!["http://base/5".into()]),
+    );
+    assert_eq!(hydrations(&live), n_base as u64 + 1);
+
+    // From then on a push reads only the base pages whose URL hash
+    // matches a removal URL in the chain: one per removal of a base
+    // page here, however many pages the base holds.
+    let mut base_removals = 1u64;
+    let mut merges = 0usize;
+    for step in 0..12usize {
+        let op = match step % 3 {
+            0 => DeltaOp::AddPages(vec![synth_page(&mut rng, &format!("http://live/{step}"))]),
+            1 => {
+                base_removals += 1;
+                DeltaOp::RemovePages(vec![
+                    format!("http://base/{}", 10 + step),
+                    "http://nowhere/".into(),
+                ])
+            }
+            _ => DeltaOp::RemovePages(vec![format!("http://live/{}", step - 2)]),
+        };
+        let before = hydrations(&live);
+        merges += apply_live(&live, &mut oracle, op).merges;
+        let pushed = hydrations(&live) - before;
+        assert_eq!(pushed, base_removals, "step {step}");
+        assert!(pushed < n_base as u64);
+    }
+    assert!(merges > 0, "the stream must cross a tier merge");
+    assert_view_is_the_page_list(&live.corpus(), &oracle, "after the pushes");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn removal_edge_cases_match_the_page_list_replay() {
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let mut synth = |url: &str| synth_page(&mut rng, url);
+    // Two base pages share one URL.
+    let base_pages = vec![
+        synth("http://dup/"),
+        synth("http://base/1"),
+        synth("http://dup/"),
+        synth("http://base/3"),
+    ];
+    let added = vec![synth("http://added/0"), synth("http://added/1")];
+    let back = synth("http://base/1");
+    let cases: Vec<(&str, Vec<DeltaOp>)> = vec![
+        (
+            "two base pages with one URL",
+            vec![DeltaOp::RemovePages(vec!["http://dup/".into()])],
+        ),
+        (
+            "remove, re-add, remove one URL",
+            vec![
+                DeltaOp::RemovePages(vec!["http://base/1".into()]),
+                DeltaOp::AddPages(vec![back]),
+                DeltaOp::RemovePages(vec!["http://base/1".into()]),
+            ],
+        ),
+        (
+            "a removal that names no page",
+            vec![DeltaOp::RemovePages(vec!["http://nowhere/".into()])],
+        ),
+        (
+            "a page added earlier in the chain",
+            vec![
+                DeltaOp::AddPages(added),
+                DeltaOp::RemovePages(vec!["http://added/0".into()]),
+            ],
+        ),
+    ];
+    for (i, (case, ops)) in cases.into_iter().enumerate() {
+        let dir = temp_store(&format!("live_edge_{i}"));
+        CorpusStore::open(&dir)
+            .expect("open store")
+            .save(&WebCorpus::from_pages(base_pages.clone()))
+            .expect("save base");
+        let live = LiveCorpus::open_mapped(&dir, TierPolicy::default()).expect("open live");
+        let mut oracle = base_pages.clone();
+        for (step, op) in ops.into_iter().enumerate() {
+            apply_live(&live, &mut oracle, op);
+            assert_view_is_the_page_list(&live.corpus(), &oracle, &format!("{case}, step {step}"));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
